@@ -7,8 +7,10 @@ The package covers the full loop of a partition-based estimation study:
   linearization;
 - ``simulate``: ground-truth trajectories under bounded Gaussian noise with
   per-subsystem reproducible noise streams;
-- ``dkf`` / ``dekf``: the distributed (extended) Kalman filter recursions
-  with barrier-synchronized, order-independent local estimators;
+- ``dkf``: the one two-phase filter engine with barrier-synchronized,
+  order-independent local estimators, and the linear filter ``run_dkf``;
+- ``dekf``: the extended filter ``run_dekf``, the same engine fed with
+  blocks re-linearized at every instant;
 - ``fie``: batch full-information oracles that verify the recursions by
   solving the whole estimation history as one KKT system;
 - ``analysis``: error-dynamics decomposition, stability monitors, RMSE and
@@ -34,16 +36,13 @@ from .analysis import (
     stability_report,
 )
 from .benchmarks import Benchmark, available_benchmarks, get_benchmark, register_benchmark
-from .dekf import DekfAgent, dekf_gain_cov, dekf_predict, dekf_update, run_dekf
+from .dekf import dekf_gain_cov, dekf_predict, dekf_update, run_dekf
 from .dkf import (
     CovarianceCollapseError,
     EstimatorDesign,
     EstimatorState,
     ExchangeSnapshot,
     FilterError,
-    covariance,
-    dkf_step,
-    gain,
     init_states,
     predict,
     run_dkf,

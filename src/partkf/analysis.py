@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dkf import _sym
 from .model import GlobalModel
 from .records import RunRecord
 
@@ -53,10 +54,6 @@ INEQ_TOL = 1e-10
 #: Condition-number ceiling above which a diagonal closed-loop block is
 #: treated as not invertible and the weak-coupling check as not checkable.
 COND_LIMIT = 1e12
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
 
 
 def _spec_norm(m: np.ndarray) -> float:

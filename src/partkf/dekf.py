@@ -1,8 +1,9 @@
 """Partition-based distributed extended Kalman filter.
 
-The linear recursion is reused with Jacobian blocks refreshed at every
-sampling instant.  The evaluation points are deliberately asymmetric and are
-recorded for audit:
+The extended filter is the linear two-phase engine of :mod:`partkf.dkf` with
+its blocks re-linearized at every sampling instant.  This module supplies the
+nonlinear linearization source and the public step functions.  The
+evaluation points are deliberately asymmetric and are recorded for audit:
 
 - dynamics blocks are linearized at the posteriors ``xhat_{k|k}`` (computed at
   the end of instant ``k``, used by the gain and covariance at ``k+1``);
@@ -10,80 +11,48 @@ recorded for audit:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Each agent owns its subsystem's Jacobian row blocks and its output column
-block; the execution loop exchanges them so that every agent can assemble the
-stacked column of the dynamics Jacobian it needs.  Phases run behind a
-barrier: all predictions complete before any update starts, and execution
-order never changes the numbers.
+Jacobian blocks come from each subsystem's analytic providers in
+``mode="analytic"``, with central differences for a subsystem that has none,
+and from central differences everywhere in ``mode="fd"``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .dkf import (
-    CovarianceCollapseError,
+from .dkf import (  # noqa: F401  (the floor constants are part of this module's API)
+    COV_FLOOR_BUMP,
+    COV_FLOOR_REL,
     EstimatorDesign,
-    EstimatorState,
     ExchangeSnapshot,
     FilterError,
+    _check_phase2,
+    _floor,
+    _posteriors,
+    _run_filter,
     gain_and_covariance,
-    init_update,
 )
-from .model import GlobalModel, NonlinearSubsystem, fd_jacobian_f, fd_jacobian_h
+from .model import GlobalModel, _a_cols, _jac_cols_h, _jac_rows_f
 from .records import RunRecord
 from .simulate import Trajectory
 
-__all__ = ["DekfAgent", "dekf_predict", "dekf_gain_cov", "dekf_update", "run_dekf"]
-
-#: Eigenvalue floor: bump the posterior covariance when its smallest
-#: eigenvalue falls below ``COV_FLOOR_REL * trace(P) / dim``.
-COV_FLOOR_REL = 1e-12
-COV_FLOOR_BUMP = 1e-10
-
-
-@dataclass
-class DekfAgent:
-    """One local extended Kalman filter: subsystem reference, current
-    estimator state and the latest linearization contributions (own Jacobian
-    row blocks and output column block)."""
-
-    sub: NonlinearSubsystem
-    state: EstimatorState
-    a_rows: dict[int, np.ndarray] = field(default_factory=dict)
-    c_col: np.ndarray | None = None
-
-    @property
-    def index(self) -> int:
-        return self.sub.index
-
-
-def _eval_f(sub: NonlinearSubsystem, x_i: np.ndarray, neighbors) -> np.ndarray:
-    try:
-        out = np.asarray(sub.f(x_i, neighbors), dtype=float)
-    except Exception as exc:
-        raise FilterError(f"subsystem {sub.index}: dynamics evaluation failed: {exc}") from exc
-    if out.shape != (sub.state_dim,) or not np.all(np.isfinite(out)):
-        raise FilterError(f"subsystem {sub.index}: dynamics returned a non-finite value")
-    return out
+__all__ = ["dekf_predict", "dekf_gain_cov", "dekf_update", "run_dekf"]
 
 
 def dekf_predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
     """Nonlinear propagation of the local posterior with neighbor posteriors
     as interaction inputs."""
     sub = model.subsystems[i]
-    if snapshot.posteriors[i] is None:
-        raise FilterError(f"snapshot is missing the posterior of subsystem {i}")
-    neighbors = {}
-    for l in sub.neighbors:
-        if snapshot.posteriors[l] is None:
-            raise FilterError(f"snapshot is missing the posterior of neighbor {l}")
-        neighbors[l] = snapshot.posteriors[l]
-    return _eval_f(sub, snapshot.posteriors[i], neighbors)
+    x_i, neighbors = _posteriors(snapshot, i, sub.neighbors)
+    try:
+        out = np.asarray(sub.f(x_i, neighbors), dtype=float)
+    except Exception as exc:
+        raise FilterError(f"subsystem {i}: dynamics evaluation failed: {exc}") from exc
+    if out.shape != (sub.state_dim,) or not np.all(np.isfinite(out)):
+        raise FilterError(f"subsystem {i}: dynamics returned a non-finite value")
+    return out
 
 
 def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
@@ -94,67 +63,52 @@ def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
     Applies the eigenvalue floor policy and returns whether it fired.
     """
     L, P = gain_and_covariance(P_prev, a_col_i, a_ii, C_k, c_col_i, Q_i, R)
-    n_i = P.shape[0]
-    floored = False
-    eigs = np.linalg.eigvalsh(P)
-    floor = COV_FLOOR_REL * np.trace(P) / n_i
-    if eigs[0] < floor:
-        P = P + COV_FLOOR_BUMP * np.eye(n_i)
-        floored = True
+    P, floored = _floor(P)
     return L, P, floored
 
 
-def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
-                L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
-    """Local update; the innovation uses the nonlinear output map evaluated at
-    the stacked prediction."""
-    if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
-        raise FilterError("snapshot is missing neighbor predictions")
-    if snapshot.measurement is None:
-        raise FilterError("snapshot is missing the measurement")
-    stacked = np.concatenate(snapshot.predictions)
+def _output_residual(model: GlobalModel, y: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """``y - h(stacked)``, the innovation of the extended filter."""
     try:
         predicted = model.h(stacked)
     except Exception as exc:
         raise FilterError(f"output map evaluation failed: {exc}") from exc
     if not np.all(np.isfinite(predicted)):
         raise FilterError("output map returned a non-finite value")
-    return x_pred_i + L_i @ (snapshot.measurement - predicted)
+    return y - predicted
 
 
-def _jac_rows(sub: NonlinearSubsystem, x_i: np.ndarray, neighbors, mode: str
-              ) -> dict[int, np.ndarray]:
-    if mode == "analytic" and sub.jac_f is not None:
-        rows = sub.jac_f(x_i, neighbors)
-        return {int(l): np.asarray(b, dtype=float) for l, b in rows.items()}
-    return fd_jacobian_f(sub, x_i, neighbors)
+def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
+                L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
+    """Local update; the innovation uses the nonlinear output map evaluated at
+    the stacked prediction."""
+    _check_phase2(snapshot)
+    stacked = np.concatenate(snapshot.predictions)
+    return x_pred_i + L_i @ _output_residual(model, snapshot.measurement, stacked)
 
 
-def _jac_c_col(sub: NonlinearSubsystem, x_i: np.ndarray, ny: int, out_slice,
-               mode: str) -> np.ndarray:
-    col = np.zeros((ny, sub.state_dim))
-    if sub.out_dim == 0:
-        return col
-    if mode == "analytic" and sub.jac_h is not None:
-        block = np.asarray(sub.jac_h(x_i), dtype=float)
-    else:
-        block = fd_jacobian_h(sub, x_i)
-    col[out_slice, :] = block
-    return col
+class _NonlinearSource:
+    """Linearization source of a nonlinear model: Jacobian blocks at the
+    given points, nonlinear prediction and the nonlinear output residual."""
 
+    kind = "dekf"
+    predict = staticmethod(dekf_predict)
 
-def _assemble_a_cols(partition, agents: Sequence[DekfAgent]) -> list[np.ndarray]:
-    """Stack every agent's row blocks into per-subsystem column blocks."""
-    n = partition.n
-    cols = []
-    for i in range(n):
-        col = np.zeros((partition.nx, partition.dims[i]))
-        for l in range(n):
-            blk = agents[l].a_rows.get(i)
-            if blk is not None:
-                col[partition.state_slice(l), :] = blk
-        cols.append(col)
-    return cols
+    def __init__(self, model: GlobalModel, mode: str):
+        self.model = model
+        self.mode = mode
+
+    def dynamics(self, x: np.ndarray) -> tuple[list, list]:
+        p = self.model.partition
+        rows = _jac_rows_f(self.model.subsystems, p, x, self.mode)
+        return _a_cols(rows, p), [rows[(i, i)] for i in range(p.n)]
+
+    def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
+        cols = _jac_cols_h(self.model.subsystems, self.model.partition, x, self.mode)
+        return cols, np.hstack(cols)
+
+    def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
+        return _output_residual(self.model, y, np.concatenate(points))
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
@@ -162,131 +116,11 @@ def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
              config: dict | None = None) -> RunRecord:
     """Execute the distributed extended Kalman filter over a trajectory.
 
-    Per instant: exchange posteriors, predict, exchange predictions,
-    relinearize the output map at the stacked prediction, compute gains and
-    covariances from the dynamics blocks of the previous posterior, update
-    against the measurement, then relinearize the dynamics at the new
-    posteriors.  Aborts with the step index on covariance collapse.
+    Per instant: relinearize the dynamics at the posteriors of the previous
+    instant, predict, relinearize the output map at the stacked prediction,
+    compute gains and covariances, then update against the measurement.
+    Aborts with the step index on covariance collapse.
     """
     if model.linear:
         raise ValueError("run_dekf needs a nonlinear model; use run_dkf instead")
-    design.validate(model)
-    p = model.partition
-    n = p.n
-    K = traj.steps
-    agenda = list(order) if order is not None else list(range(n))
-    if sorted(agenda) != list(range(n)):
-        raise ValueError("order must be a permutation of the subsystems")
-
-    xhat_pred = np.empty((K + 1, p.nx))
-    xhat_post = np.empty((K + 1, p.nx))
-    gains: list[list[np.ndarray]] = []
-    covs: list[list[np.ndarray]] = []
-    a_cols: list[list[np.ndarray]] = []
-    c_cols: list[list[np.ndarray]] = []
-    a_points = np.empty((K, p.nx))
-    c_points = np.empty((K + 1, p.nx))
-    wall = np.empty(K + 1)
-    floor_events = 0
-
-    guess_blocks = p.split_state(design.x0_guess)
-
-    t0 = time.perf_counter()
-    agents = [DekfAgent(sub=model.subsystems[i],
-                        state=EstimatorState(i, guess_blocks[i], design.P0[i],
-                                             np.zeros((p.dims[i], p.ny)), -1))
-              for i in range(n)]
-    # Initial update: output map linearized at the prior guess, nonlinear
-    # innovation, information-form fusion with the prior.
-    for i in agenda:
-        agents[i].c_col = _jac_c_col(model.subsystems[i], guess_blocks[i], p.ny,
-                                     p.out_slice(i), mode)
-    innovation0 = traj.ys[0] - model.h(design.x0_guess)
-    for i in agenda:
-        xh, P, L0 = init_update(design.P0[i], agents[i].c_col, design.R,
-                                guess_blocks[i], innovation0)
-        eigs = np.linalg.eigvalsh(P)
-        if eigs[0] < COV_FLOOR_REL * np.trace(P) / p.dims[i]:
-            P = P + COV_FLOOR_BUMP * np.eye(p.dims[i])
-            floor_events += 1
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceCollapseError(
-                f"initial covariance of subsystem {i} is not positive definite",
-                subsystem=i, k=0) from exc
-        agents[i].state = EstimatorState(i, xh, P, L0, 0)
-    wall[0] = time.perf_counter() - t0
-
-    xhat_pred[0] = design.x0_guess
-    c_points[0] = design.x0_guess
-    xhat_post[0] = np.concatenate([a.state.xhat for a in agents])
-    gains.append([a.state.gain for a in agents])
-    covs.append([a.state.cov for a in agents])
-    c_cols.append([a.c_col for a in agents])
-
-    for k in range(1, K + 1):
-        t0 = time.perf_counter()
-        posteriors = tuple(a.state.xhat for a in agents)
-        post_stacked = xhat_post[k - 1]
-        # Dynamics blocks at the posteriors of k-1, exchanged as row blocks.
-        for i in agenda:
-            sub = model.subsystems[i]
-            nbrs = {l: posteriors[l] for l in sub.neighbors}
-            agents[i].a_rows = _jac_rows(sub, posteriors[i], nbrs, mode)
-        cols_prev = _assemble_a_cols(p, agents)
-        a_cols.append(cols_prev)
-        a_points[k - 1] = post_stacked
-
-        phase1 = ExchangeSnapshot(k=k, posteriors=posteriors)
-        predictions: list = [None] * n
-        for i in agenda:
-            predictions[i] = dekf_predict(i, phase1, model)
-        stacked_pred = np.concatenate(predictions)
-        xhat_pred[k] = stacked_pred
-        c_points[k] = stacked_pred
-
-        for i in agenda:
-            agents[i].c_col = _jac_c_col(model.subsystems[i],
-                                         predictions[i], p.ny, p.out_slice(i), mode)
-        C_k = np.hstack([a.c_col for a in agents])
-
-        phase2 = ExchangeSnapshot(k=k, posteriors=posteriors,
-                                  predictions=tuple(predictions),
-                                  measurement=traj.ys[k])
-        for i in agenda:
-            a_ii = agents[i].a_rows[i]
-            try:
-                L, P, floored = dekf_gain_cov(agents[i].state.cov, cols_prev[i],
-                                              a_ii, C_k, agents[i].c_col,
-                                              design.Q[i], design.R)
-            except FilterError as exc:
-                raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
-            if floored:
-                floor_events += 1
-            try:
-                np.linalg.cholesky(P)
-            except np.linalg.LinAlgError as exc:
-                raise CovarianceCollapseError(
-                    f"posterior covariance of subsystem {i} collapsed",
-                    subsystem=i, k=k) from exc
-            xh = dekf_update(i, predictions[i], phase2, L, model)
-            agents[i].state = EstimatorState(i, xh, P, L, k)
-        wall[k] = time.perf_counter() - t0
-
-        xhat_post[k] = np.concatenate([a.state.xhat for a in agents])
-        gains.append([a.state.gain for a in agents])
-        covs.append([a.state.cov for a in agents])
-        c_cols.append([a.c_col for a in agents])
-
-    err = traj.xs - xhat_post
-    rmse = np.sqrt(np.sum(err * err, axis=1) / p.nx)
-    return RunRecord(
-        kind="dekf", seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
-        xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
-        xhat_pred=xhat_pred, xhat_post=xhat_post,
-        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols,
-        a_points=a_points, c_points=c_points, rmse=rmse,
-        estimator=design.serializable(), floor_events=floor_events,
-        wall_clock=wall, config=config,
-    )
+    return _run_filter(_NonlinearSource(model, mode), design, traj, order, config)

@@ -1,11 +1,12 @@
-"""Partition-based distributed Kalman filter for linear interconnected plants.
+"""Partition-based distributed Kalman filter: the one two-phase engine.
 
 Each subsystem runs a local estimator over its own state block.  At every
 sampling instant the estimators exchange posteriors, predict, exchange
 predictions, and update against the full stacked measurement vector.  All
-cross-estimator reads go through an immutable :class:`ExchangeSnapshot` frozen
-at the start of each phase, so results are independent of the order in which
-local estimators execute.
+cross-estimator reads in the prediction phase go through an immutable
+:class:`ExchangeSnapshot`, and the update phase reads only the finished
+predictions, so results are independent of the order in which local
+estimators execute.
 
 Local recursion for subsystem ``i`` with global output matrix ``C``, stacked
 column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
@@ -15,6 +16,15 @@ column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
   ``M = C A_col P A_col' C' + C_col Q_i C_col' + R``
 - update       ``xh_i = xp_i + L_i (y - sum_l C_col_l xp_l)``
 - covariance   ``P+ = A_ii P A_ii' + Q_i - L_i (C A_col P A_ii' + C_col Q_i)``
+
+The same loop runs the linear filter (:func:`run_dkf`) and the extended
+filter (:func:`partkf.dekf.run_dekf`).  It is given a linearization source
+that supplies, per instant, the dynamics blocks at the posteriors, the local
+predictions, the output blocks at the predictions and the innovation: the
+constant blocks of a linear model here, the re-linearized blocks of a
+nonlinear model in :mod:`partkf.dekf`.  Per instant the loop computes the
+innovation once, then for every subsystem the gain and covariance, the
+eigenvalue floor and the positive-definiteness check.
 
 Matrix inverses are realized as SPD solves and covariances are symmetrized
 after every step.
@@ -43,13 +53,15 @@ __all__ = [
     "init_update",
     "init_states",
     "predict",
-    "gain",
     "update",
-    "covariance",
     "predicted_output",
-    "dkf_step",
     "run_dkf",
 ]
+
+#: Eigenvalue floor: bump a posterior covariance by ``COV_FLOOR_BUMP * I``
+#: when its smallest eigenvalue falls below ``COV_FLOOR_REL * trace(P) / dim``.
+COV_FLOOR_REL = 1e-12
+COV_FLOOR_BUMP = 1e-10
 
 
 class FilterError(RuntimeError):
@@ -109,9 +121,8 @@ class EstimatorDesign:
     @classmethod
     def from_model(cls, model: GlobalModel, P0, x0_guess) -> "EstimatorDesign":
         """Take Q and R from the model's noise weights."""
-        Q = tuple(s.Q for s in model.subsystems)
-        P0 = tuple(np.asarray(p, dtype=float) for p in P0)
-        return cls(Q=Q, R=model.R, P0=P0, x0_guess=np.asarray(x0_guess, dtype=float))
+        return cls(Q=tuple(s.Q for s in model.subsystems), R=model.R, P0=P0,
+                   x0_guess=x0_guess)
 
     def validate(self, model: GlobalModel) -> None:
         p = model.partition
@@ -138,12 +149,8 @@ class EstimatorDesign:
 
     @classmethod
     def from_serializable(cls, payload: dict) -> "EstimatorDesign":
-        return cls(
-            Q=tuple(np.asarray(q, dtype=float) for q in payload["Q"]),
-            R=np.asarray(payload["R"], dtype=float),
-            P0=tuple(np.asarray(p, dtype=float) for p in payload["P0"]),
-            x0_guess=np.asarray(payload["x0_guess"], dtype=float),
-        )
+        return cls(Q=payload["Q"], R=payload["R"], P0=payload["P0"],
+                   x0_guess=payload["x0_guess"])
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -158,7 +165,7 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return cho_solve(c, np.eye(m.shape[0]))
 
 
-def _check_spd_posterior(P: np.ndarray, i: int, k: int | None) -> None:
+def _check_spd_posterior(P: np.ndarray, i: int, k: int) -> None:
     try:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError as exc:
@@ -166,6 +173,14 @@ def _check_spd_posterior(P: np.ndarray, i: int, k: int | None) -> None:
             f"posterior covariance of subsystem {i} lost positive definiteness",
             subsystem=i, k=k,
         ) from exc
+
+
+def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Apply the eigenvalue floor; returns the covariance and whether it fired."""
+    d = P.shape[0]
+    if np.linalg.eigvalsh(P)[0] < COV_FLOOR_REL * np.trace(P) / d:
+        return P + COV_FLOOR_BUMP * np.eye(d), True
+    return P, False
 
 
 def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
@@ -219,47 +234,39 @@ def predicted_output(c_cols: Sequence[np.ndarray], predictions: Sequence[np.ndar
     return out
 
 
+def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarray, dict]:
+    """Subsystem ``i``'s posterior and its neighbors' from a phase-1 snapshot."""
+    if snapshot.posteriors[i] is None:
+        raise FilterError(f"snapshot is missing the posterior of subsystem {i}")
+    nbrs = {}
+    for l in neighbors:
+        if snapshot.posteriors[l] is None:
+            raise FilterError(f"snapshot is missing the posterior of neighbor {l}")
+        nbrs[l] = snapshot.posteriors[l]
+    return snapshot.posteriors[i], nbrs
+
+
+def _check_phase2(snapshot: ExchangeSnapshot) -> None:
+    if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
+        raise FilterError("snapshot is missing neighbor predictions")
+    if snapshot.measurement is None:
+        raise FilterError("snapshot is missing the measurement")
+
+
 def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
     """Local prediction from the posterior snapshot of instant ``k-1``."""
     sub = model.subsystems[i]
-    if snapshot.posteriors[i] is None:
-        raise FilterError(f"snapshot is missing the posterior of subsystem {i}")
-    out = sub.A @ snapshot.posteriors[i]
+    x_i, nbrs = _posteriors(snapshot, i, sub.neighbors)
+    out = sub.A @ x_i
     for l, blk in sub.coupling.items():
-        nb = snapshot.posteriors[l]
-        if nb is None:
-            raise FilterError(f"snapshot is missing the posterior of neighbor {l}")
-        out = out + blk @ nb
+        out = out + blk @ nbrs[l]
     return out
-
-
-def gain(i: int, P_prev: np.ndarray, model: GlobalModel,
-         design: EstimatorDesign) -> np.ndarray:
-    """Local gain from the previous posterior covariance."""
-    sub = model.subsystems[i]
-    L, _ = gain_and_covariance(P_prev, model.a_col(i), sub.A, model.C,
-                               model.c_col(i), design.Q[i], design.R)
-    return L
-
-
-def covariance(i: int, P_prev: np.ndarray, L_i: np.ndarray, model: GlobalModel,
-               design: EstimatorDesign) -> np.ndarray:
-    """Posterior covariance given the gain, symmetrized and SPD-checked."""
-    sub = model.subsystems[i]
-    CA = model.C @ model.a_col(i)
-    Z = CA @ P_prev @ sub.A.T + model.c_col(i) @ design.Q[i]
-    P_new = _sym(sub.A @ P_prev @ sub.A.T + design.Q[i] - L_i @ Z)
-    _check_spd_posterior(P_new, i, None)
-    return P_new
 
 
 def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
            L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
     """Local measurement update using the prediction snapshot."""
-    if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
-        raise FilterError("snapshot is missing neighbor predictions")
-    if snapshot.measurement is None:
-        raise FilterError("snapshot is missing the measurement")
+    _check_phase2(snapshot)
     c_cols = [model.c_col(l) for l in range(model.partition.n)]
     innovation = snapshot.measurement - predicted_output(c_cols, snapshot.predictions)
     return x_pred_i + L_i @ innovation
@@ -269,60 +276,147 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
                 y0: np.ndarray) -> list[EstimatorState]:
     """Initial measurement update for all subsystems at instant 0."""
     design.validate(model)
-    p = model.partition
-    guess_blocks = p.split_state(design.x0_guess)
-    c_cols = [model.c_col(i) for i in range(p.n)]
-    innovation = np.asarray(y0, dtype=float) - predicted_output(c_cols, guess_blocks)
-    states = []
-    for i in range(p.n):
-        xh, P, L0 = init_update(design.P0[i], c_cols[i], design.R,
-                                guess_blocks[i], innovation)
+    _, fused = _initial_update(_LinearSource(model), design,
+                               np.asarray(y0, dtype=float), range(model.partition.n))
+    for i, (_, P, _) in enumerate(fused):
         _check_spd_posterior(P, i, 0)
-        states.append(EstimatorState(index=i, xhat=xh, cov=P, gain=L0, k=0))
-    return states
+    return [EstimatorState(i, xh, P, L0, 0) for i, (xh, P, L0) in enumerate(fused)]
 
 
-def dkf_step(states: Sequence[EstimatorState], y_k: np.ndarray, model: GlobalModel,
-             design: EstimatorDesign, order: Sequence[int] | None = None
-             ) -> list[EstimatorState]:
-    """Advance all local estimators by one instant.
+def _initial_update(source, design: EstimatorDesign, y0: np.ndarray,
+                    agenda: Sequence[int]) -> tuple[list, list]:
+    """Instant 0: the output blocks at the prior guess and, per subsystem,
+    the fusion ``(xh, P, L0)`` of the guess with ``y_0``."""
+    guess = source.model.partition.split_state(design.x0_guess)
+    c_cols, _ = source.output(design.x0_guess)
+    innovation = source.innovation(y0, guess)
+    fused: list = [None] * len(guess)
+    for i in agenda:
+        fused[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
+    return c_cols, fused
 
-    Two-phase execution with a barrier between them: every prediction is
-    computed from the frozen posterior snapshot before any update runs.
-    ``order`` permutes the per-phase execution order and never changes the
-    result.
+
+class _LinearSource:
+    """Linearization source of a linear model: constant column blocks, the
+    linear prediction and the innovation against the constant output map."""
+
+    kind = "dkf"
+    predict = staticmethod(predict)
+
+    def __init__(self, model: GlobalModel):
+        self.model = model
+        self.a_cols = [model.a_col(i) for i in range(model.partition.n)]
+        self.a_ii = [sub.A for sub in model.subsystems]
+        self.c_cols = [model.c_col(i) for i in range(model.partition.n)]
+
+    def dynamics(self, x: np.ndarray) -> tuple[list, list]:
+        return list(self.a_cols), self.a_ii
+
+    def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
+        return list(self.c_cols), self.model.C
+
+    def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
+        return y - predicted_output(self.c_cols, points)
+
+
+def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
+    p = model.partition
+    ys = np.asarray(traj.ys, dtype=float)
+    if ys.shape != (traj.steps + 1, p.ny):
+        raise ValueError(f"measurements have shape {ys.shape}, expected "
+                         f"({traj.steps + 1}, {p.ny})")
+    bad = ~np.isfinite(ys)
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=1))[0])
+        owners = [i for i in range(p.n) if bad[k, p.out_slice(i)].any()]
+        raise FilterError(f"measurement at instant {k} is not finite in the "
+                          f"outputs of subsystems {owners}")
+    return ys
+
+
+def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
+                order: Sequence[int] | None, config: dict | None) -> RunRecord:
+    """The two-phase loop shared by :func:`run_dkf` and ``run_dekf``.
+
+    Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
+    Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
+    predicts every subsystem from the posterior snapshot, takes the output
+    blocks at the stacked prediction, forms the innovation once and then
+    updates every subsystem.  Aborts with the subsystem and the instant on
+    covariance collapse.
     """
+    model = source.model
+    design.validate(model)
+    ys = _check_measurements(model, traj)
     p = model.partition
     n = p.n
-    if len(states) != n:
-        raise FilterError("need one estimator state per subsystem")
-    k = states[0].k + 1
+    K = traj.steps
     agenda = list(order) if order is not None else list(range(n))
     if sorted(agenda) != list(range(n)):
         raise ValueError("order must be a permutation of the subsystems")
 
-    posteriors = tuple(s.xhat for s in states)
-    phase1 = ExchangeSnapshot(k=k, posteriors=posteriors)
-    predictions: list = [None] * n
-    for i in agenda:
-        predictions[i] = predict(i, phase1, model)
+    xhat_pred = np.empty((K + 1, p.nx))
+    xhat_post = np.empty((K + 1, p.nx))
+    wall = np.empty(K + 1)
+    floor_events = 0
 
-    phase2 = ExchangeSnapshot(k=k, posteriors=posteriors,
-                              predictions=tuple(predictions),
-                              measurement=np.asarray(y_k, dtype=float))
-    new_states: list = [None] * n
-    for i in agenda:
-        sub = model.subsystems[i]
-        try:
-            L, P = gain_and_covariance(states[i].cov, model.a_col(i), sub.A,
-                                       model.C, model.c_col(i),
-                                       design.Q[i], design.R)
-        except FilterError as exc:
-            raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
+    def settle(P: np.ndarray, i: int, k: int) -> np.ndarray:
+        nonlocal floor_events
+        P, floored = _floor(P)
+        floor_events += floored
         _check_spd_posterior(P, i, k)
-        xh = update(i, predictions[i], phase2, L, model)
-        new_states[i] = EstimatorState(index=i, xhat=xh, cov=P, gain=L, k=k)
-    return new_states
+        return P
+
+    t0 = time.perf_counter()
+    c_cols_k, fused = _initial_update(source, design, ys[0], agenda)
+    xh = [x for x, _, _ in fused]
+    P_k = [settle(P, i, 0) for i, (_, P, _) in enumerate(fused)]
+    L_k = [L for _, _, L in fused]
+    wall[0] = time.perf_counter() - t0
+    xhat_pred[0] = design.x0_guess
+    xhat_post[0] = np.concatenate(xh)
+    gains, covs, a_cols, c_cols = [L_k], [P_k], [], [c_cols_k]
+
+    for k in range(1, K + 1):
+        t0 = time.perf_counter()
+        a_cols_k, a_ii = source.dynamics(xhat_post[k - 1])
+        phase1 = ExchangeSnapshot(k=k, posteriors=tuple(xh))
+        xp: list = [None] * n
+        for i in agenda:
+            xp[i] = source.predict(i, phase1, model)
+        xhat_pred[k] = np.concatenate(xp)
+        c_cols_k, C_k = source.output(xhat_pred[k])
+        innovation = source.innovation(ys[k], xp)
+
+        P_prev = P_k
+        xh, P_k, L_k = [None] * n, [None] * n, [None] * n
+        for i in agenda:
+            try:
+                L, P = gain_and_covariance(P_prev[i], a_cols_k[i], a_ii[i], C_k,
+                                           c_cols_k[i], design.Q[i], design.R)
+            except FilterError as exc:
+                raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
+            P_k[i] = settle(P, i, k)
+            L_k[i] = L
+            xh[i] = xp[i] + L @ innovation
+        wall[k] = time.perf_counter() - t0
+        xhat_post[k] = np.concatenate(xh)
+        gains.append(L_k)
+        covs.append(P_k)
+        a_cols.append(a_cols_k)
+        c_cols.append(c_cols_k)
+
+    err = traj.xs - xhat_post
+    rmse = np.sqrt(np.sum(err * err, axis=1) / p.nx)
+    return RunRecord(
+        kind=source.kind, seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
+        xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
+        xhat_pred=xhat_pred, xhat_post=xhat_post,
+        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols,
+        a_points=xhat_post[:-1].copy(), c_points=xhat_pred.copy(), rmse=rmse,
+        estimator=design.serializable(), floor_events=floor_events,
+        wall_clock=wall, config=config,
+    )
 
 
 def run_dkf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
@@ -332,56 +426,4 @@ def run_dkf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
     every per-instant quantity."""
     if not model.linear:
         raise ValueError("run_dkf needs a linear model; use run_dekf instead")
-    design.validate(model)
-    p = model.partition
-    K = traj.steps
-    n = p.n
-    const_a_cols = [model.a_col(i) for i in range(n)]
-    const_c_cols = [model.c_col(i) for i in range(n)]
-
-    xhat_pred = np.empty((K + 1, p.nx))
-    xhat_post = np.empty((K + 1, p.nx))
-    gains: list[list[np.ndarray]] = []
-    covs: list[list[np.ndarray]] = []
-    a_cols: list[list[np.ndarray]] = []
-    c_cols: list[list[np.ndarray]] = []
-    a_points = np.empty((K, p.nx))
-    c_points = np.empty((K + 1, p.nx))
-    wall = np.empty(K + 1)
-
-    t0 = time.perf_counter()
-    states = init_states(model, design, traj.ys[0])
-    wall[0] = time.perf_counter() - t0
-    xhat_pred[0] = design.x0_guess
-    c_points[0] = design.x0_guess
-    xhat_post[0] = np.concatenate([s.xhat for s in states])
-    gains.append([s.gain for s in states])
-    covs.append([s.cov for s in states])
-    c_cols.append(list(const_c_cols))
-
-    for k in range(1, K + 1):
-        t0 = time.perf_counter()
-        prev_post = xhat_post[k - 1]
-        a_points[k - 1] = prev_post
-        a_cols.append(list(const_a_cols))
-        new_states = dkf_step(states, traj.ys[k], model, design, order=order)
-        wall[k] = time.perf_counter() - t0
-        phase1 = ExchangeSnapshot(k=k, posteriors=tuple(s.xhat for s in states))
-        xhat_pred[k] = np.concatenate([predict(i, phase1, model) for i in range(n)])
-        c_points[k] = xhat_pred[k]
-        states = new_states
-        xhat_post[k] = np.concatenate([s.xhat for s in states])
-        gains.append([s.gain for s in states])
-        covs.append([s.cov for s in states])
-        c_cols.append(list(const_c_cols))
-
-    err = traj.xs - xhat_post
-    rmse = np.sqrt(np.sum(err * err, axis=1) / p.nx)
-    return RunRecord(
-        kind="dkf", seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
-        xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
-        xhat_pred=xhat_pred, xhat_post=xhat_post,
-        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols,
-        a_points=a_points, c_points=c_points, rmse=rmse,
-        estimator=design.serializable(), wall_clock=wall, config=config,
-    )
+    return _run_filter(_LinearSource(model), design, traj, order, config)

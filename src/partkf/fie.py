@@ -372,9 +372,6 @@ class DfieRun:
     terminals: np.ndarray          # (K+1, nx) stacked terminal estimates
     max_kkt_residual: float
 
-    def terminal_block(self, k: int, i: int, partition) -> np.ndarray:
-        return self.terminals[k, partition.state_slice(i)]
-
 
 def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
              history: np.ndarray | None = None) -> DfieRun:

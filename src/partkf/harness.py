@@ -79,7 +79,7 @@ from .model import (
     make_partition,
 )
 from .records import RunRecord
-from .simulate import NoiseSpec, simulate
+from .simulate import NoiseSpec, _broadcast, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
            "import_record", "verify_suite", "write_monte_carlo_csv"]
@@ -145,15 +145,6 @@ def _inline_model(spec: dict) -> GlobalModel:
             R=np.asarray(raw["R"], dtype=float),
         ))
     return assemble_global(subs, part)
-
-
-def _broadcast(value, dim: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        arr = np.full(dim, arr.item())
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must be a scalar or have length {dim}")
-    return arr
 
 
 def _weight_list(value, partition, diag_dims, name: str) -> tuple[np.ndarray, ...]:

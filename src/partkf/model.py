@@ -112,12 +112,6 @@ class StatePartition:
             raise ValueError(f"state has dimension {x.shape[-1]}, expected {self.nx}")
         return [x[..., self.state_slice(i)] for i in range(self.n)]
 
-    def split_output(self, y: np.ndarray) -> list[np.ndarray]:
-        y = np.asarray(y)
-        if y.shape[-1] != self.ny:
-            raise ValueError(f"output has dimension {y.shape[-1]}, expected {self.ny}")
-        return [y[..., self.out_slice(i)] for i in range(self.n)]
-
     def stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenate per-subsystem blocks back into a global vector."""
         if len(blocks) != self.n:
@@ -284,26 +278,47 @@ class NonlinearSubsystem:
                 )
             if self.jac_f is not None:
                 got = self.jac_f(x_i, nbrs)
-                want = fd_jacobian_f(self, x_i, nbrs)
-                for l, blk in want.items():
-                    scale = 1.0 + np.abs(blk)
-                    if not np.all(np.abs(np.asarray(got[l]) - blk) <= JACOBIAN_CHECK_RTOL * scale):
+                for l, blk in fd_jacobian_f(self, x_i, nbrs).items():
+                    if not _agrees(got[l], blk):
                         raise ValueError(
                             f"subsystem {self.index}: analytic df/dx_{l} disagrees "
                             "with finite differences"
                         )
             if self.jac_h is not None and self.out_dim:
-                got_h = np.asarray(self.jac_h(x_i))
-                want_h = fd_jacobian_h(self, x_i)
-                scale = 1.0 + np.abs(want_h)
-                if not np.all(np.abs(got_h - want_h) <= JACOBIAN_CHECK_RTOL * scale):
+                if not _agrees(self.jac_h(x_i), fd_jacobian_h(self, x_i)):
                     raise ValueError(
                         f"subsystem {self.index}: analytic dh/dx disagrees with finite differences"
                     )
 
 
+def _agrees(got, want: np.ndarray) -> bool:
+    """Analytic Jacobian ``got`` within ``JACOBIAN_CHECK_RTOL`` of ``want``."""
+    scale = 1.0 + np.abs(want)
+    return bool(np.all(np.abs(np.asarray(got) - want) <= JACOBIAN_CHECK_RTOL * scale))
+
+
 def _fd_steps(x: np.ndarray) -> np.ndarray:
     return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(x))
+
+
+def _central_columns(fun, vals: np.ndarray, sub: NonlinearSubsystem, what: str,
+                     out_size: int) -> np.ndarray:
+    """Central-difference Jacobian of ``fun`` at ``vals``, column by column."""
+    steps = _fd_steps(vals)
+    cols = []
+    for j in range(vals.size):
+        plus = vals.copy()
+        minus = vals.copy()
+        plus[j] += steps[j]
+        minus[j] -= steps[j]
+        fp = np.asarray(fun(plus), dtype=float)
+        fm = np.asarray(fun(minus), dtype=float)
+        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+            raise LinearizationError(
+                f"subsystem {sub.index}: {what} not finite during differentiation", sub.index
+            )
+        cols.append((fp - fm) / (2.0 * steps[j]))
+    return np.column_stack(cols) if cols else np.zeros((out_size, 0))
 
 
 def fd_jacobian_f(sub: NonlinearSubsystem, x_i: np.ndarray,
@@ -316,32 +331,11 @@ def fd_jacobian_f(sub: NonlinearSubsystem, x_i: np.ndarray,
     base = np.asarray(sub.f(x_i, neighbors), dtype=float)
     if not np.all(np.isfinite(base)):
         raise LinearizationError(f"subsystem {sub.index}: f not finite", sub.index)
-    out: dict[int, np.ndarray] = {}
-
-    def block(vals: np.ndarray, rebuild) -> np.ndarray:
-        steps = _fd_steps(vals)
-        cols = []
-        for j in range(vals.size):
-            plus = vals.copy()
-            minus = vals.copy()
-            plus[j] += steps[j]
-            minus[j] -= steps[j]
-            fp = np.asarray(sub.f(*rebuild(plus)), dtype=float)
-            fm = np.asarray(sub.f(*rebuild(minus)), dtype=float)
-            if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-                raise LinearizationError(
-                    f"subsystem {sub.index}: f not finite during differentiation", sub.index
-                )
-            cols.append((fp - fm) / (2.0 * steps[j]))
-        return np.column_stack(cols) if cols else np.zeros((base.size, 0))
-
-    out[sub.index] = block(x_i, lambda v: (v, neighbors))
+    out = {sub.index: _central_columns(lambda v: sub.f(v, neighbors), x_i, sub, "f",
+                                       base.size)}
     for l in sub.neighbors:
-        def rebuild(v, l=l):
-            nb = dict(neighbors)
-            nb[l] = v
-            return (x_i, nb)
-        out[l] = block(neighbors[l], rebuild)
+        out[l] = _central_columns(lambda v, l=l: sub.f(x_i, {**neighbors, l: v}),
+                                  neighbors[l], sub, "f", base.size)
     return out
 
 
@@ -351,21 +345,7 @@ def fd_jacobian_h(sub: NonlinearSubsystem, x_i: np.ndarray) -> np.ndarray:
     base = np.asarray(sub.h(x_i), dtype=float)
     if not np.all(np.isfinite(base)):
         raise LinearizationError(f"subsystem {sub.index}: h not finite", sub.index)
-    steps = _fd_steps(x_i)
-    cols = []
-    for j in range(x_i.size):
-        plus = x_i.copy()
-        minus = x_i.copy()
-        plus[j] += steps[j]
-        minus[j] -= steps[j]
-        hp = np.asarray(sub.h(plus), dtype=float)
-        hm = np.asarray(sub.h(minus), dtype=float)
-        if not (np.all(np.isfinite(hp)) and np.all(np.isfinite(hm))):
-            raise LinearizationError(
-                f"subsystem {sub.index}: h not finite during differentiation", sub.index
-            )
-        cols.append((hp - hm) / (2.0 * steps[j]))
-    return np.column_stack(cols) if cols else np.zeros((base.size, 0))
+    return _central_columns(sub.h, x_i, sub, "h", base.size)
 
 
 @dataclass(frozen=True)
@@ -456,15 +436,9 @@ class GlobalModel:
         return lo, hi
 
 
-def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) -> GlobalModel:
-    """Concatenate linear subsystems into the global model.
-
-    Subsystem indices must cover ``0..n-1`` exactly once and every coupling
-    block must match the partition dimensions.  Undeclared coupling blocks are
-    exactly zero; the output matrix is block diagonal by construction.
-    """
-    n = partition.n
-    if sorted(s.index for s in subs) != list(range(n)):
+def _ordered(subs: Sequence, partition: StatePartition) -> tuple:
+    """The subsystems sorted by index, checked against the partition."""
+    if sorted(s.index for s in subs) != list(range(partition.n)):
         raise ValueError("subsystem indices must cover 0..n-1 exactly once")
     subs = tuple(sorted(subs, key=lambda s: s.index))
     for i, sub in enumerate(subs):
@@ -474,6 +448,18 @@ def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) 
         if sub.out_dim != partition.out_dims[i]:
             raise ValueError(f"subsystem {i}: output dimension {sub.out_dim} "
                              f"does not match partition {partition.out_dims[i]}")
+    return subs
+
+
+def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) -> GlobalModel:
+    """Concatenate linear subsystems into the global model.
+
+    Subsystem indices must cover ``0..n-1`` exactly once and every coupling
+    block must match the partition dimensions.  Undeclared coupling blocks are
+    exactly zero; the output matrix is block diagonal by construction.
+    """
+    n = partition.n
+    subs = _ordered(subs, partition)
     nx, ny = partition.nx, partition.ny
     A = np.zeros((nx, nx))
     C = np.zeros((ny, nx))
@@ -502,14 +488,8 @@ def aggregate_nonlinear(subs: Sequence[NonlinearSubsystem],
                         partition: StatePartition) -> GlobalModel:
     """Aggregate nonlinear subsystems into a global model with stacked maps."""
     n = partition.n
-    if sorted(s.index for s in subs) != list(range(n)):
-        raise ValueError("subsystem indices must cover 0..n-1 exactly once")
-    subs = tuple(sorted(subs, key=lambda s: s.index))
+    subs = _ordered(subs, partition)
     for i, sub in enumerate(subs):
-        if sub.state_dim != partition.dims[i]:
-            raise ValueError(f"subsystem {i}: state dimension mismatch with partition")
-        if sub.out_dim != partition.out_dims[i]:
-            raise ValueError(f"subsystem {i}: output dimension mismatch with partition")
         for l, d in sub.neighbor_dims.items():
             if not 0 <= l < n:
                 raise ValueError(f"subsystem {i}: unknown neighbor {l}")
@@ -546,11 +526,14 @@ class LinearizationBlocks:
 
 
 def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
+    """Dynamics Jacobian row blocks ``{(l, m): d f_l / d x_m}`` at the global
+    point ``x``.  ``mode="analytic"`` uses each subsystem's ``jac_f`` and falls
+    back to finite differences where a subsystem has none."""
     rows: dict[tuple[int, int], np.ndarray] = {}
     for l, sub in enumerate(subs):
         xl = x[partition.state_slice(l)]
         nbrs = {m: x[partition.state_slice(m)] for m in sub.neighbors}
-        if mode == "analytic":
+        if mode == "analytic" and sub.jac_f is not None:
             got = sub.jac_f(xl, nbrs)
             blocks = {int(m): np.asarray(b, dtype=float) for m, b in got.items()}
         else:
@@ -562,14 +545,25 @@ def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
     return rows
 
 
+def _a_cols(rows, partition) -> list[np.ndarray]:
+    """Stack the row blocks into the per-subsystem column blocks
+    ``A[:, i-block]`` of the dynamics Jacobian; undeclared blocks are zero."""
+    cols = [np.zeros((partition.nx, d)) for d in partition.dims]
+    for (l, i), blk in rows.items():
+        cols[i][partition.state_slice(l), :] = blk
+    return cols
+
+
 def _jac_cols_h(subs, partition, x, mode) -> list[np.ndarray]:
+    """Output Jacobian column blocks ``d h / d x_i`` at ``x``; modes as in
+    :func:`_jac_rows_f`."""
     ny = partition.ny
     cols = []
     for i, sub in enumerate(subs):
         xi = x[partition.state_slice(i)]
         if sub.out_dim == 0:
             block = np.zeros((0, sub.state_dim))
-        elif mode == "analytic":
+        elif mode == "analytic" and sub.jac_h is not None:
             block = np.asarray(sub.jac_h(xi), dtype=float)
         else:
             block = fd_jacobian_h(sub, xi)
@@ -604,21 +598,15 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
             raise ValueError(f"analytic Jacobians missing for subsystems {missing}")
 
     rows = _jac_rows_f(subs, partition, x, mode)
+    a_cols = _a_cols(rows, partition)
     c_cols = _jac_cols_h(subs, partition, x, mode)
-
-    nx = partition.nx
-    a_blocks: dict[tuple[int, int], np.ndarray] = {}
-    A = np.zeros((nx, nx))
-    for l in range(partition.n):
-        for i in range(partition.n):
-            blk = rows.get((l, i))
-            if blk is None:
-                blk = np.zeros((partition.dims[l], partition.dims[i]))
-            a_blocks[(l, i)] = blk
-            A[partition.state_slice(l), partition.state_slice(i)] = blk
-    a_cols = tuple(A[:, partition.state_slice(i)].copy() for i in range(partition.n))
-    C = np.concatenate(c_cols, axis=1) if partition.n else np.zeros((0, 0))
-    return LinearizationBlocks(k, _frozen(x), a_blocks, a_cols, tuple(c_cols), _frozen(A), _frozen(C))
+    dims = partition.dims
+    a_blocks = {(l, i): rows.get((l, i), np.zeros((dims[l], dims[i])))
+                for l in range(partition.n) for i in range(partition.n)}
+    A = np.concatenate(a_cols, axis=1)
+    C = np.concatenate(c_cols, axis=1)
+    return LinearizationBlocks(k, _frozen(x), a_blocks, tuple(a_cols), tuple(c_cols),
+                               _frozen(A), _frozen(C))
 
 
 def linear_as_nonlinear(sub: LinearSubsystem) -> NonlinearSubsystem:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, StatePartition
+from .model import GlobalModel
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
 
@@ -157,7 +157,9 @@ class Trajectory:
         )
 
 
-def _split_spec(partition: StatePartition, arr: np.ndarray | None, dim: int, name: str):
+def _broadcast(arr, dim: int, name: str) -> np.ndarray | None:
+    """A scalar broadcast to length ``dim``, or a length-``dim`` vector; None
+    stays None."""
     if arr is None:
         return None
     arr = np.atleast_1d(np.asarray(arr, dtype=float))
@@ -185,10 +187,10 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
         raise ValueError("x0 must be finite")
 
     p = model.partition
-    w_std = _split_spec(p, noise.w_std, model.nx, "w_std")
-    v_std = _split_spec(p, noise.v_std, model.ny, "v_std")
-    w_bound = _split_spec(p, noise.w_bound, model.nx, "w_bound")
-    v_bound = _split_spec(p, noise.v_bound, model.ny, "v_bound")
+    w_std = _broadcast(noise.w_std, model.nx, "w_std")
+    v_std = _broadcast(noise.v_std, model.ny, "v_std")
+    w_bound = _broadcast(noise.w_bound, model.nx, "w_bound")
+    v_bound = _broadcast(noise.v_bound, model.ny, "v_bound")
     w_gens, v_gens = noise.streams(p.n)
     box = model.state_box()
 

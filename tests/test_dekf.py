@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from partkf.dkf import (
     EstimatorDesign,
     ExchangeSnapshot,
     FilterError,
-    gain,
-    covariance,
+    gain_and_covariance,
+    init_update,
     predict,
     run_dkf,
     update,
@@ -89,8 +91,8 @@ class TestDekfGainCov:
             L_nl, P_nl, floored = dekf_gain_cov(
                 P, blocks.a_cols[i], blocks.a_blocks[(i, i)], blocks.C,
                 blocks.c_cols[i], design.Q[i], design.R)
-            L_lin = gain(i, P, lin, design)
-            P_lin = covariance(i, P, L_lin, lin, design)
+            L_lin, P_lin = gain_and_covariance(P, lin.a_col(i), lin.subsystems[i].A,
+                                               lin.C, lin.c_col(i), design.Q[i], design.R)
             assert not floored
             assert np.array_equal(L_nl, L_lin)
             assert np.array_equal(P_nl, P_lin)
@@ -227,3 +229,71 @@ class TestRunDekf:
         rec_f = run_dekf(reactor_bench.model, reactor_bench.design, traj, mode="fd")
         diff = np.abs(rec_a.xhat_post - rec_f.xhat_post)
         assert np.max(diff / (1.0 + np.abs(rec_f.xhat_post))) <= 1e-4
+
+
+class TestMeasurementChecks:
+    def test_wrong_measurement_shape_is_rejected(self, reactor_bench):
+        traj = simulate(reactor_bench.model, reactor_bench.x0, 10,
+                        reactor_bench.noise(seed=1))
+        bad = dataclasses.replace(traj, ys=traj.ys[:, :-1])
+        with pytest.raises(ValueError, match="measurements have shape"):
+            run_dekf(reactor_bench.model, reactor_bench.design, bad)
+
+    def test_non_finite_measurement_names_instant_and_subsystems(self, reactor_bench):
+        traj = simulate(reactor_bench.model, reactor_bench.x0, 10,
+                        reactor_bench.noise(seed=1))
+        ys = traj.ys.copy()
+        ys[6, 3] = np.nan
+        ys[6, 6] = -np.inf
+        with pytest.raises(FilterError, match=r"instant 6 .*subsystems \[1, 3\]"):
+            run_dekf(reactor_bench.model, reactor_bench.design,
+                     dataclasses.replace(traj, ys=ys))
+
+
+class TestStepReplay:
+    def test_step_functions_reproduce_run_dekf_bitwise(self, reactor_bench):
+        # init_update, dekf_predict, dekf_gain_cov and dekf_update chained by
+        # hand with the subsystems' own Jacobian providers give exactly the
+        # engine's posteriors and covariances.
+        model, design = reactor_bench.model, reactor_bench.design
+        traj = simulate(model, reactor_bench.x0, 30, reactor_bench.noise(seed=11))
+        rec = run_dekf(model, design, traj)
+        p = model.partition
+        subs = model.subsystems
+
+        def c_cols_at(points):
+            cols = [np.zeros((p.ny, d)) for d in p.dims]
+            for i, sub in enumerate(subs):
+                cols[i][p.out_slice(i)] = sub.jac_h(points[i])
+            return cols
+
+        guess = p.split_state(design.x0_guess)
+        c_cols = c_cols_at(guess)
+        innovation = traj.ys[0] - model.h(design.x0_guess)
+        post, covs = [], []
+        for i in range(p.n):
+            x_i, P, _ = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
+            post.append(x_i)
+            covs.append(P)
+        assert np.array_equal(np.concatenate(post), rec.xhat_post[0])
+        for k in range(1, 31):
+            rows = [subs[l].jac_f(post[l], {m: post[m] for m in subs[l].neighbors})
+                    for l in range(p.n)]
+            a_cols = [np.zeros((p.nx, d)) for d in p.dims]
+            for l in range(p.n):
+                for i, blk in rows[l].items():
+                    a_cols[i][p.state_slice(l)] = blk
+            phase1 = ExchangeSnapshot(k=k, posteriors=tuple(post))
+            preds = [dekf_predict(i, phase1, model) for i in range(p.n)]
+            c_cols = c_cols_at(preds)
+            C_k = np.hstack(c_cols)
+            phase2 = ExchangeSnapshot(k=k, posteriors=tuple(post), predictions=tuple(preds),
+                                      measurement=traj.ys[k])
+            gc = [dekf_gain_cov(covs[i], a_cols[i], rows[i][i], C_k, c_cols[i],
+                                design.Q[i], design.R) for i in range(p.n)]
+            assert not any(floored for _, _, floored in gc)
+            post = [dekf_update(i, preds[i], phase2, gc[i][0], model) for i in range(p.n)]
+            covs = [P for _, P, _ in gc]
+            assert np.array_equal(np.concatenate(post), rec.xhat_post[k])
+            for i in range(p.n):
+                assert np.array_equal(covs[i], rec.covs[k][i])

@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark, linear_subsystems
+import partkf.dkf
 from partkf.dkf import (
     CovarianceCollapseError,
     EstimatorDesign,
+    EstimatorState,
     ExchangeSnapshot,
     FilterError,
-    covariance,
-    dkf_step,
-    gain,
+    gain_and_covariance,
     init_states,
     predict,
     run_dkf,
@@ -30,6 +32,12 @@ def unit_design():
     return EstimatorDesign(Q=(np.eye(2), np.eye(2)), R=np.eye(2),
                            P0=(100.0 * np.eye(2), 100.0 * np.eye(2)),
                            x0_guess=LINEAR_GUESS)
+
+
+def local_gain_cov(i, P, model, design):
+    """``gain_and_covariance`` with subsystem ``i``'s constant blocks."""
+    return gain_and_covariance(P, model.a_col(i), model.subsystems[i].A, model.C,
+                               model.c_col(i), design.Q[i], design.R)
 
 
 def identity_model(n=2):
@@ -78,7 +86,7 @@ class TestGain:
         rng = np.random.default_rng(0)
         M = rng.normal(size=(4, 4))
         P = M @ M.T + np.eye(4)
-        L = gain(0, P, mono, design)
+        L, _ = local_gain_cov(0, P, mono, design)
         P_pred = model.A @ P @ model.A.T + np.eye(4)
         S = model.C @ P_pred @ model.C.T + np.eye(2)
         L_std = P_pred @ model.C.T @ np.linalg.inv(S)
@@ -91,7 +99,7 @@ class TestGain:
         model = assemble_global(subs, part)
         design = EstimatorDesign.from_model(model, P0=[np.eye(2)] * 2,
                                             x0_guess=np.zeros(4))
-        L = gain(0, np.eye(2), model, design)
+        L, _ = local_gain_cov(0, np.eye(2), model, design)
         assert np.array_equal(L, np.zeros((2, 2)))
 
     def test_first_instant_gain_matches_independent_formula(self):
@@ -102,7 +110,7 @@ class TestGain:
         traj = simulate(model, LINEAR_X0, 1, noise_for(model, 1.0, seed=1))
         states = init_states(model, design, traj.ys[0])
         i = 0
-        L = gain(i, states[i].cov, model, design)
+        L, _ = local_gain_cov(i, states[i].cov, model, design)
         inv = np.linalg.inv
         P = states[i].cov
         a_col = model.A[:, :2]
@@ -140,8 +148,7 @@ class TestUpdate:
         states = init_states(model, design, traj.ys[0])
         post0 = np.concatenate([s.xhat for s in states])
         assert np.allclose(post0, LINEAR_X0, rtol=0, atol=1e-12)
-        new_states = dkf_step(states, traj.ys[1], model, design)
-        post1 = np.concatenate([s.xhat for s in new_states])
+        post1 = run_dkf(model, design, traj).xhat_post[1]
         # Innovation is zero, so the posterior equals the exact prediction.
         assert np.allclose(post1, traj.xs[1], rtol=0, atol=1e-10)
 
@@ -162,7 +169,8 @@ class TestCovariance:
         design = EstimatorDesign.from_model(model, P0=[np.eye(2)] * 2,
                                             x0_guess=np.zeros(4))
         P = np.diag([2.0, 3.0])
-        P_new = covariance(0, P, np.zeros((2, 2)), model, design)
+        L, P_new = local_gain_cov(0, P, model, design)
+        assert np.array_equal(L, np.zeros((2, 2)))
         assert np.allclose(P_new, 0.25 * P + np.eye(2), rtol=0, atol=1e-14)
 
     def test_single_partition_matches_standard_kf_over_50_steps(self):
@@ -199,8 +207,7 @@ class TestCovariance:
         M = rng.normal(size=(2, 2))
         P = M @ M.T + 0.5 * np.eye(2)
         i = 0
-        L = gain(i, P, model, design)
-        P_new = covariance(i, P, L, model, design)
+        L, P_new = local_gain_cov(i, P, model, design)
         a_col = model.A[:, :2]
         c_col = model.C[:, :2]
         A_ii = model.A[:2, :2]
@@ -209,13 +216,25 @@ class TestCovariance:
         joseph = F @ P @ F.T + H @ design.Q[i] @ H.T + L @ design.R @ L.T
         assert np.allclose(P_new, joseph, rtol=0, atol=1e-11)
 
-    def test_collapse_detected_with_corrupted_gain(self):
+    def test_collapse_detected_with_corrupted_gain(self, monkeypatch):
+        # The engine looks the gain computation up at call time; a 100x gain
+        # with the covariance formula evaluated at that gain must abort the
+        # run with the subsystem and the instant.
         model = four_state_model()
         design = unit_design()
-        P = np.eye(2)
-        L = 100.0 * gain(0, P, model, design)
-        with pytest.raises(CovarianceCollapseError):
-            covariance(0, P, L, model, design)
+        exact = gain_and_covariance
+
+        def corrupted(P, a_col, a_ii, C, c_col, Q_i, R):
+            L = 100.0 * exact(P, a_col, a_ii, C, c_col, Q_i, R)[0]
+            Z = C @ a_col @ P @ a_ii.T + c_col @ Q_i
+            P_new = a_ii @ P @ a_ii.T + Q_i - L @ Z
+            return L, 0.5 * (P_new + P_new.T)
+
+        monkeypatch.setattr(partkf.dkf, "gain_and_covariance", corrupted)
+        traj = simulate(model, LINEAR_X0, 3, noise_for(model, 1.0, seed=4))
+        with pytest.raises(CovarianceCollapseError) as info:
+            run_dkf(model, design, traj)
+        assert (info.value.subsystem, info.value.k) == (0, 1)
 
 
 class TestDkfStep:
@@ -258,8 +277,16 @@ class TestDkfStep:
         traj = simulate(model, LINEAR_X0, 2, noise_for(model, 1.0, seed=8))
         states = init_states(model, design, traj.ys[0])
         assert all(s.k == 0 for s in states)
-        states = dkf_step(states, traj.ys[1], model, design)
-        assert all(s.k == 1 for s in states)
+        assert [s.index for s in states] == [0, 1]
+        rec = run_dkf(model, design, traj)
+        # One entry per instant, one block per subsystem, instant 0 is the
+        # initial update.
+        assert len(rec.covs) == len(rec.gains) == len(rec.c_cols) == 3
+        assert len(rec.a_cols) == 2
+        assert all(len(per_k) == 2 for per_k in rec.covs + rec.gains)
+        for i in range(2):
+            assert np.array_equal(rec.covs[0][i], states[i].cov)
+            assert np.array_equal(rec.gains[0][i], states[i].gain)
 
 
 class TestInitStates:
@@ -279,3 +306,47 @@ class TestInitStates:
             want_P = (np.eye(2) - K @ c_col) @ P0
             assert np.allclose(states[i].xhat, want_x, rtol=0, atol=1e-9)
             assert np.allclose(states[i].cov, want_P, rtol=0, atol=1e-9)
+
+
+class TestMeasurementChecks:
+    def test_wrong_measurement_shape_is_rejected(self, linear_bench):
+        traj = simulate(linear_bench.model, linear_bench.x0, 10,
+                        linear_bench.noise(seed=1))
+        bad = dataclasses.replace(traj, ys=traj.ys[:, :-1])
+        with pytest.raises(ValueError, match="measurements have shape"):
+            run_dkf(linear_bench.model, linear_bench.design, bad)
+
+    def test_non_finite_measurement_names_instant_and_subsystem(self, linear_bench):
+        traj = simulate(linear_bench.model, linear_bench.x0, 10,
+                        linear_bench.noise(seed=1))
+        ys = traj.ys.copy()
+        ys[5, 1] = np.nan
+        ys[7, 0] = np.inf
+        with pytest.raises(FilterError, match=r"instant 5 .*subsystems \[1\]"):
+            run_dkf(linear_bench.model, linear_bench.design,
+                    dataclasses.replace(traj, ys=ys))
+
+
+class TestStepReplay:
+    def test_step_functions_reproduce_run_dkf_bitwise(self, linear_bench):
+        # The public step functions, chained by hand, give exactly the
+        # engine's posteriors and covariances.
+        model, design = linear_bench.model, linear_bench.design
+        traj = simulate(model, linear_bench.x0, 40, linear_bench.noise(seed=3))
+        rec = run_dkf(model, design, traj)
+        n = model.partition.n
+        states = init_states(model, design, traj.ys[0])
+        assert np.array_equal(np.concatenate([s.xhat for s in states]), rec.xhat_post[0])
+        for k in range(1, 41):
+            posteriors = tuple(s.xhat for s in states)
+            phase1 = ExchangeSnapshot(k=k, posteriors=posteriors)
+            preds = [predict(i, phase1, model) for i in range(n)]
+            gc = [local_gain_cov(i, states[i].cov, model, design) for i in range(n)]
+            phase2 = ExchangeSnapshot(k=k, posteriors=posteriors, predictions=tuple(preds),
+                                      measurement=traj.ys[k])
+            states = [EstimatorState(i, update(i, preds[i], phase2, gc[i][0], model),
+                                     gc[i][1], gc[i][0], k) for i in range(n)]
+            assert np.array_equal(np.concatenate([s.xhat for s in states]),
+                                  rec.xhat_post[k])
+            for i in range(n):
+                assert np.array_equal(states[i].cov, rec.covs[k][i])
