@@ -79,7 +79,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"seed={record.seed}")
     print(f"rmse: first={record.rmse[0]:.6g} last={record.rmse[-1]:.6g}")
     if record.monitors is not None:
-        ok = all(record.monitors["coupling_ok"][1:]) if record.steps else True
+        ok = all(record.monitors["coupling_ok"][1:])
         print(f"weak-coupling condition: {'satisfied at every instant' if ok else 'VIOLATED'}")
     if config.out_dir:
         print(f"outputs written to {config.out_dir}/")
@@ -121,7 +121,7 @@ def _cmd_monitors(args: argparse.Namespace) -> int:
     stem = Path(args.record).stem
     csv_path = analysis.write_monitor_csv(record, out / f"{stem}_monitors.csv")
     json_path = analysis.write_summary_json(record, out / f"{stem}_summary.json")
-    ok = all(record.monitors["coupling_ok"][1:]) if record.steps else True
+    ok = all(record.monitors["coupling_ok"][1:])
     print(f"weak-coupling condition: {'satisfied at every instant' if ok else 'VIOLATED'}")
     print(f"monitor table: {csv_path}")
     print(f"summary: {json_path}")

@@ -34,7 +34,7 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     _run_filter,
     gain_and_covariance,
 )
-from .model import GlobalModel, _a_cols, _jac_cols_h, _jac_rows_f
+from .model import GlobalModel, _a_cols, _check_mode, _jac_cols_h, _jac_rows_f
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -119,8 +119,10 @@ def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
     Per instant: relinearize the dynamics at the posteriors of the previous
     instant, predict, relinearize the output map at the stacked prediction,
     compute gains and covariances, then update against the measurement.
-    Aborts with the step index on covariance collapse.
+    Aborts with the step index on covariance collapse.  ``mode`` is
+    ``"analytic"`` or ``"fd"``; any other value raises ``ValueError``.
     """
+    _check_mode(mode)
     if model.linear:
         raise ValueError("run_dekf needs a nonlinear model; use run_dkf instead")
     return _run_filter(_NonlinearSource(model, mode), design, traj, order, config)

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import GlobalModel
+from .model import GlobalModel, LinearizationError
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -334,6 +334,14 @@ def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
     return ys
 
 
+def _at_instant(k: int, call, *args):
+    """``call(*args)``, with instant ``k`` added to a linearization failure."""
+    try:
+        return call(*args)
+    except LinearizationError as exc:
+        raise LinearizationError(f"instant {k}, {exc}", exc.subsystem) from exc
+
+
 def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
                 order: Sequence[int] | None, config: dict | None) -> RunRecord:
     """The two-phase loop shared by :func:`run_dkf` and ``run_dekf``.
@@ -343,7 +351,7 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
     predicts every subsystem from the posterior snapshot, takes the output
     blocks at the stacked prediction, forms the innovation once and then
     updates every subsystem.  Aborts with the subsystem and the instant on
-    covariance collapse.
+    covariance collapse or a linearization failure.
     """
     model = source.model
     design.validate(model)
@@ -368,7 +376,7 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
         return P
 
     t0 = time.perf_counter()
-    c_cols_k, fused = _initial_update(source, design, ys[0], agenda)
+    c_cols_k, fused = _at_instant(0, _initial_update, source, design, ys[0], agenda)
     xh = [x for x, _, _ in fused]
     P_k = [settle(P, i, 0) for i, (_, P, _) in enumerate(fused)]
     L_k = [L for _, _, L in fused]
@@ -379,13 +387,13 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        a_cols_k, a_ii = source.dynamics(xhat_post[k - 1])
+        a_cols_k, a_ii = _at_instant(k, source.dynamics, xhat_post[k - 1])
         phase1 = ExchangeSnapshot(k=k, posteriors=tuple(xh))
         xp: list = [None] * n
         for i in agenda:
             xp[i] = source.predict(i, phase1, model)
         xhat_pred[k] = np.concatenate(xp)
-        c_cols_k, C_k = source.output(xhat_pred[k])
+        c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
         innovation = source.innovation(ys[k], xp)
 
         P_prev = P_k

@@ -271,8 +271,8 @@ def export(record: RunRecord, fmt: str, out_dir: str | Path,
                    + [repr(float(record.rmse[k]))])
             if flags:
                 m = record.monitors
-                row.append(1 if k == 0 else int(m["coupling_ok"][k]))
-                row.append(1 if k == 0 else int(m["contraction_ok"][k]))
+                row.append(int(m["coupling_ok"][k]))
+                row.append(int(m["contraction_ok"][k]))
             writer.writerow(row)
     return path
 

@@ -525,6 +525,21 @@ class LinearizationBlocks:
     C: np.ndarray
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _provided(provider, subsystem: int, what: str, *args):
+    """Call a subsystem's Jacobian provider; an exception it raises becomes a
+    :class:`LinearizationError` naming the subsystem."""
+    try:
+        return provider(*args)
+    except Exception as exc:
+        raise LinearizationError(f"subsystem {subsystem}: {what} Jacobian provider "
+                                 f"raised {exc!r}", subsystem) from exc
+
+
 def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
     """Dynamics Jacobian row blocks ``{(l, m): d f_l / d x_m}`` at the global
     point ``x``.  ``mode="analytic"`` uses each subsystem's ``jac_f`` and falls
@@ -534,7 +549,7 @@ def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
         xl = x[partition.state_slice(l)]
         nbrs = {m: x[partition.state_slice(m)] for m in sub.neighbors}
         if mode == "analytic" and sub.jac_f is not None:
-            got = sub.jac_f(xl, nbrs)
+            got = _provided(sub.jac_f, l, "dynamics", xl, nbrs)
             blocks = {int(m): np.asarray(b, dtype=float) for m, b in got.items()}
         else:
             blocks = fd_jacobian_f(sub, xl, nbrs)
@@ -564,7 +579,7 @@ def _jac_cols_h(subs, partition, x, mode) -> list[np.ndarray]:
         if sub.out_dim == 0:
             block = np.zeros((0, sub.state_dim))
         elif mode == "analytic" and sub.jac_h is not None:
-            block = np.asarray(sub.jac_h(xi), dtype=float)
+            block = np.asarray(_provided(sub.jac_h, i, "output", xi), dtype=float)
         else:
             block = fd_jacobian_h(sub, xi)
         if not np.all(np.isfinite(block)):
@@ -590,8 +605,7 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
         raise ValueError(f"x_point must have shape ({partition.nx},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_point must be finite")
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     if mode == "analytic":
         missing = [s.index for s in subs if s.jac_f is None or (s.out_dim and s.jac_h is None)]
         if missing:

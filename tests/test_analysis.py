@@ -15,7 +15,7 @@ from partkf.analysis import (
 )
 from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark
 from partkf.dekf import run_dekf
-from partkf.dkf import EstimatorDesign, run_dkf
+from partkf.dkf import EstimatorDesign, _sym, run_dkf
 from partkf.harness import ExperimentConfig
 from partkf.model import (
     LinearSubsystem,
@@ -157,6 +157,23 @@ class TestContraction:
         assert result["all_hold"]
         assert 0.0 < result["alpha"] < 1.0
 
+    def test_margins_match_direct_evaluation(self, reactor_run):
+        # Fresh inverses of P_{k-1} and P_k at every instant guard the
+        # information matrices carried from one instant to the next.
+        _, _, rec = reactor_run
+        result = check_contraction(rec)
+        alpha = result["alpha"]
+        p = rec.partition
+        for k in range(1, rec.steps + 1):
+            F = (np.eye(p.nx) - rec.stacked_gain(k) @ rec.c_matrix(k)) @ rec.a_matrix(k - 1)
+            worst = np.inf
+            for i in range(p.n):
+                F_ii = F[p.state_slice(i), p.state_slice(i)]
+                diff = ((1.0 - alpha) * np.linalg.inv(rec.covs[k - 1][i])
+                        - F_ii.T @ np.linalg.inv(rec.covs[k][i]) @ F_ii)
+                worst = min(worst, np.linalg.eigvalsh(_sym(diff))[0])
+            assert result["margins"][k] == pytest.approx(worst, rel=1e-12), k
+
     def test_rate_always_inside_unit_interval(self, reactor_run):
         _, _, rec = reactor_run
         bounds = check_bounds(rec)
@@ -165,7 +182,76 @@ class TestContraction:
         assert 0.0 < alpha < 1.0
 
 
+@pytest.fixture(scope="module")
+def strongly_coupled_run():
+    """linear-4state with ten times its coupling: the largest dynamics block
+    norm is an off-diagonal one."""
+    bench = get_benchmark("linear-4state", coupling_scale=10.0)
+    traj = simulate(bench.model, bench.x0, 20, bench.noise(seed=3))
+    return bench, traj, run_dkf(bench.model, bench.design, traj)
+
+
+def _bounds_reference(rec) -> dict:
+    """The bounds table by brute force: norms of every ``(l, i)`` block of the
+    assembled ``A``, zero blocks included, and the diagonal closed-loop
+    blocks as ``A_ii - L_i C A[:, i]``, in three passes over the record."""
+    p = rec.partition
+    n, K = p.n, rec.steps
+    sl = [p.state_slice(i) for i in range(n)]
+    norm = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
+    a_diag, a_all = [], []
+    for k in range(K):
+        A = rec.a_matrix(k)
+        for l in range(n):
+            for i in range(n):
+                a_all.append(norm(A[sl[l], sl[i]]))
+                if l == i:
+                    a_diag.append(a_all[-1])
+    c_norms, p_lo, p_hi, gains = [], [], [], []
+    for k in range(K + 1):
+        for i in range(n):
+            c_norms.append(norm(rec.c_cols[k][i]))
+            eigs = np.linalg.eigvalsh(_sym(rec.covs[k][i]))
+            p_lo.append(eigs[0])
+            p_hi.append(eigs[-1])
+            gains.append(norm(rec.gains[k][i]))
+    f_diag = []
+    for k in range(1, K + 1):
+        A, C = rec.a_matrix(k - 1), rec.c_matrix(k)
+        f_diag += [norm(A[s, s] - rec.gains[k][i] @ C @ A[:, s]) for i, s in enumerate(sl)]
+    q = np.concatenate([np.linalg.eigvalsh(_sym(np.asarray(m, dtype=float)))
+                        for m in rec.estimator["Q"]])
+    r = np.linalg.eigvalsh(_sym(np.asarray(rec.estimator["R"], dtype=float)))
+    t = {"a_lo": min(a_diag), "a_hi": max(a_all), "c_lo": min(c_norms),
+         "c_hi": max(c_norms), "p_lo": min(p_lo), "p_hi": max(p_hi),
+         "q_lo": q[0], "q_hi": q[-1], "r_lo": r[0], "r_hi": r[-1],
+         "gain_lo": min(gains), "gain_hi": max(gains), "f_diag_hi": max(f_diag)}
+    t["l_lo"] = (t["c_lo"] * t["a_lo"] ** 2 * t["p_lo"] + t["c_lo"] * t["q_lo"]) / (
+        (n * t["c_hi"] * t["a_hi"]) ** 2 * t["p_hi"] + t["c_hi"] ** 2 * t["q_hi"] + t["r_hi"])
+    t["l_hi"] = (n * t["c_hi"] * t["a_hi"] ** 2 * t["p_hi"] + t["c_hi"] * t["q_hi"]) / (
+        (t["c_lo"] * t["a_lo"]) ** 2 * t["p_lo"] + t["c_lo"] ** 2 * t["q_lo"] + t["r_lo"])
+    t["f_hi"] = np.sqrt(n) * t["a_hi"] + np.sqrt(n) * t["l_hi"] * t["c_hi"] * t["a_hi"]
+    t["bounded"] = (all(np.isfinite(t[key]) for key in ("a_lo", "a_hi", "c_lo", "c_hi",
+                                                       "p_lo", "p_hi", "q_lo", "q_hi",
+                                                       "r_lo", "r_hi"))
+                    and t["p_lo"] > 0 and t["q_lo"] > 0 and t["r_lo"] > 0)
+    return t
+
+
 class TestBounds:
+    @pytest.mark.parametrize("run", ["reactor_run", "decoupled_linear_run",
+                                     "strongly_coupled_run"])
+    def test_table_matches_brute_force_reference(self, run, request):
+        _, _, rec = request.getfixturevalue(run)
+        table = check_bounds(rec).as_dict()
+        ref = _bounds_reference(rec)
+        assert table.keys() == ref.keys()
+        for key, want in ref.items():
+            if key == "f_diag_hi":
+                assert table[key] == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                assert table[key] == want, key
+
     def test_linear_blocks_constant_across_instants(self, linear_run):
         bench, traj, rec = linear_run
         bounds = check_bounds(rec)

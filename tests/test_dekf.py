@@ -24,6 +24,7 @@ from partkf.dkf import (
     update,
 )
 from partkf.model import (
+    LinearizationError,
     aggregate_nonlinear,
     assemble_global,
     linear_as_nonlinear,
@@ -229,6 +230,26 @@ class TestRunDekf:
         rec_f = run_dekf(reactor_bench.model, reactor_bench.design, traj, mode="fd")
         diff = np.abs(rec_a.xhat_post - rec_f.xhat_post)
         assert np.max(diff / (1.0 + np.abs(rec_f.xhat_post))) <= 1e-4
+
+    def test_unknown_mode_is_rejected(self, reactor_bench):
+        traj = simulate(reactor_bench.model, reactor_bench.x0, 5,
+                        reactor_bench.noise(seed=1))
+        with pytest.raises(ValueError, match="unknown mode 'analytc'"):
+            run_dekf(reactor_bench.model, reactor_bench.design, traj, mode="analytc")
+
+    def test_raising_jacobian_provider_names_subsystem_and_instant(self, reactor_bench):
+        def boom(x_i, neighbors):
+            raise ZeroDivisionError("boom")
+
+        subs = list(reactor_bench.model.subsystems)
+        subs[2] = dataclasses.replace(subs[2], jac_f=boom, jacobian_check_samples=())
+        model = aggregate_nonlinear(subs, reactor_bench.model.partition)
+        traj = simulate(model, reactor_bench.x0, 5, reactor_bench.noise(seed=1))
+        with pytest.raises(LinearizationError, match="instant 1, subsystem 2") as err:
+            run_dekf(model, reactor_bench.design, traj)
+        assert err.value.subsystem == 2
+        assert isinstance(err.value.__cause__, LinearizationError)
+        assert isinstance(err.value.__cause__.__cause__, ZeroDivisionError)
 
 
 class TestMeasurementChecks:
