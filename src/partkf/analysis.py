@@ -23,7 +23,6 @@ smallest eigenvalue of the difference with tolerance ``INEQ_TOL``.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,7 @@ import numpy as np
 
 from .dkf import _sym
 from .model import GlobalModel
-from .records import RunRecord
+from .records import RunRecord, _write_csv
 
 __all__ = [
     "ErrorDecomposition",
@@ -504,19 +503,13 @@ def write_monitor_csv(record: RunRecord, path: str | Path) -> Path:
     if record.monitors is None:
         raise ValueError("record has no monitor data; run attach_monitors first")
     m = record.monitors
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "coupling_ok", "coupling_checkable", "coupling_margin",
-                         "contraction_ok", "contraction_margin", "lyapunov", "rmse"])
-        for k in range(record.steps + 1):
-            writer.writerow([
-                k, int(m["coupling_ok"][k]), int(m["coupling_checkable"][k]),
-                repr(float(m["coupling_margin"][k])),
-                int(m["contraction_ok"][k]), repr(float(m["contraction_margin"][k])),
-                repr(float(m["lyapunov"][k])), repr(float(record.rmse[k])),
-            ])
-    return path
+    header = ["k", "coupling_ok", "coupling_checkable", "coupling_margin",
+              "contraction_ok", "contraction_margin", "lyapunov", "rmse"]
+    rows = ([k, int(m["coupling_ok"][k]), int(m["coupling_checkable"][k]),
+             m["coupling_margin"][k], int(m["contraction_ok"][k]),
+             m["contraction_margin"][k], m["lyapunov"][k], record.rmse[k]]
+            for k in range(record.steps + 1))
+    return _write_csv(path, header, rows)
 
 
 def write_summary_json(record: RunRecord, path: str | Path) -> Path:

@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    runs = config.runs if config.runs > 1 else 500
+    runs = config.runs if args.runs is not None or config.runs > 1 else 500
     result = analysis.monte_carlo(config, runs=runs, base_seed=config.seed)
     out_dir = config.out_dir or DEFAULT_OUT
     name = config.model.get("name", "inline")

@@ -138,6 +138,14 @@ class EstimatorDesign:
             raise ValueError(f"R has shape {self.R.shape}, expected ({p.ny}, {p.ny})")
         if self.x0_guess.shape != (p.nx,):
             raise ValueError("x0_guess does not match the partition")
+        for i in range(p.n):
+            for name, value in ((f"Q[{i}]", self.Q[i]), (f"P0[{i}]", self.P0[i]),
+                                (f"x0_guess of subsystem {i}",
+                                 self.x0_guess[p.state_slice(i)])):
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} is not finite")
+        if not np.isfinite(self.R).all():
+            raise ValueError("R is not finite")
 
     def serializable(self) -> dict:
         return {
@@ -147,22 +155,20 @@ class EstimatorDesign:
             "x0_guess": self.x0_guess.tolist(),
         }
 
-    @classmethod
-    def from_serializable(cls, payload: dict) -> "EstimatorDesign":
-        return cls(Q=payload["Q"], R=payload["R"], P0=payload["P0"],
-                   x0_guess=payload["x0_guess"])
-
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+def _spd_factor(m: np.ndarray, what: str):
     try:
-        c = cho_factor(_sym(m))
+        return cho_factor(_sym(m))
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"{what} is not positive definite") from exc
-    return cho_solve(c, np.eye(m.shape[0]))
+
+
+def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    return cho_solve(_spd_factor(m, what), np.eye(m.shape[0]))
 
 
 def _check_spd_posterior(P: np.ndarray, i: int, k: int) -> None:
@@ -217,7 +223,7 @@ def init_update(P0_i: np.ndarray, c_col: np.ndarray, R: np.ndarray,
     ``(xh, P_post, effective_gain)``.
     """
     P0_inv = _spd_inverse(P0_i, "prior covariance")
-    R_cho = cho_factor(_sym(R))
+    R_cho = _spd_factor(R, "measurement weight R")
     Rinv_c = cho_solve(R_cho, c_col)
     info = _sym(P0_inv + c_col.T @ Rinv_c)
     P_post = _sym(_spd_inverse(info, "posterior information matrix"))
@@ -292,7 +298,10 @@ def _initial_update(source, design: EstimatorDesign, y0: np.ndarray,
     innovation = source.innovation(y0, guess)
     fused: list = [None] * len(guess)
     for i in agenda:
-        fused[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
+        try:
+            fused[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
+        except FilterError as exc:
+            raise FilterError(f"subsystem {i} at instant 0: {exc}") from exc
     return c_cols, fused
 
 

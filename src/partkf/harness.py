@@ -48,7 +48,6 @@ pure function of (config, seed).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -78,7 +77,7 @@ from .model import (
     linearize,
     make_partition,
 )
-from .records import RunRecord
+from .records import RunRecord, _load_json, _write_csv
 from .simulate import NoiseSpec, _broadcast, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
@@ -123,7 +122,7 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an :class:`ExperimentConfig` from a JSON file."""
-    payload = json.loads(Path(path).read_text())
+    payload = _load_json(path)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(payload) - known
     if unknown:
@@ -147,7 +146,7 @@ def _inline_model(spec: dict) -> GlobalModel:
     return assemble_global(subs, part)
 
 
-def _weight_list(value, partition, diag_dims, name: str) -> tuple[np.ndarray, ...]:
+def _weight_list(value, diag_dims, name: str) -> tuple[np.ndarray, ...]:
     if np.isscalar(value):
         return tuple(float(value) * np.eye(d) for d in diag_dims)
     mats = [np.asarray(m, dtype=float) for m in value]
@@ -187,14 +186,14 @@ def _resolve(config: ExperimentConfig) -> tuple[GlobalModel, np.ndarray,
     est = dict(config.estimator or {})
     if design is None and not {"Q", "R", "P0", "x0_guess"} <= set(est):
         raise ValueError("inline models require estimator Q, R, P0 and x0_guess")
-    Q = (_weight_list(est["Q"], p, p.dims, "estimator.Q") if "Q" in est
+    Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
          else design.Q)
     if "R" in est:
         R = (float(est["R"]) * np.eye(p.ny) if np.isscalar(est["R"])
              else np.asarray(est["R"], dtype=float))
     else:
         R = design.R
-    P0 = (_weight_list(est["P0"], p, p.dims, "estimator.P0") if "P0" in est
+    P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est
           else design.P0)
     guess = (np.asarray(est["x0_guess"], dtype=float) if "x0_guess" in est
              else design.x0_guess)
@@ -252,29 +251,21 @@ def export(record: RunRecord, fmt: str, out_dir: str | Path,
         return path
     if fmt != "csv":
         raise ValueError(f"unknown export format {fmt!r}")
-    path = out / f"{stem}.csv"
     nx = record.xs.shape[1]
     ny = record.ys.shape[1]
     header = (["k"] + [f"x_{j + 1}" for j in range(nx)]
               + [f"xhat_{j + 1}" for j in range(nx)]
               + [f"y_{j + 1}" for j in range(ny)] + ["rmse"])
-    flags = record.monitors is not None
-    if flags:
+    m = record.monitors
+    if m is not None:
         header += ["coupling_ok", "contraction_ok"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(record.steps + 1):
-            row = ([k] + [repr(float(v)) for v in record.xs[k]]
-                   + [repr(float(v)) for v in record.xhat_post[k]]
-                   + [repr(float(v)) for v in record.ys[k]]
-                   + [repr(float(record.rmse[k]))])
-            if flags:
-                m = record.monitors
-                row.append(int(m["coupling_ok"][k]))
-                row.append(int(m["contraction_ok"][k]))
-            writer.writerow(row)
-    return path
+    rows = []
+    for k in range(record.steps + 1):
+        row = [k, *record.xs[k], *record.xhat_post[k], *record.ys[k], record.rmse[k]]
+        if m is not None:
+            row += [int(m["coupling_ok"][k]), int(m["contraction_ok"][k])]
+        rows.append(row)
+    return _write_csv(out / f"{stem}.csv", header, rows)
 
 
 def import_record(path: str | Path) -> RunRecord:
@@ -288,21 +279,14 @@ def write_monte_carlo_csv(result: analysis.MonteCarloResult, out_dir: str | Path
     per-instant summary (mean and envelope)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    long_path = out / f"{stem}_runs.csv"
-    with long_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "run", "seed", "rmse"])
-        for r in range(result.runs):
-            for k in range(result.rmse.shape[1]):
-                writer.writerow([k, r, int(result.seeds[r]),
-                                 repr(float(result.rmse[r, k]))])
-    summary_path = out / f"{stem}_summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean", "min", "max"])
-        for k in range(result.rmse.shape[1]):
-            writer.writerow([k, repr(float(result.mean[k])),
-                             repr(float(result.lo[k])), repr(float(result.hi[k]))])
+    instants = range(result.rmse.shape[1])
+    long_path = _write_csv(
+        out / f"{stem}_runs.csv", ["k", "run", "seed", "rmse"],
+        ([k, r, int(result.seeds[r]), result.rmse[r, k]]
+         for r in range(result.runs) for k in instants))
+    summary_path = _write_csv(
+        out / f"{stem}_summary.csv", ["k", "mean", "min", "max"],
+        ([k, result.mean[k], result.lo[k], result.hi[k]] for k in instants))
     return long_path, summary_path
 
 

@@ -1,17 +1,28 @@
-"""Run records: the full, replayable account of one filtering experiment.
+"""Run records and the file formats of partkf.
 
 A record holds the simulated truth, every per-instant estimator quantity
 (predictions, posteriors, gains, covariances, Jacobian blocks and their
 evaluation points), monitor outputs and the RMSE sequence.  Records are
 self-contained: together with the embedded configuration and seed they replay
 deterministically.  Wall-clock timings are excluded from the content digest.
+
+This module owns partkf's file formats (all but the monitor summary JSON of
+:func:`partkf.analysis.write_summary_json`): the record JSON
+(``"schema": 1``, then the :class:`RunRecord` fields in declaration order,
+``wall_clock`` last and only with timings), the trajectory JSON (the same
+array encoding, arrays as nested lists), every CSV table (``_write_csv``) and
+loading JSON given as a dict or a path (``_load_json``).  A float CSV cell is
+written as the ``repr`` of the Python float, the shortest decimal that reads
+back to the same double; any other cell (instant, run index, seed, 0/1 flag)
+is written as it is.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +34,52 @@ __all__ = ["RunRecord"]
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _encode(value):
+    """Arrays, and lists or tuples of arrays, as nested lists; anything else
+    as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _blocks(per_instant) -> list[list[np.ndarray]]:
+    return [[_array(b) for b in per_k] for per_k in per_instant]
+
+
+#: How ``RunRecord.from_json`` restores a field; unlisted fields load as they are.
+_DECODERS = {
+    "seed": int, "dims": tuple, "out_dims": tuple, "floor_events": int,
+    **dict.fromkeys(("xs", "ys", "ws", "vs", "xhat_pred", "xhat_post",
+                     "a_points", "c_points", "rmse", "wall_clock"), _array),
+    **dict.fromkeys(("gains", "covs", "a_cols", "c_cols"), _blocks),
+}
+
+
+def _load_json(source: dict | str | Path) -> dict:
+    """A JSON payload given as a dict, or read from a file path."""
+    if isinstance(source, dict):
+        return source
+    return json.loads(Path(source).read_text())
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write ``header`` and ``rows``; see the module docstring for the cells."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+    return path
 
 
 @dataclass
@@ -93,34 +150,12 @@ class RunRecord:
     # -- serialization ----------------------------------------------------
 
     def _payload(self, with_timing: bool) -> dict:
-        payload = {
-            "schema": 1,
-            "kind": self.kind,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "out_dims": list(self.out_dims),
-            "xs": self.xs.tolist(),
-            "ys": self.ys.tolist(),
-            "ws": self.ws.tolist(),
-            "vs": self.vs.tolist(),
-            "xhat_pred": self.xhat_pred.tolist(),
-            "xhat_post": self.xhat_post.tolist(),
-            "gains": [[g.tolist() for g in per_k] for per_k in self.gains],
-            "covs": [[c.tolist() for c in per_k] for per_k in self.covs],
-            "a_cols": [[a.tolist() for a in per_k] for per_k in self.a_cols],
-            "c_cols": [[c.tolist() for c in per_k] for per_k in self.c_cols],
-            "a_points": self.a_points.tolist(),
-            "c_points": self.c_points.tolist(),
-            "rmse": self.rmse.tolist(),
-            "estimator": self.estimator,
-            "floor_events": self.floor_events,
-            "monitors": self.monitors,
-            "config": self.config,
-        }
+        payload = {"schema": 1}
+        for f in fields(self):
+            if f.name != "wall_clock":
+                payload[f.name] = _encode(getattr(self, f.name))
         if with_timing:
-            payload["wall_clock"] = (
-                None if self.wall_clock is None else self.wall_clock.tolist()
-            )
+            payload["wall_clock"] = _encode(self.wall_clock)
         return payload
 
     def content_digest(self) -> str:
@@ -135,31 +170,15 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
-        if not isinstance(payload, dict):
-            payload = json.loads(Path(payload).read_text())
-        arr = lambda x: np.asarray(x, dtype=float)
-        wall = payload.get("wall_clock")
-        return cls(
-            kind=payload["kind"],
-            seed=int(payload["seed"]),
-            dims=tuple(payload["dims"]),
-            out_dims=tuple(payload["out_dims"]),
-            xs=arr(payload["xs"]),
-            ys=arr(payload["ys"]),
-            ws=arr(payload["ws"]),
-            vs=arr(payload["vs"]),
-            xhat_pred=arr(payload["xhat_pred"]),
-            xhat_post=arr(payload["xhat_post"]),
-            gains=[[arr(g) for g in per_k] for per_k in payload["gains"]],
-            covs=[[arr(c) for c in per_k] for per_k in payload["covs"]],
-            a_cols=[[arr(a) for a in per_k] for per_k in payload["a_cols"]],
-            c_cols=[[arr(c) for c in per_k] for per_k in payload["c_cols"]],
-            a_points=arr(payload["a_points"]),
-            c_points=arr(payload["c_points"]),
-            rmse=arr(payload["rmse"]),
-            estimator=payload["estimator"],
-            floor_events=int(payload.get("floor_events", 0)),
-            wall_clock=None if wall is None else arr(wall),
-            monitors=payload.get("monitors"),
-            config=payload.get("config"),
-        )
+        """Restore a record; a missing required field raises ``KeyError`` and
+        a missing optional one keeps its default."""
+        payload = _load_json(payload)
+        values = {}
+        for f in fields(cls):
+            if f.name in payload:
+                value = payload[f.name]
+                decode = _DECODERS.get(f.name)
+                values[f.name] = value if decode is None or value is None else decode(value)
+            elif f.default is MISSING:
+                raise KeyError(f.name)
+        return cls(**values)

@@ -10,7 +10,6 @@ noise in the same order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import GlobalModel
+from .records import _array, _encode, _load_json, _write_csv
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
 
@@ -99,6 +99,10 @@ def sample_noise(std: np.ndarray, bound: np.ndarray | None,
     return out
 
 
+#: The array fields of a :class:`Trajectory`, in the order its JSON lists them.
+_ARRAYS = ("xs", "ys", "ws", "vs")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Simulated truth: states ``x_0..x_K``, measurements ``y_0..y_K`` and the
@@ -118,43 +122,27 @@ class Trajectory:
 
     def to_csv(self, path: str | Path) -> Path:
         """One row per step: k, state coordinates, measurement coordinates."""
-        path = Path(path)
         nx = self.xs.shape[1]
         ny = self.ys.shape[1]
         header = ["k"] + [f"x_{j + 1}" for j in range(nx)] + [f"y_{j + 1}" for j in range(ny)]
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.xs.shape[0]):
-                writer.writerow([k, *(repr(float(v)) for v in self.xs[k]),
-                                 *(repr(float(v)) for v in self.ys[k])])
-        return path
+        return _write_csv(path, header, ([k, *self.xs[k], *self.ys[k]]
+                                         for k in range(self.xs.shape[0])))
 
     def to_json(self, path: str | Path | None = None) -> dict:
         """JSON-serializable record embedding the seed; written when ``path``
         is given."""
-        payload = {
-            "seed": self.seed,
-            "xs": self.xs.tolist(),
-            "ys": self.ys.tolist(),
-            "ws": self.ws.tolist(),
-            "vs": self.vs.tolist(),
-        }
+        payload = {"seed": self.seed}
+        for name in _ARRAYS:
+            payload[name] = _encode(getattr(self, name))
         if path is not None:
             Path(path).write_text(json.dumps(payload))
         return payload
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "Trajectory":
-        if not isinstance(payload, dict):
-            payload = json.loads(Path(payload).read_text())
-        return cls(
-            xs=np.asarray(payload["xs"], dtype=float),
-            ys=np.asarray(payload["ys"], dtype=float),
-            ws=np.asarray(payload["ws"], dtype=float),
-            vs=np.asarray(payload["vs"], dtype=float),
-            seed=int(payload["seed"]),
-        )
+        payload = _load_json(payload)
+        return cls(**{name: _array(payload[name]) for name in _ARRAYS},
+                   seed=int(payload["seed"]))
 
 
 def _broadcast(arr, dim: int, name: str) -> np.ndarray | None:

@@ -67,6 +67,14 @@ class TestMonteCarlo:
         assert all(runs == {0, 1, 2, 3, 4} for runs in per_k.values())
         assert (tmp_path / "linear-4state_montecarlo_summary.csv").exists()
 
+    def test_explicit_single_run_means_one_run(self, tmp_path, capsys):
+        assert main(["montecarlo", "--model", "linear-4state", "--runs", "1",
+                     "--steps", "3", "--out", str(tmp_path), "--no-monitors"]) == 0
+        with (tmp_path / "linear-4state_montecarlo_runs.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert "1 runs of 3 steps" in capsys.readouterr().out
+
 
 class TestMonitors:
     def test_reanalyze_stored_record(self, tmp_path, capsys):

@@ -327,6 +327,44 @@ class TestMeasurementChecks:
                     dataclasses.replace(traj, ys=ys))
 
 
+
+class TestDesignChecks:
+    @staticmethod
+    def _run(linear_bench, **changes):
+        traj = simulate(linear_bench.model, linear_bench.x0, 5,
+                        linear_bench.noise(seed=1))
+        design = dataclasses.replace(linear_bench.design, **changes)
+        return run_dkf(linear_bench.model, design, traj)
+
+    @pytest.mark.parametrize("field, message", [
+        ("Q", r"^Q\[1\] is not finite$"),
+        ("P0", r"^P0\[1\] is not finite$"),
+        ("R", r"^R is not finite$"),
+        ("x0_guess", r"^x0_guess of subsystem 1 is not finite$"),
+    ], ids=["Q", "P0", "R", "x0_guess"])
+    def test_non_finite_entry_names_field_and_subsystem(self, linear_bench, field, message):
+        design = linear_bench.design
+        if field in ("Q", "P0"):
+            mats = [m.copy() for m in getattr(design, field)]
+            mats[1][0, 1] = np.nan
+            value = tuple(mats)
+        else:
+            value = getattr(design, field).copy()
+            value.flat[-1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            self._run(linear_bench, **{field: value})
+
+    def test_non_spd_measurement_weight_is_a_filter_error(self, linear_bench):
+        with pytest.raises(FilterError, match="^subsystem 0 at instant 0: "
+                           "measurement weight R is not positive definite$"):
+            self._run(linear_bench, R=-np.eye(2))
+
+    def test_non_spd_prior_names_subsystem(self, linear_bench):
+        P0 = (linear_bench.design.P0[0], -np.eye(2))
+        with pytest.raises(FilterError, match="^subsystem 1 at instant 0: "
+                           "prior covariance is not positive definite$"):
+            self._run(linear_bench, P0=P0)
+
 class TestStepReplay:
     def test_step_functions_reproduce_run_dkf_bitwise(self, linear_bench):
         # The public step functions, chained by hand, give exactly the
