@@ -24,7 +24,7 @@ smallest eigenvalue of the difference with tolerance ``INEQ_TOL``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -470,20 +470,18 @@ class MonteCarloResult:
         return self.rmse.shape[0]
 
 
-def monte_carlo(config, runs: int, base_seed: int | None = None) -> MonteCarloResult:
+def monte_carlo(config, runs: int) -> MonteCarloResult:
     """Repeat an experiment with derived seeds and collect RMSE statistics.
 
-    Per-run seeds come from ``SeedSequence(base_seed).generate_state``; a
-    fixed base seed therefore reproduces the ensemble exactly, regardless of
-    execution order.
+    The ensemble's base seed is always ``config.seed``: per-run seeds come
+    from ``SeedSequence(config.seed).generate_state``, so a fixed config
+    seed reproduces the ensemble exactly, regardless of execution order.
     """
     from .harness import run_experiment  # deferred: harness orchestrates runs
 
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if base_seed is None:
-        base_seed = config.seed
-    seeds = np.random.SeedSequence(base_seed).generate_state(runs, dtype=np.uint64)
+    seeds = np.random.SeedSequence(config.seed).generate_state(runs, dtype=np.uint64)
     curves = []
     for s in seeds:
         rec = run_experiment(config.replace(seed=int(s), runs=1, monitors=False),

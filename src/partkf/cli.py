@@ -2,9 +2,10 @@
 
 Subcommands:
 
-- ``run``: simulate one experiment and write record/monitor files.
+- ``run``: simulate one experiment and write record/monitor files; only it
+  takes ``--monitors``/``--no-monitors``.
 - ``montecarlo``: repeat an experiment with derived seeds, write the RMSE
-  ensemble and its per-instant summary.
+  ensemble and its per-instant summary; only it takes ``--runs``.
 - ``verify``: run the oracle-equivalence and reduction suites, print one
   PASS/FAIL line each, exit non-zero on any failure.
 - ``monitors``: re-analyze a stored record JSON and write the monitor table.
@@ -41,15 +42,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         f"({', '.join(available_benchmarks())})")
     parser.add_argument("--params", help="JSON object of benchmark parameters")
     parser.add_argument("--steps", type=int, help="number of sampling instants")
-    parser.add_argument("--runs", type=int, help="Monte Carlo repetitions")
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--mode", choices=["dkf", "dekf", "auto"],
                         help="filter selection")
-    parser.add_argument("--monitors", dest="monitors", action="store_true",
-                        default=None, help="enable stability monitors")
-    parser.add_argument("--no-monitors", dest="monitors", action="store_false",
-                        help="disable stability monitors")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -89,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     config = _build_config(args)
     runs = config.runs if args.runs is not None or config.runs > 1 else 500
-    result = analysis.monte_carlo(config, runs=runs, base_seed=config.seed)
+    result = analysis.monte_carlo(config, runs=runs)
     out_dir = config.out_dir or DEFAULT_OUT
     name = config.model.get("name", "inline")
     long_path, summary_path = write_monte_carlo_csv(result, out_dir,
@@ -136,10 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     _add_common(p_run)
+    p_run.add_argument("--monitors", dest="monitors", action="store_true",
+                       default=None, help="enable stability monitors")
+    p_run.add_argument("--no-monitors", dest="monitors", action="store_false",
+                       help="disable stability monitors")
     p_run.set_defaults(func=_cmd_run)
 
     p_mc = sub.add_parser("montecarlo", help="Monte Carlo RMSE ensemble")
     _add_common(p_mc)
+    p_mc.add_argument("--runs", type=int, help="Monte Carlo repetitions")
     p_mc.set_defaults(func=_cmd_montecarlo)
 
     p_ver = sub.add_parser("verify",

@@ -3,17 +3,20 @@
 The extended filter is the linear two-phase engine of :mod:`partkf.dkf` with
 its blocks re-linearized at every sampling instant.  This module supplies the
 nonlinear linearization source and the public step functions.  The
-evaluation points are deliberately asymmetric and are recorded for audit:
+evaluation points are deliberately asymmetric; they follow from the record's
+``xhat_post`` and ``xhat_pred`` and are not stored again:
 
-- dynamics blocks are linearized at the posteriors ``xhat_{k|k}`` (computed at
-  the end of instant ``k``, used by the gain and covariance at ``k+1``);
-- output blocks are linearized at the stacked prediction ``xhat_{k|k-1}``;
+- dynamics blocks are linearized at the posteriors ``xhat_post[k]`` (computed
+  at the end of instant ``k``, used by the gain and covariance at ``k+1``);
+- output blocks are linearized at the stacked prediction ``xhat_pred[k]``;
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
 Jacobian blocks come from each subsystem's analytic providers in
 ``mode="analytic"``, with central differences for a subsystem that has none,
-and from central differences everywhere in ``mode="fd"``.
+and from central differences everywhere in ``mode="fd"``.  A failing map
+raises ``LinearizationError`` naming the subsystem (and, in a run, the
+instant).
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     COV_FLOOR_REL,
     EstimatorDesign,
     ExchangeSnapshot,
-    FilterError,
     _check_phase2,
     _floor,
     _posteriors,
     _run_filter,
     gain_and_covariance,
 )
-from .model import GlobalModel, _a_cols, _check_mode, _jac_cols_h, _jac_rows_f
+from .model import GlobalModel, _a_cols, _check_mode, _checked, _jac_cols_h, _jac_rows_f
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -46,13 +48,7 @@ def dekf_predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.n
     as interaction inputs."""
     sub = model.subsystems[i]
     x_i, neighbors = _posteriors(snapshot, i, sub.neighbors)
-    try:
-        out = np.asarray(sub.f(x_i, neighbors), dtype=float)
-    except Exception as exc:
-        raise FilterError(f"subsystem {i}: dynamics evaluation failed: {exc}") from exc
-    if out.shape != (sub.state_dim,) or not np.all(np.isfinite(out)):
-        raise FilterError(f"subsystem {i}: dynamics returned a non-finite value")
-    return out
+    return _checked(sub, "f", sub.f, x_i, neighbors, shape=(sub.state_dim,))
 
 
 def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
@@ -67,24 +63,13 @@ def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
     return L, P, floored
 
 
-def _output_residual(model: GlobalModel, y: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """``y - h(stacked)``, the innovation of the extended filter."""
-    try:
-        predicted = model.h(stacked)
-    except Exception as exc:
-        raise FilterError(f"output map evaluation failed: {exc}") from exc
-    if not np.all(np.isfinite(predicted)):
-        raise FilterError("output map returned a non-finite value")
-    return y - predicted
-
-
 def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
                 L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
     """Local update; the innovation uses the nonlinear output map evaluated at
     the stacked prediction."""
     _check_phase2(snapshot)
     stacked = np.concatenate(snapshot.predictions)
-    return x_pred_i + L_i @ _output_residual(model, snapshot.measurement, stacked)
+    return x_pred_i + L_i @ (snapshot.measurement - model.h(stacked))
 
 
 class _NonlinearSource:
@@ -108,7 +93,7 @@ class _NonlinearSource:
         return cols, np.hstack(cols)
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        return _output_residual(self.model, y, np.concatenate(points))
+        return y - self.model.h(np.concatenate(points))
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,

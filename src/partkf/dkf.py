@@ -171,7 +171,19 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return cho_solve(_spd_factor(m, what), np.eye(m.shape[0]))
 
 
-def _check_spd_posterior(P: np.ndarray, i: int, k: int) -> None:
+def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Apply the eigenvalue floor; returns the covariance and whether it fired."""
+    d = P.shape[0]
+    if np.linalg.eigvalsh(P)[0] < COV_FLOOR_REL * np.trace(P) / d:
+        return P + COV_FLOOR_BUMP * np.eye(d), True
+    return P, False
+
+
+def _settle(P: np.ndarray, i: int, k: int) -> tuple[np.ndarray, bool]:
+    """The eigenvalue floor, then the positive-definiteness check of subsystem
+    ``i``'s posterior at instant ``k``; returns the covariance and whether the
+    floor fired."""
+    P, floored = _floor(P)
     try:
         np.linalg.cholesky(P)
     except np.linalg.LinAlgError as exc:
@@ -179,14 +191,7 @@ def _check_spd_posterior(P: np.ndarray, i: int, k: int) -> None:
             f"posterior covariance of subsystem {i} lost positive definiteness",
             subsystem=i, k=k,
         ) from exc
-
-
-def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Apply the eigenvalue floor; returns the covariance and whether it fired."""
-    d = P.shape[0]
-    if np.linalg.eigvalsh(P)[0] < COV_FLOOR_REL * np.trace(P) / d:
-        return P + COV_FLOOR_BUMP * np.eye(d), True
-    return P, False
+    return P, floored
 
 
 def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
@@ -280,13 +285,13 @@ def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
 
 def init_states(model: GlobalModel, design: EstimatorDesign,
                 y0: np.ndarray) -> list[EstimatorState]:
-    """Initial measurement update for all subsystems at instant 0."""
+    """Initial measurement update for all subsystems at instant 0 (with the
+    engine's eigenvalue floor)."""
     design.validate(model)
     _, fused = _initial_update(_LinearSource(model), design,
                                np.asarray(y0, dtype=float), range(model.partition.n))
-    for i, (_, P, _) in enumerate(fused):
-        _check_spd_posterior(P, i, 0)
-    return [EstimatorState(i, xh, P, L0, 0) for i, (xh, P, L0) in enumerate(fused)]
+    return [EstimatorState(i, xh, _settle(P, i, 0)[0], L0, 0)
+            for i, (xh, P, L0) in enumerate(fused)]
 
 
 def _initial_update(source, design: EstimatorDesign, y0: np.ndarray,
@@ -344,7 +349,7 @@ def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
 
 
 def _at_instant(k: int, call, *args):
-    """``call(*args)``, with instant ``k`` added to a linearization failure."""
+    """``call(*args)``, with instant ``k`` added to a subsystem map failure."""
     try:
         return call(*args)
     except LinearizationError as exc:
@@ -360,7 +365,7 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
     predicts every subsystem from the posterior snapshot, takes the output
     blocks at the stacked prediction, forms the innovation once and then
     updates every subsystem.  Aborts with the subsystem and the instant on
-    covariance collapse or a linearization failure.
+    covariance collapse or a failure of a subsystem map.
     """
     model = source.model
     design.validate(model)
@@ -375,19 +380,13 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
     xhat_pred = np.empty((K + 1, p.nx))
     xhat_post = np.empty((K + 1, p.nx))
     wall = np.empty(K + 1)
-    floor_events = 0
-
-    def settle(P: np.ndarray, i: int, k: int) -> np.ndarray:
-        nonlocal floor_events
-        P, floored = _floor(P)
-        floor_events += floored
-        _check_spd_posterior(P, i, k)
-        return P
 
     t0 = time.perf_counter()
     c_cols_k, fused = _at_instant(0, _initial_update, source, design, ys[0], agenda)
     xh = [x for x, _, _ in fused]
-    P_k = [settle(P, i, 0) for i, (_, P, _) in enumerate(fused)]
+    settled = [_settle(P, i, 0) for i, (_, P, _) in enumerate(fused)]
+    P_k = [P for P, _ in settled]
+    floor_events = sum(floored for _, floored in settled)
     L_k = [L for _, _, L in fused]
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
@@ -400,10 +399,10 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
         phase1 = ExchangeSnapshot(k=k, posteriors=tuple(xh))
         xp: list = [None] * n
         for i in agenda:
-            xp[i] = source.predict(i, phase1, model)
+            xp[i] = _at_instant(k, source.predict, i, phase1, model)
         xhat_pred[k] = np.concatenate(xp)
         c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
-        innovation = source.innovation(ys[k], xp)
+        innovation = _at_instant(k, source.innovation, ys[k], xp)
 
         P_prev = P_k
         xh, P_k, L_k = [None] * n, [None] * n, [None] * n
@@ -413,7 +412,8 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
                                            c_cols_k[i], design.Q[i], design.R)
             except FilterError as exc:
                 raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
-            P_k[i] = settle(P, i, k)
+            P_k[i], floored = _settle(P, i, k)
+            floor_events += floored
             L_k[i] = L
             xh[i] = xp[i] + L @ innovation
         wall[k] = time.perf_counter() - t0
@@ -430,8 +430,7 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
         xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
         xhat_pred=xhat_pred, xhat_post=xhat_post,
         gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols,
-        a_points=xhat_post[:-1].copy(), c_points=xhat_pred.copy(), rmse=rmse,
-        estimator=design.serializable(), floor_events=floor_events,
+        rmse=rmse, estimator=design.serializable(), floor_events=floor_events,
         wall_clock=wall, config=config,
     )
 

@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .benchmarks import Benchmark, get_benchmark
+from .benchmarks import get_benchmark
 from .dkf import EstimatorDesign, run_dkf
 from .dekf import run_dekf
 from .fie import (

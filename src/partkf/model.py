@@ -12,7 +12,7 @@ agents.  Stored arrays are defensive copies with the writeable flag cleared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,12 +40,42 @@ JACOBIAN_CHECK_RTOL = 1e-5
 
 
 class LinearizationError(RuntimeError):
-    """A dynamics or output map produced a non-finite value while being
-    evaluated or differentiated.  Carries the offending subsystem index."""
+    """A subsystem map (``f``, ``h``, ``jac_f``, ``jac_h``) raised or returned
+    a wrong shape or a non-finite value.  Carries the subsystem index."""
 
     def __init__(self, message: str, subsystem: int | None = None):
         super().__init__(message)
         self.subsystem = subsystem
+
+
+def _checked(sub, what: str, fn, *args, shape):
+    """``fn(*args)``, a map of subsystem ``sub``, as a float array of
+    ``shape``; when ``shape`` is a dict (``jac_f``), as a dict of float
+    blocks with exactly its keys (normalized with ``int``) and shapes.
+
+    Raises :class:`LinearizationError` naming the subsystem, chained to the
+    cause, when the map raises or returns another shape, other blocks or a
+    non-finite entry.
+    """
+    i = sub.index
+    try:
+        got = fn(*args)
+        got = ({int(l): b for l, b in got.items()} if isinstance(shape, dict)
+               else np.asarray(got, dtype=float))
+    except Exception as exc:
+        raise LinearizationError(f"subsystem {i}: {what} raised {exc!r}", i) from exc
+    if isinstance(shape, dict):
+        if got.keys() != shape.keys():
+            raise LinearizationError(f"subsystem {i}: {what} returned blocks for "
+                                     f"{sorted(got)}, expected {sorted(shape)}", i)
+        return {l: _checked(sub, f"{what} block {l}", got.get, l, shape=s)
+                for l, s in shape.items()}
+    if got.shape != shape:
+        raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
+                                 f"expected {shape}", i)
+    if not np.isfinite(got).all():
+        raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
+    return got
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -216,14 +246,17 @@ class NonlinearSubsystem:
 
     ``f(x_i, neighbors) -> next x_i`` where ``neighbors`` maps each declared
     neighbor index to that subsystem's current state block, and
-    ``h(x_i) -> y_i``.  Both maps must return finite values on the declared
-    state box.
-
-    ``jac_f(x_i, neighbors)`` (optional) returns ``{l: d f_i / d x_l}`` for
-    ``l`` in ``{index} | neighbors``; ``jac_h(x_i)`` returns ``d h_i / d x_i``.
-    When analytic Jacobians and ``jacobian_check_samples`` are both supplied,
-    the constructor spot-checks them against central finite differences at
-    relative tolerance 1e-5.
+    ``h(x_i) -> y_i``; ``jac_f(x_i, neighbors)`` and ``jac_h(x_i)`` are
+    optional analytic Jacobians.  On the declared state box every map returns
+    finite values: ``f`` of shape ``(state_dim,)``, ``h`` of ``(out_dim,)``,
+    ``jac_h = d h_i / d x_i`` of ``(out_dim, state_dim)`` and ``jac_f`` exactly
+    the blocks ``{l: d f_i / d x_l}`` for ``l`` in ``{index} | neighbors``,
+    block ``l`` of shape ``(state_dim, dim of l)``.  A map that raises or
+    breaks this raises :class:`LinearizationError` naming the subsystem, with
+    the instant added by the filters (or as a ``SimulationError`` with the
+    step from ``simulate``).  When analytic Jacobians and
+    ``jacobian_check_samples`` are both supplied, the constructor spot-checks
+    them against central finite differences at relative tolerance 1e-5.
     """
 
     index: int
@@ -272,12 +305,10 @@ class NonlinearSubsystem:
         for x_i, nbrs in self.jacobian_check_samples:
             x_i = np.asarray(x_i, dtype=float)
             nbrs = {int(l): np.asarray(v, dtype=float) for l, v in nbrs.items()}
-            if not np.all(np.isfinite(self.f(x_i, nbrs))):
-                raise LinearizationError(
-                    f"subsystem {self.index}: f not finite at a check sample", self.index
-                )
+            _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
-                got = self.jac_f(x_i, nbrs)
+                got = _checked(self, "jac_f", self.jac_f, x_i, nbrs,
+                               shape=_jac_f_shape(self))
                 for l, blk in fd_jacobian_f(self, x_i, nbrs).items():
                     if not _agrees(got[l], blk):
                         raise ValueError(
@@ -285,16 +316,24 @@ class NonlinearSubsystem:
                             "with finite differences"
                         )
             if self.jac_h is not None and self.out_dim:
-                if not _agrees(self.jac_h(x_i), fd_jacobian_h(self, x_i)):
+                got = _checked(self, "jac_h", self.jac_h, x_i,
+                               shape=(self.out_dim, self.state_dim))
+                if not _agrees(got, fd_jacobian_h(self, x_i)):
                     raise ValueError(
                         f"subsystem {self.index}: analytic dh/dx disagrees with finite differences"
                     )
 
 
-def _agrees(got, want: np.ndarray) -> bool:
+def _agrees(got: np.ndarray, want: np.ndarray) -> bool:
     """Analytic Jacobian ``got`` within ``JACOBIAN_CHECK_RTOL`` of ``want``."""
     scale = 1.0 + np.abs(want)
-    return bool(np.all(np.abs(np.asarray(got) - want) <= JACOBIAN_CHECK_RTOL * scale))
+    return bool(np.all(np.abs(got - want) <= JACOBIAN_CHECK_RTOL * scale))
+
+
+def _jac_f_shape(sub: NonlinearSubsystem) -> dict[int, tuple[int, int]]:
+    """The block shapes ``jac_f`` must return: own block, then neighbors."""
+    return {sub.index: (sub.state_dim, sub.state_dim),
+            **{l: (sub.state_dim, d) for l, d in sub.neighbor_dims.items()}}
 
 
 def _fd_steps(x: np.ndarray) -> np.ndarray:
@@ -311,12 +350,8 @@ def _central_columns(fun, vals: np.ndarray, sub: NonlinearSubsystem, what: str,
         minus = vals.copy()
         plus[j] += steps[j]
         minus[j] -= steps[j]
-        fp = np.asarray(fun(plus), dtype=float)
-        fm = np.asarray(fun(minus), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise LinearizationError(
-                f"subsystem {sub.index}: {what} not finite during differentiation", sub.index
-            )
+        fp = _checked(sub, what, fun, plus, shape=(out_size,))
+        fm = _checked(sub, what, fun, minus, shape=(out_size,))
         cols.append((fp - fm) / (2.0 * steps[j]))
     return np.column_stack(cols) if cols else np.zeros((out_size, 0))
 
@@ -328,24 +363,20 @@ def fd_jacobian_f(sub: NonlinearSubsystem, x_i: np.ndarray,
     """
     x_i = np.asarray(x_i, dtype=float)
     neighbors = {l: np.asarray(v, dtype=float) for l, v in neighbors.items()}
-    base = np.asarray(sub.f(x_i, neighbors), dtype=float)
-    if not np.all(np.isfinite(base)):
-        raise LinearizationError(f"subsystem {sub.index}: f not finite", sub.index)
+    _checked(sub, "f", sub.f, x_i, neighbors, shape=(sub.state_dim,))
     out = {sub.index: _central_columns(lambda v: sub.f(v, neighbors), x_i, sub, "f",
-                                       base.size)}
+                                       sub.state_dim)}
     for l in sub.neighbors:
         out[l] = _central_columns(lambda v, l=l: sub.f(x_i, {**neighbors, l: v}),
-                                  neighbors[l], sub, "f", base.size)
+                                  neighbors[l], sub, "f", sub.state_dim)
     return out
 
 
 def fd_jacobian_h(sub: NonlinearSubsystem, x_i: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of ``sub.h`` at ``x_i``."""
     x_i = np.asarray(x_i, dtype=float)
-    base = np.asarray(sub.h(x_i), dtype=float)
-    if not np.all(np.isfinite(base)):
-        raise LinearizationError(f"subsystem {sub.index}: h not finite", sub.index)
-    return _central_columns(sub.h, x_i, sub, "h", base.size)
+    _checked(sub, "h", sub.h, x_i, shape=(sub.out_dim,))
+    return _central_columns(sub.h, x_i, sub, "h", sub.out_dim)
 
 
 @dataclass(frozen=True)
@@ -399,26 +430,20 @@ class GlobalModel:
         x = np.asarray(x, dtype=float)
         if self.linear:
             return self.A @ x
-        blocks = []
-        for i, sub in enumerate(self.subsystems):
-            xi = x[self.partition.state_slice(i)]
-            val = np.asarray(sub.f(xi, self.neighbor_states(i, x)), dtype=float)
-            if val.shape != (sub.state_dim,):
-                raise ValueError(f"subsystem {i}: f returned shape {val.shape}")
-            blocks.append(val)
-        return np.concatenate(blocks)
+        return np.concatenate([
+            _checked(sub, "f", sub.f, x[self.partition.state_slice(i)],
+                     self.neighbor_states(i, x), shape=(sub.state_dim,))
+            for i, sub in enumerate(self.subsystems)])
 
     def h(self, x: np.ndarray) -> np.ndarray:
         """Global output map (noise-free)."""
         x = np.asarray(x, dtype=float)
         if self.linear:
             return self.C @ x
-        blocks = []
-        for i, sub in enumerate(self.subsystems):
-            xi = x[self.partition.state_slice(i)]
-            val = np.asarray(sub.h(xi), dtype=float)
-            blocks.append(np.atleast_1d(val))
-        return np.concatenate(blocks) if blocks else np.zeros(0)
+        return np.concatenate([
+            _checked(sub, "h", sub.h, x[self.partition.state_slice(i)],
+                     shape=(sub.out_dim,))
+            for i, sub in enumerate(self.subsystems)])
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Assembled validity box, or None when no subsystem declares one."""
@@ -530,16 +555,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def _provided(provider, subsystem: int, what: str, *args):
-    """Call a subsystem's Jacobian provider; an exception it raises becomes a
-    :class:`LinearizationError` naming the subsystem."""
-    try:
-        return provider(*args)
-    except Exception as exc:
-        raise LinearizationError(f"subsystem {subsystem}: {what} Jacobian provider "
-                                 f"raised {exc!r}", subsystem) from exc
-
-
 def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
     """Dynamics Jacobian row blocks ``{(l, m): d f_l / d x_m}`` at the global
     point ``x``.  ``mode="analytic"`` uses each subsystem's ``jac_f`` and falls
@@ -549,14 +564,10 @@ def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
         xl = x[partition.state_slice(l)]
         nbrs = {m: x[partition.state_slice(m)] for m in sub.neighbors}
         if mode == "analytic" and sub.jac_f is not None:
-            got = _provided(sub.jac_f, l, "dynamics", xl, nbrs)
-            blocks = {int(m): np.asarray(b, dtype=float) for m, b in got.items()}
+            blocks = _checked(sub, "jac_f", sub.jac_f, xl, nbrs, shape=_jac_f_shape(sub))
         else:
             blocks = fd_jacobian_f(sub, xl, nbrs)
-        for m, b in blocks.items():
-            if not np.all(np.isfinite(b)):
-                raise LinearizationError(f"subsystem {l}: non-finite dynamics Jacobian", l)
-            rows[(l, m)] = b
+        rows.update(((l, m), b) for m, b in blocks.items())
     return rows
 
 
@@ -579,11 +590,9 @@ def _jac_cols_h(subs, partition, x, mode) -> list[np.ndarray]:
         if sub.out_dim == 0:
             block = np.zeros((0, sub.state_dim))
         elif mode == "analytic" and sub.jac_h is not None:
-            block = np.asarray(_provided(sub.jac_h, i, "output", xi), dtype=float)
+            block = _checked(sub, "jac_h", sub.jac_h, xi, shape=(sub.out_dim, sub.state_dim))
         else:
             block = fd_jacobian_h(sub, xi)
-        if not np.all(np.isfinite(block)):
-            raise LinearizationError(f"subsystem {i}: non-finite output Jacobian", i)
         col = np.zeros((ny, sub.state_dim))
         col[partition.out_slice(i), :] = block
         cols.append(col)
@@ -596,7 +605,8 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
 
     ``mode`` is ``"analytic"`` (requires providers on every subsystem) or
     ``"fd"`` (central differences).  Raises :class:`LinearizationError` with
-    the offending subsystem index when a map evaluates to NaN or Inf.
+    the offending subsystem index when a map raises or returns a wrong shape
+    or a non-finite value.
     """
     subs = tuple(sorted(subs, key=lambda s: s.index))
     partition = make_partition([s.state_dim for s in subs], [s.out_dim for s in subs])

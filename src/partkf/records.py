@@ -1,10 +1,10 @@
 """Run records and the file formats of partkf.
 
 A record holds the simulated truth, every per-instant estimator quantity
-(predictions, posteriors, gains, covariances, Jacobian blocks and their
-evaluation points), monitor outputs and the RMSE sequence.  Records are
-self-contained: together with the embedded configuration and seed they replay
-deterministically.  Wall-clock timings are excluded from the content digest.
+(predictions, posteriors, gains, covariances and Jacobian blocks), monitor
+outputs and the RMSE sequence.  Records are self-contained: together with the
+embedded configuration and seed they replay deterministically.  Wall-clock
+timings are excluded from the content digest.
 
 This module owns partkf's file formats (all but the monitor summary JSON of
 :func:`partkf.analysis.write_summary_json`): the record JSON
@@ -58,7 +58,7 @@ def _blocks(per_instant) -> list[list[np.ndarray]]:
 _DECODERS = {
     "seed": int, "dims": tuple, "out_dims": tuple, "floor_events": int,
     **dict.fromkeys(("xs", "ys", "ws", "vs", "xhat_pred", "xhat_post",
-                     "a_points", "c_points", "rmse", "wall_clock"), _array),
+                     "rmse", "wall_clock"), _array),
     **dict.fromkeys(("gains", "covs", "a_cols", "c_cols"), _blocks),
 }
 
@@ -94,10 +94,9 @@ class RunRecord:
     - ``xhat_post[k]``: stacked posterior estimate at instant ``k``.
     - ``gains[k][i]`` / ``covs[k][i]``: local gain and posterior covariance.
     - ``a_cols[k][i]``: dynamics Jacobian column block evaluated at the
-      posterior of instant ``k`` (used by the step to instant ``k+1``);
-      ``a_points[k]`` records the evaluation point.
+      posterior ``xhat_post[k]`` (used by the step to instant ``k+1``).
     - ``c_cols[k][i]``: output Jacobian column block evaluated at the
-      prediction of instant ``k``; ``c_points[k]`` records the point.
+      prediction ``xhat_pred[k]``.
     """
 
     kind: str
@@ -114,8 +113,6 @@ class RunRecord:
     covs: list[list[np.ndarray]]
     a_cols: list[list[np.ndarray]]
     c_cols: list[list[np.ndarray]]
-    a_points: np.ndarray
-    c_points: np.ndarray
     rmse: np.ndarray
     estimator: dict
     floor_events: int = 0
@@ -170,8 +167,9 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
-        """Restore a record; a missing required field raises ``KeyError`` and
-        a missing optional one keeps its default."""
+        """Restore a record; a missing required field raises ``KeyError``, a
+        missing optional one keeps its default and a key that is not a field
+        (``a_points``/``c_points`` of older records) is ignored."""
         payload = _load_json(payload)
         values = {}
         for f in fields(cls):

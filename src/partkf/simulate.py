@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel
+from .model import GlobalModel, LinearizationError
 from .records import _array, _encode, _load_json, _write_csv
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
@@ -164,7 +164,8 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
     Measurement ``y_k`` is produced for ``k = 0..steps`` and process noise is
     applied on every transition.  For nonlinear models with a declared
     validity box the state is checked each step; leaving the box raises
-    :class:`SimulationError` with the step index.
+    :class:`SimulationError` with the step index, as does a failing
+    subsystem map (naming the subsystem).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -209,8 +210,11 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
         if not np.all(np.isfinite(xs[k])):
             raise SimulationError(f"state became non-finite at step {k}", step=k)
         vs[k] = draw(v_std, v_bound, v_gens, out_slices, k)
-        ys[k] = model.h(xs[k]) + vs[k]
-        if k < steps:
-            ws[k] = draw(w_std, w_bound, w_gens, state_slices, k)
-            xs[k + 1] = model.f(xs[k]) + ws[k]
+        try:
+            ys[k] = model.h(xs[k]) + vs[k]
+            if k < steps:
+                ws[k] = draw(w_std, w_bound, w_gens, state_slices, k)
+                xs[k + 1] = model.f(xs[k]) + ws[k]
+        except LinearizationError as exc:
+            raise SimulationError(f"step {k}, {exc}", step=k) from exc
     return Trajectory(xs=xs, ys=ys, ws=ws, vs=vs, seed=noise.seed)

@@ -55,8 +55,7 @@ class TestRun:
 class TestMonteCarlo:
     def test_ensemble_csv_has_one_entry_per_run_per_instant(self, tmp_path, capsys):
         code = main(["montecarlo", "--model", "linear-4state", "--runs", "5",
-                     "--steps", "12", "--seed", "6", "--out", str(tmp_path),
-                     "--no-monitors"])
+                     "--steps", "12", "--seed", "6", "--out", str(tmp_path)])
         assert code == 0
         with (tmp_path / "linear-4state_montecarlo_runs.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -69,11 +68,35 @@ class TestMonteCarlo:
 
     def test_explicit_single_run_means_one_run(self, tmp_path, capsys):
         assert main(["montecarlo", "--model", "linear-4state", "--runs", "1",
-                     "--steps", "3", "--out", str(tmp_path), "--no-monitors"]) == 0
+                     "--steps", "3", "--out", str(tmp_path)]) == 0
         with (tmp_path / "linear-4state_montecarlo_runs.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert "1 runs of 3 steps" in capsys.readouterr().out
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "linear-4state", "--steps", "3", "--runs", "5"],
+        ["montecarlo", "--model", "linear-4state", "--runs", "2", "--steps", "3",
+         "--monitors"],
+        ["montecarlo", "--model", "linear-4state", "--runs", "2", "--steps", "3",
+         "--no-monitors"],
+    ], ids=["run-runs", "montecarlo-monitors", "montecarlo-no-monitors"])
+    def test_flag_of_the_other_subcommand_is_a_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_runs_key_is_valid_for_both_commands(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"name": "linear-4state"}, "steps": 3,
+                                   "runs": 2, "seed": 1, "out_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["montecarlo", "--config", str(cfg)]) == 0
+        assert "2 runs of 3 steps" in capsys.readouterr().out
 
 
 class TestMonitors:

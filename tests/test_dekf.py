@@ -194,11 +194,20 @@ class TestRunDekf:
         assert rec.floor_events == 0
 
     def test_relinearization_points_recorded(self, reactor_run):
-        _, _, rec = reactor_run
+        bench, _, rec = reactor_run
         # Dynamics blocks are evaluated at posteriors, output blocks at the
-        # stacked predictions (the prior guess at instant 0).
-        assert np.array_equal(rec.a_points, rec.xhat_post[:-1])
-        assert np.array_equal(rec.c_points, rec.xhat_pred)
+        # stacked predictions (the prior guess at instant 0): linearizing
+        # there afresh gives the recorded blocks bitwise.
+        subs = bench.model.subsystems
+        assert len(rec.a_cols) == rec.steps and len(rec.c_cols) == rec.steps + 1
+        for k in range(rec.steps + 1):
+            at_pred = linearize(subs, rec.xhat_pred[k], mode="analytic")
+            for i in range(4):
+                assert np.array_equal(at_pred.c_cols[i], rec.c_cols[k][i])
+            if k < rec.steps:
+                at_post = linearize(subs, rec.xhat_post[k], mode="analytic")
+                for i in range(4):
+                    assert np.array_equal(at_post.a_cols[i], rec.a_cols[k][i])
 
     def test_zero_noise_exact_prior_tracks_exactly(self, reactor_bench):
         spec = NoiseSpec(w_std=np.zeros(8), v_std=np.zeros(8), seed=0)
@@ -250,6 +259,53 @@ class TestRunDekf:
         assert err.value.subsystem == 2
         assert isinstance(err.value.__cause__, LinearizationError)
         assert isinstance(err.value.__cause__.__cause__, ZeroDivisionError)
+
+
+def _from_call(n, good, bad):
+    """A map that behaves like ``good`` until its ``n``-th call, then like
+    ``bad``."""
+    calls = [0]
+
+    def fn(*args):
+        calls[0] += 1
+        return bad(*args) if calls[0] >= n else good(*args)
+    return fn
+
+
+def _raise(*args):
+    raise ZeroDivisionError("boom")
+
+
+#: One broken map of reactor subsystem 2 (built from the healthy one) and the
+#: instant at which the filter must stop.  None may run to completion (a
+#: wrong-shaped block would be broadcast into the gains) or escape as a bare
+#: error without the subsystem and the instant.
+MAP_FAULTS = {
+    "jac_h-one-row": (lambda s: dict(jac_h=lambda x: s.jac_h(x)[:1]), 0),
+    "jac_f-own-block-1x2": (lambda s: dict(
+        jac_f=lambda x, n: {**s.jac_f(x, n), 2: s.jac_f(x, n)[2][:1]}), 1),
+    "jac_f-undeclared-neighbor": (lambda s: dict(
+        jac_f=lambda x, n: {**s.jac_f(x, n), 3: np.zeros((2, 2))}), 1),
+    "jac_f-no-own-block": (lambda s: dict(
+        jac_f=lambda x, n: {l: b for l, b in s.jac_f(x, n).items() if l != 2}), 1),
+    "f-nan-from-6th-call": (lambda s: dict(
+        f=_from_call(6, s.f, lambda x, n: np.full(2, np.nan))), 6),
+    "h-raises-from-4th-call": (lambda s: dict(h=_from_call(4, s.h, _raise)), 3),
+    "h-one-value-for-two": (lambda s: dict(h=lambda x: s.h(x)[:1]), 0),
+}
+
+
+@pytest.mark.parametrize("fault", MAP_FAULTS.values(), ids=MAP_FAULTS.keys())
+def test_broken_map_names_subsystem_and_instant(reactor_bench, fault):
+    make, k = fault
+    traj = simulate(reactor_bench.model, reactor_bench.x0, 10, reactor_bench.noise(seed=3))
+    subs = list(reactor_bench.model.subsystems)
+    subs[2] = dataclasses.replace(subs[2], jacobian_check_samples=(), **make(subs[2]))
+    model = aggregate_nonlinear(subs, reactor_bench.model.partition)
+    with pytest.raises(LinearizationError) as err:
+        run_dekf(model, reactor_bench.design, traj)
+    assert err.value.subsystem == 2
+    assert str(err.value).startswith(f"instant {k}, subsystem 2: ")
 
 
 class TestMeasurementChecks:

@@ -307,6 +307,20 @@ class TestInitStates:
             assert np.allclose(states[i].xhat, want_x, rtol=0, atol=1e-9)
             assert np.allclose(states[i].cov, want_P, rtol=0, atol=1e-9)
 
+    def test_applies_the_engine_floor_at_instant_zero(self, linear_bench):
+        # A prior this thin leaves a posterior eigenvalue under the floor, so
+        # the engine bumps it at instant 0; init_states must do the same.
+        design = dataclasses.replace(linear_bench.design,
+                                     P0=(np.diag([1.0, 1e-18]), linear_bench.design.P0[1]))
+        traj = simulate(linear_bench.model, linear_bench.x0, 3,
+                        linear_bench.noise(seed=1))
+        rec = run_dkf(linear_bench.model, design, traj)
+        assert rec.floor_events == 1
+        assert rec.covs[0][0][1, 1] == pytest.approx(1e-10, rel=1e-6)
+        states = init_states(linear_bench.model, design, traj.ys[0])
+        for i in range(2):
+            assert np.array_equal(states[i].cov, rec.covs[0][i])
+
 
 class TestMeasurementChecks:
     def test_wrong_measurement_shape_is_rejected(self, linear_bench):

@@ -1,11 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from partkf.benchmarks import LINEAR_A, LINEAR_X0, get_benchmark, linear_subsystems
-from partkf.model import assemble_global, make_partition
+from partkf.model import (
+    NonlinearSubsystem,
+    aggregate_nonlinear,
+    assemble_global,
+    make_partition,
+)
 from partkf.simulate import NoiseSpec, SimulationError, Trajectory, sample_noise, simulate
 
 from conftest import noise_for
+
+
+def _raising_f(x_i, neighbors):
+    raise ZeroDivisionError("boom")
 
 
 def _model():
@@ -56,6 +67,30 @@ class TestSimulate:
         x0[0] = 501.0  # outside from the start
         with pytest.raises(SimulationError) as err:
             simulate(bench.model, x0, 5, spec)
+        assert err.value.step == 0
+
+    @pytest.mark.parametrize("f", [_raising_f, lambda x, n: np.full(2, np.nan)],
+                             ids=["raises", "nan"])
+    def test_broken_dynamics_map_names_step_and_subsystem(self, f):
+        bench = get_benchmark("reactor-chain")
+        subs = list(bench.model.subsystems)
+        subs[1] = dataclasses.replace(subs[1], f=f, jacobian_check_samples=())
+        model = aggregate_nonlinear(subs, bench.model.partition)
+        with pytest.raises(SimulationError, match=r"^step 0, subsystem 1: f ") as err:
+            simulate(model, bench.x0, 5, bench.noise(seed=1))
+        assert err.value.step == 0
+
+    def test_short_output_map_is_not_broadcast(self):
+        # One subsystem with three outputs whose h returns one value, which
+        # numpy would broadcast over all three measurements.
+        sub = NonlinearSubsystem(index=0, state_dim=3, out_dim=3, neighbor_dims={},
+                                 f=lambda x, n: 0.5 * x, h=lambda x: x[:1],
+                                 Q=np.eye(3), R=np.eye(3))
+        model = aggregate_nonlinear([sub], make_partition([3], [3]))
+        spec = NoiseSpec(w_std=0.1 * np.ones(3), v_std=0.1 * np.ones(3), seed=0)
+        with pytest.raises(SimulationError, match=r"^step 0, subsystem 0: h returned "
+                                                  r"shape \(1,\), expected \(3,\)") as err:
+            simulate(model, np.ones(3), 5, spec)
         assert err.value.step == 0
 
     def test_subsystem_streams_are_independent(self):
