@@ -476,18 +476,18 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     The ensemble's base seed is always ``config.seed``: per-run seeds come
     from ``SeedSequence(config.seed).generate_state``, so a fixed config
     seed reproduces the ensemble exactly, regardless of execution order.
+    The config is resolved once and every run goes through the same plan as
+    :func:`partkf.harness.run_experiment`, so run ``j`` equals a standalone
+    run at seed ``seeds[j]`` bit for bit; a linear filter computes its gain
+    schedule once for the whole ensemble.
     """
-    from .harness import run_experiment  # deferred: harness orchestrates runs
+    from .harness import _integer, _resolve  # deferred: harness orchestrates runs
 
-    if runs < 1:
+    if _integer("runs", runs) < 1:
         raise ValueError("runs must be at least 1")
+    plan = _resolve(config.replace(runs=1, monitors=False))
     seeds = np.random.SeedSequence(config.seed).generate_state(runs, dtype=np.uint64)
-    curves = []
-    for s in seeds:
-        rec = run_experiment(config.replace(seed=int(s), runs=1, monitors=False),
-                             write_outputs=False)
-        curves.append(rec.rmse)
-    arr = np.vstack(curves)
+    arr = np.vstack([plan.run(int(s)).rmse for s in seeds])
     return MonteCarloResult(seeds=seeds, rmse=arr, mean=arr.mean(axis=0),
                             lo=arr.min(axis=0), hi=arr.max(axis=0))
 

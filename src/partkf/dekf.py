@@ -21,6 +21,7 @@ instant).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -73,15 +74,19 @@ def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
 
 
 class _NonlinearSource:
-    """Linearization source of a nonlinear model: Jacobian blocks at the
-    given points, nonlinear prediction and the nonlinear output residual."""
+    """Linearization source of a nonlinear model and one design: Jacobian
+    blocks at the given points, nonlinear prediction and the nonlinear
+    output residual.  Its gains depend on the estimates, so its schedule
+    stays empty."""
 
     kind = "dekf"
     predict = staticmethod(dekf_predict)
+    schedule = MappingProxyType({})
 
-    def __init__(self, model: GlobalModel, mode: str):
+    def __init__(self, model: GlobalModel, mode: str, design: EstimatorDesign):
         self.model = model
         self.mode = mode
+        self.design = design
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
         p = self.model.partition
@@ -94,6 +99,9 @@ class _NonlinearSource:
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
         return y - self.model.h(np.concatenate(points))
+
+    def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
+        return L_k, P_k, floors
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
@@ -110,4 +118,4 @@ def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
     _check_mode(mode)
     if model.linear:
         raise ValueError("run_dekf needs a nonlinear model; use run_dkf instead")
-    return _run_filter(_NonlinearSource(model, mode), design, traj, order, config)
+    return _run_filter(_NonlinearSource(model, mode, design), traj, order, config)

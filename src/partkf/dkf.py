@@ -26,6 +26,18 @@ nonlinear model in :mod:`partkf.dekf`.  Per instant the loop computes the
 innovation once, then for every subsystem the gain and covariance, the
 eigenvalue floor and the positive-definiteness check.
 
+The gains ``L_i(k)`` and covariances ``P_i(k)`` of the linear filter depend
+on the model and the design, never on the measurements.  So the linear
+source, which belongs to one model and one design, keeps the gain schedule
+(per instant ``k``, every ``L_i`` and ``P_i`` and the floor events) that its
+first run computes, with the floor and the positive-definiteness check, and
+every later run with that source reads it: a Monte Carlo ensemble computes
+its gains once.  A schedule is never shared between sources, so none is
+reused across designs.  The extended filter's blocks depend on the
+estimates, so its source keeps no schedule and it computes its gains anew
+on every run.  The linear filter's records hold the schedule's arrays,
+which are read-only.
+
 Matrix inverses are realized as SPD solves and covariances are symmetrized
 after every step.
 """
@@ -288,40 +300,54 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
     """Initial measurement update for all subsystems at instant 0 (with the
     engine's eigenvalue floor)."""
     design.validate(model)
-    _, fused = _initial_update(_LinearSource(model), design,
-                               np.asarray(y0, dtype=float), range(model.partition.n))
-    return [EstimatorState(i, xh, _settle(P, i, 0)[0], L0, 0)
-            for i, (xh, P, L0) in enumerate(fused)]
+    _, xh, (L_0, P_0, _) = _fuse_prior(_LinearSource(model, design),
+                                       np.asarray(y0, dtype=float), range(model.partition.n))
+    return [EstimatorState(i, xh[i], P_0[i], L_0[i], 0) for i in range(model.partition.n)]
 
 
-def _initial_update(source, design: EstimatorDesign, y0: np.ndarray,
-                    agenda: Sequence[int]) -> tuple[list, list]:
-    """Instant 0: the output blocks at the prior guess and, per subsystem,
-    the fusion ``(xh, P, L0)`` of the guess with ``y_0``."""
+def _fuse_prior(source, y0: np.ndarray, agenda: Sequence[int]) -> tuple[list, list, tuple]:
+    """Instant 0: the output blocks at the prior guess, the schedule entry
+    (gains, covariances, floor events) of fusing the guess with ``y_0`` and
+    the posteriors ``guess_i + L_i (y_0 - h(guess))``, formed as
+    :func:`init_update` forms them."""
+    design = source.design
     guess = source.model.partition.split_state(design.x0_guess)
     c_cols, _ = source.output(design.x0_guess)
     innovation = source.innovation(y0, guess)
-    fused: list = [None] * len(guess)
-    for i in agenda:
-        try:
-            fused[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
-        except FilterError as exc:
-            raise FilterError(f"subsystem {i} at instant 0: {exc}") from exc
-    return c_cols, fused
+    n = len(guess)
+    entry = source.schedule.get(0)
+    if entry is None:
+        L_0, P_0, floors = [None] * n, [None] * n, 0
+        for i in agenda:
+            try:
+                _, P, L_0[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i],
+                                           innovation)
+            except FilterError as exc:
+                raise FilterError(f"subsystem {i} at instant 0: {exc}") from exc
+            P_0[i], floored = _settle(P, i, 0)
+            floors += floored
+        entry = source.keep(0, L_0, P_0, floors)
+    L_0 = entry[0]
+    return c_cols, [guess[i] + L_0[i] @ innovation for i in range(n)], entry
 
 
 class _LinearSource:
-    """Linearization source of a linear model: constant column blocks, the
-    linear prediction and the innovation against the constant output map."""
+    """Linearization source of a linear model and one design: constant
+    column blocks, the linear prediction, the innovation against the
+    constant output map and the design's gain schedule."""
 
     kind = "dkf"
     predict = staticmethod(predict)
 
-    def __init__(self, model: GlobalModel):
+    def __init__(self, model: GlobalModel, design: EstimatorDesign):
         self.model = model
+        self.design = design
         self.a_cols = [model.a_col(i) for i in range(model.partition.n)]
         self.a_ii = [sub.A for sub in model.subsystems]
         self.c_cols = [model.c_col(i) for i in range(model.partition.n)]
+        #: The gain schedule: instant ``k`` -> per-subsystem gains and
+        #: covariances, and the instant's number of floor events.
+        self.schedule: dict = {}
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
         return list(self.a_cols), self.a_ii
@@ -331,6 +357,15 @@ class _LinearSource:
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
         return y - predicted_output(self.c_cols, points)
+
+    def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
+        """Enter the settled gains and covariances of instant ``k`` and its
+        number of floor events into the schedule.  Every later run hands
+        these very arrays to its record, so they are made read-only."""
+        for m in (*L_k, *P_k):
+            m.setflags(write=False)
+        entry = self.schedule[k] = (tuple(L_k), tuple(P_k), floors)
+        return entry
 
 
 def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
@@ -356,18 +391,21 @@ def _at_instant(k: int, call, *args):
         raise LinearizationError(f"instant {k}, {exc}", exc.subsystem) from exc
 
 
-def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
-                order: Sequence[int] | None, config: dict | None) -> RunRecord:
+def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
+                config: dict | None) -> RunRecord:
     """The two-phase loop shared by :func:`run_dkf` and ``run_dekf``.
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
     Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
     predicts every subsystem from the posterior snapshot, takes the output
     blocks at the stacked prediction, forms the innovation once and then
-    updates every subsystem.  Aborts with the subsystem and the instant on
-    covariance collapse or a failure of a subsystem map.
+    updates every subsystem.  The gains and covariances of an instant that
+    the source's schedule already holds are read from it; otherwise they
+    are computed, settled and handed to the source's ``keep``.  Aborts with
+    the subsystem and the instant on covariance collapse or a failure of a
+    subsystem map.
     """
-    model = source.model
+    model, design = source.model, source.design
     design.validate(model)
     ys = _check_measurements(model, traj)
     p = model.partition
@@ -382,16 +420,12 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
     wall = np.empty(K + 1)
 
     t0 = time.perf_counter()
-    c_cols_k, fused = _at_instant(0, _initial_update, source, design, ys[0], agenda)
-    xh = [x for x, _, _ in fused]
-    settled = [_settle(P, i, 0) for i, (_, P, _) in enumerate(fused)]
-    P_k = [P for P, _ in settled]
-    floor_events = sum(floored for _, floored in settled)
-    L_k = [L for _, _, L in fused]
+    c_cols_k, xh, (L_k, P_k, floor_events) = _at_instant(0, _fuse_prior, source, ys[0],
+                                                         agenda)
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
     xhat_post[0] = np.concatenate(xh)
-    gains, covs, a_cols, c_cols = [L_k], [P_k], [], [c_cols_k]
+    gains, covs, a_cols, c_cols = [list(L_k)], [list(P_k)], [], [c_cols_k]
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
@@ -404,22 +438,28 @@ def _run_filter(source, design: EstimatorDesign, traj: Trajectory,
         c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
         innovation = _at_instant(k, source.innovation, ys[k], xp)
 
-        P_prev = P_k
-        xh, P_k, L_k = [None] * n, [None] * n, [None] * n
+        entry = source.schedule.get(k)
+        if entry is None:
+            P_prev = P_k
+            L_k, P_k, floors = [None] * n, [None] * n, 0
+            for i in agenda:
+                try:
+                    L_k[i], P = gain_and_covariance(P_prev[i], a_cols_k[i], a_ii[i], C_k,
+                                                    c_cols_k[i], design.Q[i], design.R)
+                except FilterError as exc:
+                    raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
+                P_k[i], floored = _settle(P, i, k)
+                floors += floored
+            entry = source.keep(k, L_k, P_k, floors)
+        L_k, P_k, floors = entry
+        floor_events += floors
+        xh = [None] * n
         for i in agenda:
-            try:
-                L, P = gain_and_covariance(P_prev[i], a_cols_k[i], a_ii[i], C_k,
-                                           c_cols_k[i], design.Q[i], design.R)
-            except FilterError as exc:
-                raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
-            P_k[i], floored = _settle(P, i, k)
-            floor_events += floored
-            L_k[i] = L
-            xh[i] = xp[i] + L @ innovation
+            xh[i] = xp[i] + L_k[i] @ innovation
         wall[k] = time.perf_counter() - t0
         xhat_post[k] = np.concatenate(xh)
-        gains.append(L_k)
-        covs.append(P_k)
+        gains.append(list(L_k))
+        covs.append(list(P_k))
         a_cols.append(a_cols_k)
         c_cols.append(c_cols_k)
 
@@ -442,4 +482,4 @@ def run_dkf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
     every per-instant quantity."""
     if not model.linear:
         raise ValueError("run_dkf needs a linear model; use run_dekf instead")
-    return _run_filter(_LinearSource(model), design, traj, order, config)
+    return _run_filter(_LinearSource(model, design), traj, order, config)

@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,8 +59,8 @@ import numpy as np
 
 from . import analysis
 from .benchmarks import get_benchmark
-from .dkf import EstimatorDesign, run_dkf
-from .dekf import run_dekf
+from .dkf import EstimatorDesign, _LinearSource, _run_filter, run_dkf
+from .dekf import _NonlinearSource, run_dekf
 from .fie import (
     centralized_fie,
     centralized_kf_init,
@@ -100,10 +101,16 @@ class ExperimentConfig:
     estimator: dict | None = None
 
     def __post_init__(self):
+        for name in ("steps", "runs", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
+        if not isinstance(self.monitors, bool):
+            raise ValueError(f"monitors must be true or false, not {self.monitors!r}")
         if self.mode not in ("auto", "dkf", "dekf"):
             raise ValueError("mode must be auto, dkf or dekf")
         if not isinstance(self.model, dict) or not ({"name", "inline"} & set(self.model)):
@@ -118,6 +125,14 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
+    integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -155,8 +170,10 @@ def _weight_list(value, diag_dims, name: str) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def _resolve(config: ExperimentConfig) -> tuple[GlobalModel, np.ndarray,
-                                                EstimatorDesign, NoiseSpec]:
+def _resolve(config: ExperimentConfig) -> "_Plan":
+    """Everything ``config`` fixes for a run but the seed: model, truth
+    initial state, noise, design and the filter ``mode`` selects (``auto``
+    picks by model kind)."""
     if "name" in config.model:
         bench = get_benchmark(config.model["name"], **config.model.get("params", {}))
         model, x0, design = bench.model, bench.x0, bench.design
@@ -199,14 +216,6 @@ def _resolve(config: ExperimentConfig) -> tuple[GlobalModel, np.ndarray,
              else design.x0_guess)
     design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
     design.validate(model)
-    return model, x0, design, noise
-
-
-def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> RunRecord:
-    """Simulate the truth, run the filter selected by ``mode`` (``auto``
-    picks by model kind), attach monitors and write output files."""
-    model, x0, design, noise = _resolve(config)
-    traj = simulate(model, x0, config.steps, noise)
 
     mode = config.mode
     if mode == "auto":
@@ -214,14 +223,40 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> RunR
     if mode == "dkf":
         if not model.linear:
             raise ValueError("mode dkf requires a linear model")
-        record = run_dkf(model, design, traj, config=config.as_dict())
+        source = _LinearSource(model, design)
     else:
         run_model = model
         if model.linear:
             wrapped = [linear_as_nonlinear(s) for s in model.subsystems]
             run_model = aggregate_nonlinear(wrapped, model.partition)
-        record = run_dekf(run_model, design, traj, config=config.as_dict())
+        source = _NonlinearSource(run_model, "analytic", design)
+    return _Plan(config, model, x0, noise, source)
 
+
+@dataclass(frozen=True)
+class _Plan:
+    """A config resolved once: the truth model, its initial state and noise,
+    and the linearization source of the chosen filter, which carries the
+    design (and, for the linear filter, the gain schedule all runs share)."""
+
+    config: ExperimentConfig
+    model: GlobalModel
+    x0: np.ndarray
+    noise: NoiseSpec
+    source: object
+
+    def run(self, seed: int) -> RunRecord:
+        """Simulate the truth at ``seed`` and run the filter over it."""
+        config = self.config.replace(seed=seed)
+        traj = simulate(self.model, self.x0, config.steps,
+                        dataclasses.replace(self.noise, seed=config.seed))
+        return _run_filter(self.source, traj, None, config.as_dict())
+
+
+def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> RunRecord:
+    """Simulate the truth, run the filter selected by ``mode`` (``auto``
+    picks by model kind), attach monitors and write output files."""
+    record = _resolve(config).run(config.seed)
     if config.monitors:
         analysis.attach_monitors(record)
     if write_outputs and config.out_dir:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import partkf.dkf
 from partkf.analysis import (
     check_bounds,
     check_contraction,
@@ -16,7 +17,7 @@ from partkf.analysis import (
 from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark
 from partkf.dekf import run_dekf
 from partkf.dkf import EstimatorDesign, _sym, run_dkf
-from partkf.harness import ExperimentConfig
+from partkf.harness import ExperimentConfig, run_experiment
 from partkf.model import (
     LinearSubsystem,
     NonlinearSubsystem,
@@ -355,6 +356,7 @@ class TestRmse:
 class TestMonteCarlo:
     CONFIG = ExperimentConfig(model={"name": "linear-4state"}, steps=40,
                               seed=11, monitors=False)
+    DOUBLED_R = {"R": (2.0 * get_benchmark("linear-4state").design.R).tolist()}
 
     def test_single_run_degenerate_envelope(self):
         result = monte_carlo(self.CONFIG, runs=1)
@@ -372,6 +374,50 @@ class TestMonteCarlo:
         result = monte_carlo(self.CONFIG, runs=30)
         rmse0 = rmse(LINEAR_GUESS[None, :], LINEAR_X0[None, :])[0]
         assert result.mean[30:].mean() < rmse0
+
+    @pytest.mark.parametrize("runs", [True, 2.7, "3"])
+    def test_runs_must_be_an_integer(self, runs):
+        with pytest.raises(ValueError, match="runs"):
+            monte_carlo(self.CONFIG, runs=runs)
+
+    @pytest.mark.parametrize("config", [
+        CONFIG.replace(steps=20),
+        CONFIG.replace(steps=20, estimator=DOUBLED_R),
+        CONFIG.replace(steps=20, mode="dekf"),
+        ExperimentConfig(model={"name": "reactor-chain"}, steps=20, seed=5,
+                         monitors=False),
+    ], ids=["linear", "linear-R-doubled", "linear-dekf", "reactor"])
+    def test_each_run_equals_a_standalone_run_bitwise(self, config):
+        result = monte_carlo(config, runs=3)
+        for seed, curve in zip(result.seeds, result.rmse):
+            alone = run_experiment(config.replace(seed=int(seed)), write_outputs=False)
+            assert np.array_equal(curve, alone.rmse)
+
+    def test_schedule_follows_the_configured_design(self):
+        base = monte_carlo(self.CONFIG.replace(steps=20), runs=2)
+        doubled = monte_carlo(self.CONFIG.replace(steps=20, estimator=self.DOUBLED_R),
+                              runs=2)
+        assert not np.array_equal(base.rmse[:, 1:], doubled.rmse[:, 1:])
+
+    @pytest.mark.parametrize("config, n, per_run", [
+        (CONFIG.replace(steps=10), 2, False),
+        (CONFIG.replace(steps=10, mode="dekf"), 2, True),
+        (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
+                          monitors=False), 4, True),
+    ], ids=["linear", "linear-dekf", "reactor"])
+    def test_only_a_linear_ensemble_shares_its_gains(self, monkeypatch, config, n,
+                                                     per_run):
+        calls = []
+        exact = partkf.dkf.gain_and_covariance
+
+        def counted(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(partkf.dkf, "gain_and_covariance", counted)
+        runs = 4
+        monte_carlo(config, runs=runs)
+        assert len(calls) == (runs if per_run else 1) * n * config.steps
 
 
 class TestLyapunov:

@@ -45,6 +45,13 @@ class TestRun:
         assert main(["run", "--model", "linear-4state", "--steps", "0"]) == 1
         assert "steps" in capsys.readouterr().err
 
+    def test_fractional_steps_in_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"name": "linear-4state"}, "steps": 2.5,
+                                   "out_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "steps must be an integer" in capsys.readouterr().err
+
     def test_unknown_flag_usage_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--model", "linear-4state", "--frobnicate"])

@@ -7,6 +7,8 @@ from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark, 
 import partkf.dkf
 from partkf.dkf import (
     CovarianceCollapseError,
+    _LinearSource,
+    _run_filter,
     EstimatorDesign,
     EstimatorState,
     ExchangeSnapshot,
@@ -270,6 +272,17 @@ class TestDkfStep:
             for i in range(2):
                 assert np.array_equal(forward.covs[k][i], backward.covs[k][i])
                 assert np.array_equal(forward.gains[k][i], backward.gains[k][i])
+
+    def test_reused_source_matches_a_fresh_run(self):
+        model = four_state_model()
+        design = unit_design()
+        source = _LinearSource(model, design)
+        _run_filter(source, simulate(model, LINEAR_X0, 20, noise_for(model, 1.0, seed=7)),
+                    None, None)
+        traj = simulate(model, LINEAR_X0, 20, noise_for(model, 1.0, seed=8))
+        reused = _run_filter(source, traj, [1, 0], None)
+        fresh = run_dkf(model, design, traj, order=[1, 0])
+        assert reused.content_digest() == fresh.content_digest()
 
     def test_states_advance_with_consistent_index(self):
         model = four_state_model()

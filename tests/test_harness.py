@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from partkf import analysis
 from partkf.analysis import rmse
 from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks
 from partkf.harness import (
@@ -27,6 +28,22 @@ class TestConfig:
             ExperimentConfig(model={"name": "linear-4state"}, runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(model={"name": "linear-4state"}, mode="ukf")
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", True), ("runs", 2.7), ("runs", True),
+        ("seed", 1.5), ("seed", "1"), ("seed", -1), ("seed", 2 ** 64),
+        ("monitors", "false"), ("monitors", 0),
+    ])
+    def test_wrongly_typed_field_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(model={"name": "linear-4state"}, **{field: value})
+
+    def test_integral_fields_become_python_ints(self):
+        config = ExperimentConfig(model={"name": "linear-4state"}, steps=np.int64(5),
+                                  seed=np.uint64(2 ** 64 - 1))
+        assert type(config.steps) is int and type(config.seed) is int
+        assert config.seed == 2 ** 64 - 1
+        assert config.digest() == config.replace(steps=5).digest()
 
     def test_model_reference_required(self):
         with pytest.raises(ValueError):
@@ -110,6 +127,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="x0"):
             run_experiment(ExperimentConfig(model={"inline": inline}),
                            write_outputs=False)
+
+
+class TestSharedArrays:
+    def test_gains_and_covariances_are_read_only(self):
+        rec = run_experiment(BASE.replace(steps=5, monitors=False), write_outputs=False)
+        with pytest.raises(ValueError):
+            rec.gains[1][0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rec.covs[1][0][0, 0] = 0.0
+
+    def test_json_roundtrip_and_monitors_work_on_read_only_records(self, tmp_path):
+        rec = run_experiment(BASE.replace(steps=10, monitors=False), write_outputs=False)
+        back = import_record(export(rec, "json", tmp_path, "rec"))
+        assert back.content_digest() == rec.content_digest()
+        analysis.attach_monitors(rec)
+        analysis.attach_monitors(back)
+        assert rec.monitors is not None
+        assert back.content_digest() == rec.content_digest()
 
 
 class TestExport:
