@@ -11,10 +11,19 @@ condition: matrix boundedness, the weak-coupling matrix inequality, the
 per-subsystem covariance contraction with its rate, and the Lyapunov value of
 the stacked error.
 
-``_closed_loop`` is the one place that forms ``F_k`` and ``_information``
-the one place that inverts posterior covariances.  :func:`stability_report`
-still calls the four public monitors one by one, so each can be called,
-tested and timed on its own (the benchmark's per-layer trace times each).
+One private kernel, ``_Loop``, builds the closed loop and the information
+matrices of a record once, each stacked over instants: it is the one place
+that forms ``F_k`` and the one place that inverts posterior covariances (one
+batched inverse per subsystem).  It refuses a record entry that is not
+finite, or a covariance that is not positive definite, with a ``ValueError``
+naming the field, the subsystem and the instant.  Every monitor then works on
+whole stacks with batched numpy linear algebra, which runs the same LAPACK
+routine on each matrix as a per-instant call would, so the results are those
+of a per-instant evaluation bit for bit; stacks of ``nx x nx`` matrices are
+formed a bounded chunk of instants at a time.  The four public monitors keep their call shape and build the
+kernel when called on their own; :func:`stability_report` builds it once and
+hands it to each of them, calling them by name so that each can still be
+timed on its own (the benchmark's per-layer trace times each).
 
 Norms are spectral norms; eigenvalue computations use symmetric solvers on
 symmetrized inputs.  Strict matrix inequalities are checked through the
@@ -25,6 +34,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,25 +69,167 @@ INEQ_TOL = 1e-10
 #: Condition-number ceiling above which a diagonal closed-loop block is
 #: treated as not invertible and the weak-coupling check as not checkable.
 COND_LIMIT = 1e12
+#: Matrix entries per stack of ``nx x nx`` matrices that the monitor kernel
+#: handles at once: it forms such stacks a chunk of instants at a time, so
+#: that its transient memory stays small whatever the horizon.
+_CHUNK = 2 ** 15
 
 
-def _spec_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a stack; 0 for empty matrices."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
-def _information(record: RunRecord, k: int) -> list[np.ndarray]:
-    """Posterior information matrices ``P_{k,i}^{-1}``, one per subsystem."""
-    return [np.linalg.inv(_sym(P)) for P in record.covs[k]]
+def _chunks(count: int, entries: int) -> list[slice]:
+    """Slices of ``range(count)`` that hold at most ``_CHUNK`` entries of
+    matrices with ``entries`` entries each, and one matrix at least."""
+    size = max(1, _CHUNK // entries)
+    return [slice(a, a + size) for a in range(0, count, size)]
 
 
-def _closed_loop(record: RunRecord, k: int):
-    """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and the closed-loop
-    error transition ``F_k = (I - L_k C_k) A_{k-1}`` of instant ``k >= 1``."""
-    A_prev = record.a_matrix(k - 1)
-    C_k = record.c_matrix(k)
-    L_k = record.stacked_gain(k)
-    ILC = np.eye(A_prev.shape[0]) - L_k @ C_k
-    return A_prev, C_k, L_k, ILC, ILC @ A_prev
+def _posdef(m: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class _Loop:
+    """Closed loop and information matrices of a recorded run, stacked over
+    instants and each built on first use.  A stacked entry of the record that
+    is not finite, or a covariance that is not positive definite, raises a
+    ``ValueError`` naming the field, the subsystem and the instant.
+
+    It covers the transitions ``k = first..last`` and so the instants
+    ``first - 1..last``.  Per-subsystem lists hold one stack per subsystem:
+    ``gains``, ``c_cols`` and ``covs`` (symmetrized) over the instants,
+    ``a_cols`` over ``first - 1..last - 1``, and ``info`` the inverses of
+    ``covs``.  ``F`` stacks ``F_k`` over the transitions.  Position ``j`` of
+    a per-instant stack is instant ``first - 1 + j``, of a per-transition
+    stack ``k = first + j``.
+    """
+
+    def __init__(self, record: RunRecord, first: int = 1, last: int | None = None):
+        p = record.partition
+        self.record = record
+        self.first = first
+        self.last = record.steps if last is None else last
+        self.slices = [p.state_slice(i) for i in range(p.n)]
+        self.instants = range(first - 1, self.last + 1)
+
+    def _stacks(self, field: str, instants: range) -> list[np.ndarray]:
+        blocks = getattr(self.record, field)
+        stacks = [np.stack([blocks[k][i] for k in instants])
+                  for i in range(len(self.slices))]
+        for i, stack in enumerate(stacks):
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            if not finite.all():
+                k = instants[np.argmin(finite)]
+                raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) "
+                                 "is not finite")
+        return stacks
+
+    @cached_property
+    def gains(self) -> list[np.ndarray]:
+        return self._stacks("gains", self.instants)
+
+    @cached_property
+    def c_cols(self) -> list[np.ndarray]:
+        return self._stacks("c_cols", self.instants)
+
+    @cached_property
+    def a_cols(self) -> list[np.ndarray]:
+        return self._stacks("a_cols", self.instants[:-1])
+
+    @cached_property
+    def covs(self) -> list[np.ndarray]:
+        stacks = [_sym(P) for P in self._stacks("covs", self.instants)]
+        for i, P in enumerate(stacks):
+            if not _posdef(P):
+                k = next(k for k, P_k in zip(self.instants, P) if not _posdef(P_k))
+                raise ValueError(f"covs[{k}][{i}] (subsystem {i}, instant {k}) "
+                                 "is not positive definite")
+        return stacks
+
+    @cached_property
+    def info(self) -> list[np.ndarray]:
+        return [np.linalg.inv(P) for P in self.covs]
+
+    @cached_property
+    def R_inv(self) -> np.ndarray:
+        return np.linalg.inv(_sym(np.asarray(self.record.estimator["R"], dtype=float)))
+
+    def closed_loop(self, j: slice) -> tuple[np.ndarray, ...]:
+        """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and ``F_k`` stacked
+        over the transitions at positions ``j``."""
+        A = np.concatenate([a[j] for a in self.a_cols], axis=2)
+        C = np.concatenate([c[1:][j] for c in self.c_cols], axis=2)
+        L = np.concatenate([g[1:][j] for g in self.gains], axis=1)
+        ILC = np.eye(A.shape[1]) - L @ C
+        return A, C, L, ILC, ILC @ A
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """``F_k`` over every transition, formed a chunk at a time."""
+        nx = self.slices[-1].stop
+        F = np.empty((len(self.instants) - 1, nx, nx))
+        for j in _chunks(len(F), nx * nx):
+            F[j] = self.closed_loop(j)[-1]
+        return F
+
+    def _inequality(self, j: np.ndarray) -> zip:
+        """Margin, cross term and threshold of the weak-coupling inequality at
+        the checkable transitions ``j`` (positions)."""
+        F_c = self.F[j]
+        F_d = np.zeros_like(F_c)
+        Pi = np.zeros_like(F_c)
+        T = np.zeros_like(F_c)
+        for i, s in enumerate(self.slices):
+            F_d[:, s, s] = F_c[:, s, s]
+            Pi[:, s, s] = self.info[i][j + 1]
+        F_o = F_c - F_d
+        for i, s in enumerate(self.slices):
+            Pi_prev = self.info[i][j]
+            B = np.linalg.solve(F_d[:, s, s], self.gains[i][j + 1])   # F_ii^-1 L_i
+            inner = _sym(self.R_inv + B.mT @ Pi_prev @ B)
+            T[:, s, s] = _sym(Pi_prev @ B @ np.linalg.solve(inner, B.mT) @ Pi_prev)
+        cross = _sym(F_o.mT @ Pi @ F_o + F_o.mT @ Pi @ F_d + F_d.mT @ Pi @ F_o)
+        margins = np.linalg.eigvalsh(_sym(0.5 * T - cross))[:, 0]
+        return zip(margins, cross, T)
+
+    @cached_property
+    def coupling(self) -> list[dict]:
+        """The weak-coupling result of every transition, in one pass; see
+        :func:`check_weak_coupling`."""
+        F = self.F
+        cond = np.array([np.linalg.cond(F[:, s, s]) for s in self.slices])
+        fine = np.isfinite(cond) & (cond <= COND_LIMIT)
+        checkable = fine.all(axis=0)
+        # Batched solves raise for the whole stack on one singular block, so
+        # only the checkable transitions go on.
+        j = np.flatnonzero(checkable)
+        verdicts = chain.from_iterable(self._inequality(j[c])
+                                       for c in _chunks(j.size, F[0].size))
+        # A checkable transition reports its worst condition number, one that
+        # is not the first block that fails.
+        condition = np.where(checkable, cond.max(axis=0),
+                             cond[np.argmin(fine, axis=0), np.arange(cond.shape[1])])
+        out = []
+        for pos, k in enumerate(range(self.first, self.last + 1)):
+            if checkable[pos]:
+                margin, cross_k, T_k = next(verdicts)
+                out.append({"k": k, "checkable": True,
+                            "satisfied": bool(margin > -INEQ_TOL),
+                            "margin": float(margin), "condition": float(condition[pos]),
+                            "cross": cross_k, "threshold": T_k})
+            else:
+                out.append({"k": k, "checkable": False, "satisfied": False,
+                            "margin": float("nan"), "condition": float(condition[pos])})
+        return out
 
 
 # -- error dynamics -------------------------------------------------------
@@ -114,7 +267,7 @@ def error_step(model: GlobalModel, record: RunRecord, k: int) -> ErrorDecomposit
     xh_prev = record.xhat_post[k - 1]
     xp_k = record.xhat_pred[k]
     xh_k = record.xhat_post[k]
-    A_prev, C_k, L_k, ILC, F = _closed_loop(record, k)
+    A_prev, C_k, L_k, ILC, F = (m[0] for m in _Loop(record, k, k).closed_loop(slice(1)))
 
     phi_dyn = model.f(x_prev) - model.f(xh_prev) - A_prev @ (x_prev - xh_prev)
     phi_out = model.h(x_k) - model.h(xp_k) - C_k @ (x_k - xp_k)
@@ -169,44 +322,33 @@ class BoundsTable:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def check_bounds(record: RunRecord) -> BoundsTable:
+def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTable:
     """Empirical min/max of block norms, covariance eigenvalues and weight
     eigenvalues over a recorded run, with derived gain bounds."""
-    p = record.partition
-    n = p.n
-    slices = [p.state_slice(i) for i in range(n)]
-    a_diag, a_off, c_norms = [], [], []
-    p_eigs_lo, p_eigs_hi = [], []
-    gain_norms, f_diag_norms = [], []
-
-    for k in range(record.steps + 1):
-        for i in range(n):
-            c_norms.append(_spec_norm(record.c_cols[k][i]))
-            eigs = np.linalg.eigvalsh(_sym(record.covs[k][i]))
-            p_eigs_lo.append(eigs[0])
-            p_eigs_hi.append(eigs[-1])
-            gain_norms.append(_spec_norm(record.gains[k][i]))
-        if k == 0:
-            continue
-        *_, F = _closed_loop(record, k)
-        for i, col in enumerate(record.a_cols[k - 1]):
-            f_diag_norms.append(_spec_norm(F[slices[i], slices[i]]))
-            for l, sl in enumerate(slices):
-                blk = col[sl]
-                if l == i:
-                    a_diag.append(_spec_norm(blk))
-                elif blk.any():
-                    # A zero block's norm cannot raise a maximum of norms.
-                    a_off.append(_spec_norm(blk))
+    loop = _Loop(record) if _loop is None else _loop
+    slices = loop.slices
+    n = len(slices)
+    starts = [s.start for s in slices]
+    a_diag = np.concatenate([_norms(A_i[:, s]) for A_i, s in zip(loop.a_cols, slices)])
+    a_off = []
+    for i, A_i in enumerate(loop.a_cols):
+        # A block that is zero at every instant cannot raise a maximum of norms.
+        live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
+        a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
+    c_norms = np.concatenate([_norms(c) for c in loop.c_cols])
+    gain_norms = np.concatenate([_norms(g) for g in loop.gains])
+    f_diag_norms = np.concatenate([_norms(loop.F[:, s, s]) for s in slices])
+    p_eigs = [np.linalg.eigvalsh(P) for P in loop.covs]
 
     est = record.estimator
     q_eigs = np.concatenate([np.linalg.eigvalsh(_sym(np.asarray(q, dtype=float)))
                              for q in est["Q"]])
     r_eigs = np.linalg.eigvalsh(_sym(np.asarray(est["R"], dtype=float)))
 
-    a_lo, a_hi = float(min(a_diag)), float(max(a_diag + a_off))
-    c_lo, c_hi = float(min(c_norms)), float(max(c_norms))
-    p_lo, p_hi = float(min(p_eigs_lo)), float(max(p_eigs_hi))
+    a_lo, a_hi = float(a_diag.min()), float(np.concatenate([a_diag, *a_off]).max())
+    c_lo, c_hi = float(c_norms.min()), float(c_norms.max())
+    p_lo = float(min(e[:, 0].min() for e in p_eigs))
+    p_hi = float(max(e[:, -1].max() for e in p_eigs))
     q_lo, q_hi = float(q_eigs[0]), float(q_eigs[-1])
     r_lo, r_hi = float(r_eigs[0]), float(r_eigs[-1])
     l_lo = (c_lo * a_lo ** 2 * p_lo + c_lo * q_lo) / (
@@ -221,8 +363,8 @@ def check_bounds(record: RunRecord) -> BoundsTable:
         a_lo=a_lo, a_hi=a_hi, c_lo=c_lo, c_hi=c_hi, p_lo=p_lo, p_hi=p_hi,
         q_lo=q_lo, q_hi=q_hi, r_lo=r_lo, r_hi=r_hi,
         l_lo=float(l_lo), l_hi=float(l_hi), f_hi=float(f_hi),
-        gain_lo=float(min(gain_norms)), gain_hi=float(max(gain_norms)),
-        f_diag_hi=float(max(f_diag_norms)),
+        gain_lo=float(gain_norms.min()), gain_hi=float(gain_norms.max()),
+        f_diag_hi=float(f_diag_norms.max()),
         bounded=bool(bounded),
     )
 
@@ -230,48 +372,21 @@ def check_bounds(record: RunRecord) -> BoundsTable:
 # -- weak coupling ---------------------------------------------------------
 
 
-def check_weak_coupling(record: RunRecord, k: int) -> dict:
+def check_weak_coupling(record: RunRecord, k: int, *,
+                        _loop: _Loop | None = None) -> dict:
     """Evaluate the weak-coupling matrix inequality at instant ``k``.
 
     The off-diagonal part of the error transition, weighted by the stacked
     posterior information matrix, must stay below half the block-diagonal
     correction term built from the gains.  Returns satisfaction, the margin
     (smallest eigenvalue of the difference) and whether the check was
-    possible (diagonal blocks well conditioned).
+    possible (diagonal blocks well conditioned).  Given a kernel, the first
+    call evaluates every transition the kernel covers in one pass.
     """
-    p = record.partition
     if not 1 <= k <= record.steps:
         raise ValueError("weak-coupling check needs 1 <= k <= steps")
-    *_, F = _closed_loop(record, k)
-    F_d = np.zeros_like(F)
-    Pi = np.zeros_like(F)
-    for i, Pi_i in enumerate(_information(record, k)):
-        si = p.state_slice(i)
-        F_d[si, si] = F[si, si]
-        Pi[si, si] = Pi_i
-    F_o = F - F_d
-    Pi_prev = _information(record, k - 1)
-    R_inv = np.linalg.inv(_sym(np.asarray(record.estimator["R"], dtype=float)))
-
-    T = np.zeros((p.nx, p.nx))
-    worst_cond = 0.0
-    for i in range(p.n):
-        si = p.state_slice(i)
-        F_ii = F[si, si]
-        cond = float(np.linalg.cond(F_ii))
-        worst_cond = max(worst_cond, cond)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            return {"k": k, "checkable": False, "satisfied": False,
-                    "margin": float("nan"), "condition": cond}
-        B = np.linalg.solve(F_ii, record.gains[k][i])       # F_ii^-1 L_i
-        inner = _sym(R_inv + B.T @ Pi_prev[i] @ B)
-        T[si, si] = _sym(Pi_prev[i] @ B @ np.linalg.solve(inner, B.T) @ Pi_prev[i])
-
-    cross = _sym(F_o.T @ Pi @ F_o + F_o.T @ Pi @ F_d + F_d.T @ Pi @ F_o)
-    margin = float(np.linalg.eigvalsh(_sym(0.5 * T - cross))[0])
-    return {"k": k, "checkable": True, "satisfied": bool(margin > -INEQ_TOL),
-            "margin": margin, "condition": worst_cond,
-            "cross": cross, "threshold": T}
+    loop = _Loop(record, k, k) if _loop is None else _loop
+    return loop.coupling[k - loop.first]
 
 
 def contraction_rate(bounds: BoundsTable) -> float:
@@ -285,52 +400,43 @@ def contraction_rate(bounds: BoundsTable) -> float:
 
 
 def check_contraction(record: RunRecord, alpha: float | None = None,
-                      bounds: BoundsTable | None = None) -> dict:
+                      bounds: BoundsTable | None = None, *,
+                      _loop: _Loop | None = None) -> dict:
     """Verify the per-subsystem covariance contraction inequality
     ``F_ii' Pi_k F_ii <= (1 - alpha) Pi_{k-1}`` at every instant.
 
-    ``alpha`` defaults to :func:`contraction_rate` of the run's bounds table.
-    Reports the per-instant result and the worst margin; a zero rate is
-    flagged as vacuous.
+    ``alpha`` defaults to :func:`contraction_rate` of ``bounds``, which
+    default to the run's bounds table.  Reports the per-instant result and the
+    worst margin; a zero rate is flagged as vacuous.
     """
-    p = record.partition
-    if bounds is None:
-        bounds = check_bounds(record)
+    loop = _Loop(record) if _loop is None else _loop
     if alpha is None:
+        if bounds is None:
+            bounds = check_bounds(record, _loop=loop)
         alpha = contraction_rate(bounds)
     vacuous = not (0.0 < alpha < 1.0)
-    ok = np.ones(record.steps + 1, dtype=bool)
-    margins = np.full(record.steps + 1, np.nan)
-    Pi_prev = _information(record, 0)
-    for k in range(1, record.steps + 1):
-        *_, F = _closed_loop(record, k)
-        Pi_k = _information(record, k)
-        worst = np.inf
-        for i in range(p.n):
-            si = p.state_slice(i)
-            F_ii = F[si, si]
-            diff = _sym((1.0 - alpha) * Pi_prev[i] - F_ii.T @ Pi_k[i] @ F_ii)
-            worst = min(worst, float(np.linalg.eigvalsh(diff)[0]))
-        margins[k] = worst
-        ok[k] = worst > -INEQ_TOL
-        Pi_prev = Pi_k
+    worst = np.full(record.steps, np.inf)
+    for i, s in enumerate(loop.slices):
+        F_ii = loop.F[:, s, s]
+        Pi = loop.info[i]
+        diff = _sym((1.0 - alpha) * Pi[:-1] - F_ii.mT @ Pi[1:] @ F_ii)
+        worst = np.minimum(worst, np.linalg.eigvalsh(diff)[:, 0])
+    margins = np.concatenate([[np.nan], worst])
+    ok = np.concatenate([[True], worst > -INEQ_TOL])
     return {"alpha": float(alpha), "vacuous": vacuous,
             "ok": ok, "margins": margins,
             "all_hold": bool(np.all(ok[1:]))}
 
 
-def lyapunov_values(record: RunRecord) -> np.ndarray:
+def lyapunov_values(record: RunRecord, *, _loop: _Loop | None = None) -> np.ndarray:
     """Quadratic Lyapunov value of the stacked error, weighted by the block
     diagonal posterior information matrix, per instant."""
-    p = record.partition
-    out = np.empty(record.steps + 1)
+    loop = _Loop(record) if _loop is None else _loop
     err = record.error_post()
-    for k in range(record.steps + 1):
-        v = 0.0
-        for i, Pi_i in enumerate(_information(record, k)):
-            e_i = err[k, p.state_slice(i)]
-            v += float(e_i @ Pi_i @ e_i)
-        out[k] = v
+    out = np.zeros(record.steps + 1)
+    for i, s in enumerate(loop.slices):
+        e = err[:, None, s]
+        out = out + (e @ loop.info[i] @ e.mT)[:, 0, 0]
     return out
 
 
@@ -413,25 +519,21 @@ class StabilityReport:
 
 
 def stability_report(record: RunRecord) -> StabilityReport:
-    """Run every monitor over a recorded run."""
-    K = record.steps
-    bounds = check_bounds(record)
+    """Run every monitor over a recorded run, on one kernel."""
+    loop = _Loop(record)
+    bounds = check_bounds(record, _loop=loop)
     alpha = contraction_rate(bounds)
-    c_ok = np.ones(K + 1, dtype=bool)
-    c_margin = np.full(K + 1, np.nan)
-    c_check = np.zeros(K + 1, dtype=bool)
-    for k in range(1, K + 1):
-        res = check_weak_coupling(record, k)
-        c_check[k] = res["checkable"]
-        c_margin[k] = res["margin"]
-        c_ok[k] = res["satisfied"] if res["checkable"] else False
-    contraction = check_contraction(record, alpha=alpha, bounds=bounds)
+    coupling = [check_weak_coupling(record, k, _loop=loop)
+                for k in range(1, record.steps + 1)]
+    contraction = check_contraction(record, alpha=alpha, _loop=loop)
     return StabilityReport(
         bounds=bounds, alpha=alpha,
-        coupling_ok=c_ok, coupling_margin=c_margin, coupling_checkable=c_check,
+        coupling_ok=np.array([True] + [r["satisfied"] for r in coupling]),
+        coupling_margin=np.array([np.nan] + [r["margin"] for r in coupling]),
+        coupling_checkable=np.array([False] + [r["checkable"] for r in coupling]),
         contraction_ok=np.asarray(contraction["ok"]),
         contraction_margin=np.asarray(contraction["margins"]),
-        lyapunov=lyapunov_values(record),
+        lyapunov=lyapunov_values(record, _loop=loop),
     )
 
 

@@ -169,7 +169,8 @@ class EstimatorDesign:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + m.mT)
 
 
 def _spd_factor(m: np.ndarray, what: str):

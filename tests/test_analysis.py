@@ -69,8 +69,7 @@ class TestWeakCoupling:
             assert res["satisfied"]
             assert res["margin"] > 0
             # Fully decoupled closed loop: no cross-border error transport.
-            if k == 40:
-                F, F_d, F_o = rec.a_matrix(k - 1), None, None
+            assert not res["cross"].any()
 
     def test_benchmark_satisfied_at_every_instant(self, reactor_run):
         bench, traj, rec = reactor_run

@@ -119,6 +119,21 @@ class TestMonitors:
         assert (tmp_path / "reactor-chain_dekf_seed3_monitors.csv").exists()
         assert (tmp_path / "reactor-chain_dekf_seed3_summary.json").exists()
 
+    def test_corrupt_covariance_exits_one_naming_subsystem_and_instant(self, tmp_path,
+                                                                        capsys):
+        assert main(["run", "--model", "reactor-chain", "--steps", "6",
+                     "--seed", "3", "--out", str(tmp_path), "--no-monitors"]) == 0
+        record_path = tmp_path / "reactor-chain_dekf_seed3.json"
+        payload = json.loads(record_path.read_text())
+        payload["covs"][3][1] = [[0.0] * len(row) for row in payload["covs"][3][1]]
+        record_path.write_text(json.dumps(payload))
+        assert main(["monitors", "--record", str(record_path),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "covs[3][1] (subsystem 1, instant 3)" in err
+        assert not (tmp_path / "reactor-chain_dekf_seed3_monitors.csv").exists()
+
     def test_missing_record_exits_one(self, capsys):
         assert main(["monitors", "--record", "/nonexistent/rec.json"]) == 1
         assert "error:" in capsys.readouterr().err
