@@ -11,19 +11,22 @@ condition: matrix boundedness, the weak-coupling matrix inequality, the
 per-subsystem covariance contraction with its rate, and the Lyapunov value of
 the stacked error.
 
-One private kernel, ``_Loop``, builds the closed loop and the information
-matrices of a record once, each stacked over instants: it is the one place
-that forms ``F_k`` and the one place that inverts posterior covariances (one
-batched inverse per subsystem).  It refuses a record entry that is not
-finite, or a covariance that is not positive definite, with a ``ValueError``
-naming the field, the subsystem and the instant.  Every monitor then works on
-whole stacks with batched numpy linear algebra, which runs the same LAPACK
-routine on each matrix as a per-instant call would, so the results are those
-of a per-instant evaluation bit for bit; stacks of ``nx x nx`` matrices are
-formed a bounded chunk of instants at a time.  The four public monitors keep their call shape and build the
-kernel when called on their own; :func:`stability_report` builds it once and
-hands it to each of them, calling them by name so that each can still be
-timed on its own (the benchmark's per-layer trace times each).
+One private kernel, ``_Loop``, is the one place that forms ``F_k`` and the
+one place that inverts posterior covariances (one batched inverse per
+subsystem).  It keeps what is block diagonal whole, stacked over instants:
+the covariances, their inverses and the diagonal blocks ``F_ii``.  It forms
+the ``nx x nx`` closed loop, and stacks the record entries it is built from,
+a bounded chunk of transitions at a time, keeping only the latest chunk, so
+a report's memory does not grow with the horizon times ``nx^2``.  It refuses
+a record entry that is not finite, or a covariance that is not positive
+definite, with a ``ValueError`` naming the field, the subsystem and the
+instant.  Every monitor works on these stacks with batched numpy linear
+algebra, which runs the same LAPACK routine on each matrix as a per-instant
+call would, so the results are those of a per-instant evaluation bit for
+bit.  The four public monitors keep their call shape and build the kernel
+when called on their own; :func:`stability_report` builds it once and hands
+it to each of them, calling them by name so that each can still be timed on
+its own (the benchmark's per-layer trace times each).
 
 Norms are spectral norms; eigenvalue computations use symmetric solvers on
 symmetrized inputs.  Strict matrix inequalities are checked through the
@@ -35,8 +38,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -69,10 +72,18 @@ INEQ_TOL = 1e-10
 #: Condition-number ceiling above which a diagonal closed-loop block is
 #: treated as not invertible and the weak-coupling check as not checkable.
 COND_LIMIT = 1e12
-#: Matrix entries per stack of ``nx x nx`` matrices that the monitor kernel
-#: handles at once: it forms such stacks a chunk of instants at a time, so
-#: that its transient memory stays small whatever the horizon.
+#: Entries per stack that the monitor kernel handles at once.  It stacks the
+#: record entries that are not block diagonal (dynamics and output columns,
+#: gains) and forms the ``nx x nx`` closed loop a chunk of instants at a time
+#: and keeps none of them beyond the latest chunk, so these cost memory per
+#: chunk, not per horizon.  At 2**18 entries repeated reports on a
+#: 128-state network hold about 8% more resident memory (heap fragmentation).
 _CHUNK = 2 ** 15
+
+
+def _tr(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -99,55 +110,75 @@ def _posdef(m: np.ndarray) -> bool:
 
 
 class _Loop:
-    """Closed loop and information matrices of a recorded run, stacked over
-    instants and each built on first use.  A stacked entry of the record that
-    is not finite, or a covariance that is not positive definite, raises a
-    ``ValueError`` naming the field, the subsystem and the instant.
+    """Closed loop and information matrices of a recorded run over the
+    transitions ``k = first..last``, and so the instants ``first - 1..last``.
 
-    It covers the transitions ``k = first..last`` and so the instants
-    ``first - 1..last``.  Per-subsystem lists hold one stack per subsystem:
-    ``gains``, ``c_cols`` and ``covs`` (symmetrized) over the instants,
-    ``a_cols`` over ``first - 1..last - 1``, and ``info`` the inverses of
-    ``covs``.  ``F`` stacks ``F_k`` over the transitions.  Position ``j`` of
-    a per-instant stack is instant ``first - 1 + j``, of a per-transition
-    stack ``k = first + j``.
+    Block-diagonal quantities are kept whole, one stack over instants per
+    subsystem: ``covs`` (symmetrized) and their inverses ``info`` over the
+    instants, position ``j`` being instant ``first - 1 + j``, and the
+    diagonal closed-loop blocks ``F_diag`` over the transitions, position
+    ``j`` being ``k = first + j``; each is built on first use.  Record
+    entries are otherwise stacked a chunk at a time and not kept: by
+    :meth:`stacks` one subsystem at a time, and by :meth:`closed_loop`,
+    which forms ``F_k`` over a chunk of transitions and keeps the latest
+    chunk, so that ``F_diag`` and the weak-coupling pass share it when the
+    horizon fits one chunk.  A record entry that is not finite, or a
+    covariance that is not positive definite, raises a ``ValueError`` naming
+    the field, the subsystem and the instant.  With ``detail`` the
+    weak-coupling results carry their ``nx x nx`` cross term and threshold.
     """
 
-    def __init__(self, record: RunRecord, first: int = 1, last: int | None = None):
+    def __init__(self, record: RunRecord, first: int = 1, last: int | None = None,
+                 *, detail: bool = False):
         p = record.partition
         self.record = record
-        self.first = first
-        self.last = record.steps if last is None else last
+        self.detail = detail
+        self._latest: tuple[range, tuple[np.ndarray, ...]] | None = None
         self.slices = [p.state_slice(i) for i in range(p.n)]
-        self.instants = range(first - 1, self.last + 1)
+        self.nx = p.nx
+        self.transitions = range(first, record.steps + 1 if last is None else last + 1)
+        self.instants = range(first - 1, self.transitions.stop)
 
-    def _stacks(self, field: str, instants: range) -> list[np.ndarray]:
-        blocks = getattr(self.record, field)
-        stacks = [np.stack([blocks[k][i] for k in instants])
-                  for i in range(len(self.slices))]
-        for i, stack in enumerate(stacks):
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            if not finite.all():
-                k = instants[np.argmin(finite)]
-                raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) "
-                                 "is not finite")
-        return stacks
+    def _stack(self, field: str, i: int, instants: range) -> np.ndarray:
+        return np.array([getattr(self.record, field)[k][i] for k in instants])
 
-    @cached_property
-    def gains(self) -> list[np.ndarray]:
-        return self._stacks("gains", self.instants)
+    def _check(self, field: str, i: int, instants: range, stack: np.ndarray) -> None:
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            k = instants[np.argmin(finite)]
+            raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) "
+                             "is not finite")
 
-    @cached_property
-    def c_cols(self) -> list[np.ndarray]:
-        return self._stacks("c_cols", self.instants)
+    def stacks(self, field: str, i: int, instants: range) -> Iterator[np.ndarray]:
+        """Subsystem ``i``'s entries of a record field at ``instants``,
+        stacked a chunk at a time."""
+        entries = getattr(self.record, field)[instants[0]][i].size
+        for j in _chunks(len(instants), max(1, entries)):
+            stack = self._stack(field, i, instants[j])
+            self._check(field, i, instants[j], stack)
+            yield stack
 
-    @cached_property
-    def a_cols(self) -> list[np.ndarray]:
-        return self._stacks("a_cols", self.instants[:-1])
+    def _joined(self, field: str, instants: range, axis: int) -> np.ndarray:
+        """Every subsystem's entries of a record field at ``instants``,
+        stacked and joined along ``axis``."""
+        stacks = [self._stack(field, i, instants) for i in range(len(self.slices))]
+        joined = np.concatenate(stacks, axis=axis)
+        if not np.isfinite(joined).all():
+            for i, stack in enumerate(stacks):
+                self._check(field, i, instants, stack)
+        return joined
+
+    def chunks(self) -> list[slice]:
+        """Chunks of the transitions, as positions, for ``nx x nx`` stacks."""
+        return _chunks(len(self.transitions), self.nx * self.nx)
 
     @cached_property
     def covs(self) -> list[np.ndarray]:
-        stacks = [_sym(P) for P in self._stacks("covs", self.instants)]
+        stacks = []
+        for i in range(len(self.slices)):
+            P = self._stack("covs", i, self.instants)
+            self._check("covs", i, self.instants, P)
+            stacks.append(_sym(P))
         for i, P in enumerate(stacks):
             if not _posdef(P):
                 k = next(k for k, P_k in zip(self.instants, P) if not _posdef(P_k))
@@ -163,73 +194,81 @@ class _Loop:
     def R_inv(self) -> np.ndarray:
         return np.linalg.inv(_sym(np.asarray(self.record.estimator["R"], dtype=float)))
 
-    def closed_loop(self, j: slice) -> tuple[np.ndarray, ...]:
+    def closed_loop(self, ks: range) -> tuple[np.ndarray, ...]:
         """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and ``F_k`` stacked
-        over the transitions at positions ``j``."""
-        A = np.concatenate([a[j] for a in self.a_cols], axis=2)
-        C = np.concatenate([c[1:][j] for c in self.c_cols], axis=2)
-        L = np.concatenate([g[1:][j] for g in self.gains], axis=1)
-        ILC = np.eye(A.shape[1]) - L @ C
-        return A, C, L, ILC, ILC @ A
+        over the transitions ``ks``."""
+        if self._latest is None or self._latest[0] != ks:
+            A = self._joined("a_cols", range(ks.start - 1, ks.stop - 1), axis=2)
+            C = self._joined("c_cols", ks, axis=2)
+            L = self._joined("gains", ks, axis=1)
+            ILC = np.eye(self.nx) - L @ C
+            self._latest = ks, (A, C, L, ILC, ILC @ A)
+        return self._latest[1]
 
     @cached_property
-    def F(self) -> np.ndarray:
-        """``F_k`` over every transition, formed a chunk at a time."""
-        nx = self.slices[-1].stop
-        F = np.empty((len(self.instants) - 1, nx, nx))
-        for j in _chunks(len(F), nx * nx):
-            F[j] = self.closed_loop(j)[-1]
-        return F
-
-    def _inequality(self, j: np.ndarray) -> zip:
-        """Margin, cross term and threshold of the weak-coupling inequality at
-        the checkable transitions ``j`` (positions)."""
-        F_c = self.F[j]
-        F_d = np.zeros_like(F_c)
-        Pi = np.zeros_like(F_c)
-        T = np.zeros_like(F_c)
-        for i, s in enumerate(self.slices):
-            F_d[:, s, s] = F_c[:, s, s]
-            Pi[:, s, s] = self.info[i][j + 1]
-        F_o = F_c - F_d
-        for i, s in enumerate(self.slices):
-            Pi_prev = self.info[i][j]
-            B = np.linalg.solve(F_d[:, s, s], self.gains[i][j + 1])   # F_ii^-1 L_i
-            inner = _sym(self.R_inv + B.mT @ Pi_prev @ B)
-            T[:, s, s] = _sym(Pi_prev @ B @ np.linalg.solve(inner, B.mT) @ Pi_prev)
-        cross = _sym(F_o.mT @ Pi @ F_o + F_o.mT @ Pi @ F_d + F_d.mT @ Pi @ F_o)
-        margins = np.linalg.eigvalsh(_sym(0.5 * T - cross))[:, 0]
-        return zip(margins, cross, T)
+    def F_diag(self) -> list[np.ndarray]:
+        """``F_ii`` over every transition, one stack per subsystem."""
+        out = [np.empty((len(self.transitions), s.stop - s.start, s.stop - s.start))
+               for s in self.slices]
+        for j in self.chunks():
+            F = self.closed_loop(self.transitions[j])[-1]
+            for F_ii, s in zip(out, self.slices):
+                F_ii[j] = F[:, s, s]
+        return out
 
     @cached_property
     def coupling(self) -> list[dict]:
-        """The weak-coupling result of every transition, in one pass; see
-        :func:`check_weak_coupling`."""
-        F = self.F
-        cond = np.array([np.linalg.cond(F[:, s, s]) for s in self.slices])
+        """The weak-coupling result of every transition, in one pass a chunk
+        at a time; see :func:`check_weak_coupling`."""
+        cond = np.array([np.linalg.cond(F_ii) for F_ii in self.F_diag])
         fine = np.isfinite(cond) & (cond <= COND_LIMIT)
         checkable = fine.all(axis=0)
-        # Batched solves raise for the whole stack on one singular block, so
-        # only the checkable transitions go on.
-        j = np.flatnonzero(checkable)
-        verdicts = chain.from_iterable(self._inequality(j[c])
-                                       for c in _chunks(j.size, F[0].size))
         # A checkable transition reports its worst condition number, one that
         # is not the first block that fails.
         condition = np.where(checkable, cond.max(axis=0),
                              cond[np.argmin(fine, axis=0), np.arange(cond.shape[1])])
         out = []
-        for pos, k in enumerate(range(self.first, self.last + 1)):
-            if checkable[pos]:
-                margin, cross_k, T_k = next(verdicts)
-                out.append({"k": k, "checkable": True,
-                            "satisfied": bool(margin > -INEQ_TOL),
-                            "margin": float(margin), "condition": float(condition[pos]),
-                            "cross": cross_k, "threshold": T_k})
-            else:
-                out.append({"k": k, "checkable": False, "satisfied": False,
-                            "margin": float("nan"), "condition": float(condition[pos])})
+        for j in self.chunks():
+            _, _, L, _, F = self.closed_loop(self.transitions[j])
+            # Batched solves raise for the whole stack on one singular block,
+            # so only the checkable transitions go on.
+            c = np.flatnonzero(checkable[j])
+            verdicts = zip(*self._inequality(j.start + c, F[c], L[c]))
+            for pos in range(j.start, j.start + len(F)):
+                k = self.transitions[pos]
+                if not checkable[pos]:
+                    out.append({"k": k, "checkable": False, "satisfied": False,
+                                "margin": float("nan"),
+                                "condition": float(condition[pos])})
+                    continue
+                margin, cross, T = next(verdicts)
+                res = {"k": k, "checkable": True, "satisfied": bool(margin > -INEQ_TOL),
+                       "margin": float(margin), "condition": float(condition[pos])}
+                if self.detail:
+                    res.update(cross=cross, threshold=T)
+                out.append(res)
         return out
+
+    def _inequality(self, j: np.ndarray, F: np.ndarray,
+                    L: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Margin, cross term and threshold of the weak-coupling inequality
+        at the transitions at positions ``j``, with their ``F_k`` and
+        ``L_k``."""
+        F_d = np.zeros_like(F)
+        Pi = np.zeros_like(F)
+        T = np.zeros_like(F)
+        for i, s in enumerate(self.slices):
+            F_d[:, s, s] = F[:, s, s]
+            Pi[:, s, s] = self.info[i][j + 1]
+        F_o = F - F_d
+        for i, s in enumerate(self.slices):
+            Pi_prev = self.info[i][j]
+            B = np.linalg.solve(F_d[:, s, s], L[:, s])   # F_ii^-1 L_i
+            inner = _sym(self.R_inv + _tr(B) @ Pi_prev @ B)
+            T[:, s, s] = _sym(Pi_prev @ B @ np.linalg.solve(inner, _tr(B)) @ Pi_prev)
+        cross = _sym(_tr(F_o) @ Pi @ F_o + _tr(F_o) @ Pi @ F_d + _tr(F_d) @ Pi @ F_o)
+        margins = np.linalg.eigvalsh(_sym(0.5 * T - cross))[:, 0]
+        return margins, cross, T
 
 
 # -- error dynamics -------------------------------------------------------
@@ -267,7 +306,8 @@ def error_step(model: GlobalModel, record: RunRecord, k: int) -> ErrorDecomposit
     xh_prev = record.xhat_post[k - 1]
     xp_k = record.xhat_pred[k]
     xh_k = record.xhat_post[k]
-    A_prev, C_k, L_k, ILC, F = (m[0] for m in _Loop(record, k, k).closed_loop(slice(1)))
+    loop = _Loop(record, k, k)
+    A_prev, C_k, L_k, ILC, F = (m[0] for m in loop.closed_loop(loop.transitions))
 
     phi_dyn = model.f(x_prev) - model.f(xh_prev) - A_prev @ (x_prev - xh_prev)
     phi_out = model.h(x_k) - model.h(xp_k) - C_k @ (x_k - xp_k)
@@ -329,15 +369,19 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
     slices = loop.slices
     n = len(slices)
     starts = [s.start for s in slices]
-    a_diag = np.concatenate([_norms(A_i[:, s]) for A_i, s in zip(loop.a_cols, slices)])
-    a_off = []
-    for i, A_i in enumerate(loop.a_cols):
-        # A block that is zero at every instant cannot raise a maximum of norms.
-        live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
-        a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
-    c_norms = np.concatenate([_norms(c) for c in loop.c_cols])
-    gain_norms = np.concatenate([_norms(g) for g in loop.gains])
-    f_diag_norms = np.concatenate([_norms(loop.F[:, s, s]) for s in slices])
+    a_diag, a_off = [], []
+    for i, s in enumerate(slices):
+        for A_i in loop.stacks("a_cols", i, loop.instants[:-1]):
+            a_diag.append(_norms(A_i[:, s]))
+            # A block that is zero throughout a chunk cannot raise a maximum
+            # of norms.
+            live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
+            a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
+    c_norms, gain_norms = (
+        [_norms(stack) for i in range(n) for stack in loop.stacks(field, i, loop.instants)]
+        for field in ("c_cols", "gains"))
+    a_diag, c_norms, gain_norms = (np.concatenate(v) for v in (a_diag, c_norms, gain_norms))
+    f_diag_norms = np.concatenate([_norms(F_ii) for F_ii in loop.F_diag])
     p_eigs = [np.linalg.eigvalsh(P) for P in loop.covs]
 
     est = record.estimator
@@ -380,13 +424,16 @@ def check_weak_coupling(record: RunRecord, k: int, *,
     posterior information matrix, must stay below half the block-diagonal
     correction term built from the gains.  Returns satisfaction, the margin
     (smallest eigenvalue of the difference) and whether the check was
-    possible (diagonal blocks well conditioned).  Given a kernel, the first
-    call evaluates every transition the kernel covers in one pass.
+    possible (diagonal blocks well conditioned); a checkable result also
+    carries the weighted cross term (``cross``) and the correction term
+    (``threshold``).  Given a kernel, the first call evaluates every
+    transition the kernel covers in one pass, and results leave out those
+    two ``nx x nx`` matrices.
     """
     if not 1 <= k <= record.steps:
         raise ValueError("weak-coupling check needs 1 <= k <= steps")
-    loop = _Loop(record, k, k) if _loop is None else _loop
-    return loop.coupling[k - loop.first]
+    loop = _Loop(record, k, k, detail=True) if _loop is None else _loop
+    return loop.coupling[k - loop.transitions.start]
 
 
 def contraction_rate(bounds: BoundsTable) -> float:
@@ -416,10 +463,8 @@ def check_contraction(record: RunRecord, alpha: float | None = None,
         alpha = contraction_rate(bounds)
     vacuous = not (0.0 < alpha < 1.0)
     worst = np.full(record.steps, np.inf)
-    for i, s in enumerate(loop.slices):
-        F_ii = loop.F[:, s, s]
-        Pi = loop.info[i]
-        diff = _sym((1.0 - alpha) * Pi[:-1] - F_ii.mT @ Pi[1:] @ F_ii)
+    for F_ii, Pi in zip(loop.F_diag, loop.info):
+        diff = _sym((1.0 - alpha) * Pi[:-1] - _tr(F_ii) @ Pi[1:] @ F_ii)
         worst = np.minimum(worst, np.linalg.eigvalsh(diff)[:, 0])
     margins = np.concatenate([[np.nan], worst])
     ok = np.concatenate([[True], worst > -INEQ_TOL])
@@ -436,7 +481,7 @@ def lyapunov_values(record: RunRecord, *, _loop: _Loop | None = None) -> np.ndar
     out = np.zeros(record.steps + 1)
     for i, s in enumerate(loop.slices):
         e = err[:, None, s]
-        out = out + (e @ loop.info[i] @ e.mT)[:, 0, 0]
+        out = out + (e @ loop.info[i] @ _tr(e))[:, 0, 0]
     return out
 
 

@@ -170,7 +170,7 @@ class EstimatorDesign:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (m + m.mT)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def _spd_factor(m: np.ndarray, what: str):

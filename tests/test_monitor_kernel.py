@@ -11,6 +11,7 @@ text of the reports (``repr`` of every float, NaN included).
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ def _hot_run():
     return run_dekf(hot.model, hot.design, traj)
 
 
+def _chain_run(n, steps):
+    """A chain of ``n`` two-state subsystems, each measuring its first
+    state and coupled to its neighbours."""
+    part = make_partition([2] * n, [1] * n)
+    subs = [LinearSubsystem(i, 0.8 * np.eye(2),
+                            {l: 0.05 * np.eye(2) for l in (i - 1, i + 1) if 0 <= l < n},
+                            np.eye(2)[:1], 0.01 * np.eye(2), 0.01 * np.eye(1))
+            for i in range(n)]
+    model = assemble_global(subs, part)
+    design = EstimatorDesign.from_model(model, P0=[np.eye(2)] * n,
+                                        x0_guess=np.zeros(2 * n))
+    traj = simulate(model, np.ones(2 * n), steps, noise_for(model, 0.1, seed=3))
+    return run_dkf(model, design, traj)
+
+
 def _with_block(rec, field, k, i, block):
     """A copy of ``rec`` whose ``field[k][i]`` is ``block``; the other
     per-instant arrays are shared."""
@@ -345,3 +361,26 @@ class TestCorruptRecord:
             check_weak_coupling(bad, 8)
         # Instants the standalone check does not read are not inspected.
         check_weak_coupling(bad, 2)
+
+
+class TestMemory:
+    def test_report_keeps_no_nx_by_nx_matrix_per_transition(self, monkeypatch):
+        # The kernel keeps block-diagonal stacks (covariances, information
+        # matrices, diagonal closed-loop blocks: K * sum d_i^2 entries) and
+        # stacks everything nx x nx a chunk at a time; with four transitions
+        # per chunk both horizons below span many chunks.
+        n, short, long = 24, 20, 80
+        nx = 2 * n
+        monkeypatch.setattr(analysis, "_CHUNK", 4 * nx * nx)
+        peaks = []
+        for steps in (short, long):
+            rec = _chain_run(n, steps)
+            assert _text(stability_report(rec)) == _text(ref_report(rec))
+            tracemalloc.start()
+            try:
+                stability_report(rec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_matrix = nx * nx * 8
+        assert peaks[1] - peaks[0] < (long - short) * one_matrix
