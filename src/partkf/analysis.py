@@ -43,8 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dkf import _sym
-from .model import GlobalModel
+from .model import GlobalModel, _posdef, _sym
 from .records import RunRecord, _write_csv
 
 __all__ = [
@@ -98,15 +97,6 @@ def _chunks(count: int, entries: int) -> list[slice]:
     matrices with ``entries`` entries each, and one matrix at least."""
     size = max(1, _CHUNK // entries)
     return [slice(a, a + size) for a in range(0, count, size)]
-
-
-def _posdef(m: np.ndarray) -> bool:
-    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 class _Loop:

@@ -74,16 +74,17 @@ def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
 
 
 class _NonlinearSource:
-    """Linearization source of a nonlinear model and one design: Jacobian
-    blocks at the given points, nonlinear prediction and the nonlinear
-    output residual.  Its gains depend on the estimates, so its schedule
-    stays empty."""
+    """Linearization source of a nonlinear model and one design (validated
+    once, here): Jacobian blocks at the given points, nonlinear prediction
+    and the nonlinear output residual.  Its gains depend on the estimates,
+    so its schedule stays empty."""
 
     kind = "dekf"
     predict = staticmethod(dekf_predict)
     schedule = MappingProxyType({})
 
     def __init__(self, model: GlobalModel, mode: str, design: EstimatorDesign):
+        design.validate(model)
         self.model = model
         self.mode = mode
         self.design = design

@@ -23,7 +23,8 @@ that supplies, per instant, the dynamics blocks at the posteriors, the local
 predictions, the output blocks at the predictions and the innovation: the
 constant blocks of a linear model here, the re-linearized blocks of a
 nonlinear model in :mod:`partkf.dekf`.  Per instant the loop computes the
-innovation once, then for every subsystem the gain and covariance, the
+innovation once, then settles the instant in one step, the same at instant 0
+and at instant ``k``: for every subsystem the gain and covariance, the
 eigenvalue floor and the positive-definiteness check.
 
 The gains ``L_i(k)`` and covariances ``P_i(k)`` of the linear filter depend
@@ -38,8 +39,8 @@ estimates, so its source keeps no schedule and it computes its gains anew
 on every run.  The linear filter's records hold the schedule's arrays,
 which are read-only.
 
-Matrix inverses are realized as SPD solves and covariances are symmetrized
-after every step.
+Inverses are SPD solves and covariances are symmetrized after every step,
+through the matrix-health helpers ``_sym``, ``_spd_solve`` of :mod:`partkf.model`.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .model import GlobalModel, LinearizationError
+from .model import GlobalModel, LinearizationError, _posdef, _spd_solve, _sym, _symmetric
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -158,6 +158,11 @@ class EstimatorDesign:
                     raise ValueError(f"{name} is not finite")
         if not np.isfinite(self.R).all():
             raise ValueError("R is not finite")
+        weights = {**{f"Q[{i}]": q for i, q in enumerate(self.Q)},
+                   **{f"P0[{i}]": p0 for i, p0 in enumerate(self.P0)}, "R": self.R}
+        if not _symmetric(*weights.values()):
+            name = next(name for name, m in weights.items() if not _symmetric(m))
+            raise ValueError(f"{name} is not symmetric")
 
     def serializable(self) -> dict:
         return {
@@ -168,22 +173,6 @@ class EstimatorDesign:
         }
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def _spd_factor(m: np.ndarray, what: str):
-    try:
-        return cho_factor(_sym(m))
-    except np.linalg.LinAlgError as exc:
-        raise FilterError(f"{what} is not positive definite") from exc
-
-
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    return cho_solve(_spd_factor(m, what), np.eye(m.shape[0]))
-
-
 def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
     """Apply the eigenvalue floor; returns the covariance and whether it fired."""
     d = P.shape[0]
@@ -192,19 +181,28 @@ def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
     return P, False
 
 
-def _settle(P: np.ndarray, i: int, k: int) -> tuple[np.ndarray, bool]:
-    """The eigenvalue floor, then the positive-definiteness check of subsystem
-    ``i``'s posterior at instant ``k``; returns the covariance and whether the
-    floor fired."""
-    P, floored = _floor(P)
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceCollapseError(
-            f"posterior covariance of subsystem {i} lost positive definiteness",
-            subsystem=i, k=k,
-        ) from exc
-    return P, floored
+def _settled(source, k: int, agenda: Sequence[int], gain) -> tuple:
+    """Instant ``k``'s gains, covariances and floor events: the source's
+    schedule entry, or ``gain(i) -> (L_i, P_i)`` for each subsystem of
+    ``agenda``, floored, checked positive definite and handed to the
+    source's ``keep``.  Failures name the subsystem and the instant."""
+    entry = source.schedule.get(k)
+    if entry is not None:
+        return entry
+    n = source.model.partition.n
+    L_k, P_k, floors = [None] * n, [None] * n, 0
+    for i in agenda:
+        try:
+            L_k[i], P = gain(i)
+        except FilterError as exc:
+            raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
+        P_k[i], floored = _floor(P)
+        if not _posdef(P_k[i]):
+            raise CovarianceCollapseError(
+                f"posterior covariance of subsystem {i} lost positive definiteness",
+                subsystem=i, k=k)
+        floors += floored
+    return source.keep(k, L_k, P_k, floors)
 
 
 def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
@@ -220,13 +218,9 @@ def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
     CA = C @ a_col
     CAP = CA @ P_prev
     Z = CAP @ a_ii.T + c_col @ Q_i
-    M = _sym(CAP @ CA.T + c_col @ Q_i @ c_col.T + R)
-    try:
-        cho = cho_factor(M)
-    except np.linalg.LinAlgError as exc:
-        raise FilterError("innovation covariance is not positive definite; "
-                          "inputs are corrupted or R is not SPD") from exc
-    L = cho_solve(cho, Z).T
+    M = CAP @ CA.T + c_col @ Q_i @ c_col.T + R
+    L = _spd_solve(M, Z, FilterError("innovation covariance is not positive definite; "
+                                     "inputs are corrupted or R is not SPD")).T
     P_new = _sym(a_ii @ P_prev @ a_ii.T + Q_i - L @ Z)
     return L, P_new
 
@@ -240,11 +234,12 @@ def init_update(P0_i: np.ndarray, c_col: np.ndarray, R: np.ndarray,
     ``xh = guess + P_post c_col' R^-1 innovation``.  Returns
     ``(xh, P_post, effective_gain)``.
     """
-    P0_inv = _spd_inverse(P0_i, "prior covariance")
-    R_cho = _spd_factor(R, "measurement weight R")
-    Rinv_c = cho_solve(R_cho, c_col)
-    info = _sym(P0_inv + c_col.T @ Rinv_c)
-    P_post = _sym(_spd_inverse(info, "posterior information matrix"))
+    P0_inv = _spd_solve(P0_i, np.eye(P0_i.shape[0]),
+                        FilterError("prior covariance is not positive definite"))
+    Rinv_c = _spd_solve(R, c_col, FilterError("measurement weight R is not positive definite"))
+    info = P0_inv + c_col.T @ Rinv_c
+    P_post = _sym(_spd_solve(info, np.eye(info.shape[0]), FilterError(
+        "posterior information matrix is not positive definite")))
     L0 = P_post @ Rinv_c.T
     xh = guess_i + L0 @ innovation
     return xh, P_post, L0
@@ -300,7 +295,6 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
                 y0: np.ndarray) -> list[EstimatorState]:
     """Initial measurement update for all subsystems at instant 0 (with the
     engine's eigenvalue floor)."""
-    design.validate(model)
     _, xh, (L_0, P_0, _) = _fuse_prior(_LinearSource(model, design),
                                        np.asarray(y0, dtype=float), range(model.partition.n))
     return [EstimatorState(i, xh[i], P_0[i], L_0[i], 0) for i in range(model.partition.n)]
@@ -315,32 +309,25 @@ def _fuse_prior(source, y0: np.ndarray, agenda: Sequence[int]) -> tuple[list, li
     guess = source.model.partition.split_state(design.x0_guess)
     c_cols, _ = source.output(design.x0_guess)
     innovation = source.innovation(y0, guess)
-    n = len(guess)
-    entry = source.schedule.get(0)
-    if entry is None:
-        L_0, P_0, floors = [None] * n, [None] * n, 0
-        for i in agenda:
-            try:
-                _, P, L_0[i] = init_update(design.P0[i], c_cols[i], design.R, guess[i],
-                                           innovation)
-            except FilterError as exc:
-                raise FilterError(f"subsystem {i} at instant 0: {exc}") from exc
-            P_0[i], floored = _settle(P, i, 0)
-            floors += floored
-        entry = source.keep(0, L_0, P_0, floors)
-    L_0 = entry[0]
-    return c_cols, [guess[i] + L_0[i] @ innovation for i in range(n)], entry
+
+    def gain(i):
+        _, P, L = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
+        return L, P
+
+    entry = _settled(source, 0, agenda, gain)
+    return c_cols, [g + L @ innovation for g, L in zip(guess, entry[0])], entry
 
 
 class _LinearSource:
-    """Linearization source of a linear model and one design: constant
-    column blocks, the linear prediction, the innovation against the
-    constant output map and the design's gain schedule."""
+    """Linearization source of a linear model and one design (validated
+    once, here): constant column blocks, the linear prediction, the
+    innovation against the constant output map and the gain schedule."""
 
     kind = "dkf"
     predict = staticmethod(predict)
 
     def __init__(self, model: GlobalModel, design: EstimatorDesign):
+        design.validate(model)
         self.model = model
         self.design = design
         self.a_cols = [model.a_col(i) for i in range(model.partition.n)]
@@ -400,14 +387,11 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
     predicts every subsystem from the posterior snapshot, takes the output
     blocks at the stacked prediction, forms the innovation once and then
-    updates every subsystem.  The gains and covariances of an instant that
-    the source's schedule already holds are read from it; otherwise they
-    are computed, settled and handed to the source's ``keep``.  Aborts with
-    the subsystem and the instant on covariance collapse or a failure of a
-    subsystem map.
+    updates every subsystem.  Both settle their gains and covariances with
+    :func:`_settled`.  Aborts with the subsystem and the instant on
+    covariance collapse or a failure of a subsystem map.
     """
     model, design = source.model, source.design
-    design.validate(model)
     ys = _check_measurements(model, traj)
     p = model.partition
     n = p.n
@@ -439,20 +423,10 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
         c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
         innovation = _at_instant(k, source.innovation, ys[k], xp)
 
-        entry = source.schedule.get(k)
-        if entry is None:
-            P_prev = P_k
-            L_k, P_k, floors = [None] * n, [None] * n, 0
-            for i in agenda:
-                try:
-                    L_k[i], P = gain_and_covariance(P_prev[i], a_cols_k[i], a_ii[i], C_k,
-                                                    c_cols_k[i], design.Q[i], design.R)
-                except FilterError as exc:
-                    raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
-                P_k[i], floored = _settle(P, i, k)
-                floors += floored
-            entry = source.keep(k, L_k, P_k, floors)
-        L_k, P_k, floors = entry
+        # ``gain_and_covariance`` is looked up at call time; ``P`` is of instant k-1.
+        L_k, P_k, floors = _settled(
+            source, k, agenda, lambda i, P=P_k: gain_and_covariance(
+                P[i], a_cols_k[i], a_ii[i], C_k, c_cols_k[i], design.Q[i], design.R))
         floor_events += floors
         xh = [None] * n
         for i in agenda:

@@ -15,6 +15,8 @@ factorization.  Two variants are provided:
 
 The module also houses small independent step oracles (standard Kalman filter
 and classical extended Kalman filter) used by the reduction test suites.
+All oracles keep their own formulation and share only the matrix-health
+helpers ``_sym`` and ``_spd_solve`` of :mod:`partkf.model`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
-from .model import GlobalModel, LinearSubsystem, assemble_global, make_partition
+from .model import (GlobalModel, LinearSubsystem, _spd_solve, _sym, assemble_global,
+                    make_partition)
 
 __all__ = [
     "OracleError",
@@ -48,16 +51,20 @@ class OracleError(RuntimeError):
     """The batch KKT system could not be solved (singular factorization)."""
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+def _weights(problem: FIEProblem) -> tuple[np.ndarray, ...]:
+    """The inverse weights ``P0^-1``, ``Q^-1`` and ``R^-1`` of a problem."""
+    return tuple(
+        _spd_solve(m, np.eye(m.shape[0]), OracleError(f"{what} must be positive definite"))
+        for m, what in ((problem.prior_cov, "prior covariance"), (problem.Q, "process weight"),
+                        (problem.R, "measurement weight")))
 
 
-def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    try:
-        c = cho_factor(_sym(np.asarray(m, dtype=float)))
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"{what} must be positive definite") from exc
-    return cho_solve(c, np.eye(m.shape[0]))
+def _objective(weights: tuple, d0: np.ndarray, ws, vs) -> float:
+    """The batch objective ``0.5 (d0' P0^-1 d0 + sum w' Q^-1 w + sum v' R^-1 v)``
+    at the inverse weights of :func:`_weights`."""
+    P0_inv, Q_inv, R_inv = weights
+    return 0.5 * float(d0 @ P0_inv @ d0 + sum(w @ Q_inv @ w for w in ws)
+                       + sum(v @ R_inv @ v for v in vs))
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,11 @@ def _masked_embed(p, exclude: int, blocks: Mapping[int, np.ndarray], row=None) -
 
 def assemble_kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict]:
     """Assemble the symmetric KKT system of one local batch problem."""
+    return _kkt(problem)[:3]
+
+
+def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
+    """:func:`assemble_kkt`, and the problem's inverse weights."""
     problem.validate()
     model = problem.model
     p = model.partition
@@ -183,9 +195,7 @@ def assemble_kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict]:
     # Output cross map of the own state in constraints j >= 1.
     G = C @ a_col - c_col @ A_ii
 
-    P0_inv = _spd_inverse(problem.prior_cov, "prior covariance")
-    Q_inv = _spd_inverse(problem.Q, "process weight")
-    R_inv = _spd_inverse(problem.R, "measurement weight")
+    weights = P0_inv, Q_inv, R_inv = _weights(problem)
 
     idx, size = _layout(k, n_i, n_y)
     K = np.zeros((size, size))
@@ -225,15 +235,15 @@ def assemble_kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict]:
         cross = model.A @ out
         cross[p.state_slice(i)] = 0.0
         rhs[idx[("lam", j)]] = problem.ys[j] - C @ cross
-    return K, rhs, idx
+    return K, rhs, idx, weights
 
 
 def local_fie(problem: FIEProblem) -> FIESolution:
     """Solve one local batch problem with a single dense factorization."""
-    K, rhs, idx = assemble_kkt(problem)
+    K, rhs, idx, weights = _kkt(problem)
     try:
         lu = lu_factor(K)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except ValueError as exc:   # a singular K only warns; it is caught below
         raise OracleError("KKT factorization failed") from exc
     z = lu_solve(lu, rhs)
     if not np.all(np.isfinite(z)):
@@ -250,17 +260,9 @@ def local_fie(problem: FIEProblem) -> FIESolution:
         n_i = states.shape[1]
         w = np.zeros((0, n_i))
         pi = np.zeros((0, n_i))
-    P0_inv = _spd_inverse(problem.prior_cov, "prior covariance")
-    Q_inv = _spd_inverse(problem.Q, "process weight")
-    R_inv = _spd_inverse(problem.R, "measurement weight")
-    d0 = states[0] - problem.prior_mean
-    objective = 0.5 * float(
-        d0 @ P0_inv @ d0
-        + sum(wj @ Q_inv @ wj for wj in w)
-        + sum(vj @ R_inv @ vj for vj in v)
-    )
     return FIESolution(horizon=k, states=states, w=w, v=v, lam=lam, pi=pi,
-                       kkt_residual=residual, objective=objective)
+                       kkt_residual=residual,
+                       objective=_objective(weights, states[0] - problem.prior_mean, w, v))
 
 
 def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
@@ -293,15 +295,8 @@ def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
         cross = model.A @ out
         cross[p.state_slice(i)] = 0.0
         vs.append(problem.ys[j] - c_col @ states[j] - G @ states[j - 1] - model.C @ cross)
-    P0_inv = _spd_inverse(problem.prior_cov, "prior covariance")
-    Q_inv = _spd_inverse(problem.Q, "process weight")
-    R_inv = _spd_inverse(problem.R, "measurement weight")
-    d0 = states[0] - problem.prior_mean
-    value = 0.5 * float(
-        d0 @ P0_inv @ d0
-        + sum(w @ Q_inv @ w for w in np.atleast_2d(ws)[:k])
-        + sum(v @ R_inv @ v for v in vs)
-    )
+    value = _objective(_weights(problem), states[0] - problem.prior_mean,
+                       np.atleast_2d(ws)[:k], vs)
     return value, np.vstack(states)
 
 
@@ -409,10 +404,7 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
 
 
 def _solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    try:
-        return cho_solve(cho_factor(_sym(S)), B)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError("innovation covariance is not positive definite") from exc
+    return _spd_solve(S, B, OracleError("innovation covariance is not positive definite"))
 
 
 def centralized_kf_init(guess: np.ndarray, P0: np.ndarray, y0: np.ndarray,

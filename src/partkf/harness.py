@@ -215,7 +215,6 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
     guess = (np.asarray(est["x0_guess"], dtype=float) if "x0_guess" in est
              else design.x0_guess)
     design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
-    design.validate(model)
 
     mode = config.mode
     if mode == "auto":

@@ -8,6 +8,11 @@ nonlinear subsystems carry callables plus optional analytic Jacobians.
 
 All model objects are immutable after construction and safe to share between
 agents.  Stored arrays are defensive copies with the writeable flag cleared.
+
+The module owns the matrix-health helpers, since every other module imports
+it: ``_sym``, ``_symmetric``, ``_posdef`` and ``_spd_solve``.  The filters,
+the oracles and the monitors symmetrize, Cholesky-factor and test positive
+definiteness only through them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "LinearizationError",
@@ -84,15 +90,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _symmetric(*ms: np.ndarray) -> bool:
+    """Whether every given finite matrix equals its transpose to the weights'
+    tolerance: ``np.allclose``'s test at rtol 1e-10, atol 1e-12."""
+    a = np.concatenate([m.ravel() for m in ms])
+    b = np.concatenate([m.T.ravel() for m in ms])
+    return bool((np.abs(a - b) <= 1e-12 + 1e-10 * np.abs(b)).all())
+
+
+def _posdef(m: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _spd_solve(m: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
+    """``m^-1 b`` through the Cholesky factor of the symmetric part of ``m``;
+    raises ``error``, chained to the ``LinAlgError``, when that part is not
+    positive definite."""
+    try:
+        factor = cho_factor(_sym(m))
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+    return cho_solve(factor, b)
+
+
 def _check_spd(m: np.ndarray, name: str) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
+    if not _symmetric(m):
         raise ValueError(f"{name} must be symmetric")
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} must be positive definite") from exc
+    if not _posdef(m):
+        raise ValueError(f"{name} must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -213,6 +252,7 @@ class LinearSubsystem:
             )
         cleaned = {}
         for l, blk in dict(self.coupling).items():
+            l = int(l)
             if l == self.index:
                 raise ValueError(f"subsystem {self.index}: self-coupling must go in A")
             b = _frozen(blk)
@@ -220,7 +260,7 @@ class LinearSubsystem:
                 raise ValueError(
                     f"subsystem {self.index}: coupling block to {l} must have {nx} rows"
                 )
-            cleaned[int(l)] = b
+            cleaned[l] = b
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "Q", q)
@@ -289,6 +329,9 @@ class NonlinearSubsystem:
         object.__setattr__(
             self, "neighbor_dims", dict(sorted((int(l), int(d)) for l, d in dict(self.neighbor_dims).items()))
         )
+        if self.index in self.neighbor_dims:
+            raise ValueError(f"subsystem {self.index}: neighbor_dims must not list "
+                             "the subsystem itself")
         if self.state_box is not None:
             lo, hi = (np.asarray(b, dtype=float) for b in self.state_box)
             if lo.shape != (self.state_dim,) or hi.shape != (self.state_dim,):

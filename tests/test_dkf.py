@@ -5,6 +5,7 @@ import pytest
 
 from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark, linear_subsystems
 import partkf.dkf
+from partkf.dekf import run_dekf
 from partkf.dkf import (
     CovarianceCollapseError,
     _LinearSource,
@@ -238,6 +239,30 @@ class TestCovariance:
             run_dkf(model, design, traj)
         assert (info.value.subsystem, info.value.k) == (0, 1)
 
+    @pytest.mark.parametrize("bench, run", [("linear_bench", run_dkf),
+                                            ("reactor_bench", run_dekf)],
+                             ids=["dkf", "dekf"])
+    def test_gain_failure_after_instant_zero_names_subsystem_and_instant(
+            self, monkeypatch, request, bench, run):
+        # Instants k >= 1 settle through the same step as instant 0, and name
+        # the failing subsystem and instant the same way.
+        bench = request.getfixturevalue(bench)
+        exact = gain_and_covariance
+        calls = []
+
+        def failing(P, a_col, a_ii, C, c_col, Q_i, R):
+            if Q_i is bench.design.Q[1]:
+                calls.append(len(calls) + 1)      # subsystem 1 at instant 1, 2, ...
+                if calls[-1] == 2:
+                    raise FilterError("innovation covariance is not positive definite")
+            return exact(P, a_col, a_ii, C, c_col, Q_i, R)
+
+        monkeypatch.setattr(partkf.dkf, "gain_and_covariance", failing)
+        traj = simulate(bench.model, bench.x0, 4, bench.noise(seed=1))
+        with pytest.raises(FilterError, match="^subsystem 1 at instant 2: innovation "
+                           "covariance is not positive definite$"):
+            run(bench.model, bench.design, traj)
+
 
 class TestDkfStep:
     def test_rmse_decreases_from_initial_error(self, linear_bench):
@@ -378,6 +403,26 @@ class TestDesignChecks:
         else:
             value = getattr(design, field).copy()
             value.flat[-1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            self._run(linear_bench, **{field: value})
+
+    @pytest.mark.parametrize("field, message", [
+        ("Q", r"^Q\[1\] is not symmetric$"),
+        ("P0", r"^P0\[1\] is not symmetric$"),
+        ("R", r"^R is not symmetric$"),
+    ], ids=["Q", "P0", "R"])
+    def test_non_symmetric_weight_names_field_and_subsystem(self, linear_bench, field,
+                                                            message):
+        # An upper-triangular weight, e.g. P0[1] = [[100, 50], [0, 100]]: the
+        # filter would read its lower or upper triangle depending on the step.
+        design = linear_bench.design
+        if field in ("Q", "P0"):
+            mats = [m.copy() for m in getattr(design, field)]
+            mats[1][0, 1] += 0.5 * mats[1][0, 0]
+            value = tuple(mats)
+        else:
+            value = design.R.copy()
+            value[0, 1] += 0.5 * value[0, 0]
         with pytest.raises(ValueError, match=message):
             self._run(linear_bench, **{field: value})
 

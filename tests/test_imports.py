@@ -1,11 +1,18 @@
-"""Every name a module of the package imports is used by that module.
+"""Source rules of the package, checked on its ``ast``.
 
-No linter ships with the test environment, so this stands in for the
-unused-import rule: each ``src/partkf/*.py`` is parsed with ``ast`` and a
-name bound by an import must be read somewhere in the module.  Exempt are
-names listed in the module's ``__all__``, imports marked ``# noqa: F401``
-(deliberate re-exports) and ``__init__.py``, whose imports are the package's
-public surface.
+No linter ships with the test environment, so these stand in for lint rules.
+Each ``src/partkf/*.py`` is parsed with ``ast``, and:
+
+- every name bound by an import must be read somewhere in the module.  Exempt
+  are names listed in the module's ``__all__``, imports marked
+  ``# noqa: F401`` (deliberate re-exports) and ``__init__.py``, whose imports
+  are the package's public surface;
+- only ``model.py`` Cholesky-factors a matrix or handles a ``LinAlgError``:
+  the matrix-health policy has one owner;
+- no module uses NumPy API that exists only from NumPy 2.0, because
+  ``pyproject.toml`` declares ``numpy>=1.24``.
+
+Each rule's checker is also run on a small source that breaks it.
 """
 
 import ast
@@ -64,3 +71,78 @@ def test_checker_flags_an_unused_import():
               "from os import path  # noqa: F401\n__all__ = ['x']\n"
               "from math import pi as x\nprint(json)\n")
     assert unused_imports(source) == ["Sequence (line 1)"]
+
+
+def _dotted(node: ast.AST) -> str:
+    """``np.linalg.cholesky`` for the expression that names it; '' for an
+    expression that is not a dotted name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def matrix_health_sites(source: str) -> list[str]:
+    """Cholesky factorizations (``cho_factor``, ``cholesky``) called and
+    ``LinAlgError`` handlers in ``source``."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            names = [_dotted(node.func)]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = [_dotted(t) for t in getattr(node.type, "elts", [node.type])]
+        else:
+            continue
+        sites += [(node.lineno, name) for name in names
+                  if name.rsplit(".", 1)[-1] in ("cho_factor", "cholesky", "LinAlgError")]
+    return [f"{name} (line {line})" for line, name in sorted(sites)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_the_model_owns_matrix_health(path):
+    assert matrix_health_sites(path.read_text()) == []
+
+
+def test_checker_flags_matrix_health_sites():
+    source = ("import numpy as np\nfrom scipy.linalg import cho_factor\ntry:\n"
+              "    np.linalg.cholesky(m)\nexcept (ValueError, np.linalg.LinAlgError):\n"
+              "    c = cho_factor(m)\nnp.linalg.eigvalsh(m)\n")
+    assert matrix_health_sites(source) == [
+        "np.linalg.cholesky (line 4)", "np.linalg.LinAlgError (line 5)",
+        "cho_factor (line 6)"]
+    assert matrix_health_sites((SRC / "model.py").read_text())
+
+
+#: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).
+NUMPY2_ONLY = frozenset({
+    "np.concat", "np.vecdot", "np.matrix_transpose", "np.permute_dims", "np.unstack",
+    "np.cumulative_sum", "np.cumulative_prod", "np.astype", "np.isdtype", "np.pow",
+    "np.linalg.matrix_transpose", "np.linalg.vecdot", "np.linalg.matrix_norm",
+    "np.linalg.vector_norm", "np.linalg.svdvals",
+})
+
+
+def numpy2_only_uses(source: str) -> list[str]:
+    """Uses in ``source`` of ``.mT`` or of a name in :data:`NUMPY2_ONLY`."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = ".mT" if node.attr == "mT" else _dotted(node)
+            if name == ".mT" or name in NUMPY2_ONLY:
+                uses.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(uses)]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_module_uses_no_numpy2_only_api(path):
+    assert numpy2_only_uses(path.read_text()) == []
+
+
+def test_checker_flags_numpy2_only_api():
+    source = ("import numpy as np\na = m.mT @ m\nb = np.concat([a, a])\n"
+              "c = np.linalg.matrix_transpose(b)\nd = np.swapaxes(c, -1, -2)\n"
+              "e = np.concatenate([d]) + np.linalg.norm(d)\n")
+    assert numpy2_only_uses(source) == [
+        ".mT (line 2)", "np.concat (line 3)", "np.linalg.matrix_transpose (line 4)"]

@@ -126,6 +126,17 @@ class TestAssembleGlobal:
         with pytest.raises(ValueError):
             LinearSubsystem(0, np.eye(2), {}, np.ones((1, 2)),
                             -np.eye(2), np.eye(1))
+        # Symmetric, with a Cholesky factor, and still no weight.
+        with pytest.raises(ValueError, match="^subsystem 0: Q must be finite$"):
+            LinearSubsystem(0, np.eye(2), {}, np.ones((1, 2)),
+                            np.diag([np.inf, 1.0]), np.eye(1))
+
+    def test_self_coupling_under_a_string_key_rejected(self):
+        # "0" names subsystem 0 as much as 0 does; accepted, its block would
+        # overwrite the own block A[0, 0] on assembly.
+        one = np.eye(1)
+        with pytest.raises(ValueError, match="^subsystem 0: self-coupling must go in A$"):
+            LinearSubsystem(0, 0.5 * one, {"0": 9.0 * one, 1: 0.1 * one}, one, one, one)
 
     def test_q_r_cholesky_succeeds(self):
         model = assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
@@ -210,6 +221,16 @@ class TestNonlinearSubsystem:
                 f=good.f, h=good.h, Q=good.Q, R=good.R,
                 jac_f=wrong_jac, jac_h=good.jac_h,
                 jacobian_check_samples=good.jacobian_check_samples)
+
+    def test_own_index_as_neighbor_rejected(self):
+        # Accepted, the neighbor block would overwrite the own block of the
+        # dynamics Jacobian: 0.1 where df/dx is 0.6.
+        one = np.eye(1)
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor_dims must not "
+                           "list the subsystem itself$"):
+            NonlinearSubsystem(index=0, state_dim=1, out_dim=1, neighbor_dims={0: 1},
+                               f=lambda x, nb: 0.5 * x + 0.1 * nb[0], h=lambda x: x,
+                               Q=one, R=one)
 
     def test_aggregate_dimension_checks(self):
         subs = reactor_subsystems()
