@@ -16,17 +16,19 @@ one place that inverts posterior covariances (one batched inverse per
 subsystem).  It keeps what is block diagonal whole, stacked over instants:
 the covariances, their inverses and the diagonal blocks ``F_ii``.  It forms
 the ``nx x nx`` closed loop, and stacks the record entries it is built from,
-a bounded chunk of transitions at a time, keeping only the latest chunk, so
-a report's memory does not grow with the horizon times ``nx^2``.  It refuses
-a record entry that is not finite, or a covariance that is not positive
-definite, with a ``ValueError`` naming the field, the subsystem and the
-instant.  Every monitor works on these stacks with batched numpy linear
-algebra, which runs the same LAPACK routine on each matrix as a per-instant
-call would, so the results are those of a per-instant evaluation bit for
-bit.  The four public monitors keep their call shape and build the kernel
-when called on their own; :func:`stability_report` builds it once and hands
-it to each of them, calling them by name so that each can still be timed on
-its own (the benchmark's per-layer trace times each).
+a bounded chunk of transitions at a time, keeping none of them, so a
+report's memory does not grow with the horizon times ``nx^2``.  One pass
+forms ``F_k`` once per chunk and takes from it both the blocks ``F_ii`` and
+the weak-coupling verdicts.  It refuses a record entry that is not finite,
+or a covariance that is not positive definite, with a ``ValueError`` naming
+the field, the subsystem and the instant.  Every monitor works on these
+stacks with batched numpy linear algebra, which runs the same LAPACK routine
+on each matrix as a per-instant call would, so the results are those of a
+per-instant evaluation bit for bit.  The four public monitors keep their
+call shape and build the kernel when called on their own;
+:func:`stability_report` builds it once and hands it to each of them,
+calling them by name so that each can still be timed on its own (the
+benchmark's per-layer trace times each).
 
 Norms are spectral norms; eigenvalue computations use symmetric solvers on
 symmetrized inputs.  Strict matrix inequalities are checked through the
@@ -39,7 +41,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -71,12 +72,12 @@ INEQ_TOL = 1e-10
 #: Condition-number ceiling above which a diagonal closed-loop block is
 #: treated as not invertible and the weak-coupling check as not checkable.
 COND_LIMIT = 1e12
-#: Entries per stack that the monitor kernel handles at once.  It stacks the
-#: record entries that are not block diagonal (dynamics and output columns,
-#: gains) and forms the ``nx x nx`` closed loop a chunk of instants at a time
-#: and keeps none of them beyond the latest chunk, so these cost memory per
-#: chunk, not per horizon.  At 2**18 entries repeated reports on a
-#: 128-state network hold about 8% more resident memory (heap fragmentation).
+#: Entries per ``nx x nx`` stack that the monitor kernel handles at once.  It
+#: joins the record entries that are not block diagonal (dynamics and output
+#: columns, gains) over all subsystems and forms the closed loop a chunk of
+#: instants at a time and keeps none of them, so these cost memory per chunk,
+#: not per horizon.  At 2**18 entries repeated reports on a 128-state network
+#: hold about 8% more resident memory (heap fragmentation).
 _CHUNK = 2 ** 15
 
 
@@ -108,22 +109,19 @@ class _Loop:
     instants, position ``j`` being instant ``first - 1 + j``, and the
     diagonal closed-loop blocks ``F_diag`` over the transitions, position
     ``j`` being ``k = first + j``; each is built on first use.  Record
-    entries are otherwise stacked a chunk at a time and not kept: by
-    :meth:`stacks` one subsystem at a time, and by :meth:`closed_loop`,
-    which forms ``F_k`` over a chunk of transitions and keeps the latest
-    chunk, so that ``F_diag`` and the weak-coupling pass share it when the
-    horizon fits one chunk.  A record entry that is not finite, or a
+    entries are otherwise not kept: :meth:`stack` stacks one subsystem's
+    entries, and :meth:`closed_loop` forms ``F_k`` over a chunk of
+    transitions, once per chunk in one pass that yields both ``F_diag`` and
+    the weak-coupling results.  A record entry that is not finite, or a
     covariance that is not positive definite, raises a ``ValueError`` naming
-    the field, the subsystem and the instant.  With ``detail`` the
-    weak-coupling results carry their ``nx x nx`` cross term and threshold.
+    the field, the subsystem and the instant.  A kernel of one transition
+    (a standalone weak-coupling check) keeps that transition's ``nx x nx``
+    cross term and threshold in its result.
     """
 
-    def __init__(self, record: RunRecord, first: int = 1, last: int | None = None,
-                 *, detail: bool = False):
+    def __init__(self, record: RunRecord, first: int = 1, last: int | None = None):
         p = record.partition
         self.record = record
-        self.detail = detail
-        self._latest: tuple[range, tuple[np.ndarray, ...]] | None = None
         self.slices = [p.state_slice(i) for i in range(p.n)]
         self.nx = p.nx
         self.transitions = range(first, record.steps + 1 if last is None else last + 1)
@@ -132,43 +130,30 @@ class _Loop:
     def _stack(self, field: str, i: int, instants: range) -> np.ndarray:
         return np.array([getattr(self.record, field)[k][i] for k in instants])
 
-    def _check(self, field: str, i: int, instants: range, stack: np.ndarray) -> None:
+    def stack(self, field: str, i: int, instants: range) -> np.ndarray:
+        """Subsystem ``i``'s entries of a record field at ``instants``,
+        stacked and checked finite."""
+        stack = self._stack(field, i, instants)
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             k = instants[np.argmin(finite)]
             raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) "
                              "is not finite")
-
-    def stacks(self, field: str, i: int, instants: range) -> Iterator[np.ndarray]:
-        """Subsystem ``i``'s entries of a record field at ``instants``,
-        stacked a chunk at a time."""
-        entries = getattr(self.record, field)[instants[0]][i].size
-        for j in _chunks(len(instants), max(1, entries)):
-            stack = self._stack(field, i, instants[j])
-            self._check(field, i, instants[j], stack)
-            yield stack
+        return stack
 
     def _joined(self, field: str, instants: range, axis: int) -> np.ndarray:
         """Every subsystem's entries of a record field at ``instants``,
         stacked and joined along ``axis``."""
-        stacks = [self._stack(field, i, instants) for i in range(len(self.slices))]
-        joined = np.concatenate(stacks, axis=axis)
+        joined = np.concatenate([self._stack(field, i, instants)
+                                 for i in range(len(self.slices))], axis=axis)
         if not np.isfinite(joined).all():
-            for i, stack in enumerate(stacks):
-                self._check(field, i, instants, stack)
+            for i in range(len(self.slices)):
+                self.stack(field, i, instants)
         return joined
-
-    def chunks(self) -> list[slice]:
-        """Chunks of the transitions, as positions, for ``nx x nx`` stacks."""
-        return _chunks(len(self.transitions), self.nx * self.nx)
 
     @cached_property
     def covs(self) -> list[np.ndarray]:
-        stacks = []
-        for i in range(len(self.slices)):
-            P = self._stack("covs", i, self.instants)
-            self._check("covs", i, self.instants, P)
-            stacks.append(_sym(P))
+        stacks = [_sym(self.stack("covs", i, self.instants)) for i in range(len(self.slices))]
         for i, P in enumerate(stacks):
             if not _posdef(P):
                 k = next(k for k, P_k in zip(self.instants, P) if not _posdef(P_k))
@@ -187,57 +172,58 @@ class _Loop:
     def closed_loop(self, ks: range) -> tuple[np.ndarray, ...]:
         """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and ``F_k`` stacked
         over the transitions ``ks``."""
-        if self._latest is None or self._latest[0] != ks:
-            A = self._joined("a_cols", range(ks.start - 1, ks.stop - 1), axis=2)
-            C = self._joined("c_cols", ks, axis=2)
-            L = self._joined("gains", ks, axis=1)
-            ILC = np.eye(self.nx) - L @ C
-            self._latest = ks, (A, C, L, ILC, ILC @ A)
-        return self._latest[1]
+        A = self._joined("a_cols", range(ks.start - 1, ks.stop - 1), axis=2)
+        C = self._joined("c_cols", ks, axis=2)
+        L = self._joined("gains", ks, axis=1)
+        ILC = np.eye(self.nx) - L @ C
+        return A, C, L, ILC, ILC @ A
 
     @cached_property
-    def F_diag(self) -> list[np.ndarray]:
-        """``F_ii`` over every transition, one stack per subsystem."""
-        out = [np.empty((len(self.transitions), s.stop - s.start, s.stop - s.start))
-               for s in self.slices]
-        for j in self.chunks():
-            F = self.closed_loop(self.transitions[j])[-1]
-            for F_ii, s in zip(out, self.slices):
-                F_ii[j] = F[:, s, s]
-        return out
-
-    @cached_property
-    def coupling(self) -> list[dict]:
-        """The weak-coupling result of every transition, in one pass a chunk
-        at a time; see :func:`check_weak_coupling`."""
-        cond = np.array([np.linalg.cond(F_ii) for F_ii in self.F_diag])
-        fine = np.isfinite(cond) & (cond <= COND_LIMIT)
-        checkable = fine.all(axis=0)
-        # A checkable transition reports its worst condition number, one that
-        # is not the first block that fails.
-        condition = np.where(checkable, cond.max(axis=0),
-                             cond[np.argmin(fine, axis=0), np.arange(cond.shape[1])])
-        out = []
-        for j in self.chunks():
+    def _pass(self) -> tuple[list[np.ndarray], list[dict]]:
+        """``F_diag`` and the weak-coupling result of every transition (see
+        :func:`check_weak_coupling`), forming ``F_k`` once per chunk of
+        ``nx x nx`` stacks."""
+        F_diag = [np.empty((len(self.transitions), s.stop - s.start, s.stop - s.start))
+                  for s in self.slices]
+        coupling = []
+        for j in _chunks(len(self.transitions), self.nx * self.nx):
             _, _, L, _, F = self.closed_loop(self.transitions[j])
+            for F_ii, s in zip(F_diag, self.slices):
+                F_ii[j] = F[:, s, s]
+            cond = np.array([np.linalg.cond(F_ii[j]) for F_ii in F_diag])
+            fine = np.isfinite(cond) & (cond <= COND_LIMIT)
+            checkable = fine.all(axis=0)
+            # A checkable transition reports its worst condition number, one
+            # that is not the first block that fails.
+            condition = np.where(checkable, cond.max(axis=0),
+                                 cond[np.argmin(fine, axis=0), np.arange(cond.shape[1])])
             # Batched solves raise for the whole stack on one singular block,
             # so only the checkable transitions go on.
-            c = np.flatnonzero(checkable[j])
+            c = np.flatnonzero(checkable)
             verdicts = zip(*self._inequality(j.start + c, F[c], L[c]))
-            for pos in range(j.start, j.start + len(F)):
-                k = self.transitions[pos]
+            for pos, k in enumerate(self.transitions[j]):
                 if not checkable[pos]:
-                    out.append({"k": k, "checkable": False, "satisfied": False,
-                                "margin": float("nan"),
-                                "condition": float(condition[pos])})
+                    coupling.append({"k": k, "checkable": False, "satisfied": False,
+                                     "margin": float("nan"),
+                                     "condition": float(condition[pos])})
                     continue
                 margin, cross, T = next(verdicts)
                 res = {"k": k, "checkable": True, "satisfied": bool(margin > -INEQ_TOL),
                        "margin": float(margin), "condition": float(condition[pos])}
-                if self.detail:
+                if len(self.transitions) == 1:
                     res.update(cross=cross, threshold=T)
-                out.append(res)
-        return out
+                coupling.append(res)
+        return F_diag, coupling
+
+    @property
+    def F_diag(self) -> list[np.ndarray]:
+        """``F_ii`` over every transition, one stack per subsystem."""
+        return self._pass[0]
+
+    @property
+    def coupling(self) -> list[dict]:
+        """The weak-coupling result of every transition."""
+        return self._pass[1]
 
     def _inequality(self, j: np.ndarray, F: np.ndarray,
                     L: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -361,15 +347,13 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
     starts = [s.start for s in slices]
     a_diag, a_off = [], []
     for i, s in enumerate(slices):
-        for A_i in loop.stacks("a_cols", i, loop.instants[:-1]):
-            a_diag.append(_norms(A_i[:, s]))
-            # A block that is zero throughout a chunk cannot raise a maximum
-            # of norms.
-            live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
-            a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
-    c_norms, gain_norms = (
-        [_norms(stack) for i in range(n) for stack in loop.stacks(field, i, loop.instants)]
-        for field in ("c_cols", "gains"))
+        A_i = loop.stack("a_cols", i, loop.instants[:-1])
+        a_diag.append(_norms(A_i[:, s]))
+        # A block that is zero throughout cannot raise a maximum of norms.
+        live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
+        a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
+    c_norms, gain_norms = ([_norms(loop.stack(field, i, loop.instants)) for i in range(n)]
+                           for field in ("c_cols", "gains"))
     a_diag, c_norms, gain_norms = (np.concatenate(v) for v in (a_diag, c_norms, gain_norms))
     f_diag_norms = np.concatenate([_norms(F_ii) for F_ii in loop.F_diag])
     p_eigs = [np.linalg.eigvalsh(P) for P in loop.covs]
@@ -417,12 +401,12 @@ def check_weak_coupling(record: RunRecord, k: int, *,
     possible (diagonal blocks well conditioned); a checkable result also
     carries the weighted cross term (``cross``) and the correction term
     (``threshold``).  Given a kernel, the first call evaluates every
-    transition the kernel covers in one pass, and results leave out those
-    two ``nx x nx`` matrices.
+    transition the kernel covers in one pass; when it covers more than one,
+    results leave out those two ``nx x nx`` matrices.
     """
     if not 1 <= k <= record.steps:
         raise ValueError("weak-coupling check needs 1 <= k <= steps")
-    loop = _Loop(record, k, k, detail=True) if _loop is None else _loop
+    loop = _Loop(record, k, k) if _loop is None else _loop
     return loop.coupling[k - loop.transitions.start]
 
 
@@ -436,21 +420,18 @@ def contraction_rate(bounds: BoundsTable) -> float:
     return float(x / (1.0 + x))
 
 
-def check_contraction(record: RunRecord, alpha: float | None = None,
-                      bounds: BoundsTable | None = None, *,
+def check_contraction(record: RunRecord, alpha: float | None = None, *,
                       _loop: _Loop | None = None) -> dict:
     """Verify the per-subsystem covariance contraction inequality
     ``F_ii' Pi_k F_ii <= (1 - alpha) Pi_{k-1}`` at every instant.
 
-    ``alpha`` defaults to :func:`contraction_rate` of ``bounds``, which
-    default to the run's bounds table.  Reports the per-instant result and the
-    worst margin; a zero rate is flagged as vacuous.
+    ``alpha`` defaults to :func:`contraction_rate` of the run's bounds
+    table.  Reports the per-instant result and the worst margin; a zero rate
+    is flagged as vacuous.
     """
     loop = _Loop(record) if _loop is None else _loop
     if alpha is None:
-        if bounds is None:
-            bounds = check_bounds(record, _loop=loop)
-        alpha = contraction_rate(bounds)
+        alpha = contraction_rate(check_bounds(record, _loop=loop))
     vacuous = not (0.0 < alpha < 1.0)
     worst = np.full(record.steps, np.inf)
     for F_ii, Pi in zip(loop.F_diag, loop.info):

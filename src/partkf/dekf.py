@@ -106,8 +106,7 @@ class _NonlinearSource:
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
-             order: Sequence[int] | None = None, mode: str = "analytic",
-             config: dict | None = None) -> RunRecord:
+             order: Sequence[int] | None = None, mode: str = "analytic") -> RunRecord:
     """Execute the distributed extended Kalman filter over a trajectory.
 
     Per instant: relinearize the dynamics at the posteriors of the previous
@@ -119,4 +118,4 @@ def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
     _check_mode(mode)
     if model.linear:
         raise ValueError("run_dekf needs a nonlinear model; use run_dkf instead")
-    return _run_filter(_NonlinearSource(model, mode, design), traj, order, config)
+    return _run_filter(_NonlinearSource(model, mode, design), traj, order, None)

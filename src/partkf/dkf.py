@@ -451,10 +451,9 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
 
 
 def run_dkf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
-            order: Sequence[int] | None = None, config: dict | None = None
-            ) -> RunRecord:
+            order: Sequence[int] | None = None) -> RunRecord:
     """Run the distributed filter over a simulated trajectory and record
     every per-instant quantity."""
     if not model.linear:
         raise ValueError("run_dkf needs a linear model; use run_dekf instead")
-    return _run_filter(_LinearSource(model, design), traj, order, config)
+    return _run_filter(_LinearSource(model, design), traj, order, None)

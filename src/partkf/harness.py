@@ -152,7 +152,7 @@ def _inline_model(spec: dict) -> GlobalModel:
         subs.append(LinearSubsystem(
             index=int(raw["index"]),
             A=np.asarray(raw["A"], dtype=float),
-            coupling={int(l): np.asarray(b, dtype=float)
+            coupling={l: np.asarray(b, dtype=float)
                       for l, b in raw.get("coupling", {}).items()},
             C=np.asarray(raw["C"], dtype=float),
             Q=np.asarray(raw["Q"], dtype=float),

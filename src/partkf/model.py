@@ -54,19 +54,32 @@ class LinearizationError(RuntimeError):
         self.subsystem = subsystem
 
 
+def _by_neighbor(i: int, blocks: Mapping) -> dict:
+    """``blocks`` of subsystem ``i`` keyed by ``int`` subsystem index; raises
+    ``ValueError`` naming ``i`` when two keys name the same subsystem."""
+    out = {}
+    for l, b in blocks.items():
+        l = int(l)
+        if l in out:
+            raise ValueError(f"subsystem {i}: neighbor {l} is given twice")
+        out[l] = b
+    return out
+
+
 def _checked(sub, what: str, fn, *args, shape):
     """``fn(*args)``, a map of subsystem ``sub``, as a float array of
     ``shape``; when ``shape`` is a dict (``jac_f``), as a dict of float
-    blocks with exactly its keys (normalized with ``int``) and shapes.
+    blocks with exactly its keys (normalized by :func:`_by_neighbor`) and
+    shapes.
 
     Raises :class:`LinearizationError` naming the subsystem, chained to the
-    cause, when the map raises or returns another shape, other blocks or a
-    non-finite entry.
+    cause, when the map raises or returns another shape, other blocks, a
+    block twice or a non-finite entry.
     """
     i = sub.index
     try:
         got = fn(*args)
-        got = ({int(l): b for l, b in got.items()} if isinstance(shape, dict)
+        got = (_by_neighbor(i, got) if isinstance(shape, dict)
                else np.asarray(got, dtype=float))
     except Exception as exc:
         raise LinearizationError(f"subsystem {i}: {what} raised {exc!r}", i) from exc
@@ -219,8 +232,8 @@ class LinearSubsystem:
     ``y_i(k) = C x_i(k) + v_i(k)``.
 
     ``Q`` and ``R`` must be symmetric positive definite; this is checked at
-    construction.  Coupling blocks are keyed by neighbor index; the neighbor
-    set is exactly the set of declared keys.
+    construction.  Coupling blocks are keyed by neighbor index, each index
+    given once; the neighbor set is exactly the set of declared keys.
     """
 
     index: int
@@ -251,8 +264,7 @@ class LinearSubsystem:
                 f"subsystem {self.index}: R must match the output dimension {c.shape[0]}"
             )
         cleaned = {}
-        for l, blk in dict(self.coupling).items():
-            l = int(l)
+        for l, blk in _by_neighbor(self.index, self.coupling).items():
             if l == self.index:
                 raise ValueError(f"subsystem {self.index}: self-coupling must go in A")
             b = _frozen(blk)
@@ -278,6 +290,12 @@ class LinearSubsystem:
     @property
     def neighbors(self) -> tuple[int, ...]:
         return tuple(self.coupling.keys())
+
+    @property
+    def neighbor_dims(self) -> dict[int, int]:
+        """Neighbor index -> that neighbor's state dimension, as declared by
+        the coupling blocks."""
+        return {l: blk.shape[1] for l, blk in self.coupling.items()}
 
 
 @dataclass(frozen=True)
@@ -326,9 +344,8 @@ class NonlinearSubsystem:
             raise ValueError(f"subsystem {self.index}: Q must be {self.state_dim} square")
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
-        object.__setattr__(
-            self, "neighbor_dims", dict(sorted((int(l), int(d)) for l, d in dict(self.neighbor_dims).items()))
-        )
+        object.__setattr__(self, "neighbor_dims", dict(sorted(
+            (l, int(d)) for l, d in _by_neighbor(self.index, self.neighbor_dims).items())))
         if self.index in self.neighbor_dims:
             raise ValueError(f"subsystem {self.index}: neighbor_dims must not list "
                              "the subsystem itself")
@@ -347,7 +364,8 @@ class NonlinearSubsystem:
     def _spot_check_jacobians(self) -> None:
         for x_i, nbrs in self.jacobian_check_samples:
             x_i = np.asarray(x_i, dtype=float)
-            nbrs = {int(l): np.asarray(v, dtype=float) for l, v in nbrs.items()}
+            nbrs = {l: np.asarray(v, dtype=float)
+                    for l, v in _by_neighbor(self.index, nbrs).items()}
             _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
                 got = _checked(self, "jac_f", self.jac_f, x_i, nbrs,
@@ -504,11 +522,17 @@ class GlobalModel:
         return lo, hi
 
 
-def _ordered(subs: Sequence, partition: StatePartition) -> tuple:
-    """The subsystems sorted by index, checked against the partition."""
-    if sorted(s.index for s in subs) != list(range(partition.n)):
+def _aggregate(subs: Sequence, partition: StatePartition) -> tuple:
+    """The subsystems, linear or nonlinear, sorted by index and checked
+    against the partition (indices ``0..n-1`` exactly once, state and output
+    dimensions, neighbor indices and dimensions), and the block diagonal
+    ``Q`` and ``R``."""
+    n = partition.n
+    if sorted(s.index for s in subs) != list(range(n)):
         raise ValueError("subsystem indices must cover 0..n-1 exactly once")
     subs = tuple(sorted(subs, key=lambda s: s.index))
+    Q = np.zeros((partition.nx, partition.nx))
+    R = np.zeros((partition.ny, partition.ny))
     for i, sub in enumerate(subs):
         if sub.state_dim != partition.dims[i]:
             raise ValueError(f"subsystem {i}: state dimension {sub.state_dim} "
@@ -516,7 +540,16 @@ def _ordered(subs: Sequence, partition: StatePartition) -> tuple:
         if sub.out_dim != partition.out_dims[i]:
             raise ValueError(f"subsystem {i}: output dimension {sub.out_dim} "
                              f"does not match partition {partition.out_dims[i]}")
-    return subs
+        for l, d in sub.neighbor_dims.items():
+            if not 0 <= l < n:
+                raise ValueError(f"subsystem {i}: unknown neighbor {l}")
+            if d != partition.dims[l]:
+                raise ValueError(f"subsystem {i}: neighbor {l} has dimension {d}, "
+                                 f"expected {partition.dims[l]}")
+        Q[partition.state_slice(i), partition.state_slice(i)] = sub.Q
+        if sub.out_dim:
+            R[partition.out_slice(i), partition.out_slice(i)] = sub.R
+    return subs, _frozen(Q), _frozen(R)
 
 
 def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) -> GlobalModel:
@@ -526,51 +559,24 @@ def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) 
     block must match the partition dimensions.  Undeclared coupling blocks are
     exactly zero; the output matrix is block diagonal by construction.
     """
-    n = partition.n
-    subs = _ordered(subs, partition)
-    nx, ny = partition.nx, partition.ny
-    A = np.zeros((nx, nx))
-    C = np.zeros((ny, nx))
-    Q = np.zeros((nx, nx))
-    R = np.zeros((ny, ny))
+    subs, Q, R = _aggregate(subs, partition)
+    A = np.zeros((partition.nx, partition.nx))
+    C = np.zeros((partition.ny, partition.nx))
     for i, sub in enumerate(subs):
         si = partition.state_slice(i)
-        oi = partition.out_slice(i)
         A[si, si] = sub.A
-        C[oi, si] = sub.C
-        Q[si, si] = sub.Q
-        R[oi, oi] = sub.R
+        C[partition.out_slice(i), si] = sub.C
         for l, blk in sub.coupling.items():
-            if not 0 <= l < n:
-                raise ValueError(f"subsystem {i}: coupling to unknown subsystem {l}")
-            if blk.shape[1] != partition.dims[l]:
-                raise ValueError(
-                    f"subsystem {i}: coupling block to {l} has {blk.shape[1]} columns, "
-                    f"expected {partition.dims[l]}"
-                )
             A[si, partition.state_slice(l)] = blk
-    return GlobalModel(partition, subs, _frozen(A), _frozen(C), _frozen(Q), _frozen(R))
+    return GlobalModel(partition, subs, _frozen(A), _frozen(C), Q, R)
 
 
 def aggregate_nonlinear(subs: Sequence[NonlinearSubsystem],
                         partition: StatePartition) -> GlobalModel:
-    """Aggregate nonlinear subsystems into a global model with stacked maps."""
-    n = partition.n
-    subs = _ordered(subs, partition)
-    for i, sub in enumerate(subs):
-        for l, d in sub.neighbor_dims.items():
-            if not 0 <= l < n:
-                raise ValueError(f"subsystem {i}: unknown neighbor {l}")
-            if d != partition.dims[l]:
-                raise ValueError(f"subsystem {i}: neighbor {l} dimension mismatch")
-    nx, ny = partition.nx, partition.ny
-    Q = np.zeros((nx, nx))
-    R = np.zeros((ny, ny))
-    for i, sub in enumerate(subs):
-        Q[partition.state_slice(i), partition.state_slice(i)] = sub.Q
-        if sub.out_dim:
-            R[partition.out_slice(i), partition.out_slice(i)] = sub.R
-    return GlobalModel(partition, subs, None, None, _frozen(Q), _frozen(R))
+    """Aggregate nonlinear subsystems into a global model with stacked maps,
+    checked as :func:`assemble_global` checks linear ones."""
+    subs, Q, R = _aggregate(subs, partition)
+    return GlobalModel(partition, subs, None, None, Q, R)
 
 
 @dataclass(frozen=True)
@@ -584,8 +590,6 @@ class LinearizationBlocks:
     block ``i``; concatenating the ``c_cols`` reproduces the assembled ``C``.
     """
 
-    k: int | None
-    point: np.ndarray
     a_blocks: Mapping[tuple[int, int], np.ndarray]
     a_cols: tuple[np.ndarray, ...]
     c_cols: tuple[np.ndarray, ...]
@@ -643,7 +647,7 @@ def _jac_cols_h(subs, partition, x, mode) -> list[np.ndarray]:
 
 
 def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
-              mode: str = "analytic", k: int | None = None) -> LinearizationBlocks:
+              mode: str = "analytic") -> LinearizationBlocks:
     """Jacobian blocks of the stacked dynamics and output maps at one point.
 
     ``mode`` is ``"analytic"`` (requires providers on every subsystem) or
@@ -672,8 +676,7 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
                 for l in range(partition.n) for i in range(partition.n)}
     A = np.concatenate(a_cols, axis=1)
     C = np.concatenate(c_cols, axis=1)
-    return LinearizationBlocks(k, _frozen(x), a_blocks, tuple(a_cols), tuple(c_cols),
-                               _frozen(A), _frozen(C))
+    return LinearizationBlocks(a_blocks, tuple(a_cols), tuple(c_cols), _frozen(A), _frozen(C))
 
 
 def linear_as_nonlinear(sub: LinearSubsystem) -> NonlinearSubsystem:
@@ -705,7 +708,7 @@ def linear_as_nonlinear(sub: LinearSubsystem) -> NonlinearSubsystem:
         index=sub.index,
         state_dim=sub.state_dim,
         out_dim=sub.out_dim,
-        neighbor_dims={l: blk.shape[1] for l, blk in coupling.items()},
+        neighbor_dims=sub.neighbor_dims,
         f=f,
         h=h,
         Q=sub.Q,

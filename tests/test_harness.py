@@ -120,6 +120,18 @@ class TestRunExperiment:
         assert rec.kind == "dkf"
         assert rec.steps == 20
 
+    def test_inline_coupling_key_given_twice_rejected(self):
+        # "1" and "01" both name subsystem 1; accepted, A[0, 1] read 0.2.
+        inline = {"dims": [1, 1], "out_dims": [1, 1],
+                  "subsystems": [
+                      {"index": 0, "A": [[0.9]], "coupling": {"1": [[0.1]], "01": [[0.2]]},
+                       "C": [[1.0]], "Q": [[0.01]], "R": [[0.01]]},
+                      {"index": 1, "A": [[0.8]], "C": [[1.0]], "Q": [[0.01]],
+                       "R": [[0.01]]}]}
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 is given twice$"):
+            run_experiment(ExperimentConfig(model={"inline": inline}, x0=[0.0, 0.0]),
+                           write_outputs=False)
+
     def test_inline_model_requires_initial_state(self):
         inline = {"dims": [1], "out_dims": [1],
                   "subsystems": [{"index": 0, "A": [[0.9]], "C": [[1.0]],

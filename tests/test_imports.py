@@ -10,7 +10,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 - only ``model.py`` Cholesky-factors a matrix or handles a ``LinAlgError``:
   the matrix-health policy has one owner;
 - no module uses NumPy API that exists only from NumPy 2.0, because
-  ``pyproject.toml`` declares ``numpy>=1.24``.
+  ``pyproject.toml`` declares ``numpy>=1.24``;
+- every defaulted parameter of a public function (one in its module's
+  ``__all__``), unless its name starts with ``_``, is passed by some call in
+  ``src/``, ``tests/``, ``bench/`` or ``demos/``: an option that nothing sets
+  is a code path that nothing runs.
 
 Each rule's checker is also run on a small source that breaks it.
 """
@@ -20,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "partkf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "partkf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -146,3 +151,57 @@ def test_checker_flags_numpy2_only_api():
               "e = np.concatenate([d]) + np.linalg.norm(d)\n")
     assert numpy2_only_uses(source) == [
         ".mT (line 2)", "np.concat (line 3)", "np.linalg.matrix_transpose (line 4)"]
+
+
+def _options(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
+    """Per public function of a module: its defaulted parameters whose names
+    do not start with ``_``, each with its position (``None`` when it is
+    keyword-only)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in _exported(tree):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            opts = [(arg.arg, pos) for pos, arg in enumerate(positional) if pos >= first]
+            opts += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                     if d is not None]
+            out[node.name] = [(arg, pos) for arg, pos in opts if not arg.startswith("_")]
+    return out
+
+
+def unset_options(modules: list[str], callers: list[str]) -> list[str]:
+    """``function.parameter`` for each option of a public function of
+    ``modules`` that no call in ``callers`` to a function of that name
+    passes, by keyword or positionally at or past its position."""
+    passed: dict[str, set] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func).rsplit(".", 1)[-1]
+                args = [a for a in node.args if not isinstance(a, ast.Starred)]
+                passed.setdefault(name, set()).update(
+                    [kw.arg for kw in node.keywords if kw.arg], range(len(args)))
+    unset = []
+    for source in modules:
+        for name, opts in _options(ast.parse(source)).items():
+            seen = passed.get(name, set())
+            unset += [f"{name}.{arg}" for arg, pos in opts
+                      if arg not in seen and pos not in seen]
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_some_call():
+    callers = [p.read_text() for d in ("src", "tests", "bench", "demos")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_options([p.read_text() for p in MODULES], callers) == []
+
+
+def test_checker_flags_an_unset_option():
+    module = ("__all__ = ['run', 'Config']\n"
+              "def run(x, order=None, mode='a', *, seed=0, trace=False, _k=None):\n"
+              "    pass\n"
+              "def helper(x, y=1):\n    pass\n"
+              "class Config:\n    def replace(self, z=1):\n        pass\n")
+    caller = "run(1, None, trace=True)\nmod.run(*args, **kwargs)\nrun(x, order=2)\n"
+    assert unset_options([module], [caller]) == ["run.mode", "run.seed"]

@@ -116,8 +116,15 @@ class TestAssembleGlobal:
         sub_bad = LinearSubsystem(0, np.eye(2), {1: np.ones((2, 3))},
                                   np.ones((1, 2)), np.eye(2), np.eye(1))
         sub1 = linear_subsystems()[1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 has dimension 3"):
             assemble_global([sub_bad, sub1], make_partition([2, 2], [1, 1]))
+
+    def test_unknown_neighbor_rejected(self):
+        sub_bad = LinearSubsystem(0, np.eye(2), {5: np.ones((2, 2))},
+                                  np.ones((1, 2)), np.eye(2), np.eye(1))
+        with pytest.raises(ValueError, match="^subsystem 0: unknown neighbor 5$"):
+            assemble_global([sub_bad, linear_subsystems()[1]],
+                            make_partition([2, 2], [1, 1]))
 
     def test_weights_must_be_spd(self):
         with pytest.raises(ValueError):
@@ -137,6 +144,18 @@ class TestAssembleGlobal:
         one = np.eye(1)
         with pytest.raises(ValueError, match="^subsystem 0: self-coupling must go in A$"):
             LinearSubsystem(0, 0.5 * one, {"0": 9.0 * one, 1: 0.1 * one}, one, one, one)
+
+    def test_neighbor_given_twice_rejected(self):
+        # Accepted, the last block under key 1 would win: coupling {1: [[0.2]]}.
+        one = np.eye(1)
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 is given twice$"):
+            LinearSubsystem(0, 0.5 * one, {1: 0.1 * one, "1": 0.2 * one}, one, one, one)
+
+    def test_neighbor_dims_follow_the_coupling_blocks(self):
+        sub = LinearSubsystem(1, np.eye(2), {0: np.ones((2, 3)), 2: np.ones((2, 1))},
+                              np.ones((1, 2)), np.eye(2), np.eye(1))
+        assert sub.neighbor_dims == {0: 3, 2: 1}
+        assert linear_as_nonlinear(sub).neighbor_dims == sub.neighbor_dims
 
     def test_q_r_cholesky_succeeds(self):
         model = assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
@@ -236,6 +255,55 @@ class TestNonlinearSubsystem:
         subs = reactor_subsystems()
         with pytest.raises(ValueError):
             aggregate_nonlinear(subs, make_partition([2, 2, 2, 3], [2, 2, 2, 2]))
+
+    @pytest.mark.parametrize("neighbor_dims, message", [
+        ({5: 1}, "^subsystem 0: unknown neighbor 5$"),
+        ({1: 2}, "^subsystem 0: neighbor 1 has dimension 2, expected 1$"),
+    ], ids=["unknown-index", "wrong-dimension"])
+    def test_aggregate_neighbor_checks(self, neighbor_dims, message):
+        one = np.eye(1)
+        subs = [NonlinearSubsystem(index=i, state_dim=1, out_dim=1,
+                                   neighbor_dims=neighbor_dims if i == 0 else {},
+                                   f=lambda x, nb: x, h=lambda x: x, Q=one, R=one)
+                for i in range(2)]
+        with pytest.raises(ValueError, match=message):
+            aggregate_nonlinear(subs, make_partition([1, 1], [1, 1]))
+
+    def test_neighbor_given_twice_rejected(self):
+        # Accepted, the last dimension under key 1 would win: {1: 2}.
+        one = np.eye(1)
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 is given twice$"):
+            NonlinearSubsystem(index=0, state_dim=1, out_dim=1,
+                               neighbor_dims={1: 1, "1": 2}, f=lambda x, nb: x,
+                               h=lambda x: x, Q=one, R=one)
+
+    def test_jacobian_block_given_twice_rejected(self):
+        # Accepted, the block under "1" would win: A[0, 1] = 7 where df/dx_1
+        # is 0.1.
+        one = np.eye(1)
+
+        def jac_f(x, nb):
+            return {0: 0.5 * one, 1: 0.1 * one, "1": 7.0 * one}
+
+        subs = [NonlinearSubsystem(index=0, state_dim=1, out_dim=1, neighbor_dims={1: 1},
+                                   f=lambda x, nb: 0.5 * x + 0.1 * nb[1], h=lambda x: x,
+                                   Q=one, R=one, jac_f=jac_f, jac_h=lambda x: one),
+                NonlinearSubsystem(index=1, state_dim=1, out_dim=1, neighbor_dims={},
+                                   f=lambda x, nb: x, h=lambda x: x, Q=one, R=one,
+                                   jac_f=lambda x, nb: {1: one}, jac_h=lambda x: one)]
+        with pytest.raises(LinearizationError, match="^subsystem 0: jac_f raised .*"
+                           "neighbor 1 is given twice") as err:
+            linearize(subs, np.zeros(2), mode="analytic")
+        assert err.value.subsystem == 0
+
+    def test_spot_check_sample_given_twice_rejected(self):
+        one = np.eye(1)
+        with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 is given twice$"):
+            NonlinearSubsystem(index=0, state_dim=1, out_dim=1, neighbor_dims={1: 1},
+                               f=lambda x, nb: 0.5 * x + 0.1 * nb[1], h=lambda x: x,
+                               Q=one, R=one,
+                               jac_f=lambda x, nb: {0: 0.5 * one, 1: 0.1 * one},
+                               jacobian_check_samples=[([0.0], {1: [1.0], "1": [2.0]})])
 
     def test_global_maps_match_blockwise_evaluation(self):
         bench = get_benchmark("reactor-chain")

@@ -314,6 +314,25 @@ class TestCallCounts:
         stability_report(rec)
         assert len(calls) <= rec.partition.n + 1
 
+    def test_report_forms_the_closed_loop_once_per_chunk(self, monkeypatch):
+        rec = run_experiment(ExperimentConfig(model={"name": "reactor-chain"}, steps=50,
+                                              seed=1, monitors=False),
+                             write_outputs=False)
+        nx = rec.partition.nx
+        monkeypatch.setattr(analysis, "_CHUNK", 3 * nx * nx)
+        calls = []
+        exact = analysis._Loop.closed_loop
+
+        def counted(self, ks):
+            calls.append(ks)
+            return exact(self, ks)
+
+        monkeypatch.setattr(analysis._Loop, "closed_loop", counted)
+        stability_report(rec)
+        # 50 transitions, three per chunk: 17 chunks, each formed once.
+        assert len(calls) == 17
+        assert [k for ks in calls for k in ks] == list(range(1, 51))
+
     def test_contraction_with_given_rate_skips_the_bounds_pass(self, monkeypatch,
                                                                reactor_run):
         _, _, rec = reactor_run
