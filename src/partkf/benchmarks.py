@@ -25,22 +25,26 @@ Two families ship with the package:
   so the declared operating point is an exact fixed point.  Estimator
   weights: process 150 I, measurement I, prior covariance 0.01 I,
   reproducing a deliberately overconfident prior far from the truth.
-  ``reactor-chain-mono`` is the same physics as one single subsystem (for
-  single-partition reduction checks).
+  ``reactor-chain-mono`` is ``reactor-chain`` seen through the model's
+  single-subsystem view (for single-partition reduction checks): the same
+  maps, weights, state box, prior, guess and noise, with no second copy of
+  the constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .dkf import EstimatorDesign
 from .model import (
     GlobalModel,
     LinearSubsystem,
     NonlinearSubsystem,
+    _monolithic,
     aggregate_nonlinear,
     assemble_global,
     make_partition,
@@ -258,66 +262,28 @@ def reactor_subsystems(coupling: float = REACTOR_COUPLING) -> list[NonlinearSubs
     return subs
 
 
-def _reactor_noise() -> tuple[np.ndarray, ...]:
+def _reactor_chain(coupling: float = REACTOR_COUPLING) -> Benchmark:
+    part = make_partition([2] * 4, [2] * 4)
+    model = aggregate_nonlinear(reactor_subsystems(coupling), part)
+    design = EstimatorDesign.from_model(model, P0=[0.01 * np.eye(2)] * 4,
+                                        x0_guess=REACTOR_GUESS)
     x_s = np.column_stack([REACTOR_T_S, REACTOR_C_S]).ravel()
     y_s = np.column_stack([REACTOR_T_S, REACTOR_C_SENSOR * REACTOR_C_S]).ravel()
     w_std = 0.001 * np.abs(x_s)
     v_std = 0.001 * np.abs(y_s)
-    return w_std, v_std, 5.0 * w_std, 5.0 * v_std
-
-
-def _reactor_chain(coupling: float = REACTOR_COUPLING) -> Benchmark:
-    part = make_partition([2] * 4, [2] * 4)
-    model = aggregate_nonlinear(reactor_subsystems(coupling), part)
-    design = EstimatorDesign(
-        Q=tuple(150.0 * np.eye(2) for _ in range(4)),
-        R=np.eye(8),
-        P0=tuple(0.01 * np.eye(2) for _ in range(4)),
-        x0_guess=REACTOR_GUESS,
-    )
-    w_std, v_std, w_bound, v_bound = _reactor_noise()
     return Benchmark(name="reactor-chain", model=model, x0=REACTOR_X0,
                      design=design, w_std=w_std, v_std=v_std,
-                     w_bound=w_bound, v_bound=v_bound)
+                     w_bound=5.0 * w_std, v_bound=5.0 * v_std)
 
 
 def _reactor_chain_mono(coupling: float = REACTOR_COUPLING) -> Benchmark:
-    """The reactor network as one single subsystem (degenerate partition)."""
-    subs = reactor_subsystems(coupling)
-    part4 = make_partition([2] * 4, [2] * 4)
-    inner = aggregate_nonlinear(subs, part4)
-
-    def f(x, neighbors):
-        return inner.f(x)
-
-    def h(x):
-        return inner.h(x)
-
-    def jac_f(x, neighbors):
-        from .model import linearize
-        return {0: linearize(subs, x, mode="analytic").A}
-
-    def jac_h(x):
-        from .model import linearize
-        return linearize(subs, x, mode="analytic").C
-
-    box_lo = np.tile([REACTOR_BOX_T[0], REACTOR_BOX_C[0]], 4)
-    box_hi = np.tile([REACTOR_BOX_T[1], REACTOR_BOX_C[1]], 4)
-    mono = NonlinearSubsystem(
-        index=0, state_dim=8, out_dim=8, neighbor_dims={},
-        f=f, h=h, Q=150.0 * np.eye(8), R=np.eye(8),
-        jac_f=jac_f, jac_h=jac_h, state_box=(box_lo, box_hi),
-    )
-    part = make_partition([8], [8])
-    model = aggregate_nonlinear([mono], part)
-    design = EstimatorDesign(
-        Q=(150.0 * np.eye(8),), R=np.eye(8), P0=(0.01 * np.eye(8),),
-        x0_guess=REACTOR_GUESS,
-    )
-    w_std, v_std, w_bound, v_bound = _reactor_noise()
-    return Benchmark(name="reactor-chain-mono", model=model, x0=REACTOR_X0,
-                     design=design, w_std=w_std, v_std=v_std,
-                     w_bound=w_bound, v_bound=v_bound)
+    """``reactor-chain`` seen as one single subsystem (degenerate partition),
+    with the block diagonal of its prior covariances."""
+    bench = _reactor_chain(coupling)
+    model = _monolithic(bench.model)
+    design = EstimatorDesign.from_model(model, P0=[block_diag(*bench.design.P0)],
+                                        x0_guess=bench.design.x0_guess)
+    return replace(bench, name="reactor-chain-mono", model=model, design=design)
 
 
 _REGISTRY: dict[str, Callable[..., Benchmark]] = {

@@ -36,8 +36,8 @@ every later run with that source reads it: a Monte Carlo ensemble computes
 its gains once.  A schedule is never shared between sources, so none is
 reused across designs.  The extended filter's blocks depend on the
 estimates, so its source keeps no schedule and it computes its gains anew
-on every run.  The linear filter's records hold the schedule's arrays,
-which are read-only.
+on every run.  The linear filter's records hold the schedule's arrays and
+the model's column blocks, all read-only and shared by every run.
 
 Inverses are SPD solves and covariances are symmetrized after every step,
 through the matrix-health helpers ``_sym``, ``_spd_solve`` of :mod:`partkf.model`.
@@ -320,7 +320,7 @@ def _fuse_prior(source, y0: np.ndarray, agenda: Sequence[int]) -> tuple[list, li
 
 class _LinearSource:
     """Linearization source of a linear model and one design (validated
-    once, here): constant column blocks, the linear prediction, the
+    once, here): the model's column blocks, the linear prediction, the
     innovation against the constant output map and the gain schedule."""
 
     kind = "dkf"
@@ -330,9 +330,8 @@ class _LinearSource:
         design.validate(model)
         self.model = model
         self.design = design
-        self.a_cols = [model.a_col(i) for i in range(model.partition.n)]
+        self.a_cols, self.c_cols = model._col_blocks
         self.a_ii = [sub.A for sub in model.subsystems]
-        self.c_cols = [model.c_col(i) for i in range(model.partition.n)]
         #: The gain schedule: instant ``k`` -> per-subsystem gains and
         #: covariances, and the instant's number of floor events.
         self.schedule: dict = {}

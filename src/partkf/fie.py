@@ -15,8 +15,9 @@ factorization.  Two variants are provided:
 
 The module also houses small independent step oracles (standard Kalman filter
 and classical extended Kalman filter) used by the reduction test suites.
-All oracles keep their own formulation and share only the matrix-health
-helpers ``_sym`` and ``_spd_solve`` of :mod:`partkf.model`.
+All oracles keep their own formulation.  From :mod:`partkf.model` they share
+only the matrix-health helpers ``_sym`` and ``_spd_solve`` and the views the
+model owns: its read-only column blocks and its single-subsystem view.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .model import (GlobalModel, LinearSubsystem, _spd_solve, _sym, assemble_global,
-                    make_partition)
+from .model import GlobalModel, _monolithic, _spd_solve, _sym
 
 __all__ = [
     "OracleError",
@@ -300,21 +300,14 @@ def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
     return value, np.vstack(states)
 
 
-def _monolithic(model: GlobalModel) -> GlobalModel:
-    """View the whole linear plant as a single subsystem."""
-    part = make_partition([model.nx], [model.ny])
-    sub = LinearSubsystem(index=0, A=model.A, coupling={}, C=model.C,
-                          Q=model.Q, R=model.R)
-    return assemble_global([sub], part)
-
-
 def centralized_fie(model: GlobalModel, prior_mean: np.ndarray,
                     prior_cov: np.ndarray, ys: np.ndarray,
                     Q: np.ndarray | None = None,
                     R: np.ndarray | None = None) -> FIESolution:
     """Batch least-squares smoother for the global linear model.
 
-    Weights default to the model's stacked ``Q``/``R``.  The unique
+    The problem is the local one of the model's single-subsystem view, so
+    weights default to the model's stacked ``Q``/``R``.  The unique
     minimizer's terminal state must agree with a standard Kalman filter run
     over the same history.
     """

@@ -8,6 +8,7 @@ nonlinear subsystems carry callables plus optional analytic Jacobians.
 
 All model objects are immutable after construction and safe to share between
 agents.  Stored arrays are defensive copies with the writeable flag cleared.
+A model owns its derived views: its column blocks and ``_monolithic``.
 
 The module owns the matrix-health helpers, since every other module imports
 it: ``_sym``, ``_symmetric``, ``_posdef`` and ``_spd_solve``.  The filters,
@@ -18,6 +19,7 @@ definiteness only through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -445,8 +447,9 @@ class GlobalModel:
     """Aggregated plant-wide model.
 
     For a linear plant, ``A`` and ``C`` hold the assembled matrices and the
-    per-subsystem column blocks are precomputed.  For a nonlinear plant,
-    ``A``/``C`` are ``None`` and :meth:`f`/:meth:`h` evaluate the stacked maps.
+    per-subsystem column blocks are built once, read-only, on first use.  For
+    a nonlinear plant, ``A``/``C`` are ``None`` and :meth:`f`/:meth:`h`
+    evaluate the stacked maps.
     ``Q`` and ``R`` are block diagonal in both cases.
     """
 
@@ -469,17 +472,24 @@ class GlobalModel:
     def ny(self) -> int:
         return self.partition.ny
 
+    @cached_property
+    def _col_blocks(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Every subsystem's column blocks of A and of C, read-only."""
+        slices = [self.partition.state_slice(i) for i in range(self.partition.n)]
+        return (tuple(_frozen(self.A[:, s]) for s in slices),
+                tuple(_frozen(self.C[:, s]) for s in slices))
+
     def a_col(self, i: int) -> np.ndarray:
         """Stacked column block of A owned by subsystem ``i`` (linear only)."""
         if self.A is None:
             raise ValueError("a_col is only defined for linear models")
-        return np.ascontiguousarray(self.A[:, self.partition.state_slice(i)])
+        return self._col_blocks[0][i]
 
     def c_col(self, i: int) -> np.ndarray:
         """Column block of C for subsystem ``i`` (linear only)."""
         if self.C is None:
             raise ValueError("c_col is only defined for linear models")
-        return np.ascontiguousarray(self.C[:, self.partition.state_slice(i)])
+        return self._col_blocks[1][i]
 
     def neighbor_states(self, i: int, x: np.ndarray) -> dict[int, np.ndarray]:
         """Extract the neighbor blocks subsystem ``i`` needs from a global state."""
@@ -651,12 +661,14 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
     """Jacobian blocks of the stacked dynamics and output maps at one point.
 
     ``mode`` is ``"analytic"`` (requires providers on every subsystem) or
-    ``"fd"`` (central differences).  Raises :class:`LinearizationError` with
+    ``"fd"`` (central differences).  The subsystems are checked as the global
+    assemblies check them.  Raises :class:`LinearizationError` with
     the offending subsystem index when a map raises or returns a wrong shape
     or a non-finite value.
     """
-    subs = tuple(sorted(subs, key=lambda s: s.index))
+    subs = sorted(subs, key=lambda s: s.index)
     partition = make_partition([s.state_dim for s in subs], [s.out_dim for s in subs])
+    subs = _aggregate(subs, partition)[0]
     x = np.asarray(x_point, dtype=float)
     if x.shape != (partition.nx,):
         raise ValueError(f"x_point must have shape ({partition.nx},)")
@@ -677,6 +689,26 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
     A = np.concatenate(a_cols, axis=1)
     C = np.concatenate(c_cols, axis=1)
     return LinearizationBlocks(a_blocks, tuple(a_cols), tuple(c_cols), _frozen(A), _frozen(C))
+
+
+def _monolithic(model: GlobalModel) -> GlobalModel:
+    """The whole plant as one subsystem with the model's ``Q``, ``R`` and
+    state box: the single-partition view of the reduction checks and the
+    centralized batch oracle.  A nonlinear view evaluates the stacked maps, and
+    its Jacobians come from the shared path (analytic providers, central
+    differences for a subsystem without them)."""
+    part = make_partition([model.nx], [model.ny])
+    if model.linear:
+        return assemble_global(
+            [LinearSubsystem(0, model.A, {}, model.C, model.Q, model.R)], part)
+    subs, p = model.subsystems, model.partition
+    return aggregate_nonlinear([NonlinearSubsystem(
+        index=0, state_dim=model.nx, out_dim=model.ny, neighbor_dims={},
+        f=lambda x, neighbors: model.f(x), h=model.h, Q=model.Q, R=model.R,
+        jac_f=lambda x, neighbors: {
+            0: np.hstack(_a_cols(_jac_rows_f(subs, p, x, "analytic"), p))},
+        jac_h=lambda x: np.hstack(_jac_cols_h(subs, p, x, "analytic")),
+        state_box=model.state_box())], part)
 
 
 def linear_as_nonlinear(sub: LinearSubsystem) -> NonlinearSubsystem:

@@ -167,10 +167,14 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
-        """Restore a record; a missing required field raises ``KeyError``, a
+        """Restore a record of schema 1 (another schema raises
+        ``ValueError``); a missing required field raises ``KeyError``, a
         missing optional one keeps its default and a key that is not a field
         (``a_points``/``c_points`` of older records) is ignored."""
         payload = _load_json(payload)
+        if payload.get("schema") != 1:
+            raise ValueError(f"record schema {payload.get('schema')!r} is not supported; "
+                             "this version reads schema 1")
         values = {}
         for f in fields(cls):
             if f.name in payload:

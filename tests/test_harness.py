@@ -9,6 +9,7 @@ from partkf.analysis import rmse
 from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks
 from partkf.harness import (
     ExperimentConfig,
+    _resolve,
     export,
     import_record,
     load_config,
@@ -149,6 +150,27 @@ class TestSharedArrays:
         with pytest.raises(ValueError):
             rec.covs[1][0][0, 0] = 0.0
 
+    def test_arrays_two_runs_of_a_plan_share_are_read_only(self):
+        config = BASE.replace(steps=5, monitors=False)
+        plan = _resolve(config)
+        first, second = plan.run(1), plan.run(2)
+
+        def arrays(rec):
+            for value in vars(rec).values():
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif isinstance(value, list) and value and isinstance(value[0], list):
+                    yield from (a for per_k in value for a in per_k)
+
+        shared = [(a, b) for a in arrays(first) for b in arrays(second)
+                  if np.shares_memory(a, b)]
+        assert {id(a) for a, _ in shared} >= {id(a) for a in first.a_cols[0]}
+        assert all(not a.flags.writeable and not b.flags.writeable for a, b in shared)
+        for field in ("a_cols", "c_cols"):
+            with pytest.raises(ValueError):
+                getattr(first, field)[-1][1][0, 0] += 0.5
+        assert plan.run(3).content_digest() == _resolve(config).run(3).content_digest()
+
     def test_json_roundtrip_and_monitors_work_on_read_only_records(self, tmp_path):
         rec = run_experiment(BASE.replace(steps=10, monitors=False), write_outputs=False)
         back = import_record(export(rec, "json", tmp_path, "rec"))
@@ -221,6 +243,14 @@ class TestExport:
 def test_registry_lists_shipped_benchmarks():
     names = available_benchmarks()
     assert {"linear-4state", "reactor-chain", "reactor-chain-mono"} <= set(names)
+
+
+@pytest.mark.parametrize("name", available_benchmarks())
+def test_every_registered_benchmark_runs_with_monitors(name):
+    rec = run_experiment(ExperimentConfig(model={"name": name}, steps=2, monitors=True),
+                         write_outputs=False)
+    assert rec.monitors is not None
+    assert np.isfinite(rec.xhat_post).all()
 
 
 def test_verify_suite_all_green():

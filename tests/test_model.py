@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from partkf.model import (
     LinearizationError,
     LinearSubsystem,
     NonlinearSubsystem,
+    _monolithic,
     aggregate_nonlinear,
     assemble_global,
     linear_as_nonlinear,
@@ -169,6 +172,23 @@ class TestAssembleGlobal:
         with pytest.raises(ValueError):
             model.subsystems[0].Q[0, 0] = 2.0
 
+    def test_column_blocks_built_once_and_read_only(self):
+        model = assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
+        for i, sl in enumerate((slice(0, 2), slice(2, 4))):
+            assert model.a_col(i) is model.a_col(i)
+            assert model.c_col(i) is model.c_col(i)
+            assert np.array_equal(model.a_col(i), model.A[:, sl])
+            assert np.array_equal(model.c_col(i), model.C[:, sl])
+            for block in (model.a_col(i), model.c_col(i)):
+                assert block.flags.c_contiguous and not block.flags.writeable
+
+    def test_column_blocks_need_a_linear_model(self):
+        model = get_benchmark("reactor-chain").model
+        with pytest.raises(ValueError, match="a_col is only defined for linear models"):
+            model.a_col(0)
+        with pytest.raises(ValueError, match="c_col is only defined for linear models"):
+            model.c_col(0)
+
 
 class TestLinearize:
     def test_affine_blocks_point_independent(self):
@@ -221,6 +241,69 @@ class TestLinearize:
         subs = [linear_as_nonlinear(s) for s in linear_subsystems()]
         with pytest.raises(ValueError):
             linearize(subs, np.array([np.inf, 0, 0, 0]), mode="analytic")
+
+    def test_subsystem_given_twice_rejected(self):
+        s0, _, s2, s3 = reactor_subsystems()
+        with pytest.raises(ValueError, match="subsystem indices must cover 0..n-1 exactly once"):
+            linearize([s0, s0, s2, s3], REACTOR_STEADY)
+
+    def test_indices_not_starting_at_zero_rejected(self):
+        with pytest.raises(ValueError, match="subsystem indices must cover 0..n-1 exactly once"):
+            linearize(reactor_subsystems()[1:], REACTOR_STEADY[2:])
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_unknown_neighbor_rejected(self, mode):
+        sub = NonlinearSubsystem(index=0, state_dim=2, out_dim=1, neighbor_dims={3: 2},
+                                 f=lambda x, nbrs: x, h=lambda x: x[:1],
+                                 Q=np.eye(2), R=np.eye(1),
+                                 jac_f=lambda x, nbrs: {0: np.eye(2), 3: np.zeros((2, 2))},
+                                 jac_h=lambda x: np.eye(1, 2))
+        with pytest.raises(ValueError, match="^subsystem 0: unknown neighbor 3$"):
+            linearize([sub], np.zeros(2), mode=mode)
+
+
+class TestMonolithic:
+    @pytest.mark.parametrize("name", ["linear-4state", "reactor-chain"])
+    def test_keeps_the_weights_and_the_state_box(self, name):
+        model = get_benchmark(name).model
+        mono = _monolithic(model)
+        assert mono.partition.dims == (model.nx,)
+        assert mono.partition.out_dims == (model.ny,)
+        assert mono.linear == model.linear
+        assert np.array_equal(mono.Q, model.Q) and np.array_equal(mono.R, model.R)
+        box, mono_box = model.state_box(), mono.state_box()
+        assert (box is None) == (mono_box is None)
+        if box is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(box, mono_box))
+        if model.linear:
+            assert np.array_equal(mono.A, model.A) and np.array_equal(mono.C, model.C)
+
+    def test_nonlinear_view_evaluates_the_stacked_maps(self):
+        model = get_benchmark("reactor-chain").model
+        sub = _monolithic(model).subsystems[0]
+        x = REACTOR_STEADY + 0.5
+        blocks = linearize(model.subsystems, x, mode="analytic")
+        assert np.array_equal(sub.f(x, {}), model.f(x))
+        assert np.array_equal(sub.h(x), model.h(x))
+        assert np.array_equal(sub.jac_f(x, {})[0], blocks.A)
+        assert np.array_equal(sub.jac_h(x), blocks.C)
+
+    def test_subsystem_without_providers_falls_back_to_fd(self):
+        subs = reactor_subsystems()
+        subs[2] = dataclasses.replace(subs[2], jac_f=None, jac_h=None,
+                                      jacobian_check_samples=())
+        model = aggregate_nonlinear(subs, make_partition([2] * 4, [2] * 4))
+        sub = _monolithic(model).subsystems[0]
+        x = REACTOR_STEADY + 0.5
+        analytic = linearize(reactor_subsystems(), x, mode="analytic")
+        fd = linearize(subs, x, mode="fd")
+        A, C = sub.jac_f(x, {})[0], sub.jac_h(x)
+        rows = slice(4, 6)
+        assert np.array_equal(A[rows], fd.A[rows]) and np.array_equal(C[rows], fd.C[rows])
+        others = np.r_[0:4, 6:8]
+        assert np.array_equal(A[others], analytic.A[others])
+        assert np.array_equal(C[others], analytic.C[others])
+        assert not np.array_equal(A[rows], analytic.A[rows])
 
 
 class TestNonlinearSubsystem:

@@ -113,6 +113,12 @@ class TestFromJson:
         with pytest.raises(KeyError, match="covs"):
             RunRecord.from_json(payload)
 
+    def test_other_schema_rejected_by_name(self, monitored):
+        payload = monitored.to_json()
+        payload["schema"] = 7
+        with pytest.raises(ValueError, match="schema 7"):
+            RunRecord.from_json(payload)
+
     def test_missing_optional_fields_load_with_defaults(self, monitored):
         payload = monitored.to_json()
         for key in ("floor_events", "monitors", "config", "wall_clock"):
