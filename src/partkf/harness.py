@@ -53,9 +53,11 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import analysis
 from .benchmarks import get_benchmark
@@ -72,6 +74,7 @@ from .fie import (
 from .model import (
     GlobalModel,
     LinearSubsystem,
+    _monolithic,
     aggregate_nonlinear,
     assemble_global,
     linear_as_nonlinear,
@@ -325,10 +328,99 @@ def write_monte_carlo_csv(result: analysis.MonteCarloResult, out_dir: str | Path
 
 
 # -- verification suites -----------------------------------------------------
+#
+# One function per identity the recursive filters are built on.  Each takes a
+# partitioned plant, its design and a trajectory, and returns the worst
+# relative difference ``|a - b| / max(1, |b|)`` of the identity's left side
+# ``a`` from its right side ``b``, taken at every instant and per subsystem
+# block, over the estimates and over the covariances and gains wherever the
+# identity claims them.
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
+
+
+def _worst_blocks(model: GlobalModel, xs_a, xs_b) -> float:
+    """Worst relative difference of two stacked estimate histories, per
+    instant and per subsystem block."""
+    p = model.partition
+    return max(_rel(a[p.state_slice(i)], b[p.state_slice(i)])
+               for a, b in zip(xs_a, xs_b) for i in range(p.n))
+
+
+def _one_block(design: EstimatorDesign) -> EstimatorDesign:
+    """The design of the plant seen as one subsystem: block-diagonal ``Q``
+    and ``P0``, the same ``R`` and prior mean."""
+    return EstimatorDesign(Q=(block_diag(*design.Q),), R=design.R,
+                           P0=(block_diag(*design.P0),), x0_guess=design.x0_guess)
+
+
+def _kf(model: GlobalModel, design: EstimatorDesign, ys: np.ndarray) -> list:
+    """Centralized Kalman filter posteriors ``(x, P)`` of a linear plant at
+    every instant, for a one-subsystem design."""
+    return list(accumulate(
+        ys[1:], lambda s, y: centralized_kf_step(*s, y, model, Q=design.Q[0], R=design.R),
+        initial=centralized_kf_init(design.x0_guess, design.P0[0], ys[0], model,
+                                    R=design.R)))
+
+
+def _n1_worst(record: RunRecord, posteriors) -> float:
+    """Worst relative difference of a one-subsystem run's estimates and
+    covariances from an oracle's posteriors ``(x, P)`` at every instant."""
+    return max(max(_rel(record.xhat_post[k], x), _rel(record.covs[k][0], P))
+               for k, (x, P) in enumerate(posteriors))
+
+
+def _dkf_vs_dfie(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+    """The distributed filter solves the distributed batch problem: its
+    estimates equal the batch terminals at every instant."""
+    rec = run_dkf(model, design, traj)
+    dfie = run_dfie(model, design, traj.ys, traj.steps, history=rec.xhat_post)
+    return _worst_blocks(model, rec.xhat_post, dfie.terminals)
+
+
+def _centralized_fie_vs_kf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+    """The centralized batch estimate over the whole record equals the
+    centralized Kalman filter's at the last instant, the one instant at which
+    the batch solution is a filtered estimate.  The centralized estimators
+    see the plant as one block."""
+    one = _one_block(design)
+    sol = centralized_fie(model, one.x0_guess, one.P0[0], traj.ys, Q=one.Q[0], R=one.R)
+    return _rel(sol.terminal, _kf(model, one, traj.ys)[-1][0])
+
+
+def _n1_dkf_vs_kf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+    """With one partition the distributed filter is the centralized Kalman
+    filter: equal estimates and covariances at every instant."""
+    one = _one_block(design)
+    return _n1_worst(run_dkf(_monolithic(model), one, traj), _kf(model, one, traj.ys))
+
+
+def _n1_dekf_vs_ekf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+    """With one partition the distributed extended filter is the classical
+    EKF, whose Jacobians come from the partitioned subsystems: equal
+    estimates and covariances at every instant."""
+    one = _one_block(design)
+    jf = lambda x: linearize(model.subsystems, x, mode="analytic").A
+    jh = lambda x: linearize(model.subsystems, x, mode="analytic").C
+    ekf = accumulate(
+        traj.ys[1:], lambda s, y: classical_ekf_step(*s, y, model.f, model.h, jf, jh,
+                                                     one.Q[0], one.R),
+        initial=classical_ekf_init(one.x0_guess, one.P0[0], traj.ys[0], model.h, jh,
+                                   one.R))
+    return _n1_worst(run_dekf(_monolithic(model), one, traj), ekf)
+
+
+def _affine_dekf_vs_dkf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+    """On an affine model the extended filter is the linear filter: equal
+    estimates, covariances and gains at every instant."""
+    wrapped = aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
+                                  model.partition)
+    ext, lin = run_dekf(wrapped, design, traj), run_dkf(model, design, traj)
+    return max(_worst_blocks(model, ext.xhat_post, lin.xhat_post),
+               *(_rel(a, b) for m_ext, m_lin in zip(ext.covs + ext.gains, lin.covs + lin.gains)
+                 for a, b in zip(m_ext, m_lin)))
 
 
 def verify_suite(seed: int = 1) -> list[tuple[str, bool, str]]:
@@ -336,82 +428,26 @@ def verify_suite(seed: int = 1) -> list[tuple[str, bool, str]]:
 
     These are the structural identities the recursive filters are built on:
     the distributed recursion solves the distributed batch problem, the
+    centralized batch problem is solved by the Kalman filter, the
     single-partition filters collapse to their centralized counterparts, and
-    the nonlinear filter on an affine model reproduces the linear one.
+    the nonlinear filter on an affine model reproduces the linear one.  The
+    checks draw their noise from ``seed`` and the next three seeds (modulo
+    ``2**64``).
     """
-    results: list[tuple[str, bool, str]] = []
-
-    # Distributed recursion vs distributed batch oracle, horizons 0..5.
-    bench = get_benchmark("linear-4state")
-    model = bench.model
-    design = EstimatorDesign(
-        Q=tuple(np.eye(2) for _ in range(2)), R=np.eye(2),
-        P0=tuple(100.0 * np.eye(2) for _ in range(2)), x0_guess=bench.design.x0_guess)
-    noise = NoiseSpec(w_std=np.ones(4), v_std=np.ones(2), seed=seed,
-                      w_bound=6.0 * np.ones(4), v_bound=6.0 * np.ones(2))
-    traj = simulate(model, bench.x0, 5, noise)
-    rec = run_dkf(model, design, traj)
-    dfie = run_dfie(model, design, traj.ys, 5, history=rec.xhat_post)
-    worst = max(_rel(dfie.terminals[k], rec.xhat_post[k]) for k in range(6))
-    results.append(("DKF=FIE k<=5", worst <= 1e-8, f"max rel diff {worst:.2e}"))
-
-    # Centralized batch oracle vs standard Kalman filter at k=3.
-    sol = centralized_fie(model, design.x0_guess, 100.0 * np.eye(4), traj.ys[:4],
-                          Q=np.eye(4), R=np.eye(2))
-    x_kf, P_kf = centralized_kf_init(design.x0_guess, 100.0 * np.eye(4),
-                                     traj.ys[0], model, R=np.eye(2))
-    for k in range(1, 4):
-        x_kf, P_kf = centralized_kf_step(x_kf, P_kf, traj.ys[k], model,
-                                         Q=np.eye(4), R=np.eye(2))
-    d = _rel(sol.terminal, x_kf)
-    results.append(("centralized FIE=KF k=3", d <= 1e-9, f"rel diff {d:.2e}"))
-
-    # Single-partition DKF vs centralized KF over 100 steps.
-    part = make_partition([4], [2])
-    sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
-    mono = assemble_global([sub], part)
-    noise_m = NoiseSpec(w_std=np.ones(4), v_std=np.ones(2), seed=seed + 1,
-                        w_bound=6.0 * np.ones(4), v_bound=6.0 * np.ones(2))
-    traj_m = simulate(mono, bench.x0, 100, noise_m)
-    des_m = EstimatorDesign.from_model(mono, P0=[100.0 * np.eye(4)],
-                                       x0_guess=bench.design.x0_guess)
-    rec_m = run_dkf(mono, des_m, traj_m)
-    x_kf, P_kf = centralized_kf_init(des_m.x0_guess, des_m.P0[0], traj_m.ys[0], mono)
-    worst = _rel(rec_m.xhat_post[0], x_kf)
-    for k in range(1, 101):
-        x_kf, P_kf = centralized_kf_step(x_kf, P_kf, traj_m.ys[k], mono)
-        worst = max(worst, _rel(rec_m.xhat_post[k], x_kf),
-                    _rel(rec_m.covs[k][0], P_kf))
-    results.append(("n=1 DKF=centralized KF", worst <= 1e-9, f"max rel diff {worst:.2e}"))
-
-    # Single-partition DEKF vs classical EKF over 100 steps.
-    bm_mono = get_benchmark("reactor-chain-mono")
-    subs4 = get_benchmark("reactor-chain").model.subsystems
-    traj_n = simulate(bm_mono.model, bm_mono.x0, 100, bm_mono.noise(seed + 2))
-    rec_n = run_dekf(bm_mono.model, bm_mono.design, traj_n)
-    f = bm_mono.model.f
-    h = bm_mono.model.h
-    jf = lambda x: linearize(subs4, x, mode="analytic").A
-    jh = lambda x: linearize(subs4, x, mode="analytic").C
-    x_e, P_e = classical_ekf_init(bm_mono.design.x0_guess, bm_mono.design.P0[0],
-                                  traj_n.ys[0], h, jh, bm_mono.design.R)
-    worst = _rel(rec_n.xhat_post[0], x_e)
-    for k in range(1, 101):
-        x_e, P_e = classical_ekf_step(x_e, P_e, traj_n.ys[k], f, h, jf, jh,
-                                      bm_mono.design.Q[0], bm_mono.design.R)
-        worst = max(worst, _rel(rec_n.xhat_post[k], x_e),
-                    _rel(rec_n.covs[k][0], P_e))
-    results.append(("n=1 DEKF=classical EKF", worst <= 1e-9, f"max rel diff {worst:.2e}"))
-
-    # DEKF on an affine-wrapped model vs DKF over 100 steps.
-    wrapped = aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
-                                  model.partition)
-    noise_a = NoiseSpec(w_std=0.05 * np.ones(4), v_std=0.05 * np.ones(2),
-                        seed=seed + 3, w_bound=0.3 * np.ones(4),
-                        v_bound=0.3 * np.ones(2))
-    traj_a = simulate(model, bench.x0, 100, noise_a)
-    rec_lin = run_dkf(model, bench.design, traj_a)
-    rec_wrp = run_dekf(wrapped, bench.design, traj_a)
-    worst = max(_rel(rec_wrp.xhat_post[k], rec_lin.xhat_post[k]) for k in range(101))
-    results.append(("DEKF=DKF on affine model", worst <= 1e-12, f"max rel diff {worst:.2e}"))
+    lin, reactor = get_benchmark("linear-4state"), get_benchmark("reactor-chain")
+    unit = get_benchmark("linear-4state", noise_std=1.0)   # Q = R = I, unit noise
+    checks = (  # name, identity, fixture, simulated on one subsystem, steps, seed, tolerance
+        ("DKF=FIE k<=5", _dkf_vs_dfie, unit, False, 5, seed, 1e-8),
+        ("centralized FIE=KF k=3", _centralized_fie_vs_kf, unit, False, 3, seed, 1e-9),
+        ("n=1 DKF=centralized KF", _n1_dkf_vs_kf, unit, True, 100, seed + 1, 1e-9),
+        ("n=1 DEKF=classical EKF", _n1_dekf_vs_ekf, reactor, True, 100, seed + 2, 1e-9),
+        ("DEKF=DKF on affine model", _affine_dekf_vs_dkf, lin, False, 100, seed + 3, 1e-12),
+    )
+    results = []
+    for name, identity, bench, collapse, steps, s, tol in checks:
+        plant = _monolithic(bench.model) if collapse else bench.model
+        traj = simulate(plant, bench.x0, steps, bench.noise(s % 2 ** 64))
+        worst = identity(bench.model, bench.design, traj)
+        figure = "rel diff" if identity is _centralized_fie_vs_kf else "max rel diff"
+        results.append((name, worst <= tol, f"{figure} {worst:.2e}"))
     return results

@@ -11,7 +11,6 @@ import pytest
 
 from partkf.analysis import (
     check_contraction,
-    check_weak_coupling,
     contraction_rate,
     check_bounds,
     error_step,
@@ -26,34 +25,24 @@ from partkf.benchmarks import (
     get_benchmark,
 )
 from partkf.dekf import run_dekf
-from partkf.dkf import EstimatorDesign, run_dkf
-from partkf.fie import (
-    centralized_kf_init,
-    centralized_kf_step,
-    classical_ekf_init,
-    classical_ekf_step,
-    run_dfie,
+from partkf.dkf import run_dkf
+from partkf.harness import (
+    ExperimentConfig,
+    _affine_dekf_vs_dkf,
+    _dkf_vs_dfie,
+    _n1_dekf_vs_ekf,
+    _n1_dkf_vs_kf,
+    export,
+    run_experiment,
 )
-from partkf.harness import ExperimentConfig, export, run_experiment
-from partkf.model import (
-    LinearSubsystem,
-    aggregate_nonlinear,
-    assemble_global,
-    linear_as_nonlinear,
-    linearize,
-    make_partition,
-)
-from partkf.simulate import NoiseSpec, simulate
+from partkf.model import _monolithic, linearize
+from partkf.simulate import simulate
 
 from conftest import noise_for
 
 
 def _report(cid: str, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {cid} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _rel(a, b):
-    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
 
 
 def _cholesky_all(record):
@@ -83,23 +72,12 @@ def reactor_weak():
     return bench, run_dekf(bench.model, bench.design, traj)
 
 
-def test_c01_fie_equivalence():
+def test_c01_fie_equivalence(unit_weight_design):
     # Published matrices, initial state and guess; P0 = 100 I, Q = R = I.
     t0 = time.perf_counter()
-    bench = get_benchmark("linear-4state")
-    model = bench.model
-    design = EstimatorDesign(Q=(np.eye(2), np.eye(2)), R=np.eye(2),
-                             P0=(100.0 * np.eye(2), 100.0 * np.eye(2)),
-                             x0_guess=LINEAR_GUESS)
+    model = get_benchmark("linear-4state").model
     traj = simulate(model, LINEAR_X0, 5, noise_for(model, 1.0, seed=1))
-    rec = run_dkf(model, design, traj)
-    dfie = run_dfie(model, design, traj.ys, 5, history=rec.xhat_post)
-    p = model.partition
-    worst = 0.0
-    for k in range(1, 6):
-        for i in range(2):
-            sl = p.state_slice(i)
-            worst = max(worst, _rel(dfie.terminals[k][sl], rec.xhat_post[k][sl]))
+    worst = _dkf_vs_dfie(model, unit_weight_design, traj)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
     _report("C1", "distributed filter equals batch estimator for k<=5", ok,
@@ -108,38 +86,18 @@ def test_c01_fie_equivalence():
     assert elapsed < 5.0
 
 
-def test_c02_single_partition_reductions():
+def test_c02_single_partition_reductions(unit_weight_design):
+    # Both trajectories are simulated on the single-subsystem view: one noise
+    # stream per signal, not one per subsystem.
     # n=1 distributed filter vs centralized Kalman filter, 100 steps.
-    bench = get_benchmark("linear-4state")
-    part = make_partition([4], [2])
-    sub = LinearSubsystem(0, bench.model.A, {}, bench.model.C, np.eye(4), np.eye(2))
-    mono = assemble_global([sub], part)
-    design = EstimatorDesign.from_model(mono, P0=[100.0 * np.eye(4)],
-                                        x0_guess=LINEAR_GUESS)
-    traj = simulate(mono, LINEAR_X0, 100, noise_for(mono, 1.0, seed=3))
-    rec = run_dkf(mono, design, traj)
-    x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0], mono)
-    worst_lin = _rel(rec.xhat_post[0], x)
-    for k in range(1, 101):
-        x, P = centralized_kf_step(x, P, traj.ys[k], mono)
-        worst_lin = max(worst_lin, _rel(rec.xhat_post[k], x), _rel(rec.covs[k][0], P))
+    model = get_benchmark("linear-4state").model
+    traj = simulate(_monolithic(model), LINEAR_X0, 100, noise_for(model, 1.0, seed=3))
+    worst_lin = _n1_dkf_vs_kf(model, unit_weight_design, traj)
 
     # n=1 distributed extended filter vs classical global EKF, 100 steps.
-    bm = get_benchmark("reactor-chain-mono")
-    subs4 = get_benchmark("reactor-chain").model.subsystems
-    traj_n = simulate(bm.model, bm.x0, 100, bm.noise(seed=11))
-    rec_n = run_dekf(bm.model, bm.design, traj_n)
-    jf = lambda z: linearize(subs4, z, mode="analytic").A
-    jh = lambda z: linearize(subs4, z, mode="analytic").C
-    x_e, P_e = classical_ekf_init(bm.design.x0_guess, bm.design.P0[0],
-                                  traj_n.ys[0], bm.model.h, jh, bm.design.R)
-    worst_nl = _rel(rec_n.xhat_post[0], x_e)
-    for k in range(1, 101):
-        x_e, P_e = classical_ekf_step(x_e, P_e, traj_n.ys[k], bm.model.f,
-                                      bm.model.h, jf, jh, bm.design.Q[0],
-                                      bm.design.R)
-        worst_nl = max(worst_nl, _rel(rec_n.xhat_post[k], x_e),
-                       _rel(rec_n.covs[k][0], P_e))
+    bench = get_benchmark("reactor-chain")
+    traj_n = simulate(_monolithic(bench.model), bench.x0, 100, bench.noise(seed=11))
+    worst_nl = _n1_dekf_vs_ekf(bench.model, bench.design, traj_n)
     ok = worst_lin <= 1e-9 and worst_nl <= 1e-9
     _report("C2", "single-partition reductions", ok,
             f"DKF vs KF {worst_lin:.2e}, DEKF vs EKF {worst_nl:.2e}")
@@ -149,18 +107,8 @@ def test_c02_single_partition_reductions():
 
 def test_c03_linear_reduction():
     bench = get_benchmark("linear-4state")
-    model = bench.model
-    wrapped = aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
-                                  model.partition)
-    traj = simulate(model, LINEAR_X0, 100, bench.noise(seed=5))
-    rec_lin = run_dkf(model, bench.design, traj)
-    rec_nl = run_dekf(wrapped, bench.design, traj)
-    worst = 0.0
-    for k in range(101):
-        worst = max(worst, _rel(rec_nl.xhat_post[k], rec_lin.xhat_post[k]))
-        for i in range(2):
-            worst = max(worst, _rel(rec_nl.covs[k][i], rec_lin.covs[k][i]),
-                        _rel(rec_nl.gains[k][i], rec_lin.gains[k][i]))
+    traj = simulate(bench.model, LINEAR_X0, 100, bench.noise(seed=5))
+    worst = _affine_dekf_vs_dkf(bench.model, bench.design, traj)
     ok = worst <= 1e-12
     _report("C3", "extended filter reduces to linear filter on affine model",
             ok, f"max rel diff {worst:.2e}")

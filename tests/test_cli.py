@@ -6,6 +6,10 @@ import pytest
 from partkf.cli import main
 
 
+VERIFY_CHECKS = ["DKF=FIE k<=5", "centralized FIE=KF k=3", "n=1 DKF=centralized KF",
+                 "n=1 DEKF=classical EKF", "DEKF=DKF on affine model"]
+
+
 class TestVerify:
     def test_exit_zero_and_pass_lines(self, capsys):
         assert main(["verify"]) == 0
@@ -13,6 +17,14 @@ class TestVerify:
         assert "DKF=FIE k<=5: PASS" in out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    # From 2**64 - 1 the checks derive three more seeds modulo 2**64.
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 2 ** 64 - 1])
+    def test_five_checks_in_order_all_pass(self, seed, capsys):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == VERIFY_CHECKS
+        assert all(line.split(": ")[1].startswith("PASS (") for line in lines)
 
 
 class TestRun:

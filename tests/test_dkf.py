@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, get_benchmark, linear_subsystems
+from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, linear_subsystems
 import partkf.dkf
 from partkf.dekf import run_dekf
 from partkf.dkf import (
@@ -20,8 +20,8 @@ from partkf.dkf import (
     run_dkf,
     update,
 )
-from partkf.fie import centralized_kf_init, centralized_kf_step
-from partkf.model import LinearSubsystem, assemble_global, make_partition
+from partkf.harness import _n1_dkf_vs_kf
+from partkf.model import LinearSubsystem, _monolithic, assemble_global, make_partition
 from partkf.simulate import simulate
 
 from conftest import noise_for
@@ -178,17 +178,8 @@ class TestCovariance:
 
     def test_single_partition_matches_standard_kf_over_50_steps(self):
         model = four_state_model()
-        sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
-        mono = assemble_global([sub], make_partition([4], [2]))
-        design = EstimatorDesign.from_model(mono, P0=[100.0 * np.eye(4)],
-                                            x0_guess=LINEAR_GUESS)
-        traj = simulate(mono, LINEAR_X0, 50, noise_for(mono, 1.0, seed=3))
-        rec = run_dkf(mono, design, traj)
-        x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0], mono)
-        for k in range(1, 51):
-            x, P = centralized_kf_step(x, P, traj.ys[k], mono)
-            diff = np.linalg.norm(rec.covs[k][0] - P) / max(1.0, np.linalg.norm(P))
-            assert diff <= 1e-10
+        traj = simulate(_monolithic(model), LINEAR_X0, 50, noise_for(model, 1.0, seed=3))
+        assert _n1_dkf_vs_kf(model, unit_design(), traj) <= 1e-10
 
     def test_covariance_stays_spd_for_1000_steps(self):
         model = four_state_model()
@@ -273,17 +264,8 @@ class TestDkfStep:
 
     def test_single_partition_trajectory_matches_centralized(self):
         model = four_state_model()
-        sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
-        mono = assemble_global([sub], make_partition([4], [2]))
-        design = EstimatorDesign.from_model(mono, P0=[100.0 * np.eye(4)],
-                                            x0_guess=LINEAR_GUESS)
-        traj = simulate(mono, LINEAR_X0, 30, noise_for(mono, 1.0, seed=6))
-        rec = run_dkf(mono, design, traj)
-        x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0], mono)
-        assert np.allclose(rec.xhat_post[0], x, rtol=0, atol=1e-10)
-        for k in range(1, 31):
-            x, P = centralized_kf_step(x, P, traj.ys[k], mono)
-            assert np.linalg.norm(rec.xhat_post[k] - x) <= 1e-10 * (1 + np.linalg.norm(x))
+        traj = simulate(_monolithic(model), LINEAR_X0, 30, noise_for(model, 1.0, seed=6))
+        assert _n1_dkf_vs_kf(model, unit_design(), traj) <= 1e-10
 
     def test_update_order_is_irrelevant_bitwise(self):
         model = four_state_model()

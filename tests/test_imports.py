@@ -9,6 +9,9 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   are the package's public surface;
 - only ``model.py`` Cholesky-factors a matrix or handles a ``LinAlgError``:
   the matrix-health policy has one owner;
+- only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators,
+  the centralized Kalman filter and the classical EKF): the paper's
+  identities have one owner, ``harness.py``'s verification functions;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -118,6 +121,34 @@ def test_checker_flags_matrix_health_sites():
         "np.linalg.cholesky (line 4)", "np.linalg.LinAlgError (line 5)",
         "cho_factor (line 6)"]
     assert matrix_health_sites((SRC / "model.py").read_text())
+
+
+#: The oracles of ``fie.py`` that only the verification functions call.
+ORACLES = frozenset({"run_dfie", "centralized_fie", "centralized_kf_init",
+                     "centralized_kf_step", "classical_ekf_init", "classical_ekf_step"})
+
+
+def oracle_calls(source: str) -> list[str]:
+    """Calls in ``source`` of a function named in :data:`ORACLES`."""
+    calls = [(node.lineno, _dotted(node.func)) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and _dotted(node.func).rsplit(".", 1)[-1] in ORACLES]
+    return [f"{name} (line {line})" for line, name in sorted(calls)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + [SRC / "__init__.py"]
+                                  if p.name not in ("fie.py", "harness.py")],
+                         ids=lambda p: p.name)
+def test_only_the_verification_functions_call_the_oracles(path):
+    assert oracle_calls(path.read_text()) == []
+
+
+def test_checker_flags_oracle_calls():
+    source = ("from partkf import fie\nfrom partkf.fie import run_dfie, centralized_fie\n"
+              "d = run_dfie(m, des, ys, 5)\nx = fie.classical_ekf_step(x, P, y, f, h, jf, jh, Q, R)\n"
+              "g = centralized_fie\nlocal_fie(problem)\n")
+    assert oracle_calls(source) == ["run_dfie (line 3)", "fie.classical_ekf_step (line 4)"]
+    assert oracle_calls((SRC / "harness.py").read_text())
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).
