@@ -7,8 +7,6 @@ error plot.  The ensemble is fully reproducible from the base seed.
 Run:  python demos/03_monte_carlo_envelope.py
 """
 
-import numpy as np
-
 from partkf import ExperimentConfig, monte_carlo
 from partkf.harness import write_monte_carlo_csv
 

@@ -18,7 +18,6 @@ Run:  python demos/05_stability_monitors.py
 import numpy as np
 
 from partkf import (
-    check_bounds,
     error_step,
     get_benchmark,
     remainder_bounds,

@@ -52,7 +52,6 @@ from .fie import (
     FIEProblem,
     FIESolution,
     OracleError,
-    build_local_problem,
     centralized_fie,
     centralized_kf_init,
     centralized_kf_step,

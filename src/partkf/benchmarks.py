@@ -37,9 +37,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .dkf import EstimatorDesign
+from .dkf import EstimatorDesign, _one_block
 from .model import (
     GlobalModel,
     LinearSubsystem,
@@ -278,12 +277,10 @@ def _reactor_chain(coupling: float = REACTOR_COUPLING) -> Benchmark:
 
 def _reactor_chain_mono(coupling: float = REACTOR_COUPLING) -> Benchmark:
     """``reactor-chain`` seen as one single subsystem (degenerate partition),
-    with the block diagonal of its prior covariances."""
+    with the one-block view of its design."""
     bench = _reactor_chain(coupling)
-    model = _monolithic(bench.model)
-    design = EstimatorDesign.from_model(model, P0=[block_diag(*bench.design.P0)],
-                                        x0_guess=bench.design.x0_guess)
-    return replace(bench, name="reactor-chain-mono", model=model, design=design)
+    return replace(bench, name="reactor-chain-mono", model=_monolithic(bench.model),
+                   design=_one_block(bench.design))
 
 
 _REGISTRY: dict[str, Callable[..., Benchmark]] = {

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .model import GlobalModel, LinearizationError, _posdef, _spd_solve, _sym, _symmetric
 from .records import RunRecord
@@ -171,6 +172,13 @@ class EstimatorDesign:
             "P0": [p.tolist() for p in self.P0],
             "x0_guess": self.x0_guess.tolist(),
         }
+
+
+def _one_block(design: EstimatorDesign) -> EstimatorDesign:
+    """The design of the plant seen as one subsystem: block-diagonal ``Q``
+    and ``P0``, the same ``R`` and prior mean."""
+    return EstimatorDesign(Q=(block_diag(*design.Q),), R=design.R,
+                           P0=(block_diag(*design.P0),), x0_guess=design.x0_guess)
 
 
 def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:

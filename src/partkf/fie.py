@@ -7,11 +7,12 @@ factorization.  Two variants are provided:
 
 - :func:`centralized_fie`: the classical batch least-squares smoother for the
   global model.  Its terminal estimate must match a standard Kalman filter.
-- :func:`local_fie` / :func:`run_dfie`: the per-subsystem batch problem in
-  which neighbor trajectories enter the dynamics constraints and neighbor
-  output paths enter the measurement constraints at prescribed lags.  Solved
-  instant by instant with self-consistent neighbor histories, its terminal
-  estimates must match the distributed Kalman filter recursion.
+- :func:`local_fie` / :func:`run_dfie`: the per-subsystem batch problem, which
+  sees its neighbours only through the stacked prior guess (at instant 0) and
+  a stacked history of their filtered estimates at instants ``0..k-1``: the
+  estimate at ``j-1`` drives the own dynamics and the others' outputs at
+  ``j``.  Solved instant by instant with self-consistent histories, its
+  terminal estimates must match the distributed Kalman filter recursion.
 
 The module also houses small independent step oracles (standard Kalman filter
 and classical extended Kalman filter) used by the reduction test suites.
@@ -23,7 +24,6 @@ model owns: its read-only column blocks and its single-subsystem view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -37,7 +37,6 @@ __all__ = [
     "DfieRun",
     "local_fie",
     "centralized_fie",
-    "build_local_problem",
     "run_dfie",
     "local_objective",
     "centralized_kf_init",
@@ -71,12 +70,13 @@ def _objective(weights: tuple, d0: np.ndarray, ws, vs) -> float:
 class FIEProblem:
     """One local batch estimation problem for subsystem ``i`` over ``0..k``.
 
-    ``neighbor_dyn[l]`` holds the neighbor state estimates consumed by the
-    dynamics constraints (rows ``j = 0..k-1``), ``neighbor_out[m]`` the
-    filtered estimates consumed by the measurement cross terms (rows
-    ``j = 0..k-1`` feeding constraints ``j+1``), and ``neighbor_priors[l]``
-    the prior means used by the constraint at instant 0.  All three must be
-    present for every other subsystem; a missing lag is a contract violation.
+    ``prior_mean`` is the stacked prior guess, of shape ``(nx,)``: its own
+    block weighs the initial state, the others' blocks enter the measurement
+    constraint at instant 0.  ``history`` holds the stacked filtered
+    estimates of instants ``0..k-1``, of shape ``(k, nx)``: row ``j-1`` drives
+    the dynamics constraint and, through the others' states, the measurement
+    constraint at instant ``j``.  The own block of ``history`` is not read,
+    but like every input it must be finite.
     """
 
     model: GlobalModel
@@ -86,9 +86,11 @@ class FIEProblem:
     prior_cov: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    neighbor_priors: Mapping[int, np.ndarray]
-    neighbor_dyn: Mapping[int, np.ndarray]
-    neighbor_out: Mapping[int, np.ndarray]
+    history: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ys", "prior_mean", "prior_cov", "Q", "R", "history"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def horizon(self) -> int:
@@ -98,27 +100,22 @@ class FIEProblem:
         if not self.model.linear:
             raise ValueError("batch oracles are defined for linear models")
         p = self.model.partition
-        i = self.subsystem
         k = self.horizon
-        n_i = p.dims[i]
-        if self.ys.shape != (k + 1, p.ny):
-            raise ValueError("measurement history has the wrong shape")
-        if self.prior_mean.shape != (n_i,):
-            raise ValueError("prior mean does not match the subsystem dimension")
-        others = [l for l in range(p.n) if l != i]
-        for l in others:
-            if l not in self.neighbor_priors:
-                raise ValueError(f"missing prior for subsystem {l}")
-            if k >= 1:
-                for name, hist in (("dynamics", self.neighbor_dyn),
-                                   ("output", self.neighbor_out)):
-                    if l not in hist:
-                        raise ValueError(
-                            f"missing {name} history for subsystem {l} at horizon {k}")
-                    if np.asarray(hist[l]).shape != (k, p.dims[l]):
-                        raise ValueError(
-                            f"{name} history for subsystem {l} must have shape "
-                            f"({k}, {p.dims[l]})")
+        for name, value, shape in (("ys", self.ys, (k + 1, p.ny)),
+                                   ("prior_mean", self.prior_mean, (p.nx,)),
+                                   ("history", self.history, (k, p.nx))):
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+        for name, rows, block, what in (
+                ("ys", self.ys, p.out_slice, "outputs"),
+                ("prior_mean", self.prior_mean[None], p.state_slice, "states"),
+                ("history", self.history, p.state_slice, "states")):
+            bad = ~np.isfinite(rows)
+            if bad.any():
+                j = int(np.flatnonzero(bad.any(axis=1))[0])
+                owners = [l for l in range(p.n) if bad[j, block(l)].any()]
+                raise ValueError(f"{name} at instant {j} is not finite in the {what} "
+                                 f"of subsystems {owners}")
 
 
 @dataclass(frozen=True)
@@ -161,25 +158,32 @@ def _layout(k: int, n_i: int, n_y: int):
     return idx, pos
 
 
-def _masked_embed(p, exclude: int, blocks: Mapping[int, np.ndarray], row=None) -> np.ndarray:
-    """Global vector with the given per-subsystem blocks and zeros in the
-    excluded subsystem's slice."""
-    z = np.zeros(p.nx)
-    for l, val in blocks.items():
-        if l == exclude:
-            continue
-        v = np.asarray(val, dtype=float)
-        z[p.state_slice(l)] = v if row is None else v[row]
-    return z
+def _neighbor_terms(problem: FIEProblem) -> tuple[np.ndarray, list, list]:
+    """The neighbours' share of the local constraints.  With ``x`` a stacked
+    vector whose own block is zeroed: ``C x`` of the prior guess (instant 0)
+    and, for each history row ``x = history[j-1]``, the own rows of ``A x``
+    (dynamics at ``j``) and ``C`` times the other rows of ``A x``
+    (measurement at ``j``)."""
+    model = problem.model
+    own = model.partition.state_slice(problem.subsystem)
 
+    def others(x):
+        z = x.copy()
+        z[own] = 0.0
+        return z
 
-def assemble_kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Assemble the symmetric KKT system of one local batch problem."""
-    return _kkt(problem)[:3]
+    dyn, out = [], []
+    for x in problem.history:
+        drive = model.A @ others(x)
+        dyn.append(drive[own].copy())
+        drive[own] = 0.0
+        out.append(model.C @ drive)
+    return model.C @ others(problem.prior_mean), dyn, out
 
 
 def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
-    """:func:`assemble_kkt`, and the problem's inverse weights."""
+    """The symmetric KKT system of one local batch problem, its layout and
+    the problem's inverse weights."""
     problem.validate()
     model = problem.model
     p = model.partition
@@ -187,15 +191,16 @@ def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
     k = problem.horizon
     n_i = p.dims[i]
     n_y = p.ny
+    own = p.state_slice(i)
 
-    A_ii = model.A[p.state_slice(i), p.state_slice(i)]
+    A_ii = model.A[own, own]
     a_col = model.a_col(i)
     c_col = model.c_col(i)
-    C = model.C
     # Output cross map of the own state in constraints j >= 1.
-    G = C @ a_col - c_col @ A_ii
+    G = model.C @ a_col - c_col @ A_ii
 
     weights = P0_inv, Q_inv, R_inv = _weights(problem)
+    out0, dyn, out = _neighbor_terms(problem)
 
     idx, size = _layout(k, n_i, n_y)
     K = np.zeros((size, size))
@@ -210,8 +215,8 @@ def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
     put(("lam", 0), ("v", 0), np.eye(n_y))
     put(("v", 0), ("lam", 0), np.eye(n_y))
     put(("v", 0), ("v", 0), R_inv)
-    rhs[idx[("x", 0)]] = P0_inv @ problem.prior_mean
-    rhs[idx[("lam", 0)]] = problem.ys[0] - C @ _masked_embed(p, i, problem.neighbor_priors)
+    rhs[idx[("x", 0)]] = P0_inv @ problem.prior_mean[own]
+    rhs[idx[("lam", 0)]] = problem.ys[0] - out0
 
     for j in range(1, k + 1):
         put(("x", j - 1), ("pi", j - 1), A_ii.T)
@@ -228,13 +233,8 @@ def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
         put(("lam", j), ("v", j), np.eye(n_y))
         put(("v", j), ("lam", j), np.eye(n_y))
         put(("v", j), ("v", j), R_inv)
-
-        dyn = _masked_embed(p, i, problem.neighbor_dyn, row=j - 1)
-        rhs[idx[("pi", j - 1)]] = -(model.A @ dyn)[p.state_slice(i)]
-        out = _masked_embed(p, i, problem.neighbor_out, row=j - 1)
-        cross = model.A @ out
-        cross[p.state_slice(i)] = 0.0
-        rhs[idx[("lam", j)]] = problem.ys[j] - C @ cross
+        rhs[idx[("pi", j - 1)]] = -dyn[j - 1]
+        rhs[idx[("lam", j)]] = problem.ys[j] - out[j - 1]
     return K, rhs, idx, weights
 
 
@@ -249,20 +249,17 @@ def local_fie(problem: FIEProblem) -> FIESolution:
     if not np.all(np.isfinite(z)):
         raise OracleError("KKT system is singular")
     residual = float(np.linalg.norm(K @ z - rhs))
-    k = problem.horizon
-    states = np.vstack([z[idx[("x", j)]] for j in range(k + 1)])
-    v = np.vstack([z[idx[("v", j)]] for j in range(k + 1)])
-    lam = np.vstack([z[idx[("lam", j)]] for j in range(k + 1)])
-    if k:
-        w = np.vstack([z[idx[("w", j)]] for j in range(k)])
-        pi = np.vstack([z[idx[("pi", j)]] for j in range(k)])
-    else:
-        n_i = states.shape[1]
-        w = np.zeros((0, n_i))
-        pi = np.zeros((0, n_i))
+    p = problem.model.partition
+    k, n_i, own = problem.horizon, p.dims[problem.subsystem], p.state_slice(problem.subsystem)
+
+    def rows(name: str, count: int, size: int) -> np.ndarray:
+        return np.array([z[idx[(name, j)]] for j in range(count)]).reshape(count, size)
+
+    states, v, lam = rows("x", k + 1, n_i), rows("v", k + 1, p.ny), rows("lam", k + 1, p.ny)
+    w, pi = rows("w", k, n_i), rows("pi", k, n_i)
     return FIESolution(horizon=k, states=states, w=w, v=v, lam=lam, pi=pi,
                        kkt_residual=residual,
-                       objective=_objective(weights, states[0] - problem.prior_mean, w, v))
+                       objective=_objective(weights, states[0] - problem.prior_mean[own], w, v))
 
 
 def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
@@ -279,23 +276,19 @@ def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
     p = model.partition
     i = problem.subsystem
     k = problem.horizon
-    A_ii = model.A[p.state_slice(i), p.state_slice(i)]
+    own = p.state_slice(i)
+    A_ii = model.A[own, own]
     c_col = model.c_col(i)
     G = model.C @ model.a_col(i) - c_col @ A_ii
+    out0, dyn, out = _neighbor_terms(problem)
 
     states = [np.asarray(x0, dtype=float)]
     for j in range(k):
-        dyn = _masked_embed(p, i, problem.neighbor_dyn, row=j)
-        nxt = A_ii @ states[j] + (model.A @ dyn)[p.state_slice(i)] + ws[j]
-        states.append(nxt)
-    vs = [problem.ys[0] - c_col @ states[0]
-          - model.C @ _masked_embed(p, i, problem.neighbor_priors)]
+        states.append(A_ii @ states[j] + dyn[j] + ws[j])
+    vs = [problem.ys[0] - c_col @ states[0] - out0]
     for j in range(1, k + 1):
-        out = _masked_embed(p, i, problem.neighbor_out, row=j - 1)
-        cross = model.A @ out
-        cross[p.state_slice(i)] = 0.0
-        vs.append(problem.ys[j] - c_col @ states[j] - G @ states[j - 1] - model.C @ cross)
-    value = _objective(_weights(problem), states[0] - problem.prior_mean,
+        vs.append(problem.ys[j] - c_col @ states[j] - G @ states[j - 1] - out[j - 1])
+    value = _objective(_weights(problem), states[0] - problem.prior_mean[own],
                        np.atleast_2d(ws)[:k], vs)
     return value, np.vstack(states)
 
@@ -307,49 +300,19 @@ def centralized_fie(model: GlobalModel, prior_mean: np.ndarray,
     """Batch least-squares smoother for the global linear model.
 
     The problem is the local one of the model's single-subsystem view, so
-    weights default to the model's stacked ``Q``/``R``.  The unique
+    weights default to the model's stacked ``Q``/``R``; with no neighbours
+    its history is all own block, zeros that are not read.  The unique
     minimizer's terminal state must agree with a standard Kalman filter run
     over the same history.
     """
     mono = _monolithic(model)
+    ys = np.asarray(ys, dtype=float)
     problem = FIEProblem(
-        model=mono, subsystem=0, ys=np.asarray(ys, dtype=float),
-        prior_mean=np.asarray(prior_mean, dtype=float),
-        prior_cov=np.asarray(prior_cov, dtype=float),
-        Q=mono.Q if Q is None else np.asarray(Q, dtype=float),
-        R=mono.R if R is None else np.asarray(R, dtype=float),
-        neighbor_priors={}, neighbor_dyn={}, neighbor_out={},
+        model=mono, subsystem=0, ys=ys, prior_mean=prior_mean, prior_cov=prior_cov,
+        Q=mono.Q if Q is None else Q, R=mono.R if R is None else R,
+        history=np.zeros((ys.shape[0] - 1, mono.nx)),
     )
     return local_fie(problem)
-
-
-def build_local_problem(model: GlobalModel, i: int, ys: np.ndarray,
-                        prior_mean_global: np.ndarray,
-                        prior_cov_i: np.ndarray, Q_i: np.ndarray,
-                        R: np.ndarray, history: np.ndarray) -> FIEProblem:
-    """Assemble the instant-``k`` local problem for subsystem ``i``.
-
-    ``history`` holds stacked filtered estimates for instants ``0..k-1``
-    (typically ``record.xhat_post`` from a filter run); it supplies both
-    neighbor lag patterns.  ``prior_mean_global`` is the stacked prior guess.
-    """
-    p = model.partition
-    ys = np.asarray(ys, dtype=float)
-    k = ys.shape[0] - 1
-    history = np.asarray(history, dtype=float)
-    if k >= 1 and history.shape[0] < k:
-        raise ValueError(f"history must cover instants 0..{k - 1}")
-    others = [l for l in range(p.n) if l != i]
-    priors = {l: prior_mean_global[p.state_slice(l)] for l in others}
-    dyn = {l: history[:k, p.state_slice(l)] for l in others}
-    out = {l: history[:k, p.state_slice(l)] for l in others}
-    return FIEProblem(
-        model=model, subsystem=i, ys=ys,
-        prior_mean=prior_mean_global[p.state_slice(i)],
-        prior_cov=np.asarray(prior_cov_i, dtype=float),
-        Q=np.asarray(Q_i, dtype=float), R=np.asarray(R, dtype=float),
-        neighbor_priors=priors, neighbor_dyn=dyn, neighbor_out=out,
-    )
 
 
 @dataclass
@@ -365,10 +328,11 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
              history: np.ndarray | None = None) -> DfieRun:
     """Run the distributed batch estimator for instants ``0..steps``.
 
-    Each local problem consumes neighbor estimates at the prescribed lags.
-    When ``history`` is given (stacked filtered estimates of a recorded
-    filter run) the problems consume it; otherwise the protocol feeds its own
-    terminal estimates forward, which is equivalent in exact arithmetic.
+    The instant-``k`` problem of each subsystem reads the stacked estimates
+    of instants ``0..k-1``.  When ``history`` is given (stacked filtered
+    estimates of a recorded filter run) the problems read it; otherwise the
+    protocol feeds its own terminal estimates forward, which is equivalent in
+    exact arithmetic.
     """
     p = model.partition
     ys = np.asarray(ys, dtype=float)
@@ -381,11 +345,9 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
         hist = history[:k] if history is not None else terminals[:k]
         per_i = []
         for i in range(p.n):
-            prob = build_local_problem(
-                model, i, ys[: k + 1], design.x0_guess, design.P0[i],
-                design.Q[i], design.R, hist,
-            )
-            sol = local_fie(prob)
+            sol = local_fie(FIEProblem(
+                model=model, subsystem=i, ys=ys[: k + 1], prior_mean=design.x0_guess,
+                prior_cov=design.P0[i], Q=design.Q[i], R=design.R, history=hist))
             per_i.append(sol)
             terminals[k, p.state_slice(i)] = sol.terminal
             max_res = max(max_res, sol.kkt_residual / (1.0 + np.linalg.norm(ys[: k + 1])))

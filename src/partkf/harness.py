@@ -57,11 +57,10 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import analysis
 from .benchmarks import get_benchmark
-from .dkf import EstimatorDesign, _LinearSource, _run_filter, run_dkf
+from .dkf import EstimatorDesign, _LinearSource, _one_block, _run_filter, run_dkf
 from .dekf import _NonlinearSource, run_dekf
 from .fie import (
     centralized_fie,
@@ -347,13 +346,6 @@ def _worst_blocks(model: GlobalModel, xs_a, xs_b) -> float:
     p = model.partition
     return max(_rel(a[p.state_slice(i)], b[p.state_slice(i)])
                for a, b in zip(xs_a, xs_b) for i in range(p.n))
-
-
-def _one_block(design: EstimatorDesign) -> EstimatorDesign:
-    """The design of the plant seen as one subsystem: block-diagonal ``Q``
-    and ``P0``, the same ``R`` and prior mean."""
-    return EstimatorDesign(Q=(block_diag(*design.Q),), R=design.R,
-                           P0=(block_diag(*design.P0),), x0_guess=design.x0_guess)
 
 
 def _kf(model: GlobalModel, design: EstimatorDesign, ys: np.ndarray) -> list:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, get_benchmark, linear_subsystems
+from partkf.benchmarks import get_benchmark
 from partkf.dekf import run_dekf
-from partkf.dkf import EstimatorDesign, run_dkf
-from partkf.model import assemble_global, make_partition
+from partkf.dkf import run_dkf
 from partkf.simulate import NoiseSpec, simulate
 
 
@@ -15,13 +14,9 @@ def linear_bench():
 
 @pytest.fixture(scope="session")
 def unit_weight_design():
-    """Identity process/measurement weights with the published prior."""
-    return EstimatorDesign(
-        Q=tuple(np.eye(2) for _ in range(2)),
-        R=np.eye(2),
-        P0=tuple(100.0 * np.eye(2) for _ in range(2)),
-        x0_guess=LINEAR_GUESS,
-    )
+    """Identity process/measurement weights with the published prior: the
+    design of the linear fixture at unit noise."""
+    return get_benchmark("linear-4state", noise_std=1.0).design
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from partkf.benchmarks import (
-    LINEAR_GUESS,
-    LINEAR_X0,
-    REACTOR_C_S,
-    REACTOR_T_S,
-    get_benchmark,
-    linear_subsystems,
-    reactor_subsystems,
-)
+from partkf.benchmarks import LINEAR_X0, REACTOR_C_S, REACTOR_T_S, get_benchmark
 from partkf.dekf import dekf_gain_cov, dekf_predict, dekf_update, run_dekf
 from partkf.dkf import (
     EstimatorDesign,
@@ -23,14 +15,7 @@ from partkf.dkf import (
     run_dkf,
     update,
 )
-from partkf.model import (
-    LinearizationError,
-    aggregate_nonlinear,
-    assemble_global,
-    linear_as_nonlinear,
-    linearize,
-    make_partition,
-)
+from partkf.model import LinearizationError, aggregate_nonlinear, linear_as_nonlinear, linearize
 from partkf.simulate import NoiseSpec, simulate
 
 from conftest import noise_for
@@ -38,16 +23,15 @@ from conftest import noise_for
 REACTOR_STEADY = np.column_stack([REACTOR_T_S, REACTOR_C_S]).ravel()
 
 
-def four_state_models():
-    part = make_partition([2, 2], [1, 1])
-    lin = assemble_global(linear_subsystems(), part)
-    nl = aggregate_nonlinear([linear_as_nonlinear(s) for s in lin.subsystems], part)
-    return lin, nl
+def affine(model):
+    """``model`` with every subsystem wrapped as a nonlinear one."""
+    return aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
+                               model.partition)
 
 
 class TestDekfPredict:
-    def test_affine_model_matches_linear_prediction(self):
-        lin, nl = four_state_models()
+    def test_affine_model_matches_linear_prediction(self, linear_bench):
+        lin, nl = linear_bench.model, affine(linear_bench.model)
         snap = ExchangeSnapshot(k=1, posteriors=(LINEAR_X0[:2], LINEAR_X0[2:]))
         for i in range(2):
             assert np.array_equal(dekf_predict(i, snap, nl), predict(i, snap, lin))
@@ -80,10 +64,9 @@ class TestDekfPredict:
 
 
 class TestDekfGainCov:
-    def test_affine_model_matches_linear_gain_and_covariance(self):
-        lin, nl = four_state_models()
-        design = EstimatorDesign.from_model(lin, P0=[100.0 * np.eye(2)] * 2,
-                                            x0_guess=LINEAR_GUESS)
+    def test_affine_model_matches_linear_gain_and_covariance(self, linear_bench):
+        lin, nl = linear_bench.model, affine(linear_bench.model)
+        design = linear_bench.design
         blocks = linearize(nl.subsystems, LINEAR_X0, mode="analytic")
         rng = np.random.default_rng(0)
         M = rng.normal(size=(2, 2))
@@ -134,8 +117,8 @@ class TestDekfUpdate:
         for i in range(4):
             assert np.array_equal(dekf_update(i, preds[i], snap, L, model), preds[i])
 
-    def test_affine_model_matches_linear_update(self):
-        lin, nl = four_state_models()
+    def test_affine_model_matches_linear_update(self, linear_bench):
+        lin, nl = linear_bench.model, affine(linear_bench.model)
         preds = (LINEAR_X0[:2] + 0.1, LINEAR_X0[2:] - 0.2)
         y = np.array([1.0, -2.0])
         snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds,
@@ -172,10 +155,9 @@ class TestDekfUpdate:
 
 
 class TestRunDekf:
-    def test_linear_wrapped_model_reproduces_dkf_record(self):
-        lin, nl = four_state_models()
-        design = EstimatorDesign.from_model(lin, P0=[100.0 * np.eye(2)] * 2,
-                                            x0_guess=LINEAR_GUESS)
+    def test_linear_wrapped_model_reproduces_dkf_record(self, linear_bench):
+        lin, nl = linear_bench.model, affine(linear_bench.model)
+        design = linear_bench.design
         traj = simulate(lin, LINEAR_X0, 100, noise_for(lin, 0.05, seed=9))
         rec_lin = run_dkf(lin, design, traj)
         rec_nl = run_dekf(nl, design, traj)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0, linear_subsystems
+from partkf.benchmarks import LINEAR_A, LINEAR_GUESS, LINEAR_X0
 import partkf.dkf
 from partkf.dekf import run_dekf
 from partkf.dkf import (
@@ -27,16 +27,6 @@ from partkf.simulate import simulate
 from conftest import noise_for
 
 
-def four_state_model():
-    return assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
-
-
-def unit_design():
-    return EstimatorDesign(Q=(np.eye(2), np.eye(2)), R=np.eye(2),
-                           P0=(100.0 * np.eye(2), 100.0 * np.eye(2)),
-                           x0_guess=LINEAR_GUESS)
-
-
 def local_gain_cov(i, P, model, design):
     """``gain_and_covariance`` with subsystem ``i``'s constant blocks."""
     return gain_and_covariance(P, model.a_col(i), model.subsystems[i].A, model.C,
@@ -58,30 +48,30 @@ class TestPredict:
         assert np.array_equal(predict(0, snap, model), [1.0, 2.0])
         assert np.array_equal(predict(1, snap, model), [3.0, 4.0])
 
-    def test_first_subsystem_prediction_is_matrix_product_block(self):
-        model = four_state_model()
+    def test_first_subsystem_prediction_is_matrix_product_block(self, linear_bench):
+        model = linear_bench.model
         snap = ExchangeSnapshot(k=1, posteriors=(LINEAR_X0[:2], LINEAR_X0[2:]))
         want = (LINEAR_A @ LINEAR_X0)[:2]
         got = predict(0, snap, model)
         assert np.allclose(got, want, rtol=0, atol=1e-14)
 
-    def test_single_partition_reduces_to_global_product(self):
-        model = four_state_model()
+    def test_single_partition_reduces_to_global_product(self, linear_bench):
+        model = linear_bench.model
         sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
         mono = assemble_global([sub], make_partition([4], [2]))
         snap = ExchangeSnapshot(k=1, posteriors=(LINEAR_X0,))
         assert np.array_equal(predict(0, snap, mono), model.A @ LINEAR_X0)
 
-    def test_missing_neighbor_posterior(self):
-        model = four_state_model()
+    def test_missing_neighbor_posterior(self, linear_bench):
+        model = linear_bench.model
         snap = ExchangeSnapshot(k=1, posteriors=(LINEAR_X0[:2], None))
         with pytest.raises(FilterError, match="neighbor"):
             predict(0, snap, model)
 
 
 class TestGain:
-    def test_single_partition_equals_standard_kalman_gain(self):
-        model = four_state_model()
+    def test_single_partition_equals_standard_kalman_gain(self, linear_bench):
+        model = linear_bench.model
         sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
         mono = assemble_global([sub], make_partition([4], [2]))
         design = EstimatorDesign.from_model(mono, P0=[100.0 * np.eye(4)],
@@ -105,11 +95,12 @@ class TestGain:
         L, _ = local_gain_cov(0, np.eye(2), model, design)
         assert np.array_equal(L, np.zeros((2, 2)))
 
-    def test_first_instant_gain_matches_independent_formula(self):
+    def test_first_instant_gain_matches_independent_formula(self, linear_bench,
+                                                            unit_weight_design):
         # Coefficient of the first post-initialization update, written out
         # with plain inverses.
-        model = four_state_model()
-        design = unit_design()
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 1, noise_for(model, 1.0, seed=1))
         states = init_states(model, design, traj.ys[0])
         i = 0
@@ -126,16 +117,16 @@ class TestGain:
 
 
 class TestUpdate:
-    def test_zero_gain_keeps_prediction(self):
-        model = four_state_model()
+    def test_zero_gain_keeps_prediction(self, linear_bench):
+        model = linear_bench.model
         preds = (np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds,
                                 measurement=np.array([10.0, -10.0]))
         out = update(0, preds[0], snap, np.zeros((2, 2)), model)
         assert np.array_equal(out, preds[0])
 
-    def test_zero_innovation_keeps_prediction(self):
-        model = four_state_model()
+    def test_zero_innovation_keeps_prediction(self, linear_bench):
+        model = linear_bench.model
         preds = (LINEAR_X0[:2], LINEAR_X0[2:])
         y = model.C @ LINEAR_X0
         snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds,
@@ -143,8 +134,8 @@ class TestUpdate:
         L = np.ones((2, 2))
         assert np.array_equal(update(0, preds[0], snap, L, model), preds[0])
 
-    def test_exact_start_zero_noise_tracks_truth(self):
-        model = four_state_model()
+    def test_exact_start_zero_noise_tracks_truth(self, linear_bench):
+        model = linear_bench.model
         design = EstimatorDesign(Q=(np.eye(2),) * 2, R=np.eye(2),
                                  P0=(100.0 * np.eye(2),) * 2, x0_guess=LINEAR_X0)
         traj = simulate(model, LINEAR_X0, 1, noise_for(model, 0.0, seed=0))
@@ -155,8 +146,8 @@ class TestUpdate:
         # Innovation is zero, so the posterior equals the exact prediction.
         assert np.allclose(post1, traj.xs[1], rtol=0, atol=1e-10)
 
-    def test_missing_measurement(self):
-        model = four_state_model()
+    def test_missing_measurement(self, linear_bench):
+        model = linear_bench.model
         preds = (LINEAR_X0[:2], LINEAR_X0[2:])
         snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds)
         with pytest.raises(FilterError):
@@ -176,14 +167,15 @@ class TestCovariance:
         assert np.array_equal(L, np.zeros((2, 2)))
         assert np.allclose(P_new, 0.25 * P + np.eye(2), rtol=0, atol=1e-14)
 
-    def test_single_partition_matches_standard_kf_over_50_steps(self):
-        model = four_state_model()
+    def test_single_partition_matches_standard_kf_over_50_steps(self, linear_bench,
+                                                                unit_weight_design):
+        model = linear_bench.model
         traj = simulate(_monolithic(model), LINEAR_X0, 50, noise_for(model, 1.0, seed=3))
-        assert _n1_dkf_vs_kf(model, unit_design(), traj) <= 1e-10
+        assert _n1_dkf_vs_kf(model, unit_weight_design, traj) <= 1e-10
 
-    def test_covariance_stays_spd_for_1000_steps(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_covariance_stays_spd_for_1000_steps(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 1000, noise_for(model, 1.0, seed=4))
         rec = run_dkf(model, design, traj)
         for k in range(0, 1001, 50):
@@ -191,12 +183,12 @@ class TestCovariance:
                 np.linalg.cholesky(rec.covs[k][i])
                 assert np.allclose(rec.covs[k][i], rec.covs[k][i].T)
 
-    def test_closed_loop_form_identity(self):
+    def test_closed_loop_form_identity(self, linear_bench, unit_weight_design):
         # P+ = F P F' + (I - L C_col) Q (I - L C_col)' + L R L'
         # with F = A_ii - L C A_col is algebraically identical to the
         # one-sided update formula.
-        model = four_state_model()
-        design = unit_design()
+        model = linear_bench.model
+        design = unit_weight_design
         rng = np.random.default_rng(5)
         M = rng.normal(size=(2, 2))
         P = M @ M.T + 0.5 * np.eye(2)
@@ -210,12 +202,13 @@ class TestCovariance:
         joseph = F @ P @ F.T + H @ design.Q[i] @ H.T + L @ design.R @ L.T
         assert np.allclose(P_new, joseph, rtol=0, atol=1e-11)
 
-    def test_collapse_detected_with_corrupted_gain(self, monkeypatch):
+    def test_collapse_detected_with_corrupted_gain(self, linear_bench, unit_weight_design,
+                                                   monkeypatch):
         # The engine looks the gain computation up at call time; a 100x gain
         # with the covariance formula evaluated at that gain must abort the
         # run with the subsystem and the instant.
-        model = four_state_model()
-        design = unit_design()
+        model = linear_bench.model
+        design = unit_weight_design
         exact = gain_and_covariance
 
         def corrupted(P, a_col, a_ii, C, c_col, Q_i, R):
@@ -262,14 +255,15 @@ class TestDkfStep:
         rec = run_dkf(linear_bench.model, linear_bench.design, traj)
         assert rec.rmse[50] < np.sqrt(np.sum((LINEAR_GUESS - LINEAR_X0) ** 2) / 4)
 
-    def test_single_partition_trajectory_matches_centralized(self):
-        model = four_state_model()
+    def test_single_partition_trajectory_matches_centralized(self, linear_bench,
+                                                             unit_weight_design):
+        model = linear_bench.model
         traj = simulate(_monolithic(model), LINEAR_X0, 30, noise_for(model, 1.0, seed=6))
-        assert _n1_dkf_vs_kf(model, unit_design(), traj) <= 1e-10
+        assert _n1_dkf_vs_kf(model, unit_weight_design, traj) <= 1e-10
 
-    def test_update_order_is_irrelevant_bitwise(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_update_order_is_irrelevant_bitwise(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 20, noise_for(model, 1.0, seed=7))
         forward = run_dkf(model, design, traj, order=[0, 1])
         backward = run_dkf(model, design, traj, order=[1, 0])
@@ -280,9 +274,9 @@ class TestDkfStep:
                 assert np.array_equal(forward.covs[k][i], backward.covs[k][i])
                 assert np.array_equal(forward.gains[k][i], backward.gains[k][i])
 
-    def test_reused_source_matches_a_fresh_run(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_reused_source_matches_a_fresh_run(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         source = _LinearSource(model, design)
         _run_filter(source, simulate(model, LINEAR_X0, 20, noise_for(model, 1.0, seed=7)),
                     None, None)
@@ -291,9 +285,9 @@ class TestDkfStep:
         fresh = run_dkf(model, design, traj, order=[1, 0])
         assert reused.content_digest() == fresh.content_digest()
 
-    def test_states_advance_with_consistent_index(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_states_advance_with_consistent_index(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 2, noise_for(model, 1.0, seed=8))
         states = init_states(model, design, traj.ys[0])
         assert all(s.k == 0 for s in states)
@@ -310,9 +304,9 @@ class TestDkfStep:
 
 
 class TestInitStates:
-    def test_information_form_matches_gain_form(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_information_form_matches_gain_form(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         y0 = np.array([0.3, -0.7])
         states = init_states(model, design, y0)
         # Gain form per subsystem: K = P0 c' (c P0 c' + R)^-1.

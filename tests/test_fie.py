@@ -1,11 +1,14 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, linear_subsystems
-from partkf.dkf import EstimatorDesign, run_dkf
+from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0
+from partkf.dkf import run_dkf
 from partkf.fie import (
     FIEProblem,
-    build_local_problem,
+    _kkt,
     centralized_fie,
     centralized_kf_init,
     centralized_kf_step,
@@ -19,14 +22,10 @@ from partkf.simulate import simulate
 from conftest import noise_for
 
 
-def four_state_model():
-    return assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
-
-
-def unit_design():
-    return EstimatorDesign(Q=(np.eye(2), np.eye(2)), R=np.eye(2),
-                           P0=(100.0 * np.eye(2), 100.0 * np.eye(2)),
-                           x0_guess=LINEAR_GUESS)
+def local_problem(model, design, i, ys, history):
+    """The local batch problem of subsystem ``i`` under ``design``."""
+    return FIEProblem(model=model, subsystem=i, ys=ys, prior_mean=design.x0_guess,
+                      prior_cov=design.P0[i], Q=design.Q[i], R=design.R, history=history)
 
 
 class TestCentralizedFIE:
@@ -41,8 +40,8 @@ class TestCentralizedFIE:
                               y0[None, :])
         assert np.allclose(sol.terminal, y0, atol=1e-6)
 
-    def test_zero_noise_consistent_data_recovered_exactly(self):
-        model = four_state_model()
+    def test_zero_noise_consistent_data_recovered_exactly(self, linear_bench):
+        model = linear_bench.model
         traj = simulate(model, LINEAR_X0, 4, noise_for(model, 0.0, seed=0))
         sol = centralized_fie(model, LINEAR_X0, 100.0 * np.eye(4), traj.ys,
                               Q=np.eye(4), R=np.eye(2))
@@ -50,8 +49,8 @@ class TestCentralizedFIE:
             assert np.allclose(sol.states[j], traj.xs[j], rtol=0, atol=1e-8)
         assert sol.objective <= 1e-16
 
-    def test_terminal_matches_standard_kalman_filter_k3(self):
-        model = four_state_model()
+    def test_terminal_matches_standard_kalman_filter_k3(self, linear_bench):
+        model = linear_bench.model
         traj = simulate(model, LINEAR_X0, 3, noise_for(model, 1.0, seed=1))
         sol = centralized_fie(model, LINEAR_GUESS, 100.0 * np.eye(4), traj.ys,
                               Q=np.eye(4), R=np.eye(2))
@@ -64,22 +63,23 @@ class TestCentralizedFIE:
 
 
 class TestLocalFIE:
-    def _problem_inputs(self, steps, seed=1):
-        model = four_state_model()
-        design = unit_design()
-        traj = simulate(model, LINEAR_X0, steps, noise_for(model, 1.0, seed=seed))
-        rec = run_dkf(model, design, traj)
-        return model, design, traj, rec
+    @pytest.fixture
+    def inputs(self, linear_bench, unit_weight_design):
+        """``inputs(steps, seed)``: the model, the unit design, a trajectory
+        and the filter's record of it."""
+        def make(steps, seed=1):
+            model = linear_bench.model
+            traj = simulate(model, LINEAR_X0, steps, noise_for(model, 1.0, seed=seed))
+            return model, unit_weight_design, traj, run_dkf(model, unit_weight_design, traj)
+        return make
 
-    def test_k1_solution_satisfies_hand_built_kkt(self):
+    def test_k1_solution_satisfies_hand_built_kkt(self, inputs):
         # Independent transcription of the horizon-1 stationarity system:
         # variables [x0, lam0, v0, pi0, w0, x1, lam1, v1].
-        model, design, traj, rec = self._problem_inputs(1)
+        model, design, traj, rec = inputs(1)
         p = model.partition
         i = 0
-        prob = build_local_problem(model, i, traj.ys[:2], design.x0_guess,
-                                   design.P0[i], design.Q[i], design.R,
-                                   rec.xhat_post[:1])
+        prob = local_problem(model, design, i, traj.ys[:2], rec.xhat_post[:1])
         sol = local_fie(prob)
 
         A_ii = model.A[:2, :2]
@@ -121,23 +121,23 @@ class TestLocalFIE:
         residual = np.linalg.norm(K @ z - rhs)
         assert residual < 1e-10
 
-    def test_single_partition_equals_centralized(self):
-        model = four_state_model()
+    def test_single_partition_equals_centralized(self, linear_bench):
+        model = linear_bench.model
         part = make_partition([4], [2])
         sub = LinearSubsystem(0, model.A, {}, model.C, np.eye(4), np.eye(2))
         mono = assemble_global([sub], part)
         traj = simulate(mono, LINEAR_X0, 4, noise_for(mono, 1.0, seed=2))
-        prob = build_local_problem(mono, 0, traj.ys, LINEAR_GUESS,
-                                   100.0 * np.eye(4), np.eye(4), np.eye(2),
-                                   np.zeros((4, 4)))
+        prob = FIEProblem(model=mono, subsystem=0, ys=traj.ys, prior_mean=LINEAR_GUESS,
+                          prior_cov=100.0 * np.eye(4), Q=np.eye(4), R=np.eye(2),
+                          history=np.zeros((4, 4)))
         sol_local = local_fie(prob)
         sol_central = centralized_fie(mono, LINEAR_GUESS, 100.0 * np.eye(4),
                                       traj.ys, Q=np.eye(4), R=np.eye(2))
         assert np.allclose(sol_local.states, sol_central.states, rtol=0, atol=1e-10)
 
-    def test_k2_terminal_equals_closed_form_recursion(self):
+    def test_k2_terminal_equals_closed_form_recursion(self, inputs):
         # The two-step recursion written out independently with plain inverses.
-        model, design, traj, _ = self._problem_inputs(2, seed=3)
+        model, design, traj, _ = inputs(2, seed=3)
         p = model.partition
         inv = np.linalg.inv
         C = model.C
@@ -185,39 +185,55 @@ class TestLocalFIE:
         history = np.vstack([np.concatenate([post0[0], post0[1]]),
                              np.concatenate([post1[0], post1[1]])])
         for i in range(2):
-            prob = build_local_problem(model, i, traj.ys[:3], design.x0_guess,
-                                       design.P0[i], design.Q[i], design.R, history)
-            sol = local_fie(prob)
+            sol = local_fie(local_problem(model, design, i, traj.ys[:3], history))
             diff = np.linalg.norm(sol.terminal - closed_form[i])
             assert diff <= 1e-10 * (1 + np.linalg.norm(closed_form[i]))
 
-    def test_missing_neighbor_history_rejected(self):
-        model, design, traj, rec = self._problem_inputs(2)
-        prob = FIEProblem(
-            model=model, subsystem=0, ys=traj.ys[:3],
-            prior_mean=design.x0_guess[:2], prior_cov=design.P0[0],
-            Q=design.Q[0], R=design.R,
-            neighbor_priors={1: design.x0_guess[2:]},
-            neighbor_dyn={},  # missing the lagged neighbor trajectory
-            neighbor_out={1: rec.xhat_post[:2, 2:]},
-        )
-        with pytest.raises(ValueError, match="missing dynamics history"):
+    def test_history_of_the_wrong_shape_rejected(self, inputs):
+        model, design, traj, rec = inputs(2)
+        prob = local_problem(model, design, 0, traj.ys[:3], rec.xhat_post[:1])
+        with pytest.raises(ValueError, match=r"^history has shape \(1, 4\), "
+                           r"expected \(2, 4\)$"):
             local_fie(prob)
 
-    def test_kkt_residual_small(self):
-        model, design, traj, rec = self._problem_inputs(5, seed=4)
+    def test_own_block_of_history_is_not_read(self, inputs):
+        model, design, traj, rec = inputs(4, seed=2)
+        rng = np.random.default_rng(0)
         for i in range(2):
-            prob = build_local_problem(model, i, traj.ys, design.x0_guess,
-                                       design.P0[i], design.Q[i], design.R,
-                                       rec.xhat_post[:5])
-            sol = local_fie(prob)
+            history = rec.xhat_post[:4].copy()
+            sol = local_fie(local_problem(model, design, i, traj.ys, history))
+            history[:, model.partition.state_slice(i)] = rng.normal(size=(4, 2))
+            other = local_fie(local_problem(model, design, i, traj.ys, history))
+            for field in dataclasses.fields(sol):
+                assert np.array_equal(getattr(sol, field.name), getattr(other, field.name))
+
+    @pytest.mark.parametrize("field, at, message", [
+        ("ys", (3, 1), "ys at instant 3 is not finite in the outputs of subsystems [1]"),
+        ("prior_mean", (0,), "prior_mean at instant 0 is not finite in the states of "
+                             "subsystems [0]"),
+        ("history", (2, 3), "history at instant 2 is not finite in the states of "
+                            "subsystems [1]"),
+    ], ids=["ys", "prior_mean", "history"])
+    def test_non_finite_input_names_field_instant_and_subsystems(self, inputs, field,
+                                                                 at, message):
+        model, design, traj, rec = inputs(3)
+        values = {"ys": traj.ys.copy(), "prior_mean": design.x0_guess.copy(),
+                  "history": rec.xhat_post[:3].copy()}
+        values[field][at] = np.nan if field == "ys" else np.inf
+        prob = FIEProblem(model=model, subsystem=0, prior_cov=design.P0[0], Q=design.Q[0],
+                          R=design.R, **values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            local_fie(prob)
+
+    def test_kkt_residual_small(self, inputs):
+        model, design, traj, rec = inputs(5, seed=4)
+        for i in range(2):
+            sol = local_fie(local_problem(model, design, i, traj.ys, rec.xhat_post[:5]))
             assert sol.kkt_residual < 1e-10 * (1.0 + np.linalg.norm(traj.ys))
 
-    def test_objective_minimality_against_feasible_perturbations(self):
-        model, design, traj, rec = self._problem_inputs(3, seed=5)
-        prob = build_local_problem(model, 0, traj.ys, design.x0_guess,
-                                   design.P0[0], design.Q[0], design.R,
-                                   rec.xhat_post[:3])
+    def test_objective_minimality_against_feasible_perturbations(self, inputs):
+        model, design, traj, rec = inputs(3, seed=5)
+        prob = local_problem(model, design, 0, traj.ys, rec.xhat_post[:3])
         sol = local_fie(prob)
         value_opt, states = local_objective(prob, sol.states[0], sol.w)
         assert np.allclose(states, sol.states, rtol=0, atol=1e-9)
@@ -231,21 +247,17 @@ class TestLocalFIE:
 
 
 class TestKKTStructure:
-    def test_assembled_system_is_symmetric(self):
-        from partkf.fie import assemble_kkt
-        model = four_state_model()
-        design = unit_design()
+    def test_assembled_system_is_symmetric(self, linear_bench, unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 3, noise_for(model, 1.0, seed=9))
         rec = run_dkf(model, design, traj)
-        prob = build_local_problem(model, 1, traj.ys, design.x0_guess,
-                                   design.P0[1], design.Q[1], design.R,
-                                   rec.xhat_post[:3])
-        K, rhs, _ = assemble_kkt(prob)
+        K, rhs, _, _ = _kkt(local_problem(model, design, 1, traj.ys, rec.xhat_post[:3]))
         assert np.array_equal(K, K.T)
 
-    def test_semidefinite_prior_rejected(self):
+    def test_semidefinite_prior_rejected(self, linear_bench):
         from partkf.fie import OracleError
-        model = four_state_model()
+        model = linear_bench.model
         traj = simulate(model, LINEAR_X0, 2, noise_for(model, 1.0, seed=9))
         singular_prior = np.diag([1.0, 1.0, 1.0, 0.0])
         with pytest.raises(OracleError):
@@ -254,15 +266,37 @@ class TestKKTStructure:
 
 
 class TestDistributedFIEEquivalence:
-    def test_self_consistent_mode_matches_recorded_history_mode(self):
-        model = four_state_model()
-        design = unit_design()
+    def test_self_consistent_mode_matches_recorded_history_mode(self, linear_bench,
+                                                                unit_weight_design):
+        model = linear_bench.model
+        design = unit_weight_design
         traj = simulate(model, LINEAR_X0, 4, noise_for(model, 1.0, seed=6))
         rec = run_dkf(model, design, traj)
         with_history = run_dfie(model, design, traj.ys, 4, history=rec.xhat_post)
         standalone = run_dfie(model, design, traj.ys, 4)
         assert np.allclose(with_history.terminals, standalone.terminals,
                            rtol=0, atol=1e-10)
+
+    def test_non_finite_input_stops_every_oracle_naming_its_place(self, linear_bench,
+                                                                  unit_weight_design):
+        model, design = linear_bench.model, unit_weight_design
+        traj = simulate(model, LINEAR_X0, 4, noise_for(model, 1.0, seed=6))
+        history = run_dkf(model, design, traj).xhat_post
+        ys = traj.ys.copy()
+        ys[3, 1] = np.nan
+        in_ys = "^ys at instant 3 is not finite in the outputs of subsystems {}$"
+        with pytest.raises(ValueError, match=in_ys.format(r"\[1\]")):
+            run_dfie(model, design, ys, 4, history=history)
+        with pytest.raises(ValueError, match=in_ys.format(r"\[1\]")):
+            run_dfie(model, design, ys, 4)
+        with pytest.raises(ValueError, match=in_ys.format(r"\[0\]")):
+            centralized_fie(model, LINEAR_GUESS, 100.0 * np.eye(4), ys,
+                            Q=np.eye(4), R=np.eye(2))
+        history = history.copy()
+        history[2, 3] = np.inf
+        with pytest.raises(ValueError, match=r"^history at instant 2 is not finite in "
+                           r"the states of subsystems \[1\]$"):
+            run_dfie(model, design, traj.ys, 4, history=history)
 
 
 class TestStandardKalmanOracle:
@@ -288,8 +322,8 @@ class TestStandardKalmanOracle:
         assert np.allclose(x_new, 0.9 * x, rtol=0, atol=1e-14)
         assert np.allclose(P_new, 0.81 * P + np.eye(2), rtol=0, atol=1e-14)
 
-    def test_one_step_matches_centralized_fie(self):
-        model = four_state_model()
+    def test_one_step_matches_centralized_fie(self, linear_bench):
+        model = linear_bench.model
         traj = simulate(model, LINEAR_X0, 1, noise_for(model, 1.0, seed=7))
         x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0],
                                    model, R=np.eye(2))

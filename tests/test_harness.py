@@ -6,7 +6,8 @@ import pytest
 
 from partkf import analysis
 from partkf.analysis import rmse
-from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks
+from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks, get_benchmark
+from partkf.dkf import _one_block
 from partkf.harness import (
     ExperimentConfig,
     _resolve,
@@ -243,6 +244,14 @@ class TestExport:
 def test_registry_lists_shipped_benchmarks():
     names = available_benchmarks()
     assert {"linear-4state", "reactor-chain", "reactor-chain-mono"} <= set(names)
+
+
+def test_mono_reactor_design_is_the_one_block_view_bitwise():
+    mono = get_benchmark("reactor-chain-mono").design
+    one = _one_block(get_benchmark("reactor-chain").design)
+    for a, b in zip((*mono.Q, *mono.P0, mono.R, mono.x0_guess),
+                    (*one.Q, *one.P0, one.R, one.x0_guess), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", available_benchmarks())

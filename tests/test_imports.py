@@ -3,10 +3,11 @@
 No linter ships with the test environment, so these stand in for lint rules.
 Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 
-- every name bound by an import must be read somewhere in the module.  Exempt
-  are names listed in the module's ``__all__``, imports marked
-  ``# noqa: F401`` (deliberate re-exports) and ``__init__.py``, whose imports
-  are the package's public surface;
+- every name bound by an import must be read somewhere in the module, and in
+  every ``tests/*.py`` and ``demos/*.py`` too.  Exempt are names listed in the
+  module's ``__all__``, imports marked ``# noqa: F401`` (deliberate
+  re-exports) and ``__init__.py``, whose imports are the package's public
+  surface;
 - only ``model.py`` Cholesky-factors a matrix or handles a ``LinAlgError``:
   the matrix-health policy has one owner;
 - only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators,
@@ -69,7 +70,12 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and name not in _exported(tree))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+#: The test and demo scripts, held to the import rule of the package.
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
