@@ -52,7 +52,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
-from .model import GlobalModel, LinearizationError, _posdef, _spd_solve, _sym, _symmetric
+from .model import (GlobalModel, LinearizationError, _check_instants, _posdef, _spd_solve,
+                    _sym, _symmetric)
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -281,13 +282,12 @@ def _check_phase2(snapshot: ExchangeSnapshot) -> None:
 
 
 def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
-    """Local prediction from the posterior snapshot of instant ``k-1``."""
+    """Local prediction from the posterior snapshot of instant ``k-1``: the
+    subsystem's affine map :meth:`~partkf.model.LinearSubsystem.f` at its
+    posterior and its neighbors'."""
     sub = model.subsystems[i]
     x_i, nbrs = _posteriors(snapshot, i, sub.neighbors)
-    out = sub.A @ x_i
-    for l, blk in sub.coupling.items():
-        out = out + blk @ nbrs[l]
-    return out
+    return sub.f(x_i, nbrs)
 
 
 def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
@@ -369,12 +369,9 @@ def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
     if ys.shape != (traj.steps + 1, p.ny):
         raise ValueError(f"measurements have shape {ys.shape}, expected "
                          f"({traj.steps + 1}, {p.ny})")
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        k = int(np.flatnonzero(bad.any(axis=1))[0])
-        owners = [i for i in range(p.n) if bad[k, p.out_slice(i)].any()]
-        raise FilterError(f"measurement at instant {k} is not finite in the "
-                          f"outputs of subsystems {owners}")
+    if not len(ys):
+        raise ValueError("measurements have no instant; the filter starts from y_0")
+    _check_instants("measurement", ys, p, "outputs", FilterError)
     return ys
 
 

@@ -17,8 +17,9 @@ factorization.  Two variants are provided:
 The module also houses small independent step oracles (standard Kalman filter
 and classical extended Kalman filter) used by the reduction test suites.
 All oracles keep their own formulation.  From :mod:`partkf.model` they share
-only the matrix-health helpers ``_sym`` and ``_spd_solve`` and the views the
-model owns: its read-only column blocks and its single-subsystem view.
+only the matrix-health helpers ``_sym`` and ``_spd_solve``, the finiteness
+check of a stacked history that the filters use, and the views the model
+owns: its read-only column blocks and its single-subsystem view.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .model import GlobalModel, _monolithic, _spd_solve, _sym
+from .model import GlobalModel, _check_instants, _monolithic, _spd_solve, _sym
 
 __all__ = [
     "OracleError",
@@ -100,22 +101,17 @@ class FIEProblem:
         if not self.model.linear:
             raise ValueError("batch oracles are defined for linear models")
         p = self.model.partition
+        if self.ys.shape[:1] == (0,):
+            raise ValueError("ys has no instant; the problem starts at y_0")
         k = self.horizon
         for name, value, shape in (("ys", self.ys, (k + 1, p.ny)),
                                    ("prior_mean", self.prior_mean, (p.nx,)),
                                    ("history", self.history, (k, p.nx))):
             if value.shape != shape:
                 raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-        for name, rows, block, what in (
-                ("ys", self.ys, p.out_slice, "outputs"),
-                ("prior_mean", self.prior_mean[None], p.state_slice, "states"),
-                ("history", self.history, p.state_slice, "states")):
-            bad = ~np.isfinite(rows)
-            if bad.any():
-                j = int(np.flatnonzero(bad.any(axis=1))[0])
-                owners = [l for l in range(p.n) if bad[j, block(l)].any()]
-                raise ValueError(f"{name} at instant {j} is not finite in the {what} "
-                                 f"of subsystems {owners}")
+        _check_instants("ys", self.ys, p, "outputs")
+        _check_instants("prior_mean", self.prior_mean[None], p, "states")
+        _check_instants("history", self.history, p, "states")
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,7 @@ def centralized_fie(model: GlobalModel, prior_mean: np.ndarray,
     problem = FIEProblem(
         model=mono, subsystem=0, ys=ys, prior_mean=prior_mean, prior_cov=prior_cov,
         Q=mono.Q if Q is None else Q, R=mono.R if R is None else R,
-        history=np.zeros((ys.shape[0] - 1, mono.nx)),
+        history=np.zeros((max(ys.shape[0] - 1, 0), mono.nx)),
     )
     return local_fie(problem)
 

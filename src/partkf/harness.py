@@ -76,7 +76,6 @@ from .model import (
     _monolithic,
     aggregate_nonlinear,
     assemble_global,
-    linear_as_nonlinear,
     linearize,
     make_partition,
 )
@@ -226,10 +225,8 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
             raise ValueError("mode dkf requires a linear model")
         source = _LinearSource(model, design)
     else:
-        run_model = model
-        if model.linear:
-            wrapped = [linear_as_nonlinear(s) for s in model.subsystems]
-            run_model = aggregate_nonlinear(wrapped, model.partition)
+        run_model = (aggregate_nonlinear(model.subsystems, model.partition)
+                     if model.linear else model)
         source = _NonlinearSource(run_model, "analytic", design)
     return _Plan(config, model, x0, noise, source)
 
@@ -407,9 +404,8 @@ def _n1_dekf_vs_ekf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
 def _affine_dekf_vs_dkf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
     """On an affine model the extended filter is the linear filter: equal
     estimates, covariances and gains at every instant."""
-    wrapped = aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
-                                  model.partition)
-    ext, lin = run_dekf(wrapped, design, traj), run_dkf(model, design, traj)
+    affine = aggregate_nonlinear(model.subsystems, model.partition)
+    ext, lin = run_dekf(affine, design, traj), run_dkf(model, design, traj)
     return max(_worst_blocks(model, ext.xhat_post, lin.xhat_post),
                *(_rel(a, b) for m_ext, m_lin in zip(ext.covs + ext.gains, lin.covs + lin.gains)
                  for a, b in zip(m_ext, m_lin)))

@@ -3,8 +3,10 @@
 A plant is described as ``n`` subsystems.  Subsystem ``i`` owns a slice of the
 global state vector and a slice of the global measurement vector.  Its dynamics
 may depend on the states of a declared set of neighbor subsystems; its output
-map depends on its own state only.  Linear subsystems carry constant matrices,
-nonlinear subsystems carry callables plus optional analytic Jacobians.
+map depends on its own state only.  Nonlinear subsystems carry callables plus
+optional analytic Jacobians.  Linear subsystems carry constant matrices, and
+their methods ``f``, ``h``, ``jac_f``, ``jac_h`` are the same contract's affine
+maps: the linear filter's prediction, and the affine view of a linear plant.
 
 All model objects are immutable after construction and safe to share between
 agents.  Stored arrays are defensive copies with the writeable flag cleared.
@@ -149,6 +151,20 @@ def _check_spd(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive definite")
 
 
+def _weights(i: int, Q, R, state_dim: int, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsystem ``i``'s noise weights, frozen: ``Q`` and ``R`` symmetric
+    positive definite, ``Q`` of the state dimension and ``R`` of the output
+    dimension (``0 x 0`` for a subsystem without outputs)."""
+    q, r = _frozen(Q), _frozen(R)
+    _check_spd(q, f"subsystem {i}: Q")
+    _check_spd(r, f"subsystem {i}: R")
+    if q.shape[0] != state_dim:
+        raise ValueError(f"subsystem {i}: Q must be {state_dim}x{state_dim}")
+    if r.shape[0] != out_dim:
+        raise ValueError(f"subsystem {i}: R must match the output dimension {out_dim}")
+    return q, r
+
+
 @dataclass(frozen=True)
 class StatePartition:
     """Ordered subsystem dimensions and the derived global index ranges.
@@ -225,6 +241,20 @@ def make_partition(dims: Sequence[int], out_dims: Sequence[int]) -> StatePartiti
     return StatePartition(dims, out_dims, tuple(offsets), tuple(out_offsets))
 
 
+def _check_instants(name: str, rows: np.ndarray, partition: StatePartition, what: str,
+                    error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` when ``rows``, one stacked vector of the subsystems'
+    ``what`` (``"outputs"`` or ``"states"``) per instant, hold a non-finite
+    entry, naming the first such instant and the subsystems it is in."""
+    block = partition.out_slice if what == "outputs" else partition.state_slice
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=1))[0])
+        owners = [l for l in range(partition.n) if bad[k, block(l)].any()]
+        raise error(f"{name} at instant {k} is not finite in the {what} "
+                    f"of subsystems {owners}")
+
+
 @dataclass(frozen=True)
 class LinearSubsystem:
     """One linear subsystem: own dynamics block, neighbor coupling blocks,
@@ -236,6 +266,8 @@ class LinearSubsystem:
     ``Q`` and ``R`` must be symmetric positive definite; this is checked at
     construction.  Coupling blocks are keyed by neighbor index, each index
     given once; the neighbor set is exactly the set of declared keys.
+    :meth:`f`, :meth:`h`, :meth:`jac_f`, :meth:`jac_h` and ``state_box = None``
+    meet the :class:`NonlinearSubsystem` contract with exact affine maps.
     """
 
     index: int
@@ -255,16 +287,7 @@ class LinearSubsystem:
             raise ValueError(
                 f"subsystem {self.index}: C must have {nx} columns, got {c.shape}"
             )
-        q = _frozen(self.Q)
-        r = _frozen(self.R)
-        _check_spd(q, f"subsystem {self.index}: Q")
-        _check_spd(r, f"subsystem {self.index}: R")
-        if q.shape[0] != nx:
-            raise ValueError(f"subsystem {self.index}: Q must be {nx}x{nx}")
-        if r.shape[0] != c.shape[0]:
-            raise ValueError(
-                f"subsystem {self.index}: R must match the output dimension {c.shape[0]}"
-            )
+        q, r = _weights(self.index, self.Q, self.R, nx, c.shape[0])
         cleaned = {}
         for l, blk in _by_neighbor(self.index, self.coupling).items():
             if l == self.index:
@@ -298,6 +321,26 @@ class LinearSubsystem:
         """Neighbor index -> that neighbor's state dimension, as declared by
         the coupling blocks."""
         return {l: blk.shape[1] for l, blk in self.coupling.items()}
+
+    state_box = None
+
+    def f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> np.ndarray:
+        """``A x_i + sum_l coupling[l] x_l``, the neighbors added in ascending
+        index order: the linear filter's prediction from the posteriors."""
+        out = self.A @ x_i
+        for l, blk in self.coupling.items():
+            out = out + blk @ neighbors[l]
+        return out
+
+    def h(self, x_i: np.ndarray) -> np.ndarray:
+        return self.C @ x_i
+
+    def jac_f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+        """The read-only blocks ``{index: A, l: coupling[l]}``."""
+        return {self.index: self.A, **self.coupling}
+
+    def jac_h(self, x_i: np.ndarray) -> np.ndarray:
+        return self.C
 
 
 @dataclass(frozen=True)
@@ -337,13 +380,7 @@ class NonlinearSubsystem:
             raise ValueError(f"subsystem {self.index}: state_dim must be positive")
         if self.out_dim < 0:
             raise ValueError(f"subsystem {self.index}: out_dim must be non-negative")
-        q = _frozen(self.Q)
-        r = _frozen(self.R)
-        _check_spd(q, f"subsystem {self.index}: Q")
-        if self.out_dim:
-            _check_spd(r, f"subsystem {self.index}: R")
-        if q.shape[0] != self.state_dim:
-            raise ValueError(f"subsystem {self.index}: Q must be {self.state_dim} square")
+        q, r = _weights(self.index, self.Q, self.R, self.state_dim, self.out_dim)
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "neighbor_dims", dict(sorted(
@@ -518,9 +555,7 @@ class GlobalModel:
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Assembled validity box, or None when no subsystem declares one."""
-        if self.linear:
-            return None
-        boxes = [getattr(s, "state_box", None) for s in self.subsystems]
+        boxes = [s.state_box for s in self.subsystems]
         if all(b is None for b in boxes):
             return None
         lo = np.full(self.nx, -np.inf)
@@ -557,8 +592,7 @@ def _aggregate(subs: Sequence, partition: StatePartition) -> tuple:
                 raise ValueError(f"subsystem {i}: neighbor {l} has dimension {d}, "
                                  f"expected {partition.dims[l]}")
         Q[partition.state_slice(i), partition.state_slice(i)] = sub.Q
-        if sub.out_dim:
-            R[partition.out_slice(i), partition.out_slice(i)] = sub.R
+        R[partition.out_slice(i), partition.out_slice(i)] = sub.R
     return subs, _frozen(Q), _frozen(R)
 
 
@@ -584,7 +618,9 @@ def assemble_global(subs: Sequence[LinearSubsystem], partition: StatePartition) 
 def aggregate_nonlinear(subs: Sequence[NonlinearSubsystem],
                         partition: StatePartition) -> GlobalModel:
     """Aggregate nonlinear subsystems into a global model with stacked maps,
-    checked as :func:`assemble_global` checks linear ones."""
+    checked as :func:`assemble_global` checks linear ones.  Given linear
+    subsystems, it is the affine view of their plant: the maps are their own
+    affine methods."""
     subs, Q, R = _aggregate(subs, partition)
     return GlobalModel(partition, subs, None, None, Q, R)
 
@@ -712,39 +748,9 @@ def _monolithic(model: GlobalModel) -> GlobalModel:
 
 
 def linear_as_nonlinear(sub: LinearSubsystem) -> NonlinearSubsystem:
-    """Wrap a linear subsystem as a nonlinear one with affine maps and exact
-    analytic Jacobians.  The affine map accumulates neighbor contributions in
-    ascending neighbor order, matching the linear filter's prediction."""
-    A, C = sub.A, sub.C
-    coupling = sub.coupling
-
-    def f(x_i, neighbors):
-        out = A @ x_i
-        for l, blk in coupling.items():
-            out = out + blk @ neighbors[l]
-        return out
-
-    def h(x_i):
-        return C @ x_i
-
-    def jac_f(x_i, neighbors):
-        blocks = {sub.index: A.copy()}
-        for l, blk in coupling.items():
-            blocks[l] = blk.copy()
-        return blocks
-
-    def jac_h(x_i):
-        return C.copy()
-
+    """A linear subsystem as a :class:`NonlinearSubsystem` whose maps and
+    exact Jacobians are the linear subsystem's own affine methods."""
     return NonlinearSubsystem(
-        index=sub.index,
-        state_dim=sub.state_dim,
-        out_dim=sub.out_dim,
-        neighbor_dims=sub.neighbor_dims,
-        f=f,
-        h=h,
-        Q=sub.Q,
-        R=sub.R,
-        jac_f=jac_f,
-        jac_h=jac_h,
-    )
+        index=sub.index, state_dim=sub.state_dim, out_dim=sub.out_dim,
+        neighbor_dims=sub.neighbor_dims, f=sub.f, h=sub.h, Q=sub.Q, R=sub.R,
+        jac_f=sub.jac_f, jac_h=sub.jac_h)

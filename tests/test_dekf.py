@@ -23,15 +23,10 @@ from conftest import noise_for
 REACTOR_STEADY = np.column_stack([REACTOR_T_S, REACTOR_C_S]).ravel()
 
 
-def affine(model):
-    """``model`` with every subsystem wrapped as a nonlinear one."""
-    return aggregate_nonlinear([linear_as_nonlinear(s) for s in model.subsystems],
-                               model.partition)
-
-
 class TestDekfPredict:
     def test_affine_model_matches_linear_prediction(self, linear_bench):
-        lin, nl = linear_bench.model, affine(linear_bench.model)
+        lin = linear_bench.model
+        nl = aggregate_nonlinear(lin.subsystems, lin.partition)
         snap = ExchangeSnapshot(k=1, posteriors=(LINEAR_X0[:2], LINEAR_X0[2:]))
         for i in range(2):
             assert np.array_equal(dekf_predict(i, snap, nl), predict(i, snap, lin))
@@ -65,7 +60,8 @@ class TestDekfPredict:
 
 class TestDekfGainCov:
     def test_affine_model_matches_linear_gain_and_covariance(self, linear_bench):
-        lin, nl = linear_bench.model, affine(linear_bench.model)
+        lin = linear_bench.model
+        nl = aggregate_nonlinear(lin.subsystems, lin.partition)
         design = linear_bench.design
         blocks = linearize(nl.subsystems, LINEAR_X0, mode="analytic")
         rng = np.random.default_rng(0)
@@ -118,7 +114,8 @@ class TestDekfUpdate:
             assert np.array_equal(dekf_update(i, preds[i], snap, L, model), preds[i])
 
     def test_affine_model_matches_linear_update(self, linear_bench):
-        lin, nl = linear_bench.model, affine(linear_bench.model)
+        lin = linear_bench.model
+        nl = aggregate_nonlinear(lin.subsystems, lin.partition)
         preds = (LINEAR_X0[:2] + 0.1, LINEAR_X0[2:] - 0.2)
         y = np.array([1.0, -2.0])
         snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds,
@@ -156,7 +153,8 @@ class TestDekfUpdate:
 
 class TestRunDekf:
     def test_linear_wrapped_model_reproduces_dkf_record(self, linear_bench):
-        lin, nl = linear_bench.model, affine(linear_bench.model)
+        lin = linear_bench.model
+        nl = aggregate_nonlinear(lin.subsystems, lin.partition)
         design = linear_bench.design
         traj = simulate(lin, LINEAR_X0, 100, noise_for(lin, 0.05, seed=9))
         rec_lin = run_dkf(lin, design, traj)
@@ -167,6 +165,24 @@ class TestRunDekf:
             for i in range(2):
                 assert np.array_equal(rec_lin.covs[k][i], rec_nl.covs[k][i])
                 assert np.array_equal(rec_lin.gains[k][i], rec_nl.gains[k][i])
+
+    def test_affine_view_is_the_wrapped_view(self, linear_bench):
+        # The linear subsystems themselves and their NonlinearSubsystem
+        # wrappers give the extended filter the same record.
+        lin, design = linear_bench.model, linear_bench.design
+        traj = simulate(lin, LINEAR_X0, 40, linear_bench.noise(seed=5))
+        views = (lin.subsystems, [linear_as_nonlinear(s) for s in lin.subsystems])
+        direct, wrapped = (run_dekf(aggregate_nonlinear(subs, lin.partition), design, traj)
+                           for subs in views)
+        assert direct.content_digest() == wrapped.content_digest()
+
+    def test_zero_instant_trajectory_rejected(self, reactor_bench):
+        traj = simulate(reactor_bench.model, reactor_bench.x0, 3, reactor_bench.noise(seed=1))
+        empty = dataclasses.replace(traj, xs=traj.xs[:0], ys=traj.ys[:0], ws=traj.ws[:0],
+                                    vs=traj.vs[:0])
+        with pytest.raises(ValueError, match="^measurements have no instant; "
+                           "the filter starts from y_0$"):
+            run_dekf(reactor_bench.model, reactor_bench.design, empty)
 
     def test_benchmark_error_bounded_after_transient(self, reactor_run):
         bench, traj, rec = reactor_run

@@ -344,6 +344,15 @@ class TestMeasurementChecks:
         with pytest.raises(ValueError, match="measurements have shape"):
             run_dkf(linear_bench.model, linear_bench.design, bad)
 
+    def test_zero_instant_trajectory_rejected(self, linear_bench):
+        # Accepted, the filter would raise a bare IndexError reading y_0.
+        traj = simulate(linear_bench.model, linear_bench.x0, 3, linear_bench.noise(seed=1))
+        empty = dataclasses.replace(traj, xs=traj.xs[:0], ys=traj.ys[:0], ws=traj.ws[:0],
+                                    vs=traj.vs[:0])
+        with pytest.raises(ValueError, match="^measurements have no instant; "
+                           "the filter starts from y_0$"):
+            run_dkf(linear_bench.model, linear_bench.design, empty)
+
     def test_non_finite_measurement_names_instant_and_subsystem(self, linear_bench):
         traj = simulate(linear_bench.model, linear_bench.x0, 10,
                         linear_bench.noise(seed=1))

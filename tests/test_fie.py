@@ -196,6 +196,15 @@ class TestLocalFIE:
                            r"expected \(2, 4\)$"):
             local_fie(prob)
 
+    def test_empty_measurement_history_rejected(self, inputs):
+        # Accepted, the expected history shape would be (-1, 4).
+        model, design, traj, rec = inputs(2)
+        prob = local_problem(model, design, 0, traj.ys[:0], rec.xhat_post[:0])
+        with pytest.raises(ValueError, match="^ys has no instant; the problem starts at y_0$"):
+            local_fie(prob)
+        with pytest.raises(ValueError, match="^ys has no instant; the problem starts at y_0$"):
+            centralized_fie(model, design.x0_guess, 100.0 * np.eye(4), traj.ys[:0])
+
     def test_own_block_of_history_is_not_read(self, inputs):
         model, design, traj, rec = inputs(4, seed=2)
         rng = np.random.default_rng(0)

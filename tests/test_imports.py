@@ -13,6 +13,8 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 - only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators,
   the centralized Kalman filter and the classical EKF): the paper's
   identities have one owner, ``harness.py``'s verification functions;
+- only ``model.py`` calls ``linear_as_nonlinear``: elsewhere the affine view
+  of a linear plant is ``aggregate_nonlinear`` of its linear subsystems;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -134,11 +136,11 @@ ORACLES = frozenset({"run_dfie", "centralized_fie", "centralized_kf_init",
                      "centralized_kf_step", "classical_ekf_init", "classical_ekf_step"})
 
 
-def oracle_calls(source: str) -> list[str]:
-    """Calls in ``source`` of a function named in :data:`ORACLES`."""
+def calls_to(source: str, names: frozenset) -> list[str]:
+    """Calls in ``source`` of a function named in ``names``."""
     calls = [(node.lineno, _dotted(node.func)) for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.Call)
-             and _dotted(node.func).rsplit(".", 1)[-1] in ORACLES]
+             and _dotted(node.func).rsplit(".", 1)[-1] in names]
     return [f"{name} (line {line})" for line, name in sorted(calls)]
 
 
@@ -146,15 +148,35 @@ def oracle_calls(source: str) -> list[str]:
                                   if p.name not in ("fie.py", "harness.py")],
                          ids=lambda p: p.name)
 def test_only_the_verification_functions_call_the_oracles(path):
-    assert oracle_calls(path.read_text()) == []
+    assert calls_to(path.read_text(), ORACLES) == []
 
 
 def test_checker_flags_oracle_calls():
     source = ("from partkf import fie\nfrom partkf.fie import run_dfie, centralized_fie\n"
               "d = run_dfie(m, des, ys, 5)\nx = fie.classical_ekf_step(x, P, y, f, h, jf, jh, Q, R)\n"
               "g = centralized_fie\nlocal_fie(problem)\n")
-    assert oracle_calls(source) == ["run_dfie (line 3)", "fie.classical_ekf_step (line 4)"]
-    assert oracle_calls((SRC / "harness.py").read_text())
+    assert calls_to(source, ORACLES) == ["run_dfie (line 3)", "fie.classical_ekf_step (line 4)"]
+    assert calls_to((SRC / "harness.py").read_text(), ORACLES)
+
+
+#: The wrapper that only ``model.py`` may call.
+WRAPPER = frozenset({"linear_as_nonlinear"})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + [SRC / "__init__.py"]
+                                  if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_the_model_wraps_linear_subsystems(path):
+    assert calls_to(path.read_text(), WRAPPER) == []
+
+
+def test_checker_flags_wrapper_calls():
+    source = ("from partkf import model\nfrom partkf.model import linear_as_nonlinear\n"
+              "view = aggregate_nonlinear([linear_as_nonlinear(s) for s in subs], part)\n"
+              "one = model.linear_as_nonlinear(sub)\nwrap = linear_as_nonlinear\n"
+              "view = aggregate_nonlinear(subs, part)\n")
+    assert calls_to(source, WRAPPER) == ["linear_as_nonlinear (line 3)",
+                                         "model.linear_as_nonlinear (line 4)"]
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).

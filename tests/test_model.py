@@ -154,6 +154,19 @@ class TestAssembleGlobal:
         with pytest.raises(ValueError, match="^subsystem 0: neighbor 1 is given twice$"):
             LinearSubsystem(0, 0.5 * one, {1: 0.1 * one, "1": 0.2 * one}, one, one, one)
 
+    def test_affine_maps_and_their_jacobians(self):
+        sub = LinearSubsystem(1, np.eye(2), {0: np.ones((2, 3)), 2: np.ones((2, 1))},
+                              np.ones((1, 2)), np.eye(2), np.eye(1))
+        x, nbrs = np.array([1.0, -2.0]), {0: np.arange(3.0), 2: np.array([4.0])}
+        assert np.array_equal(sub.f(x, nbrs), x + np.full(2, 3.0) + np.full(2, 4.0))
+        assert np.array_equal(sub.h(x), [-1.0])
+        # The Jacobians are the subsystem's own read-only blocks, not copies.
+        jac = sub.jac_f(x, nbrs)
+        assert list(jac) == [1, 0, 2] and jac[1] is sub.A
+        assert all(jac[l] is sub.coupling[l] for l in (0, 2))
+        assert sub.jac_h(x) is sub.C and not sub.C.flags.writeable
+        assert sub.state_box is None
+
     def test_neighbor_dims_follow_the_coupling_blocks(self):
         sub = LinearSubsystem(1, np.eye(2), {0: np.ones((2, 3)), 2: np.ones((2, 1))},
                               np.ones((1, 2)), np.eye(2), np.eye(1))
@@ -202,6 +215,13 @@ class TestLinearize:
             blocks = linearize(subs, x, mode="analytic")
             assert np.array_equal(blocks.A, ref.A)
             assert np.array_equal(blocks.C, ref.C)
+
+    def test_linear_subsystems_linearize_to_the_assembled_matrices(self):
+        model = assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
+        for x in (np.zeros(4), np.array([3.0, -1.0, 0.5, 20.0])):
+            blocks = linearize(linear_subsystems(), x, mode="analytic")
+            assert np.array_equal(blocks.A, model.A)
+            assert np.array_equal(blocks.C, model.C)
 
     def test_analytic_matches_finite_difference_at_steady_state(self):
         subs = reactor_subsystems()
@@ -333,6 +353,26 @@ class TestNonlinearSubsystem:
             NonlinearSubsystem(index=0, state_dim=1, out_dim=1, neighbor_dims={0: 1},
                                f=lambda x, nb: 0.5 * x + 0.1 * nb[0], h=lambda x: x,
                                Q=one, R=one)
+
+    @pytest.mark.parametrize("out_dim, Q, R, message", [
+        (1, np.eye(2), np.eye(3), "^subsystem 0: R must match the output dimension 1$"),
+        (0, np.eye(2), np.eye(1), "^subsystem 0: R must match the output dimension 0$"),
+        (0, np.eye(2), [[np.nan]], "^subsystem 0: R must be finite$"),
+        (1, np.eye(3), np.eye(1), "^subsystem 0: Q must be 2x2$"),
+    ], ids=["R-too-large", "R-without-outputs", "R-not-finite-without-outputs", "Q-size"])
+    def test_weights_must_match_the_dimensions(self, out_dim, Q, R, message):
+        # Accepted, a wrong R failed only on aggregation, with NumPy's
+        # broadcast error naming no subsystem, or not at all without outputs.
+        with pytest.raises(ValueError, match=message):
+            NonlinearSubsystem(index=0, state_dim=2, out_dim=out_dim, neighbor_dims={},
+                               f=lambda x, nb: x, h=lambda x: x[:out_dim], Q=Q, R=R)
+
+    def test_subsystem_without_outputs_takes_an_empty_R(self):
+        sub = NonlinearSubsystem(index=0, state_dim=2, out_dim=0, neighbor_dims={},
+                                 f=lambda x, nb: x, h=lambda x: x[:0], Q=np.eye(2),
+                                 R=np.zeros((0, 0)))
+        model = aggregate_nonlinear([sub], make_partition([2], [0]))
+        assert model.R.shape == (0, 0)
 
     def test_aggregate_dimension_checks(self):
         subs = reactor_subsystems()

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from partkf.analysis import error_step
+from partkf.dekf import run_dekf
 from partkf.dkf import run_dkf
 from partkf.harness import _affine_dekf_vs_dkf, _dkf_vs_dfie, _n1_dkf_vs_kf
+from partkf.model import aggregate_nonlinear, linear_as_nonlinear
 from partkf.simulate import simulate
 
 from random_plants import SWEEP_SEEDS, TOPOLOGIES, random_plant
@@ -54,6 +56,18 @@ def test_c2_single_partition_dkf_equals_kf(seed):
 def test_c3_affine_dekf_equals_dkf(seed):
     bench, traj = _case(seed)
     assert _affine_dekf_vs_dkf(bench.model, bench.design, traj) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_affine_view_is_the_wrapped_view(seed):
+    # The linear subsystems themselves and their NonlinearSubsystem wrappers
+    # give the extended filter the same record.
+    bench, traj = _case(seed)
+    model = bench.model
+    views = (model.subsystems, [linear_as_nonlinear(s) for s in model.subsystems])
+    direct, wrapped = (run_dekf(aggregate_nonlinear(subs, model.partition), bench.design, traj)
+                       for subs in views)
+    assert direct.content_digest() == wrapped.content_digest()
 
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
