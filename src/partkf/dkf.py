@@ -41,6 +41,7 @@ the model's column blocks, all read-only and shared by every run.
 
 Inverses are SPD solves and covariances are symmetrized after every step,
 through the matrix-health helpers ``_sym``, ``_spd_solve`` of :mod:`partkf.model`.
+An SPD solve is one LAPACK ``dpotrf``/``dpotrs`` pair with SciPy's checks.
 """
 
 from __future__ import annotations
@@ -363,14 +364,21 @@ class _LinearSource:
         return entry
 
 
-def _check_measurements(model: GlobalModel, traj: Trajectory) -> np.ndarray:
-    p = model.partition
+def _check_trajectory(model: GlobalModel, traj: Trajectory) -> np.ndarray:
+    """The measurements of ``traj`` as a float array, once every array of
+    the trajectory has its shape for ``K = traj.steps`` instants and every
+    measurement is finite; raises ``ValueError`` naming the array, or
+    :class:`FilterError` naming the first non-finite instant."""
+    p, K = model.partition, traj.steps
     ys = np.asarray(traj.ys, dtype=float)
-    if ys.shape != (traj.steps + 1, p.ny):
-        raise ValueError(f"measurements have shape {ys.shape}, expected "
-                         f"({traj.steps + 1}, {p.ny})")
+    if ys.shape != (K + 1, p.ny):
+        raise ValueError(f"measurements have shape {ys.shape}, expected ({K + 1}, {p.ny})")
     if not len(ys):
         raise ValueError("measurements have no instant; the filter starts from y_0")
+    for name, rows, cols in (("xs", K + 1, p.nx), ("ws", K, p.nx), ("vs", K + 1, p.ny)):
+        shape = np.shape(getattr(traj, name))
+        if shape != (rows, cols):
+            raise ValueError(f"trajectory {name} has shape {shape}, expected ({rows}, {cols})")
     _check_instants("measurement", ys, p, "outputs", FilterError)
     return ys
 
@@ -396,7 +404,7 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     covariance collapse or a failure of a subsystem map.
     """
     model, design = source.model, source.design
-    ys = _check_measurements(model, traj)
+    ys = _check_trajectory(model, traj)
     p = model.partition
     n = p.n
     K = traj.steps

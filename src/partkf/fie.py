@@ -101,6 +101,8 @@ class FIEProblem:
         if not self.model.linear:
             raise ValueError("batch oracles are defined for linear models")
         p = self.model.partition
+        if self.ys.ndim != 2:
+            raise ValueError(f"ys has shape {self.ys.shape}, expected (k+1, {p.ny})")
         if self.ys.shape[:1] == (0,):
             raise ValueError("ys has no instant; the problem starts at y_0")
         k = self.horizon
@@ -306,7 +308,7 @@ def centralized_fie(model: GlobalModel, prior_mean: np.ndarray,
     problem = FIEProblem(
         model=mono, subsystem=0, ys=ys, prior_mean=prior_mean, prior_cov=prior_cov,
         Q=mono.Q if Q is None else Q, R=mono.R if R is None else R,
-        history=np.zeros((max(ys.shape[0] - 1, 0), mono.nx)),
+        history=np.zeros((max(len(np.atleast_1d(ys)) - 1, 0), mono.nx)),
     )
     return local_fie(problem)
 
@@ -330,6 +332,8 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
     protocol feeds its own terminal estimates forward, which is equivalent in
     exact arithmetic.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     p = model.partition
     ys = np.asarray(ys, dtype=float)
     if ys.shape[0] < steps + 1:

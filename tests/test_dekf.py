@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,19 @@ def test_broken_map_names_subsystem_and_instant(reactor_bench, fault):
 
 
 class TestMeasurementChecks:
+    @pytest.mark.parametrize("field, rows, cols", [
+        ("xs", 11, "nx-1"), ("ws", 11, "nx"), ("ws", 9, "nx"), ("vs", 0, "ny"), ("vs", 12, "ny")])
+    def test_trajectory_arrays_need_one_row_per_instant(self, reactor_bench, field, rows, cols):
+        # Accepted, the filter copied wrong-length noises into its record.
+        model = reactor_bench.model
+        traj = simulate(model, reactor_bench.x0, 10, reactor_bench.noise(seed=1))
+        want = {"xs": (11, model.nx), "ws": (10, model.nx), "vs": (11, model.ny)}[field]
+        shape = (rows, {"nx-1": model.nx - 1, "nx": model.nx, "ny": model.ny}[cols])
+        bad = dataclasses.replace(traj, **{field: np.zeros(shape)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"trajectory {field} has shape {shape}, expected {want}")):
+            run_dekf(model, reactor_bench.design, bad)
+
     def test_wrong_measurement_shape_is_rejected(self, reactor_bench):
         traj = simulate(reactor_bench.model, reactor_bench.x0, 10,
                         reactor_bench.noise(seed=1))

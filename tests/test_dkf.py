@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,19 @@ class TestInitStates:
 
 
 class TestMeasurementChecks:
+    @pytest.mark.parametrize("field, rows, cols", [
+        ("xs", 11, "nx-1"), ("ws", 11, "nx"), ("ws", 9, "nx"), ("vs", 0, "ny"), ("vs", 12, "ny")])
+    def test_trajectory_arrays_need_one_row_per_instant(self, linear_bench, field, rows, cols):
+        # Accepted, the filter copied wrong-length noises into its record.
+        model = linear_bench.model
+        traj = simulate(model, linear_bench.x0, 10, linear_bench.noise(seed=1))
+        want = {"xs": (11, model.nx), "ws": (10, model.nx), "vs": (11, model.ny)}[field]
+        shape = (rows, {"nx-1": model.nx - 1, "nx": model.nx, "ny": model.ny}[cols])
+        bad = dataclasses.replace(traj, **{field: np.zeros(shape)})
+        with pytest.raises(ValueError, match=re.escape(
+                f"trajectory {field} has shape {shape}, expected {want}")):
+            run_dkf(model, linear_bench.design, bad)
+
     def test_wrong_measurement_shape_is_rejected(self, linear_bench):
         traj = simulate(linear_bench.model, linear_bench.x0, 10,
                         linear_bench.noise(seed=1))

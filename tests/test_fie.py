@@ -205,6 +205,15 @@ class TestLocalFIE:
         with pytest.raises(ValueError, match="^ys has no instant; the problem starts at y_0$"):
             centralized_fie(model, design.x0_guess, 100.0 * np.eye(4), traj.ys[:0])
 
+    def test_scalar_measurement_history_rejected(self, inputs):
+        # Accepted, reading the horizon raised a bare IndexError.
+        model, design, traj, rec = inputs(2)
+        prob = local_problem(model, design, 0, np.float64(1.0), rec.xhat_post[:0])
+        with pytest.raises(ValueError, match=r"^ys has shape \(\), expected \(k\+1, 2\)$"):
+            local_fie(prob)
+        with pytest.raises(ValueError, match=r"^ys has shape \(\), expected \(k\+1, 2\)$"):
+            centralized_fie(model, design.x0_guess, 100.0 * np.eye(4), np.float64(1.0))
+
     def test_own_block_of_history_is_not_read(self, inputs):
         model, design, traj, rec = inputs(4, seed=2)
         rng = np.random.default_rng(0)
@@ -285,6 +294,13 @@ class TestDistributedFIEEquivalence:
         standalone = run_dfie(model, design, traj.ys, 4)
         assert np.allclose(with_history.terminals, standalone.terminals,
                            rtol=0, atol=1e-10)
+
+    def test_negative_steps_rejected(self, linear_bench, unit_weight_design):
+        # Accepted, an empty run made every comparison over it pass.
+        traj = simulate(linear_bench.model, LINEAR_X0, 2, noise_for(linear_bench.model, 1.0,
+                                                                    seed=6))
+        with pytest.raises(ValueError, match="^steps must be at least 0, got -1$"):
+            run_dfie(linear_bench.model, unit_weight_design, traj.ys, -1)
 
     def test_non_finite_input_stops_every_oracle_naming_its_place(self, linear_bench,
                                                                   unit_weight_design):

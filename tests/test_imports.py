@@ -8,8 +8,9 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   module's ``__all__``, imports marked ``# noqa: F401`` (deliberate
   re-exports) and ``__init__.py``, whose imports are the package's public
   surface;
-- only ``model.py`` Cholesky-factors a matrix or handles a ``LinAlgError``:
-  the matrix-health policy has one owner;
+- only ``model.py`` Cholesky-factors a matrix, calls the LAPACK Cholesky
+  routines (``potrf``, ``potrs``, ``get_lapack_funcs``) or handles a
+  ``LinAlgError``: the matrix-health policy has one owner;
 - only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators,
   the centralized Kalman filter and the classical EKF): the paper's
   identities have one owner, ``harness.py``'s verification functions;
@@ -99,9 +100,15 @@ def _dotted(node: ast.AST) -> str:
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
 
 
+#: Names of the Cholesky factorizations and LAPACK lookups that only
+#: ``model.py`` calls, and of the error that only it handles.
+MATRIX_HEALTH = ("cho_factor", "cholesky", "get_lapack_funcs", "LinAlgError")
+
+
 def matrix_health_sites(source: str) -> list[str]:
-    """Cholesky factorizations (``cho_factor``, ``cholesky``) called and
-    ``LinAlgError`` handlers in ``source``."""
+    """Cholesky factorizations (``cho_factor``, ``cholesky``, any LAPACK
+    ``*potrf``/``*potrs``) and LAPACK lookups called, and ``LinAlgError``
+    handlers, in ``source``."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -111,7 +118,8 @@ def matrix_health_sites(source: str) -> list[str]:
         else:
             continue
         sites += [(node.lineno, name) for name in names
-                  if name.rsplit(".", 1)[-1] in ("cho_factor", "cholesky", "LinAlgError")]
+                  if name.rsplit(".", 1)[-1] in MATRIX_HEALTH
+                  or name.endswith(("potrf", "potrs"))]
     return [f"{name} (line {line})" for line, name in sorted(sites)]
 
 
@@ -124,10 +132,14 @@ def test_only_the_model_owns_matrix_health(path):
 def test_checker_flags_matrix_health_sites():
     source = ("import numpy as np\nfrom scipy.linalg import cho_factor\ntry:\n"
               "    np.linalg.cholesky(m)\nexcept (ValueError, np.linalg.LinAlgError):\n"
-              "    c = cho_factor(m)\nnp.linalg.eigvalsh(m)\n")
+              "    c = cho_factor(m)\nnp.linalg.eigvalsh(m)\n"
+              "from scipy.linalg import lapack\nc, info = lapack.dpotrf(m, lower=0)\n"
+              "x, info = dpotrs(c, b)\npotrf, = get_lapack_funcs(('potrf',), (m,))\n"
+              "spotrf(m)\nnp.linalg.solve(m, b)\n")
     assert matrix_health_sites(source) == [
         "np.linalg.cholesky (line 4)", "np.linalg.LinAlgError (line 5)",
-        "cho_factor (line 6)"]
+        "cho_factor (line 6)", "lapack.dpotrf (line 9)", "dpotrs (line 10)",
+        "get_lapack_funcs (line 11)", "spotrf (line 12)"]
     assert matrix_health_sites((SRC / "model.py").read_text())
 
 

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+import partkf.dkf
+import partkf.fie
 from partkf.benchmarks import (
     LINEAR_A,
     LINEAR_C,
@@ -12,17 +15,23 @@ from partkf.benchmarks import (
     linear_subsystems,
     reactor_subsystems,
 )
+from partkf.dekf import run_dekf
+from partkf.dkf import run_dkf
+from partkf.fie import run_dfie
 from partkf.model import (
     LinearizationError,
     LinearSubsystem,
     NonlinearSubsystem,
     _monolithic,
+    _spd_solve,
+    _sym,
     aggregate_nonlinear,
     assemble_global,
     linear_as_nonlinear,
     linearize,
     make_partition,
 )
+from partkf.simulate import simulate
 
 REACTOR_STEADY = np.column_stack([REACTOR_T_S, REACTOR_C_S]).ravel()
 
@@ -280,6 +289,96 @@ class TestLinearize:
                                  jac_h=lambda x: np.eye(1, 2))
         with pytest.raises(ValueError, match="^subsystem 0: unknown neighbor 3$"):
             linearize([sub], np.zeros(2), mode=mode)
+
+
+def _reference_spd_solve(m, b, error):
+    """The SPD solve through SciPy's checked Cholesky routines."""
+    try:
+        factor = cho_factor(_sym(m))
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+    return cho_solve(factor, b)
+
+
+def _use_reference(monkeypatch) -> list:
+    """Route the filters' and the oracles' SPD solves through the SciPy
+    reference; returns the list that counts the reference calls."""
+    calls = []
+
+    def solve(m, b, error):
+        calls.append(1)
+        return _reference_spd_solve(m, b, error)
+    for module in (partkf.dkf, partkf.fie):
+        monkeypatch.setattr(module, "_spd_solve", solve)
+    return calls
+
+
+def _spd(n, seed):
+    """A random SPD matrix of size ``n`` that is not exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    return a @ a.T + n * np.eye(n) + 1e-9 * rng.normal(size=(n, n))
+
+
+class TestSpdSolve:
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("rhs", [(), (3,)], ids=["1d", "2d"])
+    def test_equals_the_scipy_reference_bitwise(self, n, rhs):
+        m = _spd(n, seed=n)
+        b = np.random.default_rng(n + 1).normal(size=(n, *rhs))
+        got = _spd_solve(m, b, RuntimeError("not SPD"))
+        want = _reference_spd_solve(m, b, RuntimeError("not SPD"))
+        assert got.shape == want.shape == b.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rhs", [(0,), (0, 3)], ids=["1d", "2d"])
+    def test_empty_system_gives_an_empty_solution(self, rhs):
+        b = np.zeros(rhs)
+        got = _spd_solve(np.zeros((0, 0)), b, RuntimeError("not SPD"))
+        want = _reference_spd_solve(np.zeros((0, 0)), b, RuntimeError("not SPD"))
+        assert got.shape == want.shape == rhs and got.dtype == want.dtype
+
+    def test_not_positive_definite_raises_the_callers_error(self):
+        m = np.diag([1.0, -1.0])
+        with pytest.raises(KeyError, match="mine") as err:
+            _spd_solve(m, np.ones(2), KeyError("mine"))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert str(err.value.__cause__).startswith("2-th leading minor")
+
+    @pytest.mark.parametrize("where", ["m", "b"])
+    def test_non_finite_input_raises_value_error(self, where):
+        m, b = _spd(3, seed=0), np.ones((3, 2))
+        {"m": m, "b": b}[where][1, 0] = np.nan
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _spd_solve(m, b, RuntimeError("not SPD"))
+
+    @pytest.mark.parametrize("name, run", [("linear-4state", run_dkf),
+                                           ("reactor-chain", run_dekf)])
+    def test_filters_match_the_reference_run_bitwise(self, name, run, monkeypatch):
+        bench = get_benchmark(name)
+        traj = simulate(bench.model, bench.x0, 20, bench.noise(seed=3))
+        fast = run(bench.model, bench.design, traj)
+        calls = _use_reference(monkeypatch)
+        slow = run(bench.model, bench.design, traj)
+        assert calls
+        assert fast.content_digest() == slow.content_digest()
+        assert np.array_equal(fast.xhat_post, slow.xhat_post)
+        for field in ("gains", "covs"):
+            for mine, theirs in zip(getattr(fast, field), getattr(slow, field)):
+                assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+    def test_distributed_oracle_matches_the_reference_run_bitwise(self, monkeypatch):
+        bench = get_benchmark("linear-4state")
+        traj = simulate(bench.model, bench.x0, 2, bench.noise(seed=3))
+        fast = run_dfie(bench.model, bench.design, traj.ys, 2)
+        calls = _use_reference(monkeypatch)
+        slow = run_dfie(bench.model, bench.design, traj.ys, 2)
+        assert calls
+        assert np.array_equal(fast.terminals, slow.terminals)
+        assert fast.max_kkt_residual == slow.max_kkt_residual
+        for mine, theirs in zip(fast.solutions, slow.solutions):
+            for a, b in zip(mine, theirs):
+                assert np.array_equal(a.states, b.states) and a.objective == b.objective
 
 
 class TestMonolithic:
