@@ -24,6 +24,7 @@ owns: its read-only column blocks and its single-subsystem view.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,10 +333,14 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
     protocol feeds its own terminal estimates forward, which is equivalent in
     exact arithmetic.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, not {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     p = model.partition
     ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2:
+        raise ValueError(f"ys must hold one output vector per instant, got shape {ys.shape}")
     if ys.shape[0] < steps + 1:
         raise ValueError("measurement history shorter than requested horizon")
     terminals = np.zeros((steps + 1, p.nx))

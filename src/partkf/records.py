@@ -7,14 +7,25 @@ embedded configuration and seed they replay deterministically.  Wall-clock
 timings are excluded from the content digest.
 
 This module owns partkf's file formats (all but the monitor summary JSON of
-:func:`partkf.analysis.write_summary_json`): the record JSON
-(``"schema": 1``, then the :class:`RunRecord` fields in declaration order,
-``wall_clock`` last and only with timings), the trajectory JSON (the same
-array encoding, arrays as nested lists), every CSV table (``_write_csv``) and
-loading JSON given as a dict or a path (``_load_json``).  A float CSV cell is
-written as the ``repr`` of the Python float, the shortest decimal that reads
-back to the same double; any other cell (instant, run index, seed, 0/1 flag)
-is written as it is.
+:func:`partkf.analysis.write_summary_json`): the record JSON, the trajectory
+JSON (arrays as nested lists), every CSV table (``_write_csv``) and loading
+JSON given as a dict or a path (``_load_json``).  A float CSV cell is written
+as the ``repr`` of the Python float, the shortest decimal that reads back to
+the same double; any other cell (instant, run index, seed, 0/1 flag) is
+written as it is.
+
+The record JSON is ``"schema": 2``, then the :class:`RunRecord` fields in
+declaration order, ``wall_clock`` last.  Arrays, and the per-instant lists of
+``covs``, are nested lists.  Each of ``gains``, ``a_cols`` and ``c_cols``
+is one entry per subsystem, ``{"shape": [r, c], "index": [...], "values":
+[[...], ...]}``: ``shape`` is the subsystem's block shape, fixed by ``dims``
+and ``out_dims``; ``index`` lists, in increasing order, the flat row-major
+positions that are nonzero or ``-0.0`` at some instant; ``values`` holds one
+row per instant, the block's entries at those positions.  Every other
+position is ``+0.0`` at every instant, so the blocks load back bit for bit.
+Schema-1 files, in which every block is a nested list, still load.  The
+content digest hashes the canonical schema-1 content whatever the file's
+schema, so a record's digest does not depend on how it was stored.
 """
 
 from __future__ import annotations
@@ -52,6 +63,70 @@ def _array(value) -> np.ndarray:
 
 def _blocks(per_instant) -> list[list[np.ndarray]]:
     return [[_array(b) for b in per_k] for per_k in per_instant]
+
+
+#: The per-instant block fields that schema 2 stores one entry per subsystem.
+_PACKED = ("gains", "a_cols", "c_cols")
+
+
+def _block_shapes(name: str, dims, out_dims) -> list[tuple[int, int]]:
+    """The shape of each subsystem's block of the packed field ``name``."""
+    nx, ny = sum(dims), sum(out_dims)
+    return [{"gains": (d, ny), "a_cols": (nx, d), "c_cols": (ny, d)}[name] for d in dims]
+
+
+def _pack(name: str, per_instant, shapes) -> list[dict]:
+    """One schema-2 entry per subsystem: the positions that are nonzero or
+    ``-0.0`` at some instant, and each instant's entries there."""
+    entries = []
+    for i, (rows, cols) in enumerate(shapes):
+        stack = np.array([per_k[i] for per_k in per_instant], dtype=float)
+        if per_instant and stack.shape[1:] != (rows, cols):
+            raise ValueError(f"{name} of subsystem {i} has shape {stack.shape[1:]}, "
+                             f"expected {(rows, cols)}")
+        flat = stack.reshape(len(per_instant), rows * cols)
+        index = np.flatnonzero(((flat != 0) | np.signbit(flat)).any(axis=0))
+        entries.append({"shape": [rows, cols], "index": index.tolist(),
+                        "values": flat[:, index].tolist()})
+    return entries
+
+
+def _unpack(name: str, entries, shapes) -> list[list[np.ndarray]]:
+    """The per-instant blocks of a schema-2 field; a malformed entry raises
+    ``ValueError`` naming the field and the subsystem."""
+    if not isinstance(entries, list) or len(entries) != len(shapes):
+        raise ValueError(f"{name} must hold one entry per subsystem ({len(shapes)})")
+    stacks = []
+    for i, (entry, (rows, cols)) in enumerate(zip(entries, shapes)):
+        where = f"{name} of subsystem {i}"
+        if not isinstance(entry, dict) or not {"shape", "index", "values"} <= set(entry):
+            raise ValueError(f"{where} must have a shape, an index and values")
+        if entry["shape"] != [rows, cols]:
+            raise ValueError(f"{where} has shape {entry['shape']}, expected "
+                             f"{[rows, cols]} from dims and out_dims")
+        index = entry["index"]
+        if not isinstance(index, list) or not all(type(j) is int for j in index):
+            raise ValueError(f"{where}: index must be a list of integers")
+        index = np.array(index, dtype=np.intp)
+        if index.size and (index[0] < 0 or index[-1] >= rows * cols
+                           or np.any(np.diff(index) <= 0)):
+            raise ValueError(f"{where}: index must increase within [0, {rows * cols})")
+        try:
+            values = np.array(entry["values"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: values must be rows of {index.size} numbers") from exc
+        if values.shape == (0,):
+            values = values.reshape(0, index.size)
+        if values.ndim != 2 or values.shape[1] != index.size:
+            raise ValueError(f"{where}: values must be rows of {index.size} numbers")
+        if stacks and values.shape[0] != len(stacks[0]):
+            raise ValueError(f"{where} has {values.shape[0]} instants, "
+                             f"subsystem 0 has {len(stacks[0])}")
+        full = np.zeros((values.shape[0], rows * cols))
+        full[:, index] = values
+        stacks.append(full.reshape(-1, rows, cols))
+    instants = len(stacks[0]) if stacks else 0
+    return [[stack[k] for stack in stacks] for k in range(instants)]
 
 
 #: How ``RunRecord.from_json`` restores a field; unlisted fields load as they are.
@@ -146,39 +221,57 @@ class RunRecord:
 
     # -- serialization ----------------------------------------------------
 
-    def _payload(self, with_timing: bool) -> dict:
-        payload = {"schema": 1}
+    def _payload(self, with_timing: bool, schema: int = 1) -> dict:
+        """The fields as JSON values: schema 1 writes every array as nested
+        lists, schema 2 packs the block fields (see the module docstring)."""
+        payload = {"schema": schema}
         for f in fields(self):
-            if f.name != "wall_clock":
-                payload[f.name] = _encode(getattr(self, f.name))
+            if f.name == "wall_clock":
+                continue
+            value = getattr(self, f.name)
+            if schema == 2 and f.name in _PACKED:
+                shapes = _block_shapes(f.name, self.dims, self.out_dims)
+                payload[f.name] = _pack(f.name, value, shapes)
+            else:
+                payload[f.name] = _encode(value)
         if with_timing:
             payload["wall_clock"] = _encode(self.wall_clock)
         return payload
 
     def content_digest(self) -> str:
-        """SHA-256 over the deterministic content (timings excluded)."""
+        """SHA-256 over the deterministic schema-1 content (timings excluded)."""
         return hashlib.sha256(_canonical(self._payload(with_timing=False)).encode()).hexdigest()
 
     def to_json(self, path: str | Path | None = None) -> dict:
-        payload = self._payload(with_timing=True)
+        """The schema-2 payload, with timings; written when ``path`` is given."""
+        payload = self._payload(with_timing=True, schema=2)
         if path is not None:
             Path(path).write_text(json.dumps(payload))
         return payload
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
-        """Restore a record of schema 1 (another schema raises
-        ``ValueError``); a missing required field raises ``KeyError``, a
-        missing optional one keeps its default and a key that is not a field
-        (``a_points``/``c_points`` of older records) is ignored."""
+        """Restore a record of schema 2 or 1 (another schema, or one that is
+        not an integer, raises ``ValueError``); a missing required field
+        raises ``KeyError``, a missing optional one keeps its default and a
+        key that is not a field (``a_points``/``c_points`` of older records)
+        is ignored."""
         payload = _load_json(payload)
-        if payload.get("schema") != 1:
-            raise ValueError(f"record schema {payload.get('schema')!r} is not supported; "
-                             "this version reads schema 1")
+        schema = payload.get("schema")
+        if type(schema) is not int:
+            raise ValueError(f"record schema {schema!r} is not an integer")
+        if schema not in (1, 2):
+            raise ValueError(f"record schema {schema!r} is not supported; "
+                             "this version reads schemas 1 and 2")
         values = {}
         for f in fields(cls):
             if f.name in payload:
                 value = payload[f.name]
+                if schema == 2 and f.name in _PACKED:
+                    # ``dims`` and ``out_dims`` precede the block fields.
+                    values[f.name] = _unpack(f.name, value, _block_shapes(
+                        f.name, values["dims"], values["out_dims"]))
+                    continue
                 decode = _DECODERS.get(f.name)
                 values[f.name] = value if decode is None or value is None else decode(value)
             elif f.default is MISSING:

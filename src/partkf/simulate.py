@@ -108,13 +108,19 @@ class Trajectory:
     """Simulated truth: states ``x_0..x_K``, measurements ``y_0..y_K`` and the
     realized noises, together with the seed that produced them.  The identity
     ``x[k+1] = f(x[k]) + w[k]`` and ``y[k] = h(x[k]) + v[k]`` holds exactly for
-    the stored arrays."""
+    the stored arrays.  ``xs`` must be 2-D, as it fixes :attr:`steps`; the
+    shapes of the other arrays are checked where a filter reads them."""
 
     xs: np.ndarray      # (K+1, nx)
     ys: np.ndarray      # (K+1, ny)
     ws: np.ndarray      # (K, nx)
     vs: np.ndarray      # (K+1, ny)
     seed: int
+
+    def __post_init__(self):
+        if np.ndim(self.xs) != 2:
+            raise ValueError(f"xs must hold one state vector per instant, "
+                             f"got shape {np.shape(self.xs)}")
 
     @property
     def steps(self) -> int:

@@ -302,6 +302,24 @@ class TestDistributedFIEEquivalence:
         with pytest.raises(ValueError, match="^steps must be at least 0, got -1$"):
             run_dfie(linear_bench.model, unit_weight_design, traj.ys, -1)
 
+    @pytest.mark.parametrize("steps", [2.5, True, "2"], ids=repr)
+    def test_non_integer_steps_rejected_by_name(self, linear_bench, unit_weight_design,
+                                                steps):
+        # Accepted, 2.5 raised a bare TypeError from np.zeros.
+        traj = simulate(linear_bench.model, LINEAR_X0, 2, noise_for(linear_bench.model, 1.0,
+                                                                    seed=6))
+        with pytest.raises(ValueError, match=re.escape(
+                f"steps must be an integer, not {steps!r}")):
+            run_dfie(linear_bench.model, unit_weight_design, traj.ys, steps)
+
+    @pytest.mark.parametrize("ys", [np.float64(1.0), np.ones(2)], ids=["0-d", "1-d"])
+    def test_measurements_without_instant_rows_rejected_by_name(self, linear_bench,
+                                                                unit_weight_design, ys):
+        # Accepted, a 0-d ys raised a bare IndexError reading its length.
+        with pytest.raises(ValueError, match=re.escape(
+                f"ys must hold one output vector per instant, got shape {ys.shape}")):
+            run_dfie(linear_bench.model, unit_weight_design, ys, 0)
+
     def test_non_finite_input_stops_every_oracle_naming_its_place(self, linear_bench,
                                                                   unit_weight_design):
         model, design = linear_bench.model, unit_weight_design

@@ -2,20 +2,37 @@
 loader's required and optional fields."""
 
 import csv
+import dataclasses
 import json
 import math
+import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from partkf.analysis import monte_carlo, write_monitor_csv
-from partkf.harness import ExperimentConfig, export, run_experiment, write_monte_carlo_csv
+from partkf.dkf import EstimatorDesign, run_dkf
+from partkf.harness import (
+    ExperimentConfig,
+    export,
+    import_record,
+    run_experiment,
+    write_monte_carlo_csv,
+)
+from partkf.model import LinearSubsystem, assemble_global, make_partition
 from partkf.records import RunRecord
 from partkf.simulate import simulate
 
+from conftest import noise_for
+
 REACTOR = ExperimentConfig(model={"name": "reactor-chain"}, steps=12, seed=5)
+BLOCK_FIELDS = ("gains", "covs", "a_cols", "c_cols")
+#: A reactor-chain record (K=5, seed 1) written in schema 1, and its digest.
+SCHEMA_1_FILE = Path(__file__).parent / "data" / "reactor-chain_k5_schema1.json"
+SCHEMA_1_DIGEST = "181170c317d0b0fc14229bfcf1e12670d49c3d9c4151ed79cabe781c7c787e42"
 
 
 def _bits(value) -> bytes:
@@ -119,6 +136,15 @@ class TestFromJson:
         with pytest.raises(ValueError, match="schema 7"):
             RunRecord.from_json(payload)
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "2", None], ids=repr)
+    def test_non_integer_schema_rejected_by_name(self, monitored, schema):
+        # Accepted, ``true`` and ``1.0`` loaded as schema 1.
+        payload = monitored.to_json()
+        payload["schema"] = schema
+        with pytest.raises(ValueError, match=re.escape(
+                f"record schema {schema!r} is not an integer")):
+            RunRecord.from_json(payload)
+
     def test_missing_optional_fields_load_with_defaults(self, monitored):
         payload = monitored.to_json()
         for key in ("floor_events", "monitors", "config", "wall_clock"):
@@ -130,3 +156,178 @@ class TestFromJson:
         assert back.dims == monitored.dims and isinstance(back.dims, tuple)
         assert np.array_equal(back.xhat_post, monitored.xhat_post)
         assert all(np.array_equal(a, b) for a, b in zip(back.covs[-1], monitored.covs[-1]))
+
+
+def _assert_same_blocks(back: RunRecord, record: RunRecord) -> None:
+    """Every block of every instant has its shape, dtype, values (NaN in
+    place) and signs back, and the digest is unchanged."""
+    for name in BLOCK_FIELDS:
+        want, got = getattr(record, name), getattr(back, name)
+        assert len(got) == len(want), name
+        for k, (per_want, per_got) in enumerate(zip(want, got)):
+            assert len(per_got) == len(per_want), (name, k)
+            for i, (a, b) in enumerate(zip(per_want, per_got)):
+                a = np.asarray(a)
+                assert b.dtype == np.float64 and b.shape == a.shape, (name, k, i)
+                assert np.array_equal(b, a, equal_nan=True), (name, k, i)
+                assert np.array_equal(np.signbit(b), np.signbit(a)), (name, k, i)
+    assert back.content_digest() == record.content_digest()
+
+
+def _through_file(record: RunRecord) -> RunRecord:
+    return RunRecord.from_json(json.loads(json.dumps(record.to_json())))
+
+
+def _edited(record: RunRecord, name: str, edit) -> RunRecord:
+    """A copy of ``record`` whose field ``name`` has each block ``edit(k, i,
+    block copy)``."""
+    blocks = [[edit(k, i, np.array(b, dtype=float)) for i, b in enumerate(per_k)]
+              for k, per_k in enumerate(getattr(record, name))]
+    return dataclasses.replace(record, **{name: blocks})
+
+
+def _chain_record() -> RunRecord:
+    """A 10-step DKF run on a chain of 32 two-state, one-output subsystems,
+    each coupled to its two neighbours: sparse gains and Jacobian columns."""
+    n = 32
+    rng = np.random.default_rng(0)
+    subs = [LinearSubsystem(i, 0.9 * np.linalg.qr(rng.normal(size=(2, 2)))[0],
+                            {l: 0.02 * rng.normal(size=(2, 2)) for l in (i - 1, i + 1)
+                             if 0 <= l < n},
+                            np.array([[1.0, 0.0]]), 0.01 * np.eye(2), 0.01 * np.eye(1))
+            for i in range(n)]
+    model = assemble_global(subs, make_partition([2] * n, [1] * n))
+    x0 = rng.normal(size=2 * n)
+    design = EstimatorDesign.from_model(model, P0=[np.eye(2)] * n, x0_guess=x0 + 0.5)
+    return run_dkf(model, design, simulate(model, x0, 10, noise_for(model, 0.1, seed=1)))
+
+
+class TestLeanBlocks:
+    """The schema-2 encoding of ``gains``, ``a_cols`` and ``c_cols``."""
+
+    def test_writes_schema_2_one_entry_per_subsystem(self, monitored):
+        payload = monitored.to_json()
+        assert payload["schema"] == 2
+        n = len(monitored.dims)
+        for name in ("gains", "a_cols", "c_cols"):
+            assert len(payload[name]) == n, name
+            assert all(set(entry) == {"shape", "index", "values"} for entry in payload[name])
+            assert len(payload[name][0]["values"]) == len(getattr(monitored, name))
+        assert isinstance(payload["covs"][3][1], list)
+
+    def test_round_trip_keeps_nan_and_negative_zero(self, monitored):
+        a_zero = np.array([b[1] for b in monitored.a_cols]) == 0
+        row, col = np.argwhere(a_zero.all(axis=0))[0]
+
+        def a_edit(k, i, block):
+            if (k, i) == (4, 1):
+                block[row, col] = -0.0
+            if (k, i) == (6, 2):
+                block[0, 0] = np.nan
+            return block
+
+        def gain_edit(k, i, block):
+            if (k, i) == (2, 0):
+                block[1, 1] = np.nan
+            return block
+
+        record = _edited(_edited(monitored, "a_cols", a_edit), "gains", gain_edit)
+        assert np.signbit(record.a_cols[4][1][row, col])
+        assert np.isnan(record.a_cols[6][2][0, 0])
+        payload = record.to_json()
+        assert row * record.a_cols[0][1].shape[1] + col in payload["a_cols"][1]["index"]
+        _assert_same_blocks(_through_file(record), record)
+
+    def test_round_trip_of_a_record_without_steps(self, monitored):
+        k0 = dict(xs=monitored.xs[:1], ys=monitored.ys[:1], ws=monitored.ws[:0],
+                  vs=monitored.vs[:1], xhat_pred=monitored.xhat_pred[:1],
+                  xhat_post=monitored.xhat_post[:1], gains=monitored.gains[:1],
+                  covs=monitored.covs[:1], a_cols=[], c_cols=monitored.c_cols[:1],
+                  rmse=monitored.rmse[:1], wall_clock=monitored.wall_clock[:1],
+                  monitors=None)
+        record = dataclasses.replace(monitored, **k0)
+        assert record.steps == 0
+        payload = record.to_json()
+        assert all(entry["values"] == [] for entry in payload["a_cols"])
+        back = _through_file(record)
+        assert back.a_cols == []
+        _assert_same_blocks(back, record)
+
+    def test_round_trip_of_a_jacobian_entry_zero_at_some_instants(self, monitored):
+        # The reactor's Jacobian entries are zero always or never; make one
+        # zero at the even instants only.
+        stack = np.array([b[1] for b in monitored.a_cols])
+        row, col = np.argwhere((stack != 0).all(axis=0))[0]
+
+        def edit(k, i, block):
+            if i == 1 and k % 2 == 0:
+                block[row, col] = 0.0
+            return block
+
+        record = _edited(monitored, "a_cols", edit)
+        column = np.array([b[1][row, col] for b in record.a_cols])
+        assert (column == 0).any() and (column != 0).any()
+        _assert_same_blocks(_through_file(record), record)
+        _assert_same_blocks(RunRecord.from_json(json.loads(json.dumps(record._payload(
+            with_timing=True)))), record)
+
+    def test_export_and_import_keep_blocks(self, tmp_path, monitored):
+        back = import_record(export(monitored, "json", tmp_path))
+        _assert_same_blocks(back, monitored)
+
+    @pytest.mark.parametrize("name", ["gains", "a_cols", "c_cols"])
+    def test_malformed_entry_names_field_and_subsystem(self, monitored, name):
+        where = f"{name} of subsystem 1"
+        payload = json.loads(json.dumps(monitored.to_json()))
+        entry = payload[name][1]
+        rows, cols = entry["shape"]
+
+        bad = json.loads(json.dumps(payload))
+        bad[name][1]["index"][-1] = rows * cols
+        with pytest.raises(ValueError, match=re.escape(f"{where}: index must increase "
+                                                       f"within [0, {rows * cols})")):
+            RunRecord.from_json(bad)
+
+        bad = json.loads(json.dumps(payload))
+        bad[name][1]["values"][3].pop()
+        with pytest.raises(ValueError, match=re.escape(f"{where}: values must be rows of "
+                                                       f"{len(entry['index'])} numbers")):
+            RunRecord.from_json(bad)
+
+        bad = json.loads(json.dumps(payload))
+        bad[name][1]["shape"] = [cols, rows]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{where} has shape {[cols, rows]}, expected {[rows, cols]} "
+                "from dims and out_dims")):
+            RunRecord.from_json(bad)
+
+        bad = json.loads(json.dumps(payload))
+        bad["out_dims"] = [*payload["out_dims"][:-1], payload["out_dims"][-1] + 1]
+        with pytest.raises(ValueError, match=r"of subsystem 0 has shape .* from dims and "
+                                             r"out_dims"):
+            RunRecord.from_json(bad)
+
+    def test_blocks_that_disagree_with_dims_are_not_written(self, monitored):
+        record = dataclasses.replace(monitored, out_dims=(*monitored.out_dims[:-1], 3))
+        with pytest.raises(ValueError, match=re.escape(
+                "gains of subsystem 0 has shape (2, 8), expected (2, 9)")):
+            record.to_json()
+
+    def test_lean_file_of_a_sparse_chain_is_small(self):
+        record = _chain_record()
+        lean = len(json.dumps(record.to_json()))
+        dense = len(json.dumps(record._payload(with_timing=True)))
+        assert lean <= 0.4 * dense
+        _assert_same_blocks(_through_file(record), record)
+
+
+class TestSchema1File:
+    """Schema-1 files, as written before schema 2, still load."""
+
+    def test_frozen_file_loads_with_its_digest(self):
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        assert payload["schema"] == 1
+        record = import_record(SCHEMA_1_FILE)
+        assert record.content_digest() == SCHEMA_1_DIGEST
+        assert record.steps == 5 and record.monitors is not None
+        _assert_same_blocks(_through_file(record), record)

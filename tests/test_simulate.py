@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestSimulate:
         assert np.array_equal(back.xs, traj.xs)
         assert np.array_equal(back.ws, traj.ws)
         assert np.array_equal(back.vs, traj.vs)
+
+
+class TestTrajectoryChecks:
+    @pytest.mark.parametrize("xs", [np.float64(1.0), np.ones(4), np.ones((2, 4, 1))],
+                             ids=["0-d", "1-d", "3-d"])
+    def test_xs_without_instant_rows_rejected_by_name(self, xs):
+        # Accepted, a 0-d xs made ``steps`` raise a bare IndexError inside
+        # the filter's trajectory check.
+        with pytest.raises(ValueError, match=re.escape(
+                f"xs must hold one state vector per instant, got shape {np.shape(xs)}")):
+            Trajectory(xs=xs, ys=np.ones((2, 2)), ws=np.ones((1, 4)),
+                       vs=np.ones((2, 2)), seed=0)
+
+    def test_replacing_xs_checks_it_too(self):
+        model = _model()
+        traj = simulate(model, LINEAR_X0, 3, noise_for(model, 0.2, seed=3))
+        with pytest.raises(ValueError, match="^xs must hold one state vector"):
+            dataclasses.replace(traj, xs=np.float64(0.0))
 
 
 class TestSampleNoise:
