@@ -53,8 +53,6 @@ from .fie import (
     FIESolution,
     OracleError,
     centralized_fie,
-    centralized_kf_init,
-    centralized_kf_step,
     classical_ekf_init,
     classical_ekf_step,
     local_fie,

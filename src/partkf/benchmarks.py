@@ -33,6 +33,7 @@ Two families ship with the package:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -300,10 +301,15 @@ def available_benchmarks() -> list[str]:
 
 
 def get_benchmark(name: str, **params) -> Benchmark:
-    """Build a registered benchmark, passing ``params`` to its builder."""
+    """Build a registered benchmark, passing ``params`` to its builder;
+    parameters the builder does not take raise ``ValueError`` naming them."""
     try:
         builder = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; "
                        f"available: {', '.join(available_benchmarks())}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"benchmark {name!r}: {exc}") from None
     return builder(**params)

@@ -14,12 +14,14 @@ factorization.  Two variants are provided:
   ``j``.  Solved instant by instant with self-consistent histories, its
   terminal estimates must match the distributed Kalman filter recursion.
 
-The module also houses small independent step oracles (standard Kalman filter
-and classical extended Kalman filter) used by the reduction test suites.
-All oracles keep their own formulation.  From :mod:`partkf.model` they share
-only the matrix-health helpers ``_sym`` and ``_spd_solve``, the finiteness
-check of a stacked history that the filters use, and the views the model
-owns: its read-only column blocks and its single-subsystem view.
+The module also houses the classical extended Kalman filter step oracle of
+the single-partition reductions.  A Kalman filter is an EKF whose maps are
+affine, so on a linear plant's maps (Jacobians ``A`` and ``C``) the same
+oracle is the centralized Kalman filter.  All oracles keep their own
+formulation.  From :mod:`partkf.model` they share only the matrix-health
+helpers ``_sym`` and ``_spd_solve``, the finiteness check of a stacked
+history that the filters use, and the views the model owns: its read-only
+column blocks and its single-subsystem view.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ __all__ = [
     "centralized_fie",
     "run_dfie",
     "local_objective",
-    "centralized_kf_init",
-    "centralized_kf_step",
     "classical_ekf_init",
     "classical_ekf_step",
 ]
@@ -302,7 +302,7 @@ def centralized_fie(model: GlobalModel, prior_mean: np.ndarray,
     weights default to the model's stacked ``Q``/``R``; with no neighbours
     its history is all own block, zeros that are not read.  The unique
     minimizer's terminal state must agree with a standard Kalman filter run
-    over the same history.
+    over the same history (the EKF oracle on the plant's affine maps).
     """
     mono = _monolithic(model)
     ys = np.asarray(ys, dtype=float)
@@ -360,53 +360,16 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
     return DfieRun(solutions=solutions, terminals=terminals, max_kkt_residual=max_res)
 
 
-# -- independent step oracles --------------------------------------------
-
-
-def _solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _spd_solve(S, B, OracleError("innovation covariance is not positive definite"))
-
-
-def centralized_kf_init(guess: np.ndarray, P0: np.ndarray, y0: np.ndarray,
-                        model: GlobalModel, R: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Gain-form initial update of the standard Kalman filter."""
-    C = model.C
-    R = model.R if R is None else R
-    S = C @ P0 @ C.T + R
-    K = _solve_spd(S, C @ P0).T
-    x = guess + K @ (y0 - C @ guess)
-    P = _sym((np.eye(P0.shape[0]) - K @ C) @ P0)
-    return x, P
-
-
-def centralized_kf_step(x_post: np.ndarray, P_post: np.ndarray, y_next: np.ndarray,
-                        model: GlobalModel, Q: np.ndarray | None = None,
-                        R: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One standard predict/update step for the global linear model.
-
-    A deliberately plain textbook implementation kept independent of the
-    distributed recursion; used as a secondary oracle.
-    """
-    A, C = model.A, model.C
-    Q = model.Q if Q is None else Q
-    R = model.R if R is None else R
-    x_pred = A @ x_post
-    P_pred = A @ P_post @ A.T + Q
-    S = C @ P_pred @ C.T + R
-    K = _solve_spd(S, C @ P_pred).T
-    x_new = x_pred + K @ (y_next - C @ x_pred)
-    P_new = _sym((np.eye(P_pred.shape[0]) - K @ C) @ P_pred)
-    return x_new, P_new
+# -- the classical EKF step oracle ----------------------------------------
 
 
 def classical_ekf_init(guess: np.ndarray, P0: np.ndarray, y0: np.ndarray,
                        h, jac_h, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain-form initial update of a classical global EKF."""
+    """Gain-form measurement update of a classical global EKF at the prior
+    ``(guess, P0)``: the initial update, and the update of every step."""
     C0 = np.asarray(jac_h(guess), dtype=float)
     S = C0 @ P0 @ C0.T + R
-    K = _solve_spd(S, C0 @ P0).T
+    K = _spd_solve(S, C0 @ P0, OracleError("innovation covariance is not positive definite")).T
     x = guess + K @ (y0 - np.asarray(h(guess), dtype=float))
     P = _sym((np.eye(P0.shape[0]) - K @ C0) @ P0)
     return x, P
@@ -418,14 +381,9 @@ def classical_ekf_step(x_post: np.ndarray, P_post: np.ndarray, y_next: np.ndarra
     """One classical EKF step on the aggregated model.
 
     Dynamics are linearized at the previous posterior, the output map at the
-    prediction, and the innovation uses the nonlinear output map.
+    prediction, and the innovation uses the nonlinear output map.  On affine
+    maps, whose Jacobians are constant, this is the standard Kalman filter.
     """
     A_k = np.asarray(jac_f(x_post), dtype=float)
-    x_pred = np.asarray(f(x_post), dtype=float)
-    P_pred = A_k @ P_post @ A_k.T + Q
-    C_k = np.asarray(jac_h(x_pred), dtype=float)
-    S = C_k @ P_pred @ C_k.T + R
-    K = _solve_spd(S, C_k @ P_pred).T
-    x_new = x_pred + K @ (y_next - np.asarray(h(x_pred), dtype=float))
-    P_new = _sym((np.eye(P_pred.shape[0]) - K @ C_k) @ P_pred)
-    return x_new, P_new
+    return classical_ekf_init(np.asarray(f(x_post), dtype=float), A_k @ P_post @ A_k.T + Q,
+                              y_next, h, jac_h, R)

@@ -31,8 +31,10 @@ Experiments are described by a JSON document (all keys optional unless noted):
 ```
 
 Scalars for ``noise``/``estimator`` entries broadcast over coordinates
-(diagonal matrices for weights).  Registered model names come with complete
-defaults; inline models must specify ``x0``, ``noise`` and ``estimator``.
+(diagonal matrices for weights).  A key that is not listed here, in the
+config, ``noise`` or ``estimator``, is an error.  Registered model names come
+with complete defaults; inline models must specify ``x0``, ``noise`` and
+``estimator``.
 Matrices are row-major nested arrays with full-precision decimal numbers.
 
 Export formats
@@ -62,21 +64,13 @@ from . import analysis
 from .benchmarks import get_benchmark
 from .dkf import EstimatorDesign, _LinearSource, _one_block, _run_filter, run_dkf
 from .dekf import _NonlinearSource, run_dekf
-from .fie import (
-    centralized_fie,
-    centralized_kf_init,
-    centralized_kf_step,
-    classical_ekf_init,
-    classical_ekf_step,
-    run_dfie,
-)
+from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_dfie
 from .model import (
     GlobalModel,
     LinearSubsystem,
     _monolithic,
     aggregate_nonlinear,
     assemble_global,
-    linearize,
     make_partition,
 )
 from .records import RunRecord, _load_json, _write_csv
@@ -116,6 +110,9 @@ class ExperimentConfig:
             raise ValueError("mode must be auto, dkf or dekf")
         if not isinstance(self.model, dict) or not ({"name", "inline"} & set(self.model)):
             raise ValueError("model must carry a registered 'name' or an 'inline' spec")
+        if not isinstance(self.model.get("params", {}), dict):
+            raise ValueError(f"model params must map parameter names to values, "
+                             f"not {self.model['params']!r}")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -171,20 +168,28 @@ def _weight_list(value, diag_dims, name: str) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+#: The keys of a config's ``noise`` and ``estimator`` sections.
+_NOISE_KEYS = ("w_std", "v_std", "w_bound", "v_bound")
+_ESTIMATOR_KEYS = ("Q", "R", "P0", "x0_guess")
+
+
 def _resolve(config: ExperimentConfig) -> "_Plan":
     """Everything ``config`` fixes for a run but the seed: model, truth
     initial state, noise, design and the filter ``mode`` selects (``auto``
     picks by model kind)."""
+    for section, known in (("noise", _NOISE_KEYS), ("estimator", _ESTIMATOR_KEYS)):
+        unknown = set(getattr(config, section) or {}) - set(known)
+        if unknown:
+            raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
     if "name" in config.model:
         bench = get_benchmark(config.model["name"], **config.model.get("params", {}))
         model, x0, design = bench.model, bench.x0, bench.design
-        noise_kw = {"w_std": bench.w_std, "v_std": bench.v_std,
-                    "w_bound": bench.w_bound, "v_bound": bench.v_bound}
+        noise_kw = {key: getattr(bench, key) for key in _NOISE_KEYS}
     else:
         model = _inline_model(config.model["inline"])
         x0 = None
         design = None
-        noise_kw = {"w_std": None, "v_std": None, "w_bound": None, "v_bound": None}
+        noise_kw = dict.fromkeys(_NOISE_KEYS)
 
     if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=float)
@@ -193,7 +198,7 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
 
     p = model.partition
     if config.noise is not None:
-        for key in ("w_std", "v_std", "w_bound", "v_bound"):
+        for key in _NOISE_KEYS:
             if key in config.noise:
                 dim = p.nx if key.startswith("w") else p.ny
                 noise_kw[key] = _broadcast(config.noise[key], dim, key)
@@ -202,7 +207,7 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
     noise = NoiseSpec(seed=config.seed, **noise_kw)
 
     est = dict(config.estimator or {})
-    if design is None and not {"Q", "R", "P0", "x0_guess"} <= set(est):
+    if design is None and not set(_ESTIMATOR_KEYS) <= set(est):
         raise ValueError("inline models require estimator Q, R, P0 and x0_guess")
     Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
          else design.Q)
@@ -345,20 +350,18 @@ def _worst_blocks(model: GlobalModel, xs_a, xs_b) -> float:
                for a, b in zip(xs_a, xs_b) for i in range(p.n))
 
 
-def _kf(model: GlobalModel, design: EstimatorDesign, ys: np.ndarray) -> list:
-    """Centralized Kalman filter posteriors ``(x, P)`` of a linear plant at
-    every instant, for a one-subsystem design."""
+def _centralized(model: GlobalModel, design: EstimatorDesign, ys: np.ndarray) -> list:
+    """Posteriors ``(x, P)`` at every instant of the classical EKF on the maps
+    and Jacobians of the plant seen as one subsystem, for a one-subsystem
+    design.  On a linear plant the maps are ``A x`` and ``C x`` and the
+    Jacobians ``A`` and ``C``, so this is the centralized Kalman filter."""
+    sub = _monolithic(model).subsystems[0]
+    f, jac_f = (lambda x: sub.f(x, {})), (lambda x: sub.jac_f(x, {})[0])
     return list(accumulate(
-        ys[1:], lambda s, y: centralized_kf_step(*s, y, model, Q=design.Q[0], R=design.R),
-        initial=centralized_kf_init(design.x0_guess, design.P0[0], ys[0], model,
-                                    R=design.R)))
-
-
-def _n1_worst(record: RunRecord, posteriors) -> float:
-    """Worst relative difference of a one-subsystem run's estimates and
-    covariances from an oracle's posteriors ``(x, P)`` at every instant."""
-    return max(max(_rel(record.xhat_post[k], x), _rel(record.covs[k][0], P))
-               for k, (x, P) in enumerate(posteriors))
+        ys[1:], lambda s, y: classical_ekf_step(*s, y, f, sub.h, jac_f, sub.jac_h,
+                                                design.Q[0], design.R),
+        initial=classical_ekf_init(design.x0_guess, design.P0[0], ys[0], sub.h, sub.jac_h,
+                                   design.R)))
 
 
 def _dkf_vs_dfie(model: GlobalModel, design: EstimatorDesign, traj) -> float:
@@ -376,29 +379,17 @@ def _centralized_fie_vs_kf(model: GlobalModel, design: EstimatorDesign, traj) ->
     see the plant as one block."""
     one = _one_block(design)
     sol = centralized_fie(model, one.x0_guess, one.P0[0], traj.ys, Q=one.Q[0], R=one.R)
-    return _rel(sol.terminal, _kf(model, one, traj.ys)[-1][0])
+    return _rel(sol.terminal, _centralized(model, one, traj.ys)[-1][0])
 
 
-def _n1_dkf_vs_kf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
+def _n1_vs_centralized(model: GlobalModel, design: EstimatorDesign, traj) -> float:
     """With one partition the distributed filter is the centralized Kalman
-    filter: equal estimates and covariances at every instant."""
-    one = _one_block(design)
-    return _n1_worst(run_dkf(_monolithic(model), one, traj), _kf(model, one, traj.ys))
-
-
-def _n1_dekf_vs_ekf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
-    """With one partition the distributed extended filter is the classical
-    EKF, whose Jacobians come from the partitioned subsystems: equal
+    filter, and the distributed extended filter the classical EKF: equal
     estimates and covariances at every instant."""
     one = _one_block(design)
-    jf = lambda x: linearize(model.subsystems, x, mode="analytic").A
-    jh = lambda x: linearize(model.subsystems, x, mode="analytic").C
-    ekf = accumulate(
-        traj.ys[1:], lambda s, y: classical_ekf_step(*s, y, model.f, model.h, jf, jh,
-                                                     one.Q[0], one.R),
-        initial=classical_ekf_init(one.x0_guess, one.P0[0], traj.ys[0], model.h, jh,
-                                   one.R))
-    return _n1_worst(run_dekf(_monolithic(model), one, traj), ekf)
+    rec = (run_dkf if model.linear else run_dekf)(_monolithic(model), one, traj)
+    return max(max(_rel(rec.xhat_post[k], x), _rel(rec.covs[k][0], P))
+               for k, (x, P) in enumerate(_centralized(model, one, traj.ys)))
 
 
 def _affine_dekf_vs_dkf(model: GlobalModel, design: EstimatorDesign, traj) -> float:
@@ -427,8 +418,8 @@ def verify_suite(seed: int = 1) -> list[tuple[str, bool, str]]:
     checks = (  # name, identity, fixture, simulated on one subsystem, steps, seed, tolerance
         ("DKF=FIE k<=5", _dkf_vs_dfie, unit, False, 5, seed, 1e-8),
         ("centralized FIE=KF k=3", _centralized_fie_vs_kf, unit, False, 3, seed, 1e-9),
-        ("n=1 DKF=centralized KF", _n1_dkf_vs_kf, unit, True, 100, seed + 1, 1e-9),
-        ("n=1 DEKF=classical EKF", _n1_dekf_vs_ekf, reactor, True, 100, seed + 2, 1e-9),
+        ("n=1 DKF=centralized KF", _n1_vs_centralized, unit, True, 100, seed + 1, 1e-9),
+        ("n=1 DEKF=classical EKF", _n1_vs_centralized, reactor, True, 100, seed + 2, 1e-9),
         ("DEKF=DKF on affine model", _affine_dekf_vs_dkf, lin, False, 100, seed + 3, 1e-12),
     )
     results = []

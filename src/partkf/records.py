@@ -129,6 +129,22 @@ def _unpack(name: str, entries, shapes) -> list[list[np.ndarray]]:
     return [[stack[k] for stack in stacks] for k in range(instants)]
 
 
+def _check_dims(payload: dict) -> None:
+    """``ValueError`` naming the field unless ``dims`` lists integers of at
+    least 1 and ``out_dims`` as many integers of at least 0 (a bool is not
+    an integer).  A missing field is left to the caller's ``KeyError``."""
+    given = {name: payload[name] for name in ("dims", "out_dims") if name in payload}
+    for name, value in given.items():
+        least = 1 if name == "dims" else 0
+        if (not isinstance(value, (list, tuple)) or not value
+                or not all(type(d) is int and d >= least for d in value)):
+            raise ValueError(f"record {name} must list integers of at least {least}, "
+                             f"not {value!r}")
+    if len(given) == 2 and len(given["dims"]) != len(given["out_dims"]):
+        raise ValueError(f"record dims and out_dims have lengths {len(payload['dims'])} "
+                         f"and {len(payload['out_dims'])}; they must be equal")
+
+
 #: How ``RunRecord.from_json`` restores a field; unlisted fields load as they are.
 _DECODERS = {
     "seed": int, "dims": tuple, "out_dims": tuple, "floor_events": int,
@@ -252,10 +268,11 @@ class RunRecord:
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
         """Restore a record of schema 2 or 1 (another schema, or one that is
-        not an integer, raises ``ValueError``); a missing required field
-        raises ``KeyError``, a missing optional one keeps its default and a
-        key that is not a field (``a_points``/``c_points`` of older records)
-        is ignored."""
+        not an integer, raises ``ValueError``, as do ``dims`` and
+        ``out_dims`` that are not lists of valid dimensions of one length); a
+        missing required field raises ``KeyError``, a missing optional one
+        keeps its default and a key that is not a field
+        (``a_points``/``c_points`` of older records) is ignored."""
         payload = _load_json(payload)
         schema = payload.get("schema")
         if type(schema) is not int:
@@ -263,6 +280,7 @@ class RunRecord:
         if schema not in (1, 2):
             raise ValueError(f"record schema {schema!r} is not supported; "
                              "this version reads schemas 1 and 2")
+        _check_dims(payload)
         values = {}
         for f in fields(cls):
             if f.name in payload:

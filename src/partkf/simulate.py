@@ -108,8 +108,9 @@ class Trajectory:
     """Simulated truth: states ``x_0..x_K``, measurements ``y_0..y_K`` and the
     realized noises, together with the seed that produced them.  The identity
     ``x[k+1] = f(x[k]) + w[k]`` and ``y[k] = h(x[k]) + v[k]`` holds exactly for
-    the stored arrays.  ``xs`` must be 2-D, as it fixes :attr:`steps`; the
-    shapes of the other arrays are checked where a filter reads them."""
+    the stored arrays.  ``xs`` must be 2-D, as it fixes :attr:`steps`, with
+    rows when ``ys`` has some; the shapes of the other arrays are checked
+    where a filter reads them."""
 
     xs: np.ndarray      # (K+1, nx)
     ys: np.ndarray      # (K+1, ny)
@@ -121,6 +122,9 @@ class Trajectory:
         if np.ndim(self.xs) != 2:
             raise ValueError(f"xs must hold one state vector per instant, "
                              f"got shape {np.shape(self.xs)}")
+        if not len(self.xs) and np.ndim(self.ys) and len(self.ys):
+            raise ValueError(f"xs has shape {np.shape(self.xs)}, no instant for the "
+                             f"{len(self.ys)} instants of ys")
 
     @property
     def steps(self) -> int:

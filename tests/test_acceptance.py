@@ -30,8 +30,7 @@ from partkf.harness import (
     ExperimentConfig,
     _affine_dekf_vs_dkf,
     _dkf_vs_dfie,
-    _n1_dekf_vs_ekf,
-    _n1_dkf_vs_kf,
+    _n1_vs_centralized,
     export,
     run_experiment,
 )
@@ -92,12 +91,12 @@ def test_c02_single_partition_reductions(unit_weight_design):
     # n=1 distributed filter vs centralized Kalman filter, 100 steps.
     model = get_benchmark("linear-4state").model
     traj = simulate(_monolithic(model), LINEAR_X0, 100, noise_for(model, 1.0, seed=3))
-    worst_lin = _n1_dkf_vs_kf(model, unit_weight_design, traj)
+    worst_lin = _n1_vs_centralized(model, unit_weight_design, traj)
 
     # n=1 distributed extended filter vs classical global EKF, 100 steps.
     bench = get_benchmark("reactor-chain")
     traj_n = simulate(_monolithic(bench.model), bench.x0, 100, bench.noise(seed=11))
-    worst_nl = _n1_dekf_vs_ekf(bench.model, bench.design, traj_n)
+    worst_nl = _n1_vs_centralized(bench.model, bench.design, traj_n)
     ok = worst_lin <= 1e-9 and worst_nl <= 1e-9
     _report("C2", "single-partition reductions", ok,
             f"DKF vs KF {worst_lin:.2e}, DEKF vs EKF {worst_nl:.2e}")

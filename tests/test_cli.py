@@ -49,6 +49,24 @@ class TestRun:
         assert main(["run", "--model", "no-such-benchmark"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, message", [
+        ('{"foo": 1}', "benchmark 'linear-4state': got an unexpected keyword argument 'foo'"),
+        ("[1]", "model params must map parameter names to values, not [1]"),
+    ], ids=["unknown-name", "list"])
+    def test_bad_benchmark_params_exit_one_by_name(self, params, message, capsys):
+        # Accepted, both exited 1 with a bare TypeError traceback.
+        assert main(["run", "--model", "linear-4state", "--params", params]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_unknown_noise_key_in_config_exits_one(self, tmp_path, capsys):
+        # Accepted, the run went ahead at the defaults and exited 0.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"name": "linear-4state"}, "steps": 5,
+                                   "noise": {"w_sd": 100}, "estimator": {"P_0": 5},
+                                   "out_dir": str(tmp_path)}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "error: unknown noise keys: ['w_sd']" in capsys.readouterr().err
+
     def test_missing_model_and_config_exits_one(self, capsys):
         assert main(["run"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from partkf.dkf import (
     run_dkf,
     update,
 )
-from partkf.harness import _n1_dkf_vs_kf
+from partkf.harness import _n1_vs_centralized
 from partkf.model import LinearSubsystem, _monolithic, assemble_global, make_partition
 from partkf.simulate import simulate
 
@@ -172,7 +172,7 @@ class TestCovariance:
                                                                 unit_weight_design):
         model = linear_bench.model
         traj = simulate(_monolithic(model), LINEAR_X0, 50, noise_for(model, 1.0, seed=3))
-        assert _n1_dkf_vs_kf(model, unit_weight_design, traj) <= 1e-10
+        assert _n1_vs_centralized(model, unit_weight_design, traj) <= 1e-10
 
     def test_covariance_stays_spd_for_1000_steps(self, linear_bench, unit_weight_design):
         model = linear_bench.model
@@ -260,7 +260,7 @@ class TestDkfStep:
                                                              unit_weight_design):
         model = linear_bench.model
         traj = simulate(_monolithic(model), LINEAR_X0, 30, noise_for(model, 1.0, seed=6))
-        assert _n1_dkf_vs_kf(model, unit_weight_design, traj) <= 1e-10
+        assert _n1_vs_centralized(model, unit_weight_design, traj) <= 1e-10
 
     def test_update_order_is_irrelevant_bitwise(self, linear_bench, unit_weight_design):
         model = linear_bench.model

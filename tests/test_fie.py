@@ -10,8 +10,8 @@ from partkf.fie import (
     FIEProblem,
     _kkt,
     centralized_fie,
-    centralized_kf_init,
-    centralized_kf_step,
+    classical_ekf_init,
+    classical_ekf_step,
     local_fie,
     local_objective,
     run_dfie,
@@ -20,6 +20,13 @@ from partkf.model import LinearSubsystem, assemble_global, make_partition
 from partkf.simulate import simulate
 
 from conftest import noise_for
+
+
+def plant_maps(model):
+    """A linear plant's maps and Jacobians ``(f, h, jac_f, jac_h)`` as the
+    EKF oracle reads them.  The Jacobians are the constant ``A`` and ``C``,
+    so the oracle on these maps is the standard Kalman filter."""
+    return model.f, model.h, (lambda x: model.A), (lambda x: model.C)
 
 
 def local_problem(model, design, i, ys, history):
@@ -54,11 +61,12 @@ class TestCentralizedFIE:
         traj = simulate(model, LINEAR_X0, 3, noise_for(model, 1.0, seed=1))
         sol = centralized_fie(model, LINEAR_GUESS, 100.0 * np.eye(4), traj.ys,
                               Q=np.eye(4), R=np.eye(2))
-        x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0],
-                                   model, R=np.eye(2))
+        f, h, jac_f, jac_h = plant_maps(model)
+        x, P = classical_ekf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0],
+                                  h, jac_h, R=np.eye(2))
         for k in range(1, 4):
-            x, P = centralized_kf_step(x, P, traj.ys[k], model,
-                                       Q=np.eye(4), R=np.eye(2))
+            x, P = classical_ekf_step(x, P, traj.ys[k], f, h, jac_f, jac_h,
+                                      Q=np.eye(4), R=np.eye(2))
         assert np.linalg.norm(sol.terminal - x) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
@@ -350,7 +358,7 @@ class TestStandardKalmanOracle:
         model = assemble_global([sub], part)
         x = np.zeros(2)
         y = np.array([3.0, 6.0])
-        x_new, P_new = centralized_kf_step(x, np.eye(2), y, model)
+        x_new, P_new = classical_ekf_step(x, np.eye(2), y, *plant_maps(model), model.Q, model.R)
         assert np.allclose(x_new, (2.0 / 3.0) * y, rtol=0, atol=1e-12)
         assert np.allclose(P_new, (2.0 / 3.0) * np.eye(2), rtol=0, atol=1e-12)
 
@@ -361,16 +369,19 @@ class TestStandardKalmanOracle:
         model = assemble_global([sub], part)
         x = np.array([1.0, -2.0])
         P = np.diag([2.0, 3.0])
-        x_new, P_new = centralized_kf_step(x, P, np.array([5.0]), model)
+        x_new, P_new = classical_ekf_step(x, P, np.array([5.0]), *plant_maps(model),
+                                          model.Q, model.R)
         assert np.allclose(x_new, 0.9 * x, rtol=0, atol=1e-14)
         assert np.allclose(P_new, 0.81 * P + np.eye(2), rtol=0, atol=1e-14)
 
     def test_one_step_matches_centralized_fie(self, linear_bench):
         model = linear_bench.model
         traj = simulate(model, LINEAR_X0, 1, noise_for(model, 1.0, seed=7))
-        x, P = centralized_kf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0],
-                                   model, R=np.eye(2))
-        x, P = centralized_kf_step(x, P, traj.ys[1], model, Q=np.eye(4), R=np.eye(2))
+        f, h, jac_f, jac_h = plant_maps(model)
+        x, P = classical_ekf_init(LINEAR_GUESS, 100.0 * np.eye(4), traj.ys[0],
+                                  h, jac_h, R=np.eye(2))
+        x, P = classical_ekf_step(x, P, traj.ys[1], f, h, jac_f, jac_h,
+                                  Q=np.eye(4), R=np.eye(2))
         sol = centralized_fie(model, LINEAR_GUESS, 100.0 * np.eye(4), traj.ys,
                               Q=np.eye(4), R=np.eye(2))
         assert np.linalg.norm(sol.terminal - x) <= 1e-10 * (1 + np.linalg.norm(x))

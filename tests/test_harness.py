@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestConfig:
     def test_model_reference_required(self):
         with pytest.raises(ValueError):
             ExperimentConfig(model={})
+
+    def test_model_params_must_be_a_mapping(self):
+        # Accepted, a list raised a bare TypeError unpacking it for the builder.
+        with pytest.raises(ValueError, match=re.escape(
+                "model params must map parameter names to values, not [1]")):
+            ExperimentConfig(model={"name": "linear-4state", "params": [1]})
+
+    @pytest.mark.parametrize("section, key", [("noise", "w_sd"), ("estimator", "P_0")])
+    def test_unknown_noise_or_estimator_key_rejected_by_name(self, section, key):
+        # Accepted, the run went ahead at the benchmark's defaults.
+        with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: ['{key}']")):
+            _resolve(BASE.replace(**{section: {key: 5}}))
 
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -244,6 +257,17 @@ class TestExport:
 def test_registry_lists_shipped_benchmarks():
     names = available_benchmarks()
     assert {"linear-4state", "reactor-chain", "reactor-chain-mono"} <= set(names)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"foo": 1}, "got an unexpected keyword argument 'foo'"),
+    ({"coupling_scale": 0.5, "noise_std": 1.0, "extra": 2},
+     "got an unexpected keyword argument 'extra'"),
+], ids=["unknown", "unknown-after-known"])
+def test_parameter_a_builder_does_not_take_rejected_by_name(params, message):
+    # Accepted, the builder's call raised a bare TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"benchmark 'linear-4state': {message}")):
+        get_benchmark("linear-4state", **params)
 
 
 def test_mono_reactor_design_is_the_one_block_view_bitwise():

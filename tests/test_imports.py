@@ -11,9 +11,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 - only ``model.py`` Cholesky-factors a matrix, calls the LAPACK Cholesky
   routines (``potrf``, ``potrs``, ``get_lapack_funcs``) or handles a
   ``LinAlgError``: the matrix-health policy has one owner;
-- only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators,
-  the centralized Kalman filter and the classical EKF): the paper's
-  identities have one owner, ``harness.py``'s verification functions;
+- only ``fie.py`` and ``harness.py`` call the oracles (the batch estimators
+  and the classical EKF, which on a linear plant's maps is the centralized
+  Kalman filter): the paper's identities have one owner, ``harness.py``'s
+  verification functions.  Every oracle the rule names is in ``fie.py``'s
+  ``__all__``, so that the rule cannot outlive an oracle;
 - only ``model.py`` calls ``linear_as_nonlinear``: elsewhere the affine view
   of a linear plant is ``aggregate_nonlinear`` of its linear subsystems;
 - no module uses NumPy API that exists only from NumPy 2.0, because
@@ -144,8 +146,7 @@ def test_checker_flags_matrix_health_sites():
 
 
 #: The oracles of ``fie.py`` that only the verification functions call.
-ORACLES = frozenset({"run_dfie", "centralized_fie", "centralized_kf_init",
-                     "centralized_kf_step", "classical_ekf_init", "classical_ekf_step"})
+ORACLES = frozenset({"run_dfie", "centralized_fie", "classical_ekf_init", "classical_ekf_step"})
 
 
 def calls_to(source: str, names: frozenset) -> list[str]:
@@ -161,6 +162,22 @@ def calls_to(source: str, names: frozenset) -> list[str]:
                          ids=lambda p: p.name)
 def test_only_the_verification_functions_call_the_oracles(path):
     assert calls_to(path.read_text(), ORACLES) == []
+
+
+def not_exported(names: frozenset, source: str) -> list[str]:
+    """The names in ``names`` that the ``__all__`` of ``source`` does not list."""
+    return sorted(names - _exported(ast.parse(source)))
+
+
+def test_every_oracle_is_exported_by_fie():
+    assert not_exported(ORACLES, (SRC / "fie.py").read_text()) == []
+
+
+def test_checker_flags_an_oracle_missing_from_fie():
+    source = "__all__ = ['run_dfie', 'centralized_fie', 'classical_ekf_step']\n"
+    assert not_exported(ORACLES, source) == ["classical_ekf_init"]
+    assert not_exported(ORACLES | {"centralized_kf_step"},
+                        (SRC / "fie.py").read_text()) == ["centralized_kf_step"]
 
 
 def test_checker_flags_oracle_calls():

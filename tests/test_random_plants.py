@@ -13,7 +13,7 @@ import pytest
 from partkf.analysis import error_step
 from partkf.dekf import run_dekf
 from partkf.dkf import run_dkf
-from partkf.harness import _affine_dekf_vs_dkf, _dkf_vs_dfie, _n1_dkf_vs_kf
+from partkf.harness import _affine_dekf_vs_dkf, _dkf_vs_dfie, _n1_vs_centralized
 from partkf.model import aggregate_nonlinear, linear_as_nonlinear
 from partkf.simulate import simulate
 
@@ -49,7 +49,16 @@ def test_c1_dkf_equals_dfie(seed):
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_c2_single_partition_dkf_equals_kf(seed):
     bench, traj = _case(seed)
-    assert _n1_dkf_vs_kf(bench.model, bench.design, traj) <= 1e-9
+    assert _n1_vs_centralized(bench.model, bench.design, traj) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_c2_single_partition_dekf_equals_ekf_on_affine_view(seed):
+    # The extended-filter reduction on the plant's affine view, whose maps and
+    # Jacobians are the linear subsystems' own.
+    bench, traj = _case(seed)
+    affine = aggregate_nonlinear(bench.model.subsystems, bench.model.partition)
+    assert _n1_vs_centralized(affine, bench.design, traj) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)

@@ -331,3 +331,27 @@ class TestSchema1File:
         assert record.content_digest() == SCHEMA_1_DIGEST
         assert record.steps == 5 and record.monitors is not None
         _assert_same_blocks(_through_file(record), record)
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("field, value, message", [
+        ("dims", ["2", 2, 2, 2], "^record dims must list integers of at least 1"),
+        ("dims", [True, 2, 2, 2], "^record dims must list integers of at least 1"),
+        ("dims", [2.0, 2, 2, 2], "^record dims must list integers of at least 1"),
+        ("dims", [0, 2, 2, 2], "^record dims must list integers of at least 1"),
+        ("dims", [], "^record dims must list integers of at least 1"),
+        ("out_dims", [2, "2", 2, 2], "^record out_dims must list integers of at least 0"),
+        ("out_dims", [2, False, 2, 2], "^record out_dims must list integers of at least 0"),
+        ("out_dims", [2, -1, 2, 2], "^record out_dims must list integers of at least 0"),
+        ("out_dims", [2, 2, 2], "^record dims and out_dims have lengths 4 and 3; "),
+        ("dims", [2, 2, 2, 2, 2], "^record dims and out_dims have lengths 5 and 4; "),
+    ], ids=["dims-str", "dims-bool", "dims-float", "dims-zero", "dims-empty", "out_dims-str",
+            "out_dims-bool", "out_dims-negative", "out_dims-short", "dims-long"])
+    def test_bad_dims_rejected_by_name(self, schema, field, value, message):
+        # Accepted, a string entry loaded silently from schema 1 and raised a
+        # bare TypeError from schema 2.
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        if schema == 2:
+            payload = RunRecord.from_json(payload).to_json()
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            RunRecord.from_json(payload)

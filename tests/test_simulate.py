@@ -135,6 +135,15 @@ class TestTrajectoryChecks:
             Trajectory(xs=xs, ys=np.ones((2, 2)), ws=np.ones((1, 4)),
                        vs=np.ones((2, 2)), seed=0)
 
+    def test_xs_with_zero_rows_rejected_by_name(self):
+        # Accepted, the filter blamed the measurements: "measurements have
+        # shape (4, 2), expected (0, 2)".
+        model = _model()
+        traj = simulate(model, LINEAR_X0, 3, noise_for(model, 0.2, seed=3))
+        with pytest.raises(ValueError, match=re.escape(
+                "xs has shape (0, 4), no instant for the 4 instants of ys")):
+            dataclasses.replace(traj, xs=traj.xs[:0])
+
     def test_replacing_xs_checks_it_too(self):
         model = _model()
         traj = simulate(model, LINEAR_X0, 3, noise_for(model, 0.2, seed=3))
