@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, _posdef, _sym
+from .model import GlobalModel, _integer, _posdef, _sym
 from .records import RunRecord, _write_csv
 
 __all__ = [
@@ -599,7 +599,7 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     run at seed ``seeds[j]`` bit for bit; a linear filter computes its gain
     schedule once for the whole ensemble.
     """
-    from .harness import _integer, _resolve  # deferred: harness orchestrates runs
+    from .harness import _resolve  # deferred: harness orchestrates runs
 
     if _integer("runs", runs) < 1:
         raise ValueError("runs must be at least 1")

@@ -34,6 +34,8 @@ Two families ship with the package:
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,6 +46,7 @@ from .model import (
     GlobalModel,
     LinearSubsystem,
     NonlinearSubsystem,
+    _integer,
     _monolithic,
     aggregate_nonlinear,
     assemble_global,
@@ -300,16 +303,36 @@ def available_benchmarks() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number (a bool is not one) that is finite
+    as a float."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:   # an integer beyond the float range
+        return False
+
+
 def get_benchmark(name: str, **params) -> Benchmark:
-    """Build a registered benchmark, passing ``params`` to its builder;
-    parameters the builder does not take raise ``ValueError`` naming them."""
+    """Build a registered benchmark, passing ``params`` to its builder.  A
+    parameter the builder does not take, or a value not of its default's
+    kind, raises ``ValueError`` naming the benchmark and the parameter: an
+    integer default takes an integer (a bool is not one), a float default a
+    finite real number; other defaults leave the value to the builder."""
     try:
         builder = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; "
                        f"available: {', '.join(available_benchmarks())}") from None
+    signature = inspect.signature(builder)
     try:
-        inspect.signature(builder).bind(**params)
-    except TypeError as exc:
+        signature.bind(**params)
+        for key, value in params.items():
+            default = signature.parameters[key].default if key in signature.parameters else None
+            if isinstance(default, numbers.Integral) and not isinstance(default, bool):
+                _integer(key, value)
+            elif isinstance(default, float) and not _finite_real(value):
+                raise ValueError(f"{key} must be a finite real number, not {value!r}")
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"benchmark {name!r}: {exc}") from None
     return builder(**params)

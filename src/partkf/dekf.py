@@ -2,9 +2,12 @@
 
 The extended filter is the linear two-phase engine of :mod:`partkf.dkf` with
 its blocks re-linearized at every sampling instant.  This module supplies the
-nonlinear linearization source and the public step functions.  The
-evaluation points are deliberately asymmetric; they follow from the record's
-``xhat_post`` and ``xhat_pred`` and are not stored again:
+nonlinear linearization source and the public step functions, two of them the
+linear filter's: ``dekf_update`` is :func:`partkf.dkf.update` and
+``dekf_gain_cov`` is :func:`partkf.dkf.gain_and_covariance` with the floor.
+So on an affine model the extended filter is the linear filter bit for bit.
+The evaluation points are deliberately asymmetric; they follow from the
+record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 
 - dynamics blocks are linearized at the posteriors ``xhat_post[k]`` (computed
   at the end of instant ``k``, used by the gain and covariance at ``k+1``);
@@ -31,13 +34,14 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     COV_FLOOR_REL,
     EstimatorDesign,
     ExchangeSnapshot,
-    _check_phase2,
     _floor,
     _posteriors,
     _run_filter,
     gain_and_covariance,
+    update,
 )
-from .model import GlobalModel, _a_cols, _check_mode, _checked, _jac_cols_h, _jac_rows_f
+from .model import (GlobalModel, _a_cols, _check_mode, _checked, _jac_cols_h, _jac_rows_f,
+                    _own_outputs)
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -64,13 +68,9 @@ def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
     return L, P, floored
 
 
-def dekf_update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
-                L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
-    """Local update; the innovation uses the nonlinear output map evaluated at
-    the stacked prediction."""
-    _check_phase2(snapshot)
-    stacked = np.concatenate(snapshot.predictions)
-    return x_pred_i + L_i @ (snapshot.measurement - model.h(stacked))
+#: The local update of both filters: the innovation is the measurement minus
+#: every subsystem's own (nonlinear) output map at its prediction.
+dekf_update = update
 
 
 class _NonlinearSource:
@@ -99,7 +99,7 @@ class _NonlinearSource:
         return cols, np.hstack(cols)
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        return y - self.model.h(np.concatenate(points))
+        return y - _own_outputs(self.model.subsystems, points)
 
     def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
         return L_k, P_k, floors

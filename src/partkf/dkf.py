@@ -14,7 +14,8 @@ column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
 - prediction   ``xp_i = A_ii xh_i + sum_l A_il xh_l``
 - gain         ``L_i = (C A_col P A_ii' + C_col Q_i)' M^-1`` with
   ``M = C A_col P A_col' C' + C_col Q_i C_col' + R``
-- update       ``xh_i = xp_i + L_i (y - sum_l C_col_l xp_l)``
+- update       ``xh_i = xp_i + L_i (y - [C_l xp_l]_l)``: the innovation
+  stacks every subsystem's own output, as the extended filter's does
 - covariance   ``P+ = A_ii P A_ii' + Q_i - L_i (C A_col P A_ii' + C_col Q_i)``
 
 The same loop runs the linear filter (:func:`run_dkf`) and the extended
@@ -53,9 +54,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
-from .model import (GlobalModel, LinearizationError, _check_instants, _posdef, _spd_solve,
-                    _sym, _symmetric)
-from .records import RunRecord
+from .model import (GlobalModel, LinearizationError, _check_instants, _own_outputs, _posdef,
+                    _spd_solve, _sym, _symmetric)
+from .records import RunRecord, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "init_states",
     "predict",
     "update",
-    "predicted_output",
     "run_dkf",
 ]
 
@@ -255,14 +255,6 @@ def init_update(P0_i: np.ndarray, c_col: np.ndarray, R: np.ndarray,
     return xh, P_post, L0
 
 
-def predicted_output(c_cols: Sequence[np.ndarray], predictions: Sequence[np.ndarray]) -> np.ndarray:
-    """Stacked predicted output ``sum_l c_col_l @ xp_l`` in ascending order."""
-    out = np.zeros(c_cols[0].shape[0])
-    for c_col, xp in zip(c_cols, predictions):
-        out = out + c_col @ xp
-    return out
-
-
 def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarray, dict]:
     """Subsystem ``i``'s posterior and its neighbors' from a phase-1 snapshot."""
     if snapshot.posteriors[i] is None:
@@ -273,13 +265,6 @@ def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarr
             raise FilterError(f"snapshot is missing the posterior of neighbor {l}")
         nbrs[l] = snapshot.posteriors[l]
     return snapshot.posteriors[i], nbrs
-
-
-def _check_phase2(snapshot: ExchangeSnapshot) -> None:
-    if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
-        raise FilterError("snapshot is missing neighbor predictions")
-    if snapshot.measurement is None:
-        raise FilterError("snapshot is missing the measurement")
 
 
 def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
@@ -293,10 +278,14 @@ def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarra
 
 def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
            L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
-    """Local measurement update using the prediction snapshot."""
-    _check_phase2(snapshot)
-    c_cols = [model.c_col(l) for l in range(model.partition.n)]
-    innovation = snapshot.measurement - predicted_output(c_cols, snapshot.predictions)
+    """Local measurement update ``xp_i + L_i (y - [h_l(xp_l)]_l)`` from the
+    prediction snapshot, for either filter: the innovation stacks every
+    subsystem's own output map at its prediction, each call checked."""
+    if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
+        raise FilterError("snapshot is missing neighbor predictions")
+    if snapshot.measurement is None:
+        raise FilterError("snapshot is missing the measurement")
+    innovation = snapshot.measurement - _own_outputs(model.subsystems, snapshot.predictions)
     return x_pred_i + L_i @ innovation
 
 
@@ -352,7 +341,9 @@ class _LinearSource:
         return list(self.c_cols), self.model.C
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        return y - predicted_output(self.c_cols, points)
+        # The stacked own outputs of ``model._own_outputs``, unchecked as in
+        # ``predict``: the affine maps of a validated model cannot fail.
+        return y - np.concatenate([sub.h(x) for sub, x in zip(self.model.subsystems, points)])
 
     def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
         """Enter the settled gains and covariances of instant ``k`` and its
@@ -375,10 +366,7 @@ def _check_trajectory(model: GlobalModel, traj: Trajectory) -> np.ndarray:
         raise ValueError(f"measurements have shape {ys.shape}, expected ({K + 1}, {p.ny})")
     if not len(ys):
         raise ValueError("measurements have no instant; the filter starts from y_0")
-    for name, rows, cols in (("xs", K + 1, p.nx), ("ws", K, p.nx), ("vs", K + 1, p.ny)):
-        shape = np.shape(getattr(traj, name))
-        if shape != (rows, cols):
-            raise ValueError(f"trajectory {name} has shape {shape}, expected ({rows}, {cols})")
+    _check_shapes("trajectory", vars(traj), _run_shapes(K + 1, p.nx, p.ny))
     _check_instants("measurement", ys, p, "outputs", FilterError)
     return ys
 

@@ -26,13 +26,12 @@ column blocks and its single-subsystem view.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .model import GlobalModel, _check_instants, _monolithic, _spd_solve, _sym
+from .model import GlobalModel, _check_instants, _integer, _monolithic, _spd_solve, _sym
 
 __all__ = [
     "OracleError",
@@ -333,9 +332,7 @@ def run_dfie(model: GlobalModel, design, ys: np.ndarray, steps: int,
     protocol feeds its own terminal estimates forward, which is equivalent in
     exact arithmetic.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, not {steps!r}")
-    if steps < 0:
+    if _integer("steps", steps) < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
     p = model.partition
     ys = np.asarray(ys, dtype=float)

@@ -53,7 +53,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -68,6 +67,7 @@ from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_df
 from .model import (
     GlobalModel,
     LinearSubsystem,
+    _integer,
     _monolithic,
     aggregate_nonlinear,
     assemble_global,
@@ -123,14 +123,6 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
-    integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -24,6 +24,7 @@ factorization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -60,6 +61,14 @@ class LinearizationError(RuntimeError):
     def __init__(self, message: str, subsystem: int | None = None):
         super().__init__(message)
         self.subsystem = subsystem
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
+    integer (a bool is not).  The package's one rule for integer inputs."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _by_neighbor(i: int, blocks: Mapping) -> dict:
@@ -103,6 +112,14 @@ def _checked(sub, what: str, fn, *args, shape):
     if not np.isfinite(got).all():
         raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
     return got
+
+
+def _own_outputs(subs: Sequence, points: Sequence[np.ndarray]) -> np.ndarray:
+    """The stacked own outputs ``[h_i(x_i)]_i`` of the subsystems at their
+    state blocks ``points``, each map call checked by :func:`_checked`.  As
+    the output matrix is block diagonal, this is ``sum_l C_col_l x_l``."""
+    return np.concatenate([_checked(sub, "h", sub.h, x, shape=(sub.out_dim,))
+                           for sub, x in zip(subs, points)])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -570,10 +587,7 @@ class GlobalModel:
         x = np.asarray(x, dtype=float)
         if self.linear:
             return self.C @ x
-        return np.concatenate([
-            _checked(sub, "h", sub.h, x[self.partition.state_slice(i)],
-                     shape=(sub.out_dim,))
-            for i, sub in enumerate(self.subsystems)])
+        return _own_outputs(self.subsystems, self.partition.split_state(x))
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Assembled validity box, or None when no subsystem declares one."""

@@ -70,9 +70,10 @@ _PACKED = ("gains", "a_cols", "c_cols")
 
 
 def _block_shapes(name: str, dims, out_dims) -> list[tuple[int, int]]:
-    """The shape of each subsystem's block of the packed field ``name``."""
+    """The shape of each subsystem's block of the block field ``name``."""
     nx, ny = sum(dims), sum(out_dims)
-    return [{"gains": (d, ny), "a_cols": (nx, d), "c_cols": (ny, d)}[name] for d in dims]
+    return [{"gains": (d, ny), "covs": (d, d), "a_cols": (nx, d), "c_cols": (ny, d)}[name]
+            for d in dims]
 
 
 def _pack(name: str, per_instant, shapes) -> list[dict]:
@@ -143,6 +144,47 @@ def _check_dims(payload: dict) -> None:
     if len(given) == 2 and len(given["dims"]) != len(given["out_dims"]):
         raise ValueError(f"record dims and out_dims have lengths {len(payload['dims'])} "
                          f"and {len(payload['out_dims'])}; they must be equal")
+
+
+def _check_shapes(what: str, arrays, shapes: dict) -> None:
+    """``ValueError`` naming ``what`` and the array unless each array
+    ``arrays[name]`` has the shape ``shapes[name]``; an empty JSON list fits
+    any empty shape."""
+    for name, want in shapes.items():
+        got = np.shape(arrays[name])
+        if got != want and not (got == (0,) and 0 in want):
+            raise ValueError(f"{what} {name} has shape {got}, expected {want}")
+
+
+def _run_shapes(instants: int, nx: int, ny: int) -> dict:
+    """The shapes of a run's truth arrays ``xs``, ``ys``, ``ws``, ``vs``
+    over ``instants`` instants."""
+    return {"xs": (instants, nx), "ys": (instants, ny), "ws": (instants - 1, nx),
+            "vs": (instants, ny)}
+
+
+def _check_record(values: dict) -> None:
+    """``ValueError`` naming the field, and for a block field the instant and
+    the subsystem, unless every array field of a loaded record has its shape
+    for ``dims``, ``out_dims`` and the ``K + 1`` instants that ``xs`` holds."""
+    dims, out_dims = values["dims"], values["out_dims"]
+    nx, ny = sum(dims), sum(out_dims)
+    instants = len(values["xs"]) if np.ndim(values["xs"]) else 0
+    if not instants:
+        raise ValueError("record xs holds no instant; a run starts at instant 0")
+    _check_shapes("record", values, {**_run_shapes(instants, nx, ny), "rmse": (instants,),
+                                     "xhat_pred": (instants, nx), "xhat_post": (instants, nx)})
+    # ``a_cols`` has no instant K: it is the dynamics Jacobian of the step from k.
+    for name, count in (("covs", instants), ("gains", instants), ("a_cols", instants - 1),
+                        ("c_cols", instants)):
+        if len(values[name]) != count:
+            raise ValueError(f"record {name} has {len(values[name])} instants, expected {count}")
+        shapes = dict(enumerate(_block_shapes(name, dims, out_dims)))
+        for k, blocks in enumerate(values[name]):
+            if len(blocks) != len(dims):
+                raise ValueError(f"record {name} at instant {k} has {len(blocks)} blocks, "
+                                 f"expected one per subsystem ({len(dims)})")
+            _check_shapes(f"record {name} at instant {k}, subsystem", blocks, shapes)
 
 
 #: How ``RunRecord.from_json`` restores a field; unlisted fields load as they are.
@@ -269,7 +311,8 @@ class RunRecord:
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
         """Restore a record of schema 2 or 1 (another schema, or one that is
         not an integer, raises ``ValueError``, as do ``dims`` and
-        ``out_dims`` that are not lists of valid dimensions of one length); a
+        ``out_dims`` that are not lists of valid dimensions of one length and
+        arrays of other shapes, see :func:`_check_record`); a
         missing required field raises ``KeyError``, a missing optional one
         keeps its default and a key that is not a field
         (``a_points``/``c_points`` of older records) is ignored."""
@@ -294,4 +337,5 @@ class RunRecord:
                 values[f.name] = value if decode is None or value is None else decode(value)
             elif f.default is MISSING:
                 raise KeyError(f.name)
+        _check_record(values)
         return cls(**values)

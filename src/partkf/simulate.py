@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, LinearizationError
+from .model import GlobalModel, LinearizationError, _integer
 from .records import _array, _encode, _load_json, _write_csv
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
@@ -41,7 +41,9 @@ class NoiseSpec:
     ``w_std`` and ``v_std`` are per-coordinate standard deviations for the
     process and measurement noise.  ``w_bound`` / ``v_bound``, when present,
     truncate each coordinate to ``[-b, b]`` by rejection sampling; bounds must
-    be at least one standard deviation.  ``seed`` is a 64-bit master seed.
+    be at least one standard deviation.  A NaN deviation or bound raises
+    ``ValueError`` naming the field.  ``seed`` is a 64-bit master seed, an
+    integer (a bool or a string is not one).
     """
 
     w_std: np.ndarray
@@ -51,6 +53,10 @@ class NoiseSpec:
     v_bound: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("w_std", "v_std", "w_bound", "v_bound"):
+            value = getattr(self, name)
+            if value is not None and np.isnan(np.asarray(value, dtype=float)).any():
+                raise ValueError(f"{name} has a NaN entry")
         w = np.atleast_1d(np.asarray(self.w_std, dtype=float))
         v = np.atleast_1d(np.asarray(self.v_std, dtype=float))
         if np.any(w < 0) or np.any(v < 0):
@@ -66,9 +72,10 @@ class NoiseSpec:
             if np.any(b < std):
                 raise ValueError(f"{name} must be at least one standard deviation")
             object.__setattr__(self, name, b)
-        if not 0 <= int(self.seed) < 2 ** 64:
+        seed = _integer("seed", self.seed)
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
@@ -177,6 +184,7 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
     :class:`SimulationError` with the step index, as does a failing
     subsystem map (naming the subsystem).
     """
+    steps = _integer("steps", steps)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x0 = np.asarray(x0, dtype=float)

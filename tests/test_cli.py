@@ -52,10 +52,13 @@ class TestRun:
     @pytest.mark.parametrize("params, message", [
         ('{"foo": 1}', "benchmark 'linear-4state': got an unexpected keyword argument 'foo'"),
         ("[1]", "model params must map parameter names to values, not [1]"),
-    ], ids=["unknown-name", "list"])
+        ('{"noise_std": "x"}',
+         "benchmark 'linear-4state': noise_std must be a finite real number, not 'x'"),
+    ], ids=["unknown-name", "list", "string-value"])
     def test_bad_benchmark_params_exit_one_by_name(self, params, message, capsys):
-        # Accepted, both exited 1 with a bare TypeError traceback.
-        assert main(["run", "--model", "linear-4state", "--params", params]) == 1
+        # Accepted, all three exited 1 with a bare TypeError traceback.
+        assert main(["run", "--model", "linear-4state", "--steps", "3",
+                     "--params", params]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
     def test_unknown_noise_key_in_config_exits_one(self, tmp_path, capsys):

@@ -126,6 +126,20 @@ class TestDekfUpdate:
             assert np.array_equal(dekf_update(i, preds[i], snap, L, nl),
                                   update(i, preds[i], snap, L, lin))
 
+    def test_one_update_serves_both_filters(self):
+        assert dekf_update is update
+
+    def test_affine_run_is_the_linear_run_bit_for_bit(self, linear_run):
+        bench, traj, lin = linear_run
+        model = bench.model
+        ext = run_dekf(aggregate_nonlinear(model.subsystems, model.partition), bench.design, traj)
+        assert np.array_equal(ext.xhat_pred, lin.xhat_pred)
+        assert np.array_equal(ext.xhat_post, lin.xhat_post)
+        for name in ("covs", "gains"):
+            assert all(np.array_equal(a, b)
+                       for ka, kb in zip(getattr(ext, name), getattr(lin, name), strict=True)
+                       for a, b in zip(ka, kb, strict=True)), name
+
     def test_single_partition_step_matches_hand_assembled_ekf(self):
         # One full instant on the monolithic benchmark against a from-scratch
         # EKF step written inline.

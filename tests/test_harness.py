@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from partkf import analysis
+from partkf import analysis, benchmarks
 from partkf.analysis import rmse
 from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks, get_benchmark
 from partkf.dkf import _one_block
@@ -268,6 +268,35 @@ def test_parameter_a_builder_does_not_take_rejected_by_name(params, message):
     # Accepted, the builder's call raised a bare TypeError.
     with pytest.raises(ValueError, match=re.escape(f"benchmark 'linear-4state': {message}")):
         get_benchmark("linear-4state", **params)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"noise_std": "x"}, "noise_std must be a finite real number, not 'x'"),
+    ({"noise_std": None}, "noise_std must be a finite real number, not None"),
+    ({"noise_std": True}, "noise_std must be a finite real number, not True"),
+    ({"coupling_scale": float("nan")}, "coupling_scale must be a finite real number, not nan"),
+    ({"coupling_scale": float("inf")}, "coupling_scale must be a finite real number, not inf"),
+    ({"noise_std": 10 ** 400}, f"noise_std must be a finite real number, not {10 ** 400}"),
+], ids=["str", "none", "bool", "nan", "inf", "beyond-float"])
+def test_parameter_value_of_another_kind_rejected_by_name(params, message):
+    # Accepted, a string raised a bare TypeError from the builder and NaN
+    # built a plant.
+    with pytest.raises(ValueError, match=re.escape(f"benchmark 'linear-4state': {message}")):
+        get_benchmark("linear-4state", **params)
+
+
+def test_parameter_values_follow_the_builder_defaults(monkeypatch):
+    def build(n: int = 2, scale: float = 1.0, label: str = "a", flag: bool = False):
+        return (n, scale, label, flag)
+
+    monkeypatch.setitem(benchmarks._REGISTRY, "kinds", build)
+    assert get_benchmark("kinds", n=np.int64(3), scale=2, label=None, flag=1) == (3, 2, None, 1)
+    for params, message in (({"n": 2.0}, "n must be an integer, not 2.0"),
+                            ({"n": True}, "n must be an integer, not True"),
+                            ({"n": "2"}, "n must be an integer, not '2'"),
+                            ({"scale": "1"}, "scale must be a finite real number, not '1'")):
+        with pytest.raises(ValueError, match=re.escape(f"benchmark 'kinds': {message}")):
+            get_benchmark("kinds", **params)
 
 
 def test_mono_reactor_design_is_the_one_block_view_bitwise():

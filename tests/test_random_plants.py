@@ -68,6 +68,23 @@ def test_c3_affine_dekf_equals_dkf(seed):
 
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_affine_dekf_is_dkf_bit_for_bit(seed):
+    # Both filters form the innovation as y - [h_i(xp_i)]_i, so on the affine
+    # view the extended filter computes the linear filter's very numbers.
+    bench, traj = _case(seed)
+    model = bench.model
+    lin = run_dkf(model, bench.design, traj)
+    ext = run_dekf(aggregate_nonlinear(model.subsystems, model.partition), bench.design, traj)
+    for name in ("xhat_pred", "xhat_post"):
+        assert np.array_equal(getattr(ext, name), getattr(lin, name)), name
+    for name in ("covs", "gains"):
+        got, want = getattr(ext, name), getattr(lin, name)
+        assert len(got) == len(want) == STEPS + 1
+        assert all(np.array_equal(a, b) for ka, kb in zip(got, want)
+                   for a, b in zip(ka, kb, strict=True)), name
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_affine_view_is_the_wrapped_view(seed):
     # The linear subsystems themselves and their NonlinearSubsystem wrappers
     # give the extended filter the same record.

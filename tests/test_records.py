@@ -332,6 +332,59 @@ class TestSchema1File:
         assert record.steps == 5 and record.monitors is not None
         _assert_same_blocks(_through_file(record), record)
 
+    def test_dims_that_disagree_with_the_blocks_rejected_by_instant(self):
+        # Accepted, the record loaded with 2 x 2 covariance blocks for a
+        # 1-state subsystem and the monitors failed on a bare broadcast error.
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        payload["dims"] = [1, 3, 2, 2]
+        with pytest.raises(ValueError, match=re.escape(
+                "record covs at instant 0, subsystem 0 has shape (2, 2), expected (1, 1)")):
+            RunRecord.from_json(payload)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("ys", "(5, 8), expected (6, 8)"), ("ws", "(4, 8), expected (5, 8)"),
+        ("vs", "(5, 8), expected (6, 8)"), ("xhat_pred", "(5, 8), expected (6, 8)"),
+        ("xhat_post", "(5, 8), expected (6, 8)"), ("rmse", "(5,), expected (6,)")])
+    def test_array_one_instant_short_rejected_by_name(self, field, shape):
+        # Accepted, a short xhat_post loaded and the monitors failed on a bare
+        # broadcast error.
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        payload[field] = payload[field][:-1]
+        with pytest.raises(ValueError, match=re.escape(f"record {field} has shape {shape}")):
+            RunRecord.from_json(payload)
+
+    def test_states_of_another_dimension_rejected(self):
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        payload["xs"] = [row[:-1] for row in payload["xs"]]
+        with pytest.raises(ValueError, match=re.escape(
+                "record xs has shape (6, 7), expected (6, 8)")):
+            RunRecord.from_json(payload)
+
+    @pytest.mark.parametrize("field, instants", [
+        ("covs", 6), ("gains", 6), ("a_cols", 5), ("c_cols", 6)])
+    def test_block_field_of_another_shape_rejected_by_instant_and_subsystem(self, field,
+                                                                          instants):
+        payload = json.loads(SCHEMA_1_FILE.read_text())
+        assert len(payload[field]) == instants
+
+        bad = json.loads(json.dumps(payload))
+        bad[field][2][1].pop()
+        with pytest.raises(ValueError, match=re.escape(
+                f"record {field} at instant 2, subsystem 1 has shape (")):
+            RunRecord.from_json(bad)
+
+        bad = json.loads(json.dumps(payload))
+        bad[field][3].pop()
+        with pytest.raises(ValueError, match=re.escape(
+                f"record {field} at instant 3 has 3 blocks, expected one per subsystem (4)")):
+            RunRecord.from_json(bad)
+
+        bad = json.loads(json.dumps(payload))
+        bad[field].pop()
+        with pytest.raises(ValueError, match=re.escape(
+                f"record {field} has {instants - 1} instants, expected {instants}")):
+            RunRecord.from_json(bad)
+
     @pytest.mark.parametrize("schema", [1, 2])
     @pytest.mark.parametrize("field, value, message", [
         ("dims", ["2", 2, 2, 2], "^record dims must list integers of at least 1"),

@@ -59,6 +59,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model, LINEAR_X0, 0, noise_for(model, 0.1, seed=0))
 
+    @pytest.mark.parametrize("steps", [2.5, True, "2"], ids=repr)
+    def test_non_integer_steps_rejected_by_name(self, steps):
+        # Accepted, 2.5 and "2" raised a bare TypeError and True ran one step.
+        model = _model()
+        with pytest.raises(ValueError, match=re.escape(
+                f"steps must be an integer, not {steps!r}")):
+            simulate(model, LINEAR_X0, steps, noise_for(model, 0.1, seed=0))
+
     def test_validity_box_exit_reports_step(self):
         bench = get_benchmark("reactor-chain")
         x0 = bench.x0.copy()
@@ -203,3 +211,24 @@ class TestNoiseSpecValidation:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             NoiseSpec(w_std=np.ones(2), v_std=np.ones(1), seed=2 ** 64)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True], ids=repr)
+    def test_non_integer_seed_rejected_by_name(self, seed):
+        # Accepted, 1.5 became seed 1, "3" seed 3 and True seed 1.
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer, not {seed!r}")):
+            NoiseSpec(w_std=np.ones(2), v_std=np.ones(1), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = NoiseSpec(w_std=np.ones(2), v_std=np.ones(1), seed=np.uint64(2 ** 64 - 1))
+        assert spec.seed == 2 ** 64 - 1 and type(spec.seed) is int
+
+    @pytest.mark.parametrize("field", ["w_std", "v_std", "w_bound", "v_bound"])
+    def test_nan_entry_rejected_by_name(self, field):
+        # Accepted, a NaN w_std surfaced only as "state became non-finite at
+        # step 1" from simulate, and a NaN bound truncated nothing.
+        kw = {"w_std": np.ones(2), "v_std": np.ones(1),
+              "w_bound": 3 * np.ones(2), "v_bound": 3 * np.ones(1)}
+        kw[field] = np.where(np.arange(kw[field].size) == 0, np.nan, kw[field])
+        with pytest.raises(ValueError, match=f"^{field} has a NaN entry$"):
+            NoiseSpec(seed=0, **kw)
