@@ -11,7 +11,10 @@ Subcommands:
 - ``monitors``: re-analyze a stored record JSON and write the monitor table.
 
 Any validation or runtime error exits with status 1 and a message on stderr;
-usage errors exit with status 2.
+usage errors exit with status 2.  Options are spelled out: argparse's prefix
+matching is off, so an unknown option such as ``--mode`` is a usage error and
+is not read as an abbreviation of ``--model``.  The model kind picks the
+filter.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, help="number of sampling instants")
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--mode", choices=["dkf", "dekf", "auto"],
-                        help="filter selection")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -57,7 +58,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     else:
         raise ValueError("either --config or --model is required")
     updates = {}
-    for key in ("steps", "runs", "seed", "mode", "monitors"):
+    for key in ("steps", "runs", "seed", "monitors"):
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partition-based distributed Kalman filtering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment")
+    p_run = sub.add_parser("run", help="run one experiment", allow_abbrev=False)
     _add_common(p_run)
     p_run.add_argument("--monitors", dest="monitors", action="store_true",
                        default=None, help="enable stability monitors")
@@ -138,17 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable stability monitors")
     p_run.set_defaults(func=_cmd_run)
 
-    p_mc = sub.add_parser("montecarlo", help="Monte Carlo RMSE ensemble")
+    p_mc = sub.add_parser("montecarlo", help="Monte Carlo RMSE ensemble",
+                          allow_abbrev=False)
     _add_common(p_mc)
     p_mc.add_argument("--runs", type=int, help="Monte Carlo repetitions")
     p_mc.set_defaults(func=_cmd_montecarlo)
 
-    p_ver = sub.add_parser("verify",
-                           help="oracle-equivalence and reduction suites")
+    p_ver = sub.add_parser("verify", help="oracle-equivalence and reduction suites",
+                           allow_abbrev=False)
     p_ver.add_argument("--seed", type=int, help="seed for the check runs")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_mon = sub.add_parser("monitors", help="re-analyze a stored record")
+    p_mon = sub.add_parser("monitors", help="re-analyze a stored record",
+                           allow_abbrev=False)
     p_mon.add_argument("--record", type=Path, required=True,
                        help="record JSON produced by run")
     p_mon.add_argument("--out", type=Path, help="output directory")

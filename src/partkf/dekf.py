@@ -15,9 +15,9 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Jacobian blocks come from each subsystem's analytic providers in
-``mode="analytic"``, with central differences for a subsystem that has none,
-and from central differences everywhere in ``mode="fd"``.  A failing map
+Jacobian blocks come from each subsystem's analytic providers, with central
+differences for a subsystem without them (so subsystems built without
+providers give an all-central-difference run).  A failing map
 raises ``LinearizationError`` naming the subsystem (and, in a run, the
 instant).
 """
@@ -40,8 +40,7 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     gain_and_covariance,
     update,
 )
-from .model import (GlobalModel, _a_cols, _check_mode, _checked, _jac_cols_h, _jac_rows_f,
-                    _own_outputs)
+from .model import GlobalModel, _a_cols, _checked, _jac_cols_h, _jac_rows_f, _own_outputs
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -83,19 +82,18 @@ class _NonlinearSource:
     predict = staticmethod(dekf_predict)
     schedule = MappingProxyType({})
 
-    def __init__(self, model: GlobalModel, mode: str, design: EstimatorDesign):
+    def __init__(self, model: GlobalModel, design: EstimatorDesign):
         design.validate(model)
         self.model = model
-        self.mode = mode
         self.design = design
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
         p = self.model.partition
-        rows = _jac_rows_f(self.model.subsystems, p, x, self.mode)
+        rows = _jac_rows_f(self.model.subsystems, p, x, "analytic")
         return _a_cols(rows, p), [rows[(i, i)] for i in range(p.n)]
 
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
-        cols = _jac_cols_h(self.model.subsystems, self.model.partition, x, self.mode)
+        cols = _jac_cols_h(self.model.subsystems, self.model.partition, x, "analytic")
         return cols, np.hstack(cols)
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
@@ -106,16 +104,14 @@ class _NonlinearSource:
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,
-             order: Sequence[int] | None = None, mode: str = "analytic") -> RunRecord:
+             order: Sequence[int] | None = None) -> RunRecord:
     """Execute the distributed extended Kalman filter over a trajectory.
 
     Per instant: relinearize the dynamics at the posteriors of the previous
     instant, predict, relinearize the output map at the stacked prediction,
     compute gains and covariances, then update against the measurement.
-    Aborts with the step index on covariance collapse.  ``mode`` is
-    ``"analytic"`` or ``"fd"``; any other value raises ``ValueError``.
+    Aborts with the step index on covariance collapse.
     """
-    _check_mode(mode)
     if model.linear:
         raise ValueError("run_dekf needs a nonlinear model; use run_dkf instead")
-    return _run_filter(_NonlinearSource(model, mode, design), traj, order, None)
+    return _run_filter(_NonlinearSource(model, design), traj, order, None)

@@ -54,6 +54,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
+from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _own_outputs, _posdef,
                     _spd_solve, _sym, _symmetric)
 from .records import RunRecord, _check_shapes, _run_shapes
@@ -438,14 +439,12 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
         a_cols.append(a_cols_k)
         c_cols.append(c_cols_k)
 
-    err = traj.xs - xhat_post
-    rmse = np.sqrt(np.sum(err * err, axis=1) / p.nx)
     return RunRecord(
         kind=source.kind, seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
         xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
         xhat_pred=xhat_pred, xhat_post=xhat_post,
-        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols,
-        rmse=rmse, estimator=design.serializable(), floor_events=floor_events,
+        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols, rmse=rmse(xhat_post, traj.xs),
+        estimator=design.serializable(), floor_events=floor_events,
         wall_clock=wall, config=config,
     )
 

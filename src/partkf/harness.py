@@ -19,7 +19,6 @@ Experiments are described by a JSON document (all keys optional unless noted):
   "steps":     50,              # K >= 1
   "runs":      1,               # Monte Carlo repetitions >= 1
   "seed":      1,               # 64-bit master seed
-  "mode":      "auto",          # "dkf" | "dekf" | "auto"
   "monitors":  true,
   "out_dir":   "out",
   "x0":        [...],           # truth initial state (required for inline)
@@ -35,6 +34,8 @@ Scalars for ``noise``/``estimator`` entries broadcast over coordinates
 config, ``noise`` or ``estimator``, is an error.  Registered model names come
 with complete defaults; inline models must specify ``x0``, ``noise`` and
 ``estimator``.
+The model kind picks the filter: the distributed Kalman filter for a linear
+plant, the distributed extended filter for a nonlinear one.
 Matrices are row-major nested arrays with full-precision decimal numbers.
 
 Export formats
@@ -88,7 +89,6 @@ class ExperimentConfig:
     steps: int = 50
     runs: int = 1
     seed: int = 1
-    mode: str = "auto"
     monitors: bool = True
     out_dir: str | None = None
     x0: list | None = None
@@ -106,8 +106,6 @@ class ExperimentConfig:
             raise ValueError("seed must be in [0, 2**64)")
         if not isinstance(self.monitors, bool):
             raise ValueError(f"monitors must be true or false, not {self.monitors!r}")
-        if self.mode not in ("auto", "dkf", "dekf"):
-            raise ValueError("mode must be auto, dkf or dekf")
         if not isinstance(self.model, dict) or not ({"name", "inline"} & set(self.model)):
             raise ValueError("model must carry a registered 'name' or an 'inline' spec")
         if not isinstance(self.model.get("params", {}), dict):
@@ -167,8 +165,7 @@ _ESTIMATOR_KEYS = ("Q", "R", "P0", "x0_guess")
 
 def _resolve(config: ExperimentConfig) -> "_Plan":
     """Everything ``config`` fixes for a run but the seed: model, truth
-    initial state, noise, design and the filter ``mode`` selects (``auto``
-    picks by model kind)."""
+    initial state, noise, design and the filter the model kind picks."""
     for section, known in (("noise", _NOISE_KEYS), ("estimator", _ESTIMATOR_KEYS)):
         unknown = set(getattr(config, section) or {}) - set(known)
         if unknown:
@@ -214,17 +211,7 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
              else design.x0_guess)
     design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
 
-    mode = config.mode
-    if mode == "auto":
-        mode = "dkf" if model.linear else "dekf"
-    if mode == "dkf":
-        if not model.linear:
-            raise ValueError("mode dkf requires a linear model")
-        source = _LinearSource(model, design)
-    else:
-        run_model = (aggregate_nonlinear(model.subsystems, model.partition)
-                     if model.linear else model)
-        source = _NonlinearSource(run_model, "analytic", design)
+    source = (_LinearSource if model.linear else _NonlinearSource)(model, design)
     return _Plan(config, model, x0, noise, source)
 
 
@@ -249,8 +236,9 @@ class _Plan:
 
 
 def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> RunRecord:
-    """Simulate the truth, run the filter selected by ``mode`` (``auto``
-    picks by model kind), attach monitors and write output files."""
+    """Simulate the truth, run the filter the model kind picks (DKF for a
+    linear plant, DEKF for a nonlinear one), attach monitors and write output
+    files."""
     record = _resolve(config).run(config.seed)
     if config.monitors:
         analysis.attach_monitors(record)

@@ -279,9 +279,10 @@ class RunRecord:
 
     # -- serialization ----------------------------------------------------
 
-    def _payload(self, with_timing: bool, schema: int = 1) -> dict:
+    def _payload(self, schema: int) -> dict:
         """The fields as JSON values: schema 1 writes every array as nested
-        lists, schema 2 packs the block fields (see the module docstring)."""
+        lists and no timings (the digested content), schema 2 packs the block
+        fields (see the module docstring) and ends with ``wall_clock``."""
         payload = {"schema": schema}
         for f in fields(self):
             if f.name == "wall_clock":
@@ -292,17 +293,17 @@ class RunRecord:
                 payload[f.name] = _pack(f.name, value, shapes)
             else:
                 payload[f.name] = _encode(value)
-        if with_timing:
+        if schema == 2:
             payload["wall_clock"] = _encode(self.wall_clock)
         return payload
 
     def content_digest(self) -> str:
         """SHA-256 over the deterministic schema-1 content (timings excluded)."""
-        return hashlib.sha256(_canonical(self._payload(with_timing=False)).encode()).hexdigest()
+        return hashlib.sha256(_canonical(self._payload(1)).encode()).hexdigest()
 
     def to_json(self, path: str | Path | None = None) -> dict:
         """The schema-2 payload, with timings; written when ``path`` is given."""
-        payload = self._payload(with_timing=True, schema=2)
+        payload = self._payload(2)
         if path is not None:
             Path(path).write_text(json.dumps(payload))
         return payload

@@ -41,9 +41,10 @@ class NoiseSpec:
     ``w_std`` and ``v_std`` are per-coordinate standard deviations for the
     process and measurement noise.  ``w_bound`` / ``v_bound``, when present,
     truncate each coordinate to ``[-b, b]`` by rejection sampling; bounds must
-    be at least one standard deviation.  A NaN deviation or bound raises
-    ``ValueError`` naming the field.  ``seed`` is a 64-bit master seed, an
-    integer (a bool or a string is not one).
+    be at least one standard deviation; an infinite bound does not truncate.
+    A NaN deviation or bound, or an infinite deviation, raises ``ValueError``
+    naming the field.  ``seed`` is a 64-bit master seed, an integer (a bool or
+    a string is not one).
     """
 
     w_std: np.ndarray
@@ -55,8 +56,13 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("w_std", "v_std", "w_bound", "v_bound"):
             value = getattr(self, name)
-            if value is not None and np.isnan(np.asarray(value, dtype=float)).any():
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            if np.isnan(value).any():
                 raise ValueError(f"{name} has a NaN entry")
+            if name.endswith("std") and np.isinf(value).any():
+                raise ValueError(f"{name} has an infinite entry")
         w = np.atleast_1d(np.asarray(self.w_std, dtype=float))
         v = np.atleast_1d(np.asarray(self.v_std, dtype=float))
         if np.any(w < 0) or np.any(v < 0):

@@ -351,6 +351,20 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_every_record_uses_this_formula_bitwise(self, linear_run, reactor_run):
+        # The filters' records and a Monte Carlo ensemble carry the public
+        # formula, the one the benchmark's checks recompute.
+        records = [linear_run[2], reactor_run[2]]
+        assert [rec.kind for rec in records] == ["dkf", "dekf"]
+        for rec in records:
+            assert np.array_equal(rec.rmse, rmse(rec.xhat_post, rec.xs))
+        config = ExperimentConfig(model={"name": "linear-4state"}, steps=20, seed=3,
+                                  monitors=False)
+        result = monte_carlo(config, runs=2)
+        for seed, curve in zip(result.seeds, result.rmse):
+            alone = run_experiment(config.replace(seed=int(seed)), write_outputs=False)
+            assert np.array_equal(curve, rmse(alone.xhat_post, alone.xs))
+
 
 class TestMonteCarlo:
     CONFIG = ExperimentConfig(model={"name": "linear-4state"}, steps=40,
@@ -382,10 +396,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("config", [
         CONFIG.replace(steps=20),
         CONFIG.replace(steps=20, estimator=DOUBLED_R),
-        CONFIG.replace(steps=20, mode="dekf"),
         ExperimentConfig(model={"name": "reactor-chain"}, steps=20, seed=5,
                          monitors=False),
-    ], ids=["linear", "linear-R-doubled", "linear-dekf", "reactor"])
+    ], ids=["linear", "linear-R-doubled", "reactor"])
     def test_each_run_equals_a_standalone_run_bitwise(self, config):
         result = monte_carlo(config, runs=3)
         for seed, curve in zip(result.seeds, result.rmse):
@@ -400,10 +413,9 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("config, n, per_run", [
         (CONFIG.replace(steps=10), 2, False),
-        (CONFIG.replace(steps=10, mode="dekf"), 2, True),
         (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
                           monitors=False), 4, True),
-    ], ids=["linear", "linear-dekf", "reactor"])
+    ], ids=["linear", "reactor"])
     def test_only_a_linear_ensemble_shares_its_gains(self, monkeypatch, config, n,
                                                      per_run):
         calls = []

@@ -91,6 +91,16 @@ class TestRun:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--mode", "dkf"],
+                                      ["--model", "linear-4state", "--mode", "dkf"]])
+    def test_mode_flag_is_a_usage_error(self, argv, capsys):
+        # No filter flag: the model kind picks the filter, and ``--mode`` is
+        # not taken for an abbreviation of ``--model``.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode dkf" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_ensemble_csv_has_one_entry_per_run_per_instant(self, tmp_path, capsys):

@@ -245,19 +245,24 @@ class TestRunDekf:
                 assert np.array_equal(a.covs[k][i], b.covs[k][i])
 
     def test_fd_mode_close_to_analytic_mode(self, reactor_bench):
-        traj = simulate(reactor_bench.model, reactor_bench.x0, 30,
-                        reactor_bench.noise(seed=19))
-        rec_a = run_dekf(reactor_bench.model, reactor_bench.design, traj,
-                         mode="analytic")
-        rec_f = run_dekf(reactor_bench.model, reactor_bench.design, traj, mode="fd")
+        # Subsystems without providers are linearized by central differences
+        # throughout, as ``linearize(mode="fd")`` does.
+        model = reactor_bench.model
+        bare = [dataclasses.replace(sub, jac_f=None, jac_h=None) for sub in model.subsystems]
+        traj = simulate(model, reactor_bench.x0, 30, reactor_bench.noise(seed=19))
+        rec_a = run_dekf(model, reactor_bench.design, traj)
+        rec_f = run_dekf(aggregate_nonlinear(bare, model.partition), reactor_bench.design, traj)
         diff = np.abs(rec_a.xhat_post - rec_f.xhat_post)
         assert np.max(diff / (1.0 + np.abs(rec_f.xhat_post))) <= 1e-4
+        for k in range(rec_f.steps):
+            fd = linearize(bare, rec_f.xhat_post[k], mode="fd")
+            for i in range(4):
+                assert np.array_equal(fd.a_cols[i], rec_f.a_cols[k][i])
 
     def test_unknown_mode_is_rejected(self, reactor_bench):
-        traj = simulate(reactor_bench.model, reactor_bench.x0, 5,
-                        reactor_bench.noise(seed=1))
+        # The filter takes no mode; ``linearize`` is the one place that does.
         with pytest.raises(ValueError, match="unknown mode 'analytc'"):
-            run_dekf(reactor_bench.model, reactor_bench.design, traj, mode="analytc")
+            linearize(reactor_bench.model.subsystems, reactor_bench.x0, mode="analytc")
 
     def test_raising_jacobian_provider_names_subsystem_and_instant(self, reactor_bench):
         def boom(x_i, neighbors):

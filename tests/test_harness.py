@@ -29,8 +29,6 @@ class TestConfig:
             ExperimentConfig(model={"name": "linear-4state"}, steps=0)
         with pytest.raises(ValueError):
             ExperimentConfig(model={"name": "linear-4state"}, runs=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(model={"name": "linear-4state"}, mode="ukf")
 
     @pytest.mark.parametrize("field, value", [
         ("steps", 2.5), ("steps", True), ("runs", 2.7), ("runs", True),
@@ -71,11 +69,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
+    def test_load_rejects_a_mode_key(self, tmp_path):
+        # The model kind picks the filter; an old config naming one is refused.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"name": "linear-4state"}, "mode": "dekf"}))
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['mode']")):
+            load_config(path)
+
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"name": "reactor-chain",
                                               "params": {"coupling": 0.05}},
-                                    "steps": 25, "seed": 3, "mode": "dekf"}))
+                                    "steps": 25, "seed": 3}))
         config = load_config(path)
         assert config.steps == 25
         assert config.model["params"]["coupling"] == 0.05
@@ -104,17 +109,6 @@ class TestRunExperiment:
                                               steps=10, monitors=False),
                              write_outputs=False)
         assert rec.kind == "dekf"
-
-    def test_dekf_mode_wraps_linear_model(self):
-        rec = run_experiment(BASE.replace(mode="dekf", steps=10, monitors=False),
-                             write_outputs=False)
-        assert rec.kind == "dekf"
-
-    def test_dkf_mode_rejects_nonlinear_model(self):
-        config = ExperimentConfig(model={"name": "reactor-chain"}, steps=5,
-                                  mode="dkf")
-        with pytest.raises(ValueError, match="linear"):
-            run_experiment(config, write_outputs=False)
 
     def test_inline_model_runs(self):
         inline = {

@@ -22,8 +22,9 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
   ``__all__``), unless its name starts with ``_``, is passed by some call in
-  ``src/``, ``tests/``, ``bench/`` or ``demos/``: an option that nothing sets
-  is a code path that nothing runs.
+  ``src/``, ``bench/`` or ``demos/``: an option that nothing sets is a code
+  path that nothing runs, and one that only a test sets is a code path that
+  only tests run.  The exceptions are listed by name in ``TEST_HOOKS``.
 
 Each rule's checker is also run on a small source that breaks it.
 """
@@ -279,10 +280,25 @@ def unset_options(modules: list[str], callers: list[str]) -> list[str]:
     return sorted(unset)
 
 
+#: The directories whose calls count as setting an option; ``tests/`` does not.
+CALLER_DIRS = ("src", "bench", "demos")
+#: The options that only tests set: ``order`` is the hook of the determinism
+#: check (C10), which runs the agents in another order and compares bits.
+TEST_HOOKS = ("run_dekf.order", "run_dkf.order")
+
+
+def options_set_only_by_tests(modules: list[str], callers: list[str]) -> list[str]:
+    """The options of ``modules`` that no call in ``callers`` sets, less the
+    listed test hooks."""
+    return [name for name in unset_options(modules, callers) if name not in TEST_HOOKS]
+
+
 def test_every_option_is_set_by_some_call():
-    callers = [p.read_text() for d in ("src", "tests", "bench", "demos")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unset_options([p.read_text() for p in MODULES], callers) == []
+    callers = [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    modules = [p.read_text() for p in MODULES]
+    assert options_set_only_by_tests(modules, callers) == []
+    # A hook that the package stops declaring, or starts to set, leaves the list.
+    assert set(TEST_HOOKS) <= set(unset_options(modules, callers))
 
 
 def test_checker_flags_an_unset_option():
@@ -293,3 +309,12 @@ def test_checker_flags_an_unset_option():
               "class Config:\n    def replace(self, z=1):\n        pass\n")
     caller = "run(1, None, trace=True)\nmod.run(*args, **kwargs)\nrun(x, order=2)\n"
     assert unset_options([module], [caller]) == ["run.mode", "run.seed"]
+    # An option that only a test passes is flagged, unless it is a listed hook.
+    module = ("__all__ = ['run_dkf']\n"
+              "def run_dkf(model, design, traj, order=None, mode='analytic'):\n"
+              "    pass\n")
+    package = "run_dkf(model, design, traj)\n"
+    test = "run_dkf(model, design, traj, order=[1, 0], mode='fd')\n"
+    assert unset_options([module], [package, test]) == []
+    assert unset_options([module], [package]) == ["run_dkf.mode", "run_dkf.order"]
+    assert options_set_only_by_tests([module], [package]) == ["run_dkf.mode"]

@@ -268,8 +268,7 @@ class TestLeanBlocks:
         column = np.array([b[1][row, col] for b in record.a_cols])
         assert (column == 0).any() and (column != 0).any()
         _assert_same_blocks(_through_file(record), record)
-        _assert_same_blocks(RunRecord.from_json(json.loads(json.dumps(record._payload(
-            with_timing=True)))), record)
+        _assert_same_blocks(RunRecord.from_json(json.loads(json.dumps(record._payload(1)))), record)
 
     def test_export_and_import_keep_blocks(self, tmp_path, monitored):
         back = import_record(export(monitored, "json", tmp_path))
@@ -316,7 +315,7 @@ class TestLeanBlocks:
     def test_lean_file_of_a_sparse_chain_is_small(self):
         record = _chain_record()
         lean = len(json.dumps(record.to_json()))
-        dense = len(json.dumps(record._payload(with_timing=True)))
+        dense = len(json.dumps(record._payload(1)))
         assert lean <= 0.4 * dense
         _assert_same_blocks(_through_file(record), record)
 

@@ -232,3 +232,23 @@ class TestNoiseSpecValidation:
         kw[field] = np.where(np.arange(kw[field].size) == 0, np.nan, kw[field])
         with pytest.raises(ValueError, match=f"^{field} has a NaN entry$"):
             NoiseSpec(seed=0, **kw)
+
+    @pytest.mark.parametrize("field", ["w_std", "v_std"])
+    def test_infinite_std_rejected_by_name(self, field):
+        # Accepted, an infinite v_std gave a trajectory of infinite
+        # measurements without error, and an infinite w_std surfaced only as
+        # "state became non-finite at step 1" from simulate.
+        kw = {"w_std": np.ones(4), "v_std": np.ones(2)}
+        kw[field] = np.where(np.arange(kw[field].size) == 0, np.inf, kw[field])
+        with pytest.raises(ValueError, match=f"^{field} has an infinite entry$"):
+            NoiseSpec(seed=0, **kw)
+
+    @pytest.mark.parametrize("field", ["w_bound", "v_bound"])
+    def test_infinite_bound_truncates_nothing(self, field):
+        bench = get_benchmark("linear-4state")
+        kw = {"w_bound": None, "v_bound": None,
+              field: np.full(4 if field == "w_bound" else 2, np.inf)}
+        bounded = NoiseSpec(w_std=np.full(4, 0.1), v_std=np.full(2, 0.1), seed=3, **kw)
+        free = NoiseSpec(w_std=np.full(4, 0.1), v_std=np.full(2, 0.1), seed=3)
+        a, b = (simulate(bench.model, bench.x0, 5, spec) for spec in (bounded, free))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
