@@ -22,10 +22,15 @@ forms ``F_k`` once per chunk and takes from it both the blocks ``F_ii`` and
 the weak-coupling verdicts.  It refuses a record entry that is not finite,
 or a covariance that is not positive definite, with a ``ValueError`` naming
 the field, the subsystem and the instant.  Every monitor works on these
-stacks with batched numpy linear algebra, which runs the same LAPACK routine
-on each matrix as a per-instant call would, so the results are those of a
-per-instant evaluation bit for bit.  The four public monitors keep their
-call shape and build the kernel when called on their own;
+stacks with batched numpy linear algebra, one call per group of equally
+sized subsystems, which runs the same LAPACK routine on each matrix as a
+per-instant call would, so the results are those of a per-instant
+evaluation bit for bit.  The weak-coupling margins (and the standalone
+check's cross term and threshold) are the exception: their threshold blocks
+come from ``d_i``-sized factors through the push-through identity
+(``_Loop._inequality``), not from the ``ny x ny`` solve of the textbook
+formula, and agree with it to ``1e-12`` relative.  The four public monitors
+keep their call shape and build the kernel when called on their own;
 :func:`stability_report` builds it once and hands it to each of them,
 calling them by name so that each can still be timed on its own (the
 benchmark's per-layer trace times each).
@@ -44,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, _integer, _posdef, _sym
+from .model import GlobalModel, _cholesky, _integer, _posdef, _sym
 from .records import RunRecord, _write_csv
 
 __all__ = [
@@ -87,10 +92,12 @@ def _tr(m: np.ndarray) -> np.ndarray:
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack; 0 for empty matrices."""
+    """Spectral norm of each matrix of a stack, flattened; 0 for empty
+    matrices.  The largest singular value, which ``np.linalg.norm(m, 2)``
+    also takes."""
     if stack.size == 0:
-        return np.zeros(stack.shape[0])
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+        return np.zeros(stack.shape[:-2]).ravel()
+    return np.linalg.svd(stack, compute_uv=False)[..., 0].ravel()
 
 
 def _chunks(count: int, entries: int) -> list[slice]:
@@ -100,23 +107,36 @@ def _chunks(count: int, entries: int) -> list[slice]:
     return [slice(a, a + size) for a in range(0, count, size)]
 
 
+def _diag(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the diagonal blocks whose state indices are
+    the rows of ``idx`` (``n x d``): ``m[_diag(idx)]`` is shaped ``(n, d,
+    d)``, and ``m[(slice(None), *_diag(idx))]`` of a stack ``m`` is shaped
+    ``(len(m), n, d, d)``."""
+    return idx[:, :, None], idx[:, None, :]
+
+
 class _Loop:
     """Closed loop and information matrices of a recorded run over the
     transitions ``k = first..last``, and so the instants ``first - 1..last``.
 
-    Block-diagonal quantities are kept whole, one stack over instants per
-    subsystem: ``covs`` (symmetrized) and their inverses ``info`` over the
-    instants, position ``j`` being instant ``first - 1 + j``, and the
-    diagonal closed-loop blocks ``F_diag`` over the transitions, position
-    ``j`` being ``k = first + j``; each is built on first use.  Record
-    entries are otherwise not kept: :meth:`stack` stacks one subsystem's
-    entries, and :meth:`closed_loop` forms ``F_k`` over a chunk of
-    transitions, once per chunk in one pass that yields both ``F_diag`` and
-    the weak-coupling results.  A record entry that is not finite, or a
-    covariance that is not positive definite, raises a ``ValueError`` naming
-    the field, the subsystem and the instant.  A kernel of one transition
-    (a standalone weak-coupling check) keeps that transition's ``nx x nx``
-    cross term and threshold in its result.
+    Subsystems of one size form a group (``groups``: their indices and, one
+    row each, their state indices), and block-diagonal quantities are kept
+    whole, one ``(member, position, d, d)`` stack per group:
+    ``covs`` (symmetrized), their lower Cholesky factors ``chols`` and their
+    inverses ``info`` over the instants, position ``j`` being instant
+    ``first - 1 + j``, and the diagonal closed-loop blocks ``F_groups`` over
+    the transitions, position ``j`` being ``k = first + j``; each is built on
+    first use.  The monitors make one batched call per group, not one per
+    subsystem.  Record entries are otherwise not kept: :meth:`stack` stacks
+    one subsystem's entries, :meth:`group_stacks` a group's in bounded
+    batches, and :meth:`closed_loop` forms ``F_k`` over a chunk of
+    transitions, once per chunk in one pass that yields ``F_groups``, the
+    spectral norms of their blocks (``F_norms``) and the weak-coupling
+    results.  A record entry that
+    is not finite, or a covariance that is not positive definite, raises a
+    ``ValueError`` naming the field, the subsystem and the instant.  A kernel
+    of one transition (a standalone weak-coupling check) keeps that
+    transition's ``nx x nx`` cross term and threshold in its result.
     """
 
     def __init__(self, record: RunRecord, first: int = 1, last: int | None = None):
@@ -126,6 +146,12 @@ class _Loop:
         self.nx = p.nx
         self.transitions = range(first, record.steps + 1 if last is None else last + 1)
         self.instants = range(first - 1, self.transitions.stop)
+        starts = np.array([s.start for s in self.slices])
+        dims = np.array([s.stop - s.start for s in self.slices])
+        self.groups = []
+        for d in np.unique(dims):
+            members = np.flatnonzero(dims == d)
+            self.groups.append((members, starts[members, None] + np.arange(d)))
 
     def _stack(self, field: str, i: int, instants: range) -> np.ndarray:
         return np.array([getattr(self.record, field)[k][i] for k in instants])
@@ -141,6 +167,16 @@ class _Loop:
                              "is not finite")
         return stack
 
+    def group_stacks(self, field: str, instants: range):
+        """Per group, :meth:`stack` of its members joined as ``(instant,
+        member, ...)``, a batch of at most ``_CHUNK`` entries (one member at
+        least) at a time, with the batch's members and their state indices."""
+        for members, idx in self.groups:
+            block = getattr(self.record, field)[instants[0]][members[0]]
+            for b in _chunks(len(members), len(instants) * np.size(block)):
+                yield members[b], idx[b], np.stack([self.stack(field, i, instants)
+                                                    for i in members[b]], axis=1)
+
     def _joined(self, field: str, instants: range, axis: int) -> np.ndarray:
         """Every subsystem's entries of a record field at ``instants``,
         stacked and joined along ``axis``."""
@@ -152,22 +188,42 @@ class _Loop:
         return joined
 
     @cached_property
-    def covs(self) -> list[np.ndarray]:
-        stacks = [_sym(self.stack("covs", i, self.instants)) for i in range(len(self.slices))]
-        for i, P in enumerate(stacks):
-            if not _posdef(P):
-                k = next(k for k, P_k in zip(self.instants, P) if not _posdef(P_k))
+    def _factored(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``covs`` and ``chols``: one Cholesky factorization per group, which
+        is also the positive-definiteness check."""
+        covs, chols = [], []
+        for members, _ in self.groups:
+            P = _sym(np.stack([self.stack("covs", i, self.instants) for i in members]))
+            chol = _cholesky(P)
+            if chol is None:
+                i, P_i = next((i, P_i) for i, P_i in zip(members, P) if not _posdef(P_i))
+                k = next(k for k, P_k in zip(self.instants, P_i) if not _posdef(P_k))
                 raise ValueError(f"covs[{k}][{i}] (subsystem {i}, instant {k}) "
                                  "is not positive definite")
-        return stacks
+            covs.append(P)
+            chols.append(chol)
+        return covs, chols
+
+    @property
+    def covs(self) -> list[np.ndarray]:
+        return self._factored[0]
+
+    @property
+    def chols(self) -> list[np.ndarray]:
+        return self._factored[1]
 
     @cached_property
     def info(self) -> list[np.ndarray]:
-        return [np.linalg.inv(P) for P in self.covs]
+        """The inverses of ``covs``, one batched inverse per subsystem."""
+        return [np.array([np.linalg.inv(P_i) for P_i in P]) for P in self.covs]
 
     @cached_property
-    def R_inv(self) -> np.ndarray:
-        return np.linalg.inv(_sym(np.asarray(self.record.estimator["R"], dtype=float)))
+    def R_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of the estimator's ``R``."""
+        R_c = _cholesky(_sym(np.asarray(self.record.estimator["R"], dtype=float)))
+        if R_c is None:
+            raise ValueError("estimator R is not positive definite")
+        return R_c
 
     def closed_loop(self, ks: range) -> tuple[np.ndarray, ...]:
         """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and ``F_k`` stacked
@@ -179,18 +235,25 @@ class _Loop:
         return A, C, L, ILC, ILC @ A
 
     @cached_property
-    def _pass(self) -> tuple[list[np.ndarray], list[dict]]:
-        """``F_diag`` and the weak-coupling result of every transition (see
-        :func:`check_weak_coupling`), forming ``F_k`` once per chunk of
-        ``nx x nx`` stacks."""
-        F_diag = [np.empty((len(self.transitions), s.stop - s.start, s.stop - s.start))
-                  for s in self.slices]
+    def _pass(self) -> tuple[list[np.ndarray], np.ndarray, list[dict]]:
+        """``F_groups``, ``F_norms`` and the weak-coupling result of every
+        transition (see :func:`check_weak_coupling`), forming ``F_k`` once per
+        chunk of ``nx x nx`` stacks."""
+        count = len(self.transitions)
+        F_groups = [np.empty((len(P), count) + P.shape[2:]) for P in self.covs]
+        sv = [np.empty(F_g.shape[:-1]) for F_g in F_groups]
         coupling = []
-        for j in _chunks(len(self.transitions), self.nx * self.nx):
+        for j in _chunks(count, self.nx * self.nx):
             _, _, L, _, F = self.closed_loop(self.transitions[j])
-            for F_ii, s in zip(F_diag, self.slices):
-                F_ii[j] = F[:, s, s]
-            cond = np.array([np.linalg.cond(F_ii[j]) for F_ii in F_diag])
+            cond = np.empty((len(self.slices), len(F)))
+            for (members, idx), F_g, s_g in zip(self.groups, F_groups, sv):
+                F_g[:, j] = np.swapaxes(F[(slice(None), *_diag(idx))], 0, 1)
+                # The singular values np.linalg.cond and norm(., 2) take.
+                s_g[:, j] = np.linalg.svd(F_g[:, j], compute_uv=False)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cond[members] = s_g[:, j, 0] / s_g[:, j, -1]
+            # As in np.linalg.cond, a zero block (0 / 0) is not invertible.
+            cond[np.isnan(cond)] = np.inf
             fine = np.isfinite(cond) & (cond <= COND_LIMIT)
             checkable = fine.all(axis=0)
             # A checkable transition reports its worst condition number, one
@@ -200,51 +263,84 @@ class _Loop:
             # Batched solves raise for the whole stack on one singular block,
             # so only the checkable transitions go on.
             c = np.flatnonzero(checkable)
-            verdicts = zip(*self._inequality(j.start + c, F[c], L[c]))
+            margins, cross, T = self._inequality(j.start + c, F[c], L[c])
+            verdicts = iter(range(len(c)))
             for pos, k in enumerate(self.transitions[j]):
                 if not checkable[pos]:
                     coupling.append({"k": k, "checkable": False, "satisfied": False,
                                      "margin": float("nan"),
                                      "condition": float(condition[pos])})
                     continue
-                margin, cross, T = next(verdicts)
-                res = {"k": k, "checkable": True, "satisfied": bool(margin > -INEQ_TOL),
-                       "margin": float(margin), "condition": float(condition[pos])}
-                if len(self.transitions) == 1:
-                    res.update(cross=cross, threshold=T)
+                v = next(verdicts)
+                res = {"k": k, "checkable": True, "satisfied": bool(margins[v] > -INEQ_TOL),
+                       "margin": float(margins[v]), "condition": float(condition[pos])}
+                if count == 1:
+                    threshold = np.zeros((self.nx, self.nx))
+                    for (_, idx), T_g in zip(self.groups, T):
+                        threshold[_diag(idx)] = T_g[v]
+                    res.update(cross=cross[v], threshold=threshold)
                 coupling.append(res)
-        return F_diag, coupling
+        return F_groups, np.concatenate([s_g[..., 0].ravel() for s_g in sv]), coupling
 
     @property
-    def F_diag(self) -> list[np.ndarray]:
-        """``F_ii`` over every transition, one stack per subsystem."""
+    def F_groups(self) -> list[np.ndarray]:
+        """``F_ii`` over every transition, one stack per group."""
         return self._pass[0]
+
+    @property
+    def F_norms(self) -> np.ndarray:
+        """The spectral norm of every ``F_ii``, flattened."""
+        return self._pass[1]
 
     @property
     def coupling(self) -> list[dict]:
         """The weak-coupling result of every transition."""
-        return self._pass[1]
+        return self._pass[2]
 
     def _inequality(self, j: np.ndarray, F: np.ndarray,
-                    L: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Margin, cross term and threshold of the weak-coupling inequality
-        at the transitions at positions ``j``, with their ``F_k`` and
-        ``L_k``."""
-        F_d = np.zeros_like(F)
-        Pi = np.zeros_like(F)
-        T = np.zeros_like(F)
-        for i, s in enumerate(self.slices):
-            F_d[:, s, s] = F[:, s, s]
-            Pi[:, s, s] = self.info[i][j + 1]
-        F_o = F - F_d
-        for i, s in enumerate(self.slices):
-            Pi_prev = self.info[i][j]
-            B = np.linalg.solve(F_d[:, s, s], L[:, s])   # F_ii^-1 L_i
-            inner = _sym(self.R_inv + _tr(B) @ Pi_prev @ B)
-            T[:, s, s] = _sym(Pi_prev @ B @ np.linalg.solve(inner, _tr(B)) @ Pi_prev)
-        cross = _sym(_tr(F_o) @ Pi @ F_o + _tr(F_o) @ Pi @ F_d + _tr(F_d) @ Pi @ F_o)
-        margins = np.linalg.eigvalsh(_sym(0.5 * T - cross))[:, 0]
-        return margins, cross, T
+                    L: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Margin, cross term and threshold blocks of the weak-coupling
+        inequality at the transitions at positions ``j``, with their ``F_k``
+        and ``L_k``; the threshold blocks come per group, stacked
+        ``(transition, member, d, d)``.
+
+        Subsystem ``i``'s threshold block is ``T_ii = Pi B (R^-1 + B' Pi
+        B)^-1 B' Pi`` with ``Pi = P_i(k-1)^-1`` and ``B = F_ii^-1 L_i``
+        (``d_i x ny``).  With ``R = R_c R_c'``, ``Pi = K K'`` for ``K = Pi
+        G`` (``P_i(k-1) = G G'``) and the thin SVD ``K' B R_c = U S V'``, the
+        push-through identity gives ``T_ii = K U diag(s^2 / (1 + s^2)) (K
+        U)'``: ``d_i``-sized work, accurate to roundoff, with no ``R^-1`` and
+        no ``ny x ny`` solve.  The cross term ``F_o' Pi F_o + F_o' Pi F_d
+        + F_d' Pi F_o`` is ``F_o' (Pi F) + (F_d' Pi) F_o``, with ``Pi F`` and
+        ``F_d' Pi`` formed block row by block row: one dense ``nx x nx``
+        product.  Each step is one batched call per group.
+        """
+        F_o = F.copy()
+        PF = np.empty_like(F)
+        T, cross_rows = [], []
+        for (_, idx), Pi, chol in zip(self.groups, self.info, self.chols):
+            # Transition-major, (transition, member, d, d), as F and L.
+            Kt = np.swapaxes(_tr(chol[:, j]) @ Pi[:, j], 0, 1)
+            Pi = np.swapaxes(Pi[:, j + 1], 0, 1)
+            blocks = (slice(None), *_diag(idx))
+            F_ii = F[blocks]
+            F_o[blocks] = 0.0
+            B = np.linalg.solve(F_ii, L[:, idx])
+            # W' = V S U', the faster SVD of the two; X = U' K' = (K U)'.
+            _, s, X = np.linalg.svd(_tr(Kt @ B @ self.R_chol), full_matrices=False)
+            X = X @ Kt
+            s2 = s * s
+            T.append(_sym(_tr(X) @ ((s2 / (1.0 + s2))[..., None] * X)))
+            PF[:, idx] = Pi @ F[:, idx]
+            cross_rows.append(_tr(F_ii) @ Pi @ F_o[:, idx])
+        cross = _tr(F_o) @ PF
+        for (_, idx), rows in zip(self.groups, cross_rows):
+            cross[:, idx] += rows
+        cross = _sym(cross)
+        diff = -cross
+        for (_, idx), T_g in zip(self.groups, T):
+            diff[(slice(None), *_diag(idx))] += 0.5 * T_g
+        return np.linalg.eigvalsh(diff)[:, 0], cross, T
 
 
 # -- error dynamics -------------------------------------------------------
@@ -346,16 +442,20 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
     n = len(slices)
     starts = [s.start for s in slices]
     a_diag, a_off = [], []
-    for i, s in enumerate(slices):
-        A_i = loop.stack("a_cols", i, loop.instants[:-1])
-        a_diag.append(_norms(A_i[:, s]))
-        # A block that is zero throughout cannot raise a maximum of norms.
-        live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
-        a_off += [_norms(A_i[:, slices[l]]) for l in np.flatnonzero(live) if l != i]
-    c_norms, gain_norms = ([_norms(loop.stack(field, i, loop.instants)) for i in range(n)]
+    for members, idx, A in loop.group_stacks("a_cols", loop.instants[:-1]):
+        a_diag.append(_norms(A[:, np.arange(len(members))[:, None], idx]))
+        off = {}   # the batch's off-diagonal blocks, by shape
+        for i, A_i in zip(members, np.swapaxes(A, 0, 1)):
+            # A block that is zero throughout cannot raise a maximum of norms.
+            live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
+            for l in np.flatnonzero(live):
+                if l != i:
+                    block = A_i[:, slices[l]]
+                    off.setdefault(block.shape, []).append(block)
+        a_off += [_norms(np.stack(blocks)) for blocks in off.values()]
+    c_norms, gain_norms = ([_norms(stack) for *_, stack in loop.group_stacks(field, loop.instants)]
                            for field in ("c_cols", "gains"))
     a_diag, c_norms, gain_norms = (np.concatenate(v) for v in (a_diag, c_norms, gain_norms))
-    f_diag_norms = np.concatenate([_norms(F_ii) for F_ii in loop.F_diag])
     p_eigs = [np.linalg.eigvalsh(P) for P in loop.covs]
 
     est = record.estimator
@@ -365,8 +465,8 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
 
     a_lo, a_hi = float(a_diag.min()), float(np.concatenate([a_diag, *a_off]).max())
     c_lo, c_hi = float(c_norms.min()), float(c_norms.max())
-    p_lo = float(min(e[:, 0].min() for e in p_eigs))
-    p_hi = float(max(e[:, -1].max() for e in p_eigs))
+    p_lo = float(min(e[..., 0].min() for e in p_eigs))
+    p_hi = float(max(e[..., -1].max() for e in p_eigs))
     q_lo, q_hi = float(q_eigs[0]), float(q_eigs[-1])
     r_lo, r_hi = float(r_eigs[0]), float(r_eigs[-1])
     l_lo = (c_lo * a_lo ** 2 * p_lo + c_lo * q_lo) / (
@@ -382,7 +482,7 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
         q_lo=q_lo, q_hi=q_hi, r_lo=r_lo, r_hi=r_hi,
         l_lo=float(l_lo), l_hi=float(l_hi), f_hi=float(f_hi),
         gain_lo=float(gain_norms.min()), gain_hi=float(gain_norms.max()),
-        f_diag_hi=float(f_diag_norms.max()),
+        f_diag_hi=float(loop.F_norms.max()),
         bounded=bool(bounded),
     )
 
@@ -434,9 +534,9 @@ def check_contraction(record: RunRecord, alpha: float | None = None, *,
         alpha = contraction_rate(check_bounds(record, _loop=loop))
     vacuous = not (0.0 < alpha < 1.0)
     worst = np.full(record.steps, np.inf)
-    for F_ii, Pi in zip(loop.F_diag, loop.info):
-        diff = _sym((1.0 - alpha) * Pi[:-1] - _tr(F_ii) @ Pi[1:] @ F_ii)
-        worst = np.minimum(worst, np.linalg.eigvalsh(diff)[:, 0])
+    for F_g, Pi in zip(loop.F_groups, loop.info):
+        diff = _sym((1.0 - alpha) * Pi[:, :-1] - _tr(F_g) @ Pi[:, 1:] @ F_g)
+        worst = np.minimum(worst, np.linalg.eigvalsh(diff)[..., 0].min(axis=0))
     margins = np.concatenate([[np.nan], worst])
     ok = np.concatenate([[True], worst > -INEQ_TOL])
     return {"alpha": float(alpha), "vacuous": vacuous,
@@ -449,10 +549,13 @@ def lyapunov_values(record: RunRecord, *, _loop: _Loop | None = None) -> np.ndar
     diagonal posterior information matrix, per instant."""
     loop = _Loop(record) if _loop is None else _loop
     err = record.error_post()
+    values = np.empty((len(loop.slices), record.steps + 1))
+    for (members, idx), Pi in zip(loop.groups, loop.info):
+        e = np.swapaxes(err[:, idx], 0, 1)[:, :, None]
+        values[members] = (e @ Pi @ _tr(e))[..., 0, 0]
     out = np.zeros(record.steps + 1)
-    for i, s in enumerate(loop.slices):
-        e = err[:, None, s]
-        out = out + (e @ loop.info[i] @ _tr(e))[:, 0, 0]
+    for v in values:   # summed in subsystem order
+        out = out + v
     return out
 
 

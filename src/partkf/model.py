@@ -13,13 +13,13 @@ agents.  Stored arrays are defensive copies with the writeable flag cleared.
 A model owns its derived views: its column blocks and ``_monolithic``.
 
 The module owns the matrix-health helpers, since every other module imports
-it: ``_sym``, ``_symmetric``, ``_posdef`` and ``_spd_solve``.  The filters,
-the oracles and the monitors symmetrize, Cholesky-factor and test positive
-definiteness only through them.  ``_spd_solve`` calls LAPACK ``dpotrf`` and
-``dpotrs`` directly, the routines that SciPy's ``cho_factor``/``cho_solve``
-call, with their checks: the same solutions bit for bit, without SciPy's
-per-call overhead, which at the filters' sizes costs more than the
-factorization.
+it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef`` and
+``_spd_solve``.  The filters, the oracles and the monitors symmetrize,
+Cholesky-factor and test positive definiteness only through them.
+``_spd_solve`` calls LAPACK ``dpotrf`` and ``dpotrs`` directly, the routines
+that SciPy's ``cho_factor``/``cho_solve`` call, with their checks: the same
+solutions bit for bit, without SciPy's per-call overhead, which at the
+filters' sizes costs more than the factorization.
 """
 
 from __future__ import annotations
@@ -141,13 +141,18 @@ def _symmetric(*ms: np.ndarray) -> bool:
     return bool((np.abs(a - b) <= 1e-12 + 1e-10 * np.abs(b)).all())
 
 
+def _cholesky(m: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a matrix, or of each matrix of a stack;
+    ``None`` when one has none."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _posdef(m: np.ndarray) -> bool:
     """Whether a matrix, or every matrix of a stack, has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _cholesky(m) is not None
 
 
 def _finite(a) -> None:
