@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, _cholesky, _integer, _posdef, _sym
+from .model import GlobalModel, _cholesky, _integer, _posdef, _sym, _tr
 from .records import RunRecord, _write_csv
 
 __all__ = [
@@ -86,11 +86,6 @@ COND_LIMIT = 1e12
 _CHUNK = 2 ** 15
 
 
-def _tr(m: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix of a stack."""
-    return np.swapaxes(m, -1, -2)
-
-
 def _norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix of a stack, flattened; 0 for empty
     matrices.  The largest singular value, which ``np.linalg.norm(m, 2)``
@@ -119,8 +114,9 @@ class _Loop:
     """Closed loop and information matrices of a recorded run over the
     transitions ``k = first..last``, and so the instants ``first - 1..last``.
 
-    Subsystems of one size form a group (``groups``: their indices and, one
-    row each, their state indices), and block-diagonal quantities are kept
+    Subsystems of one size form a group (``groups``, the partition's
+    :attr:`~partkf.model.StatePartition.groups`: their indices and, one row
+    each, their state indices), and block-diagonal quantities are kept
     whole, one ``(member, position, d, d)`` stack per group:
     ``covs`` (symmetrized), their lower Cholesky factors ``chols`` and their
     inverses ``info`` over the instants, position ``j`` being instant
@@ -146,12 +142,7 @@ class _Loop:
         self.nx = p.nx
         self.transitions = range(first, record.steps + 1 if last is None else last + 1)
         self.instants = range(first - 1, self.transitions.stop)
-        starts = np.array([s.start for s in self.slices])
-        dims = np.array([s.stop - s.start for s in self.slices])
-        self.groups = []
-        for d in np.unique(dims):
-            members = np.flatnonzero(dims == d)
-            self.groups.append((members, starts[members, None] + np.arange(d)))
+        self.groups = p.groups
 
     def _stack(self, field: str, i: int, instants: range) -> np.ndarray:
         return np.array([getattr(self.record, field)[k][i] for k in instants])
@@ -467,7 +458,7 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
     c_lo, c_hi = float(c_norms.min()), float(c_norms.max())
     p_lo = float(min(e[..., 0].min() for e in p_eigs))
     p_hi = float(max(e[..., -1].max() for e in p_eigs))
-    q_lo, q_hi = float(q_eigs[0]), float(q_eigs[-1])
+    q_lo, q_hi = float(q_eigs.min()), float(q_eigs.max())
     r_lo, r_hi = float(r_eigs[0]), float(r_eigs[-1])
     l_lo = (c_lo * a_lo ** 2 * p_lo + c_lo * q_lo) / (
         (n * c_hi * a_hi) ** 2 * p_hi + c_hi ** 2 * q_hi + r_hi)

@@ -5,7 +5,11 @@ its blocks re-linearized at every sampling instant.  This module supplies the
 nonlinear linearization source and the public step functions, two of them the
 linear filter's: ``dekf_update`` is :func:`partkf.dkf.update` and
 ``dekf_gain_cov`` is :func:`partkf.dkf.gain_and_covariance` with the floor.
-So on an affine model the extended filter is the linear filter bit for bit.
+Its source factors ``R`` once and hands the engine, per instant and group
+of equally sized subsystems, the re-linearized blocks and their information
+blocks, which the engine's one batched gain kernel reads as it reads the
+linear source's constant ones.  So on an affine model the extended filter
+is the linear filter bit for bit.
 The evaluation points are deliberately asymmetric; they follow from the
 record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 
@@ -35,7 +39,9 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     EstimatorDesign,
     ExchangeSnapshot,
     _floor,
+    _group_blocks,
     _posteriors,
+    _r_factor,
     _run_filter,
     gain_and_covariance,
     update,
@@ -64,7 +70,7 @@ def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,
     """
     L, P = gain_and_covariance(P_prev, a_col_i, a_ii, C_k, c_col_i, Q_i, R)
     P, floored = _floor(P)
-    return L, P, floored
+    return L, P, bool(floored)
 
 
 #: The local update of both filters: the innovation is the measurement minus
@@ -74,7 +80,8 @@ dekf_update = update
 
 class _NonlinearSource:
     """Linearization source of a nonlinear model and one design (validated
-    once, here): Jacobian blocks at the given points, nonlinear prediction
+    once, here, and ``R`` factored once): Jacobian blocks at the given
+    points, their group stacks and information blocks, nonlinear prediction
     and the nonlinear output residual.  Its gains depend on the estimates,
     so its schedule stays empty."""
 
@@ -86,6 +93,7 @@ class _NonlinearSource:
         design.validate(model)
         self.model = model
         self.design = design
+        self.R_factor = _r_factor(design.R)
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
         p = self.model.partition
@@ -95,6 +103,10 @@ class _NonlinearSource:
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
         cols = _jac_cols_h(self.model.subsystems, self.model.partition, x, "analytic")
         return cols, np.hstack(cols)
+
+    def blocks(self, a_cols, a_ii, C, c_cols) -> list[tuple]:
+        """The :func:`~partkf.dkf._group_blocks` of this instant's blocks."""
+        return _group_blocks(self, a_cols, a_ii, C, c_cols)
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
         return y - _own_outputs(self.model.subsystems, points)

@@ -12,21 +12,35 @@ Local recursion for subsystem ``i`` with global output matrix ``C``, stacked
 column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
 
 - prediction   ``xp_i = A_ii xh_i + sum_l A_il xh_l``
-- gain         ``L_i = (C A_col P A_ii' + C_col Q_i)' M^-1`` with
-  ``M = C A_col P A_col' C' + C_col Q_i C_col' + R``
+- gain         ``L_i' = R^-1 U (I + W U' R^-1 U)^-1 W V`` with
+  ``U = [C A_col, C_col]`` (``ny x 2 d_i``), ``W = blkdiag(P, Q_i)`` and
+  ``V = [A_ii'; I]``: by the Woodbury identity the textbook
+  ``(C A_col P A_ii' + C_col Q_i)' M^-1`` with
+  ``M = C A_col P A_col' C' + C_col Q_i C_col' + R``, without forming or
+  factoring the ``ny x ny`` ``M`` and without inverting ``W``
 - update       ``xh_i = xp_i + L_i (y - [C_l xp_l]_l)``: the innovation
   stacks every subsystem's own output, as the extended filter's does
-- covariance   ``P+ = A_ii P A_ii' + Q_i - L_i (C A_col P A_ii' + C_col Q_i)``
+- covariance   ``P+ = A_ii P A_ii' + Q_i - L_i (U W V)``
+
+Instant 0 is the same kernel with ``U = C_col``, ``W = P0`` and ``V = I``.
 
 The same loop runs the linear filter (:func:`run_dkf`) and the extended
 filter (:func:`partkf.dekf.run_dekf`).  It is given a linearization source
 that supplies, per instant, the dynamics blocks at the posteriors, the local
-predictions, the output blocks at the predictions and the innovation: the
-constant blocks of a linear model here, the re-linearized blocks of a
-nonlinear model in :mod:`partkf.dekf`.  Per instant the loop computes the
-innovation once, then settles the instant in one step, the same at instant 0
-and at instant ``k``: for every subsystem the gain and covariance, the
-eigenvalue floor and the positive-definiteness check.
+predictions, the output blocks at the predictions, the innovation and the
+blocks of the gain.  A source factors ``R`` once.  Per group of equally
+sized subsystems it stacks the members' blocks and forms ``U``, ``R^-1 U``
+(one triangular solve pair over every member's columns) and ``U' R^-1 U``:
+the linear source once, from the model's constant blocks, the nonlinear
+source of :mod:`partkf.dekf` at every instant from its re-linearized ones.
+Per instant the loop computes the innovation once, then settles the
+instant in one step, the same at instant 0 and at instant ``k``: for each
+group one batched call of the kernel (``2 d_i``-sized solves), one batched
+eigenvalue floor and one batched positive-definiteness check.  Only when a
+group's call or check fails does the engine look for the failing subsystem,
+so errors still name the subsystem and the instant.  The step functions
+:func:`gain_and_covariance` and :func:`init_update` are the kernel on a
+stack of one, so they reproduce the engine's entries bit for bit.
 
 The gains ``L_i(k)`` and covariances ``P_i(k)`` of the linear filter depend
 on the model and the design, never on the measurements.  So the linear
@@ -40,9 +54,11 @@ estimates, so its source keeps no schedule and it computes its gains anew
 on every run.  The linear filter's records hold the schedule's arrays and
 the model's column blocks, all read-only and shared by every run.
 
-Inverses are SPD solves and covariances are symmetrized after every step,
-through the matrix-health helpers ``_sym``, ``_spd_solve`` of :mod:`partkf.model`.
-An SPD solve is one LAPACK ``dpotrf``/``dpotrs`` pair with SciPy's checks.
+Covariances are symmetrized after every step, and every factorization goes
+through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
+and ``_factor_solve`` (LAPACK ``dpotrf``/``dpotrs`` with SciPy's checks) for
+``R``, ``_solve`` for the kernel's ``2 d_i``-sized systems and
+``_not_posdef`` for the batched check.
 """
 
 from __future__ import annotations
@@ -55,8 +71,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .analysis import rmse
-from .model import (GlobalModel, LinearizationError, _check_instants, _own_outputs, _posdef,
-                    _spd_solve, _sym, _symmetric)
+from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
+                    _not_posdef, _own_outputs, _solve, _spd_factor, _sym, _symmetric, _tr)
 from .records import RunRecord, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
@@ -184,76 +200,154 @@ def _one_block(design: EstimatorDesign) -> EstimatorDesign:
                            P0=(block_diag(*design.P0),), x0_guess=design.x0_guess)
 
 
-def _floor(P: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Apply the eigenvalue floor; returns the covariance and whether it fired."""
-    d = P.shape[0]
-    if np.linalg.eigvalsh(P)[0] < COV_FLOOR_REL * np.trace(P) / d:
-        return P + COV_FLOOR_BUMP * np.eye(d), True
-    return P, False
+def _floor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the eigenvalue floor to a covariance, or to each of a stack;
+    returns the covariances and where the floor fired."""
+    d = P.shape[-1]
+    fired = np.linalg.eigvalsh(P)[..., 0] < COV_FLOOR_REL * np.trace(P, axis1=-2, axis2=-1) / d
+    if fired.any():
+        P = np.where(fired[..., None, None], P + COV_FLOOR_BUMP * np.eye(d), P)
+    return P, fired
 
 
-def _settled(source, k: int, agenda: Sequence[int], gain) -> tuple:
+def _located(k: int, members: np.ndarray, call) -> tuple:
+    """``call(rows)`` for a whole group, ``rows = slice(None)``.  When that
+    raises a :class:`FilterError`, each member is tried alone (a stack of
+    one), and the first that fails is named with the instant."""
+    try:
+        return call(slice(None))
+    except FilterError:
+        for row, i in enumerate(members):
+            try:
+                call(slice(row, row + 1))
+            except FilterError as exc:
+                raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
+        raise
+
+
+def _settled(source, k: int, gain) -> tuple:
     """Instant ``k``'s gains, covariances and floor events: the source's
-    schedule entry, or ``gain(i) -> (L_i, P_i)`` for each subsystem of
-    ``agenda``, floored, checked positive definite and handed to the
-    source's ``keep``.  Failures name the subsystem and the instant."""
+    schedule entry, or, group by group of the partition, ``gain(j, rows) ->
+    (L, P)`` for the stack of group ``j``'s members ``rows``, floored,
+    checked positive definite and handed to the source's ``keep``.  Each
+    step is one batched call per group; failures name the subsystem and the
+    instant."""
     entry = source.schedule.get(k)
     if entry is not None:
         return entry
     n = source.model.partition.n
     L_k, P_k, floors = [None] * n, [None] * n, 0
-    for i in agenda:
-        try:
-            L_k[i], P = gain(i)
-        except FilterError as exc:
-            raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
-        P_k[i], floored = _floor(P)
-        if not _posdef(P_k[i]):
+    for j, (members, _) in enumerate(source.model.partition.groups):
+        L, P = _located(k, members, lambda rows: gain(j, rows))
+        P, floored = _floor(P)
+        bad = _not_posdef(P)
+        if bad is not None:
+            i = int(members[bad])
             raise CovarianceCollapseError(
                 f"posterior covariance of subsystem {i} lost positive definiteness",
                 subsystem=i, k=k)
-        floors += floored
+        floors += int(floored.sum())
+        for i, L_i, P_i in zip(members, L, P):
+            L_k[i], P_k[i] = L_i, P_i
     return source.keep(k, L_k, P_k, floors)
+
+
+def _r_factor(R: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of the measurement weight, for :func:`_information`."""
+    return _spd_factor(R, FilterError("measurement weight R is not positive definite"))
+
+
+def _information(UT: np.ndarray, R_factor: np.ndarray) -> tuple:
+    """``(U', (R^-1 U)', U' R^-1 U)`` of a stack ``U'`` (``member x m x
+    ny``): one solve against the factor of ``R`` over every member's
+    columns."""
+    g, m, ny = UT.shape
+    RiUT = _factor_solve(R_factor, UT.reshape(g * m, ny).T).T.reshape(g, m, ny)
+    return UT, RiUT, RiUT @ _tr(UT)
+
+
+def _u_t(C: np.ndarray, a_col: np.ndarray, c_col: np.ndarray) -> np.ndarray:
+    """``U' = [C A_col, C_col]'`` of a stack of subsystems."""
+    return np.concatenate([_tr(C @ a_col), _tr(c_col)], axis=-2)
+
+
+def _group_blocks(source, a_cols, a_ii, C, c_cols) -> list[tuple]:
+    """Per group of the partition, the stacks of its members' ``A_col``,
+    ``A_ii``, ``C_col`` and ``Q_i`` and their :func:`_information` blocks,
+    with ``U = [C A_col, C_col]``: the arguments of
+    :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``."""
+    out = []
+    for members, _ in source.model.partition.groups:
+        a, aii, c, Q = (np.stack([m[i] for i in members])
+                        for m in (a_cols, a_ii, c_cols, source.design.Q))
+        out.append((a, aii, c, Q, _information(_u_t(C, a, c), source.R_factor)))
+    return out
+
+
+def _information_gain(UT, RiUT, G, W, WV, base) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of both filters, for a stack of subsystems of one size:
+    gains ``L' = R^-1 U (I + W G)^-1 W V`` with ``G = U' R^-1 U``, and
+    covariances ``sym(base - L (U W V))``, from the :func:`_information`
+    blocks, ``W``, ``W V`` and ``base``.  No ``ny x ny`` matrix is formed,
+    and ``W`` is not inverted."""
+    S = np.eye(W.shape[-1]) + W @ G
+    X = _solve(S, WV, FilterError("I + W U' R^-1 U is singular; the weights or the "
+                                  "covariance are corrupted"))
+    L = _tr(X) @ RiUT
+    return L, _sym(base - L @ (_tr(UT) @ WV))
+
+
+def _prior_gain(P0: np.ndarray, info: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Instant 0 of a stack: the kernel with ``U = C_col``, ``W = P0`` and
+    ``V = I``, for positive definite priors."""
+    if _not_posdef(P0) is not None:
+        raise FilterError("prior covariance is not positive definite")
+    return _information_gain(*info, P0, P0, P0)
 
 
 def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
                         C: np.ndarray, c_col: np.ndarray, Q_i: np.ndarray,
-                        R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One local gain/covariance computation from explicit matrix blocks.
+                        R: np.ndarray, info: tuple | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and posterior covariance of one subsystem, or of a stack of
+    subsystems of one size (every argument but ``C`` and ``R`` stacked).
 
-    Shared by the linear filter (constant blocks) and the nonlinear filter
-    (blocks refreshed by relinearization every instant).  The innovation
-    matrix inverse is applied via an SPD solve and the returned covariance is
-    symmetrized.
+    Information form: with ``U = [C A_col, C_col]``, ``W = blkdiag(P_prev,
+    Q_i)`` and ``V = [A_ii'; I]``, the gain is ``L' = R^-1 U (I + W U' R^-1
+    U)^-1 W V`` and the covariance ``A_ii P_prev A_ii' + Q_i - L (U W V)``,
+    symmetrized: the textbook ``L = Z' M^-1`` (``Z = U W V``, ``M = U W U' +
+    R``) by the Woodbury identity, with ``2 d_i``-sized solves in place of
+    the ``ny x ny`` one.  A semidefinite ``Q_i`` is fine.  ``info`` is the
+    ``(U', (R^-1 U)', U' R^-1 U)`` of these blocks when the caller has
+    formed them, as the engine has (it calls this once per group and
+    instant); without it they are formed here.  So a stack of one gives the
+    engine's entry bit for bit.
     """
-    CA = C @ a_col
-    CAP = CA @ P_prev
-    Z = CAP @ a_ii.T + c_col @ Q_i
-    M = CAP @ CA.T + c_col @ Q_i @ c_col.T + R
-    L = _spd_solve(M, Z, FilterError("innovation covariance is not positive definite; "
-                                     "inputs are corrupted or R is not SPD")).T
-    P_new = _sym(a_ii @ P_prev @ a_ii.T + Q_i - L @ Z)
-    return L, P_new
+    one = np.ndim(P_prev) == 2
+    if one:
+        P_prev, a_col, a_ii, c_col, Q_i = (np.asarray(m, dtype=float)[None] for m in
+                                            (P_prev, a_col, a_ii, c_col, Q_i))
+    if info is None:
+        info = _information(_u_t(C, a_col, c_col), _r_factor(R))
+    g, d = P_prev.shape[:2]
+    W = np.zeros((g, 2 * d, 2 * d))
+    W[:, :d, :d], W[:, d:, d:] = P_prev, Q_i
+    PA = P_prev @ _tr(a_ii)
+    L, P = _information_gain(*info, W, np.concatenate([PA, Q_i], axis=1), a_ii @ PA + Q_i)
+    return (L[0], P[0]) if one else (L, P)
 
 
 def init_update(P0_i: np.ndarray, c_col: np.ndarray, R: np.ndarray,
                 guess_i: np.ndarray, innovation: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial measurement update of one local estimator.
-
-    Information form: ``P_post^-1 = P0^-1 + c_col' R^-1 c_col`` and
-    ``xh = guess + P_post c_col' R^-1 innovation``.  Returns
-    ``(xh, P_post, effective_gain)``.
-    """
-    P0_inv = _spd_solve(P0_i, np.eye(P0_i.shape[0]),
-                        FilterError("prior covariance is not positive definite"))
-    Rinv_c = _spd_solve(R, c_col, FilterError("measurement weight R is not positive definite"))
-    info = P0_inv + c_col.T @ Rinv_c
-    P_post = _sym(_spd_solve(info, np.eye(info.shape[0]), FilterError(
-        "posterior information matrix is not positive definite")))
-    L0 = P_post @ Rinv_c.T
-    xh = guess_i + L0 @ innovation
-    return xh, P_post, L0
+    """Initial measurement update of one local estimator: the engine's
+    instant 0, the kernel of :func:`gain_and_covariance` with ``U = c_col``,
+    ``W = P0`` and ``V = I``, so ``L0' = R^-1 c_col (I + P0 c_col' R^-1
+    c_col)^-1 P0``, ``P_post = P0 - L0 c_col P0`` and ``xh = guess + L0
+    innovation``.  Returns ``(xh, P_post, L0)``."""
+    info = _information(_tr(np.asarray(c_col, dtype=float)[None]), _r_factor(R))
+    L, P = _prior_gain(np.asarray(P0_i, dtype=float)[None], info)
+    return guess_i + L[0] @ innovation, P[0], L[0]
 
 
 def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarray, dict]:
@@ -295,32 +389,37 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
     """Initial measurement update for all subsystems at instant 0 (with the
     engine's eigenvalue floor)."""
     _, xh, (L_0, P_0, _) = _fuse_prior(_LinearSource(model, design),
-                                       np.asarray(y0, dtype=float), range(model.partition.n))
+                                       np.asarray(y0, dtype=float))
     return [EstimatorState(i, xh[i], P_0[i], L_0[i], 0) for i in range(model.partition.n)]
 
 
-def _fuse_prior(source, y0: np.ndarray, agenda: Sequence[int]) -> tuple[list, list, tuple]:
+def _fuse_prior(source, y0: np.ndarray) -> tuple[list, list, tuple]:
     """Instant 0: the output blocks at the prior guess, the schedule entry
     (gains, covariances, floor events) of fusing the guess with ``y_0`` and
     the posteriors ``guess_i + L_i (y_0 - h(guess))``, formed as
     :func:`init_update` forms them."""
     design = source.design
+    groups = source.model.partition.groups
     guess = source.model.partition.split_state(design.x0_guess)
     c_cols, _ = source.output(design.x0_guess)
     innovation = source.innovation(y0, guess)
 
-    def gain(i):
-        _, P, L = init_update(design.P0[i], c_cols[i], design.R, guess[i], innovation)
-        return L, P
+    def gain(j, rows):
+        members = groups[j][0][rows]
+        UT = _tr(np.stack([c_cols[i] for i in members]))
+        return _prior_gain(np.stack([design.P0[i] for i in members]),
+                           _information(UT, source.R_factor))
 
-    entry = _settled(source, 0, agenda, gain)
+    entry = _settled(source, 0, gain)
     return c_cols, [g + L @ innovation for g, L in zip(guess, entry[0])], entry
 
 
 class _LinearSource:
     """Linearization source of a linear model and one design (validated
     once, here): the model's column blocks, the linear prediction, the
-    innovation against the constant output map and the gain schedule."""
+    innovation against the constant output map, the factor of ``R``, the
+    constant group stacks and information blocks of the gain, all formed
+    once, and the gain schedule."""
 
     kind = "dkf"
     predict = staticmethod(predict)
@@ -331,6 +430,8 @@ class _LinearSource:
         self.design = design
         self.a_cols, self.c_cols = model._col_blocks
         self.a_ii = [sub.A for sub in model.subsystems]
+        self.R_factor = _r_factor(design.R)
+        self._blocks = _group_blocks(self, self.a_cols, self.a_ii, model.C, self.c_cols)
         #: The gain schedule: instant ``k`` -> per-subsystem gains and
         #: covariances, and the instant's number of floor events.
         self.schedule: dict = {}
@@ -340,6 +441,10 @@ class _LinearSource:
 
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
         return list(self.c_cols), self.model.C
+
+    def blocks(self, a_cols, a_ii, C, c_cols) -> list[tuple]:
+        """The constant :func:`_group_blocks` of the model's own blocks."""
+        return self._blocks
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
         # The stacked own outputs of ``model._own_outputs``, unchecked as in
@@ -395,7 +500,7 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     model, design = source.model, source.design
     ys = _check_trajectory(model, traj)
     p = model.partition
-    n = p.n
+    n, groups = p.n, p.groups
     K = traj.steps
     agenda = list(order) if order is not None else list(range(n))
     if sorted(agenda) != list(range(n)):
@@ -406,8 +511,7 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     wall = np.empty(K + 1)
 
     t0 = time.perf_counter()
-    c_cols_k, xh, (L_k, P_k, floor_events) = _at_instant(0, _fuse_prior, source, ys[0],
-                                                         agenda)
+    c_cols_k, xh, (L_k, P_k, floor_events) = _at_instant(0, _fuse_prior, source, ys[0])
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
     xhat_post[0] = np.concatenate(xh)
@@ -424,10 +528,17 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
         c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
         innovation = _at_instant(k, source.innovation, ys[k], xp)
 
-        # ``gain_and_covariance`` is looked up at call time; ``P`` is of instant k-1.
-        L_k, P_k, floors = _settled(
-            source, k, agenda, lambda i, P=P_k: gain_and_covariance(
-                P[i], a_cols_k[i], a_ii[i], C_k, c_cols_k[i], design.Q[i], design.R))
+        blocks = source.blocks(a_cols_k, a_ii, C_k, c_cols_k)
+
+        def gain(j, rows, P=P_k):
+            # ``gain_and_covariance`` is looked up at call time; ``P`` is of
+            # instant k-1.
+            a, aii, c, Q, info = blocks[j]
+            P_g = np.stack([P[i] for i in groups[j][0][rows]])
+            return gain_and_covariance(P_g, a[rows], aii[rows], C_k, c[rows], Q[rows],
+                                       design.R, tuple(m[rows] for m in info))
+
+        L_k, P_k, floors = _settled(source, k, gain)
         floor_events += floors
         xh = [None] * n
         for i in agenda:

@@ -10,16 +10,18 @@ maps: the linear filter's prediction, and the affine view of a linear plant.
 
 All model objects are immutable after construction and safe to share between
 agents.  Stored arrays are defensive copies with the writeable flag cleared.
-A model owns its derived views: its column blocks and ``_monolithic``.
+A model owns its derived views: its column blocks and ``_monolithic``, and its
+partition the groups of equally sized subsystems.
 
 The module owns the matrix-health helpers, since every other module imports
-it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef`` and
-``_spd_solve``.  The filters, the oracles and the monitors symmetrize,
-Cholesky-factor and test positive definiteness only through them.
-``_spd_solve`` calls LAPACK ``dpotrf`` and ``dpotrs`` directly, the routines
-that SciPy's ``cho_factor``/``cho_solve`` call, with their checks: the same
-solutions bit for bit, without SciPy's per-call overhead, which at the
-filters' sizes costs more than the factorization.
+it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
+``_spd_factor``, ``_factor_solve``, ``_spd_solve`` and ``_solve``.  The
+filters, the oracles and the monitors symmetrize, Cholesky-factor, solve
+and test positive definiteness only through them.  ``_spd_factor`` and
+``_factor_solve`` call LAPACK ``dpotrf`` and ``dpotrs`` directly, the
+routines that SciPy's ``cho_factor``/``cho_solve`` call, with their checks:
+the same solutions bit for bit, without SciPy's per-call overhead, which at
+the filters' sizes costs more than the factorization.
 """
 
 from __future__ import annotations
@@ -128,9 +130,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tr(m: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + _tr(m))
 
 
 def _symmetric(*ms: np.ndarray) -> bool:
@@ -155,17 +162,34 @@ def _posdef(m: np.ndarray) -> bool:
     return _cholesky(m) is not None
 
 
+def _not_posdef(stack: np.ndarray) -> int | None:
+    """Position of the first matrix of a stack that has no Cholesky factor,
+    or ``None`` when every one has: one batched factorization, and a search
+    matrix by matrix only when it fails."""
+    if _posdef(stack):
+        return None
+    return next(j for j, m in enumerate(stack) if not _posdef(m))
+
+
+def _solve(a: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
+    """``a^-1 b`` for a matrix or a stack through LAPACK's LU solve; raises
+    ``error``, chained to the ``LinAlgError``, when a matrix is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+
+
 def _finite(a) -> None:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _spd_solve(m: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
-    """``m^-1 b`` through the Cholesky factor of the symmetric part of ``m``;
-    raises ``error``, chained to a ``LinAlgError``, when that part is not
-    positive definite.  As in ``cho_factor``/``cho_solve``, a non-finite
-    ``m`` or ``b`` raises ``ValueError`` and an empty system gives an empty
-    solution shaped as ``b``."""
+def _spd_factor(m: np.ndarray, error: Exception) -> np.ndarray:
+    """The upper Cholesky factor of the symmetric part of ``m``, for
+    :func:`_factor_solve`; raises ``error``, chained to a ``LinAlgError``,
+    when that part is not positive definite, and ``ValueError`` when it is
+    not finite, as ``cho_factor`` does."""
     s = _sym(m)
     _finite(s)
     c, info = dpotrf(s, lower=0, clean=0)
@@ -175,6 +199,16 @@ def _spd_solve(m: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
                          "on entry to POTRF")
+    return c
+
+
+def _factor_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``m^-1 b`` from the factor ``c = _spd_factor(m, ...)``, as
+    ``cho_solve`` gives it: a non-finite ``b`` raises ``ValueError`` and an
+    empty system gives an empty solution shaped as ``b``.  LAPACK solves
+    each column of ``b`` on its own: with OpenBLAS a solve over many columns
+    gives every column the bits of a solve over that column alone, which
+    ``tests/test_model.py`` checks."""
     _finite(b)
     if np.size(b) == 0:
         return np.empty_like(b, dtype=float)
@@ -182,6 +216,12 @@ def _spd_solve(m: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal POTRS")
     return x
+
+
+def _spd_solve(m: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
+    """``m^-1 b`` through the Cholesky factor of the symmetric part of ``m``:
+    :func:`_factor_solve` of :func:`_spd_factor`."""
+    return _factor_solve(_spd_factor(m, error), b)
 
 
 def _check_spd(m: np.ndarray, name: str) -> None:
@@ -242,6 +282,23 @@ class StatePartition:
     @property
     def ny(self) -> int:
         return self.out_offsets[-1]
+
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The subsystems of each state dimension, by ascending dimension:
+        per group its members in index order and, one row per member, their
+        state indices (``len(members) x d``), both read-only.  The filters
+        and the monitors make one batched call per group."""
+        dims = np.array(self.dims)
+        starts = np.array(self.offsets[:-1])
+        out = []
+        for d in np.unique(dims):
+            members = np.flatnonzero(dims == d)
+            idx = starts[members, None] + np.arange(d)
+            for a in (members, idx):
+                a.flags.writeable = False
+            out.append((members, idx))
+        return tuple(out)
 
     def state_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])

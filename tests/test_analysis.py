@@ -28,6 +28,7 @@ from partkf.model import (
 from partkf.simulate import NoiseSpec, simulate
 
 from conftest import noise_for
+from random_plants import random_plant
 
 
 class TestErrorStep:
@@ -224,7 +225,7 @@ def _bounds_reference(rec) -> dict:
     r = np.linalg.eigvalsh(_sym(np.asarray(rec.estimator["R"], dtype=float)))
     t = {"a_lo": min(a_diag), "a_hi": max(a_all), "c_lo": min(c_norms),
          "c_hi": max(c_norms), "p_lo": min(p_lo), "p_hi": max(p_hi),
-         "q_lo": q[0], "q_hi": q[-1], "r_lo": r[0], "r_hi": r[-1],
+         "q_lo": min(q), "q_hi": max(q), "r_lo": r[0], "r_hi": r[-1],
          "gain_lo": min(gains), "gain_hi": max(gains), "f_diag_hi": max(f_diag)}
     t["l_lo"] = (t["c_lo"] * t["a_lo"] ** 2 * t["p_lo"] + t["c_lo"] * t["q_lo"]) / (
         (n * t["c_hi"] * t["a_hi"]) ** 2 * t["p_hi"] + t["c_hi"] ** 2 * t["q_hi"] + t["r_hi"])
@@ -270,6 +271,17 @@ class TestBounds:
         assert bounds.q_lo == 150.0
         assert bounds.q_hi == 150.0
         assert bounds.r_lo == 1.0 and bounds.r_hi == 1.0
+
+    def test_q_range_spans_every_subsystem(self):
+        # Random plant 3 has Q_0 with eigenvalues 0.617..4.009 and Q_2 with
+        # 0.698: the range is over all subsystems, not Q_0's smallest and
+        # Q_2's largest (which read 0.698).
+        bench = random_plant(3)
+        traj = simulate(bench.model, bench.x0, 3, bench.noise(seed=1))
+        bounds = check_bounds(run_dkf(bench.model, bench.design, traj))
+        eigs = np.concatenate([np.linalg.eigvalsh(q) for q in bench.design.Q])
+        assert bounds.q_lo == eigs.min() == pytest.approx(0.6168, abs=1e-4)
+        assert bounds.q_hi == eigs.max() == pytest.approx(4.009, abs=1e-3)
 
     def test_reactor_table_is_finite(self, reactor_run):
         _, _, rec = reactor_run
@@ -411,12 +423,14 @@ class TestMonteCarlo:
                               runs=2)
         assert not np.array_equal(base.rmse[:, 1:], doubled.rmse[:, 1:])
 
-    @pytest.mark.parametrize("config, n, per_run", [
-        (CONFIG.replace(steps=10), 2, False),
+    # The engine calls ``gain_and_covariance`` once per group of equally
+    # sized subsystems and instant; both plants have one group.
+    @pytest.mark.parametrize("config, groups, per_run", [
+        (CONFIG.replace(steps=10), 1, False),
         (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
-                          monitors=False), 4, True),
+                          monitors=False), 1, True),
     ], ids=["linear", "reactor"])
-    def test_only_a_linear_ensemble_shares_its_gains(self, monkeypatch, config, n,
+    def test_only_a_linear_ensemble_shares_its_gains(self, monkeypatch, config, groups,
                                                      per_run):
         calls = []
         exact = partkf.dkf.gain_and_covariance
@@ -428,7 +442,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(partkf.dkf, "gain_and_covariance", counted)
         runs = 4
         monte_carlo(config, runs=runs)
-        assert len(calls) == (runs if per_run else 1) * n * config.steps
+        assert len(calls) == (runs if per_run else 1) * groups * config.steps
 
 
 class TestLyapunov:

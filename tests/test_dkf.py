@@ -22,7 +22,8 @@ from partkf.dkf import (
     update,
 )
 from partkf.harness import _n1_vs_centralized
-from partkf.model import LinearSubsystem, _monolithic, assemble_global, make_partition
+from partkf.model import (LinearSubsystem, _monolithic, _tr, assemble_global,
+                          make_partition)
 from partkf.simulate import simulate
 
 from conftest import noise_for
@@ -212,11 +213,11 @@ class TestCovariance:
         design = unit_weight_design
         exact = gain_and_covariance
 
-        def corrupted(P, a_col, a_ii, C, c_col, Q_i, R):
-            L = 100.0 * exact(P, a_col, a_ii, C, c_col, Q_i, R)[0]
-            Z = C @ a_col @ P @ a_ii.T + c_col @ Q_i
-            P_new = a_ii @ P @ a_ii.T + Q_i - L @ Z
-            return L, 0.5 * (P_new + P_new.T)
+        def corrupted(P, a_col, a_ii, C, c_col, Q_i, R, info=None):
+            L = 100.0 * exact(P, a_col, a_ii, C, c_col, Q_i, R, info)[0]
+            Z = C @ a_col @ P @ _tr(a_ii) + c_col @ Q_i
+            P_new = a_ii @ P @ _tr(a_ii) + Q_i - L @ Z
+            return L, 0.5 * (P_new + _tr(P_new))
 
         monkeypatch.setattr(partkf.dkf, "gain_and_covariance", corrupted)
         traj = simulate(model, LINEAR_X0, 3, noise_for(model, 1.0, seed=4))
@@ -230,23 +231,33 @@ class TestCovariance:
     def test_gain_failure_after_instant_zero_names_subsystem_and_instant(
             self, monkeypatch, request, bench, run):
         # Instants k >= 1 settle through the same step as instant 0, and name
-        # the failing subsystem and instant the same way.
+        # the failing subsystem and instant the same way.  The failure is
+        # injected into the batched kernel for every stack that holds
+        # subsystem 1's rows from its second instant on (its Q_1 is made
+        # unique to find them): the group's call fails, and so does
+        # subsystem 1 alone, which the engine then names.
         bench = request.getfixturevalue(bench)
-        exact = gain_and_covariance
+        Q = list(bench.design.Q)
+        Q[1] = 1.5 * Q[1]
+        assert not any(np.array_equal(q, Q[1]) for i, q in enumerate(Q) if i != 1)
+        design = dataclasses.replace(bench.design, Q=tuple(Q))
+        exact = partkf.dkf._information_gain
         calls = []
 
-        def failing(P, a_col, a_ii, C, c_col, Q_i, R):
-            if Q_i is bench.design.Q[1]:
+        def failing(UT, RiUT, G, W, WV, base):
+            d = base.shape[-1]
+            # Instant 0 has W = P0 (d x d); later instants W = blkdiag(P, Q_i).
+            if W.shape[-1] == 2 * d and any(np.array_equal(q, Q[1]) for q in W[:, d:, d:]):
                 calls.append(len(calls) + 1)      # subsystem 1 at instant 1, 2, ...
-                if calls[-1] == 2:
+                if calls[-1] >= 2:
                     raise FilterError("innovation covariance is not positive definite")
-            return exact(P, a_col, a_ii, C, c_col, Q_i, R)
+            return exact(UT, RiUT, G, W, WV, base)
 
-        monkeypatch.setattr(partkf.dkf, "gain_and_covariance", failing)
+        monkeypatch.setattr(partkf.dkf, "_information_gain", failing)
         traj = simulate(bench.model, bench.x0, 4, bench.noise(seed=1))
         with pytest.raises(FilterError, match="^subsystem 1 at instant 2: innovation "
                            "covariance is not positive definite$"):
-            run(bench.model, bench.design, traj)
+            run(bench.model, design, traj)
 
 
 class TestDkfStep:
@@ -426,8 +437,10 @@ class TestDesignChecks:
             self._run(linear_bench, **{field: value})
 
     def test_non_spd_measurement_weight_is_a_filter_error(self, linear_bench):
-        with pytest.raises(FilterError, match="^subsystem 0 at instant 0: "
-                           "measurement weight R is not positive definite$"):
+        # R belongs to no subsystem, and the filter factors it once, before
+        # any instant.
+        with pytest.raises(FilterError, match="^measurement weight R is not positive "
+                           "definite$"):
             self._run(linear_bench, R=-np.eye(2))
 
     def test_non_spd_prior_names_subsystem(self, linear_bench):

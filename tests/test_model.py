@@ -22,7 +22,11 @@ from partkf.model import (
     LinearizationError,
     LinearSubsystem,
     NonlinearSubsystem,
+    _factor_solve,
     _monolithic,
+    _not_posdef,
+    _solve,
+    _spd_factor,
     _spd_solve,
     _sym,
     aggregate_nonlinear,
@@ -75,6 +79,16 @@ class TestMakePartition:
         assert np.array_equal(blocks[0], [0.0, 1.0])
         assert np.array_equal(blocks[1], [2.0, 3.0, 4.0])
         assert np.array_equal(p.stack(blocks), x)
+
+
+    def test_groups_by_dimension_once(self):
+        p = make_partition([2, 1, 3, 1, 2], [1, 1, 2, 0, 1])
+        groups = p.groups
+        assert [m.tolist() for m, _ in groups] == [[1, 3], [0, 4], [2]]
+        assert [idx.tolist() for _, idx in groups] == [[[2], [6]], [[0, 1], [7, 8]],
+                                                       [[3, 4, 5]]]
+        assert p.groups is groups
+        assert not any(a.flags.writeable for g in groups for a in g)
 
 
 class TestAssembleGlobal:
@@ -301,15 +315,28 @@ def _reference_spd_solve(m, b, error):
 
 
 def _use_reference(monkeypatch) -> list:
-    """Route the filters' and the oracles' SPD solves through the SciPy
-    reference; returns the list that counts the reference calls."""
+    """Route the filters' factorization of ``R`` and their solves against
+    it, and the oracles' SPD solves, through the SciPy reference; returns
+    the list that counts the reference calls."""
     calls = []
 
     def solve(m, b, error):
         calls.append(1)
         return _reference_spd_solve(m, b, error)
-    for module in (partkf.dkf, partkf.fie):
-        monkeypatch.setattr(module, "_spd_solve", solve)
+
+    def factor(m, error):
+        calls.append(1)
+        try:
+            return cho_factor(_sym(m))
+        except np.linalg.LinAlgError as exc:
+            raise error from exc
+
+    def factor_solve(c, b):
+        calls.append(1)
+        return cho_solve(c, b)
+    monkeypatch.setattr(partkf.fie, "_spd_solve", solve)
+    monkeypatch.setattr(partkf.dkf, "_spd_factor", factor)
+    monkeypatch.setattr(partkf.dkf, "_factor_solve", factor_solve)
     return calls
 
 
@@ -351,6 +378,28 @@ class TestSpdSolve:
         {"m": m, "b": b}[where][1, 0] = np.nan
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             _spd_solve(m, b, RuntimeError("not SPD"))
+
+    def test_solve_against_one_factor_matches_a_solve_per_column(self):
+        m = _spd(8, seed=3)
+        b = np.random.default_rng(4).normal(size=(8, 12))
+        c = _spd_factor(m, RuntimeError("not SPD"))
+        whole = _factor_solve(c, b)
+        assert np.array_equal(whole, _spd_solve(m, b, RuntimeError("not SPD")))
+        for j in range(0, 12, 3):
+            assert np.array_equal(_factor_solve(c, b[:, j:j + 3]), whole[:, j:j + 3])
+
+    def test_not_posdef_names_the_first_failing_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
+        assert _not_posdef(stack) == 1
+        assert _not_posdef(stack[[0, 0]]) is None
+
+    def test_singular_lu_solve_raises_the_callers_error(self):
+        a = np.stack([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(KeyError, match="mine") as err:
+            _solve(a, np.ones((2, 2, 1)), KeyError("mine"))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert np.array_equal(_solve(a[:1], np.ones((1, 2, 1)), KeyError("mine")),
+                              np.ones((1, 2, 1)))
 
     @pytest.mark.parametrize("name, run", [("linear-4state", run_dkf),
                                            ("reactor-chain", run_dekf)])

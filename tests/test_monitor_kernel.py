@@ -98,7 +98,7 @@ def ref_bounds(rec) -> BoundsTable:
     a_lo, a_hi = float(min(a_diag)), float(max(a_diag + a_off))
     c_lo, c_hi = float(min(c_norms)), float(max(c_norms))
     p_lo, p_hi = float(min(p_eigs_lo)), float(max(p_eigs_hi))
-    q_lo, q_hi = float(q_eigs[0]), float(q_eigs[-1])
+    q_lo, q_hi = float(q_eigs.min()), float(q_eigs.max())
     r_lo, r_hi = float(r_eigs[0]), float(r_eigs[-1])
     l_lo = (c_lo * a_lo ** 2 * p_lo + c_lo * q_lo) / (
         (n * c_hi * a_hi) ** 2 * p_hi + c_hi ** 2 * q_hi + r_hi)
