@@ -692,6 +692,17 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     :func:`partkf.harness.run_experiment`, so run ``j`` equals a standalone
     run at seed ``seeds[j]`` bit for bit; a linear filter computes its gain
     schedule once for the whole ensemble.
+
+    A linear ensemble runs as one stacked pass: all runs are simulated, and
+    filtered by the engine's loop, as ``(runs, ...)`` stacks, in batches
+    that bound the memory, and no per-run record is built.  Every run keeps
+    its own noise streams, each generator's noise drawn as one block, and
+    every stacked product is one matrix-vector product per run, so each run
+    stays bitwise its standalone run.  The per-run path takes the runs of a
+    nonlinear plant, a run whose bounded noise would be redrawn (a redraw
+    moves its later draws), and the whole ensemble when the stacked pass
+    fails (a non-finite state or measurement, or a filter error), so that
+    the error raised is the one the first failing run raises.
     """
     from .harness import _resolve  # deferred: harness orchestrates runs
 
@@ -699,7 +710,7 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
         raise ValueError("runs must be at least 1")
     plan = _resolve(config.replace(runs=1, monitors=False))
     seeds = np.random.SeedSequence(config.seed).generate_state(runs, dtype=np.uint64)
-    arr = np.vstack([plan.run(int(s)).rmse for s in seeds])
+    arr = plan.rmse(seeds)
     return MonteCarloResult(seeds=seeds, rmse=arr, mean=arr.mean(axis=0),
                             lo=arr.min(axis=0), hi=arr.max(axis=0))
 

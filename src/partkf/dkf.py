@@ -54,6 +54,12 @@ estimates, so its source keeps no schedule and it computes its gains anew
 on every run.  The linear filter's records hold the schedule's arrays and
 the model's column blocks, all read-only and shared by every run.
 
+The linear source's maps also take stacks of runs, one matrix-vector
+product per run (``model._matvec``), so the same loop filters a whole
+linear ensemble in one pass (:func:`_posterior_stack`), each run bit for
+bit its own run, and settles the schedule through the same
+:func:`_settled`: there is no second gain path.
+
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
 and ``_factor_solve`` (LAPACK ``dpotrf``/``dpotrs`` with SciPy's checks) for
@@ -72,7 +78,8 @@ from scipy.linalg import block_diag
 
 from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
-                    _not_posdef, _own_outputs, _solve, _spd_factor, _sym, _symmetric, _tr)
+                    _matvec, _not_posdef, _not_semidefinite, _own_outputs, _solve,
+                    _spd_factor, _sym, _symmetric, _tr)
 from .records import RunRecord, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
@@ -137,7 +144,17 @@ class ExchangeSnapshot:
 class EstimatorDesign:
     """Estimator hyperparameters: per-subsystem process weights ``Q[i]`` and
     prior covariances ``P0[i]``, the global stacked measurement weight ``R``
-    and the prior mean ``x0_guess``."""
+    and the prior mean ``x0_guess``.
+
+    :meth:`validate` checks them against a model: shapes, finite entries,
+    symmetric weights and every ``Q[i]`` positive semidefinite, its smallest
+    eigenvalue at least ``-1e-12`` times its largest eigenvalue magnitude
+    (``model.SEMIDEF_RTOL``).  A semidefinite ``Q[i]`` such as ``diag(1,
+    0)`` is valid, as the information form of the gain allows it.  The
+    filters check the rest of definiteness where they factor: ``R`` before
+    any instant, and every ``P0[i]`` at instant 0, a :class:`FilterError`
+    naming the subsystem.
+    """
 
     Q: tuple[np.ndarray, ...]
     R: np.ndarray
@@ -183,6 +200,10 @@ class EstimatorDesign:
         if not _symmetric(*weights.values()):
             name = next(name for name, m in weights.items() if not _symmetric(m))
             raise ValueError(f"{name} is not symmetric")
+        for members, _ in p.groups:
+            j = _not_semidefinite(np.stack([self.Q[i] for i in members]))
+            if j is not None:
+                raise ValueError(f"Q[{members[j]}] is not positive semidefinite")
 
     def serializable(self) -> dict:
         return {
@@ -411,7 +432,7 @@ def _fuse_prior(source, y0: np.ndarray) -> tuple[list, list, tuple]:
                            _information(UT, source.R_factor))
 
     entry = _settled(source, 0, gain)
-    return c_cols, [g + L @ innovation for g, L in zip(guess, entry[0])], entry
+    return c_cols, [g + _matvec(L, innovation) for g, L in zip(guess, entry[0])], entry
 
 
 class _LinearSource:
@@ -449,7 +470,8 @@ class _LinearSource:
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
         # The stacked own outputs of ``model._own_outputs``, unchecked as in
         # ``predict``: the affine maps of a validated model cannot fail.
-        return y - np.concatenate([sub.h(x) for sub, x in zip(self.model.subsystems, points)])
+        return y - np.concatenate([sub.h(x) for sub, x in zip(self.model.subsystems, points)],
+                                  axis=-1)
 
     def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
         """Enter the settled gains and covariances of instant ``k`` and its
@@ -487,34 +509,66 @@ def _at_instant(k: int, call, *args):
 
 def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
                 config: dict | None) -> RunRecord:
-    """The two-phase loop shared by :func:`run_dkf` and ``run_dekf``.
+    """The two-phase loop shared by :func:`run_dkf` and ``run_dekf``, over one
+    checked trajectory, and the run's record.  Aborts with the subsystem and
+    the instant on covariance collapse or a failure of a subsystem map."""
+    model, design = source.model, source.design
+    ys = _check_trajectory(model, traj)
+    p = model.partition
+    agenda = list(order) if order is not None else list(range(p.n))
+    if sorted(agenda) != list(range(p.n)):
+        raise ValueError("order must be a permutation of the subsystems")
+    xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall = _pass(
+        source, ys, agenda)
+    return RunRecord(
+        kind=source.kind, seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
+        xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
+        xhat_pred=xhat_pred, xhat_post=xhat_post,
+        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols, rmse=rmse(xhat_post, traj.xs),
+        estimator=design.serializable(), floor_events=floor_events,
+        wall_clock=wall, config=config,
+    )
+
+
+def _posterior_stack(source: _LinearSource, ys: np.ndarray) -> np.ndarray:
+    """The posteriors ``(K+1, runs, nx)`` of the linear filter over a stack
+    of measurement histories ``(K+1, runs, ny)``, one per run, instant
+    first: one pass of the engine's loop for every run, each run's
+    posteriors bit for bit those of its own run.  The gains and covariances
+    are the source's schedule, settled by the pass where it lacks an
+    instant.  The measurements must be finite; they are not checked here."""
+    return _pass(source, ys, range(source.model.partition.n))[1]
+
+
+def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
+    """The engine's loop over measurements ``ys``: one history ``(K+1,
+    ny)``, or, for the linear source, whose maps take stacks of runs, a
+    stack of histories ``(K+1, runs, ny)``.
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
     Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
     predicts every subsystem from the posterior snapshot, takes the output
     blocks at the stacked prediction, forms the innovation once and then
     updates every subsystem.  Both settle their gains and covariances with
-    :func:`_settled`.  Aborts with the subsystem and the instant on
-    covariance collapse or a failure of a subsystem map.
+    :func:`_settled`, which raises with the subsystem and the instant.
+    Returns the predictions and posteriors (shaped as ``ys`` but for the
+    last axis, ``nx``), the per-instant gains, covariances and column
+    blocks, the number of floor events and the wall time of each instant.
     """
     model, design = source.model, source.design
-    ys = _check_trajectory(model, traj)
     p = model.partition
     n, groups = p.n, p.groups
-    K = traj.steps
-    agenda = list(order) if order is not None else list(range(n))
-    if sorted(agenda) != list(range(n)):
-        raise ValueError("order must be a permutation of the subsystems")
+    K = len(ys) - 1
 
-    xhat_pred = np.empty((K + 1, p.nx))
-    xhat_post = np.empty((K + 1, p.nx))
+    xhat_pred = np.empty(ys.shape[:-1] + (p.nx,))
+    xhat_post = np.empty_like(xhat_pred)
     wall = np.empty(K + 1)
 
     t0 = time.perf_counter()
     c_cols_k, xh, (L_k, P_k, floor_events) = _at_instant(0, _fuse_prior, source, ys[0])
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
-    xhat_post[0] = np.concatenate(xh)
+    xhat_post[0] = np.concatenate(xh, axis=-1)
     gains, covs, a_cols, c_cols = [list(L_k)], [list(P_k)], [], [c_cols_k]
 
     for k in range(1, K + 1):
@@ -524,7 +578,7 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
         xp: list = [None] * n
         for i in agenda:
             xp[i] = _at_instant(k, source.predict, i, phase1, model)
-        xhat_pred[k] = np.concatenate(xp)
+        xhat_pred[k] = np.concatenate(xp, axis=-1)
         c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
         innovation = _at_instant(k, source.innovation, ys[k], xp)
 
@@ -542,22 +596,14 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
         floor_events += floors
         xh = [None] * n
         for i in agenda:
-            xh[i] = xp[i] + L_k[i] @ innovation
+            xh[i] = xp[i] + _matvec(L_k[i], innovation)
         wall[k] = time.perf_counter() - t0
-        xhat_post[k] = np.concatenate(xh)
+        xhat_post[k] = np.concatenate(xh, axis=-1)
         gains.append(list(L_k))
         covs.append(list(P_k))
         a_cols.append(a_cols_k)
         c_cols.append(c_cols_k)
-
-    return RunRecord(
-        kind=source.kind, seed=traj.seed, dims=p.dims, out_dims=p.out_dims,
-        xs=traj.xs, ys=traj.ys, ws=traj.ws, vs=traj.vs,
-        xhat_pred=xhat_pred, xhat_post=xhat_post,
-        gains=gains, covs=covs, a_cols=a_cols, c_cols=c_cols, rmse=rmse(xhat_post, traj.xs),
-        estimator=design.serializable(), floor_events=floor_events,
-        wall_clock=wall, config=config,
-    )
+    return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall
 
 
 def run_dkf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,

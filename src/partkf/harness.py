@@ -62,7 +62,8 @@ import numpy as np
 
 from . import analysis
 from .benchmarks import get_benchmark
-from .dkf import EstimatorDesign, _LinearSource, _one_block, _run_filter, run_dkf
+from .dkf import (EstimatorDesign, FilterError, _LinearSource, _one_block,
+                  _posterior_stack, _run_filter, run_dkf)
 from .dekf import _NonlinearSource, run_dekf
 from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_dfie
 from .model import (
@@ -75,7 +76,7 @@ from .model import (
     make_partition,
 )
 from .records import RunRecord, _load_json, _write_csv
-from .simulate import NoiseSpec, _broadcast, simulate
+from .simulate import NoiseSpec, _broadcast, _simulate_runs, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
            "import_record", "verify_suite", "write_monte_carlo_csv"]
@@ -215,6 +216,11 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
     return _Plan(config, model, x0, noise, source)
 
 
+#: The most numbers an array of a stacked ensemble pass holds (2 MB of
+#: floats), which bounds the memory of a long or wide ensemble.
+_STACK_FLOATS = 2 ** 18
+
+
 @dataclass(frozen=True)
 class _Plan:
     """A config resolved once: the truth model, its initial state and noise,
@@ -233,6 +239,47 @@ class _Plan:
         traj = simulate(self.model, self.x0, config.steps,
                         dataclasses.replace(self.noise, seed=config.seed))
         return _run_filter(self.source, traj, None, config.as_dict())
+
+    def rmse(self, seeds) -> np.ndarray:
+        """The RMSE rows ``(runs, K+1)`` of the runs at ``seeds``, row ``j``
+        bit for bit ``self.run(seeds[j]).rmse``.  A linear plan simulates
+        and filters its runs as stacks (see :meth:`_stacked_rmse`); a
+        nonlinear one, and a linear one whose stacked pass fails, runs them
+        one by one, so that an error is the one the first failing run
+        raises."""
+        rows = self._stacked_rmse(seeds) if self.model.linear else None
+        if rows is None:
+            rows = np.vstack([self.run(int(s)).rmse for s in seeds])
+        return rows
+
+    def _stacked_rmse(self, seeds) -> np.ndarray | None:
+        """The RMSE rows of the runs at ``seeds`` from one pass of the
+        simulation and one of the filter's loop per batch of runs, a batch
+        holding at most ``_STACK_FLOATS`` numbers per array.  A run whose
+        bounded noise would be redrawn runs alone.  ``None`` when a pass
+        fails: a non-finite state or measurement, or a filter error."""
+        K = self.config.steps
+        rows = np.empty((len(seeds), K + 1))
+        alone = []
+        width = max(1, _STACK_FLOATS // ((K + 1) * (self.model.nx + self.model.ny)))
+        for start in range(0, len(seeds), width):
+            batch = range(start, min(start + width, len(seeds)))
+            truth = _simulate_runs(self.model, self.x0, K, self.noise,
+                                   [seeds[j] for j in batch])
+            if truth is None:
+                return None
+            kept, xs, ys = truth
+            taken = [batch[j] for j in kept]
+            alone += sorted(set(batch).difference(taken))
+            if taken:
+                try:
+                    post = _posterior_stack(self.source, ys)
+                except FilterError:
+                    return None
+                rows[taken] = analysis.rmse(post, xs).T
+        for j in alone:
+            rows[j] = self.run(int(seeds[j])).rmse
+        return rows
 
 
 def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> RunRecord:

@@ -15,13 +15,13 @@ partition the groups of equally sized subsystems.
 
 The module owns the matrix-health helpers, since every other module imports
 it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
-``_spd_factor``, ``_factor_solve``, ``_spd_solve`` and ``_solve``.  The
-filters, the oracles and the monitors symmetrize, Cholesky-factor, solve
-and test positive definiteness only through them.  ``_spd_factor`` and
-``_factor_solve`` call LAPACK ``dpotrf`` and ``dpotrs`` directly, the
-routines that SciPy's ``cho_factor``/``cho_solve`` call, with their checks:
-the same solutions bit for bit, without SciPy's per-call overhead, which at
-the filters' sizes costs more than the factorization.
+``_not_semidefinite``, ``_spd_factor``, ``_factor_solve``, ``_spd_solve``
+and ``_solve``.  The filters, the oracles and the monitors symmetrize,
+Cholesky-factor, solve and test definiteness only through them.
+``_spd_factor`` and ``_factor_solve`` call LAPACK ``dpotrf`` and ``dpotrs``
+directly, the routines that SciPy's ``cho_factor``/``cho_solve`` call, with
+their checks: the same solutions bit for bit, without SciPy's per-call
+overhead, which at the filters' sizes costs more than the factorization.
 """
 
 from __future__ import annotations
@@ -135,6 +135,14 @@ def _tr(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
+def _matvec(m: np.ndarray, x) -> np.ndarray:
+    """``m @ x`` for a vector ``x``, and for a stack of vectors ``(..., n)``
+    one matrix-vector product per vector, so that each vector of the stack
+    gets the bits of ``m @ vector`` (``x @ m.T`` would not)."""
+    x = np.asarray(x)
+    return m @ x if x.ndim == 1 else (m @ x[..., None])[..., 0]
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix of a stack."""
     return 0.5 * (m + _tr(m))
@@ -169,6 +177,21 @@ def _not_posdef(stack: np.ndarray) -> int | None:
     if _posdef(stack):
         return None
     return next(j for j, m in enumerate(stack) if not _posdef(m))
+
+
+#: Tolerance of :func:`_not_semidefinite`: a matrix is positive semidefinite
+#: when its smallest eigenvalue is at least ``-SEMIDEF_RTOL`` times its
+#: largest eigenvalue magnitude, which admits rounding below zero.
+SEMIDEF_RTOL = 1e-12
+
+
+def _not_semidefinite(stack: np.ndarray) -> int | None:
+    """Position of the first symmetric matrix of a stack that is not
+    positive semidefinite to :data:`SEMIDEF_RTOL`, or ``None`` when every
+    one is: one batched eigenvalue call."""
+    eig = np.linalg.eigvalsh(stack)
+    bad = eig[:, 0] < -SEMIDEF_RTOL * np.abs(eig).max(axis=-1)
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
 
 
 def _solve(a: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
@@ -427,14 +450,17 @@ class LinearSubsystem:
 
     def f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> np.ndarray:
         """``A x_i + sum_l coupling[l] x_l``, the neighbors added in ascending
-        index order: the linear filter's prediction from the posteriors."""
-        out = self.A @ x_i
+        index order: the linear filter's prediction from the posteriors.
+        The states may be stacks of runs (``(..., d)``); each run gets the
+        bits of its own call."""
+        out = _matvec(self.A, x_i)
         for l, blk in self.coupling.items():
-            out = out + blk @ neighbors[l]
+            out = out + _matvec(blk, neighbors[l])
         return out
 
     def h(self, x_i: np.ndarray) -> np.ndarray:
-        return self.C @ x_i
+        """``C x_i``, for a state or a stack of them, as :meth:`f`."""
+        return _matvec(self.C, x_i)
 
     def jac_f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
         """The read-only blocks ``{index: A, l: coupling[l]}``."""
@@ -635,20 +661,22 @@ class GlobalModel:
         return {l: x[self.partition.state_slice(l)] for l in sub.neighbors}
 
     def f(self, x: np.ndarray) -> np.ndarray:
-        """One step of the global dynamics (noise-free)."""
+        """One step of the global dynamics (noise-free).  A linear model
+        also takes a stack of states (``(..., nx)``) and gives each the bits
+        of its own call."""
         x = np.asarray(x, dtype=float)
         if self.linear:
-            return self.A @ x
+            return _matvec(self.A, x)
         return np.concatenate([
             _checked(sub, "f", sub.f, x[self.partition.state_slice(i)],
                      self.neighbor_states(i, x), shape=(sub.state_dim,))
             for i, sub in enumerate(self.subsystems)])
 
     def h(self, x: np.ndarray) -> np.ndarray:
-        """Global output map (noise-free)."""
+        """Global output map (noise-free); stacks as :meth:`f`."""
         x = np.asarray(x, dtype=float)
         if self.linear:
-            return self.C @ x
+            return _matvec(self.C, x)
         return _own_outputs(self.subsystems, self.partition.split_state(x))
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:

@@ -6,12 +6,18 @@ subsystem noises are independent by construction.  The splitting rule is:
 ``SeedSequence(seed).spawn(2 n)`` with children ``0..n-1`` driving the process
 noise of subsystems ``0..n-1`` and children ``n..2n-1`` driving measurement
 noise in the same order.
+
+The runs of a linear Monte Carlo ensemble are simulated as one stack
+(``_simulate_runs``), each run on its own streams and each generator's
+noise drawn as one block by :func:`sample_noise`'s rule, which gives each
+run the bits of :func:`simulate` as long as no bounded draw is redrawn.
+This module is the only one that draws noise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +187,23 @@ def _broadcast(arr, dim: int, name: str) -> np.ndarray | None:
     return arr
 
 
+def _start(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -> tuple:
+    """The checked horizon and initial state, and the noise deviations and
+    bounds broadcast to the state and output dimensions."""
+    steps = _integer("steps", steps)
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.nx,):
+        raise ValueError(f"x0 must have shape ({model.nx},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return (steps, x0, _broadcast(noise.w_std, model.nx, "w_std"),
+            _broadcast(noise.v_std, model.ny, "v_std"),
+            _broadcast(noise.w_bound, model.nx, "w_bound"),
+            _broadcast(noise.v_bound, model.ny, "v_bound"))
+
+
 def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -> Trajectory:
     """Propagate the global model for ``steps`` steps from ``x0``.
 
@@ -190,20 +213,8 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
     :class:`SimulationError` with the step index, as does a failing
     subsystem map (naming the subsystem).
     """
-    steps = _integer("steps", steps)
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.nx,):
-        raise ValueError(f"x0 must have shape ({model.nx},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
-
+    steps, x0, w_std, v_std, w_bound, v_bound = _start(model, x0, steps, noise)
     p = model.partition
-    w_std = _broadcast(noise.w_std, model.nx, "w_std")
-    v_std = _broadcast(noise.v_std, model.ny, "v_std")
-    w_bound = _broadcast(noise.w_bound, model.nx, "w_bound")
-    v_bound = _broadcast(noise.v_bound, model.ny, "v_bound")
     w_gens, v_gens = noise.streams(p.n)
     box = model.state_box()
 
@@ -242,3 +253,54 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
         except LinearizationError as exc:
             raise SimulationError(f"step {k}, {exc}", step=k) from exc
     return Trajectory(xs=xs, ys=ys, ws=ws, vs=vs, seed=noise.seed)
+
+
+def _noise_blocks(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
+                  w_bound, v_bound) -> tuple[np.ndarray, np.ndarray] | None:
+    """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)``
+    that :func:`simulate` draws from ``noise``, each generator's drawn as one
+    block by :func:`sample_noise`'s rule: a block of ``K`` rows equals ``K``
+    draws of one row, as long as no bounded draw is redrawn.  ``None`` when
+    one would be, as a redraw moves every later draw of its generator."""
+    p = model.partition
+    out = []
+    for gens, dims, rows, std, bound in zip(noise.streams(p.n), (p.dims, p.out_dims),
+                                            (steps, steps + 1), (w_std, v_std),
+                                            (w_bound, v_bound)):
+        z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
+                           axis=1) * std
+        if bound is not None and np.any(np.abs(z) > bound):
+            return None
+        out.append(z)
+    return tuple(out)
+
+
+def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec,
+                   seeds) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+    """The truth of a linear plant for the runs of ``noise`` at ``seeds``,
+    all runs in one pass: the positions of the runs taken, their states
+    ``(K+1, runs, nx)`` and their measurements ``(K+1, runs, ny)``, instant
+    first, each run bit for bit :func:`simulate`'s at its seed.  A run whose
+    bounded noise would need a redraw is left out.  ``None`` when a state or
+    a measurement of a run taken turns non-finite: :func:`simulate` and the
+    filter's check of the measurements say which run, step and error.
+    Checks and errors of the arguments are :func:`simulate`'s."""
+    steps, x0, *spec = _start(model, x0, steps, noise)
+    draws = [_noise_blocks(replace(noise, seed=int(s)), model, steps, *spec) for s in seeds]
+    kept = [j for j, d in enumerate(draws) if d is not None]
+    if not kept:
+        return kept, np.empty((steps + 1, 0, model.nx)), np.empty((steps + 1, 0, model.ny))
+    ws, vs = (np.stack([draws[j][r] for j in kept], axis=1) for r in (0, 1))
+    xs = np.empty((steps + 1, len(kept), model.nx))
+    ys = np.empty((steps + 1, len(kept), model.ny))
+    xs[0] = x0
+    # An overflow shows as a non-finite value below, and the per-run path
+    # then raises (and warns) as it would have.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            ys[k] = model.h(xs[k]) + vs[k]
+            if not (np.isfinite(xs[k]).all() and np.isfinite(ys[k]).all()):
+                return None
+            if k < steps:
+                xs[k + 1] = model.f(xs[k]) + ws[k]
+    return kept, xs, ys

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from partkf.analysis import MonteCarloResult
 from partkf.benchmarks import get_benchmark
 from partkf.dekf import run_dekf
 from partkf.dkf import run_dkf
+from partkf.harness import _resolve
 from partkf.simulate import NoiseSpec, simulate
 
 
@@ -54,3 +58,34 @@ def noise_for(model, std, seed, bound_sigmas=6.0):
         w_bound=bound_sigmas * std * np.ones(model.nx) if std else None,
         v_bound=bound_sigmas * std * np.ones(model.ny) if std else None,
     )
+
+
+def per_run_ensemble(config, runs: int) -> MonteCarloResult:
+    """``monte_carlo(config, runs)`` computed run by run, each run simulated
+    and filtered alone on a plan of its own: the reference of the stacked
+    ensemble pass."""
+    plan = _resolve(config.replace(runs=1, monitors=False))
+    seeds = np.random.SeedSequence(config.seed).generate_state(runs, dtype=np.uint64)
+    arr = np.vstack([plan.run(int(s)).rmse for s in seeds])
+    return MonteCarloResult(seeds=seeds, rmse=arr, mean=arr.mean(axis=0),
+                            lo=arr.min(axis=0), hi=arr.max(axis=0))
+
+
+def assert_same_ensemble(got: MonteCarloResult, want: MonteCarloResult) -> None:
+    """Every field of two ensembles equal bit for bit, dtype and shape too."""
+    for field in dataclasses.fields(MonteCarloResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that records each call; returns
+    the list of calls."""
+    calls, exact = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -43,16 +43,21 @@ def _neighbors(topology: str, n: int, rng: np.random.Generator) -> list[set[int]
     """Per subsystem, the subsystems whose states drive it."""
     if topology == "ring":
         return [{(i - 1) % n, (i + 1) % n} - {i} for i in range(n)]
+    if topology == "chain":
+        return [{i - 1, i + 1} & set(range(n)) for i in range(n)]
     if topology == "star":
         return [set(range(1, n))] + [{0} for _ in range(1, n)]
     return [{l for l in range(n) if l != i and rng.random() < 0.4} for i in range(n)]
 
 
-def random_plant(seed: int) -> Benchmark:
-    """The random plant, design, initial state and noise of ``seed``."""
+def random_plant(seed: int, topology: str | None = None, n: int | None = None) -> Benchmark:
+    """The random plant, design, initial state and noise of ``seed``; a
+    ``topology`` (also ``"chain"``: each subsystem hears the one before and
+    the one after it, as in ``bench/chain.py``) and ``n`` given override the
+    seed's."""
     rng = np.random.default_rng(seed)
-    topology = TOPOLOGIES[seed % 3]
-    n = 2 + (seed // 3) % 4
+    topology = topology or TOPOLOGIES[seed % 3]
+    n = n or 2 + (seed // 3) % 4
     dense_R = (seed // 12) % 2 == 1
     dims = rng.integers(1, 4, size=n)
     outs = rng.integers(0, 4, size=n)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import partkf.dkf
+import partkf.harness
 from partkf.analysis import (
     check_bounds,
     check_contraction,
@@ -25,9 +26,9 @@ from partkf.model import (
     assemble_global,
     make_partition,
 )
-from partkf.simulate import NoiseSpec, simulate
+from partkf.simulate import NoiseSpec, SimulationError, simulate
 
-from conftest import noise_for
+from conftest import assert_same_ensemble, count_calls, noise_for, per_run_ensemble
 from random_plants import random_plant
 
 
@@ -443,6 +444,66 @@ class TestMonteCarlo:
         runs = 4
         monte_carlo(config, runs=runs)
         assert len(calls) == (runs if per_run else 1) * groups * config.steps
+
+
+class TestStackedEnsemble:
+    """A linear ensemble is simulated and filtered as stacks of runs; every
+    field of its result equals the per-run path's bit for bit."""
+
+    MC = ExperimentConfig(model={"name": "linear-4state"}, steps=50, monitors=False)
+
+    def test_c5_config_equals_the_per_run_path(self):
+        config = self.MC.replace(seed=1)
+        assert_same_ensemble(monte_carlo(config, runs=500), per_run_ensemble(config, 500))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_config_equals_the_per_run_path(self, seed):
+        config = self.MC.replace(seed=seed)
+        assert_same_ensemble(monte_carlo(config, runs=20), per_run_ensemble(config, 20))
+
+    @pytest.mark.parametrize("config, alone", [
+        (MC.replace(seed=4), 0),
+        (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
+                          monitors=False), 3),
+    ], ids=["linear", "reactor"])
+    def test_only_a_nonlinear_ensemble_simulates_run_by_run(self, monkeypatch, config,
+                                                            alone):
+        calls = count_calls(monkeypatch, partkf.harness, "simulate")
+        monte_carlo(config, runs=3)
+        assert len(calls) == alone
+
+    # With w_bound = w_std every run redraws some process noise; at three
+    # deviations some runs of this ensemble do and some do not.
+    @pytest.mark.parametrize("sigmas, alone", [(1.0, 8), (3.0, 3)])
+    def test_a_run_that_would_redraw_runs_alone(self, monkeypatch, sigmas, alone):
+        w_bound = sigmas * get_benchmark("linear-4state").w_std
+        config = self.MC.replace(seed=6, noise={"w_bound": w_bound.tolist()})
+        calls = count_calls(monkeypatch, partkf.harness, "simulate")
+        result = monte_carlo(config, runs=8)
+        assert len(calls) == alone
+        monkeypatch.undo()
+        assert_same_ensemble(result, per_run_ensemble(config, 8))
+        for seed, curve in zip(result.seeds, result.rmse):
+            standalone = run_experiment(config.replace(seed=int(seed)), write_outputs=False)
+            assert np.array_equal(curve, standalone.rmse)
+
+    def test_a_diverging_ensemble_raises_the_per_run_error(self):
+        # The state overflows at step 2 in every run; the stacked pass gives
+        # way to the per-run path, whose first run raises.
+        one = [[1.0]]
+        config = ExperimentConfig(
+            model={"inline": {"dims": [1], "out_dims": [1], "subsystems": [
+                {"index": 0, "A": [[1e200]], "C": one, "Q": one, "R": one}]}},
+            steps=5, seed=3, monitors=False, x0=[1.0],
+            noise={"w_std": 0.1, "v_std": 0.1},
+            estimator={"Q": 1.0, "R": 1.0, "P0": 1.0, "x0_guess": [0.0]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError) as stacked:
+                monte_carlo(config, runs=3)
+            with pytest.raises(SimulationError) as alone:
+                per_run_ensemble(config, 3)
+        assert str(stacked.value) == str(alone.value) == "state became non-finite at step 2"
+        assert stacked.value.step == alone.value.step == 2
 
 
 class TestLyapunov:

@@ -443,6 +443,21 @@ class TestDesignChecks:
                            "definite$"):
             self._run(linear_bench, R=-np.eye(2))
 
+    def test_indefinite_process_weight_names_subsystem(self, linear_bench):
+        # Q[0] = -I used to run until instant 1 and stop there with a
+        # covariance collapse, which named the symptom, not the weight.
+        Q = (-np.eye(2), linear_bench.design.Q[1])
+        with pytest.raises(ValueError, match=r"^Q\[0\] is not positive semidefinite$"):
+            self._run(linear_bench, Q=Q)
+
+    def test_semidefinite_process_weight_is_valid(self, linear_bench):
+        # The information form needs no inverse of Q, so a weight that
+        # leaves a direction unexcited is fine.
+        Q = (linear_bench.design.Q[0], np.diag([1.0, 0.0]))
+        rec = self._run(linear_bench, Q=Q)
+        assert all(np.isfinite(P).all() and np.linalg.eigvalsh(P)[0] > 0
+                   for covs in rec.covs for P in covs)
+
     def test_non_spd_prior_names_subsystem(self, linear_bench):
         P0 = (linear_bench.design.P0[0], -np.eye(2))
         with pytest.raises(FilterError, match="^subsystem 1 at instant 0: "

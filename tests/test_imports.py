@@ -18,6 +18,9 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   ``__all__``, so that the rule cannot outlive an oracle;
 - only ``model.py`` calls ``linear_as_nonlinear``: elsewhere the affine view
   of a linear plant is ``aggregate_nonlinear`` of its linear subsystems;
+- only ``simulate.py`` draws noise: calls ``.normal(``, ``default_rng`` or
+  ``.streams(``, so that every draw follows ``sample_noise``'s rule and
+  the stacked ensemble pass cannot drift from it;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -207,6 +210,42 @@ def test_checker_flags_wrapper_calls():
               "view = aggregate_nonlinear(subs, part)\n")
     assert calls_to(source, WRAPPER) == ["linear_as_nonlinear (line 3)",
                                          "model.linear_as_nonlinear (line 4)"]
+
+
+#: The calls that draw noise or make its generators, which only
+#: ``simulate.py`` makes.
+NOISE_DRAWS = frozenset({"normal", "default_rng", "streams"})
+
+
+def noise_draw_sites(source: str) -> list[str]:
+    """Calls in ``source`` of a function or method named in
+    :data:`NOISE_DRAWS`, on any object (``gens[i].normal``, say)."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", ""))
+            if name in NOISE_DRAWS:
+                sites.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(sites)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + [SRC / "__init__.py"]
+                                  if p.name != "simulate.py"],
+                         ids=lambda p: p.name)
+def test_only_simulate_draws_noise(path):
+    assert noise_draw_sites(path.read_text()) == []
+
+
+def test_checker_flags_noise_draws():
+    source = ("import numpy as np\nfrom numpy.random import default_rng\n"
+              "w, v = noise.streams(2)\nz = gens[0].normal(0.0, 1.0, size=(5, 2))\n"
+              "rng = default_rng(3)\ng = np.random.default_rng(4)\n"
+              "x = np.random.SeedSequence(1).generate_state(3)\nnormal = 1.0\n")
+    assert noise_draw_sites(source) == ["streams (line 3)", "normal (line 4)",
+                                        "default_rng (line 5)", "default_rng (line 6)"]
+    assert noise_draw_sites((SRC / "simulate.py").read_text())
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).

@@ -25,6 +25,7 @@ from partkf.model import (
     _factor_solve,
     _monolithic,
     _not_posdef,
+    _not_semidefinite,
     _solve,
     _spd_factor,
     _spd_solve,
@@ -392,6 +393,14 @@ class TestSpdSolve:
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), -np.eye(2)])
         assert _not_posdef(stack) == 1
         assert _not_posdef(stack[[0, 0]]) is None
+
+    def test_not_semidefinite_allows_rounding_below_zero(self):
+        # The tolerance is relative to the largest eigenvalue magnitude.
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([4.0, -1e-12]),
+                          np.diag([4.0, -1e-11]), -np.eye(2)])
+        assert _not_semidefinite(stack) == 2
+        assert _not_semidefinite(stack[[0, 1]]) is None
+        assert _not_semidefinite(np.zeros((1, 3, 3))) is None
 
     def test_singular_lu_solve_raises_the_callers_error(self):
         a = np.stack([np.eye(2), np.zeros((2, 2))])

@@ -10,13 +10,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from partkf.analysis import error_step
+from partkf import benchmarks, harness
+from partkf.analysis import error_step, monte_carlo
 from partkf.dekf import run_dekf
 from partkf.dkf import run_dkf
-from partkf.harness import _affine_dekf_vs_dkf, _dkf_vs_dfie, _n1_vs_centralized
+from partkf.harness import (ExperimentConfig, _affine_dekf_vs_dkf, _dkf_vs_dfie,
+                            _n1_vs_centralized)
 from partkf.model import aggregate_nonlinear, linear_as_nonlinear
 from partkf.simulate import simulate
 
+from conftest import assert_same_ensemble, count_calls, per_run_ensemble
 from random_plants import SWEEP_SEEDS, TOPOLOGIES, random_plant
 
 STEPS = 30
@@ -111,3 +114,34 @@ def test_c10_permuted_agents_give_equal_digest(seed):
         order.reverse()
     assert (run_dkf(bench.model, bench.design, traj, order=order).content_digest()
             == run_dkf(bench.model, bench.design, traj).content_digest())
+
+
+def _ensemble_config(monkeypatch, bench, seed: int) -> ExperimentConfig:
+    """A Monte Carlo config of ``bench``, registered for this test only."""
+    monkeypatch.setitem(benchmarks._REGISTRY, bench.name, lambda: bench)
+    return ExperimentConfig(model={"name": bench.name}, steps=STEPS, seed=seed,
+                            monitors=False)
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_stacked_ensemble_equals_the_per_run_path(monkeypatch, seed):
+    config = _ensemble_config(monkeypatch, random_plant(seed), seed)
+    alone = count_calls(monkeypatch, harness, "simulate")
+    result = monte_carlo(config, runs=6)
+    assert alone == []
+    assert_same_ensemble(result, per_run_ensemble(config, 6))
+
+
+def test_stacked_chain_ensemble_equals_the_per_run_path(monkeypatch):
+    # Sixteen subsystems of one to three states in a chain, as the bench's
+    # linear-chain couples them: several groups.  Batches of two runs split
+    # the ensemble into three passes.
+    bench = random_plant(5, topology="chain", n=16)
+    config = _ensemble_config(monkeypatch, bench, 5)
+    assert len(bench.model.partition.groups) == 3
+    monkeypatch.setattr(harness, "_STACK_FLOATS",
+                        2 * (STEPS + 1) * (bench.model.nx + bench.model.ny))
+    passes = count_calls(monkeypatch, harness, "_simulate_runs")
+    result = monte_carlo(config, runs=5)
+    assert len(passes) == 3
+    assert_same_ensemble(result, per_run_ensemble(config, 5))

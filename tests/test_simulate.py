@@ -6,12 +6,20 @@ import pytest
 
 from partkf.benchmarks import LINEAR_A, LINEAR_X0, get_benchmark, linear_subsystems
 from partkf.model import (
+    LinearSubsystem,
     NonlinearSubsystem,
     aggregate_nonlinear,
     assemble_global,
     make_partition,
 )
-from partkf.simulate import NoiseSpec, SimulationError, Trajectory, sample_noise, simulate
+from partkf.simulate import (
+    NoiseSpec,
+    SimulationError,
+    Trajectory,
+    _simulate_runs,
+    sample_noise,
+    simulate,
+)
 
 from conftest import noise_for
 
@@ -196,6 +204,71 @@ class TestSampleNoise:
         rng = np.random.default_rng(0)
         with pytest.raises(SimulationError):
             sample_noise(np.ones(2), 1e-12 * np.ones(2), rng)
+
+
+    def test_a_block_draw_equals_row_draws_until_a_redraw(self):
+        # The identity the stacked ensemble pass rests on: one (K, d) draw of
+        # sample_noise's rule, normal(0, 1) * std, gives the numbers of K draws
+        # of d by sample_noise, unbounded or with a bound no draw exceeds.
+        std = np.array([0.5, 2.0, 1e-3])
+        block = np.random.default_rng(7).normal(0.0, 1.0, size=(40, 3)) * std
+        for bound in (None, 10.0 * std):
+            rng = np.random.default_rng(7)
+            rows = np.array([sample_noise(std, bound, rng) for _ in range(40)])
+            assert np.array_equal(rows, block)
+        # Negative control: at a bound of one deviation some draws are
+        # redrawn, and every later draw of the generator moves.
+        assert np.any(np.abs(block) > std)
+        rng = np.random.default_rng(7)
+        rows = np.array([sample_noise(std, std, rng) for _ in range(40)])
+        first = np.flatnonzero(np.any(np.abs(block) > std, axis=1))[0]
+        assert np.array_equal(rows[:first], block[:first])
+        assert not np.array_equal(rows[first:], block[first:])
+
+
+class TestSimulateRuns:
+    SEEDS = [11, 12, 13, 2 ** 64 - 1]
+
+    def test_each_run_is_its_simulate_run_bitwise(self):
+        model = _model()
+        noise = noise_for(model, 0.3, seed=0)
+        kept, xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, self.SEEDS)
+        assert kept == [0, 1, 2, 3]
+        assert xs.shape == (31, 4, 4) and ys.shape == (31, 4, 2)
+        for j, seed in enumerate(self.SEEDS):
+            traj = simulate(model, LINEAR_X0, 30, dataclasses.replace(noise, seed=seed))
+            assert np.array_equal(xs[:, j], traj.xs)
+            assert np.array_equal(ys[:, j], traj.ys)
+
+    def test_a_run_that_would_redraw_is_left_out(self):
+        model = _model()
+        noise = noise_for(model, 0.3, seed=0, bound_sigmas=2.5)
+        kept, xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, range(10))
+        assert 0 < len(kept) < 10
+        for col, j in enumerate(kept):
+            traj = simulate(model, LINEAR_X0, 30, dataclasses.replace(noise, seed=j))
+            assert np.array_equal(xs[:, col], traj.xs)
+        assert _simulate_runs(model, LINEAR_X0, 30, noise,
+                              [j for j in range(10) if j not in kept])[0] == []
+
+    def test_a_non_finite_state_gives_way_to_simulate(self):
+        model = assemble_global([LinearSubsystem(0, [[1e200]], {}, [[1.0]], [[1.0]],
+                                                 [[1.0]])], make_partition([1], [1]))
+        noise = noise_for(model, 0.1, seed=0)
+        assert _simulate_runs(model, [1.0], 5, noise, [1, 2]) is None
+        with np.errstate(over="ignore"), pytest.raises(SimulationError,
+                                                       match="non-finite at step 2"):
+            simulate(model, [1.0], 5, dataclasses.replace(noise, seed=1))
+
+    def test_arguments_are_checked_as_simulate_checks_them(self):
+        model = _model()
+        noise = noise_for(model, 0.3, seed=0)
+        for x0, steps, message in ((LINEAR_X0[:3], 5, "x0 must have shape"),
+                                   (LINEAR_X0, 0, "steps must be at least 1")):
+            for call in (lambda: simulate(model, x0, steps, noise),
+                         lambda: _simulate_runs(model, x0, steps, noise, [1])):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class TestNoiseSpecValidation:
