@@ -696,13 +696,13 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     A linear ensemble runs as one stacked pass: all runs are simulated, and
     filtered by the engine's loop, as ``(runs, ...)`` stacks, in batches
     that bound the memory, and no per-run record is built.  Every run keeps
-    its own noise streams, each generator's noise drawn as one block, and
-    every stacked product is one matrix-vector product per run, so each run
-    stays bitwise its standalone run.  The per-run path takes the runs of a
-    nonlinear plant, a run whose bounded noise would be redrawn (a redraw
-    moves its later draws), and the whole ensemble when the stacked pass
-    fails (a non-finite state or measurement, or a filter error), so that
-    the error raised is the one the first failing run raises.
+    its own noise streams, drawn by the one rule of a standalone run
+    (redraws included), and every stacked product is one matrix-vector
+    product per run, so each run stays bitwise its standalone run.  The
+    per-run path takes the runs of a nonlinear plant, and the whole
+    ensemble when the stacked pass fails (a non-finite state or
+    measurement, or a filter error), so that the error raised is the one
+    the first failing run raises.
     """
     from .harness import _resolve  # deferred: harness orchestrates runs
 

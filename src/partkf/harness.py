@@ -243,10 +243,10 @@ class _Plan:
     def rmse(self, seeds) -> np.ndarray:
         """The RMSE rows ``(runs, K+1)`` of the runs at ``seeds``, row ``j``
         bit for bit ``self.run(seeds[j]).rmse``.  A linear plan simulates
-        and filters its runs as stacks (see :meth:`_stacked_rmse`); a
-        nonlinear one, and a linear one whose stacked pass fails, runs them
-        one by one, so that an error is the one the first failing run
-        raises."""
+        and filters all its runs as stacks (see :meth:`_stacked_rmse`),
+        whatever their noise draws; a nonlinear one, and a linear one whose
+        stacked pass fails, runs them one by one, so that an error is the
+        one the first failing run raises."""
         rows = self._stacked_rmse(seeds) if self.model.linear else None
         if rows is None:
             rows = np.vstack([self.run(int(s)).rmse for s in seeds])
@@ -255,30 +255,23 @@ class _Plan:
     def _stacked_rmse(self, seeds) -> np.ndarray | None:
         """The RMSE rows of the runs at ``seeds`` from one pass of the
         simulation and one of the filter's loop per batch of runs, a batch
-        holding at most ``_STACK_FLOATS`` numbers per array.  A run whose
-        bounded noise would be redrawn runs alone.  ``None`` when a pass
-        fails: a non-finite state or measurement, or a filter error."""
+        holding at most ``_STACK_FLOATS`` numbers per array.  ``None`` when
+        a pass fails: a non-finite state or measurement, or a filter
+        error."""
         K = self.config.steps
         rows = np.empty((len(seeds), K + 1))
-        alone = []
         width = max(1, _STACK_FLOATS // ((K + 1) * (self.model.nx + self.model.ny)))
         for start in range(0, len(seeds), width):
-            batch = range(start, min(start + width, len(seeds)))
             truth = _simulate_runs(self.model, self.x0, K, self.noise,
-                                   [seeds[j] for j in batch])
+                                   seeds[start:start + width])
             if truth is None:
                 return None
-            kept, xs, ys = truth
-            taken = [batch[j] for j in kept]
-            alone += sorted(set(batch).difference(taken))
-            if taken:
-                try:
-                    post = _posterior_stack(self.source, ys)
-                except FilterError:
-                    return None
-                rows[taken] = analysis.rmse(post, xs).T
-        for j in alone:
-            rows[j] = self.run(int(seeds[j])).rmse
+            xs, ys = truth
+            try:
+                post = _posterior_stack(self.source, ys)
+            except FilterError:
+                return None
+            rows[start:start + width] = analysis.rmse(post, xs).T
         return rows
 
 

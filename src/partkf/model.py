@@ -387,8 +387,9 @@ class LinearSubsystem:
     ``x_i(k+1) = A x_i(k) + sum_l coupling[l] x_l(k) + w_i(k)``,
     ``y_i(k) = C x_i(k) + v_i(k)``.
 
-    ``Q`` and ``R`` must be symmetric positive definite; this is checked at
-    construction.  Coupling blocks are keyed by neighbor index, each index
+    ``A``, ``C`` and the coupling blocks must be finite and ``Q`` and ``R``
+    symmetric positive definite; this is checked at construction, naming the
+    matrix.  Coupling blocks are keyed by neighbor index, each index
     given once; the neighbor set is exactly the set of declared keys.
     :meth:`f`, :meth:`h`, :meth:`jac_f`, :meth:`jac_h` and ``state_box = None``
     meet the :class:`NonlinearSubsystem` contract with exact affine maps.
@@ -422,6 +423,10 @@ class LinearSubsystem:
                     f"subsystem {self.index}: coupling block to {l} must have {nx} rows"
                 )
             cleaned[l] = b
+        for name, m in (("A", a), ("C", c),
+                        *((f"coupling block to {l}", b) for l, b in cleaned.items())):
+            if not np.isfinite(m).all():
+                raise ValueError(f"subsystem {self.index}: {name} must be finite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "Q", q)

@@ -7,11 +7,11 @@ subsystem noises are independent by construction.  The splitting rule is:
 noise of subsystems ``0..n-1`` and children ``n..2n-1`` driving measurement
 noise in the same order.
 
-The runs of a linear Monte Carlo ensemble are simulated as one stack
-(``_simulate_runs``), each run on its own streams and each generator's
-noise drawn as one block by :func:`sample_noise`'s rule, which gives each
-run the bits of :func:`simulate` as long as no bounded draw is redrawn.
-This module is the only one that draws noise.
+:func:`simulate` and the stacked runs of a linear Monte Carlo ensemble
+(``_simulate_runs``) draw noise by one rule (``_noise``) and propagate by
+one loop (``_propagate``), so each run of an ensemble is bit for bit its
+:func:`simulate` run, redraws included.  This module is the only one that
+draws noise.
 """
 
 from __future__ import annotations
@@ -208,99 +208,88 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
     """Propagate the global model for ``steps`` steps from ``x0``.
 
     Measurement ``y_k`` is produced for ``k = 0..steps`` and process noise is
-    applied on every transition.  For nonlinear models with a declared
-    validity box the state is checked each step; leaving the box raises
+    applied on every transition, drawn by the rule of the stacked ensemble
+    runs, redraws included.  For nonlinear models with a declared validity
+    box the state is checked each step; leaving the box raises
     :class:`SimulationError` with the step index, as does a failing
     subsystem map (naming the subsystem).
     """
-    steps, x0, w_std, v_std, w_bound, v_bound = _start(model, x0, steps, noise)
-    p = model.partition
-    w_gens, v_gens = noise.streams(p.n)
-    box = model.state_box()
-
-    def draw(std, bound, gens, split_slices, k):
-        parts = []
-        for i, sl in enumerate(split_slices):
-            b = None if bound is None else bound[sl]
-            try:
-                parts.append(sample_noise(std[sl], b, gens[i]))
-            except SimulationError as exc:
-                raise SimulationError(str(exc), step=k) from exc
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    state_slices = [p.state_slice(i) for i in range(p.n)]
-    out_slices = [p.out_slice(i) for i in range(p.n)]
-
-    xs = np.empty((steps + 1, model.nx))
-    ys = np.empty((steps + 1, model.ny))
-    ws = np.empty((steps, model.nx))
-    vs = np.empty((steps + 1, model.ny))
-
-    xs[0] = x0
-    for k in range(steps + 1):
-        if box is not None:
-            lo, hi = box
-            if np.any(xs[k] < lo) or np.any(xs[k] > hi):
-                raise SimulationError(f"state left the validity box at step {k}", step=k)
-        if not np.all(np.isfinite(xs[k])):
-            raise SimulationError(f"state became non-finite at step {k}", step=k)
-        vs[k] = draw(v_std, v_bound, v_gens, out_slices, k)
-        try:
-            ys[k] = model.h(xs[k]) + vs[k]
-            if k < steps:
-                ws[k] = draw(w_std, w_bound, w_gens, state_slices, k)
-                xs[k + 1] = model.f(xs[k]) + ws[k]
-        except LinearizationError as exc:
-            raise SimulationError(f"step {k}, {exc}", step=k) from exc
+    steps, x0, *spec = _start(model, x0, steps, noise)
+    ws, vs = _noise(noise, model, steps, *spec)
+    xs, ys = _propagate(model, x0, ws, vs)
     return Trajectory(xs=xs, ys=ys, ws=ws, vs=vs, seed=noise.seed)
 
 
-def _noise_blocks(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
-                  w_bound, v_bound) -> tuple[np.ndarray, np.ndarray] | None:
-    """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)``
-    that :func:`simulate` draws from ``noise``, each generator's drawn as one
-    block by :func:`sample_noise`'s rule: a block of ``K`` rows equals ``K``
-    draws of one row, as long as no bounded draw is redrawn.  ``None`` when
-    one would be, as a redraw moves every later draw of its generator."""
+def _noise(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
+           w_bound, v_bound) -> tuple[np.ndarray, np.ndarray]:
+    """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)`` of
+    ``noise``, row ``k`` the draws of :func:`sample_noise` at instant ``k``.
+    Each generator's rows are one block, ``normal(0, 1) * std``.  A redraw
+    moves every later draw of its generator, so a generator with a draw out
+    of bound is drawn again from a fresh generator of its stream, row by row
+    through :func:`sample_noise`, whose errors then carry the row as step."""
     p = model.partition
     out = []
-    for gens, dims, rows, std, bound in zip(noise.streams(p.n), (p.dims, p.out_dims),
-                                            (steps, steps + 1), (w_std, v_std),
-                                            (w_bound, v_bound)):
+    for role, (gens, dims, offsets, rows, std, bound) in enumerate(zip(
+            noise.streams(p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
+            (steps, steps + 1), (w_std, v_std), (w_bound, v_bound))):
         z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
                            axis=1) * std
         if bound is not None and np.any(np.abs(z) > bound):
-            return None
+            for i, rng in enumerate(noise.streams(p.n)[role]):
+                sl = slice(offsets[i], offsets[i + 1])
+                if not np.any(np.abs(z[:, sl]) > bound[sl]):
+                    continue
+                for k in range(rows):
+                    try:
+                        z[k, sl] = sample_noise(std[sl], bound[sl], rng)
+                    except SimulationError as exc:
+                        raise SimulationError(str(exc), step=k) from exc
         out.append(z)
     return tuple(out)
 
 
-def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec,
-                   seeds) -> tuple[list[int], np.ndarray, np.ndarray] | None:
-    """The truth of a linear plant for the runs of ``noise`` at ``seeds``,
-    all runs in one pass: the positions of the runs taken, their states
-    ``(K+1, runs, nx)`` and their measurements ``(K+1, runs, ny)``, instant
-    first, each run bit for bit :func:`simulate`'s at its seed.  A run whose
-    bounded noise would need a redraw is left out.  ``None`` when a state or
-    a measurement of a run taken turns non-finite: :func:`simulate` and the
-    filter's check of the measurements say which run, step and error.
-    Checks and errors of the arguments are :func:`simulate`'s."""
-    steps, x0, *spec = _start(model, x0, steps, noise)
-    draws = [_noise_blocks(replace(noise, seed=int(s)), model, steps, *spec) for s in seeds]
-    kept = [j for j, d in enumerate(draws) if d is not None]
-    if not kept:
-        return kept, np.empty((steps + 1, 0, model.nx)), np.empty((steps + 1, 0, model.ny))
-    ws, vs = (np.stack([draws[j][r] for j in kept], axis=1) for r in (0, 1))
-    xs = np.empty((steps + 1, len(kept), model.nx))
-    ys = np.empty((steps + 1, len(kept), model.ny))
+def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
+               vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states and measurements that the noises ``ws`` and ``vs`` drive
+    from ``x0``, of one run (``ws`` of shape ``(K, nx)``) or of a stack of
+    runs of a linear plant (``(K, runs, nx)``).  A state out of the box or
+    non-finite, and a failing map, raise :class:`SimulationError`."""
+    box = model.state_box()
+    xs = np.empty((len(vs), *ws.shape[1:]))
+    ys = np.empty(vs.shape)
     xs[0] = x0
-    # An overflow shows as a non-finite value below, and the per-run path
-    # then raises (and warns) as it would have.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
+    for k in range(len(vs)):
+        if box is not None and (np.any(xs[k] < box[0]) or np.any(xs[k] > box[1])):
+            raise SimulationError(f"state left the validity box at step {k}", step=k)
+        if not np.all(np.isfinite(xs[k])):
+            raise SimulationError(f"state became non-finite at step {k}", step=k)
+        try:
             ys[k] = model.h(xs[k]) + vs[k]
-            if not (np.isfinite(xs[k]).all() and np.isfinite(ys[k]).all()):
-                return None
-            if k < steps:
+            if k < len(ws):
                 xs[k + 1] = model.f(xs[k]) + ws[k]
-    return kept, xs, ys
+        except LinearizationError as exc:
+            raise SimulationError(f"step {k}, {exc}", step=k) from exc
+    return xs, ys
+
+
+def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec,
+                   seeds) -> tuple[np.ndarray, np.ndarray] | None:
+    """The truth of a linear plant for the runs of ``noise`` at ``seeds``,
+    all runs in one pass: their states ``(K+1, runs, nx)`` and measurements
+    ``(K+1, runs, ny)``, each run bit for bit :func:`simulate`'s at its
+    seed, redraws included.  ``None`` when a state or a measurement of a run
+    turns non-finite: :func:`simulate` and the filter's check of the
+    measurements say which run, step and error.  Checks and errors of the
+    arguments are :func:`simulate`'s."""
+    steps, x0, *spec = _start(model, x0, steps, noise)
+    draws = [_noise(replace(noise, seed=int(s)), model, steps, *spec) for s in seeds]
+    ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
+    # An overflow shows as a non-finite value, and the per-run path then
+    # raises (and warns) as it would have.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            xs, ys = _propagate(model, x0, ws, vs)
+        except SimulationError:
+            return None
+    return (xs, ys) if np.isfinite(ys).all() else None

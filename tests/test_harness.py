@@ -141,6 +141,25 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(model={"inline": inline}, x0=[0.0, 0.0]),
                            write_outputs=False)
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("A", [[float("nan")]], "A"),
+        ("C", [[float("inf")]], "C"),
+        ("coupling", {"1": [[float("-inf")]]}, "coupling block to 1"),
+    ], ids=["A", "C", "coupling"])
+    def test_inline_non_finite_block_rejected_by_name(self, key, value, name):
+        # Accepted, the run failed in the filter with an anonymous "array
+        # must not contain infs or NaNs".
+        subs = [{"index": i, "A": [[0.9]], "coupling": {str(1 - i): [[0.05]]},
+                 "C": [[1.0]], "Q": [[0.01]], "R": [[0.01]]} for i in (0, 1)]
+        subs[0][key] = value
+        inline = {"dims": [1, 1], "out_dims": [1, 1], "subsystems": subs}
+        config = ExperimentConfig(
+            model={"inline": inline}, steps=5, seed=2, monitors=False, x0=[1.0, -1.0],
+            noise={"w_std": 0.1, "v_std": 0.1},
+            estimator={"Q": 0.01, "R": 0.01, "P0": 1.0, "x0_guess": [0.0, 0.0]})
+        with pytest.raises(ValueError, match=f"^subsystem 0: {name} must be finite$"):
+            run_experiment(config, write_outputs=False)
+
     def test_inline_model_requires_initial_state(self):
         inline = {"dims": [1], "out_dims": [1],
                   "subsystems": [{"index": 0, "A": [[0.9]], "C": [[1.0]],

@@ -165,6 +165,19 @@ class TestAssembleGlobal:
             LinearSubsystem(0, np.eye(2), {}, np.ones((1, 2)),
                             np.diag([np.inf, 1.0]), np.eye(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["A", "C", "coupling block to 1"])
+    def test_non_finite_block_rejected_by_name(self, name, bad):
+        # Accepted, such a block failed only in the filter, with an
+        # anonymous "array must not contain infs or NaNs".
+        blocks = {"A": 0.5 * np.eye(2), "C": np.ones((1, 2)),
+                  "coupling block to 1": 0.1 * np.ones((2, 2))}
+        blocks[name] = blocks[name].copy()
+        blocks[name][0, -1] = bad
+        with pytest.raises(ValueError, match=f"^subsystem 0: {name} must be finite$"):
+            LinearSubsystem(0, blocks["A"], {1: blocks["coupling block to 1"]},
+                            blocks["C"], np.eye(2), np.eye(1))
+
     def test_self_coupling_under_a_string_key_rejected(self):
         # "0" names subsystem 0 as much as 0 does; accepted, its block would
         # overwrite the own block A[0, 0] on assembly.

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from partkf.benchmarks import LINEAR_A, LINEAR_X0, get_benchmark, linear_subsystems
 from partkf.model import (
+    LinearizationError,
     LinearSubsystem,
     NonlinearSubsystem,
     aggregate_nonlinear,
@@ -17,11 +19,17 @@ from partkf.simulate import (
     SimulationError,
     Trajectory,
     _simulate_runs,
+    _start,
     sample_noise,
     simulate,
 )
 
-from conftest import noise_for
+from conftest import count_calls, noise_for
+from random_plants import random_plant
+
+#: The simulation module; the package's ``simulate`` function shadows it as
+#: an attribute of ``partkf``.
+SIM = importlib.import_module("partkf.simulate")
 
 
 def _raising_f(x_i, neighbors):
@@ -30,6 +38,99 @@ def _raising_f(x_i, neighbors):
 
 def _model():
     return assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
+
+
+def per_instant_simulate(model, x0, steps, noise):
+    """The reference simulator: at every instant, one :func:`sample_noise`
+    draw per subsystem from its measurement generator, then one from its
+    process generator, each redrawn at once when out of bound."""
+    steps, x0, w_std, v_std, w_bound, v_bound = _start(model, x0, steps, noise)
+    p = model.partition
+    w_gens, v_gens = noise.streams(p.n)
+    box = model.state_box()
+
+    def draw(std, bound, gens, slices, k):
+        parts = []
+        for rng, sl in zip(gens, slices):
+            try:
+                parts.append(sample_noise(std[sl], None if bound is None else bound[sl], rng))
+            except SimulationError as exc:
+                raise SimulationError(str(exc), step=k) from exc
+        return np.concatenate(parts)
+
+    state_slices = [p.state_slice(i) for i in range(p.n)]
+    out_slices = [p.out_slice(i) for i in range(p.n)]
+    xs = np.empty((steps + 1, model.nx))
+    ys = np.empty((steps + 1, model.ny))
+    ws = np.empty((steps, model.nx))
+    vs = np.empty((steps + 1, model.ny))
+    xs[0] = x0
+    for k in range(steps + 1):
+        if box is not None and (np.any(xs[k] < box[0]) or np.any(xs[k] > box[1])):
+            raise SimulationError(f"state left the validity box at step {k}", step=k)
+        if not np.all(np.isfinite(xs[k])):
+            raise SimulationError(f"state became non-finite at step {k}", step=k)
+        vs[k] = draw(v_std, v_bound, v_gens, out_slices, k)
+        try:
+            ys[k] = model.h(xs[k]) + vs[k]
+            if k < steps:
+                ws[k] = draw(w_std, w_bound, w_gens, state_slices, k)
+                xs[k + 1] = model.f(xs[k]) + ws[k]
+        except LinearizationError as exc:
+            raise SimulationError(f"step {k}, {exc}", step=k) from exc
+    return Trajectory(xs=xs, ys=ys, ws=ws, vs=vs, seed=noise.seed)
+
+
+def keep_block_noise(noise, model, steps, w_std, v_std, w_bound, v_bound):
+    """A wrong drawing rule, the negative control of the reference check:
+    each generator's block drawn at once, and an out-of-bound draw redrawn
+    in place from the generator's next numbers, so the rest of the block is
+    kept.  Every draw is within its bound, but a redraw no longer moves the
+    later draws of its generator."""
+    p = model.partition
+    out = []
+    for gens, dims, offsets, rows, std, bound in zip(
+            noise.streams(p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
+            (steps, steps + 1), (w_std, v_std), (w_bound, v_bound)):
+        z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
+                           axis=1) * std
+        if bound is not None:
+            for i, rng in enumerate(gens):
+                sl = slice(offsets[i], offsets[i + 1])
+                for row in z[:, sl]:
+                    bad = np.abs(row) > bound[sl]
+                    while bad.any():
+                        row[bad] = rng.normal(0.0, 1.0, size=int(bad.sum())) * std[sl][bad]
+                        bad = np.abs(row) > bound[sl]
+        out.append(z)
+    return tuple(out)
+
+
+#: The fixtures of the reference check: the two registered plants and a
+#: chain of sixteen subsystems of one to three states, some without outputs.
+REFERENCE_PLANTS = {
+    "linear-4state": lambda: get_benchmark("linear-4state"),
+    "reactor-chain": lambda: get_benchmark("reactor-chain"),
+    "chain-16": lambda: random_plant(5, topology="chain", n=16),
+}
+
+
+def _matches_reference(bench, sigmas, seed, steps=40) -> bool:
+    """Whether :func:`simulate` gives the reference's ``xs``, ``ys``, ``ws``
+    and ``vs`` bit for bit, or raises its error at its step, for the
+    fixture's noise bounded at ``sigmas`` deviations (``None``: unbounded)."""
+    noise = NoiseSpec(w_std=bench.w_std, v_std=bench.v_std, seed=seed,
+                      w_bound=None if sigmas is None else sigmas * bench.w_std,
+                      v_bound=None if sigmas is None else sigmas * bench.v_std)
+    try:
+        want = per_instant_simulate(bench.model, bench.x0, steps, noise)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError) as err:
+            simulate(bench.model, bench.x0, steps, noise)
+        return str(err.value) == str(exc) and err.value.step == exc.step
+    got = simulate(bench.model, bench.x0, steps, noise)
+    return all(np.array_equal(getattr(got, name), getattr(want, name))
+               for name in ("xs", "ys", "ws", "vs"))
 
 
 class TestSimulate:
@@ -140,6 +241,37 @@ class TestSimulate:
         assert np.array_equal(back.vs, traj.vs)
 
 
+class TestReferenceSimulator:
+    """:func:`simulate` draws each generator's noise as one block and
+    redraws a generator with an out-of-bound draw row by row; the result is
+    the per-instant reference's, bit for bit."""
+
+    SIGMAS = [None, 1.0, 1.5, 3.0, 6.0]
+
+    @pytest.mark.parametrize("sigmas", SIGMAS, ids=repr)
+    @pytest.mark.parametrize("plant", sorted(REFERENCE_PLANTS))
+    def test_simulate_equals_the_per_instant_reference(self, monkeypatch, plant, sigmas):
+        bench = REFERENCE_PLANTS[plant]()
+        redraws = count_calls(monkeypatch, SIM, "sample_noise")
+        assert all(_matches_reference(bench, sigmas, seed) for seed in range(10))
+        if sigmas == 1.0:  # the row by row redraw took part
+            assert redraws
+
+    def test_a_drawer_that_keeps_the_block_fails_the_check(self, monkeypatch):
+        bench = REFERENCE_PLANTS["linear-4state"]()
+        monkeypatch.setattr(SIM, "_noise", keep_block_noise)
+        assert all(_matches_reference(bench, None, seed) for seed in range(10))
+        assert not any(_matches_reference(bench, 1.0, seed) for seed in range(10))
+
+    def test_a_run_bounded_at_six_deviations_draws_only_blocks(self, monkeypatch):
+        bench = get_benchmark("linear-4state")
+        calls = count_calls(monkeypatch, SIM, "sample_noise")
+        simulate(bench.model, bench.x0, 50, bench.noise(seed=1))
+        assert calls == []
+        simulate(bench.model, bench.x0, 50, noise_for(bench.model, 0.05, 1, bound_sigmas=1.0))
+        assert calls
+
+
 class TestTrajectoryChecks:
     @pytest.mark.parametrize("xs", [np.float64(1.0), np.ones(4), np.ones((2, 4, 1))],
                              ids=["0-d", "1-d", "3-d"])
@@ -207,7 +339,7 @@ class TestSampleNoise:
 
 
     def test_a_block_draw_equals_row_draws_until_a_redraw(self):
-        # The identity the stacked ensemble pass rests on: one (K, d) draw of
+        # The identity the block draws of simulate rest on: one (K, d) draw of
         # sample_noise's rule, normal(0, 1) * std, gives the numbers of K draws
         # of d by sample_noise, unbounded or with a bound no draw exceeds.
         std = np.array([0.5, 2.0, 1e-3])
@@ -232,24 +364,27 @@ class TestSimulateRuns:
     def test_each_run_is_its_simulate_run_bitwise(self):
         model = _model()
         noise = noise_for(model, 0.3, seed=0)
-        kept, xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, self.SEEDS)
-        assert kept == [0, 1, 2, 3]
+        xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, self.SEEDS)
         assert xs.shape == (31, 4, 4) and ys.shape == (31, 4, 2)
         for j, seed in enumerate(self.SEEDS):
             traj = simulate(model, LINEAR_X0, 30, dataclasses.replace(noise, seed=seed))
             assert np.array_equal(xs[:, j], traj.xs)
             assert np.array_equal(ys[:, j], traj.ys)
 
-    def test_a_run_that_would_redraw_is_left_out(self):
+    def test_a_redrawing_run_stays_in_the_stack_bitwise(self, monkeypatch):
         model = _model()
         noise = noise_for(model, 0.3, seed=0, bound_sigmas=2.5)
-        kept, xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, range(10))
-        assert 0 < len(kept) < 10
-        for col, j in enumerate(kept):
+        xs, ys = _simulate_runs(model, LINEAR_X0, 30, noise, range(10))
+        assert xs.shape == (31, 10, 4)
+        redraws = count_calls(monkeypatch, SIM, "sample_noise")
+        redrawing = []
+        for j in range(10):
+            before = len(redraws)
             traj = simulate(model, LINEAR_X0, 30, dataclasses.replace(noise, seed=j))
-            assert np.array_equal(xs[:, col], traj.xs)
-        assert _simulate_runs(model, LINEAR_X0, 30, noise,
-                              [j for j in range(10) if j not in kept])[0] == []
+            redrawing.append(len(redraws) > before)
+            assert np.array_equal(xs[:, j], traj.xs)
+            assert np.array_equal(ys[:, j], traj.ys)
+        assert 0 < sum(redrawing) < 10
 
     def test_a_non_finite_state_gives_way_to_simulate(self):
         model = assemble_global([LinearSubsystem(0, [[1e200]], {}, [[1.0]], [[1.0]],
