@@ -19,11 +19,11 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Jacobian blocks come from each subsystem's analytic providers, with central
-differences for a subsystem without them (so subsystems built without
-providers give an all-central-difference run).  A failing map
-raises ``LinearizationError`` naming the subsystem (and, in a run, the
-instant).
+Per instant each Jacobian is one checked pass over all subsystems: its
+blocks (analytic providers, central differences for a subsystem without
+them) go straight into the group stacks that the gain kernel reads, whose
+rows are the recorded column blocks.  A failing map raises
+``LinearizationError`` naming the subsystem, the map and the instant.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     gain_and_covariance,
     update,
 )
-from .model import GlobalModel, _a_cols, _checked, _jac_cols_h, _jac_rows_f, _own_outputs
+from .model import GlobalModel, _checked, _jacobian, _values
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -80,10 +80,10 @@ dekf_update = update
 
 class _NonlinearSource:
     """Linearization source of a nonlinear model and one design (validated
-    once, here, and ``R`` factored once): Jacobian blocks at the given
-    points, their group stacks and information blocks, nonlinear prediction
-    and the nonlinear output residual.  Its gains depend on the estimates,
-    so its schedule stays empty."""
+    once, here, ``R`` factored and ``Q`` stacked once): Jacobian group
+    stacks at the given points (rows: the column blocks), their information
+    blocks, nonlinear prediction and the nonlinear output residual.  Its
+    gains depend on the estimates, so its schedule stays empty."""
 
     kind = "dekf"
     predict = staticmethod(dekf_predict)
@@ -94,22 +94,23 @@ class _NonlinearSource:
         self.model = model
         self.design = design
         self.R_factor = _r_factor(design.R)
+        self.Q = model.partition.stacked(design.Q)
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
-        p = self.model.partition
-        rows = _jac_rows_f(self.model.subsystems, p, x, "analytic")
-        return _a_cols(rows, p), [rows[(i, i)] for i in range(p.n)]
+        stacks = _jacobian(self.model, x, "f")
+        return self.model.partition.unstacked(stacks), stacks
 
-    def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
-        cols = _jac_cols_h(self.model.subsystems, self.model.partition, x, "analytic")
-        return cols, np.hstack(cols)
+    def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
+        stacks = _jacobian(self.model, x, "h")
+        cols = self.model.partition.unstacked(stacks)
+        return cols, np.concatenate(cols, axis=1), stacks
 
-    def blocks(self, a_cols, a_ii, C, c_cols) -> list[tuple]:
-        """The :func:`~partkf.dkf._group_blocks` of this instant's blocks."""
-        return _group_blocks(self, a_cols, a_ii, C, c_cols)
+    def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
+        """The :func:`~partkf.dkf._group_blocks` of this instant's stacks."""
+        return _group_blocks(self, a_stacks, C, c_stacks)
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        return y - _own_outputs(self.model.subsystems, points)
+        return y - _values(self.model, "h", points)
 
     def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
         return L_k, P_k, floors

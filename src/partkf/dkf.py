@@ -28,11 +28,12 @@ The same loop runs the linear filter (:func:`run_dkf`) and the extended
 filter (:func:`partkf.dekf.run_dekf`).  It is given a linearization source
 that supplies, per instant, the dynamics blocks at the posteriors, the local
 predictions, the output blocks at the predictions, the innovation and the
-blocks of the gain.  A source factors ``R`` once.  Per group of equally
-sized subsystems it stacks the members' blocks and forms ``U``, ``R^-1 U``
-(one triangular solve pair over every member's columns) and ``U' R^-1 U``:
-the linear source once, from the model's constant blocks, the nonlinear
-source of :mod:`partkf.dekf` at every instant from its re-linearized ones.
+blocks of the gain.  A source factors ``R`` and stacks ``Q`` once.  Per
+group of equally sized subsystems it forms, from the stacks of the members'
+blocks, ``U``, ``R^-1 U`` (one triangular solve pair over every member's
+columns) and ``U' R^-1 U``: the linear source once, from the model's
+constant blocks, the nonlinear source of :mod:`partkf.dekf` at every
+instant from the stacks its Jacobian pass writes.
 Per instant the loop computes the innovation once, then settles the
 instant in one step, the same at instant 0 and at instant ``k``: for each
 group one batched call of the kernel (``2 d_i``-sized solves), one batched
@@ -78,8 +79,8 @@ from scipy.linalg import block_diag
 
 from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
-                    _matvec, _not_posdef, _not_semidefinite, _own_outputs, _solve,
-                    _spd_factor, _sym, _symmetric, _tr)
+                    _matvec, _not_posdef, _not_semidefinite, _solve,
+                    _spd_factor, _sym, _symmetric, _tr, _values)
 from .records import RunRecord, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
@@ -200,8 +201,8 @@ class EstimatorDesign:
         if not _symmetric(*weights.values()):
             name = next(name for name, m in weights.items() if not _symmetric(m))
             raise ValueError(f"{name} is not symmetric")
-        for members, _ in p.groups:
-            j = _not_semidefinite(np.stack([self.Q[i] for i in members]))
+        for (members, _), Q in zip(p.groups, p.stacked(self.Q)):
+            j = _not_semidefinite(Q)
             if j is not None:
                 raise ValueError(f"Q[{members[j]}] is not positive semidefinite")
 
@@ -292,17 +293,16 @@ def _u_t(C: np.ndarray, a_col: np.ndarray, c_col: np.ndarray) -> np.ndarray:
     return np.concatenate([_tr(C @ a_col), _tr(c_col)], axis=-2)
 
 
-def _group_blocks(source, a_cols, a_ii, C, c_cols) -> list[tuple]:
-    """Per group of the partition, the stacks of its members' ``A_col``,
-    ``A_ii``, ``C_col`` and ``Q_i`` and their :func:`_information` blocks,
-    with ``U = [C A_col, C_col]``: the arguments of
-    :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``."""
-    out = []
-    for members, _ in source.model.partition.groups:
-        a, aii, c, Q = (np.stack([m[i] for i in members])
-                        for m in (a_cols, a_ii, c_cols, source.design.Q))
-        out.append((a, aii, c, Q, _information(_u_t(C, a, c), source.R_factor)))
-    return out
+def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
+    """Per group of the partition, from the stacks of its members' ``A_col``
+    and ``C_col``: those stacks, the members' ``A_ii`` (their own rows of
+    ``A_col``), the source's stack of their ``Q_i`` and the
+    :func:`_information` blocks of ``U = [C A_col, C_col]``, the arguments
+    of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``."""
+    return [(a, a[np.arange(len(members))[:, None], idx], c, Q,
+             _information(_u_t(C, a, c), source.R_factor))
+            for (members, idx), a, c, Q in zip(source.model.partition.groups, a_stacks,
+                                               c_stacks, source.Q)]
 
 
 def _information_gain(UT, RiUT, G, W, WV, base) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +401,7 @@ def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
         raise FilterError("snapshot is missing neighbor predictions")
     if snapshot.measurement is None:
         raise FilterError("snapshot is missing the measurement")
-    innovation = snapshot.measurement - _own_outputs(model.subsystems, snapshot.predictions)
+    innovation = snapshot.measurement - _values(model, "h", snapshot.predictions)
     return x_pred_i + L_i @ innovation
 
 
@@ -422,14 +422,12 @@ def _fuse_prior(source, y0: np.ndarray) -> tuple[list, list, tuple]:
     design = source.design
     groups = source.model.partition.groups
     guess = source.model.partition.split_state(design.x0_guess)
-    c_cols, _ = source.output(design.x0_guess)
+    c_cols, _, c_stacks = source.output(design.x0_guess)
     innovation = source.innovation(y0, guess)
 
     def gain(j, rows):
-        members = groups[j][0][rows]
-        UT = _tr(np.stack([c_cols[i] for i in members]))
-        return _prior_gain(np.stack([design.P0[i] for i in members]),
-                           _information(UT, source.R_factor))
+        return _prior_gain(np.stack([design.P0[i] for i in groups[j][0][rows]]),
+                           _information(_tr(c_stacks[j][rows]), source.R_factor))
 
     entry = _settled(source, 0, gain)
     return c_cols, [g + _matvec(L, innovation) for g, L in zip(guess, entry[0])], entry
@@ -449,26 +447,27 @@ class _LinearSource:
         design.validate(model)
         self.model = model
         self.design = design
+        p = model.partition
         self.a_cols, self.c_cols = model._col_blocks
-        self.a_ii = [sub.A for sub in model.subsystems]
         self.R_factor = _r_factor(design.R)
-        self._blocks = _group_blocks(self, self.a_cols, self.a_ii, model.C, self.c_cols)
+        self.Q, self.c_stacks = p.stacked(design.Q), p.stacked(self.c_cols)
+        self._blocks = _group_blocks(self, p.stacked(self.a_cols), model.C, self.c_stacks)
         #: The gain schedule: instant ``k`` -> per-subsystem gains and
         #: covariances, and the instant's number of floor events.
         self.schedule: dict = {}
 
-    def dynamics(self, x: np.ndarray) -> tuple[list, list]:
-        return list(self.a_cols), self.a_ii
+    def dynamics(self, x: np.ndarray) -> tuple[list, None]:
+        return list(self.a_cols), None
 
-    def output(self, x: np.ndarray) -> tuple[list, np.ndarray]:
-        return list(self.c_cols), self.model.C
+    def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
+        return list(self.c_cols), self.model.C, self.c_stacks
 
-    def blocks(self, a_cols, a_ii, C, c_cols) -> list[tuple]:
+    def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The constant :func:`_group_blocks` of the model's own blocks."""
         return self._blocks
 
     def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        # The stacked own outputs of ``model._own_outputs``, unchecked as in
+        # The stacked own outputs of ``model._values``, unchecked as in
         # ``predict``: the affine maps of a validated model cannot fail.
         return y - np.concatenate([sub.h(x) for sub, x in zip(self.model.subsystems, points)],
                                   axis=-1)
@@ -573,16 +572,16 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        a_cols_k, a_ii = _at_instant(k, source.dynamics, xhat_post[k - 1])
+        a_cols_k, a_stacks = _at_instant(k, source.dynamics, xhat_post[k - 1])
         phase1 = ExchangeSnapshot(k=k, posteriors=tuple(xh))
         xp: list = [None] * n
         for i in agenda:
             xp[i] = _at_instant(k, source.predict, i, phase1, model)
         xhat_pred[k] = np.concatenate(xp, axis=-1)
-        c_cols_k, C_k = _at_instant(k, source.output, xhat_pred[k])
+        c_cols_k, C_k, c_stacks = _at_instant(k, source.output, xhat_pred[k])
         innovation = _at_instant(k, source.innovation, ys[k], xp)
 
-        blocks = source.blocks(a_cols_k, a_ii, C_k, c_cols_k)
+        blocks = source.blocks(a_stacks, C_k, c_stacks)
 
         def gain(j, rows, P=P_k):
             # ``gain_and_covariance`` is looked up at call time; ``P`` is of

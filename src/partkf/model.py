@@ -13,6 +13,12 @@ agents.  Stored arrays are defensive copies with the writeable flag cleared.
 A model owns its derived views: its column blocks and ``_monolithic``, and its
 partition the groups of equally sized subsystems.
 
+Subsystem maps are called only through a checked pass (``_Pass``): values
+into one vector (``_values``, or ``_checked`` for one map), Jacobian blocks
+into per-group stacks (``_jacobian``).  A result must be real numbers of its
+shape; finiteness is checked once per pass, and only a failing pass is
+searched, in call order, for the result to name.
+
 The module owns the matrix-health helpers, since every other module imports
 it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
 ``_not_semidefinite``, ``_spd_factor``, ``_factor_solve``, ``_spd_solve``
@@ -57,8 +63,8 @@ JACOBIAN_CHECK_RTOL = 1e-5
 
 
 class LinearizationError(RuntimeError):
-    """A subsystem map (``f``, ``h``, ``jac_f``, ``jac_h``) raised or returned
-    a wrong shape or a non-finite value.  Carries the subsystem index."""
+    """A subsystem map (``f``, ``h``, ``jac_f``, ``jac_h``) raised, or returned
+    a wrong shape, non-real or non-finite values.  Carries the subsystem index."""
 
     def __init__(self, message: str, subsystem: int | None = None):
         super().__init__(message)
@@ -85,43 +91,87 @@ def _by_neighbor(i: int, blocks: Mapping) -> dict:
     return out
 
 
-def _checked(sub, what: str, fn, *args, shape):
-    """``fn(*args)``, a map of subsystem ``sub``, as a float array of
-    ``shape``; when ``shape`` is a dict (``jac_f``), as a dict of float
-    blocks with exactly its keys (normalized by :func:`_by_neighbor`) and
-    shapes.
-
-    Raises :class:`LinearizationError` naming the subsystem, chained to the
-    cause, when the map raises or returns another shape, other blocks, a
-    block twice or a non-finite entry.
-    """
-    i = sub.index
+def _called(sub, what: str, fn, *args):
+    """``fn(*args)``, a map of subsystem ``sub``; :class:`LinearizationError`
+    naming the subsystem, chained to the cause, when it raises."""
     try:
-        got = fn(*args)
-        got = (_by_neighbor(i, got) if isinstance(shape, dict)
-               else np.asarray(got, dtype=float))
+        return fn(*args)
     except Exception as exc:
-        raise LinearizationError(f"subsystem {i}: {what} raised {exc!r}", i) from exc
-    if isinstance(shape, dict):
-        if got.keys() != shape.keys():
-            raise LinearizationError(f"subsystem {i}: {what} returned blocks for "
-                                     f"{sorted(got)}, expected {sorted(shape)}", i)
-        return {l: _checked(sub, f"{what} block {l}", got.get, l, shape=s)
-                for l, s in shape.items()}
-    if got.shape != shape:
-        raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
-                                 f"expected {shape}", i)
-    if not np.isfinite(got).all():
-        raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
-    return got
+        raise LinearizationError(f"subsystem {sub.index}: {what} raised {exc!r}",
+                                 sub.index) from exc
 
 
-def _own_outputs(subs: Sequence, points: Sequence[np.ndarray]) -> np.ndarray:
-    """The stacked own outputs ``[h_i(x_i)]_i`` of the subsystems at their
-    state blocks ``points``, each map call checked by :func:`_checked`.  As
-    the output matrix is block diagonal, this is ``sum_l C_col_l x_l``."""
-    return np.concatenate([_checked(sub, "h", sub.h, x, shape=(sub.out_dim,))
-                           for sub, x in zip(subs, points)])
+def _jac_f_blocks(sub, got) -> list[tuple]:
+    """``(l, block)`` of the blocks ``got`` of ``sub.jac_f``, own block
+    first, when their keys, as ``int`` (:func:`_by_neighbor`), are exactly
+    ``{index} | neighbors``."""
+    keys = (sub.index, *sub.neighbors)
+    if type(got) is not dict or got.keys() != set(keys):
+        got = _called(sub, "jac_f", _by_neighbor, sub.index, got)
+        if got.keys() != set(keys):
+            raise LinearizationError(f"subsystem {sub.index}: jac_f returned blocks for "
+                                     f"{sorted(got)}, expected {sorted(keys)}", sub.index)
+    return [(l, got[l]) for l in keys]
+
+
+class _Pass:
+    """One checked pass of subsystem maps into preallocated ``arrays``.
+    :meth:`put` writes a result that is an array of real numbers (integer or
+    floating dtype) of its place's shape.  On leaving, the arrays are checked
+    for finiteness at once; when that fails, or a map fails during the pass,
+    the first non-finite result written, if any, is the error: the one a
+    check after every call would raise, naming subsystem and map."""
+
+    __slots__ = ("arrays", "written")
+
+    def __init__(self, *arrays: np.ndarray):
+        self.arrays, self.written = arrays, []
+
+    def put(self, dest: np.ndarray, sub, what: str, got) -> None:
+        i, got = sub.index, got if type(got) is np.ndarray else _called(sub, what, np.asarray, got)
+        if got.shape != dest.shape:
+            raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
+                                     f"expected {dest.shape}", i)
+        if got.dtype.kind not in "iuf":
+            raise LinearizationError(f"subsystem {i}: {what} returned {got.dtype} values, "
+                                     "expected real numbers", i)
+        dest[...] = got
+        self.written.append((dest, i, what))
+
+    def __enter__(self) -> "_Pass":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None and all(np.isfinite(a).all() for a in self.arrays):
+            return
+        if kind is None or issubclass(kind, Exception):
+            for dest, i, what in self.written:
+                if not np.isfinite(dest).all():
+                    raise LinearizationError(f"subsystem {i}: {what} returned a non-finite "
+                                             "value", i) from None
+
+
+def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
+    """``fn(*args)``, a map of subsystem ``sub``, as a float array of
+    ``shape``: a :class:`_Pass` of one map."""
+    out = np.empty(shape)
+    with _Pass(out) as run:
+        run.put(out, sub, what, _called(sub, what, fn, *args))
+    return out
+
+
+def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray]) -> np.ndarray:
+    """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
+    at their state blocks ``points`` (and, for ``f``, their neighbors'), in
+    one :class:`_Pass`.  The own outputs ``[h_i(x_i)]_i`` are ``C x``."""
+    p = model.partition
+    out = np.empty(p.nx if of == "f" else p.ny)
+    with _Pass(out) as run:
+        for i, (sub, x) in enumerate(zip(model.subsystems, points)):
+            args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
+            run.put(out[(p.state_slice if of == "f" else p.out_slice)(i)], sub, of,
+                    _called(sub, of, getattr(sub, of), *args))
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -323,6 +373,20 @@ class StatePartition:
             out.append((members, idx))
         return tuple(out)
 
+    @cached_property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """Per subsystem, its group and its row in that group's stacks."""
+        return tuple(dict(sorted((int(i), (j, r)) for j, (members, _) in enumerate(self.groups)
+                                 for r, i in enumerate(members))).values())
+
+    def stacked(self, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per group, the stack of its members' ``blocks[i]``."""
+        return [np.stack([blocks[i] for i in members]) for members, _ in self.groups]
+
+    def unstacked(self, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per subsystem, its row of its group's stack: views."""
+        return [stacks[j][r] for j, r in self.slots]
+
     def state_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
 
@@ -483,7 +547,7 @@ class NonlinearSubsystem:
     neighbor index to that subsystem's current state block, and
     ``h(x_i) -> y_i``; ``jac_f(x_i, neighbors)`` and ``jac_h(x_i)`` are
     optional analytic Jacobians.  On the declared state box every map returns
-    finite values: ``f`` of shape ``(state_dim,)``, ``h`` of ``(out_dim,)``,
+    finite real numbers: ``f`` of shape ``(state_dim,)``, ``h`` of ``(out_dim,)``,
     ``jac_h = d h_i / d x_i`` of ``(out_dim, state_dim)`` and ``jac_f`` exactly
     the blocks ``{l: d f_i / d x_l}`` for ``l`` in ``{index} | neighbors``,
     block ``l`` of shape ``(state_dim, dim of l)``.  A map that raises or
@@ -539,8 +603,9 @@ class NonlinearSubsystem:
                     for l, v in _by_neighbor(self.index, nbrs).items()}
             _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
-                got = _checked(self, "jac_f", self.jac_f, x_i, nbrs,
-                               shape=_jac_f_shape(self))
+                got = dict(_jac_f_blocks(self, _called(self, "jac_f", self.jac_f, x_i, nbrs)))
+                got = {l: _checked(self, f"jac_f block {l}", got.get, l, shape=(self.state_dim, d))
+                       for l, d in {self.index: self.state_dim, **self.neighbor_dims}.items()}
                 for l, blk in fd_jacobian_f(self, x_i, nbrs).items():
                     if not _agrees(got[l], blk):
                         raise ValueError(
@@ -560,12 +625,6 @@ def _agrees(got: np.ndarray, want: np.ndarray) -> bool:
     """Analytic Jacobian ``got`` within ``JACOBIAN_CHECK_RTOL`` of ``want``."""
     scale = 1.0 + np.abs(want)
     return bool(np.all(np.abs(got - want) <= JACOBIAN_CHECK_RTOL * scale))
-
-
-def _jac_f_shape(sub: NonlinearSubsystem) -> dict[int, tuple[int, int]]:
-    """The block shapes ``jac_f`` must return: own block, then neighbors."""
-    return {sub.index: (sub.state_dim, sub.state_dim),
-            **{l: (sub.state_dim, d) for l, d in sub.neighbor_dims.items()}}
 
 
 def _fd_steps(x: np.ndarray) -> np.ndarray:
@@ -660,11 +719,6 @@ class GlobalModel:
             raise ValueError("c_col is only defined for linear models")
         return self._col_blocks[1][i]
 
-    def neighbor_states(self, i: int, x: np.ndarray) -> dict[int, np.ndarray]:
-        """Extract the neighbor blocks subsystem ``i`` needs from a global state."""
-        sub = self.subsystems[i]
-        return {l: x[self.partition.state_slice(l)] for l in sub.neighbors}
-
     def f(self, x: np.ndarray) -> np.ndarray:
         """One step of the global dynamics (noise-free).  A linear model
         also takes a stack of states (``(..., nx)``) and gives each the bits
@@ -672,17 +726,14 @@ class GlobalModel:
         x = np.asarray(x, dtype=float)
         if self.linear:
             return _matvec(self.A, x)
-        return np.concatenate([
-            _checked(sub, "f", sub.f, x[self.partition.state_slice(i)],
-                     self.neighbor_states(i, x), shape=(sub.state_dim,))
-            for i, sub in enumerate(self.subsystems)])
+        return _values(self, "f", self.partition.split_state(x))
 
     def h(self, x: np.ndarray) -> np.ndarray:
         """Global output map (noise-free); stacks as :meth:`f`."""
         x = np.asarray(x, dtype=float)
         if self.linear:
             return _matvec(self.C, x)
-        return _own_outputs(self.subsystems, self.partition.split_state(x))
+        return _values(self, "h", self.partition.split_state(x))
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Assembled validity box, or None when no subsystem declares one."""
@@ -774,53 +825,34 @@ class LinearizationBlocks:
     C: np.ndarray
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-
-def _jac_rows_f(subs, partition, x, mode) -> dict[tuple[int, int], np.ndarray]:
-    """Dynamics Jacobian row blocks ``{(l, m): d f_l / d x_m}`` at the global
-    point ``x``.  ``mode="analytic"`` uses each subsystem's ``jac_f`` and falls
-    back to finite differences where a subsystem has none."""
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    for l, sub in enumerate(subs):
-        xl = x[partition.state_slice(l)]
-        nbrs = {m: x[partition.state_slice(m)] for m in sub.neighbors}
-        if mode == "analytic" and sub.jac_f is not None:
-            blocks = _checked(sub, "jac_f", sub.jac_f, xl, nbrs, shape=_jac_f_shape(sub))
-        else:
-            blocks = fd_jacobian_f(sub, xl, nbrs)
-        rows.update(((l, m), b) for m, b in blocks.items())
-    return rows
-
-
-def _a_cols(rows, partition) -> list[np.ndarray]:
-    """Stack the row blocks into the per-subsystem column blocks
-    ``A[:, i-block]`` of the dynamics Jacobian; undeclared blocks are zero."""
-    cols = [np.zeros((partition.nx, d)) for d in partition.dims]
-    for (l, i), blk in rows.items():
-        cols[i][partition.state_slice(l), :] = blk
-    return cols
-
-
-def _jac_cols_h(subs, partition, x, mode) -> list[np.ndarray]:
-    """Output Jacobian column blocks ``d h / d x_i`` at ``x``; modes as in
-    :func:`_jac_rows_f`."""
-    ny = partition.ny
-    cols = []
-    for i, sub in enumerate(subs):
-        xi = x[partition.state_slice(i)]
-        if sub.out_dim == 0:
-            block = np.zeros((0, sub.state_dim))
-        elif mode == "analytic" and sub.jac_h is not None:
-            block = _checked(sub, "jac_h", sub.jac_h, xi, shape=(sub.out_dim, sub.state_dim))
-        else:
-            block = fd_jacobian_h(sub, xi)
-        col = np.zeros((ny, sub.state_dim))
-        col[partition.out_slice(i), :] = block
-        cols.append(col)
-    return cols
+def _jacobian(model: GlobalModel, x: np.ndarray, of: str,
+              analytic: bool = True) -> list[np.ndarray]:
+    """The Jacobian of the stacked map ``of`` (``"f"`` or ``"h"``) at ``x``
+    as group stacks ``(members, nx or ny, d)``, a member's row its column
+    block: ``d of_l / d x_i`` in the rows of ``l``, zero elsewhere.  Blocks
+    come from the providers, or central differences for a subsystem without
+    them or when ``analytic`` is false, written in one :class:`_Pass`."""
+    p, dynamics, points = model.partition, of == "f", model.partition.split_state(x)
+    name = "jac_" + of
+    stacks = [np.zeros((len(members), p.nx if dynamics else p.ny, idx.shape[1]))
+              for members, idx in p.groups]
+    with _Pass(*stacks) as run:
+        for l, sub in enumerate(model.subsystems):
+            if dynamics:
+                rows, args = p.state_slice(l), (points[l], {m: points[m] for m in sub.neighbors})
+            elif sub.out_dim:
+                rows, args = p.out_slice(l), (points[l],)
+            else:
+                continue
+            if analytic and getattr(sub, name) is not None:
+                what, got = name, _called(sub, name, getattr(sub, name), *args)
+            else:
+                what = "central-difference " + name
+                got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
+            for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
+                j, r = p.slots[i]
+                run.put(stacks[j][r, rows], sub, f"{what} block {i}" if dynamics else what, blk)
+    return stacks
 
 
 def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
@@ -835,23 +867,22 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
     """
     subs = sorted(subs, key=lambda s: s.index)
     partition = make_partition([s.state_dim for s in subs], [s.out_dim for s in subs])
-    subs = _aggregate(subs, partition)[0]
+    model = aggregate_nonlinear(subs, partition)
     x = np.asarray(x_point, dtype=float)
     if x.shape != (partition.nx,):
         raise ValueError(f"x_point must have shape ({partition.nx},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_point must be finite")
-    _check_mode(mode)
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "analytic":
         missing = [s.index for s in subs if s.jac_f is None or (s.out_dim and s.jac_h is None)]
         if missing:
             raise ValueError(f"analytic Jacobians missing for subsystems {missing}")
 
-    rows = _jac_rows_f(subs, partition, x, mode)
-    a_cols = _a_cols(rows, partition)
-    c_cols = _jac_cols_h(subs, partition, x, mode)
-    dims = partition.dims
-    a_blocks = {(l, i): rows.get((l, i), np.zeros((dims[l], dims[i])))
+    a_cols = partition.unstacked(_jacobian(model, x, "f", mode == "analytic"))
+    c_cols = partition.unstacked(_jacobian(model, x, "h", mode == "analytic"))
+    a_blocks = {(l, i): a_cols[i][partition.state_slice(l)]
                 for l in range(partition.n) for i in range(partition.n)}
     A = np.concatenate(a_cols, axis=1)
     C = np.concatenate(c_cols, axis=1)
@@ -868,13 +899,12 @@ def _monolithic(model: GlobalModel) -> GlobalModel:
     if model.linear:
         return assemble_global(
             [LinearSubsystem(0, model.A, {}, model.C, model.Q, model.R)], part)
-    subs, p = model.subsystems, model.partition
+    p = model.partition
     return aggregate_nonlinear([NonlinearSubsystem(
         index=0, state_dim=model.nx, out_dim=model.ny, neighbor_dims={},
         f=lambda x, neighbors: model.f(x), h=model.h, Q=model.Q, R=model.R,
-        jac_f=lambda x, neighbors: {
-            0: np.hstack(_a_cols(_jac_rows_f(subs, p, x, "analytic"), p))},
-        jac_h=lambda x: np.hstack(_jac_cols_h(subs, p, x, "analytic")),
+        jac_f=lambda x, neighbors: {0: np.hstack(p.unstacked(_jacobian(model, x, "f")))},
+        jac_h=lambda x: np.hstack(p.unstacked(_jacobian(model, x, "h"))),
         state_box=model.state_box())], part)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -16,8 +17,9 @@ from partkf.dkf import (
     run_dkf,
     update,
 )
-from partkf.model import LinearizationError, aggregate_nonlinear, linear_as_nonlinear, linearize
-from partkf.simulate import NoiseSpec, simulate
+from partkf.model import (LinearizationError, LinearSubsystem, aggregate_nonlinear,
+                          linear_as_nonlinear, linearize, make_partition)
+from partkf.simulate import NoiseSpec, SimulationError, simulate
 
 from conftest import noise_for
 
@@ -310,6 +312,10 @@ MAP_FAULTS = {
         f=_from_call(6, s.f, lambda x, n: np.full(2, np.nan))), 6),
     "h-raises-from-4th-call": (lambda s: dict(h=_from_call(4, s.h, _raise)), 3),
     "h-one-value-for-two": (lambda s: dict(h=lambda x: s.h(x)[:1]), 0),
+    "jac_f-nan-in-neighbor-block-from-4th-call": (lambda s: dict(jac_f=_from_call(
+        4, s.jac_f, lambda x, n: {**s.jac_f(x, n), 1: np.full((2, 2), np.nan)})), 4),
+    "f-complex": (lambda s: dict(f=lambda x, n: s.f(x, n) + 0j), 1),
+    "h-strings": (lambda s: dict(h=lambda x: [repr(float(v)) for v in s.h(x)]), 0),
 }
 
 
@@ -324,6 +330,122 @@ def test_broken_map_names_subsystem_and_instant(reactor_bench, fault):
         run_dekf(model, reactor_bench.design, traj)
     assert err.value.subsystem == 2
     assert str(err.value).startswith(f"instant {k}, subsystem 2: ")
+
+
+def test_non_real_values_are_rejected_naming_the_map(reactor_bench):
+    # Accepted, a complex f ran on its real part (with a ComplexWarning)
+    # and a string such as '1.5' was read as 1.5.
+    traj = simulate(reactor_bench.model, reactor_bench.x0, 5, reactor_bench.noise(seed=3))
+    for make, k, what in [(MAP_FAULTS["f-complex"][0], 1, "f returned complex128"),
+                          (MAP_FAULTS["h-strings"][0], 0, "h returned <U"),
+                          (lambda s: dict(jac_h=lambda x: s.jac_h(x) * 1j), 0,
+                           "jac_h returned complex128")]:
+        subs = list(reactor_bench.model.subsystems)
+        subs[2] = dataclasses.replace(subs[2], jacobian_check_samples=(), **make(subs[2]))
+        with pytest.raises(LinearizationError, match=re.escape(
+                f"instant {k}, subsystem 2: {what}")) as err:
+            run_dekf(aggregate_nonlinear(subs, reactor_bench.model.partition),
+                     reactor_bench.design, traj)
+        assert str(err.value).endswith("values, expected real numbers")
+
+
+def _chain() -> list:
+    """Four two-state subsystems in a chain, ``i`` coupled to ``i-1`` and
+    ``i+1``, as nonlinear subsystems with exact affine maps."""
+    return [linear_as_nonlinear(LinearSubsystem(
+        i, 0.9 * np.eye(2), {l: 0.05 * np.eye(2) for l in (i - 1, i + 1) if 0 <= l < 4},
+        np.eye(1, 2), np.eye(2), np.eye(1))) for i in range(4)]
+
+
+#: Per map, from its third call on: how subsystem 1's healthy map turns
+#: NaN (block 2 for ``jac_f``), and the map the error must name.  Subsystem
+#: 3's map raises from then on, and the error must still name subsystem 1,
+#: as a check after every call would.
+TWO_FAULTS = {
+    "jac_f": (lambda good: lambda x, n: {**good(x, n), 2: np.full((2, 2), np.nan)},
+              "jac_f block 2"),
+    "f": (lambda good: lambda x, n: np.full(2, np.nan), "f"),
+    "h": (lambda good: lambda x: np.full(1, np.nan), "h"),
+}
+
+
+def _two_faults(name: str) -> list:
+    subs = _chain()
+    for i, bad in ((1, TWO_FAULTS[name][0](getattr(subs[1], name))), (3, _raise)):
+        subs[i] = dataclasses.replace(subs[i], **{name: _from_call(3, getattr(subs[i], name),
+                                                                   bad)})
+    return subs
+
+
+@pytest.mark.parametrize("name", TWO_FAULTS)
+def test_first_failing_subsystem_is_named_when_two_fail(name):
+    part = make_partition([2] * 4, [1] * 4)
+    healthy = aggregate_nonlinear(_chain(), part)
+    noise = noise_for(healthy, 0.1, seed=2)
+    traj = simulate(healthy, np.ones(8), 6, noise)
+    design = EstimatorDesign.from_model(healthy, P0=[np.eye(2)] * 4, x0_guess=np.zeros(8))
+    what = f"subsystem 1: {TWO_FAULTS[name][1]} returned a non-finite value"
+    # The filter calls jac_f and f from instant 1 on, h from instant 0 on.
+    with pytest.raises(LinearizationError, match=re.escape(
+            f"instant {2 if name == 'h' else 3}, {what}")) as err:
+        run_dekf(aggregate_nonlinear(_two_faults(name), part), design, traj)
+    assert err.value.subsystem == 1
+    if name == "jac_f":
+        subs = _two_faults(name)
+        linearize(subs, np.ones(8))
+        linearize(subs, np.ones(8))
+        with pytest.raises(LinearizationError, match=f"^{re.escape(what)}$"):
+            linearize(subs, np.ones(8))
+    else:
+        # The simulation calls f and h once per step from step 0 on.
+        with pytest.raises(SimulationError, match=re.escape(f"step 2, {what}")):
+            simulate(aggregate_nonlinear(_two_faults(name), part), np.ones(8), 6, noise)
+
+
+#: ``content_digest`` of ``run_dekf`` (no monitors) on ``reactor-chain``
+#: over K=50 at seeds 1-3: how the maps are evaluated must not move a bit.
+DEKF_DIGESTS = {
+    1: "e106607b05b665e9adeb4d70e93978079d525eca2f6a4737aa57c7228e2a228c",
+    2: "0b743adc85f5cff351289c7b35e021e3a279bb0352eedbaa4291687d29b0d030",
+    3: "547f27a6b5b19b371ae2fa9f67179983bf0cc0505a142ea3eb10f114730c70ad",
+}
+#: The same at seed 1 with subsystem 2 linearized by central differences.
+MIXED_DEKF_DIGEST = "9c095620efb33c6a082cdb8ef19a00def5661c9ac33724c2bb0707868317d965"
+#: SHA-256 of the bytes of ``linearize`` on ``reactor-chain`` (``A``,
+#: ``C``, the ``a_cols``, the ``c_cols`` and the ``a_blocks`` in key order)
+#: at the operating point and off it, per mode.
+LINEARIZE_DIGESTS = {
+    ("steady", "analytic"): "f2aaad1ea46c2b9d2a24222e8c52ecec6b67a2a62cd83c55324892c807e95817",
+    ("steady", "fd"): "e2dffe1ff6ff35701539b4a7d0012d3f45e9f66120e337034e7006235f43179d",
+    ("offset", "analytic"): "bebea22cbf31a77ee974d1243f51c3d8223434042f754226534ada0ffd6a568c",
+    ("offset", "fd"): "353ffff916aee03cffd82f6abdc6bfa57b836828bfb66c68f90550cd24980887",
+}
+
+
+@pytest.mark.parametrize("seed", DEKF_DIGESTS)
+def test_extended_filter_records_are_pinned(reactor_bench, seed):
+    traj = simulate(reactor_bench.model, reactor_bench.x0, 50, reactor_bench.noise(seed=seed))
+    rec = run_dekf(reactor_bench.model, reactor_bench.design, traj)
+    assert rec.content_digest() == DEKF_DIGESTS[seed]
+
+
+def test_extended_filter_record_with_central_differences_is_pinned(reactor_bench):
+    subs = list(reactor_bench.model.subsystems)
+    subs[2] = dataclasses.replace(subs[2], jac_f=None, jac_h=None, jacobian_check_samples=())
+    traj = simulate(reactor_bench.model, reactor_bench.x0, 50, reactor_bench.noise(seed=1))
+    rec = run_dekf(aggregate_nonlinear(subs, reactor_bench.model.partition),
+                   reactor_bench.design, traj)
+    assert rec.content_digest() == MIXED_DEKF_DIGEST
+
+
+@pytest.mark.parametrize("point, mode", LINEARIZE_DIGESTS)
+def test_linearization_blocks_are_pinned(reactor_bench, point, mode):
+    x = REACTOR_STEADY + (np.array([3.0, -0.02] * 4) if point == "offset" else 0.0)
+    b = linearize(reactor_bench.model.subsystems, x, mode=mode)
+    digest = hashlib.sha256()
+    for m in (b.A, b.C, *b.a_cols, *b.c_cols, *(b.a_blocks[k] for k in sorted(b.a_blocks))):
+        digest.update(np.ascontiguousarray(m).tobytes())
+    assert digest.hexdigest() == LINEARIZE_DIGESTS[point, mode]
 
 
 class TestMeasurementChecks:

@@ -21,6 +21,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 - only ``simulate.py`` draws noise: calls ``.normal(``, ``default_rng`` or
   ``.streams(``, so that every draw follows ``sample_noise``'s rule and
   the stacked ensemble pass cannot drift from it;
+- only ``model.py`` calls or reads a subsystem's Jacobian providers
+  ``jac_f`` and ``jac_h``, besides the oracles' owners ``fie.py`` and
+  ``harness.py``: the extended filter, ``linearize`` and ``_monolithic``
+  read the one checked pass that writes them into group stacks, so that a
+  second Jacobian path cannot come back;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -246,6 +251,40 @@ def test_checker_flags_noise_draws():
     assert noise_draw_sites(source) == ["streams (line 3)", "normal (line 4)",
                                         "default_rng (line 5)", "default_rng (line 6)"]
     assert noise_draw_sites((SRC / "simulate.py").read_text())
+
+
+#: The Jacobian providers of a subsystem, which only ``model.py`` uses,
+#: besides the oracles' owners ``fie.py`` and ``harness.py``.
+PROVIDERS = frozenset({"jac_f", "jac_h"})
+
+
+def provider_uses(source: str) -> list[str]:
+    """Reads in ``source`` of a ``jac_f`` or ``jac_h`` attribute (a call of
+    a subsystem's provider, or the provider handed to a helper that calls
+    it) and calls of a function of that name."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PROVIDERS:
+            sites.append((node.lineno, _dotted(node) or node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") in PROVIDERS:
+            sites.append((node.lineno, node.func.id))
+    return [f"{name} (line {line})" for line, name in sorted(sites)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + [SRC / "__init__.py"]
+                                  if p.name not in ("model.py", "fie.py", "harness.py")],
+                         ids=lambda p: p.name)
+def test_only_the_model_uses_the_jacobian_providers(path):
+    assert provider_uses(path.read_text()) == []
+
+
+def test_checker_flags_provider_uses():
+    source = ("blocks = sub.jac_f(x, nbrs)\nC = model.subsystems[0].jac_h(x)\n"
+              "A = jac_f(x)\nblocks = _checked(sub, 'jac_f', sub.jac_f, x, nbrs)\n"
+              "own = _reactor_jac_f(0, 0.1)\nview = NonlinearSubsystem(jac_f=f, jac_h=None)\n")
+    assert provider_uses(source) == ["sub.jac_f (line 1)", "jac_h (line 2)",
+                                     "jac_f (line 3)", "sub.jac_f (line 4)"]
+    assert provider_uses((SRC / "model.py").read_text())
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).

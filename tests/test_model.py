@@ -294,6 +294,20 @@ class TestLinearize:
             linearize([sub], np.zeros(2), mode="fd")
         assert err.value.subsystem == 0
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_non_real_values_name_subsystem_and_map(self, mode):
+        # Accepted, a complex Jacobian entry was cut to its real part.
+        subs = reactor_subsystems()
+        good = subs[3]
+        fault = (dict(jac_f=lambda x, n: {**good.jac_f(x, n), 3: 1j * np.eye(2)})
+                 if mode == "analytic" else dict(f=lambda x, n: good.f(x, n) + 0j))
+        subs[3] = dataclasses.replace(good, jacobian_check_samples=(), **fault)
+        what = "jac_f block 3" if mode == "analytic" else "f"
+        with pytest.raises(LinearizationError, match=f"^subsystem 3: {what} returned "
+                           "complex128 values, expected real numbers$") as err:
+            linearize(subs, REACTOR_STEADY, mode=mode)
+        assert err.value.subsystem == 3
+
     def test_nonfinite_point_rejected(self):
         subs = [linear_as_nonlinear(s) for s in linear_subsystems()]
         with pytest.raises(ValueError):

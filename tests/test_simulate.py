@@ -198,6 +198,21 @@ class TestSimulate:
             simulate(model, bench.x0, 5, bench.noise(seed=1))
         assert err.value.step == 0
 
+    @pytest.mark.parametrize("map_, make, dtype", [
+        ("f", lambda s: dict(f=lambda x, n: s.f(x, n) + 1j), "complex128"),
+        ("h", lambda s: dict(h=lambda x: [str(v) for v in s.h(x)]), "<U"),
+        ("h", lambda s: dict(h=lambda x: s.h(x) > 0), "bool")], ids=["complex", "str", "bool"])
+    def test_non_real_map_value_names_step_subsystem_and_map(self, map_, make, dtype):
+        # Accepted, f = x + 1j ran on the real part of its value (with a
+        # ComplexWarning) and a string such as '1.5' was read as 1.5.
+        bench = get_benchmark("reactor-chain")
+        subs = list(bench.model.subsystems)
+        subs[1] = dataclasses.replace(subs[1], jacobian_check_samples=(), **make(subs[1]))
+        model = aggregate_nonlinear(subs, bench.model.partition)
+        with pytest.raises(SimulationError, match=rf"^step 0, subsystem 1: {map_} returned "
+                                                  rf"{dtype}\S* values, expected real numbers$"):
+            simulate(model, bench.x0, 5, bench.noise(seed=1))
+
     def test_short_output_map_is_not_broadcast(self):
         # One subsystem with three outputs whose h returns one value, which
         # numpy would broadcast over all three measurements.
