@@ -363,7 +363,7 @@ class ErrorDecomposition:
 
 def error_step(model: GlobalModel, record: RunRecord, k: int) -> ErrorDecomposition:
     """Evaluate the error recursion at instant ``k >= 1`` of a recorded run."""
-    if k < 1 or k > record.steps:
+    if _integer("k", k) < 1 or k > record.steps:
         raise ValueError("error_step needs 1 <= k <= steps")
     x_prev, x_k = record.xs[k - 1], record.xs[k]
     xh_prev = record.xhat_post[k - 1]
@@ -495,7 +495,7 @@ def check_weak_coupling(record: RunRecord, k: int, *,
     transition the kernel covers in one pass; when it covers more than one,
     results leave out those two ``nx x nx`` matrices.
     """
-    if not 1 <= k <= record.steps:
+    if not 1 <= _integer("k", k) <= record.steps:
         raise ValueError("weak-coupling check needs 1 <= k <= steps")
     loop = _Loop(record, k, k) if _loop is None else _loop
     return loop.coupling[k - loop.transitions.start]

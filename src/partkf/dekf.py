@@ -19,9 +19,9 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Per instant each Jacobian is one checked pass over all subsystems: its
-blocks (analytic providers, central differences for a subsystem without
-them) go straight into the group stacks that the gain kernel reads, whose
+Per instant each Jacobian's blocks (analytic providers, central
+differences for a subsystem without them) are checked one by one as they
+are written straight into the group stacks that the gain kernel reads, whose
 rows are the recorded column blocks.  A failing map raises
 ``LinearizationError`` naming the subsystem, the map and the instant.
 """

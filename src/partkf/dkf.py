@@ -33,7 +33,7 @@ group of equally sized subsystems it forms, from the stacks of the members'
 blocks, ``U``, ``R^-1 U`` (one triangular solve pair over every member's
 columns) and ``U' R^-1 U``: the linear source once, from the model's
 constant blocks, the nonlinear source of :mod:`partkf.dekf` at every
-instant from the stacks its Jacobian pass writes.
+instant from the Jacobian stacks it writes.
 Per instant the loop computes the innovation once, then settles the
 instant in one step, the same at instant 0 and at instant ``k``: for each
 group one batched call of the kernel (``2 d_i``-sized solves), one batched

@@ -112,6 +112,14 @@ class ExperimentConfig:
         if not isinstance(self.model.get("params", {}), dict):
             raise ValueError(f"model params must map parameter names to values, "
                              f"not {self.model['params']!r}")
+        if "inline" in self.model:
+            subs = _object("model.inline", self.model["inline"]).get("subsystems", [])
+            if not isinstance(subs, (list, tuple)):
+                raise ValueError(f"model.inline subsystems must be a list, not {subs!r}")
+            for j, raw in enumerate(subs):
+                _object(f"model.inline subsystem {j}", raw)
+        for name in ("noise", "estimator"):
+            _object(name, {} if getattr(self, name) is None else getattr(self, name))
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -124,9 +132,16 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _object(name: str, value) -> dict:
+    """``value``; ``ValueError`` naming ``name`` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an :class:`ExperimentConfig` from a JSON file."""
-    payload = _load_json(path)
+    payload = _object("config", _load_json(path))
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(payload) - known
     if unknown:

@@ -13,11 +13,11 @@ agents.  Stored arrays are defensive copies with the writeable flag cleared.
 A model owns its derived views: its column blocks and ``_monolithic``, and its
 partition the groups of equally sized subsystems.
 
-Subsystem maps are called only through a checked pass (``_Pass``): values
-into one vector (``_values``, or ``_checked`` for one map), Jacobian blocks
-into per-group stacks (``_jacobian``).  A result must be real numbers of its
-shape; finiteness is checked once per pass, and only a failing pass is
-searched, in call order, for the result to name.
+Every result of a subsystem map is checked as it is written (``_put``):
+values into one vector (``_values``, or ``_checked`` for one map), Jacobian
+blocks into per-group stacks (``_jacobian``).  A result must be finite real
+numbers of its place's shape, so the first bad result names its subsystem
+and map.
 
 The module owns the matrix-health helpers, since every other module imports
 it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
@@ -32,6 +32,7 @@ overhead, which at the filters' sizes costs more than the factorization.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,63 +115,45 @@ def _jac_f_blocks(sub, got) -> list[tuple]:
     return [(l, got[l]) for l in keys]
 
 
-class _Pass:
-    """One checked pass of subsystem maps into preallocated ``arrays``.
-    :meth:`put` writes a result that is an array of real numbers (integer or
-    floating dtype) of its place's shape.  On leaving, the arrays are checked
-    for finiteness at once; when that fails, or a map fails during the pass,
-    the first non-finite result written, if any, is the error: the one a
-    check after every call would raise, naming subsystem and map."""
-
-    __slots__ = ("arrays", "written")
-
-    def __init__(self, *arrays: np.ndarray):
-        self.arrays, self.written = arrays, []
-
-    def put(self, dest: np.ndarray, sub, what: str, got) -> None:
-        i, got = sub.index, got if type(got) is np.ndarray else _called(sub, what, np.asarray, got)
-        if got.shape != dest.shape:
-            raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
-                                     f"expected {dest.shape}", i)
-        if got.dtype.kind not in "iuf":
-            raise LinearizationError(f"subsystem {i}: {what} returned {got.dtype} values, "
-                                     "expected real numbers", i)
-        dest[...] = got
-        self.written.append((dest, i, what))
-
-    def __enter__(self) -> "_Pass":
-        return self
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is None and all(np.isfinite(a).all() for a in self.arrays):
-            return
-        if kind is None or issubclass(kind, Exception):
-            for dest, i, what in self.written:
-                if not np.isfinite(dest).all():
-                    raise LinearizationError(f"subsystem {i}: {what} returned a non-finite "
-                                             "value", i) from None
+def _put(dest: np.ndarray, sub, what: str, got) -> np.ndarray:
+    """``dest`` with ``got``, a result of map ``what`` of subsystem ``sub``,
+    written into it once it is an array of real numbers (integer or floating
+    dtype) of ``dest``'s shape and finite; else :class:`LinearizationError`
+    naming subsystem and map.  The one check of every subsystem map result."""
+    i, got = sub.index, got if type(got) is np.ndarray else _called(sub, what, np.asarray, got)
+    if got.shape != dest.shape:
+        raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
+                                 f"expected {dest.shape}", i)
+    if got.dtype.kind not in "iuf":
+        raise LinearizationError(f"subsystem {i}: {what} returned {got.dtype} values, "
+                                 "expected real numbers", i)
+    # A finite sum has finite terms.  A small result is summed as Python
+    # numbers, faster than NumPy's test and overflowing to inf without a
+    # warning; a large one, or one whose sum is not finite, term by term.
+    if not (got.size <= 64 and math.isfinite(sum(got.ravel().tolist()))
+            or np.isfinite(got).all()):
+        raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
+    dest[...] = got
+    return dest
 
 
 def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
-    """``fn(*args)``, a map of subsystem ``sub``, as a float array of
-    ``shape``: a :class:`_Pass` of one map."""
-    out = np.empty(shape)
-    with _Pass(out) as run:
-        run.put(out, sub, what, _called(sub, what, fn, *args))
-    return out
+    """``fn(*args)``, a map of subsystem ``sub``, checked into a new float
+    array of ``shape``."""
+    return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
 
 
 def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray]) -> np.ndarray:
     """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
-    at their state blocks ``points`` (and, for ``f``, their neighbors'), in
-    one :class:`_Pass`.  The own outputs ``[h_i(x_i)]_i`` are ``C x``."""
+    at their state blocks ``points`` (and, for ``f``, their neighbors'), each
+    checked as it is written into one vector.  The own outputs
+    ``[h_i(x_i)]_i`` are ``C x``."""
     p = model.partition
     out = np.empty(p.nx if of == "f" else p.ny)
-    with _Pass(out) as run:
-        for i, (sub, x) in enumerate(zip(model.subsystems, points)):
-            args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
-            run.put(out[(p.state_slice if of == "f" else p.out_slice)(i)], sub, of,
-                    _called(sub, of, getattr(sub, of), *args))
+    for i, (sub, x) in enumerate(zip(model.subsystems, points)):
+        args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
+        _put(out[(p.state_slice if of == "f" else p.out_slice)(i)], sub, of,
+             _called(sub, of, getattr(sub, of), *args))
     return out
 
 
@@ -603,9 +586,10 @@ class NonlinearSubsystem:
                     for l, v in _by_neighbor(self.index, nbrs).items()}
             _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
-                got = dict(_jac_f_blocks(self, _called(self, "jac_f", self.jac_f, x_i, nbrs)))
-                got = {l: _checked(self, f"jac_f block {l}", got.get, l, shape=(self.state_dim, d))
-                       for l, d in {self.index: self.state_dim, **self.neighbor_dims}.items()}
+                dims = {self.index: self.state_dim, **self.neighbor_dims}
+                blocks = _jac_f_blocks(self, _called(self, "jac_f", self.jac_f, x_i, nbrs))
+                got = {l: _put(np.empty((self.state_dim, dims[l])), self, f"jac_f block {l}", b)
+                       for l, b in blocks}
                 for l, blk in fd_jacobian_f(self, x_i, nbrs).items():
                     if not _agrees(got[l], blk):
                         raise ValueError(
@@ -627,24 +611,17 @@ def _agrees(got: np.ndarray, want: np.ndarray) -> bool:
     return bool(np.all(np.abs(got - want) <= JACOBIAN_CHECK_RTOL * scale))
 
 
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(x))
-
-
 def _central_columns(fun, vals: np.ndarray, sub: NonlinearSubsystem, what: str,
                      out_size: int) -> np.ndarray:
     """Central-difference Jacobian of ``fun`` at ``vals``, column by column."""
-    steps = _fd_steps(vals)
-    cols = []
-    for j in range(vals.size):
-        plus = vals.copy()
-        minus = vals.copy()
-        plus[j] += steps[j]
-        minus[j] -= steps[j]
-        fp = _checked(sub, what, fun, plus, shape=(out_size,))
-        fm = _checked(sub, what, fun, minus, shape=(out_size,))
-        cols.append((fp - fm) / (2.0 * steps[j]))
-    return np.column_stack(cols) if cols else np.zeros((out_size, 0))
+    out = np.empty((out_size, vals.size))
+    for j, step in enumerate(np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(vals))):
+        plus, minus = vals.copy(), vals.copy()
+        plus[j] += step
+        minus[j] -= step
+        out[:, j] = (_checked(sub, what, fun, plus, shape=(out_size,))
+                     - _checked(sub, what, fun, minus, shape=(out_size,))) / (2.0 * step)
+    return out
 
 
 def fd_jacobian_f(sub: NonlinearSubsystem, x_i: np.ndarray,
@@ -831,27 +808,26 @@ def _jacobian(model: GlobalModel, x: np.ndarray, of: str,
     as group stacks ``(members, nx or ny, d)``, a member's row its column
     block: ``d of_l / d x_i`` in the rows of ``l``, zero elsewhere.  Blocks
     come from the providers, or central differences for a subsystem without
-    them or when ``analytic`` is false, written in one :class:`_Pass`."""
+    them or when ``analytic`` is false, each checked as it is written."""
     p, dynamics, points = model.partition, of == "f", model.partition.split_state(x)
     name = "jac_" + of
     stacks = [np.zeros((len(members), p.nx if dynamics else p.ny, idx.shape[1]))
               for members, idx in p.groups]
-    with _Pass(*stacks) as run:
-        for l, sub in enumerate(model.subsystems):
-            if dynamics:
-                rows, args = p.state_slice(l), (points[l], {m: points[m] for m in sub.neighbors})
-            elif sub.out_dim:
-                rows, args = p.out_slice(l), (points[l],)
-            else:
-                continue
-            if analytic and getattr(sub, name) is not None:
-                what, got = name, _called(sub, name, getattr(sub, name), *args)
-            else:
-                what = "central-difference " + name
-                got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
-            for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
-                j, r = p.slots[i]
-                run.put(stacks[j][r, rows], sub, f"{what} block {i}" if dynamics else what, blk)
+    for l, sub in enumerate(model.subsystems):
+        if dynamics:
+            rows, args = p.state_slice(l), (points[l], {m: points[m] for m in sub.neighbors})
+        elif sub.out_dim:
+            rows, args = p.out_slice(l), (points[l],)
+        else:
+            continue
+        if analytic and getattr(sub, name) is not None:
+            what, got = name, _called(sub, name, getattr(sub, name), *args)
+        else:
+            what = "central-difference " + name
+            got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
+        for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
+            j, r = p.slots[i]
+            _put(stacks[j][r, rows], sub, f"{what} block {i}" if dynamics else what, blk)
     return stacks
 
 

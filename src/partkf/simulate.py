@@ -17,7 +17,7 @@ draws noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +91,14 @@ class NoiseSpec:
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
-        children = np.random.SeedSequence(self.seed).spawn(2 * n_subsystems)
-        w_gens = [np.random.default_rng(s) for s in children[:n_subsystems]]
-        v_gens = [np.random.default_rng(s) for s in children[n_subsystems:]]
-        return w_gens, v_gens
+        return _streams(self.seed, n_subsystems)
+
+
+def _streams(seed: int, n: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
+    """The generators of the module's splitting rule for master ``seed`` and
+    ``n`` subsystems: (process list, measurement list)."""
+    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * n)]
+    return gens[:n], gens[n:]
 
 
 def sample_noise(std: np.ndarray, bound: np.ndarray | None,
@@ -221,22 +225,23 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
 
 
 def _noise(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
-           w_bound, v_bound) -> tuple[np.ndarray, np.ndarray]:
+           w_bound, v_bound, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)`` of
-    ``noise``, row ``k`` the draws of :func:`sample_noise` at instant ``k``.
+    ``noise``, or of its streams at ``seed`` when given (a run of an
+    ensemble), row ``k`` the draws of :func:`sample_noise` at instant ``k``.
     Each generator's rows are one block, ``normal(0, 1) * std``.  A redraw
     moves every later draw of its generator, so a generator with a draw out
     of bound is drawn again from a fresh generator of its stream, row by row
     through :func:`sample_noise`, whose errors then carry the row as step."""
-    p = model.partition
+    p, seed = model.partition, noise.seed if seed is None else seed
     out = []
     for role, (gens, dims, offsets, rows, std, bound) in enumerate(zip(
-            noise.streams(p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
+            _streams(seed, p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
             (steps, steps + 1), (w_std, v_std), (w_bound, v_bound))):
         z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
                            axis=1) * std
         if bound is not None and np.any(np.abs(z) > bound):
-            for i, rng in enumerate(noise.streams(p.n)[role]):
+            for i, rng in enumerate(_streams(seed, p.n)[role]):
                 sl = slice(offsets[i], offsets[i + 1])
                 if not np.any(np.abs(z[:, sl]) > bound[sl]):
                     continue
@@ -283,7 +288,7 @@ def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseS
     measurements say which run, step and error.  Checks and errors of the
     arguments are :func:`simulate`'s."""
     steps, x0, *spec = _start(model, x0, steps, noise)
-    draws = [_noise(replace(noise, seed=int(s)), model, steps, *spec) for s in seeds]
+    draws = [_noise(noise, model, steps, *spec, seed=int(s)) for s in seeds]
     ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
     # An overflow shows as a non-finite value, and the per-run path then
     # raises (and warns) as it would have.

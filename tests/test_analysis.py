@@ -59,8 +59,31 @@ class TestErrorStep:
         with pytest.raises(ValueError):
             error_step(bench.model, rec, 0)
 
+    @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "string"])
+    def test_instant_that_is_not_an_integer_rejected(self, k, linear_run):
+        # Accepted, 2.5 raised a bare IndexError and True was read as k=1.
+        bench, traj, rec = linear_run
+        with pytest.raises(ValueError, match=f"^k must be an integer, not {k!r}$"):
+            error_step(bench.model, rec, k)
+
+    def test_numpy_integer_instant_is_an_integer(self, linear_run):
+        bench, traj, rec = linear_run
+        assert error_step(bench.model, rec, np.int64(3)).k == 3
+
 
 class TestWeakCoupling:
+    @pytest.mark.parametrize("k", [2.5, True, "2"], ids=["float", "bool", "string"])
+    def test_instant_that_is_not_an_integer_rejected(self, k, linear_run):
+        # Accepted, 2.5 raised a bare TypeError from range and True was
+        # read as k=1.
+        with pytest.raises(ValueError, match=f"^k must be an integer, not {k!r}$"):
+            check_weak_coupling(linear_run[2], k)
+
+    def test_out_of_range_instant_rejected(self, linear_run):
+        rec = linear_run[2]
+        with pytest.raises(ValueError, match="needs 1 <= k <= steps"):
+            check_weak_coupling(rec, rec.steps + 1)
+
     def test_decoupled_network_satisfied_with_positive_margin(self):
         bench = get_benchmark("reactor-chain", coupling=0.0)
         traj = simulate(bench.model, bench.x0, 80, bench.noise(seed=3))

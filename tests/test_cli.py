@@ -70,6 +70,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "error: unknown noise keys: ['w_sd']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        (5, "config must be an object, not 5"),
+        ({"model": {"inline": 5}}, "model.inline must be an object, not 5"),
+        ({"model": {"name": "linear-4state"}, "noise": 5}, "noise must be an object, not 5"),
+    ], ids=["top-level", "inline", "noise"])
+    def test_config_section_that_is_not_an_object_exits_one(self, payload, message,
+                                                            tmp_path, capsys):
+        # Accepted, each printed a TypeError traceback.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_model_and_config_exits_one(self, capsys):
         assert main(["run"]) == 1
         assert "error:" in capsys.readouterr().err

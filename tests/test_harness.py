@@ -76,6 +76,36 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape("unknown config keys: ['mode']")):
             load_config(path)
 
+    @pytest.mark.parametrize("payload, message", [
+        (5, "config must be an object, not 5"),
+        ([[1]], "config must be an object, not [[1]]"),
+    ], ids=["number", "list"])
+    def test_load_rejects_a_top_level_that_is_not_an_object(self, payload, message, tmp_path):
+        # Accepted, both raised a bare TypeError from reading the keys.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"model": {"inline": 5}}, "model.inline must be an object, not 5"),
+        ({"model": {"inline": {"dims": [1], "out_dims": [1], "subsystems": 5}}},
+         "model.inline subsystems must be a list, not 5"),
+        ({"model": {"inline": {"dims": [1], "out_dims": [1], "subsystems": [5]}}},
+         "model.inline subsystem 0 must be an object, not 5"),
+        ({"model": {"name": "linear-4state"}, "noise": 5}, "noise must be an object, not 5"),
+        ({"model": {"name": "linear-4state"}, "noise": [1]},
+         "noise must be an object, not [1]"),
+        ({"model": {"name": "linear-4state"}, "estimator": 5},
+         "estimator must be an object, not 5"),
+    ], ids=["inline", "inline-subsystems", "inline-subsystem", "noise", "noise-list",
+            "estimator"])
+    def test_section_that_is_not_an_object_rejected_by_name(self, fields, message):
+        # Accepted, each raised a bare TypeError when the run read the
+        # section (a noise list was read as its unknown keys).
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**fields)
+
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"name": "reactor-chain",

@@ -24,8 +24,13 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
 - only ``model.py`` calls or reads a subsystem's Jacobian providers
   ``jac_f`` and ``jac_h``, besides the oracles' owners ``fie.py`` and
   ``harness.py``: the extended filter, ``linearize`` and ``_monolithic``
-  read the one checked pass that writes them into group stacks, so that a
+  read the one Jacobian path that writes them into group stacks, so that a
   second Jacobian path cannot come back;
+- the messages of the check of a subsystem map result (``returned shape``,
+  ``expected real numbers``, ``returned a non-finite value``) appear in one
+  function of ``model.py`` only, ``_put``, outside docstrings: every result
+  is checked by it, so that a second, drifting copy of the check cannot
+  come back;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -285,6 +290,61 @@ def test_checker_flags_provider_uses():
     assert provider_uses(source) == ["sub.jac_f (line 1)", "jac_h (line 2)",
                                      "jac_f (line 3)", "sub.jac_f (line 4)"]
     assert provider_uses((SRC / "model.py").read_text())
+
+
+#: The messages of the one check of a subsystem map result.
+RESULT_CHECK = ("returned shape", "expected real numbers", "returned a non-finite value")
+
+
+def result_check_sites(source: str) -> list[str]:
+    """The functions of ``source`` (``Class.method`` for a method) whose
+    strings, docstrings aside, hold a message in :data:`RESULT_CHECK`."""
+    tree = ast.parse(source)
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    sites = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and id(child) not in docs
+                    and any(m in child.value for m in RESULT_CHECK)):
+                sites.add(owner or "<module>")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, ".".join(filter(None, (owner, child.name))) if named else owner)
+
+    visit(tree, "")
+    return sorted(sites)
+
+
+def test_one_function_checks_map_results():
+    sites = [f"{path.name}:{site}" for path in MODULES + [SRC / "__init__.py"]
+             for site in result_check_sites(path.read_text())]
+    assert sites == ["model.py:_put"]
+
+
+def test_checker_flags_a_second_result_check():
+    source = ('"""A map that returned a non-finite value is an error."""\n'
+              "def _put(dest, i, got):\n"
+              "    raise E(f'subsystem {i}: returned shape {got.shape}, '\n"
+              "            f'expected {dest.shape}')\n"
+              "class Pass:\n"
+              "    def put(self, i, what):\n"
+              "        raise E(f'subsystem {i}: {what} returned a non-finite '\n"
+              "                'value')\n"
+              "def note():\n"
+              "    'expected real numbers'\n"
+              "    return 'shape'\n"
+              "LIMIT = 'returned shape'\n")
+    assert result_check_sites(source) == ["<module>", "Pass.put", "_put"]
+    planted = ((SRC / "model.py").read_text()
+               + "\n\ndef _checked_again(sub, what, got):\n"
+               "    if got.dtype.kind not in 'iuf':\n"
+               "        raise LinearizationError(f'subsystem {sub.index}: {what} returned '\n"
+               "                                 f'{got.dtype} values, expected real numbers')\n")
+    assert result_check_sites(planted) == ["_checked_again", "_put"]
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -528,6 +529,25 @@ class TestNonlinearSubsystem:
                 jac_f=wrong_jac, jac_h=good.jac_h,
                 jacobian_check_samples=good.jacobian_check_samples)
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda b: np.full_like(b, np.nan), "returned a non-finite value"),
+        (lambda b: np.zeros((1, 2)), "returned shape (1, 2), expected (2, 2)"),
+        (lambda b: b + 0j, "returned complex128 values, expected real numbers"),
+    ], ids=["nan", "shape", "complex"])
+    @pytest.mark.parametrize("block", [2, 1], ids=["own", "neighbor"])
+    def test_constructor_spot_check_names_a_bad_block(self, block, bad, message):
+        good = reactor_subsystems()[2]
+
+        def jac_f(x, nbrs):
+            blocks = dict(good.jac_f(x, nbrs))
+            blocks[block] = bad(blocks[block])
+            return blocks
+
+        with pytest.raises(LinearizationError, match="^" + re.escape(
+                f"subsystem 2: jac_f block {block} {message}") + "$") as err:
+            dataclasses.replace(good, jac_f=jac_f)
+        assert err.value.subsystem == 2
+
     def test_own_index_as_neighbor_rejected(self):
         # Accepted, the neighbor block would overwrite the own block of the
         # dynamics Jacobian: 0.1 where df/dx is 0.6.
@@ -557,6 +577,25 @@ class TestNonlinearSubsystem:
                                  R=np.zeros((0, 0)))
         model = aggregate_nonlinear([sub], make_partition([2], [0]))
         assert model.R.shape == (0, 0)
+
+    @pytest.mark.parametrize("size", [3, 100], ids=["small", "large"])
+    def test_finite_values_whose_sum_overflows_are_finite(self, size):
+        # The finiteness check of a small result reads its sum first; a sum
+        # that overflows must lead to the term-by-term test, not to an error.
+        big = np.zeros(size)
+        big[:2] = 1e308
+        for value, ok in ((big, True), (np.r_[big[:-1], np.inf], False),
+                          (np.r_[big[:-1], np.nan], False)):
+            sub = NonlinearSubsystem(index=0, state_dim=size, out_dim=1, neighbor_dims={},
+                                     f=lambda x, nb, v=value: v, h=lambda x: x[:1],
+                                     Q=np.eye(size), R=np.eye(1))
+            model = aggregate_nonlinear([sub], make_partition([size], [1]))
+            if ok:
+                assert np.array_equal(model.f(np.zeros(size)), big)
+            else:
+                with pytest.raises(LinearizationError, match="^subsystem 0: f returned "
+                                   "a non-finite value$"):
+                    model.f(np.zeros(size))
 
     def test_aggregate_dimension_checks(self):
         subs = reactor_subsystems()
