@@ -76,7 +76,7 @@ from .model import (
     make_partition,
 )
 from .records import RunRecord, _load_json, _write_csv
-from .simulate import NoiseSpec, _broadcast, _simulate_runs, simulate
+from .simulate import NoiseSpec, _broadcast, _seed, _simulate_runs, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
            "import_record", "verify_suite", "write_monte_carlo_csv"]
@@ -97,14 +97,13 @@ class ExperimentConfig:
     estimator: dict | None = None
 
     def __post_init__(self):
-        for name in ("steps", "runs", "seed"):
+        for name in ("steps", "runs"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be in [0, 2**64)")
         if not isinstance(self.monitors, bool):
             raise ValueError(f"monitors must be true or false, not {self.monitors!r}")
         if not isinstance(self.model, dict) or not ({"name", "inline"} & set(self.model)):
@@ -119,7 +118,8 @@ class ExperimentConfig:
             for j, raw in enumerate(subs):
                 _object(f"model.inline subsystem {j}", raw)
         for name in ("noise", "estimator"):
-            _object(name, {} if getattr(self, name) is None else getattr(self, name))
+            if getattr(self, name) is not None:
+                _object(name, getattr(self, name))
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

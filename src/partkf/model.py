@@ -117,8 +117,8 @@ def _jac_f_blocks(sub, got) -> list[tuple]:
 
 def _put(dest: np.ndarray, sub, what: str, got) -> np.ndarray:
     """``dest`` with ``got``, a result of map ``what`` of subsystem ``sub``,
-    written into it once it is an array of real numbers (integer or floating
-    dtype) of ``dest``'s shape and finite; else :class:`LinearizationError`
+    written into it when it is an array of real numbers (integer or floating
+    dtype) of ``dest``'s shape, finite as written; else :class:`LinearizationError`
     naming subsystem and map.  The one check of every subsystem map result."""
     i, got = sub.index, got if type(got) is np.ndarray else _called(sub, what, np.asarray, got)
     if got.shape != dest.shape:
@@ -127,13 +127,12 @@ def _put(dest: np.ndarray, sub, what: str, got) -> np.ndarray:
     if got.dtype.kind not in "iuf":
         raise LinearizationError(f"subsystem {i}: {what} returned {got.dtype} values, "
                                  "expected real numbers", i)
-    # A finite sum has finite terms.  A small result is summed as Python
-    # numbers, faster than NumPy's test and overflowing to inf without a
-    # warning; a large one, or one whose sum is not finite, term by term.
-    if not (got.size <= 64 and math.isfinite(sum(got.ravel().tolist()))
-            or np.isfinite(got).all()):
-        raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
     dest[...] = got
+    # What was written is tested, so a cast that overflows is caught.  A finite
+    # sum has finite terms; a sum of Python floats is faster than NumPy's test
+    # on small results and overflows to inf without a warning.
+    if not (math.isfinite(sum(dest.ravel().tolist())) or np.isfinite(dest).all()):
+        raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
     return dest
 
 

@@ -84,14 +84,18 @@ class NoiseSpec:
             if np.any(b < std):
                 raise ValueError(f"{name} must be at least one standard deviation")
             object.__setattr__(self, name, b)
-        seed = _integer("seed", self.seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
         return _streams(self.seed, n_subsystems)
+
+
+def _seed(value) -> int:
+    """``value`` as a master seed, an integer that fits in 64 bits."""
+    if not 0 <= (seed := _integer("seed", value)) < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
 
 
 def _streams(seed: int, n: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
@@ -288,7 +292,7 @@ def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseS
     measurements say which run, step and error.  Checks and errors of the
     arguments are :func:`simulate`'s."""
     steps, x0, *spec = _start(model, x0, steps, noise)
-    draws = [_noise(noise, model, steps, *spec, seed=int(s)) for s in seeds]
+    draws = [_noise(noise, model, steps, *spec, seed=_seed(s)) for s in seeds]
     ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
     # An overflow shows as a non-finite value, and the per-run path then
     # raises (and warns) as it would have.

@@ -580,8 +580,8 @@ class TestNonlinearSubsystem:
 
     @pytest.mark.parametrize("size", [3, 100], ids=["small", "large"])
     def test_finite_values_whose_sum_overflows_are_finite(self, size):
-        # The finiteness check of a small result reads its sum first; a sum
-        # that overflows must lead to the term-by-term test, not to an error.
+        # The finiteness check reads a result's sum first; a sum that
+        # overflows must lead to the term-by-term test, not to an error.
         big = np.zeros(size)
         big[:2] = 1e308
         for value, ok in ((big, True), (np.r_[big[:-1], np.inf], False),
@@ -596,6 +596,19 @@ class TestNonlinearSubsystem:
                 with pytest.raises(LinearizationError, match="^subsystem 0: f returned "
                                    "a non-finite value$"):
                     model.f(np.zeros(size))
+
+    def test_a_finite_value_beyond_float_range_is_non_finite_as_written(self):
+        # A long double result passes the real-dtype check; what is checked
+        # for finiteness is the float it is written as.
+        value = np.array([1.0, np.longdouble("1e400")], dtype=np.longdouble)
+        assert np.isfinite(value).all() and value[1] > np.finfo(float).max
+        sub = NonlinearSubsystem(index=0, state_dim=2, out_dim=1, neighbor_dims={},
+                                 f=lambda x, nb: value, h=lambda x: x[:1],
+                                 Q=np.eye(2), R=np.eye(1))
+        model = aggregate_nonlinear([sub], make_partition([2], [1]))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+                LinearizationError, match="^subsystem 0: f returned a non-finite value$"):
+            model.f(np.zeros(2))
 
     def test_aggregate_dimension_checks(self):
         subs = reactor_subsystems()

@@ -410,6 +410,17 @@ class TestSimulateRuns:
                                                        match="non-finite at step 2"):
             simulate(model, [1.0], 5, dataclasses.replace(noise, seed=1))
 
+    def test_a_seed_is_checked_as_noise_spec_checks_it(self):
+        model = _model()
+        noise = noise_for(model, 0.3, seed=0)
+        for seed, message in ((2 ** 64, "^seed must fit in 64 bits$"),
+                              (-1, "^seed must fit in 64 bits$"),
+                              (1.5, "^seed must be an integer, not 1.5$")):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(noise, seed=seed)
+            with pytest.raises(ValueError, match=message):
+                _simulate_runs(model, LINEAR_X0, 5, noise, [1, seed])
+
     def test_arguments_are_checked_as_simulate_checks_them(self):
         model = _model()
         noise = noise_for(model, 0.3, seed=0)
