@@ -18,20 +18,22 @@ the covariances, their inverses and the diagonal blocks ``F_ii``.  It forms
 the ``nx x nx`` closed loop, and stacks the record entries it is built from,
 a bounded chunk of transitions at a time, keeping none of them, so a
 report's memory does not grow with the horizon times ``nx^2``.  One pass
-forms ``F_k`` once per chunk and takes from it both the blocks ``F_ii`` and
-the weak-coupling verdicts.  It refuses a record entry that is not finite,
-or a covariance that is not positive definite, with a ``ValueError`` naming
-the field, the subsystem and the instant.  Every monitor works on these
-stacks with batched numpy linear algebra, one call per group of equally
-sized subsystems, which runs the same LAPACK routine on each matrix as a
-per-instant call would, so the results are those of a per-instant
-evaluation bit for bit.  The weak-coupling margins (and the standalone
-check's cross term and threshold) are the exception: their threshold blocks
-come from ``d_i``-sized factors through the push-through identity
-(``_Loop._inequality``), not from the ``ny x ny`` solve of the textbook
-formula, and agree with it to ``1e-12`` relative.  The four public monitors
-keep their call shape and build the kernel when called on their own;
-:func:`stability_report` builds it once and hands it to each of them,
+forms ``F_k`` once per chunk and takes from it the blocks ``F_ii``, the
+weak-coupling verdicts and, from the same stacks of dynamics and output
+columns and gains, the extrema of the block norms of the bounds table, so a
+report reads each record entry once.  It refuses a record entry that is not
+finite, or a covariance that is not positive definite, with a
+``ValueError`` naming the field, the subsystem and the instant.  Every
+monitor works on these stacks with batched numpy linear algebra, one call
+per group of equally sized subsystems, which runs the same LAPACK routine on
+each matrix as a per-instant call would, so the results are those of a
+per-instant evaluation bit for bit.  The weak-coupling margins (and the
+standalone check's cross term and threshold) are the exception: their
+threshold blocks come from ``d_i``-sized factors through the push-through
+identity (``_Loop._inequality``), not from the ``ny x ny`` solve of the
+textbook formula, and agree with it to ``1e-12`` relative.  The four public
+monitors keep their call shape and build the kernel when called on their
+own; :func:`stability_report` builds it once and hands it to each of them,
 calling them by name so that each can still be timed on its own (the
 benchmark's per-layer trace times each).
 
@@ -46,6 +48,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +98,13 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0].ravel()
 
 
+def _widen(extrema: dict, kind: str, norms: np.ndarray) -> None:
+    """Widen ``extrema[kind]``, a smallest and a largest norm, to ``norms``."""
+    if norms.size:
+        lo, hi = extrema[kind]
+        extrema[kind] = (min(lo, float(norms.min())), max(hi, float(norms.max())))
+
+
 def _chunks(count: int, entries: int) -> list[slice]:
     """Slices of ``range(count)`` that hold at most ``_CHUNK`` entries of
     matrices with ``entries`` entries each, and one matrix at least."""
@@ -110,6 +120,20 @@ def _diag(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, :, None], idx[:, None, :]
 
 
+class _Covariances(NamedTuple):
+    """The covariance stage of a :class:`_Loop`."""
+    P: list[np.ndarray]
+    chol: list[np.ndarray]
+    info: list[np.ndarray]
+
+
+class _Sweep(NamedTuple):
+    """The transition pass of a :class:`_Loop`."""
+    F_groups: list[np.ndarray]
+    extrema: dict[str, tuple[float, float]]
+    coupling: list[dict]
+
+
 class _Loop:
     """Closed loop and information matrices of a recorded run over the
     transitions ``k = first..last``, and so the instants ``first - 1..last``.
@@ -117,19 +141,19 @@ class _Loop:
     Subsystems of one size form a group (``groups``, the partition's
     :attr:`~partkf.model.StatePartition.groups`: their indices and, one row
     each, their state indices), and block-diagonal quantities are kept
-    whole, one ``(member, position, d, d)`` stack per group:
-    ``covs`` (symmetrized), their lower Cholesky factors ``chols`` and their
-    inverses ``info`` over the instants, position ``j`` being instant
-    ``first - 1 + j``, and the diagonal closed-loop blocks ``F_groups`` over
-    the transitions, position ``j`` being ``k = first + j``; each is built on
-    first use.  The monitors make one batched call per group, not one per
-    subsystem.  Record entries are otherwise not kept: :meth:`stack` stacks
-    one subsystem's entries, :meth:`group_stacks` a group's in bounded
-    batches, and :meth:`closed_loop` forms ``F_k`` over a chunk of
-    transitions, once per chunk in one pass that yields ``F_groups``, the
-    spectral norms of their blocks (``F_norms``) and the weak-coupling
-    results.  A record entry that
-    is not finite, or a covariance that is not positive definite, raises a
+    whole, one ``(member, position, d, d)`` stack per group, in two stages
+    built on first use: ``cov``, the covariances, their Cholesky factors and
+    inverses, position ``j`` being instant ``first - 1 + j``; and ``sweep``,
+    the one pass over the transitions, position ``j`` being ``k = first +
+    j``.  The pass forms ``F_k`` (:meth:`closed_loop`) a bounded chunk of
+    transitions at a time and takes from the chunk's stacks the blocks
+    ``F_ii``, the weak-coupling results and the extrema of the block norms
+    the bounds table reads; ``extrema`` adds those of instant ``first - 1``'s
+    output column blocks and gains, which belong to no transition.  The
+    monitors make one batched call per group, not one per subsystem.
+    :meth:`_read` is the one place that reads a record entry, and a kernel
+    reads each entry it needs once, refusing one that is not finite (and
+    ``cov`` a covariance that is not positive definite) with a
     ``ValueError`` naming the field, the subsystem and the instant.  A kernel
     of one transition (a standalone weak-coupling check) keeps that
     transition's ``nx x nx`` cross term and threshold in its result.
@@ -144,69 +168,39 @@ class _Loop:
         self.instants = range(first - 1, self.transitions.stop)
         self.groups = p.groups
 
-    def _stack(self, field: str, i: int, instants: range) -> np.ndarray:
-        return np.array([getattr(self.record, field)[k][i] for k in instants])
-
-    def stack(self, field: str, i: int, instants: range) -> np.ndarray:
-        """Subsystem ``i``'s entries of a record field at ``instants``,
-        stacked and checked finite."""
-        stack = self._stack(field, i, instants)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            k = instants[np.argmin(finite)]
-            raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) "
-                             "is not finite")
-        return stack
-
-    def group_stacks(self, field: str, instants: range):
-        """Per group, :meth:`stack` of its members joined as ``(instant,
-        member, ...)``, a batch of at most ``_CHUNK`` entries (one member at
-        least) at a time, with the batch's members and their state indices."""
-        for members, idx in self.groups:
-            block = getattr(self.record, field)[instants[0]][members[0]]
-            for b in _chunks(len(members), len(instants) * np.size(block)):
-                yield members[b], idx[b], np.stack([self.stack(field, i, instants)
-                                                    for i in members[b]], axis=1)
-
-    def _joined(self, field: str, instants: range, axis: int) -> np.ndarray:
-        """Every subsystem's entries of a record field at ``instants``,
-        stacked and joined along ``axis``."""
-        joined = np.concatenate([self._stack(field, i, instants)
-                                 for i in range(len(self.slices))], axis=axis)
+    def _read(self, field: str, instants: range, axis: int | None,
+              members=None) -> np.ndarray:
+        """The entries of a record field at ``instants`` of the subsystems
+        ``members`` (default all), each member's stacked over the instants and
+        the stacks joined along ``axis`` (``None``: along a new first axis),
+        checked finite."""
+        entries = getattr(self.record, field)
+        members = range(len(self.slices)) if members is None else members
+        stacks = [np.array([entries[k][i] for k in instants]) for i in members]
+        joined = np.stack(stacks) if axis is None else np.concatenate(stacks, axis=axis)
         if not np.isfinite(joined).all():
-            for i in range(len(self.slices)):
-                self.stack(field, i, instants)
+            i, stack = next((i, s) for i, s in zip(members, stacks) if not np.isfinite(s).all())
+            k = instants[np.argmin(np.isfinite(stack).all(axis=(1, 2)))]
+            raise ValueError(f"{field}[{k}][{i}] (subsystem {i}, instant {k}) is not finite")
         return joined
 
     @cached_property
-    def _factored(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """``covs`` and ``chols``: one Cholesky factorization per group, which
-        is also the positive-definiteness check."""
-        covs, chols = [], []
+    def cov(self) -> _Covariances:
+        """One Cholesky factorization per group, which is also the
+        positive-definiteness check, and one batched inverse per subsystem."""
+        stage = _Covariances([], [], [])
         for members, _ in self.groups:
-            P = _sym(np.stack([self.stack("covs", i, self.instants) for i in members]))
+            P = _sym(self._read("covs", self.instants, None, members))
             chol = _cholesky(P)
             if chol is None:
                 i, P_i = next((i, P_i) for i, P_i in zip(members, P) if not _posdef(P_i))
                 k = next(k for k, P_k in zip(self.instants, P_i) if not _posdef(P_k))
                 raise ValueError(f"covs[{k}][{i}] (subsystem {i}, instant {k}) "
                                  "is not positive definite")
-            covs.append(P)
-            chols.append(chol)
-        return covs, chols
-
-    @property
-    def covs(self) -> list[np.ndarray]:
-        return self._factored[0]
-
-    @property
-    def chols(self) -> list[np.ndarray]:
-        return self._factored[1]
-
-    @cached_property
-    def info(self) -> list[np.ndarray]:
-        """The inverses of ``covs``, one batched inverse per subsystem."""
-        return [np.array([np.linalg.inv(P_i) for P_i in P]) for P in self.covs]
+            stage.P.append(P)
+            stage.chol.append(chol)
+            stage.info.append(np.array([np.linalg.inv(P_i) for P_i in P]))
+        return stage
 
     @cached_property
     def R_chol(self) -> np.ndarray:
@@ -219,30 +213,54 @@ class _Loop:
     def closed_loop(self, ks: range) -> tuple[np.ndarray, ...]:
         """``A_{k-1}``, ``C_k``, ``L_k``, ``I - L_k C_k`` and ``F_k`` stacked
         over the transitions ``ks``."""
-        A = self._joined("a_cols", range(ks.start - 1, ks.stop - 1), axis=2)
-        C = self._joined("c_cols", ks, axis=2)
-        L = self._joined("gains", ks, axis=1)
+        A = self._read("a_cols", range(ks.start - 1, ks.stop - 1), 2)
+        C = self._read("c_cols", ks, 2)
+        L = self._read("gains", ks, 1)
         ILC = np.eye(self.nx) - L @ C
         return A, C, L, ILC, ILC @ A
 
+    def _block_norms(self, extrema: dict, C: np.ndarray, L: np.ndarray,
+                     A: np.ndarray | None = None) -> None:
+        """:func:`_widen` ``extrema`` to the spectral norms of the blocks of
+        stacks ``C`` and ``L`` (kinds ``"c"`` and ``"gain"``: the record's
+        ``c_cols`` and ``gains`` entries) and of ``A``'s diagonal blocks
+        (``"a_diag"``) and off-diagonal blocks (``"a_off"``)."""
+        for _, idx in self.groups:
+            _widen(extrema, "c", _norms(np.swapaxes(C[:, :, idx], 1, 2)))
+            _widen(extrema, "gain", _norms(L[:, idx]))
+            if A is not None:
+                _widen(extrema, "a_diag", _norms(A[(slice(None), *_diag(idx))]))
+        if A is None:
+            return
+        # A block that is zero throughout cannot raise a maximum of norms.
+        starts = [s.start for s in self.slices]
+        live = np.logical_or.reduceat(np.logical_or.reduceat(A.any(axis=0), starts, axis=0),
+                                      starts, axis=1)
+        np.fill_diagonal(live, False)
+        for row_members, rows in self.groups:
+            for col_members, cols in self.groups:
+                l, i = np.nonzero(live[np.ix_(row_members, col_members)])
+                _widen(extrema, "a_off", _norms(A[:, rows[l][:, :, None], cols[i][:, None, :]]))
+
     @cached_property
-    def _pass(self) -> tuple[list[np.ndarray], np.ndarray, list[dict]]:
-        """``F_groups``, ``F_norms`` and the weak-coupling result of every
-        transition (see :func:`check_weak_coupling`), forming ``F_k`` once per
-        chunk of ``nx x nx`` stacks."""
+    def sweep(self) -> _Sweep:
+        """The transition pass (see :func:`check_weak_coupling` for its
+        results), forming ``F_k`` once per chunk of ``nx x nx`` stacks."""
         count = len(self.transitions)
-        F_groups = [np.empty((len(P), count) + P.shape[2:]) for P in self.covs]
-        sv = [np.empty(F_g.shape[:-1]) for F_g in F_groups]
-        coupling = []
+        stage = _Sweep([np.empty((len(P), count) + P.shape[2:]) for P in self.cov.P],
+                       dict.fromkeys(("a_diag", "a_off", "c", "gain", "f"), (np.inf, -np.inf)),
+                       [])
         for j in _chunks(count, self.nx * self.nx):
-            _, _, L, _, F = self.closed_loop(self.transitions[j])
+            A, C, L, _, F = self.closed_loop(self.transitions[j])
+            self._block_norms(stage.extrema, C, L, A)
             cond = np.empty((len(self.slices), len(F)))
-            for (members, idx), F_g, s_g in zip(self.groups, F_groups, sv):
+            for (members, idx), F_g in zip(self.groups, stage.F_groups):
                 F_g[:, j] = np.swapaxes(F[(slice(None), *_diag(idx))], 0, 1)
                 # The singular values np.linalg.cond and norm(., 2) take.
-                s_g[:, j] = np.linalg.svd(F_g[:, j], compute_uv=False)
+                s = np.linalg.svd(F_g[:, j], compute_uv=False)
+                _widen(stage.extrema, "f", s[..., 0])
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    cond[members] = s_g[:, j, 0] / s_g[:, j, -1]
+                    cond[members] = s[..., 0] / s[..., -1]
             # As in np.linalg.cond, a zero block (0 / 0) is not invertible.
             cond[np.isnan(cond)] = np.inf
             fine = np.isfinite(cond) & (cond <= COND_LIMIT)
@@ -258,9 +276,9 @@ class _Loop:
             verdicts = iter(range(len(c)))
             for pos, k in enumerate(self.transitions[j]):
                 if not checkable[pos]:
-                    coupling.append({"k": k, "checkable": False, "satisfied": False,
-                                     "margin": float("nan"),
-                                     "condition": float(condition[pos])})
+                    stage.coupling.append({"k": k, "checkable": False, "satisfied": False,
+                                           "margin": float("nan"),
+                                           "condition": float(condition[pos])})
                     continue
                 v = next(verdicts)
                 res = {"k": k, "checkable": True, "satisfied": bool(margins[v] > -INEQ_TOL),
@@ -270,23 +288,16 @@ class _Loop:
                     for (_, idx), T_g in zip(self.groups, T):
                         threshold[_diag(idx)] = T_g[v]
                     res.update(cross=cross[v], threshold=threshold)
-                coupling.append(res)
-        return F_groups, np.concatenate([s_g[..., 0].ravel() for s_g in sv]), coupling
+                stage.coupling.append(res)
+        return stage
 
-    @property
-    def F_groups(self) -> list[np.ndarray]:
-        """``F_ii`` over every transition, one stack per group."""
-        return self._pass[0]
-
-    @property
-    def F_norms(self) -> np.ndarray:
-        """The spectral norm of every ``F_ii``, flattened."""
-        return self._pass[1]
-
-    @property
-    def coupling(self) -> list[dict]:
-        """The weak-coupling result of every transition."""
-        return self._pass[2]
+    @cached_property
+    def extrema(self) -> dict[str, tuple[float, float]]:
+        """The sweep's extrema of the block norms, widened to the output
+        column blocks and gains of instant ``first - 1``."""
+        extrema, head = dict(self.sweep.extrema), self.instants[:1]
+        self._block_norms(extrema, self._read("c_cols", head, 2), self._read("gains", head, 1))
+        return extrema
 
     def _inequality(self, j: np.ndarray, F: np.ndarray,
                     L: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -309,7 +320,7 @@ class _Loop:
         F_o = F.copy()
         PF = np.empty_like(F)
         T, cross_rows = [], []
-        for (_, idx), Pi, chol in zip(self.groups, self.info, self.chols):
+        for (_, idx), Pi, chol in zip(self.groups, self.cov.info, self.cov.chol):
             # Transition-major, (transition, member, d, d), as F and L.
             Kt = np.swapaxes(_tr(chol[:, j]) @ Pi[:, j], 0, 1)
             Pi = np.swapaxes(Pi[:, j + 1], 0, 1)
@@ -429,33 +440,17 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
     """Empirical min/max of block norms, covariance eigenvalues and weight
     eigenvalues over a recorded run, with derived gain bounds."""
     loop = _Loop(record) if _loop is None else _loop
-    slices = loop.slices
-    n = len(slices)
-    starts = [s.start for s in slices]
-    a_diag, a_off = [], []
-    for members, idx, A in loop.group_stacks("a_cols", loop.instants[:-1]):
-        a_diag.append(_norms(A[:, np.arange(len(members))[:, None], idx]))
-        off = {}   # the batch's off-diagonal blocks, by shape
-        for i, A_i in zip(members, np.swapaxes(A, 0, 1)):
-            # A block that is zero throughout cannot raise a maximum of norms.
-            live = np.logical_or.reduceat(A_i.any(axis=(0, 2)), starts)
-            for l in np.flatnonzero(live):
-                if l != i:
-                    block = A_i[:, slices[l]]
-                    off.setdefault(block.shape, []).append(block)
-        a_off += [_norms(np.stack(blocks)) for blocks in off.values()]
-    c_norms, gain_norms = ([_norms(stack) for *_, stack in loop.group_stacks(field, loop.instants)]
-                           for field in ("c_cols", "gains"))
-    a_diag, c_norms, gain_norms = (np.concatenate(v) for v in (a_diag, c_norms, gain_norms))
-    p_eigs = [np.linalg.eigvalsh(P) for P in loop.covs]
+    n = len(loop.slices)
+    extrema = loop.extrema
+    p_eigs = [np.linalg.eigvalsh(P) for P in loop.cov.P]
 
     est = record.estimator
     q_eigs = np.concatenate([np.linalg.eigvalsh(_sym(np.asarray(q, dtype=float)))
                              for q in est["Q"]])
     r_eigs = np.linalg.eigvalsh(_sym(np.asarray(est["R"], dtype=float)))
 
-    a_lo, a_hi = float(a_diag.min()), float(np.concatenate([a_diag, *a_off]).max())
-    c_lo, c_hi = float(c_norms.min()), float(c_norms.max())
+    (a_lo, a_hi), (c_lo, c_hi) = extrema["a_diag"], extrema["c"]
+    a_hi = max(a_hi, extrema["a_off"][1])
     p_lo = float(min(e[..., 0].min() for e in p_eigs))
     p_hi = float(max(e[..., -1].max() for e in p_eigs))
     q_lo, q_hi = float(q_eigs.min()), float(q_eigs.max())
@@ -472,8 +467,8 @@ def check_bounds(record: RunRecord, *, _loop: _Loop | None = None) -> BoundsTabl
         a_lo=a_lo, a_hi=a_hi, c_lo=c_lo, c_hi=c_hi, p_lo=p_lo, p_hi=p_hi,
         q_lo=q_lo, q_hi=q_hi, r_lo=r_lo, r_hi=r_hi,
         l_lo=float(l_lo), l_hi=float(l_hi), f_hi=float(f_hi),
-        gain_lo=float(gain_norms.min()), gain_hi=float(gain_norms.max()),
-        f_diag_hi=float(loop.F_norms.max()),
+        gain_lo=extrema["gain"][0], gain_hi=extrema["gain"][1],
+        f_diag_hi=extrema["f"][1],
         bounded=bool(bounded),
     )
 
@@ -498,7 +493,7 @@ def check_weak_coupling(record: RunRecord, k: int, *,
     if not 1 <= _integer("k", k) <= record.steps:
         raise ValueError("weak-coupling check needs 1 <= k <= steps")
     loop = _Loop(record, k, k) if _loop is None else _loop
-    return loop.coupling[k - loop.transitions.start]
+    return loop.sweep.coupling[k - loop.transitions.start]
 
 
 def contraction_rate(bounds: BoundsTable) -> float:
@@ -525,7 +520,7 @@ def check_contraction(record: RunRecord, alpha: float | None = None, *,
         alpha = contraction_rate(check_bounds(record, _loop=loop))
     vacuous = not (0.0 < alpha < 1.0)
     worst = np.full(record.steps, np.inf)
-    for F_g, Pi in zip(loop.F_groups, loop.info):
+    for F_g, Pi in zip(loop.sweep.F_groups, loop.cov.info):
         diff = _sym((1.0 - alpha) * Pi[:, :-1] - _tr(F_g) @ Pi[:, 1:] @ F_g)
         worst = np.minimum(worst, np.linalg.eigvalsh(diff)[..., 0].min(axis=0))
     margins = np.concatenate([[np.nan], worst])
@@ -541,7 +536,7 @@ def lyapunov_values(record: RunRecord, *, _loop: _Loop | None = None) -> np.ndar
     loop = _Loop(record) if _loop is None else _loop
     err = record.error_post()
     values = np.empty((len(loop.slices), record.steps + 1))
-    for (members, idx), Pi in zip(loop.groups, loop.info):
+    for (members, idx), Pi in zip(loop.groups, loop.cov.info):
         e = np.swapaxes(err[:, idx], 0, 1)[:, :, None]
         values[members] = (e @ Pi @ _tr(e))[..., 0, 0]
     out = np.zeros(record.steps + 1)

@@ -179,26 +179,30 @@ def _neighbor_terms(problem: FIEProblem) -> tuple[np.ndarray, list, list]:
     return model.C @ others(problem.prior_mean), dyn, out
 
 
+def _local(problem: FIEProblem) -> tuple:
+    """The blocks of one local batch problem, validated first: the own
+    state slice, ``A_ii``, the own output column ``c_col``, the output cross
+    map ``G = C a_col - c_col A_ii`` of the own state in constraints ``j >=
+    1``, and the neighbours' terms (:func:`_neighbor_terms`)."""
+    problem.validate()
+    model = problem.model
+    i = problem.subsystem
+    own = model.partition.state_slice(i)
+    A_ii = model.A[own, own]
+    c_col = model.c_col(i)
+    G = model.C @ model.a_col(i) - c_col @ A_ii
+    return (own, A_ii, c_col, G, *_neighbor_terms(problem))
+
+
 def _kkt(problem: FIEProblem) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
     """The symmetric KKT system of one local batch problem, its layout and
     the problem's inverse weights."""
-    problem.validate()
-    model = problem.model
-    p = model.partition
-    i = problem.subsystem
+    own, A_ii, c_col, G, out0, dyn, out = _local(problem)
+    p = problem.model.partition
     k = problem.horizon
-    n_i = p.dims[i]
+    n_i = p.dims[problem.subsystem]
     n_y = p.ny
-    own = p.state_slice(i)
-
-    A_ii = model.A[own, own]
-    a_col = model.a_col(i)
-    c_col = model.c_col(i)
-    # Output cross map of the own state in constraints j >= 1.
-    G = model.C @ a_col - c_col @ A_ii
-
     weights = P0_inv, Q_inv, R_inv = _weights(problem)
-    out0, dyn, out = _neighbor_terms(problem)
 
     idx, size = _layout(k, n_i, n_y)
     K = np.zeros((size, size))
@@ -269,17 +273,8 @@ def local_objective(problem: FIEProblem, x0: np.ndarray, ws: np.ndarray
     noise estimates from the output constraints.  Returns the objective and
     the implied trajectory.
     """
-    problem.validate()
-    model = problem.model
-    p = model.partition
-    i = problem.subsystem
+    own, A_ii, c_col, G, out0, dyn, out = _local(problem)
     k = problem.horizon
-    own = p.state_slice(i)
-    A_ii = model.A[own, own]
-    c_col = model.c_col(i)
-    G = model.C @ model.a_col(i) - c_col @ A_ii
-    out0, dyn, out = _neighbor_terms(problem)
-
     states = [np.asarray(x0, dtype=float)]
     for j in range(k):
         states.append(A_ii @ states[j] + dyn[j] + ws[j])

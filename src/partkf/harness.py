@@ -112,11 +112,16 @@ class ExperimentConfig:
             raise ValueError(f"model params must map parameter names to values, "
                              f"not {self.model['params']!r}")
         if "inline" in self.model:
-            subs = _object("model.inline", self.model["inline"]).get("subsystems", [])
+            inline = _object("model.inline", self.model["inline"])
+            _require("model.inline", inline, ("dims", "out_dims", "subsystems"))
+            subs = inline["subsystems"]
             if not isinstance(subs, (list, tuple)):
                 raise ValueError(f"model.inline subsystems must be a list, not {subs!r}")
             for j, raw in enumerate(subs):
-                _object(f"model.inline subsystem {j}", raw)
+                name = f"model.inline subsystem {j}"
+                _require(name, _object(name, raw), ("index", "A", "C", "Q", "R"))
+                _integer(f"{name} index", raw["index"])
+                _object(f"{name} coupling", raw.get("coupling", {}))
         for name in ("noise", "estimator"):
             if getattr(self, name) is not None:
                 _object(name, getattr(self, name))
@@ -139,6 +144,30 @@ def _object(name: str, value) -> dict:
     return value
 
 
+def _require(name: str, value: dict, keys: tuple[str, ...]) -> None:
+    """``ValueError`` naming ``name`` and the first of ``keys`` that
+    ``value`` lacks."""
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{name} is missing the key {key!r}")
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """``value``, a real number or nested lists of them, as a float array;
+    ``ValueError`` naming ``name`` otherwise (a bool is not a number)."""
+    def real(v) -> bool:
+        if isinstance(v, (list, tuple)):
+            return all(real(u) for u in v)
+        return np.asarray(v).dtype.kind in "iuf"
+
+    if real(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except ValueError:   # nested lists of unequal lengths
+            pass
+    raise ValueError(f"{name} must be a number or an array of numbers, not {value!r}")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an :class:`ExperimentConfig` from a JSON file."""
     payload = _object("config", _load_json(path))
@@ -150,25 +179,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _inline_model(spec: dict) -> GlobalModel:
+    """The linear model of an inline spec whose keys
+    :class:`ExperimentConfig` checked."""
     part = make_partition(spec["dims"], spec["out_dims"])
     subs = []
-    for raw in spec["subsystems"]:
-        subs.append(LinearSubsystem(
-            index=int(raw["index"]),
-            A=np.asarray(raw["A"], dtype=float),
-            coupling={l: np.asarray(b, dtype=float)
-                      for l, b in raw.get("coupling", {}).items()},
-            C=np.asarray(raw["C"], dtype=float),
-            Q=np.asarray(raw["Q"], dtype=float),
-            R=np.asarray(raw["R"], dtype=float),
-        ))
+    for j, raw in enumerate(spec["subsystems"]):
+        name = f"model.inline subsystem {j}"
+        A, C, Q, R = (_numbers(f"{name} {key}", raw[key]) for key in "ACQR")
+        coupling = {l: _numbers(f"{name} coupling {l}", b)
+                    for l, b in raw.get("coupling", {}).items()}
+        subs.append(LinearSubsystem(int(raw["index"]), A, coupling, C, Q, R))
     return assemble_global(subs, part)
 
 
 def _weight_list(value, diag_dims, name: str) -> tuple[np.ndarray, ...]:
-    if np.isscalar(value):
-        return tuple(float(value) * np.eye(d) for d in diag_dims)
-    mats = [np.asarray(m, dtype=float) for m in value]
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        scale = float(_numbers(name, value))
+        return tuple(scale * np.eye(d) for d in diag_dims)
+    mats = [_numbers(f"{name}[{i}]", m) for i, m in enumerate(value)]
     if len(mats) != len(diag_dims):
         raise ValueError(f"{name} must provide one matrix per subsystem")
     return tuple(mats)
@@ -197,7 +225,7 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
         noise_kw = dict.fromkeys(_NOISE_KEYS)
 
     if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float)
+        x0 = _numbers("x0", config.x0)
     if x0 is None:
         raise ValueError("inline models require an explicit x0")
 
@@ -206,7 +234,10 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
         for key in _NOISE_KEYS:
             if key in config.noise:
                 dim = p.nx if key.startswith("w") else p.ny
-                noise_kw[key] = _broadcast(config.noise[key], dim, key)
+                value = config.noise[key]
+                if value is not None:   # null unsets the key
+                    value = _numbers(f"noise.{key}", value)
+                noise_kw[key] = _broadcast(value, dim, key)
     if noise_kw["w_std"] is None or noise_kw["v_std"] is None:
         raise ValueError("inline models require noise w_std and v_std")
     noise = NoiseSpec(seed=config.seed, **noise_kw)
@@ -217,13 +248,13 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
     Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
          else design.Q)
     if "R" in est:
-        R = (float(est["R"]) * np.eye(p.ny) if np.isscalar(est["R"])
-             else np.asarray(est["R"], dtype=float))
+        R = _numbers("estimator.R", est["R"])
+        R = float(R) * np.eye(p.ny) if R.ndim == 0 else R
     else:
         R = design.R
     P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est
           else design.P0)
-    guess = (np.asarray(est["x0_guess"], dtype=float) if "x0_guess" in est
+    guess = (_numbers("estimator.x0_guess", est["x0_guess"]) if "x0_guess" in est
              else design.x0_guess)
     design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
 

@@ -393,11 +393,11 @@ def make_partition(dims: Sequence[int], out_dims: Sequence[int]) -> StatePartiti
     """Build a :class:`StatePartition` from per-subsystem dimensions.
 
     ``dims`` must be positive integers; ``out_dims`` non-negative integers of
-    the same length.  Offsets are contiguous, non-overlapping and ordered by
-    subsystem index.
+    the same length (by :func:`_integer`).  Offsets are contiguous,
+    non-overlapping and ordered by subsystem index.
     """
-    dims = tuple(int(d) for d in dims)
-    out_dims = tuple(int(d) for d in out_dims)
+    dims = tuple(_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
+    out_dims = tuple(_integer(f"out_dims[{i}]", d) for i, d in enumerate(out_dims))
     if not dims:
         raise ValueError("partition needs at least one subsystem")
     if len(dims) != len(out_dims):

@@ -83,6 +83,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inline, message", [
+        ({"out_dims": [1], "subsystems": []}, "model.inline is missing the key 'dims'"),
+        ({"dims": [1], "out_dims": [1],
+          "subsystems": [{"index": 0, "A": [[0.9]], "C": [[1.0]], "Q": [[0.01]],
+                          "R": [[0.01]], "coupling": 5}]},
+         "model.inline subsystem 0 coupling must be an object, not 5"),
+    ], ids=["missing-dims", "coupling-number"])
+    def test_malformed_inline_model_exits_one(self, inline, message, tmp_path, capsys):
+        # Accepted, a missing key printed "error: 'dims'" and a coupling that
+        # is not an object an AttributeError traceback.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"inline": inline}, "x0": [0.0]}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_model_and_config_exits_one(self, capsys):
         assert main(["run"]) == 1
         assert "error:" in capsys.readouterr().err

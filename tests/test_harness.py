@@ -23,6 +23,13 @@ BASE = ExperimentConfig(model={"name": "linear-4state"}, steps=50, seed=1,
                         monitors=True)
 
 
+
+def _inline_pair() -> dict:
+    """An inline model of two coupled one-state subsystems."""
+    return {"dims": [1, 1], "out_dims": [1, 1],
+            "subsystems": [{"index": i, "A": [[0.9]], "coupling": {str(1 - i): [[0.05]]},
+                            "C": [[1.0]], "Q": [[0.01]], "R": [[0.01]]} for i in (0, 1)]}
+
 class TestConfig:
     def test_steps_and_runs_validated(self):
         with pytest.raises(ValueError):
@@ -105,6 +112,75 @@ class TestConfig:
         # section (a noise list was read as its unknown keys).
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("dims"), "model.inline is missing the key 'dims'"),
+        (lambda m: m.pop("out_dims"), "model.inline is missing the key 'out_dims'"),
+        (lambda m: m.pop("subsystems"), "model.inline is missing the key 'subsystems'"),
+        (lambda m: m["subsystems"][0].pop("index"),
+         "model.inline subsystem 0 is missing the key 'index'"),
+        (lambda m: [m["subsystems"][1].pop(key) for key in "ACQR"],
+         "model.inline subsystem 1 is missing the key 'A'"),
+        (lambda m: m["subsystems"][0].pop("R"),
+         "model.inline subsystem 0 is missing the key 'R'"),
+        (lambda m: m["subsystems"][0].update(index=0.5),
+         "model.inline subsystem 0 index must be an integer, not 0.5"),
+        (lambda m: m["subsystems"][1].update(index=True),
+         "model.inline subsystem 1 index must be an integer, not True"),
+        (lambda m: m["subsystems"][0].update(coupling=[[0.05]]),
+         "model.inline subsystem 0 coupling must be an object, not [[0.05]]"),
+    ], ids=["dims", "out_dims", "subsystems", "index", "A", "R", "fractional-index",
+            "bool-index", "coupling-list"])
+    def test_malformed_inline_model_rejected_by_name(self, edit, message):
+        # Accepted, a missing key raised a bare KeyError ('dims') when the run
+        # built the model, an index of 0.5 was read as 0 and a coupling list
+        # raised an AttributeError.
+        inline = _inline_pair()
+        edit(inline)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(model={"inline": inline})
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("estimator", "Q", "x", "estimator.Q must be a number or an array of numbers, not 'x'"),
+        ("estimator", "Q", True, "estimator.Q must be a number or an array of numbers, not True"),
+        ("estimator", "Q", [[[0.01]], [["x"]]],
+         "estimator.Q[1] must be a number or an array of numbers, not [['x']]"),
+        ("estimator", "R", "x", "estimator.R must be a number or an array of numbers, not 'x'"),
+        ("estimator", "P0", False,
+         "estimator.P0 must be a number or an array of numbers, not False"),
+        ("estimator", "x0_guess", [0.0, None],
+         "estimator.x0_guess must be a number or an array of numbers, not [0.0, None]"),
+        ("noise", "w_std", "x", "noise.w_std must be a number or an array of numbers, not 'x'"),
+        ("noise", "v_bound", [0.6, True],
+         "noise.v_bound must be a number or an array of numbers, not [0.6, True]"),
+        (None, "x0", "x", "x0 must be a number or an array of numbers, not 'x'"),
+        (None, "x0", [1.0, [2.0]], "x0 must be a number or an array of numbers, not [1.0, [2.0]]"),
+    ], ids=["Q-string", "Q-bool", "Q-entry", "R-string", "P0-bool", "x0_guess-none",
+            "w_std-string", "v_bound-bool", "x0-string", "x0-ragged"])
+    def test_value_that_is_not_a_number_rejected_by_name(self, section, key, value, message):
+        # Accepted, a string raised a bare "could not convert string to
+        # float: 'x'", and estimator Q true ran with Q = I.
+        fields = {"model": {"inline": _inline_pair()}, "x0": [1.0, -1.0],
+                  "noise": {"w_std": 0.1, "v_std": 0.1},
+                  "estimator": {"Q": 0.01, "R": 0.01, "P0": 1.0, "x0_guess": [0.0, 0.0]}}
+        if section is None:
+            fields[key] = value
+        else:
+            fields[section][key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _resolve(ExperimentConfig(**fields))
+
+    def test_inline_matrix_that_is_not_numbers_rejected_by_name(self):
+        inline = _inline_pair()
+        inline["subsystems"][1]["coupling"] = {"0": [["x"]]}
+        config = ExperimentConfig(model={"inline": inline}, x0=[1.0, -1.0],
+                                  noise={"w_std": 0.1, "v_std": 0.1},
+                                  estimator={"Q": 0.01, "R": 0.01, "P0": 1.0,
+                                             "x0_guess": [0.0, 0.0]})
+        with pytest.raises(ValueError, match=re.escape(
+                "model.inline subsystem 1 coupling 0 must be a number or an array of "
+                "numbers, not [['x']]")):
+            _resolve(config)
 
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"

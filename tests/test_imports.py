@@ -31,6 +31,10 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   function of ``model.py`` only, ``_put``, outside docstrings: every result
   is checked by it, so that a second, drifting copy of the check cannot
   come back;
+- ``analysis.py`` reads a record's block fields (``a_cols``, ``c_cols``,
+  ``gains``, ``covs``) in one function only, ``_Loop._read``: the monitor
+  kernel reads each entry once, so that a second stacking of the same
+  entries cannot come back;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -346,6 +350,55 @@ def test_checker_flags_a_second_result_check():
                "                                 f'{got.dtype} values, expected real numbers')\n")
     assert result_check_sites(planted) == ["_checked_again", "_put"]
 
+
+#: The block fields of a record, which ``analysis.py`` reads in one place.
+RECORD_BLOCKS = frozenset({"a_cols", "c_cols", "gains", "covs"})
+
+
+def record_block_reads(source: str) -> list[str]:
+    """The functions of ``source`` (``Class.method`` for a method) that read
+    a record's block field: an attribute named in :data:`RECORD_BLOCKS`, or a
+    ``getattr`` of a record (``record``, ``self.record``) or of a field
+    named in :data:`RECORD_BLOCKS`."""
+    def reads(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in RECORD_BLOCKS
+        if not (isinstance(node, ast.Call) and _dotted(node.func) == "getattr"
+                and len(node.args) >= 2):
+            return False
+        obj, field = node.args[:2]
+        return (_dotted(obj).rsplit(".", 1)[-1] == "record"
+                or isinstance(field, ast.Constant) and field.value in RECORD_BLOCKS)
+
+    sites = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if reads(child):
+                sites.add(owner or "<module>")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, ".".join(filter(None, (owner, child.name))) if named else owner)
+
+    visit(ast.parse(source), "")
+    return sorted(sites)
+
+
+def test_one_function_reads_the_record_blocks_in_analysis():
+    assert record_block_reads((SRC / "analysis.py").read_text()) == ["_Loop._read"]
+
+
+def test_checker_flags_a_second_record_block_read():
+    source = ("def head(record):\n    return [record.c_cols[0][i] for i in range(2)]\n"
+              "class Loop:\n    def stack(self, field):\n"
+              "        return getattr(self.record, field)\n"
+              "    def gains(self, rec):\n        return getattr(rec, 'gains')\n"
+              "    def as_dict(self):\n        return {k: getattr(self, k) for k in 'ab'}\n"
+              "FIELDS = ('covs', 'a_cols')\nrec.covs[0]\n")
+    assert record_block_reads(source) == ["<module>", "Loop.gains", "Loop.stack", "head"]
+    planted = ((SRC / "analysis.py").read_text()
+               + "\n\ndef _head_norms(record):\n"
+               "    return _norms(np.array([record.gains[0][i] for i in range(2)]))\n")
+    assert record_block_reads(planted) == ["_Loop._read", "_head_norms"]
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).
 NUMPY2_ONLY = frozenset({

@@ -74,6 +74,22 @@ class TestMakePartition:
         with pytest.raises(ValueError):
             make_partition([2], [-1])
 
+    @pytest.mark.parametrize("dims, out_dims, message", [
+        ([2.7], [1], "dims[0] must be an integer, not 2.7"),
+        ([2, "2"], [1, 1], "dims[1] must be an integer, not '2'"),
+        ([2], [True], "out_dims[0] must be an integer, not True"),
+        ([2, 2], [1, 0.5], "out_dims[1] must be an integer, not 0.5"),
+    ], ids=["fraction", "string", "bool", "fractional-output"])
+    def test_dimension_that_is_not_an_integer_named(self, dims, out_dims, message):
+        # Accepted: [2.7] and [True] were read as (2,) and (1,), '2' as 2.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_partition(dims, out_dims)
+
+    def test_numpy_integer_dimensions_are_python_ints(self):
+        p = make_partition(np.array([2, 3]), np.array([1, 0], dtype=np.uint8))
+        assert p.dims == (2, 3) and p.out_dims == (1, 0)
+        assert all(type(d) is int for d in p.dims + p.out_dims)
+
     def test_split_and_stack_roundtrip(self):
         p = make_partition([2, 3], [1, 0])
         x = np.arange(5.0)

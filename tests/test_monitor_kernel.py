@@ -22,6 +22,8 @@ up to about ``1e-11``.
 import dataclasses
 import json
 import tracemalloc
+from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 
 import mpmath
@@ -38,6 +40,7 @@ from partkf.analysis import (
     check_contraction,
     check_weak_coupling,
     contraction_rate,
+    error_step,
     stability_report,
 )
 from partkf.benchmarks import get_benchmark
@@ -472,6 +475,74 @@ class TestCallCounts:
         assert np.array_equal(given["margins"], default["margins"], equal_nan=True)
         check_contraction(rec)
         assert len(calls) == 1
+
+
+class _Counted(Sequence):
+    """One instant's entries of a record's block field, counting each read
+    of an entry in ``reads`` under ``(field, k, i)``."""
+
+    def __init__(self, entries, field, k, reads):
+        self.entries, self.field, self.k, self.reads = list(entries), field, k, reads
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        picked = range(len(self.entries))[i]
+        for j in picked if isinstance(picked, range) else [picked]:
+            self.reads[self.field, self.k, j] += 1
+        return self.entries[i]
+
+
+#: The block fields of a record that the monitors read.
+BLOCK_FIELDS = ("a_cols", "c_cols", "gains", "covs")
+
+
+def _counted(rec):
+    """A copy of ``rec`` whose block fields count their reads, and the
+    counter."""
+    reads = Counter()
+    fields = {f: [_Counted(per_k, f, k, reads) for k, per_k in enumerate(getattr(rec, f))]
+              for f in BLOCK_FIELDS}
+    return dataclasses.replace(rec, **fields), reads
+
+
+class TestRecordReads:
+    @pytest.fixture(scope="class")
+    def reactor_50(self):
+        return run_experiment(ExperimentConfig(model={"name": "reactor-chain"}, steps=50,
+                                               seed=1, monitors=False),
+                              write_outputs=False)
+
+    def test_report_reads_each_entry_once(self, reactor_50):
+        # The bounds once stacked a_cols, c_cols and gains per group and the
+        # closed-loop pass stacked them again: 401 reads of a_cols' 200
+        # entries and 405 of c_cols' and gains' 204 each.
+        rec = reactor_50
+        counted, reads = _counted(rec)
+        want = json.dumps(stability_report(rec).as_dict())
+        assert json.dumps(stability_report(counted).as_dict()) == want
+        shape_probes = len(rec.partition.groups)
+        for field in BLOCK_FIELDS:
+            entries = {(field, k, i) for k, per_k in enumerate(getattr(rec, field))
+                       for i in range(len(per_k))}
+            got = {key: n for key, n in reads.items() if key[0] == field}
+            assert set(got) == entries, field
+            assert sum(got.values()) <= len(entries) + shape_probes, (field, sum(got.values()))
+
+    @pytest.mark.parametrize("k", [1, 17, 50])
+    def test_one_transition_reads_only_its_instants(self, reactor_50, k):
+        rec = reactor_50
+        n = rec.partition.n
+        counted, reads = _counted(rec)
+        check_weak_coupling(counted, k)
+        want = {("a_cols", k - 1), ("c_cols", k), ("gains", k), ("covs", k - 1), ("covs", k)}
+        assert reads == Counter({(f, j, i): 1 for f, j in want for i in range(n)})
+        reads.clear()
+        model = get_benchmark("reactor-chain").model
+        error_step(model, counted, k)
+        want = {("a_cols", k - 1), ("c_cols", k), ("gains", k)}
+        assert reads == Counter({(f, j, i): 1 for f, j in want for i in range(n)})
 
 
 class TestCorruptRecord:
