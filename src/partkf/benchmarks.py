@@ -34,8 +34,6 @@ Two families ship with the package:
 from __future__ import annotations
 
 import inspect
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -48,6 +46,7 @@ from .model import (
     NonlinearSubsystem,
     _integer,
     _monolithic,
+    _real,
     aggregate_nonlinear,
     assemble_global,
     make_partition,
@@ -303,16 +302,6 @@ def available_benchmarks() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a real number (a bool is not one) that is finite
-    as a float."""
-    try:
-        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                and math.isfinite(value))
-    except OverflowError:   # an integer beyond the float range
-        return False
-
-
 def get_benchmark(name: str, **params) -> Benchmark:
     """Build a registered benchmark, passing ``params`` to its builder.  A
     parameter the builder does not take, or a value not of its default's
@@ -329,10 +318,10 @@ def get_benchmark(name: str, **params) -> Benchmark:
         signature.bind(**params)
         for key, value in params.items():
             default = signature.parameters[key].default if key in signature.parameters else None
-            if isinstance(default, numbers.Integral) and not isinstance(default, bool):
+            if type(default) is int:
                 _integer(key, value)
-            elif isinstance(default, float) and not _finite_real(value):
-                raise ValueError(f"{key} must be a finite real number, not {value!r}")
+            elif isinstance(default, float):
+                _real(key, value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"benchmark {name!r}: {exc}") from None
     return builder(**params)

@@ -53,7 +53,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
         config = load_config(args.config)
     elif args.model is not None:
-        params = json.loads(args.params) if args.params else {}
+        try:
+            params = json.loads(args.params) if args.params else {}
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--params: {exc}") from None
         config = ExperimentConfig(model={"name": args.model, "params": params})
     else:
         raise ValueError("either --config or --model is required")

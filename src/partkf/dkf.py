@@ -81,7 +81,7 @@ from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
                     _matvec, _not_posdef, _not_semidefinite, _solve,
                     _spd_factor, _sym, _symmetric, _tr, _values)
-from .records import RunRecord, _check_shapes, _run_shapes
+from .records import RunRecord, _check_design, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
 __all__ = [
@@ -176,18 +176,7 @@ class EstimatorDesign:
 
     def validate(self, model: GlobalModel) -> None:
         p = model.partition
-        if len(self.Q) != p.n or len(self.P0) != p.n:
-            raise ValueError("design must provide Q and P0 for every subsystem")
-        for i in range(p.n):
-            if self.Q[i].shape != (p.dims[i], p.dims[i]):
-                raise ValueError(f"Q[{i}] has shape {self.Q[i].shape}, expected "
-                                 f"({p.dims[i]}, {p.dims[i]})")
-            if self.P0[i].shape != (p.dims[i], p.dims[i]):
-                raise ValueError(f"P0[{i}] has wrong shape")
-        if self.R.shape != (p.ny, p.ny):
-            raise ValueError(f"R has shape {self.R.shape}, expected ({p.ny}, {p.ny})")
-        if self.x0_guess.shape != (p.nx,):
-            raise ValueError("x0_guess does not match the partition")
+        _check_design("design", vars(self), p.dims, p.out_dims)
         for i in range(p.n):
             for name, value in ((f"Q[{i}]", self.Q[i]), (f"P0[{i}]", self.P0[i]),
                                 (f"x0_guess of subsystem {i}",

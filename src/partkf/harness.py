@@ -29,6 +29,9 @@ Experiments are described by a JSON document (all keys optional unless noted):
 }
 ```
 
+A coupling key is a neighbor index written in decimal digits (``"1"``,
+``"01"``); any other key (``"1.7"``, ``"1_0"``, ``"x"``) is an error naming
+the subsystem and the key.
 Scalars for ``noise``/``estimator`` entries broadcast over coordinates
 (diagonal matrices for weights).  A key that is not listed here, in the
 config, ``noise`` or ``estimator``, is an error.  Registered model names come
@@ -69,14 +72,19 @@ from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_df
 from .model import (
     GlobalModel,
     LinearSubsystem,
+    _flag,
     _integer,
     _monolithic,
+    _numbers,
+    _object,
+    _require,
+    _seed,
     aggregate_nonlinear,
     assemble_global,
     make_partition,
 )
 from .records import RunRecord, _load_json, _write_csv
-from .simulate import NoiseSpec, _broadcast, _seed, _simulate_runs, simulate
+from .simulate import NoiseSpec, _broadcast, _simulate_runs, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
            "import_record", "verify_suite", "write_monte_carlo_csv"]
@@ -99,13 +107,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("steps", "runs"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         object.__setattr__(self, "seed", _seed(self.seed))
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not isinstance(self.monitors, bool):
-            raise ValueError(f"monitors must be true or false, not {self.monitors!r}")
+        _flag("monitors", self.monitors)
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValueError(f"out_dir must be a string, not {self.out_dir!r}")
         if not isinstance(self.model, dict) or not ({"name", "inline"} & set(self.model)):
             raise ValueError("model must carry a registered 'name' or an 'inline' spec")
         if not isinstance(self.model.get("params", {}), dict):
@@ -137,37 +144,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _object(name: str, value) -> dict:
-    """``value``; ``ValueError`` naming ``name`` unless it is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, not {value!r}")
-    return value
-
-
-def _require(name: str, value: dict, keys: tuple[str, ...]) -> None:
-    """``ValueError`` naming ``name`` and the first of ``keys`` that
-    ``value`` lacks."""
-    for key in keys:
-        if key not in value:
-            raise ValueError(f"{name} is missing the key {key!r}")
-
-
-def _numbers(name: str, value) -> np.ndarray:
-    """``value``, a real number or nested lists of them, as a float array;
-    ``ValueError`` naming ``name`` otherwise (a bool is not a number)."""
-    def real(v) -> bool:
-        if isinstance(v, (list, tuple)):
-            return all(real(u) for u in v)
-        return np.asarray(v).dtype.kind in "iuf"
-
-    if real(value):
-        try:
-            return np.asarray(value, dtype=float)
-        except ValueError:   # nested lists of unequal lengths
-            pass
-    raise ValueError(f"{name} must be a number or an array of numbers, not {value!r}")
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an :class:`ExperimentConfig` from a JSON file."""
     payload = _object("config", _load_json(path))
@@ -188,14 +164,14 @@ def _inline_model(spec: dict) -> GlobalModel:
         A, C, Q, R = (_numbers(f"{name} {key}", raw[key]) for key in "ACQR")
         coupling = {l: _numbers(f"{name} coupling {l}", b)
                     for l, b in raw.get("coupling", {}).items()}
-        subs.append(LinearSubsystem(int(raw["index"]), A, coupling, C, Q, R))
+        subs.append(LinearSubsystem(raw["index"], A, coupling, C, Q, R))
     return assemble_global(subs, part)
 
 
 def _weight_list(value, diag_dims, name: str) -> tuple[np.ndarray, ...]:
     if not isinstance(value, (list, tuple, np.ndarray)):
-        scale = float(_numbers(name, value))
-        return tuple(scale * np.eye(d) for d in diag_dims)
+        scale = _numbers(name, value)
+        return tuple(np.diag(np.full(d, scale)) for d in diag_dims)
     mats = [_numbers(f"{name}[{i}]", m) for i, m in enumerate(value)]
     if len(mats) != len(diag_dims):
         raise ValueError(f"{name} must provide one matrix per subsystem")
@@ -249,7 +225,7 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
          else design.Q)
     if "R" in est:
         R = _numbers("estimator.R", est["R"])
-        R = float(R) * np.eye(p.ny) if R.ndim == 0 else R
+        R = np.diag(np.full(p.ny, R)) if R.ndim == 0 else R
     else:
         R = design.R
     P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est

@@ -19,8 +19,11 @@ blocks into per-group stacks (``_jacobian``).  A result must be finite real
 numbers of its place's shape, so the first bad result names its subsystem
 and map.
 
-The module owns the matrix-health helpers, since every other module imports
-it: ``_sym``, ``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
+The module owns, since every other module imports it, the value rules that
+check every input from outside the program by name (``_integer``, ``_seed``,
+``_numbers`` on ``_floats``, ``_real``, ``_flag``, ``_object``, ``_require``
+and ``_by_neighbor``), and the matrix-health helpers: ``_sym``,
+``_symmetric``, ``_cholesky``, ``_posdef``, ``_not_posdef``,
 ``_not_semidefinite``, ``_spd_factor``, ``_factor_solve``, ``_spd_solve``
 and ``_solve``.  The filters, the oracles and the monitors symmetrize,
 Cholesky-factor, solve and test definiteness only through them.
@@ -34,8 +37,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -72,20 +77,102 @@ class LinearizationError(RuntimeError):
         self.subsystem = subsystem
 
 
+# -- value rules ---------------------------------------------------------
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
-    integer (a bool is not).  The package's one rule for integer inputs."""
+    integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
 
 
-def _by_neighbor(i: int, blocks: Mapping) -> dict:
-    """``blocks`` of subsystem ``i`` keyed by ``int`` subsystem index; raises
-    ``ValueError`` naming ``i`` when two keys name the same subsystem."""
+#: The longest array NumPy can index: a bound on dimensions and horizons.
+_MAX_LENGTH = int(np.iinfo(np.intp).max)
+
+
+def _seed(value) -> int:
+    """``value`` as a master seed, an integer that fits in 64 bits."""
+    if not 0 <= (seed := _integer("seed", value)) < 2 ** 64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
+
+
+def _floats(value) -> np.ndarray | None:
+    """``value``, a real number or nested lists of them, as a float array;
+    ``None`` when it is not one (a bool is not a number, nor is an integer
+    beyond the float range)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind != "O":
+        return np.asarray(value, dtype=float) if value.dtype.kind in "iuf" else None
+    try:   # refuses ragged lists and an integer beyond the float range
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # The conversion also takes bools, None and numeric strings: test the
+    # types of the leaves.
+    leaves = [value] if out.ndim == 0 else value
+    for _ in range(out.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    kinds = set(map(type, leaves))
+    real = kinds <= {float, int} or all(
+        issubclass(k, numbers.Real) and not issubclass(k, bool) for k in kinds)
+    return out if real else None
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """``value`` as a float array (:func:`_floats`); ``ValueError`` naming
+    ``name`` unless it is a real number or nested lists of them."""
+    if (out := _floats(value)) is None:
+        raise ValueError(f"{name} must be a number or an array of numbers, "
+                         f"not {reprlib.repr(value)}")
+    return out
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is one
+    real number (:func:`_floats`) that is finite."""
+    x = _floats(value)
+    if x is None or x.ndim or not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, not {value!r}")
+    return float(x)
+
+
+def _flag(name: str, value) -> bool:
+    """``value``; ``ValueError`` naming ``name`` unless it is true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
+def _object(name: str, value) -> dict:
+    """``value``; ``ValueError`` naming ``name`` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {reprlib.repr(value)}")
+    return value
+
+
+def _require(name: str, value: dict, keys: tuple[str, ...]) -> None:
+    """``ValueError`` naming ``name`` and the first of ``keys`` that
+    ``value`` lacks."""
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{name} is missing the key {key!r}")
+
+
+def _by_neighbor(i: int, name: str, blocks) -> dict:
+    """``blocks``, the mapping ``name`` of subsystem ``i``, keyed by ``int``
+    subsystem index.  A key is an integer (:func:`_integer`) or a string of
+    decimal digits, as a JSON object's keys are; ``ValueError`` naming ``i``
+    when ``blocks`` is not a mapping, a key is neither, or two keys name the
+    same subsystem."""
+    if not isinstance(blocks, Mapping):
+        raise ValueError(f"subsystem {i}: {name} must map neighbor indices, "
+                         f"not {reprlib.repr(blocks)}")
     out = {}
-    for l, b in blocks.items():
-        l = int(l)
+    for key, b in blocks.items():
+        l = (int(key) if isinstance(key, str) and key.isascii() and key.isdigit()
+             else _integer(f"subsystem {i}: {name} key", key))
         if l in out:
             raise ValueError(f"subsystem {i}: neighbor {l} is given twice")
         out[l] = b
@@ -108,7 +195,7 @@ def _jac_f_blocks(sub, got) -> list[tuple]:
     ``{index} | neighbors``."""
     keys = (sub.index, *sub.neighbors)
     if type(got) is not dict or got.keys() != set(keys):
-        got = _called(sub, "jac_f", _by_neighbor, sub.index, got)
+        got = _called(sub, "jac_f", _by_neighbor, sub.index, "jac_f", got)
         if got.keys() != set(keys):
             raise LinearizationError(f"subsystem {sub.index}: jac_f returned blocks for "
                                      f"{sorted(got)}, expected {sorted(keys)}", sub.index)
@@ -294,7 +381,7 @@ def _weights(i: int, Q, R, state_dim: int, out_dim: int) -> tuple[np.ndarray, np
     """Subsystem ``i``'s noise weights, frozen: ``Q`` and ``R`` symmetric
     positive definite, ``Q`` of the state dimension and ``R`` of the output
     dimension (``0 x 0`` for a subsystem without outputs)."""
-    q, r = _frozen(Q), _frozen(R)
+    q, r = (_frozen(_numbers(f"subsystem {i}: {name}", m)) for name, m in (("Q", Q), ("R", R)))
     _check_spd(q, f"subsystem {i}: Q")
     _check_spd(r, f"subsystem {i}: R")
     if q.shape[0] != state_dim:
@@ -396,18 +483,24 @@ def make_partition(dims: Sequence[int], out_dims: Sequence[int]) -> StatePartiti
     the same length (by :func:`_integer`).  Offsets are contiguous,
     non-overlapping and ordered by subsystem index.
     """
-    dims = tuple(_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
-    out_dims = tuple(_integer(f"out_dims[{i}]", d) for i, d in enumerate(out_dims))
+    given = {"dims": dims, "out_dims": out_dims}
+    for name, value in given.items():
+        if isinstance(value, str) or not isinstance(value, (Sequence, np.ndarray)):
+            raise ValueError(f"{name} must be a list of integers, not {reprlib.repr(value)}")
+        given[name] = tuple(_integer(f"{name}[{i}]", d) for i, d in enumerate(value))
+    dims, out_dims = given.values()
     if not dims:
-        raise ValueError("partition needs at least one subsystem")
+        raise ValueError("dims must list at least one subsystem")
     if len(dims) != len(out_dims):
         raise ValueError("dims and out_dims must have equal length")
     if any(d <= 0 for d in dims):
-        raise ValueError("every subsystem state dimension must be positive")
+        raise ValueError(f"dims must be positive, not {dims}")
     if any(d < 0 for d in out_dims):
-        raise ValueError("output dimensions must be non-negative")
+        raise ValueError(f"out_dims must be non-negative, not {out_dims}")
     offsets = (0, *np.cumsum(dims).tolist())
     out_offsets = (0, *np.cumsum(out_dims).tolist())
+    if max(offsets[-1], out_offsets[-1]) > _MAX_LENGTH:
+        raise ValueError(f"dims and out_dims must sum to at most {_MAX_LENGTH}")
     return StatePartition(dims, out_dims, tuple(offsets), tuple(out_offsets))
 
 
@@ -449,21 +542,23 @@ class LinearSubsystem:
     R: np.ndarray
 
     def __post_init__(self):
-        a = _frozen(self.A)
+        object.__setattr__(self, "index", _integer("subsystem index", self.index))
+        a = _frozen(_numbers(f"subsystem {self.index}: A", self.A))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"subsystem {self.index}: A must be square, got {a.shape}")
         nx = a.shape[0]
-        c = _frozen(self.C)
+        c = _frozen(_numbers(f"subsystem {self.index}: C", self.C))
         if c.ndim != 2 or c.shape[1] != nx:
             raise ValueError(
-                f"subsystem {self.index}: C must have {nx} columns, got {c.shape}"
+                f"subsystem {self.index}: C must have as many columns as A has rows "
+                f"({nx}), got {c.shape}"
             )
         q, r = _weights(self.index, self.Q, self.R, nx, c.shape[0])
         cleaned = {}
-        for l, blk in _by_neighbor(self.index, self.coupling).items():
+        for l, blk in _by_neighbor(self.index, "coupling", self.coupling).items():
             if l == self.index:
                 raise ValueError(f"subsystem {self.index}: self-coupling must go in A")
-            b = _frozen(blk)
+            b = _frozen(_numbers(f"subsystem {self.index}: coupling block to {l}", blk))
             if b.ndim != 2 or b.shape[0] != nx:
                 raise ValueError(
                     f"subsystem {self.index}: coupling block to {l} must have {nx} rows"
@@ -554,23 +649,27 @@ class NonlinearSubsystem:
     jacobian_check_samples: tuple = ()
 
     def __post_init__(self):
+        i = _integer("subsystem index", self.index)
+        for name in ("index", "state_dim", "out_dim"):
+            object.__setattr__(self, name, _integer(f"subsystem {i}: {name}", getattr(self, name)))
         if self.state_dim <= 0:
-            raise ValueError(f"subsystem {self.index}: state_dim must be positive")
+            raise ValueError(f"subsystem {i}: state_dim must be positive")
         if self.out_dim < 0:
-            raise ValueError(f"subsystem {self.index}: out_dim must be non-negative")
+            raise ValueError(f"subsystem {i}: out_dim must be non-negative")
         q, r = _weights(self.index, self.Q, self.R, self.state_dim, self.out_dim)
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "neighbor_dims", dict(sorted(
-            (l, int(d)) for l, d in _by_neighbor(self.index, self.neighbor_dims).items())))
+            (l, _integer(f"subsystem {i}: neighbor_dims[{l}]", d))
+            for l, d in _by_neighbor(i, "neighbor_dims", self.neighbor_dims).items())))
         if self.index in self.neighbor_dims:
             raise ValueError(f"subsystem {self.index}: neighbor_dims must not list "
                              "the subsystem itself")
         if self.state_box is not None:
-            lo, hi = (np.asarray(b, dtype=float) for b in self.state_box)
-            if lo.shape != (self.state_dim,) or hi.shape != (self.state_dim,):
-                raise ValueError(f"subsystem {self.index}: state_box must match state_dim")
-            object.__setattr__(self, "state_box", (_frozen(lo), _frozen(hi)))
+            box = _numbers(f"subsystem {i}: state_box", self.state_box)
+            if box.shape != (2, self.state_dim):
+                raise ValueError(f"subsystem {i}: state_box must match state_dim")
+            object.__setattr__(self, "state_box", (_frozen(box[0]), _frozen(box[1])))
         if self.jac_f is not None or self.jac_h is not None:
             self._spot_check_jacobians()
 
@@ -582,7 +681,7 @@ class NonlinearSubsystem:
         for x_i, nbrs in self.jacobian_check_samples:
             x_i = np.asarray(x_i, dtype=float)
             nbrs = {l: np.asarray(v, dtype=float)
-                    for l, v in _by_neighbor(self.index, nbrs).items()}
+                    for l, v in _by_neighbor(self.index, "sample neighbors", nbrs).items()}
             _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
                 dims = {self.index: self.state_dim, **self.neighbor_dims}

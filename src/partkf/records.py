@@ -34,11 +34,13 @@ import csv
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .model import StatePartition, make_partition
+from .model import (StatePartition, _floats, _integer, _numbers, _object, _require, _seed,
+                    make_partition)
 
 __all__ = ["RunRecord"]
 
@@ -57,12 +59,13 @@ def _encode(value):
     return value
 
 
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _blocks(per_instant) -> list[list[np.ndarray]]:
-    return [[_array(b) for b in per_k] for per_k in per_instant]
+def _blocks(name: str, per_instant) -> list[list[np.ndarray]]:
+    """The per-instant blocks of the block field ``name`` stored as nested
+    lists (``covs``, and every block field of schema 1)."""
+    where = f"record {name}"
+    if not (isinstance(per_instant, list) and all(isinstance(b, list) for b in per_instant)):
+        raise ValueError(f"{where} must list the blocks of each instant")
+    return [[_numbers(where, b) for b in per_k] for per_k in per_instant]
 
 
 #: The per-instant block fields that schema 2 stores one entry per subsystem.
@@ -112,17 +115,15 @@ def _unpack(name: str, entries, shapes) -> list[list[np.ndarray]]:
         if index.size and (index[0] < 0 or index[-1] >= rows * cols
                            or np.any(np.diff(index) <= 0)):
             raise ValueError(f"{where}: index must increase within [0, {rows * cols})")
-        try:
-            values = np.array(entry["values"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: values must be rows of {index.size} numbers") from exc
-        if values.shape == (0,):
+        values = _floats(entry["values"])
+        if values is not None and values.shape == (0,):
             values = values.reshape(0, index.size)
-        if values.ndim != 2 or values.shape[1] != index.size:
-            raise ValueError(f"{where}: values must be rows of {index.size} numbers")
+        if values is None or values.ndim != 2 or values.shape[1] != index.size:
+            raise ValueError(f"{where}: values must be rows of {index.size} numbers, "
+                             "one per index entry")
         if stacks and values.shape[0] != len(stacks[0]):
-            raise ValueError(f"{where} has {values.shape[0]} instants, "
-                             f"subsystem 0 has {len(stacks[0])}")
+            raise ValueError(f"{where}: values hold {values.shape[0]} instants, "
+                             f"those of subsystem 0 {len(stacks[0])}")
         full = np.zeros((values.shape[0], rows * cols))
         full[:, index] = values
         stacks.append(full.reshape(-1, rows, cols))
@@ -137,8 +138,12 @@ def _check_dims(payload: dict) -> None:
     given = {name: payload[name] for name in ("dims", "out_dims") if name in payload}
     for name, value in given.items():
         least = 1 if name == "dims" else 0
-        if (not isinstance(value, (list, tuple)) or not value
-                or not all(type(d) is int and d >= least for d in value)):
+        try:
+            ok = isinstance(value, (list, tuple)) and value and min(
+                _integer(name, d) for d in value) >= least
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValueError(f"record {name} must list integers of at least {least}, "
                              f"not {value!r}")
     if len(given) == 2 and len(given["dims"]) != len(given["out_dims"]):
@@ -156,6 +161,22 @@ def _check_shapes(what: str, arrays, shapes: dict) -> None:
             raise ValueError(f"{what} {name} has shape {got}, expected {want}")
 
 
+def _check_design(what: str, design: dict, dims, out_dims) -> None:
+    """``ValueError`` naming ``what`` and the weight unless the estimator
+    design ``design`` holds numbers (:func:`~partkf.model._numbers`) of the
+    shapes of the dimensions ``dims`` and ``out_dims``: one ``d x d``
+    matrix per subsystem in ``Q`` and ``P0``, ``R`` of ``ny x ny`` and
+    ``x0_guess`` of ``nx`` entries."""
+    for key in ("Q", "P0"):
+        if not isinstance(design[key], (list, tuple)) or len(design[key]) != len(dims):
+            raise ValueError(f"{what} {key} must hold one matrix per subsystem")
+        _check_shapes(f"{what} {key}, subsystem",
+                      {i: _numbers(f"{what} {key}", m) for i, m in enumerate(design[key])},
+                      {i: (d, d) for i, d in enumerate(dims)})
+    _check_shapes(what, {key: _numbers(f"{what} {key}", design[key]) for key in ("R", "x0_guess")},
+                  {"R": (sum(out_dims),) * 2, "x0_guess": (sum(dims),)})
+
+
 def _run_shapes(instants: int, nx: int, ny: int) -> dict:
     """The shapes of a run's truth arrays ``xs``, ``ys``, ``ws``, ``vs``
     over ``instants`` instants."""
@@ -165,8 +186,12 @@ def _run_shapes(instants: int, nx: int, ny: int) -> dict:
 
 def _check_record(values: dict) -> None:
     """``ValueError`` naming the field, and for a block field the instant and
-    the subsystem, unless every array field of a loaded record has its shape
-    for ``dims``, ``out_dims`` and the ``K + 1`` instants that ``xs`` holds."""
+    the subsystem, unless ``kind`` names a filter, every array field of a
+    loaded record has its shape for ``dims``, ``out_dims`` and the ``K + 1``
+    instants that ``xs`` holds, and ``estimator`` is a design of that shape
+    (as ``EstimatorDesign.serializable`` writes it)."""
+    if values["kind"] not in ("dkf", "dekf"):
+        raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
     dims, out_dims = values["dims"], values["out_dims"]
     nx, ny = sum(dims), sum(out_dims)
     instants = len(values["xs"]) if np.ndim(values["xs"]) else 0
@@ -185,22 +210,31 @@ def _check_record(values: dict) -> None:
                 raise ValueError(f"record {name} at instant {k} has {len(blocks)} blocks, "
                                  f"expected one per subsystem ({len(dims)})")
             _check_shapes(f"record {name} at instant {k}, subsystem", blocks, shapes)
+    _require("record estimator", values["estimator"], ("Q", "R", "P0", "x0_guess"))
+    _check_design("record estimator", values["estimator"], dims, out_dims)
 
 
-#: How ``RunRecord.from_json`` restores a field; unlisted fields load as they are.
+#: How ``RunRecord.from_json`` restores and checks a field (a malformed
+#: value raises ``ValueError`` naming it); ``kind`` loads as it is.
 _DECODERS = {
-    "seed": int, "dims": tuple, "out_dims": tuple, "floor_events": int,
-    **dict.fromkeys(("xs", "ys", "ws", "vs", "xhat_pred", "xhat_post",
-                     "rmse", "wall_clock"), _array),
-    **dict.fromkeys(("gains", "covs", "a_cols", "c_cols"), _blocks),
+    "seed": _seed, "dims": tuple, "out_dims": tuple,
+    "floor_events": partial(_integer, "record floor_events"),
+    **{name: partial(_object, f"record {name}") for name in ("estimator", "monitors", "config")},
+    **{name: partial(_numbers, f"record {name}") for name in (
+        "xs", "ys", "ws", "vs", "xhat_pred", "xhat_post", "rmse", "wall_clock")},
+    **{name: partial(_blocks, name) for name in ("gains", "covs", "a_cols", "c_cols")},
 }
 
 
 def _load_json(source: dict | str | Path) -> dict:
-    """A JSON payload given as a dict, or read from a file path."""
+    """A JSON payload given as a dict, or read from a file path; a file that
+    is not JSON raises ``ValueError`` naming the path."""
     if isinstance(source, dict):
         return source
-    return json.loads(Path(source).read_text())
+    try:
+        return json.loads(Path(source).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _write_csv(path: str | Path, header: list[str], rows) -> Path:
@@ -310,14 +344,16 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "RunRecord":
-        """Restore a record of schema 2 or 1 (another schema, or one that is
-        not an integer, raises ``ValueError``, as do ``dims`` and
-        ``out_dims`` that are not lists of valid dimensions of one length and
-        arrays of other shapes, see :func:`_check_record`); a
-        missing required field raises ``KeyError``, a missing optional one
-        keeps its default and a key that is not a field
-        (``a_points``/``c_points`` of older records) is ignored."""
-        payload = _load_json(payload)
+        """Restore a record of schema 2 or 1.  Another schema, or one that is
+        not an integer, raises ``ValueError``, as does a field of the wrong
+        kind (:data:`_DECODERS`: the model's value rules), ``dims`` and
+        ``out_dims`` that are not lists of valid dimensions of one length,
+        and arrays or estimator weights of other shapes (see
+        :func:`_check_record`); each names the field.  A missing required
+        field raises ``KeyError``, a missing optional one keeps its default
+        and a key that is not a field (``a_points``/``c_points`` of older
+        records) is ignored."""
+        payload = _object("record", _load_json(payload))
         schema = payload.get("schema")
         if type(schema) is not int:
             raise ValueError(f"record schema {schema!r} is not an integer")
@@ -334,8 +370,8 @@ class RunRecord:
                     values[f.name] = _unpack(f.name, value, _block_shapes(
                         f.name, values["dims"], values["out_dims"]))
                     continue
-                decode = _DECODERS.get(f.name)
-                values[f.name] = value if decode is None or value is None else decode(value)
+                keep = f.name == "kind" or (value is None and f.default is None)
+                values[f.name] = value if keep else _DECODERS[f.name](value)
             elif f.default is MISSING:
                 raise KeyError(f.name)
         _check_record(values)

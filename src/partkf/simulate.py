@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GlobalModel, LinearizationError, _integer
-from .records import _array, _encode, _load_json, _write_csv
+from .model import _MAX_LENGTH, GlobalModel, LinearizationError, _integer, _numbers, _seed
+from .records import _encode, _load_json, _write_csv
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
 
@@ -60,42 +60,29 @@ class NoiseSpec:
     v_bound: np.ndarray | None = None
 
     def __post_init__(self):
+        # The deviations come first, so each bound is checked against its
+        # converted deviation.
         for name in ("w_std", "v_std", "w_bound", "v_bound"):
-            value = getattr(self, name)
-            if value is None:
+            value, std = getattr(self, name), f"{name[0]}_std"
+            if value is None and name != std:
                 continue
-            value = np.asarray(value, dtype=float)
+            value = np.atleast_1d(_numbers(name, value))
             if np.isnan(value).any():
                 raise ValueError(f"{name} has a NaN entry")
-            if name.endswith("std") and np.isinf(value).any():
+            if name == std and np.isinf(value).any():
                 raise ValueError(f"{name} has an infinite entry")
-        w = np.atleast_1d(np.asarray(self.w_std, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v_std, dtype=float))
-        if np.any(w < 0) or np.any(v < 0):
-            raise ValueError("standard deviations must be non-negative")
-        object.__setattr__(self, "w_std", w)
-        object.__setattr__(self, "v_std", v)
-        for name, bound, std in (("w_bound", self.w_bound, w), ("v_bound", self.v_bound, v)):
-            if bound is None:
-                continue
-            b = np.atleast_1d(np.asarray(bound, dtype=float))
-            if b.shape != std.shape:
-                raise ValueError(f"{name} must match the std shape")
-            if np.any(b < std):
-                raise ValueError(f"{name} must be at least one standard deviation")
-            object.__setattr__(self, name, b)
+            if name == std and np.any(value < 0):
+                raise ValueError(f"{name} must be non-negative")
+            if name != std and value.shape != getattr(self, std).shape:
+                raise ValueError(f"{name} must match the {std} shape")
+            if name != std and np.any(value < getattr(self, std)):
+                raise ValueError(f"{name} must be at least one standard deviation ({std})")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", _seed(self.seed))
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
         return _streams(self.seed, n_subsystems)
-
-
-def _seed(value) -> int:
-    """``value`` as a master seed, an integer that fits in 64 bits."""
-    if not 0 <= (seed := _integer("seed", value)) < 2 ** 64:
-        raise ValueError("seed must fit in 64 bits")
-    return seed
 
 
 def _streams(seed: int, n: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
@@ -178,8 +165,8 @@ class Trajectory:
     @classmethod
     def from_json(cls, payload: dict | str | Path) -> "Trajectory":
         payload = _load_json(payload)
-        return cls(**{name: _array(payload[name]) for name in _ARRAYS},
-                   seed=int(payload["seed"]))
+        return cls(**{name: _numbers(f"trajectory {name}", payload[name]) for name in _ARRAYS},
+                   seed=_seed(payload["seed"]))
 
 
 def _broadcast(arr, dim: int, name: str) -> np.ndarray | None:
@@ -201,6 +188,8 @@ def _start(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -> 
     steps = _integer("steps", steps)
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps >= _MAX_LENGTH:
+        raise ValueError(f"steps must be less than {_MAX_LENGTH}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.nx,):
         raise ValueError(f"x0 must have shape ({model.nx},)")

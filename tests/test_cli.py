@@ -89,14 +89,34 @@ class TestRun:
           "subsystems": [{"index": 0, "A": [[0.9]], "C": [[1.0]], "Q": [[0.01]],
                           "R": [[0.01]], "coupling": 5}]},
          "model.inline subsystem 0 coupling must be an object, not 5"),
-    ], ids=["missing-dims", "coupling-number"])
+        ({"dims": 2.0, "out_dims": [1],
+          "subsystems": [{"index": 0, "A": [[0.9]], "C": [[1.0]], "Q": [[0.01]],
+                          "R": [[0.01]]}]},
+         "dims must be a list of integers, not 2.0"),
+    ], ids=["missing-dims", "coupling-number", "dims-number"])
     def test_malformed_inline_model_exits_one(self, inline, message, tmp_path, capsys):
-        # Accepted, a missing key printed "error: 'dims'" and a coupling that
-        # is not an object an AttributeError traceback.
+        # Accepted, a missing key printed "error: 'dims'", a coupling that
+        # is not an object an AttributeError traceback and dims 2.0 a
+        # TypeError traceback ("'float' object is not iterable").
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"inline": inline}, "x0": [0.0]}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["params", "config", "record"])
+    def test_malformed_json_exits_one_naming_its_source(self, source, tmp_path, capsys):
+        # Accepted, each printed only "error: Expecting value: line 1 column 1
+        # (char 0)".
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        argv, name = {
+            "params": (["run", "--model", "linear-4state", "--params", "not json"], "--params"),
+            "config": (["run", "--config", str(bad)], str(bad)),
+            "record": (["monitors", "--record", str(bad), "--out", str(tmp_path)], str(bad)),
+        }[source]
+        assert main(argv) == 1
+        assert f"error: {name}: Expecting value: line 1 column 1 (char 0)" in \
+            capsys.readouterr().err
 
     def test_missing_model_and_config_exits_one(self, capsys):
         assert main(["run"]) == 1

@@ -247,6 +247,35 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(model={"inline": inline}, x0=[0.0, 0.0]),
                            write_outputs=False)
 
+    @pytest.mark.parametrize("key", ["x", "1.7", "1_0"])
+    def test_inline_coupling_key_that_is_not_an_index_rejected_by_name(self, key):
+        # Accepted, "1_0" built a coupling to neighbor 10 (then refused as
+        # unknown); "x" and "1.7" raised a bare "invalid literal for int()".
+        inline = _inline_pair()
+        inline["subsystems"][0]["coupling"] = {key: [[0.05]]}
+        with pytest.raises(ValueError, match=re.escape(
+                f"subsystem 0: coupling key must be an integer, not {key!r}")):
+            run_experiment(ExperimentConfig(model={"inline": inline}, x0=[0.0, 0.0]),
+                           write_outputs=False)
+
+    @pytest.mark.parametrize("key, message", [
+        ("R", "^R is not finite$"),
+        ("Q", r"^Q\[0\] is not finite$"),
+    ])
+    def test_non_finite_scalar_weight_rejected_by_name(self, key, message):
+        # Accepted, building inf * I warned "invalid value encountered in
+        # multiply" before the named error.
+        config = ExperimentConfig(model={"name": "linear-4state"},
+                                  estimator={key: float("1e400")})
+        with pytest.raises(ValueError, match=message):
+            _resolve(config)
+
+    def test_integer_beyond_64_bits_is_a_number(self):
+        # Refused as "must be a number", while a benchmark parameter took it.
+        config = ExperimentConfig(model={"name": "linear-4state"},
+                                  estimator={"x0_guess": [2 ** 70, 0, 0, 0]})
+        assert _resolve(config).source.design.x0_guess[0] == 2.0 ** 70
+
     @pytest.mark.parametrize("key, value, name", [
         ("A", [[float("nan")]], "A"),
         ("C", [[float("inf")]], "C"),

@@ -35,6 +35,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   ``gains``, ``covs``) in one function only, ``_Loop._read``: the monitor
   kernel reads each entry once, so that a second stacking of the same
   entries cannot come back;
+- the value rules' type tests (``numbers.Integral``, ``numbers.Real`` and
+  ``isinstance(..., bool)``) appear only in the rules of ``model.py``
+  (``_integer``, ``_floats`` and ``_flag``): every value from outside the
+  program is checked by them, so that a second, drifting copy of "an
+  integer" or "a real number" cannot come back;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -399,6 +404,63 @@ def test_checker_flags_a_second_record_block_read():
                + "\n\ndef _head_norms(record):\n"
                "    return _norms(np.array([record.gains[0][i] for i in range(2)]))\n")
     assert record_block_reads(planted) == ["_Loop._read", "_head_norms"]
+
+
+#: The functions of ``model.py`` that hold the value rules' type tests.
+VALUE_RULES = ["model.py:_flag", "model.py:_floats", "model.py:_integer"]
+
+
+def type_test_sites(source: str) -> list[str]:
+    """The functions of ``source`` (``Class.method`` for a method) that test
+    a value's type as the value rules do: ``numbers.Integral``,
+    ``numbers.Real`` or ``isinstance(..., bool)``."""
+    def tests(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return _dotted(node) in ("numbers.Integral", "numbers.Real")
+        if not (isinstance(node, ast.Call) and _dotted(node.func) == "isinstance"
+                and len(node.args) == 2):
+            return False
+        kinds = getattr(node.args[1], "elts", [node.args[1]])
+        return any(_dotted(kind) == "bool" for kind in kinds)
+
+    sites = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if tests(child):
+                sites.add(owner or "<module>")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, ".".join(filter(None, (owner, child.name))) if named else owner)
+
+    visit(ast.parse(source), "")
+    return sorted(sites)
+
+
+def test_only_the_value_rules_test_value_types():
+    sites = [f"{path.name}:{site}" for path in MODULES + [SRC / "__init__.py"]
+             for site in type_test_sites(path.read_text())]
+    assert sites == VALUE_RULES
+
+
+def test_checker_flags_a_second_value_type_test():
+    source = ("import numbers\n"
+              "def _steps(value):\n"
+              "    if isinstance(value, bool) or not isinstance(value, numbers.Integral):\n"
+              "        raise ValueError('steps')\n"
+              "class Params:\n"
+              "    def real(self, v):\n"
+              "        return isinstance(v, (int, bool)) or isinstance(v, numbers.Real)\n"
+              "    def text(self, v):\n"
+              "        return isinstance(v, str) and type(v) is not int\n"
+              "FLAG = isinstance(True, bool)\n")
+    assert type_test_sites(source) == ["<module>", "Params.real", "_steps"]
+    planted = ((SRC / "records.py").read_text()
+               + "\n\ndef _count(value):\n"
+               "    return not isinstance(value, bool) and value >= 0\n")
+    assert type_test_sites(planted) == ["_count"]
+    assert [f"model.py:{site}" for site in type_test_sites((SRC / "model.py").read_text())
+            ] == VALUE_RULES
+
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).
 NUMPY2_ONLY = frozenset({

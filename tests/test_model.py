@@ -85,6 +85,17 @@ class TestMakePartition:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_partition(dims, out_dims)
 
+    @pytest.mark.parametrize("dims, out_dims, message", [
+        (2.0, [1], "dims must be a list of integers, not 2.0"),
+        ([2], "1", "out_dims must be a list of integers, not '1'"),
+        ([2 ** 70], [1], f"dims and out_dims must sum to at most {np.iinfo(np.intp).max}"),
+    ], ids=["number", "string", "beyond-arrays"])
+    def test_dimensions_that_are_not_a_list_named(self, dims, out_dims, message):
+        # Accepted, 2.0 raised a bare "'float' object is not iterable", "1"
+        # was read as [1] and 2**70 failed later in NumPy.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_partition(dims, out_dims)
+
     def test_numpy_integer_dimensions_are_python_ints(self):
         p = make_partition(np.array([2, 3]), np.array([1, 0], dtype=np.uint8))
         assert p.dims == (2, 3) and p.out_dims == (1, 0)
@@ -201,6 +212,23 @@ class TestAssembleGlobal:
         one = np.eye(1)
         with pytest.raises(ValueError, match="^subsystem 0: self-coupling must go in A$"):
             LinearSubsystem(0, 0.5 * one, {"0": 9.0 * one, 1: 0.1 * one}, one, one, one)
+
+    @pytest.mark.parametrize("key", [1.7, True, "x", "1.7", "1_0", " 1", "-1"], ids=repr)
+    def test_coupling_key_that_is_not_an_index_rejected_by_name(self, key):
+        # Accepted, 1.7 and True built a coupling to neighbor 1 and "1_0" to
+        # neighbor 10; "x" and "1.7" raised a bare "invalid literal for int()".
+        one = np.eye(1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"subsystem 0: coupling key must be an integer, not {key!r}")):
+            LinearSubsystem(0, 0.5 * one, {key: 0.1 * one}, one, one, one)
+
+    @pytest.mark.parametrize("index", ["a", 1.5, True], ids=repr)
+    def test_index_that_is_not_an_integer_rejected_by_name(self, index):
+        # Accepted, "a" and 1.5 built a subsystem of that index.
+        one = np.eye(1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"subsystem index must be an integer, not {index!r}")):
+            LinearSubsystem(index, 0.5 * one, {}, one, one, one)
 
     def test_neighbor_given_twice_rejected(self):
         # Accepted, the last block under key 1 would win: coupling {1: [[0.2]]}.
@@ -586,6 +614,26 @@ class TestNonlinearSubsystem:
         with pytest.raises(ValueError, match=message):
             NonlinearSubsystem(index=0, state_dim=2, out_dim=out_dim, neighbor_dims={},
                                f=lambda x, nb: x, h=lambda x: x[:out_dim], Q=Q, R=R)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("index", "a", "subsystem index must be an integer, not 'a'"),
+        ("state_dim", True, "subsystem 0: state_dim must be an integer, not True"),
+        ("out_dim", "1", "subsystem 0: out_dim must be an integer, not '1'"),
+        ("neighbor_dims", {1: 1.7}, "subsystem 0: neighbor_dims[1] must be an integer, not 1.7"),
+        ("neighbor_dims", {1.7: 1}, "subsystem 0: neighbor_dims key must be an integer, not 1.7"),
+        ("neighbor_dims", [1], "subsystem 0: neighbor_dims must map neighbor indices, not [1]"),
+    ], ids=["index", "state_dim", "out_dim", "neighbor-dimension", "neighbor-key",
+            "neighbor-list"])
+    def test_integer_field_that_is_not_an_integer_rejected_by_name(self, field, value,
+                                                                   message):
+        # Accepted, state_dim true built a one-state subsystem, {1: 1.7} and
+        # {1.7: 1} a neighbor 1 of dimension 1; out_dim '1' raised a bare
+        # TypeError and a list a bare AttributeError.
+        fields = dict(index=0, state_dim=1, out_dim=1, neighbor_dims={1: 1},
+                      f=lambda x, nb: x, h=lambda x: x, Q=np.eye(1), R=np.eye(1))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NonlinearSubsystem(**fields)
 
     def test_subsystem_without_outputs_takes_an_empty_R(self):
         sub = NonlinearSubsystem(index=0, state_dim=2, out_dim=0, neighbor_dims={},

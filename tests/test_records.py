@@ -396,11 +396,23 @@ class TestSchema1File:
         ("out_dims", [2, -1, 2, 2], "^record out_dims must list integers of at least 0"),
         ("out_dims", [2, 2, 2], "^record dims and out_dims have lengths 4 and 3; "),
         ("dims", [2, 2, 2, 2, 2], "^record dims and out_dims have lengths 5 and 4; "),
+        ("seed", 1.7, "^seed must be an integer, not 1.7$"),
+        ("seed", "12", "^seed must be an integer, not '12'$"),
+        ("seed", True, "^seed must be an integer, not True$"),
+        ("floor_events", 2.5, "^record floor_events must be an integer, not 2.5$"),
+        ("kind", 5, "^record kind must be 'dkf' or 'dekf', not 5$"),
+        ("estimator", None, "^record estimator must be an object, not None$"),
+        ("estimator", {"Q": 1}, "^record estimator is missing the key 'R'$"),
     ], ids=["dims-str", "dims-bool", "dims-float", "dims-zero", "dims-empty", "out_dims-str",
-            "out_dims-bool", "out_dims-negative", "out_dims-short", "dims-long"])
+            "out_dims-bool", "out_dims-negative", "out_dims-short", "dims-long",
+            "seed-fraction", "seed-str", "seed-bool", "floor_events-fraction", "kind-number",
+            "estimator-null", "estimator-without-R"])
     def test_bad_dims_rejected_by_name(self, schema, field, value, message):
-        # Accepted, a string entry loaded silently from schema 1 and raised a
-        # bare TypeError from schema 2.
+        # The table of malformed fields.  Accepted, a string dims entry loaded
+        # silently from schema 1 and raised a bare TypeError from schema 2; a
+        # seed of 1.7, "12" or true loaded as 1, 12 and 1, floor_events 2.5
+        # as 2, and kind 5 loaded; a null estimator reached the monitors as a
+        # bare TypeError and {"Q": 1} as a bare KeyError: 'R'.
         payload = json.loads(SCHEMA_1_FILE.read_text())
         if schema == 2:
             payload = RunRecord.from_json(payload).to_json()
