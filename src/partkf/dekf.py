@@ -19,7 +19,9 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Per instant each Jacobian's blocks (analytic providers, central
+Per instant each subsystem map is called once and checked, the dynamics
+maps in agenda order (``order=``), and the update goes a group per call.
+Each Jacobian's blocks (analytic providers, central
 differences for a subsystem without them) are checked one by one as they
 are written straight into the group stacks that the gain kernel reads, whose
 rows are the recorded column blocks.  A failing map raises
@@ -38,11 +40,13 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     COV_FLOOR_REL,
     EstimatorDesign,
     ExchangeSnapshot,
+    _entry,
     _floor,
     _group_blocks,
     _posteriors,
     _r_factor,
     _run_filter,
+    _Settled,
     gain_and_covariance,
     update,
 )
@@ -86,7 +90,6 @@ class _NonlinearSource:
     gains depend on the estimates, so its schedule stays empty."""
 
     kind = "dekf"
-    predict = staticmethod(dekf_predict)
     schedule = MappingProxyType({})
 
     def __init__(self, model: GlobalModel, design: EstimatorDesign):
@@ -100,6 +103,11 @@ class _NonlinearSource:
         stacks = _jacobian(self.model, x, "f")
         return self.model.partition.unstacked(stacks), stacks
 
+    def predict(self, x: np.ndarray, agenda: Sequence[int]) -> np.ndarray:
+        """Every subsystem's ``f`` at the posteriors ``x``, called in
+        ``agenda`` order, each result checked."""
+        return _values(self.model, "f", self.model.partition.split_state(x), agenda)
+
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
         stacks = _jacobian(self.model, x, "h")
         cols = self.model.partition.unstacked(stacks)
@@ -109,11 +117,11 @@ class _NonlinearSource:
         """The :func:`~partkf.dkf._group_blocks` of this instant's stacks."""
         return _group_blocks(self, a_stacks, C, c_stacks)
 
-    def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        return y - _values(self.model, "h", points)
+    def innovation(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return y - _values(self.model, "h", self.model.partition.split_state(x))
 
-    def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
-        return L_k, P_k, floors
+    def keep(self, k: int, L: list, P: list, floors: int) -> _Settled:
+        return _entry(self.model.partition, L, P, floors)
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,

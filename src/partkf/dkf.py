@@ -1,12 +1,14 @@
 """Partition-based distributed Kalman filter: the one two-phase engine.
 
 Each subsystem runs a local estimator over its own state block.  At every
-sampling instant the estimators exchange posteriors, predict, exchange
-predictions, and update against the full stacked measurement vector.  All
-cross-estimator reads in the prediction phase go through an immutable
-:class:`ExchangeSnapshot`, and the update phase reads only the finished
-predictions, so results are independent of the order in which local
-estimators execute.
+sampling instant the estimators predict from the posteriors, their own and
+their neighbors', and update against the full stacked measurement vector.
+Prediction reads only finished posteriors and the update only finished
+predictions, so no execution order of the estimators enters the results.
+The engine runs each phase for a group of equally sized subsystems per
+call; the step functions :func:`predict` and :func:`update`, which
+exchange through an immutable :class:`ExchangeSnapshot`, are one
+subsystem's phases, bit for bit.
 
 Local recursion for subsystem ``i`` with global output matrix ``C``, stacked
 column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
@@ -34,10 +36,14 @@ blocks, ``U``, ``R^-1 U`` (one triangular solve pair over every member's
 columns) and ``U' R^-1 U``: the linear source once, from the model's
 constant blocks, the nonlinear source of :mod:`partkf.dekf` at every
 instant from the Jacobian stacks it writes.
-Per instant the loop computes the innovation once, then settles the
-instant in one step, the same at instant 0 and at instant ``k``: for each
-group one batched call of the kernel (``2 d_i``-sized solves), one batched
-eigenvalue floor and one batched positive-definiteness check.  Only when a
+Per instant the loop predicts, forms the innovation once, settles the
+gains and updates, a group per call (:func:`_updated`).  The linear source
+predicts and forms the innovation from the model's group stacks
+(``model._affine``); the nonlinear source calls each subsystem map once,
+checked, the dynamics in agenda order.  Settling is one step, the same at
+instant 0 and at instant ``k``: for each group one batched call of the
+kernel (``2 d_i``-sized solves), one batched eigenvalue floor and one
+batched positive-definiteness check.  Only when a
 group's call or check fails does the engine look for the failing subsystem,
 so errors still name the subsystem and the instant.  The step functions
 :func:`gain_and_covariance` and :func:`init_update` are the kernel on a
@@ -55,11 +61,12 @@ estimates, so its source keeps no schedule and it computes its gains anew
 on every run.  The linear filter's records hold the schedule's arrays and
 the model's column blocks, all read-only and shared by every run.
 
-The linear source's maps also take stacks of runs, one matrix-vector
-product per run (``model._matvec``), so the same loop filters a whole
-linear ensemble in one pass (:func:`_posterior_stack`), each run bit for
-bit its own run, and settles the schedule through the same
-:func:`_settled`: there is no second gain path.
+The linear source's stack products also take stacks of runs, one
+matrix-vector product per run and subsystem (``model._matvec``), so the
+same loop filters a whole linear ensemble in one pass
+(:func:`_posterior_stack`), each run bit for bit its own run, and settles
+the schedule through the same :func:`_settled`: there is no second gain
+path.
 
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
@@ -72,7 +79,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -236,7 +243,20 @@ def _located(k: int, members: np.ndarray, call) -> tuple:
         raise
 
 
-def _settled(source, k: int, gain) -> tuple:
+class _Settled(NamedTuple):
+    """Instant ``k``'s gains and covariances: per group of the partition the
+    stacks ``L`` (``members x d x ny``) and ``P`` that the engine reads, per
+    subsystem the views of their rows that the record holds, and the number
+    of floor events."""
+
+    L: tuple
+    P: tuple
+    gains: tuple
+    covs: tuple
+    floors: int
+
+
+def _settled(source, k: int, gain) -> _Settled:
     """Instant ``k``'s gains, covariances and floor events: the source's
     schedule entry, or, group by group of the partition, ``gain(j, rows) ->
     (L, P)`` for the stack of group ``j``'s members ``rows``, floored,
@@ -246,9 +266,9 @@ def _settled(source, k: int, gain) -> tuple:
     entry = source.schedule.get(k)
     if entry is not None:
         return entry
-    n = source.model.partition.n
-    L_k, P_k, floors = [None] * n, [None] * n, 0
-    for j, (members, _) in enumerate(source.model.partition.groups):
+    p = source.model.partition
+    L_k, P_k, floors = [], [], 0
+    for j, (members, _) in enumerate(p.groups):
         L, P = _located(k, members, lambda rows: gain(j, rows))
         P, floored = _floor(P)
         bad = _not_posdef(P)
@@ -258,9 +278,14 @@ def _settled(source, k: int, gain) -> tuple:
                 f"posterior covariance of subsystem {i} lost positive definiteness",
                 subsystem=i, k=k)
         floors += int(floored.sum())
-        for i, L_i, P_i in zip(members, L, P):
-            L_k[i], P_k[i] = L_i, P_i
+        L_k.append(L)
+        P_k.append(P)
     return source.keep(k, L_k, P_k, floors)
+
+
+def _entry(p, L: list, P: list, floors: int) -> _Settled:
+    """The :class:`_Settled` of the group stacks ``L`` and ``P``."""
+    return _Settled(tuple(L), tuple(P), tuple(p.unstacked(L)), tuple(p.unstacked(P)), floors)
 
 
 def _r_factor(R: np.ndarray) -> np.ndarray:
@@ -375,7 +400,8 @@ def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarr
 def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
     """Local prediction from the posterior snapshot of instant ``k-1``: the
     subsystem's affine map :meth:`~partkf.model.LinearSubsystem.f` at its
-    posterior and its neighbors'."""
+    posterior and its neighbors'.  The engine computes every subsystem's at
+    once (``model._affine``), each bit for bit this call's."""
     sub = model.subsystems[i]
     x_i, nbrs = _posteriors(snapshot, i, sub.neighbors)
     return sub.f(x_i, nbrs)
@@ -385,7 +411,9 @@ def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
            L_i: np.ndarray, model: GlobalModel) -> np.ndarray:
     """Local measurement update ``xp_i + L_i (y - [h_l(xp_l)]_l)`` from the
     prediction snapshot, for either filter: the innovation stacks every
-    subsystem's own output map at its prediction, each call checked."""
+    subsystem's own output map at its prediction, each call checked.  The
+    engine updates a group per call (:func:`_updated`), each subsystem bit
+    for bit this call's."""
     if snapshot.predictions is None or any(p is None for p in snapshot.predictions):
         raise FilterError("snapshot is missing neighbor predictions")
     if snapshot.measurement is None:
@@ -394,43 +422,56 @@ def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
     return x_pred_i + L_i @ innovation
 
 
+def _updated(groups, L: Sequence[np.ndarray], xp: np.ndarray, innovation: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """``out = xp + L innovation`` for predictions ``xp`` (``(..., nx)``) and
+    an innovation or a stack of them (``(..., ny)``): per group one stack
+    product with its gain stack (``members x d x ny``), each member and run
+    bit for bit its own ``xp_i + L_i innovation``."""
+    v = innovation[..., None, :]
+    for (_, idx), L_g in zip(groups, L):
+        out[..., idx] = xp[..., idx] + _matvec(L_g, v)
+    return out
+
+
 def init_states(model: GlobalModel, design: EstimatorDesign,
                 y0: np.ndarray) -> list[EstimatorState]:
     """Initial measurement update for all subsystems at instant 0 (with the
     engine's eigenvalue floor)."""
-    _, xh, (L_0, P_0, _) = _fuse_prior(_LinearSource(model, design),
-                                       np.asarray(y0, dtype=float))
-    return [EstimatorState(i, xh[i], P_0[i], L_0[i], 0) for i in range(model.partition.n)]
+    post = np.empty(model.nx)
+    _, entry = _fuse_prior(_LinearSource(model, design), np.asarray(y0, dtype=float), post)
+    return [EstimatorState(i, x, P, L, 0) for i, (x, P, L) in
+            enumerate(zip(model.partition.split_state(post), entry.covs, entry.gains))]
 
 
-def _fuse_prior(source, y0: np.ndarray) -> tuple[list, list, tuple]:
-    """Instant 0: the output blocks at the prior guess, the schedule entry
-    (gains, covariances, floor events) of fusing the guess with ``y_0`` and
-    the posteriors ``guess_i + L_i (y_0 - h(guess))``, formed as
-    :func:`init_update` forms them."""
+def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple[list, _Settled]:
+    """Instant 0: the output blocks at the prior guess and the schedule
+    entry (gains, covariances, floor events) of fusing the guess with
+    ``y_0``; writes the posteriors ``guess + L (y_0 - h(guess))`` into
+    ``out``, each as :func:`init_update` forms it."""
     design = source.design
     groups = source.model.partition.groups
-    guess = source.model.partition.split_state(design.x0_guess)
     c_cols, _, c_stacks = source.output(design.x0_guess)
-    innovation = source.innovation(y0, guess)
+    innovation = source.innovation(y0, design.x0_guess)
 
     def gain(j, rows):
         return _prior_gain(np.stack([design.P0[i] for i in groups[j][0][rows]]),
                            _information(_tr(c_stacks[j][rows]), source.R_factor))
 
     entry = _settled(source, 0, gain)
-    return c_cols, [g + _matvec(L, innovation) for g, L in zip(guess, entry[0])], entry
+    _updated(groups, entry.L, design.x0_guess, innovation, out)
+    return c_cols, entry
 
 
 class _LinearSource:
     """Linearization source of a linear model and one design (validated
-    once, here): the model's column blocks, the linear prediction, the
-    innovation against the constant output map, the factor of ``R``, the
-    constant group stacks and information blocks of the gain, all formed
-    once, and the gain schedule."""
+    once, here): the model's column blocks, the linear prediction and the
+    innovation against the constant output map, both from the model's
+    group stacks (``model._affine``), the factor of ``R``, the constant
+    group stacks and information blocks of the gain, all formed once, and
+    the gain schedule."""
 
     kind = "dkf"
-    predict = staticmethod(predict)
 
     def __init__(self, model: GlobalModel, design: EstimatorDesign):
         design.validate(model)
@@ -441,12 +482,16 @@ class _LinearSource:
         self.R_factor = _r_factor(design.R)
         self.Q, self.c_stacks = p.stacked(design.Q), p.stacked(self.c_cols)
         self._blocks = _group_blocks(self, p.stacked(self.a_cols), model.C, self.c_stacks)
-        #: The gain schedule: instant ``k`` -> per-subsystem gains and
-        #: covariances, and the instant's number of floor events.
+        #: The gain schedule: instant ``k`` -> its :class:`_Settled`.
         self.schedule: dict = {}
 
     def dynamics(self, x: np.ndarray) -> tuple[list, None]:
         return list(self.a_cols), None
+
+    def predict(self, x: np.ndarray, agenda: Sequence[int]) -> np.ndarray:
+        # The affine maps of a validated model cannot fail, and no call
+        # depends on the agenda.
+        return self.model._affine.f(x)
 
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
         return list(self.c_cols), self.model.C, self.c_stacks
@@ -455,19 +500,17 @@ class _LinearSource:
         """The constant :func:`_group_blocks` of the model's own blocks."""
         return self._blocks
 
-    def innovation(self, y: np.ndarray, points: Sequence[np.ndarray]) -> np.ndarray:
-        # The stacked own outputs of ``model._values``, unchecked as in
-        # ``predict``: the affine maps of a validated model cannot fail.
-        return y - np.concatenate([sub.h(x) for sub, x in zip(self.model.subsystems, points)],
-                                  axis=-1)
+    def innovation(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return y - self.model._affine.h(x)
 
-    def keep(self, k: int, L_k: list, P_k: list, floors: int) -> tuple:
-        """Enter the settled gains and covariances of instant ``k`` and its
-        number of floor events into the schedule.  Every later run hands
-        these very arrays to its record, so they are made read-only."""
-        for m in (*L_k, *P_k):
+    def keep(self, k: int, L: list, P: list, floors: int) -> _Settled:
+        """Enter the settled group stacks of instant ``k`` and its number of
+        floor events into the schedule.  Every later run reads these very
+        stacks and hands views of them to its record, so they are made
+        read-only."""
+        for m in (*L, *P):
             m.setflags(write=False)
-        entry = self.schedule[k] = (tuple(L_k), tuple(P_k), floors)
+        entry = self.schedule[k] = _entry(self.model.partition, L, P, floors)
         return entry
 
 
@@ -535,9 +578,10 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
     Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
-    predicts every subsystem from the posterior snapshot, takes the output
-    blocks at the stacked prediction, forms the innovation once and then
-    updates every subsystem.  Both settle their gains and covariances with
+    predicts every subsystem from them (the source's map calls in ``agenda``
+    order), takes the output blocks at the stacked prediction, forms the
+    innovation once and then updates every subsystem, a group per call
+    (:func:`_updated`).  Both settle their gains and covariances with
     :func:`_settled`, which raises with the subsystem and the instant.
     Returns the predictions and posteriors (shaped as ``ys`` but for the
     last axis, ``nx``), the per-instant gains, covariances and column
@@ -545,7 +589,7 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
     """
     model, design = source.model, source.design
     p = model.partition
-    n, groups = p.n, p.groups
+    groups = p.groups
     K = len(ys) - 1
 
     xhat_pred = np.empty(ys.shape[:-1] + (p.nx,))
@@ -553,42 +597,34 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
     wall = np.empty(K + 1)
 
     t0 = time.perf_counter()
-    c_cols_k, xh, (L_k, P_k, floor_events) = _at_instant(0, _fuse_prior, source, ys[0])
+    c_cols_k, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0])
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
-    xhat_post[0] = np.concatenate(xh, axis=-1)
-    gains, covs, a_cols, c_cols = [list(L_k)], [list(P_k)], [], [c_cols_k]
+    floor_events = entry.floors
+    gains, covs, a_cols, c_cols = [list(entry.gains)], [list(entry.covs)], [], [c_cols_k]
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
         a_cols_k, a_stacks = _at_instant(k, source.dynamics, xhat_post[k - 1])
-        phase1 = ExchangeSnapshot(k=k, posteriors=tuple(xh))
-        xp: list = [None] * n
-        for i in agenda:
-            xp[i] = _at_instant(k, source.predict, i, phase1, model)
-        xhat_pred[k] = np.concatenate(xp, axis=-1)
+        xhat_pred[k] = _at_instant(k, source.predict, xhat_post[k - 1], agenda)
         c_cols_k, C_k, c_stacks = _at_instant(k, source.output, xhat_pred[k])
-        innovation = _at_instant(k, source.innovation, ys[k], xp)
+        innovation = _at_instant(k, source.innovation, ys[k], xhat_pred[k])
 
         blocks = source.blocks(a_stacks, C_k, c_stacks)
 
-        def gain(j, rows, P=P_k):
+        def gain(j, rows, P=entry.P):
             # ``gain_and_covariance`` is looked up at call time; ``P`` is of
             # instant k-1.
             a, aii, c, Q, info = blocks[j]
-            P_g = np.stack([P[i] for i in groups[j][0][rows]])
-            return gain_and_covariance(P_g, a[rows], aii[rows], C_k, c[rows], Q[rows],
+            return gain_and_covariance(P[j][rows], a[rows], aii[rows], C_k, c[rows], Q[rows],
                                        design.R, tuple(m[rows] for m in info))
 
-        L_k, P_k, floors = _settled(source, k, gain)
-        floor_events += floors
-        xh = [None] * n
-        for i in agenda:
-            xh[i] = xp[i] + _matvec(L_k[i], innovation)
+        entry = _settled(source, k, gain)
+        floor_events += entry.floors
+        _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0
-        xhat_post[k] = np.concatenate(xh, axis=-1)
-        gains.append(list(L_k))
-        covs.append(list(P_k))
+        gains.append(list(entry.gains))
+        covs.append(list(entry.covs))
         a_cols.append(a_cols_k)
         c_cols.append(c_cols_k)
     return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall

@@ -10,7 +10,8 @@ maps: the linear filter's prediction, and the affine view of a linear plant.
 
 All model objects are immutable after construction and safe to share between
 agents.  Stored arrays are defensive copies with the writeable flag cleared.
-A model owns its derived views: its column blocks and ``_monolithic``, and its
+A model owns its derived views: its column blocks, ``_monolithic`` and, when
+linear, its subsystems' affine maps as group stacks (``_affine``), and its
 partition the groups of equally sized subsystems.
 
 Every result of a subsystem map is checked as it is written (``_put``):
@@ -229,14 +230,17 @@ def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
     return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
 
 
-def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray]) -> np.ndarray:
+def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray],
+            order: Sequence[int] | None = None) -> np.ndarray:
     """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
     at their state blocks ``points`` (and, for ``f``, their neighbors'), each
-    checked as it is written into one vector.  The own outputs
-    ``[h_i(x_i)]_i`` are ``C x``."""
+    checked as it is written into one vector, the subsystems called in
+    ``order`` (default: by index).  The own outputs ``[h_i(x_i)]_i`` are
+    ``C x``."""
     p = model.partition
     out = np.empty(p.nx if of == "f" else p.ny)
-    for i, (sub, x) in enumerate(zip(model.subsystems, points)):
+    for i in range(p.n) if order is None else order:
+        sub, x = model.subsystems[i], points[i]
         args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
         _put(out[(p.state_slice if of == "f" else p.out_slice)(i)], sub, of,
              _called(sub, of, getattr(sub, of), *args))
@@ -256,8 +260,9 @@ def _tr(m: np.ndarray) -> np.ndarray:
 
 def _matvec(m: np.ndarray, x) -> np.ndarray:
     """``m @ x`` for a vector ``x``, and for a stack of vectors ``(..., n)``
-    one matrix-vector product per vector, so that each vector of the stack
-    gets the bits of ``m @ vector`` (``x @ m.T`` would not)."""
+    one matrix-vector product per vector, with ``m`` a matrix or a stack
+    broadcast against the vectors', so that each vector of the stack gets
+    the bits of its matrix ``@ vector`` (``x @ m.T`` would not)."""
     x = np.asarray(x)
     return m @ x if x.ndim == 1 else (m @ x[..., None])[..., 0]
 
@@ -596,17 +601,16 @@ class LinearSubsystem:
 
     def f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> np.ndarray:
         """``A x_i + sum_l coupling[l] x_l``, the neighbors added in ascending
-        index order: the linear filter's prediction from the posteriors.
-        The states may be stacks of runs (``(..., d)``); each run gets the
-        bits of its own call."""
-        out = _matvec(self.A, x_i)
+        index order: the linear filter's prediction from the posteriors,
+        which ``GlobalModel._affine`` gives every subsystem bit for bit."""
+        out = self.A @ x_i
         for l, blk in self.coupling.items():
-            out = out + _matvec(blk, neighbors[l])
+            out = out + blk @ neighbors[l]
         return out
 
     def h(self, x_i: np.ndarray) -> np.ndarray:
-        """``C x_i``, for a state or a stack of them, as :meth:`f`."""
-        return _matvec(self.C, x_i)
+        """``C x_i``, as ``GlobalModel._affine`` gives it."""
+        return self.C @ x_i
 
     def jac_f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
         """The read-only blocks ``{index: A, l: coupling[l]}``."""
@@ -782,6 +786,11 @@ class GlobalModel:
         return (tuple(_frozen(self.A[:, s]) for s in slices),
                 tuple(_frozen(self.C[:, s]) for s in slices))
 
+    @cached_property
+    def _affine(self) -> _AffineStacks:
+        """The subsystems' affine maps as group stacks (linear only)."""
+        return _AffineStacks(self)
+
     def a_col(self, i: int) -> np.ndarray:
         """Stacked column block of A owned by subsystem ``i`` (linear only)."""
         if self.A is None:
@@ -822,6 +831,64 @@ class GlobalModel:
                 sl = self.partition.state_slice(i)
                 lo[sl], hi[sl] = b
         return lo, hi
+
+
+class _AffineStacks:
+    """A linear model's subsystem maps as read-only group stacks, built once
+    per model (``GlobalModel._affine``).  Per group of the partition: the
+    members' state indices and ``A_i``; per neighbor slot (a member's
+    ``s``-th neighbor in ascending order) and neighbor dimension, the rows
+    of the members that have one, its state indices and the coupling
+    blocks; per nonzero output dimension, the state indices, output indices
+    and ``C_i`` of those members.  :meth:`f` and :meth:`h` take a few stack
+    products (``_matvec``) per group and give each member the bits of its
+    own :meth:`LinearSubsystem.f` and :meth:`LinearSubsystem.h` call.  No
+    slot is padded with zero blocks: ``-0.0 + 0.0`` is ``0.0``, so padding
+    could flip the sign of a zero."""
+
+    def __init__(self, model: GlobalModel):
+        p = model.partition
+        starts, out_starts = np.array(p.offsets[:-1]), np.array(p.out_offsets[:-1])
+        self.ny, groups = p.ny, []
+        for members, idx in p.groups:
+            subs = [model.subsystems[i] for i in members]
+            slots = []
+            for s in range(max(len(sub.neighbors) for sub in subs)):
+                have = [(r, sub.neighbors[s]) for r, sub in enumerate(subs)
+                        if len(sub.neighbors) > s]
+                for e in sorted({p.dims[l] for _, l in have}):
+                    rows, nbrs = zip(*((r, l) for r, l in have if p.dims[l] == e))
+                    slots.append((np.array(rows), starts[list(nbrs), None] + np.arange(e),
+                                  np.stack([subs[r].coupling[l] for r, l in zip(rows, nbrs)])))
+            outputs = []
+            for m in sorted({sub.out_dim for sub in subs} - {0}):
+                rows = [r for r, sub in enumerate(subs) if sub.out_dim == m]
+                outputs.append((idx[rows], out_starts[members[rows], None] + np.arange(m),
+                                np.stack([subs[r].C for r in rows])))
+            groups.append((idx, np.stack([sub.A for sub in subs]), tuple(slots),
+                           tuple(outputs)))
+        for a in chain.from_iterable(chain(g[:2], *g[2], *g[3]) for g in groups):
+            a.flags.writeable = False
+        self.groups = tuple(groups)
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """``[f_i(x_i, neighbors)]_i`` at the states ``x`` (``(..., nx)``)."""
+        out = np.empty(x.shape)
+        for idx, A, slots, _ in self.groups:
+            y = _matvec(A, x[..., idx])
+            for rows, nbrs, blocks in slots:
+                y[..., rows, :] += _matvec(blocks, x[..., nbrs])
+            out[..., idx] = y
+        return out
+
+    def h(self, x: np.ndarray) -> np.ndarray:
+        """``[h_i(x_i)]_i`` at the states ``x`` (``(..., nx)``); a subsystem
+        without outputs adds nothing."""
+        out = np.empty(x.shape[:-1] + (self.ny,))
+        for *_, outputs in self.groups:
+            for idx, rows, C in outputs:
+                out[..., rows] = _matvec(C, x[..., idx])
+        return out
 
 
 def _aggregate(subs: Sequence, partition: StatePartition) -> tuple:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -188,8 +189,9 @@ def _check_record(values: dict) -> None:
     """``ValueError`` naming the field, and for a block field the instant and
     the subsystem, unless ``kind`` names a filter, every array field of a
     loaded record has its shape for ``dims``, ``out_dims`` and the ``K + 1``
-    instants that ``xs`` holds, and ``estimator`` is a design of that shape
-    (as ``EstimatorDesign.serializable`` writes it)."""
+    instants that ``xs`` holds, ``estimator`` is a design of that shape
+    (as ``EstimatorDesign.serializable`` writes it) and ``monitors``, when
+    given, holds the flags of every instant (:func:`_check_flags`)."""
     if values["kind"] not in ("dkf", "dekf"):
         raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
     dims, out_dims = values["dims"], values["out_dims"]
@@ -212,6 +214,25 @@ def _check_record(values: dict) -> None:
             _check_shapes(f"record {name} at instant {k}, subsystem", blocks, shapes)
     _require("record estimator", values["estimator"], ("Q", "R", "P0", "x0_guess"))
     _check_design("record estimator", values["estimator"], dims, out_dims)
+    if values.get("monitors") is not None:
+        _check_flags(values["monitors"], instants)
+
+
+#: The monitor flag lists that a record's CSV export reads.
+_FLAGS = ("coupling_ok", "contraction_ok")
+
+
+def _check_flags(monitors: dict, instants: int) -> None:
+    """``ValueError`` naming the field unless ``monitors`` holds the flag
+    lists :data:`_FLAGS`, each one entry per instant that equals 0 or 1
+    (``false`` or ``true``)."""
+    _require("record monitors", monitors, _FLAGS)
+    for key in _FLAGS:
+        flags = monitors[key]
+        if not (isinstance(flags, list) and len(flags) == instants
+                and all(f in (0, 1) for f in flags)):
+            raise ValueError(f"record monitors {key} must list one 0/1 or boolean flag per "
+                             f"instant ({instants}), not {reprlib.repr(flags)}")
 
 
 #: How ``RunRecord.from_json`` restores and checks a field (a malformed
@@ -348,7 +369,8 @@ class RunRecord:
         not an integer, raises ``ValueError``, as does a field of the wrong
         kind (:data:`_DECODERS`: the model's value rules), ``dims`` and
         ``out_dims`` that are not lists of valid dimensions of one length,
-        and arrays or estimator weights of other shapes (see
+        arrays or estimator weights of other shapes and ``monitors``
+        without the flag lists the CSV export reads (see
         :func:`_check_record`); each names the field.  A missing required
         field raises ``KeyError``, a missing optional one keeps its default
         and a key that is not a field (``a_points``/``c_points`` of older

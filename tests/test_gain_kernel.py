@@ -23,12 +23,15 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import partkf.dkf as dkf
+import partkf.model
 from partkf.benchmarks import Benchmark, get_benchmark
 from partkf.dekf import run_dekf
-from partkf.dkf import EstimatorDesign, gain_and_covariance, init_states, run_dkf
+from partkf.dkf import (EstimatorDesign, EstimatorState, ExchangeSnapshot, gain_and_covariance,
+                        init_states, predict, run_dkf, update)
 from partkf.model import LinearSubsystem, _sym, assemble_global, make_partition
 from partkf.simulate import simulate
 
+from conftest import count_calls
 from random_plants import SWEEP_SEEDS, random_plant
 
 #: Relative agreement of gains, covariances and estimates with the dense
@@ -283,3 +286,100 @@ class TestBatching:
                 assert np.array_equal(L, rec.gains[k][i])
                 assert np.array_equal(P, rec.covs[k][i])
                 covs[i] = P
+
+
+# -- reference path: the per-agent step API -----------------------------------
+
+
+def _descending_predict(i, snapshot, model):
+    """``predict`` with the neighbors added in descending index order: a
+    planted defect of the reference loop."""
+    sub = model.subsystems[i]
+    out = sub.A @ snapshot.posteriors[i]
+    for l in sorted(sub.neighbors, reverse=True):
+        out = out + sub.coupling[l] @ snapshot.posteriors[l]
+    return out
+
+
+def _step_api_run(model, design, traj, predict=predict) -> dict:
+    """``xhat_pred``, ``xhat_post``, ``gains`` and ``covs`` of ``run_dkf``
+    rebuilt from the public step functions, one subsystem per call."""
+    n = model.partition.n
+    states = init_states(model, design, traj.ys[0])
+    pred, post = [design.x0_guess], [np.concatenate([s.xhat for s in states])]
+    gains, covs = [[s.gain for s in states]], [[s.cov for s in states]]
+    for k in range(1, traj.steps + 1):
+        posteriors = tuple(s.xhat for s in states)
+        preds = [predict(i, ExchangeSnapshot(k=k, posteriors=posteriors), model)
+                 for i in range(n)]
+        gc = [gain_and_covariance(states[i].cov, model.a_col(i), model.subsystems[i].A,
+                                  model.C, model.c_col(i), design.Q[i], design.R)
+              for i in range(n)]
+        phase2 = ExchangeSnapshot(k=k, posteriors=posteriors, predictions=tuple(preds),
+                                  measurement=traj.ys[k])
+        states = [EstimatorState(i, update(i, preds[i], phase2, L, model), P, L, k)
+                  for i, (L, P) in enumerate(gc)]
+        pred.append(np.concatenate(preds))
+        post.append(np.concatenate([s.xhat for s in states]))
+        gains.append([s.gain for s in states])
+        covs.append([s.cov for s in states])
+    return {"xhat_pred": np.array(pred), "xhat_post": np.array(post), "gains": gains,
+            "covs": covs}
+
+
+def _bits(a) -> bytes:
+    """The bytes of an array, or of a record's per-instant blocks: equal
+    bytes are equal bits, the sign of a zero included."""
+    if isinstance(a, list):
+        return b"".join(_bits(b) for b in a)
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _differing_fields(seed: int, predict=predict) -> list[str]:
+    bench = random_plant(seed)
+    traj = simulate(bench.model, bench.x0, 30, bench.noise(seed))
+    rec = run_dkf(bench.model, bench.design, traj)
+    assert rec.floor_events == 0   # the reference applies no floor
+    want = _step_api_run(bench.model, bench.design, traj, predict)
+    return [name for name, value in want.items() if _bits(value) != _bits(getattr(rec, name))]
+
+
+class TestBatchedStep:
+    """The engine predicts, forms the innovation and updates a whole group
+    of equally sized subsystems per call; each subsystem keeps the bits of
+    the per-agent step functions."""
+
+    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
+    def test_random_plant_equals_the_step_api_bitwise(self, seed):
+        # Mixed dimensions, neighbor slots of several sizes (star and random
+        # graphs), subsystems without outputs and dense R.
+        assert _differing_fields(seed) == []
+
+    def test_the_reference_has_teeth(self):
+        # Adding the neighbor terms in descending order moves bits on at
+        # least one plant.
+        assert any(_differing_fields(seed, _descending_predict) for seed in SWEEP_SEEDS)
+
+    def test_linear_run_makes_no_per_agent_call(self, monkeypatch):
+        # The stack products of an instant (own term, neighbor slots,
+        # outputs, update) do not grow with the number of subsystems, and
+        # no per-subsystem map or step function is called.
+        products = {}
+        for n in (16, 64):
+            bench = _chain(n)
+            trajs = {K: simulate(bench.model, bench.x0, K, bench.noise(seed=1)) for K in (3, 6)}
+            with monkeypatch.context() as m:
+                per_agent = [count_calls(m, LinearSubsystem, "f"),
+                             count_calls(m, LinearSubsystem, "h"),
+                             count_calls(m, dkf, "predict"), count_calls(m, dkf, "update")]
+                matvec = [count_calls(m, partkf.model, "_matvec"),
+                          count_calls(m, dkf, "_matvec")]
+                counts = {}
+                for K, traj in trajs.items():
+                    run_dkf(bench.model, bench.design, traj)
+                    counts[K] = sum(map(len, matvec))
+                    for calls in matvec:
+                        calls.clear()
+            assert per_agent == [[], [], [], []], n
+            products[n] = (counts[6] - counts[3]) / 3
+        assert products[16] == products[64] < 16, products

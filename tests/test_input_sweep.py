@@ -19,8 +19,10 @@ The sweeps cover:
   inline coupling keys;
 - the arguments of ``make_partition``, ``LinearSubsystem`` and
   ``NonlinearSubsystem``, their entries and their neighbour keys;
-- every field of a schema-2 record file, and the keys of its estimator and
-  packed block entries, loaded and then given monitors.
+- every field of a schema-2 record file, the keys of its estimator,
+  monitors and packed block entries, and the first entry of each monitor
+  flag list the CSV export reads, loaded, exported as CSV and then given
+  monitors.
 
 The negative control swaps ``model._integer`` for a bare ``int(value)`` and
 shows that the sweeps then report failing cases.
@@ -30,12 +32,13 @@ import json
 import math
 import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 from partkf import analysis
-from partkf.harness import ExperimentConfig, run_experiment
+from partkf.harness import ExperimentConfig, export, run_experiment
 from partkf.dkf import FilterError
 from partkf.model import (LinearizationError, LinearSubsystem, NonlinearSubsystem,
                           make_partition)
@@ -235,13 +238,17 @@ def base_record() -> dict:
 
 
 def record_failures() -> tuple[int, list[str]]:
-    """The number of record cases and the failing ones: every field, and the
-    keys of ``estimator`` and of subsystem 0's packed block entries."""
+    """The number of record cases and the failing ones: every field, the
+    keys of ``estimator``, of ``monitors`` and of subsystem 0's packed block
+    entries, and the first flag of ``coupling_ok`` and ``contraction_ok``
+    (deleting it leaves a list one instant short)."""
     base, out, cases = base_record(), [], 0
     fields = [(key,) for key in base]
-    fields += [("estimator", key) for key in base["estimator"]]
+    fields += [(name, key) for name in ("estimator", "monitors") for key in base[name]]
     fields += [(name, 0, key) for name in ("gains", "a_cols", "c_cols")
                for key in base[name][0]]
+    fields += [("monitors", key, 0) for key in ("coupling_ok", "contraction_ok")]
+    tmp = tempfile.TemporaryDirectory()
     for path in fields:
         for name, value in MUTATIONS.items():
             cases += 1
@@ -254,9 +261,11 @@ def record_failures() -> tuple[int, list[str]]:
                     if value is DELETE and exc.args == (path[0],):
                         return
                     raise
+                export(record, "csv", tmp.name)
                 analysis.attach_monitors(record)
 
             out.append(failure(f"record {'.'.join(map(str, path))} = {name}", path, run))
+    tmp.cleanup()
     return cases, [f for f in out if f]
 
 
@@ -280,7 +289,7 @@ def test_every_constructor_mutation_runs_or_names_the_field():
 
 def test_every_record_mutation_runs_or_names_the_field():
     cases, failing = record_failures()
-    assert cases >= 21 * len(MUTATIONS)
+    assert cases >= 44 * len(MUTATIONS)
     assert failing == []
 
 
