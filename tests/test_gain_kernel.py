@@ -13,6 +13,10 @@ only the gains differ.  The arithmetic changed, so the two agree to
 accurate of the two: on ``linear-4state`` at instant 1, where ``cond(M)`` is
 about 1.3e4, it misses a 50-digit evaluation of the gain by 4.4e-13, while
 the kernel stays within ``MP_RTOL`` of it at every instant.
+
+The engine also predicts, forms the innovation and updates a group of
+subsystems per call.  The second reference, at the end, is the per-agent
+step API chained by hand, which the engine must match byte for byte.
 """
 
 import dataclasses
