@@ -294,7 +294,14 @@ _REGISTRY: dict[str, Callable[..., Benchmark]] = {
 
 
 def register_benchmark(name: str, builder: Callable[..., Benchmark]) -> None:
-    """Add a named benchmark builder to the registry."""
+    """Add a named benchmark builder to the registry, or replace the one
+    under ``name``.
+
+    A builder must be a pure function of its parameters:
+    :func:`partkf.harness.run_experiment` and
+    :func:`partkf.analysis.monte_carlo` reuse what it built for a config
+    of equal name, builder, ``model``, ``x0``, ``noise`` and ``estimator``
+    sections.  Registering a name anew takes effect at the next call."""
     _REGISTRY[str(name)] = builder
 
 
@@ -307,7 +314,8 @@ def get_benchmark(name: str, **params) -> Benchmark:
     parameter the builder does not take, or a value not of its default's
     kind, raises ``ValueError`` naming the benchmark and the parameter: an
     integer default takes an integer (a bool is not one), a float default a
-    finite real number; other defaults leave the value to the builder."""
+    finite real number; other defaults leave the value to the builder.
+    Every call builds the benchmark afresh."""
     try:
         builder = _REGISTRY[name]
     except KeyError:

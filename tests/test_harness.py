@@ -1,16 +1,27 @@
 import csv
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+import partkf.dkf
+from conftest import assert_same_ensemble
 from partkf import analysis, benchmarks
-from partkf.analysis import rmse
-from partkf.benchmarks import LINEAR_GUESS, LINEAR_X0, available_benchmarks, get_benchmark
-from partkf.dkf import _one_block
+from partkf.analysis import monte_carlo, rmse
+from partkf.benchmarks import (
+    LINEAR_GUESS,
+    LINEAR_X0,
+    Benchmark,
+    available_benchmarks,
+    get_benchmark,
+    register_benchmark,
+)
+from partkf.dkf import EstimatorDesign, _one_block
 from partkf.harness import (
     ExperimentConfig,
+    _kept,
     _resolve,
     export,
     import_record,
@@ -18,6 +29,8 @@ from partkf.harness import (
     run_experiment,
     verify_suite,
 )
+from partkf.model import LinearSubsystem, assemble_global, make_partition
+from partkf.records import RunRecord
 
 BASE = ExperimentConfig(model={"name": "linear-4state"}, steps=50, seed=1,
                         monitors=True)
@@ -468,3 +481,256 @@ def test_verify_suite_all_green():
     assert len(results) == 5
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+# -- a config resolved once ----------------------------------------------------
+
+
+def _chain(n: int = 3, coupling: float = 0.05) -> Benchmark:
+    """A chain of ``n`` one-state subsystems, each coupled to its neighbours
+    by ``coupling``."""
+    subs = [LinearSubsystem(i, [[0.9]], {l: [[coupling]] for l in (i - 1, i + 1) if 0 <= l < n},
+                            [[1.0]], [[0.01]], [[0.01]]) for i in range(n)]
+    model = assemble_global(subs, make_partition([1] * n, [1] * n))
+    std = np.full(n, 0.1)
+    design = EstimatorDesign.from_model(model, P0=[np.eye(1)] * n, x0_guess=np.zeros(n))
+    return Benchmark("test-chain", model, np.ones(n), design, std, std, 6 * std, 6 * std)
+
+
+@pytest.fixture
+def chain(monkeypatch):
+    """The name under which :func:`_chain` is registered for one test."""
+    monkeypatch.setitem(benchmarks._REGISTRY, "test-chain", _chain)
+    return "test-chain"
+
+
+def _inline_config(**fields) -> ExperimentConfig:
+    return ExperimentConfig(**{
+        "model": {"inline": _inline_pair()}, "steps": 5, "seed": 4, "x0": [1.0, -1.0],
+        "noise": {"w_std": 0.1, "v_std": 0.1},
+        "estimator": {"Q": 0.01, "R": 0.01, "P0": 1.0, "x0_guess": [0.0, 0.0]}, **fields})
+
+
+def _arrays(value, name: str):
+    """``(path, array)`` of every NumPy array in ``value`` and in the lists,
+    tuples and dicts it holds."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, (list, tuple)):
+        for j, item in enumerate(value):
+            yield from _arrays(item, f"{name}[{j}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _arrays(item, f"{name}[{key!r}]")
+
+
+def _content(record: RunRecord) -> list:
+    """Every array of a record but its timings and its config."""
+    return [pair for f in dataclasses.fields(RunRecord) if f.name not in ("wall_clock", "config")
+            for pair in _arrays(getattr(record, f.name), f.name)]
+
+
+def assert_same_arrays(got: RunRecord, want: RunRecord) -> None:
+    """Every array of :func:`_content` equal bit for bit, dtype and shape too."""
+    pairs = list(zip(_content(got), _content(want), strict=True))
+    assert len(pairs) > 5
+    for (name, a), (_, b) in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def assert_same_record(got: RunRecord, want: RunRecord) -> None:
+    """Equal digests and every array equal bit for bit."""
+    assert got.content_digest() == want.content_digest()
+    assert_same_arrays(got, want)
+
+
+def _kept_arrays(plan) -> list:
+    """The arrays of the part of ``plan`` that :func:`_resolve` keeps."""
+    model, design, noise = plan.model, plan.source.design, plan.noise
+    return [a for _, a in _arrays(
+        [model.A, model.C, model.Q, model.R, plan.x0, vars(design),
+         [getattr(noise, key) for key in ("w_std", "v_std", "w_bound", "v_bound")],
+         # A subsystem's Jacobian spot-check samples are read by its
+         # constructor only.
+         [{k: v for k, v in vars(sub).items() if k != "jacobian_check_samples"}
+          for sub in model.subsystems]], "plan")]
+
+
+class TestKeptResolution:
+    """``run_experiment`` and ``monte_carlo`` keep what a config fixes but its
+    seed, keyed on the registered builder and the exact JSON of the config's
+    model, x0, noise and estimator sections."""
+
+    CONFIGS = {
+        "linear-4state": ExperimentConfig(model={"name": "linear-4state"}, steps=20, seed=3),
+        "reactor-chain": ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5),
+        "inline": _inline_config(),
+        "registered": ExperimentConfig(model={"name": "test-chain", "params": {"n": 4}},
+                                       steps=8, seed=6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_a_warm_call_is_the_cold_call_bit_for_bit(self, chain, name):
+        config = self.CONFIGS[name]
+        _kept.cache_clear()
+        cold = run_experiment(config, write_outputs=False)
+        assert _kept.cache_info().currsize == 1
+        warm = run_experiment(config, write_outputs=False)
+        assert _kept.cache_info().hits == 1
+        assert cold.monitors is not None
+        assert_same_record(warm, cold)
+        _kept.cache_clear()
+        cold = monte_carlo(config, runs=3)
+        assert_same_ensemble(monte_carlo(config, runs=3), cold)
+        assert _kept.cache_info().hits == 1
+
+    def test_every_kept_array_is_read_only(self, chain):
+        for config in self.CONFIGS.values():
+            arrays = _kept_arrays(_resolve(config))
+            assert len(arrays) > 10
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_a_one_ulp_coupling_is_another_model(self, chain):
+        near = float(np.nextafter(0.05, 1.0))
+        _kept.cache_clear()
+        plans = [_resolve(ExperimentConfig(model={"name": chain, "params": {"coupling": c}}))
+                 for c in (0.05, near, 0.05)]
+        assert _kept.cache_info().currsize == 2
+        assert plans[0].model is plans[2].model
+        assert not np.array_equal(plans[0].model.A, plans[1].model.A)
+        assert plans[1].model.A.tobytes() == get_benchmark(chain, coupling=near).model.A.tobytes()
+
+    def test_values_json_tells_apart_are_kept_apart(self, chain):
+        # 0.0 and -0.0, 0 and 0.0, 1 and true are different JSON texts, so
+        # each config is resolved on its own, to its own model or error.
+        _kept.cache_clear()
+        models = []
+        for params in ({"coupling": 0.0}, {"coupling": -0.0}, {"coupling": 0}, {"n": 1}):
+            model = _resolve(ExperimentConfig(model={"name": chain, "params": params})).model
+            assert model.A.tobytes() == get_benchmark(chain, **params).model.A.tobytes()
+            models.append(model)
+        assert len(set(map(id, models))) == 4
+        assert models[0].A.tobytes() != models[1].A.tobytes()
+        for params, message in (({"n": True}, "n must be an integer, not True"),
+                                ({"n": 1.0}, "n must be an integer, not 1.0")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _resolve(ExperimentConfig(model={"name": chain, "params": params}))
+        assert _kept.cache_info().currsize == 4
+
+    def test_registering_a_name_anew_builds_anew(self, chain):
+        calls = []
+
+        def counted(n: int = 3, coupling: float = 0.05) -> Benchmark:
+            calls.append(coupling)
+            return _chain(n, 2 * coupling)
+
+        config = ExperimentConfig(model={"name": chain}, steps=5, monitors=False)
+        first = run_experiment(config, write_outputs=False)
+        assert run_experiment(config, write_outputs=False).content_digest() \
+            == first.content_digest()
+        register_benchmark(chain, counted)
+        second = run_experiment(config, write_outputs=False)
+        assert calls == [0.05]
+        assert not np.array_equal(second.xhat_post, first.xhat_post)
+        assert_same_record(run_experiment(config, write_outputs=False), second)
+        assert calls == [0.05]
+        register_benchmark(chain, _chain)
+        assert_same_record(run_experiment(config, write_outputs=False), first)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_writing_into_a_warm_record_cannot_change_the_next_run(self, chain, name):
+        config = self.CONFIGS[name]
+        cold = run_experiment(config, write_outputs=False)
+        warm = run_experiment(config, write_outputs=False)
+        writeable = [a for _, a in _content(warm) if a.flags.writeable]
+        assert writeable
+        for a in writeable:
+            a[...] = 7
+        assert_same_record(run_experiment(config, write_outputs=False), cold)
+
+    def test_writing_into_the_callers_x0_cannot_change_the_next_run(self):
+        x0 = LINEAR_X0 + 0.5
+        config = BASE.replace(steps=5, monitors=False, x0=x0)
+        first = run_experiment(config, write_outputs=False)
+        x0[:] = 0.0
+        again = run_experiment(config.replace(x0=(LINEAR_X0 + 0.5).tolist()),
+                               write_outputs=False)
+        assert_same_arrays(again, first)
+
+    def test_writing_into_the_callers_x0_list_is_a_new_config(self):
+        x0 = (LINEAR_X0 + 0.5).tolist()
+        config = BASE.replace(steps=5, monitors=False, x0=x0)
+        first = run_experiment(config, write_outputs=False)
+        x0[0] += 1.0
+        moved = run_experiment(config, write_outputs=False)
+        assert moved.xs[0, 0] == first.xs[0, 0] + 1.0
+        assert_same_record(moved, run_experiment(config.replace(x0=list(x0)),
+                                                 write_outputs=False))
+
+    def test_a_config_the_key_cannot_hold_is_resolved_afresh(self):
+        inline = {"dims": [1, 1, 1], "out_dims": [1, 1, 1], "subsystems": [
+            {"index": i, "A": [[0.9]], "C": [[1.0]], "Q": [[0.01]], "R": [[0.01]],
+             "coupling": {0: [[0.05]], "2": [[0.05]]} if i == 1 else {}} for i in range(3)]}
+        mixed = _inline_config(model={"inline": inline}, x0=[1.0, -1.0, 0.5],
+                               estimator={"Q": 0.01, "R": 0.01, "P0": 1.0,
+                                          "x0_guess": [0.0, 0.0, 0.0]})
+        as_json = _inline_config(model={"inline": json.loads(json.dumps(inline))},
+                                 x0=mixed.x0, estimator=mixed.estimator)
+        numpy_x0 = BASE.replace(steps=5, monitors=False, x0=LINEAR_X0 + 0.5)
+        for config, same in ((mixed, as_json), (numpy_x0, numpy_x0.replace(
+                x0=(LINEAR_X0 + 0.5).tolist()))):
+            _kept.cache_clear()
+            runs = [run_experiment(config, write_outputs=False) for _ in range(2)]
+            assert _kept.cache_info().currsize == 0
+            runs.append(run_experiment(same, write_outputs=False))
+            assert _kept.cache_info().currsize == 1
+            for rec in runs[1:]:
+                assert_same_arrays(rec, runs[0])
+
+    def test_an_unhashable_builder_builds_on_every_call(self, monkeypatch):
+        @dataclasses.dataclass
+        class Builder:   # compares by value, so instances are unhashable
+            n: int = 3
+
+            def __call__(self, coupling: float = 0.05) -> Benchmark:
+                return _chain(self.n, coupling)
+
+        monkeypatch.setitem(benchmarks._REGISTRY, "test-chain", Builder())
+        config = ExperimentConfig(model={"name": "test-chain"}, steps=3)
+        _kept.cache_clear()
+        first = run_experiment(config, write_outputs=False)
+        assert_same_record(run_experiment(config, write_outputs=False), first)
+        assert _kept.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("coupling, message", [
+        # As JSON text the keys would read "1" twice, and the last would win.
+        ({1: [[0.05]], "1": [[0.05]]}, "subsystem 0: neighbor 1 is given twice"),
+        ({"1": [[0.05]], "01": [[0.05]]}, "subsystem 0: neighbor 1 is given twice"),
+        ({"1": [["x"]]}, "model.inline subsystem 0 coupling 1 must be a number"),
+    ], ids=["mixed-keys", "json-keys", "json-value"])
+    def test_an_error_is_raised_again_on_every_call(self, coupling, message):
+        inline = _inline_pair()
+        inline["subsystems"][0]["coupling"] = coupling
+        config = _inline_config(model={"inline": inline})
+        _kept.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                run_experiment(config, write_outputs=False)
+        assert _kept.cache_info().currsize == 0
+
+    def test_a_second_ensemble_computes_its_gains_anew(self, monkeypatch):
+        calls = []
+        exact = partkf.dkf.gain_and_covariance
+
+        def counted(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(partkf.dkf, "gain_and_covariance", counted)
+        config = BASE.replace(steps=10, monitors=False)
+        counts = []
+        for _ in range(2):
+            monte_carlo(config, runs=4)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [config.steps, config.steps]

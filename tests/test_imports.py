@@ -40,6 +40,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   (``_integer``, ``_floats`` and ``_flag``): every value from outside the
   program is checked by them, so that a second, drifting copy of "an
   integer" or "a real number" cannot come back;
+- ``analysis.py`` and ``cli.py`` reach a config's model only through
+  ``harness._resolve``: they call none of the functions that build or keep
+  one (``get_benchmark``, ``_inline_model``, ``_fixed``, ``_kept``), and in
+  ``harness.py`` only ``_resolve`` calls the kept resolution ``_kept``, so
+  that a second, unkept resolution path cannot come back beside it;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -460,6 +465,57 @@ def test_checker_flags_a_second_value_type_test():
     assert type_test_sites(planted) == ["_count"]
     assert [f"model.py:{site}" for site in type_test_sites((SRC / "model.py").read_text())
             ] == VALUE_RULES
+
+
+#: The functions that build a config's model or keep what a config fixes.
+RESOLVERS = frozenset({"get_benchmark", "_inline_model", "_fixed", "_kept"})
+#: Where ``harness.py`` calls them (``caller:callee``): the benchmark
+#: fixtures of ``verify_suite`` besides the one resolution path.
+RESOLVER_CALLS = ["_fixed:_inline_model", "_fixed:get_benchmark", "_kept:_fixed",
+                  "_resolve:_fixed", "_resolve:_kept", "verify_suite:get_benchmark"]
+
+
+def call_owners(source: str, names: frozenset) -> list[str]:
+    """``caller:callee`` for each function of ``source`` (``Class.method``
+    for a method, ``<module>`` outside any) that calls a function named in
+    ``names``."""
+    sites = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _dotted(child.func).rsplit(".", 1)[-1]
+                if name in names:
+                    sites.add(f"{owner or '<module>'}:{name}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, ".".join(filter(None, (owner, child.name))) if named else owner)
+
+    visit(ast.parse(source), "")
+    return sorted(sites)
+
+
+@pytest.mark.parametrize("name", ["analysis.py", "cli.py"])
+def test_the_runners_reach_a_model_only_through_resolve(name):
+    assert call_owners((SRC / name).read_text(), RESOLVERS) == []
+
+
+def test_only_resolve_calls_the_kept_resolution():
+    assert call_owners((SRC / "harness.py").read_text(), RESOLVERS) == RESOLVER_CALLS
+
+
+def test_checker_flags_a_second_resolution_path():
+    source = ("def run(config):\n    return get_benchmark(config.model['name']).model\n"
+              "class Plan:\n    def fixed(self, key):\n        return harness._kept(*key)\n"
+              "KEEP = _kept\nresolve(config)\n_fixed(sections)\n")
+    assert call_owners(source, RESOLVERS) == ["<module>:_fixed", "Plan.fixed:_kept",
+                                              "run:get_benchmark"]
+    planted = ((SRC / "harness.py").read_text()
+               + "\n\ndef _replan(config):\n    return _fixed(vars(config)).model\n")
+    assert call_owners(planted, RESOLVERS) == sorted(RESOLVER_CALLS + ["_replan:_fixed"])
+    planted = ((SRC / "analysis.py").read_text()
+               + "\n\ndef _model(config):\n    from .benchmarks import get_benchmark\n"
+               "    return get_benchmark(config.model['name']).model\n")
+    assert call_owners(planted, RESOLVERS) == ["_model:get_benchmark"]
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).
