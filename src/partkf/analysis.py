@@ -683,8 +683,8 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     The ensemble's base seed is always ``config.seed``: per-run seeds come
     from ``SeedSequence(config.seed).generate_state``, so a fixed config
     seed reproduces the ensemble exactly, regardless of execution order.
-    The config is resolved once, reusing the model, noise and design that
-    an earlier call of an equal config built, and every run goes through
+    The config is resolved once, reusing the benchmark that an earlier
+    call built for an equal model name and params, and every run goes through
     the same plan as :func:`partkf.harness.run_experiment`, so run ``j``
     equals a standalone run at seed ``seeds[j]`` bit for bit; a linear
     filter computes its gain schedule once for the whole ensemble, and

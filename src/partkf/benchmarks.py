@@ -300,8 +300,9 @@ def register_benchmark(name: str, builder: Callable[..., Benchmark]) -> None:
     A builder must be a pure function of its parameters:
     :func:`partkf.harness.run_experiment` and
     :func:`partkf.analysis.monte_carlo` reuse what it built for a config
-    of equal name, builder, ``model``, ``x0``, ``noise`` and ``estimator``
-    sections.  Registering a name anew takes effect at the next call."""
+    of equal name, builder and ``params`` (in one process, the last few
+    builds of at most 512 states).  Registering a name anew takes effect
+    at the next call."""
     _REGISTRY[str(name)] = builder
 
 

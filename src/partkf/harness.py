@@ -58,15 +58,13 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis
-from .benchmarks import _REGISTRY, get_benchmark
+from .benchmarks import _REGISTRY, Benchmark, get_benchmark
 from .dkf import (EstimatorDesign, FilterError, _LinearSource, _one_block,
                   _posterior_stack, _run_filter, run_dkf)
 from .dekf import _NonlinearSource, run_dekf
@@ -186,78 +184,12 @@ _NOISE_KEYS = ("w_std", "v_std", "w_bound", "v_bound")
 _ESTIMATOR_KEYS = ("Q", "R", "P0", "x0_guess")
 
 
-class _Fixed(NamedTuple):
-    """What a config fixes but its seed, horizon, run count, monitors and
-    output directory: the model, the truth initial state, the noise at seed
-    0 and the design, every array read-only."""
-
-    model: GlobalModel
-    x0: np.ndarray
-    noise: NoiseSpec
-    design: EstimatorDesign
-
-
-#: The config fields that :class:`_Fixed` is a function of.
-_SECTIONS = ("model", "x0", "noise", "estimator")
-#: How many configs' :class:`_Fixed` parts :func:`_resolve` keeps.
-_KEPT = 8
-
-
-def _fixed(sections: dict) -> _Fixed:
-    """The :class:`_Fixed` part of a config's ``sections`` (its fields named
-    in :data:`_SECTIONS`), a copy of each array, read-only."""
-    for section, known in (("noise", _NOISE_KEYS), ("estimator", _ESTIMATOR_KEYS)):
-        unknown = set(sections[section] or {}) - set(known)
-        if unknown:
-            raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-    spec = sections["model"]
-    if "name" in spec:
-        bench = get_benchmark(spec["name"], **spec.get("params", {}))
-        model, x0, design = bench.model, bench.x0, bench.design
-        noise_kw = {key: getattr(bench, key) for key in _NOISE_KEYS}
-    else:
-        model = _inline_model(spec["inline"])
-        x0 = None
-        design = None
-        noise_kw = dict.fromkeys(_NOISE_KEYS)
-
-    if sections["x0"] is not None:
-        x0 = _numbers("x0", sections["x0"])
-    if x0 is None:
-        raise ValueError("inline models require an explicit x0")
-
-    p = model.partition
-    if sections["noise"] is not None:
-        for key in _NOISE_KEYS:
-            if key in sections["noise"]:
-                dim = p.nx if key.startswith("w") else p.ny
-                value = sections["noise"][key]
-                if value is not None:   # null unsets the key
-                    value = _numbers(f"noise.{key}", value)
-                noise_kw[key] = _broadcast(value, dim, key)
-    if noise_kw["w_std"] is None or noise_kw["v_std"] is None:
-        raise ValueError("inline models require noise w_std and v_std")
-    noise = NoiseSpec(seed=0, **noise_kw)
-
-    est = dict(sections["estimator"] or {})
-    if design is None and not set(_ESTIMATOR_KEYS) <= set(est):
-        raise ValueError("inline models require estimator Q, R, P0 and x0_guess")
-    Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
-         else design.Q)
-    if "R" in est:
-        R = _numbers("estimator.R", est["R"])
-        R = np.diag(np.full(p.ny, R)) if R.ndim == 0 else R
-    else:
-        R = design.R
-    P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est
-          else design.P0)
-    guess = (_numbers("estimator.x0_guess", est["x0_guess"]) if "x0_guess" in est
-             else design.x0_guess)
-    design = EstimatorDesign(Q=tuple(map(_frozen, Q)), R=_frozen(R),
-                             P0=tuple(map(_frozen, P0)), x0_guess=_frozen(guess))
-    frozen = {key: _frozen(value) for key in _NOISE_KEYS
-              if (value := getattr(noise, key)) is not None}
-    return _Fixed(model, _frozen(x0), dataclasses.replace(noise, **frozen), design)
+#: How many built benchmarks :func:`_benchmark` keeps, and the most states
+#: a kept one may have: a larger model is built on every call, so that the
+#: kept ones hold a few MB each at most.
+_KEPT, _KEPT_NX = 8, 512
+#: The benchmarks :func:`_benchmark` keeps, least recently used first.
+_BUILT: dict[tuple, Benchmark] = {}
 
 
 def _plain(value) -> bool:
@@ -271,49 +203,106 @@ def _plain(value) -> bool:
     return value is None or type(value) in (str, int, float, bool)
 
 
-def _fixed_key(sections: dict) -> tuple | None:
-    """The key under which :func:`_resolve` keeps the :class:`_Fixed` part
-    of ``sections``: the registered builder of the model's name (``None``
-    for an inline model or an unknown name) and the sections' JSON, key
-    order kept.  ``None`` when the sections are not :func:`_plain` (a NumPy
-    array, a tuple, an integer dict key), nest too deep or hold an integer
-    too long to write, or when the builder is unhashable."""
-    name = sections["model"].get("name")
+def _built_key(name, params) -> tuple | None:
+    """The key under which :func:`_benchmark` keeps a build: the registered
+    builder, the name and the params' JSON, key order kept.  ``None`` for a
+    name that is not registered, an unhashable builder, or params that are
+    not :func:`_plain` (a NumPy value, a tuple, an integer dict key), nest
+    too deep or hold an integer too long to write."""
     builder = _REGISTRY.get(name) if isinstance(name, str) else None
     try:
-        hash(builder)
-        if _plain(sections):
-            return builder, json.dumps(sections, separators=(",", ":"))
+        if builder is not None and _plain(params):
+            key = builder, name, json.dumps(params, separators=(",", ":"))
+            hash(key)
+            return key
     except (TypeError, ValueError, RecursionError):
         pass
     return None
 
 
-@lru_cache(maxsize=_KEPT)
-def _kept(builder, text: str) -> _Fixed:
-    """:func:`_fixed` of the sections whose JSON is ``text``.  ``builder``
-    is read by the cache only, so that a name registered anew builds
-    anew.  An error is raised again on every call, never kept."""
-    return _fixed(json.loads(text))
+def _benchmark(name, params) -> Benchmark:
+    """``get_benchmark(name, **params)`` with every array read-only.
+
+    The last :data:`_KEPT` builds of at most :data:`_KEPT_NX` states are
+    kept under :func:`_built_key`, which holds the registered builder, so a
+    name registered anew builds anew; the builder must be a pure function
+    of its parameters.  An error is raised again on every call."""
+    key = _built_key(name, params)
+    bench = _BUILT.pop(key, None) if key is not None else None
+    if bench is None:
+        bench = get_benchmark(name, **params)
+        d = bench.design
+        bench = dataclasses.replace(
+            bench, x0=_frozen(bench.x0),
+            design=EstimatorDesign(Q=tuple(map(_frozen, d.Q)), R=_frozen(d.R),
+                                   P0=tuple(map(_frozen, d.P0)),
+                                   x0_guess=_frozen(d.x0_guess)),
+            **{field: _frozen(value) for field in _NOISE_KEYS
+               if (value := getattr(bench, field)) is not None})
+    if key is not None and bench.model.partition.nx <= _KEPT_NX:
+        _BUILT[key] = bench
+        if len(_BUILT) > _KEPT:
+            _BUILT.pop(next(iter(_BUILT)))
+    return bench
 
 
 def _resolve(config: ExperimentConfig) -> "_Plan":
     """Everything ``config`` fixes for a run but the seed: model, truth
-    initial state, noise, design and the filter the model kind picks.
+    initial state, noise, design and the filter the model kind picks.  A
+    named model's benchmark comes from :func:`_benchmark`, so a repeat call
+    of an equal model section does not build it again; the rest is resolved
+    on every call, and the filter's source has its own empty gain
+    schedule."""
+    for section, known in (("noise", _NOISE_KEYS), ("estimator", _ESTIMATOR_KEYS)):
+        unknown = set(getattr(config, section) or {}) - set(known)
+        if unknown:
+            raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    if "name" in config.model:
+        bench = _benchmark(config.model["name"], config.model.get("params", {}))
+        model, x0, design = bench.model, bench.x0, bench.design
+        noise_kw = {key: getattr(bench, key) for key in _NOISE_KEYS}
+    else:
+        model = _inline_model(config.model["inline"])
+        x0 = None
+        design = None
+        noise_kw = dict.fromkeys(_NOISE_KEYS)
 
-    The :class:`_Fixed` part is kept for the last :data:`_KEPT` keys
-    (:func:`_fixed_key`), since it depends only on the sections and the
-    registered builder, which must be a pure function of its parameters;
-    a config the key cannot hold is resolved afresh.  The noise at the
-    config's seed and the filter's source, with its own empty gain
-    schedule, are made on every call."""
-    sections = {name: getattr(config, name) for name in _SECTIONS}
-    key = _fixed_key(sections)
-    fixed = _fixed(sections) if key is None else _kept(*key)
-    source = (_LinearSource if fixed.model.linear else _NonlinearSource)(fixed.model,
-                                                                        fixed.design)
-    return _Plan(config, fixed.model, fixed.x0,
-                 dataclasses.replace(fixed.noise, seed=config.seed), source)
+    if config.x0 is not None:
+        x0 = _numbers("x0", config.x0)
+    if x0 is None:
+        raise ValueError("inline models require an explicit x0")
+
+    p = model.partition
+    if config.noise is not None:
+        for key in _NOISE_KEYS:
+            if key in config.noise:
+                dim = p.nx if key.startswith("w") else p.ny
+                value = config.noise[key]
+                if value is not None:   # null unsets the key
+                    value = _numbers(f"noise.{key}", value)
+                noise_kw[key] = _broadcast(value, dim, key)
+    if noise_kw["w_std"] is None or noise_kw["v_std"] is None:
+        raise ValueError("inline models require noise w_std and v_std")
+    noise = NoiseSpec(seed=config.seed, **noise_kw)
+
+    est = dict(config.estimator or {})
+    if design is None and not set(_ESTIMATOR_KEYS) <= set(est):
+        raise ValueError("inline models require estimator Q, R, P0 and x0_guess")
+    Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
+         else design.Q)
+    if "R" in est:
+        R = _numbers("estimator.R", est["R"])
+        R = np.diag(np.full(p.ny, R)) if R.ndim == 0 else R
+    else:
+        R = design.R
+    P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est
+          else design.P0)
+    guess = (_numbers("estimator.x0_guess", est["x0_guess"]) if "x0_guess" in est
+             else design.x0_guess)
+    design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
+
+    source = (_LinearSource if model.linear else _NonlinearSource)(model, design)
+    return _Plan(config, model, x0, noise, source)
 
 
 #: The most numbers an array of a stacked ensemble pass holds (2 MB of

@@ -1,14 +1,16 @@
 import csv
 import dataclasses
+import gc
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import partkf.dkf
 from conftest import assert_same_ensemble
-from partkf import analysis, benchmarks
+from partkf import analysis, benchmarks, harness
 from partkf.analysis import monte_carlo, rmse
 from partkf.benchmarks import (
     LINEAR_GUESS,
@@ -21,7 +23,6 @@ from partkf.benchmarks import (
 from partkf.dkf import EstimatorDesign, _one_block
 from partkf.harness import (
     ExperimentConfig,
-    _kept,
     _resolve,
     export,
     import_record,
@@ -483,7 +484,7 @@ def test_verify_suite_all_green():
         assert ok, f"{name}: {detail}"
 
 
-# -- a config resolved once ----------------------------------------------------
+# -- a benchmark built once ----------------------------------------------------
 
 
 def _chain(n: int = 3, coupling: float = 0.05) -> Benchmark:
@@ -544,22 +545,30 @@ def assert_same_record(got: RunRecord, want: RunRecord) -> None:
     assert_same_arrays(got, want)
 
 
-def _kept_arrays(plan) -> list:
-    """The arrays of the part of ``plan`` that :func:`_resolve` keeps."""
-    model, design, noise = plan.model, plan.source.design, plan.noise
+@pytest.fixture
+def built(monkeypatch) -> dict:
+    """The benchmarks ``_resolve`` keeps, empty at the start of one test."""
+    kept = {}
+    monkeypatch.setattr(harness, "_BUILT", kept)
+    return kept
+
+
+def _bench_arrays(bench: Benchmark) -> list:
+    """The arrays of a kept benchmark."""
+    model = bench.model
     return [a for _, a in _arrays(
-        [model.A, model.C, model.Q, model.R, plan.x0, vars(design),
-         [getattr(noise, key) for key in ("w_std", "v_std", "w_bound", "v_bound")],
+        [model.A, model.C, model.Q, model.R, bench.x0, vars(bench.design),
+         [getattr(bench, key) for key in ("w_std", "v_std", "w_bound", "v_bound")],
          # A subsystem's Jacobian spot-check samples are read by its
          # constructor only.
          [{k: v for k, v in vars(sub).items() if k != "jacobian_check_samples"}
-          for sub in model.subsystems]], "plan")]
+          for sub in model.subsystems]], "bench")]
 
 
 class TestKeptResolution:
-    """``run_experiment`` and ``monte_carlo`` keep what a config fixes but its
-    seed, keyed on the registered builder and the exact JSON of the config's
-    model, x0, noise and estimator sections."""
+    """``run_experiment`` and ``monte_carlo`` keep the benchmark a named
+    model builds, keyed on the registered builder, the name and the exact
+    JSON of the params; everything else is resolved on every call."""
 
     CONFIGS = {
         "linear-4state": ExperimentConfig(model={"name": "linear-4state"}, steps=20, seed=3),
@@ -570,40 +579,50 @@ class TestKeptResolution:
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_a_warm_call_is_the_cold_call_bit_for_bit(self, chain, name):
+    def test_a_warm_call_is_the_cold_call_bit_for_bit(self, chain, built, name):
         config = self.CONFIGS[name]
-        _kept.cache_clear()
+        kept = 0 if name == "inline" else 1
         cold = run_experiment(config, write_outputs=False)
-        assert _kept.cache_info().currsize == 1
+        assert len(built) == kept
         warm = run_experiment(config, write_outputs=False)
-        assert _kept.cache_info().hits == 1
         assert cold.monitors is not None
         assert_same_record(warm, cold)
-        _kept.cache_clear()
+        built.clear()
         cold = monte_carlo(config, runs=3)
+        assert len(built) == kept
         assert_same_ensemble(monte_carlo(config, runs=3), cold)
-        assert _kept.cache_info().hits == 1
 
-    def test_every_kept_array_is_read_only(self, chain):
+    def test_a_warm_call_builds_nothing(self, chain, built, monkeypatch):
+        calls = []
+        monkeypatch.setitem(benchmarks._REGISTRY, chain,
+                            lambda n=3: calls.append(n) or _chain(n))
+        config = self.CONFIGS["registered"]
+        for _ in range(2):
+            run_experiment(config, write_outputs=False)
+            monte_carlo(config, runs=2)
+        assert calls == [4]
+
+    def test_every_kept_array_is_read_only(self, chain, built):
         for config in self.CONFIGS.values():
-            arrays = _kept_arrays(_resolve(config))
+            _resolve(config)
+        assert len(built) == 3
+        for bench in built.values():
+            arrays = _bench_arrays(bench)
             assert len(arrays) > 10
             assert not any(a.flags.writeable for a in arrays)
 
-    def test_a_one_ulp_coupling_is_another_model(self, chain):
+    def test_a_one_ulp_coupling_is_another_model(self, chain, built):
         near = float(np.nextafter(0.05, 1.0))
-        _kept.cache_clear()
         plans = [_resolve(ExperimentConfig(model={"name": chain, "params": {"coupling": c}}))
                  for c in (0.05, near, 0.05)]
-        assert _kept.cache_info().currsize == 2
+        assert len(built) == 2
         assert plans[0].model is plans[2].model
         assert not np.array_equal(plans[0].model.A, plans[1].model.A)
         assert plans[1].model.A.tobytes() == get_benchmark(chain, coupling=near).model.A.tobytes()
 
-    def test_values_json_tells_apart_are_kept_apart(self, chain):
+    def test_values_json_tells_apart_are_kept_apart(self, chain, built):
         # 0.0 and -0.0, 0 and 0.0, 1 and true are different JSON texts, so
         # each config is resolved on its own, to its own model or error.
-        _kept.cache_clear()
         models = []
         for params in ({"coupling": 0.0}, {"coupling": -0.0}, {"coupling": 0}, {"n": 1}):
             model = _resolve(ExperimentConfig(model={"name": chain, "params": params})).model
@@ -615,9 +634,9 @@ class TestKeptResolution:
                                 ({"n": 1.0}, "n must be an integer, not 1.0")):
             with pytest.raises(ValueError, match=re.escape(message)):
                 _resolve(ExperimentConfig(model={"name": chain, "params": params}))
-        assert _kept.cache_info().currsize == 4
+        assert len(built) == 4
 
-    def test_registering_a_name_anew_builds_anew(self, chain):
+    def test_registering_a_name_anew_builds_anew(self, chain, built):
         calls = []
 
         def counted(n: int = 3, coupling: float = 0.05) -> Benchmark:
@@ -636,6 +655,30 @@ class TestKeptResolution:
         assert calls == [0.05]
         register_benchmark(chain, _chain)
         assert_same_record(run_experiment(config, write_outputs=False), first)
+
+    def test_the_last_few_small_builds_are_kept(self, chain, built, monkeypatch):
+        couplings = [0.01 * j for j in range(1, harness._KEPT + 3)]
+        plans = {c: _resolve(ExperimentConfig(model={"name": chain, "params": {"coupling": c}}))
+                 for c in couplings}
+        assert len(built) == harness._KEPT
+        # A hit makes the oldest kept build the newest.
+        oldest = couplings[2]
+        assert _resolve(ExperimentConfig(model={"name": chain, "params": {
+            "coupling": oldest}})).model is plans[oldest].model
+        _resolve(ExperimentConfig(model={"name": chain, "params": {"coupling": 1.0}}))
+        assert [json.loads(text)["coupling"] for _, _, text in built] \
+            == couplings[4:] + [oldest, 1.0]
+        # A model of more than _KEPT_NX states is built on every call and
+        # freed with its plan.
+        monkeypatch.setattr(harness, "_KEPT_NX", 3)
+        config = ExperimentConfig(model={"name": chain, "params": {"n": 4}}, steps=3)
+        plan = _resolve(config)
+        assert not any(text == '{"n":4}' for _, _, text in built)
+        assert _resolve(config).model is not plan.model
+        model = weakref.ref(plan.model)
+        del plan
+        gc.collect()
+        assert model() is None
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_writing_into_a_warm_record_cannot_change_the_next_run(self, chain, name):
@@ -667,7 +710,7 @@ class TestKeptResolution:
         assert_same_record(moved, run_experiment(config.replace(x0=list(x0)),
                                                  write_outputs=False))
 
-    def test_a_config_the_key_cannot_hold_is_resolved_afresh(self):
+    def test_a_config_the_key_cannot_hold_gives_the_same_run(self, chain, built):
         inline = {"dims": [1, 1, 1], "out_dims": [1, 1, 1], "subsystems": [
             {"index": i, "A": [[0.9]], "C": [[1.0]], "Q": [[0.01]], "R": [[0.01]],
              "coupling": {0: [[0.05]], "2": [[0.05]]} if i == 1 else {}} for i in range(3)]}
@@ -677,17 +720,21 @@ class TestKeptResolution:
         as_json = _inline_config(model={"inline": json.loads(json.dumps(inline))},
                                  x0=mixed.x0, estimator=mixed.estimator)
         numpy_x0 = BASE.replace(steps=5, monitors=False, x0=LINEAR_X0 + 0.5)
-        for config, same in ((mixed, as_json), (numpy_x0, numpy_x0.replace(
-                x0=(LINEAR_X0 + 0.5).tolist()))):
-            _kept.cache_clear()
+        numpy_param = ExperimentConfig(model={"name": chain, "params": {
+            "coupling": np.float64(0.07)}}, steps=5)
+        for config, same, kept in (
+                (mixed, as_json, 0),
+                (numpy_x0, numpy_x0.replace(x0=(LINEAR_X0 + 0.5).tolist()), 1),
+                (numpy_param, numpy_param.replace(model={"name": chain, "params": {
+                    "coupling": 0.07}}), 0)):
+            built.clear()
             runs = [run_experiment(config, write_outputs=False) for _ in range(2)]
-            assert _kept.cache_info().currsize == 0
+            assert len(built) == kept
             runs.append(run_experiment(same, write_outputs=False))
-            assert _kept.cache_info().currsize == 1
             for rec in runs[1:]:
                 assert_same_arrays(rec, runs[0])
 
-    def test_an_unhashable_builder_builds_on_every_call(self, monkeypatch):
+    def test_an_unhashable_builder_builds_on_every_call(self, monkeypatch, built):
         @dataclasses.dataclass
         class Builder:   # compares by value, so instances are unhashable
             n: int = 3
@@ -697,26 +744,24 @@ class TestKeptResolution:
 
         monkeypatch.setitem(benchmarks._REGISTRY, "test-chain", Builder())
         config = ExperimentConfig(model={"name": "test-chain"}, steps=3)
-        _kept.cache_clear()
         first = run_experiment(config, write_outputs=False)
         assert_same_record(run_experiment(config, write_outputs=False), first)
-        assert _kept.cache_info().currsize == 0
+        assert built == {}
 
-    @pytest.mark.parametrize("coupling, message", [
-        # As JSON text the keys would read "1" twice, and the last would win.
-        ({1: [[0.05]], "1": [[0.05]]}, "subsystem 0: neighbor 1 is given twice"),
-        ({"1": [[0.05]], "01": [[0.05]]}, "subsystem 0: neighbor 1 is given twice"),
-        ({"1": [["x"]]}, "model.inline subsystem 0 coupling 1 must be a number"),
-    ], ids=["mixed-keys", "json-keys", "json-value"])
-    def test_an_error_is_raised_again_on_every_call(self, coupling, message):
-        inline = _inline_pair()
-        inline["subsystems"][0]["coupling"] = coupling
-        config = _inline_config(model={"inline": inline})
-        _kept.cache_clear()
+    def test_an_error_is_raised_again_on_every_call(self, chain, built, monkeypatch):
+        calls = []
+
+        def broken(n: int = 3) -> Benchmark:
+            calls.append(n)
+            raise ValueError(f"test-chain: cannot build n={n}")
+
+        monkeypatch.setitem(benchmarks._REGISTRY, chain, broken)
+        config = ExperimentConfig(model={"name": chain}, steps=3)
         for _ in range(2):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            with pytest.raises(ValueError, match="^test-chain: cannot build n=3$"):
                 run_experiment(config, write_outputs=False)
-        assert _kept.cache_info().currsize == 0
+        assert calls == [3, 3]
+        assert built == {}
 
     def test_a_second_ensemble_computes_its_gains_anew(self, monkeypatch):
         calls = []

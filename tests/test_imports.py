@@ -42,8 +42,8 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   integer" or "a real number" cannot come back;
 - ``analysis.py`` and ``cli.py`` reach a config's model only through
   ``harness._resolve``: they call none of the functions that build or keep
-  one (``get_benchmark``, ``_inline_model``, ``_fixed``, ``_kept``), and in
-  ``harness.py`` only ``_resolve`` calls the kept resolution ``_kept``, so
+  one (``get_benchmark``, ``_inline_model``, ``_benchmark``), and in
+  ``harness.py`` only ``_resolve`` calls the kept build ``_benchmark``, so
   that a second, unkept resolution path cannot come back beside it;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
@@ -467,12 +467,12 @@ def test_checker_flags_a_second_value_type_test():
             ] == VALUE_RULES
 
 
-#: The functions that build a config's model or keep what a config fixes.
-RESOLVERS = frozenset({"get_benchmark", "_inline_model", "_fixed", "_kept"})
+#: The functions that build a config's model or keep a built benchmark.
+RESOLVERS = frozenset({"get_benchmark", "_inline_model", "_benchmark"})
 #: Where ``harness.py`` calls them (``caller:callee``): the benchmark
 #: fixtures of ``verify_suite`` besides the one resolution path.
-RESOLVER_CALLS = ["_fixed:_inline_model", "_fixed:get_benchmark", "_kept:_fixed",
-                  "_resolve:_fixed", "_resolve:_kept", "verify_suite:get_benchmark"]
+RESOLVER_CALLS = ["_benchmark:get_benchmark", "_resolve:_benchmark",
+                  "_resolve:_inline_model", "verify_suite:get_benchmark"]
 
 
 def call_owners(source: str, names: frozenset) -> list[str]:
@@ -499,19 +499,19 @@ def test_the_runners_reach_a_model_only_through_resolve(name):
     assert call_owners((SRC / name).read_text(), RESOLVERS) == []
 
 
-def test_only_resolve_calls_the_kept_resolution():
+def test_only_resolve_calls_the_kept_build():
     assert call_owners((SRC / "harness.py").read_text(), RESOLVERS) == RESOLVER_CALLS
 
 
 def test_checker_flags_a_second_resolution_path():
     source = ("def run(config):\n    return get_benchmark(config.model['name']).model\n"
-              "class Plan:\n    def fixed(self, key):\n        return harness._kept(*key)\n"
-              "KEEP = _kept\nresolve(config)\n_fixed(sections)\n")
-    assert call_owners(source, RESOLVERS) == ["<module>:_fixed", "Plan.fixed:_kept",
+              "class Plan:\n    def bench(self, name):\n        return harness._benchmark(name, {})\n"
+              "KEEP = _benchmark\nresolve(config)\n_inline_model(spec)\n")
+    assert call_owners(source, RESOLVERS) == ["<module>:_inline_model", "Plan.bench:_benchmark",
                                               "run:get_benchmark"]
     planted = ((SRC / "harness.py").read_text()
-               + "\n\ndef _replan(config):\n    return _fixed(vars(config)).model\n")
-    assert call_owners(planted, RESOLVERS) == sorted(RESOLVER_CALLS + ["_replan:_fixed"])
+               + "\n\ndef _replan(config):\n    return get_benchmark(config.model['name']).model\n")
+    assert call_owners(planted, RESOLVERS) == sorted(RESOLVER_CALLS + ["_replan:get_benchmark"])
     planted = ((SRC / "analysis.py").read_text()
                + "\n\ndef _model(config):\n    from .benchmarks import get_benchmark\n"
                "    return get_benchmark(config.model['name']).model\n")
