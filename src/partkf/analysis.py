@@ -690,15 +690,18 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     filter computes its gain schedule once for the whole ensemble, and
     anew in every call.
 
-    A linear ensemble runs as one stacked pass: all runs are simulated, and
-    filtered by the engine's loop, as ``(runs, ...)`` stacks, in batches
-    that bound the memory, and no per-run record is built.  Every run keeps
-    its own noise streams, drawn by the one rule of a standalone run
-    (redraws included), and every stacked product is one matrix-vector
-    product per run, so each run stays bitwise its standalone run.  The
-    per-run path takes the runs of a nonlinear plant, and the whole
-    ensemble when the stacked pass fails (a non-finite state or
-    measurement, or a filter error), so that the error raised is the one
+    An ensemble of either model kind runs as one stacked pass: all runs
+    are simulated, and filtered by the engine's loop, as ``(runs, ...)``
+    stacks, in batches that bound the memory, and no per-run record is
+    built.  Every run keeps its own noise streams, drawn by the one rule of
+    a standalone run (redraws included), a nonlinear plant's maps are
+    called once per run and subsystem, and every stacked product, solve and
+    factorization gives each run's matrices the bits of their own call, so
+    each run stays bitwise its standalone run.  The extended filter's gain
+    kernel runs once per instant and group for a whole batch.  The per-run
+    path takes the whole ensemble when the stacked pass fails (a state out
+    of the validity box or non-finite, a non-finite measurement, a failing
+    subsystem map or a filter error), so that the error raised is the one
     the first failing run raises.
     """
     from .harness import _resolve  # deferred: harness orchestrates runs

@@ -21,6 +21,10 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 
 Per instant each subsystem map is called once and checked, the dynamics
 maps in agenda order (``order=``), and the update goes a group per call.
+The source also takes a stack of runs, so a Monte Carlo ensemble runs as
+one pass of the engine: each map is called once per run and subsystem, run
+by run, into run-stacked group stacks, and the gain kernel settles every
+run of a group at once, each run bit for bit its own run.
 Each Jacobian's blocks (analytic providers, central
 differences for a subsystem without them) are checked one by one as they
 are written straight into the group stacks that the gain kernel reads, whose
@@ -86,8 +90,9 @@ class _NonlinearSource:
     """Linearization source of a nonlinear model and one design (validated
     once, here, ``R`` factored and ``Q`` stacked once): Jacobian group
     stacks at the given points (rows: the column blocks), their information
-    blocks, nonlinear prediction and the nonlinear output residual.  Its
-    gains depend on the estimates, so its schedule stays empty."""
+    blocks, nonlinear prediction and the nonlinear output residual, of one
+    run or of a stack of runs.  Its gains depend on the estimates, so its
+    schedule stays empty."""
 
     kind = "dekf"
     schedule = MappingProxyType({})
@@ -97,7 +102,12 @@ class _NonlinearSource:
         self.model = model
         self.design = design
         self.R_factor = _r_factor(design.R)
-        self.Q = model.partition.stacked(design.Q)
+        p = model.partition
+        self.Q = p.stacked(design.Q)
+        #: Per run, the most numbers an array of one instant holds: a
+        #: group's Jacobian stack (``nx`` per state), its ``U'`` (``2 ny``)
+        #: or its kernel matrices (``4 d``).
+        self.instant_floats = p.nx * max(p.nx, 2 * p.ny, 4 * max(p.dims))
 
     def dynamics(self, x: np.ndarray) -> tuple[list, list]:
         stacks = _jacobian(self.model, x, "f")
@@ -111,7 +121,7 @@ class _NonlinearSource:
     def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
         stacks = _jacobian(self.model, x, "h")
         cols = self.model.partition.unstacked(stacks)
-        return cols, np.concatenate(cols, axis=1), stacks
+        return cols, np.concatenate(cols, axis=-1), stacks
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The :func:`~partkf.dkf._group_blocks` of this instant's stacks."""

@@ -61,12 +61,18 @@ estimates, so its source keeps no schedule and it computes its gains anew
 on every run.  The linear filter's records hold the schedule's arrays and
 the model's column blocks, all read-only and shared by every run.
 
-The linear source's stack products also take stacks of runs, one
-matrix-vector product per run and subsystem (``model._matvec``), so the
-same loop filters a whole linear ensemble in one pass
-(:func:`_posterior_stack`), each run bit for bit its own run, and settles
-the schedule through the same :func:`_settled`: there is no second gain
-path.
+Both sources also take stacks of runs, so the same loop filters a whole
+Monte Carlo ensemble of either model kind in one pass
+(:func:`_posterior_stack`), each run bit for bit its own run.  The linear
+source does one matrix-vector product per run and subsystem
+(``model._matvec``) and settles its schedule through the same
+:func:`_settled`.  The nonlinear source calls each map once per run and
+subsystem and writes run-stacked group stacks, and :func:`_settled` runs
+the kernel, the floor and the check once per group and instant over every
+run and member: one triangular solve pair against ``R`` over every run's
+columns, and batched products, ``2 d_i``-sized solves, eigenvalues and
+Cholesky factorizations, each of which gives a matrix the bits of its own
+call.  There is no second gain path.
 
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
@@ -229,15 +235,17 @@ def _floor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _located(k: int, members: np.ndarray, call) -> tuple:
-    """``call(rows)`` for a whole group, ``rows = slice(None)``.  When that
-    raises a :class:`FilterError`, each member is tried alone (a stack of
-    one), and the first that fails is named with the instant."""
+    """``call(rows)`` for a whole group, ``rows = ...``.  When that raises a
+    :class:`FilterError`, each member is tried alone, ``rows`` then the
+    index of its stack of one on the member axis (the third-last, so that
+    a stack of runs keeps its runs), and the first that fails is named with
+    the instant."""
     try:
-        return call(slice(None))
+        return call(...)
     except FilterError:
         for row, i in enumerate(members):
             try:
-                call(slice(row, row + 1))
+                call((..., slice(row, row + 1), slice(None), slice(None)))
             except FilterError as exc:
                 raise FilterError(f"subsystem {i} at instant {k}: {exc}") from exc
         raise
@@ -259,7 +267,8 @@ class _Settled(NamedTuple):
 def _settled(source, k: int, gain) -> _Settled:
     """Instant ``k``'s gains, covariances and floor events: the source's
     schedule entry, or, group by group of the partition, ``gain(j, rows) ->
-    (L, P)`` for the stack of group ``j``'s members ``rows``, floored,
+    (L, P)`` for the stacks of group ``j`` indexed by ``rows`` (see
+    :func:`_located`), floored,
     checked positive definite and handed to the source's ``keep``.  Each
     step is one batched call per group; failures name the subsystem and the
     instant."""
@@ -295,16 +304,17 @@ def _r_factor(R: np.ndarray) -> np.ndarray:
 
 def _information(UT: np.ndarray, R_factor: np.ndarray) -> tuple:
     """``(U', (R^-1 U)', U' R^-1 U)`` of a stack ``U'`` (``member x m x
-    ny``): one solve against the factor of ``R`` over every member's
-    columns."""
-    g, m, ny = UT.shape
-    RiUT = _factor_solve(R_factor, UT.reshape(g * m, ny).T).T.reshape(g, m, ny)
+    ny``), or of a stack of runs (``(..., member, m, ny)``): one solve
+    against the factor of ``R`` over every member's and run's columns."""
+    ny = UT.shape[-1]
+    RiUT = _factor_solve(R_factor, UT.reshape(-1, ny).T).T.reshape(UT.shape)
     return UT, RiUT, RiUT @ _tr(UT)
 
 
 def _u_t(C: np.ndarray, a_col: np.ndarray, c_col: np.ndarray) -> np.ndarray:
-    """``U' = [C A_col, C_col]'`` of a stack of subsystems."""
-    return np.concatenate([_tr(C @ a_col), _tr(c_col)], axis=-2)
+    """``U' = [C A_col, C_col]'`` of a stack of subsystems, or of a stack
+    of runs with one ``C`` per run."""
+    return np.concatenate([_tr(C[..., None, :, :] @ a_col), _tr(c_col)], axis=-2)
 
 
 def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
@@ -312,8 +322,10 @@ def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
     and ``C_col``: those stacks, the members' ``A_ii`` (their own rows of
     ``A_col``), the source's stack of their ``Q_i`` and the
     :func:`_information` blocks of ``U = [C A_col, C_col]``, the arguments
-    of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``."""
-    return [(a, a[np.arange(len(members))[:, None], idx], c, Q,
+    of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``.  Stacks
+    of runs (``(..., members, rows, d)``, with ``C`` of ``(..., ny, nx)``)
+    give blocks of runs."""
+    return [(a, a[..., np.arange(len(members))[:, None], idx, :], c, Q,
              _information(_u_t(C, a, c), source.R_factor))
             for (members, idx), a, c, Q in zip(source.model.partition.groups, a_stacks,
                                                c_stacks, source.Q)]
@@ -345,7 +357,9 @@ def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
                         R: np.ndarray, info: tuple | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Gain and posterior covariance of one subsystem, or of a stack of
-    subsystems of one size (every argument but ``C`` and ``R`` stacked).
+    subsystems of one size (every argument but ``C`` and ``R`` stacked),
+    or of a stack of runs of such stacks (``(..., members, rows, cols)``,
+    one ``C`` per run; ``P_prev`` and ``Q_i`` may be shared by the runs).
 
     Information form: with ``U = [C A_col, C_col]``, ``W = blkdiag(P_prev,
     Q_i)`` and ``V = [A_ii'; I]``, the gain is ``L' = R^-1 U (I + W U' R^-1
@@ -364,11 +378,13 @@ def gain_and_covariance(P_prev: np.ndarray, a_col: np.ndarray, a_ii: np.ndarray,
                                             (P_prev, a_col, a_ii, c_col, Q_i))
     if info is None:
         info = _information(_u_t(C, a_col, c_col), _r_factor(R))
-    g, d = P_prev.shape[:2]
-    W = np.zeros((g, 2 * d, 2 * d))
-    W[:, :d, :d], W[:, d:, d:] = P_prev, Q_i
+    d = P_prev.shape[-1]
+    W = np.zeros(P_prev.shape[:-2] + (2 * d, 2 * d))
+    W[..., :d, :d], W[..., d:, d:] = P_prev, Q_i
     PA = P_prev @ _tr(a_ii)
-    L, P = _information_gain(*info, W, np.concatenate([PA, Q_i], axis=1), a_ii @ PA + Q_i)
+    WV = np.empty(PA.shape[:-2] + (2 * d, d))
+    WV[..., :d, :], WV[..., d:, :] = PA, Q_i
+    L, P = _information_gain(*info, W, WV, a_ii @ PA + Q_i)
     return (L[0], P[0]) if one else (L, P)
 
 
@@ -450,16 +466,16 @@ def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple[list, _Settled
     ``y_0``; writes the posteriors ``guess + L (y_0 - h(guess))`` into
     ``out``, each as :func:`init_update` forms it."""
     design = source.design
-    groups = source.model.partition.groups
+    p = source.model.partition
     c_cols, _, c_stacks = source.output(design.x0_guess)
     innovation = source.innovation(y0, design.x0_guess)
+    P0 = p.stacked(design.P0)
 
     def gain(j, rows):
-        return _prior_gain(np.stack([design.P0[i] for i in groups[j][0][rows]]),
-                           _information(_tr(c_stacks[j][rows]), source.R_factor))
+        return _prior_gain(P0[j][rows], _information(_tr(c_stacks[j][rows]), source.R_factor))
 
     entry = _settled(source, 0, gain)
-    _updated(groups, entry.L, design.x0_guess, innovation, out)
+    _updated(p.groups, entry.L, design.x0_guess, innovation, out)
     return c_cols, entry
 
 
@@ -472,6 +488,9 @@ class _LinearSource:
     the gain schedule."""
 
     kind = "dkf"
+    #: The runs of a pass share its blocks and gains: an array of one
+    #: instant holds no more per run than the states.
+    instant_floats = 0
 
     def __init__(self, model: GlobalModel, design: EstimatorDesign):
         design.validate(model)
@@ -561,20 +580,24 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     )
 
 
-def _posterior_stack(source: _LinearSource, ys: np.ndarray) -> np.ndarray:
-    """The posteriors ``(K+1, runs, nx)`` of the linear filter over a stack
-    of measurement histories ``(K+1, runs, ny)``, one per run, instant
-    first: one pass of the engine's loop for every run, each run's
-    posteriors bit for bit those of its own run.  The gains and covariances
-    are the source's schedule, settled by the pass where it lacks an
-    instant.  The measurements must be finite; they are not checked here."""
-    return _pass(source, ys, range(source.model.partition.n))[1]
+def _posterior_stack(source, ys: np.ndarray) -> np.ndarray:
+    """The posteriors ``(K+1, runs, nx)`` of either filter over a stack of
+    measurement histories ``(K+1, runs, ny)``, one per run, instant first:
+    one pass of the engine's loop for every run, each run's posteriors bit
+    for bit those of its own run.  The linear filter's gains and
+    covariances are the source's schedule, settled by the pass where it
+    lacks an instant; the extended filter's are settled per instant for
+    every run at once.  The measurements must be finite; they are not
+    checked here.  A failing map or a filter error of any run raises.  No
+    per-instant gain, covariance or column block is kept, so the memory of
+    the pass is that of its states and measurements."""
+    return _pass(source, ys, range(source.model.partition.n), keep=False)[1]
 
 
-def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
+def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> tuple:
     """The engine's loop over measurements ``ys``: one history ``(K+1,
-    ny)``, or, for the linear source, whose maps take stacks of runs, a
-    stack of histories ``(K+1, runs, ny)``.
+    ny)``, or a stack of histories ``(K+1, runs, ny)``, whose runs every
+    map, product and settling step of either source takes at once.
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
     Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
@@ -585,7 +608,9 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
     :func:`_settled`, which raises with the subsystem and the instant.
     Returns the predictions and posteriors (shaped as ``ys`` but for the
     last axis, ``nx``), the per-instant gains, covariances and column
-    blocks, the number of floor events and the wall time of each instant.
+    blocks (with a leading run axis where they depend on the run; only
+    instant 0's when ``keep`` is false), the number of floor events and the
+    wall time of each instant.
     """
     model, design = source.model, source.design
     p = model.partition
@@ -623,10 +648,11 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
         floor_events += entry.floors
         _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0
-        gains.append(list(entry.gains))
-        covs.append(list(entry.covs))
-        a_cols.append(a_cols_k)
-        c_cols.append(c_cols_k)
+        if keep:
+            gains.append(list(entry.gains))
+            covs.append(list(entry.covs))
+            a_cols.append(a_cols_k)
+            c_cols.append(c_cols_k)
     return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall
 
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -71,6 +72,7 @@ from .dekf import _NonlinearSource, run_dekf
 from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_dfie
 from .model import (
     GlobalModel,
+    LinearizationError,
     LinearSubsystem,
     _flag,
     _frozen,
@@ -133,6 +135,11 @@ class ExperimentConfig:
         for name in ("noise", "estimator"):
             if getattr(self, name) is not None:
                 _object(name, getattr(self, name))
+        for name in ("x0", "noise", "estimator"):
+            if not _plain(value := getattr(self, name)):
+                raise ValueError(f"{name} must hold only JSON values (objects with string "
+                                 "keys, lists, strings, numbers, booleans, null), not "
+                                 f"{reprlib.repr(value)}")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -306,7 +313,9 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
 
 
 #: The most numbers an array of a stacked ensemble pass holds (2 MB of
-#: floats), which bounds the memory of a long or wide ensemble.
+#: floats), which bounds the memory of a long or wide ensemble: the states
+#: and measurements over the horizon, and the arrays of one instant (the
+#: pass keeps no gain, covariance or column block of an earlier instant).
 _STACK_FLOATS = 2 ** 18
 
 
@@ -331,12 +340,12 @@ class _Plan:
 
     def rmse(self, seeds) -> np.ndarray:
         """The RMSE rows ``(runs, K+1)`` of the runs at ``seeds``, row ``j``
-        bit for bit ``self.run(seeds[j]).rmse``.  A linear plan simulates
-        and filters all its runs as stacks (see :meth:`_stacked_rmse`),
-        whatever their noise draws; a nonlinear one, and a linear one whose
-        stacked pass fails, runs them one by one, so that an error is the
-        one the first failing run raises."""
-        rows = self._stacked_rmse(seeds) if self.model.linear else None
+        bit for bit ``self.run(seeds[j]).rmse``.  A plan of either model
+        kind simulates and filters all its runs as stacks (see
+        :meth:`_stacked_rmse`), whatever their noise draws; when the stacked
+        pass fails, it runs them one by one, so that an error is the one the
+        first failing run raises."""
+        rows = self._stacked_rmse(seeds)
         if rows is None:
             rows = np.vstack([self.run(int(s)).rmse for s in seeds])
         return rows
@@ -344,12 +353,16 @@ class _Plan:
     def _stacked_rmse(self, seeds) -> np.ndarray | None:
         """The RMSE rows of the runs at ``seeds`` from one pass of the
         simulation and one of the filter's loop per batch of runs, a batch
-        holding at most ``_STACK_FLOATS`` numbers per array.  ``None`` when
-        a pass fails: a non-finite state or measurement, or a filter
+        holding at most ``_STACK_FLOATS`` numbers per array: its states and
+        measurements, or the source's arrays of one instant
+        (``instant_floats`` per run).
+        ``None`` when a pass fails: a state out of the box or non-finite, a
+        non-finite measurement, a failing subsystem map or a filter
         error."""
         K = self.config.steps
         rows = np.empty((len(seeds), K + 1))
-        width = max(1, _STACK_FLOATS // ((K + 1) * (self.model.nx + self.model.ny)))
+        per_run = max((K + 1) * (self.model.nx + self.model.ny), self.source.instant_floats)
+        width = max(1, _STACK_FLOATS // per_run)
         for start in range(0, len(seeds), width):
             truth = _simulate_runs(self.model, self.x0, K, self.noise,
                                    seeds[start:start + width])
@@ -358,7 +371,7 @@ class _Plan:
             xs, ys = truth
             try:
                 post = _posterior_stack(self.source, ys)
-            except FilterError:
+            except (FilterError, LinearizationError):
                 return None
             rows[start:start + width] = analysis.rmse(post, xs).T
         return rows

@@ -16,9 +16,10 @@ partition the groups of equally sized subsystems.
 
 Every result of a subsystem map is checked as it is written (``_put``):
 values into one vector (``_values``, or ``_checked`` for one map), Jacobian
-blocks into per-group stacks (``_jacobian``).  A result must be finite real
-numbers of its place's shape, so the first bad result names its subsystem
-and map.
+blocks into per-group stacks (``_jacobian``).  Both also take a stack of
+runs' points, call each map once per run and subsystem, and write one
+vector or stack per run.  A result must be finite real numbers of its
+place's shape, so the first bad result names its subsystem and map.
 
 The module owns, since every other module imports it, the value rules that
 check every input from outside the program by name (``_integer``, ``_seed``,
@@ -231,14 +232,20 @@ def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
 
 
 def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray],
-            order: Sequence[int] | None = None) -> np.ndarray:
+            order: Sequence[int] | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
     at their state blocks ``points`` (and, for ``f``, their neighbors'), each
     checked as it is written into one vector, the subsystems called in
     ``order`` (default: by index).  The own outputs ``[h_i(x_i)]_i`` are
-    ``C x``."""
+    ``C x``.  Blocks with leading run axes (``(..., d_i)``) give a stack of
+    vectors, run by run, each run's calls those of its own call."""
     p = model.partition
-    out = np.empty(p.nx if of == "f" else p.ny)
+    if out is None:
+        out = np.empty(np.shape(points[0])[:-1] + (p.nx if of == "f" else p.ny,))
+    if out.ndim > 1:
+        for r, row in enumerate(out):
+            _values(model, of, [x[r] for x in points], order, row)
+        return out
     for i in range(p.n) if order is None else order:
         sub, x = model.subsystems[i], points[i]
         args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
@@ -295,12 +302,13 @@ def _posdef(m: np.ndarray) -> bool:
 
 
 def _not_posdef(stack: np.ndarray) -> int | None:
-    """Position of the first matrix of a stack that has no Cholesky factor,
-    or ``None`` when every one has: one batched factorization, and a search
-    matrix by matrix only when it fails."""
+    """Position on the member axis (the third-last) of the first member of
+    a stack, or of a stack of runs, that has a matrix without a Cholesky
+    factor, or ``None`` when every one has one: one batched factorization,
+    and a search member by member only when it fails."""
     if _posdef(stack):
         return None
-    return next(j for j, m in enumerate(stack) if not _posdef(m))
+    return next(j for j in range(stack.shape[-3]) if not _posdef(stack[..., j, :, :]))
 
 
 #: Tolerance of :func:`_not_semidefinite`: a matrix is positive semidefinite
@@ -458,8 +466,10 @@ class StatePartition:
         return [np.stack([blocks[i] for i in members]) for members, _ in self.groups]
 
     def unstacked(self, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per subsystem, its row of its group's stack: views."""
-        return [stacks[j][r] for j, r in self.slots]
+        """Per subsystem, its row of its group's stack of matrices, or its
+        rows of a stack of runs (``(..., members, rows, cols)``): views."""
+        by_member = [s if s.ndim == 3 else np.moveaxis(s, -3, 0) for s in stacks]
+        return [by_member[j][r] for j, r in self.slots]
 
     def state_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
@@ -674,6 +684,12 @@ class NonlinearSubsystem:
             if box.shape != (2, self.state_dim):
                 raise ValueError(f"subsystem {i}: state_box must match state_dim")
             object.__setattr__(self, "state_box", (_frozen(box[0]), _frozen(box[1])))
+        name = f"subsystem {i}: jacobian_check_samples"
+        object.__setattr__(self, "jacobian_check_samples", tuple(
+            (_frozen(_numbers(name, x_i)),
+             {l: _frozen(_numbers(name, v))
+              for l, v in _by_neighbor(i, "sample neighbors", nbrs).items()})
+            for x_i, nbrs in self.jacobian_check_samples))
         if self.jac_f is not None or self.jac_h is not None:
             self._spot_check_jacobians()
 
@@ -683,9 +699,6 @@ class NonlinearSubsystem:
 
     def _spot_check_jacobians(self) -> None:
         for x_i, nbrs in self.jacobian_check_samples:
-            x_i = np.asarray(x_i, dtype=float)
-            nbrs = {l: np.asarray(v, dtype=float)
-                    for l, v in _by_neighbor(self.index, "sample neighbors", nbrs).items()}
             _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
             if self.jac_f is not None:
                 dims = {self.index: self.state_dim, **self.neighbor_dims}
@@ -804,9 +817,9 @@ class GlobalModel:
         return self._col_blocks[1][i]
 
     def f(self, x: np.ndarray) -> np.ndarray:
-        """One step of the global dynamics (noise-free).  A linear model
-        also takes a stack of states (``(..., nx)``) and gives each the bits
-        of its own call."""
+        """One step of the global dynamics (noise-free).  It also takes a
+        stack of states (``(..., nx)``) and gives each the bits of its own
+        call; a nonlinear model calls its maps once per state."""
         x = np.asarray(x, dtype=float)
         if self.linear:
             return _matvec(self.A, x)
@@ -967,17 +980,24 @@ class LinearizationBlocks:
     C: np.ndarray
 
 
-def _jacobian(model: GlobalModel, x: np.ndarray, of: str,
-              analytic: bool = True) -> list[np.ndarray]:
+def _jacobian(model: GlobalModel, x: np.ndarray, of: str, analytic: bool = True,
+              stacks: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """The Jacobian of the stacked map ``of`` (``"f"`` or ``"h"``) at ``x``
     as group stacks ``(members, nx or ny, d)``, a member's row its column
     block: ``d of_l / d x_i`` in the rows of ``l``, zero elsewhere.  Blocks
     come from the providers, or central differences for a subsystem without
-    them or when ``analytic`` is false, each checked as it is written."""
-    p, dynamics, points = model.partition, of == "f", model.partition.split_state(x)
-    name = "jac_" + of
-    stacks = [np.zeros((len(members), p.nx if dynamics else p.ny, idx.shape[1]))
-              for members, idx in p.groups]
+    them or when ``analytic`` is false, each checked as it is written.  A
+    stack of points (``(..., nx)``) gives stacks of runs (``(..., members,
+    nx or ny, d)``), run by run, each run's calls those of its own call."""
+    p, dynamics, x = model.partition, of == "f", np.asarray(x)
+    if stacks is None:
+        stacks = [np.zeros(x.shape[:-1] + (len(members), p.nx if dynamics else p.ny,
+                                           idx.shape[1])) for members, idx in p.groups]
+    if x.ndim > 1:
+        for r, x_r in enumerate(x):
+            _jacobian(model, x_r, of, analytic, [s[r] for s in stacks])
+        return stacks
+    points, name = p.split_state(x), "jac_" + of
     for l, sub in enumerate(model.subsystems):
         if dynamics:
             rows, args = p.state_slice(l), (points[l], {m: points[m] for m in sub.neighbors})

@@ -7,16 +7,17 @@ subsystem noises are independent by construction.  The splitting rule is:
 noise of subsystems ``0..n-1`` and children ``n..2n-1`` driving measurement
 noise in the same order.
 
-:func:`simulate` and the stacked runs of a linear Monte Carlo ensemble
-(``_simulate_runs``) draw noise by one rule (``_noise``) and propagate by
-one loop (``_propagate``), so each run of an ensemble is bit for bit its
-:func:`simulate` run, redraws included.  This module is the only one that
+:func:`simulate` and the stacked runs of a Monte Carlo ensemble of either
+model kind (``_simulate_runs``) draw noise by one rule (``_noise``) and
+propagate by one loop (``_propagate``), so each run of an ensemble is bit
+for bit its :func:`simulate` run, redraws included.  This module is the only one that
 draws noise.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,8 +252,10 @@ def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The states and measurements that the noises ``ws`` and ``vs`` drive
     from ``x0``, of one run (``ws`` of shape ``(K, nx)``) or of a stack of
-    runs of a linear plant (``(K, runs, nx)``).  A state out of the box or
-    non-finite, and a failing map, raise :class:`SimulationError`."""
+    runs (``(K, runs, nx)``) of either model kind: a nonlinear plant calls
+    its maps once per run and subsystem, each run's calls those of its own
+    run.  A state out of the box or non-finite, and a failing map, in any
+    run raise :class:`SimulationError`."""
     box = model.state_box()
     xs = np.empty((len(vs), *ws.shape[1:]))
     ys = np.empty(vs.shape)
@@ -273,21 +276,24 @@ def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
 
 def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec,
                    seeds) -> tuple[np.ndarray, np.ndarray] | None:
-    """The truth of a linear plant for the runs of ``noise`` at ``seeds``,
-    all runs in one pass: their states ``(K+1, runs, nx)`` and measurements
-    ``(K+1, runs, ny)``, each run bit for bit :func:`simulate`'s at its
-    seed, redraws included.  ``None`` when a state or a measurement of a run
-    turns non-finite: :func:`simulate` and the filter's check of the
-    measurements say which run, step and error.  Checks and errors of the
-    arguments are :func:`simulate`'s."""
+    """The truth of the plant, linear or nonlinear, for the runs of
+    ``noise`` at ``seeds``, all runs in one pass: their states ``(K+1, runs,
+    nx)`` and measurements ``(K+1, runs, ny)``, each run bit for bit
+    :func:`simulate`'s at its seed, redraws included.  ``None`` when a run
+    leaves the validity box, a map of a run fails, the pass warns, or a
+    state or a measurement of a run turns non-finite: :func:`simulate` and
+    the filter's check of the measurements say which run, step and error.
+    Checks and errors of the arguments are :func:`simulate`'s."""
     steps, x0, *spec = _start(model, x0, steps, noise)
     draws = [_noise(noise, model, steps, *spec, seed=_seed(s)) for s in seeds]
     ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
-    # An overflow shows as a non-finite value, and the per-run path then
-    # raises (and warns) as it would have.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A warning or a floating-point error of any run (an overflow, say, also
+    # one inside a map whose result stays finite) gives way to the per-run
+    # path, which then warns or raises as a standalone run does.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             xs, ys = _propagate(model, x0, ws, vs)
-        except SimulationError:
+        except (SimulationError, ArithmeticError, Warning):
             return None
     return (xs, ys) if np.isfinite(ys).all() else None

@@ -1,6 +1,10 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import partkf.benchmarks
 import partkf.dkf
 import partkf.harness
 from partkf.analysis import (
@@ -20,6 +24,7 @@ from partkf.dekf import run_dekf
 from partkf.dkf import EstimatorDesign, _sym, run_dkf
 from partkf.harness import ExperimentConfig, run_experiment
 from partkf.model import (
+    LinearizationError,
     LinearSubsystem,
     NonlinearSubsystem,
     aggregate_nonlinear,
@@ -448,14 +453,20 @@ class TestMonteCarlo:
         assert not np.array_equal(base.rmse[:, 1:], doubled.rmse[:, 1:])
 
     # The engine calls ``gain_and_covariance`` once per group of equally
-    # sized subsystems and instant; both plants have one group.
-    @pytest.mark.parametrize("config, groups, per_run", [
+    # sized subsystems and instant for a whole batch of runs; both plants
+    # have one group.  Batches of two runs split the ensemble of four in
+    # two: the linear filter settles its gain schedule once for both, the
+    # extended filter settles its gains in each batch.
+    @pytest.mark.parametrize("config, groups, per_batch", [
         (CONFIG.replace(steps=10), 1, False),
         (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
                           monitors=False), 1, True),
     ], ids=["linear", "reactor"])
     def test_only_a_linear_ensemble_shares_its_gains(self, monkeypatch, config, groups,
-                                                     per_run):
+                                                     per_batch):
+        model = partkf.harness._resolve(config).model
+        monkeypatch.setattr(partkf.harness, "_STACK_FLOATS",
+                            2 * (config.steps + 1) * (model.nx + model.ny))
         calls = []
         exact = partkf.dkf.gain_and_covariance
 
@@ -464,9 +475,10 @@ class TestMonteCarlo:
             return exact(*args)
 
         monkeypatch.setattr(partkf.dkf, "gain_and_covariance", counted)
-        runs = 4
-        monte_carlo(config, runs=runs)
-        assert len(calls) == (runs if per_run else 1) * groups * config.steps
+        passes = count_calls(monkeypatch, partkf.harness, "_simulate_runs")
+        monte_carlo(config, runs=4)
+        assert len(passes) == 2
+        assert len(calls) == (len(passes) if per_batch else 1) * groups * config.steps
 
 
 class TestStackedEnsemble:
@@ -484,16 +496,14 @@ class TestStackedEnsemble:
         config = self.MC.replace(seed=seed)
         assert_same_ensemble(monte_carlo(config, runs=20), per_run_ensemble(config, 20))
 
-    @pytest.mark.parametrize("config, alone", [
-        (MC.replace(seed=4), 0),
-        (ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5,
-                          monitors=False), 3),
+    @pytest.mark.parametrize("config", [
+        MC.replace(seed=4),
+        ExperimentConfig(model={"name": "reactor-chain"}, steps=10, seed=5, monitors=False),
     ], ids=["linear", "reactor"])
-    def test_only_a_nonlinear_ensemble_simulates_run_by_run(self, monkeypatch, config,
-                                                            alone):
+    def test_no_ensemble_simulates_run_by_run(self, monkeypatch, config):
         calls = count_calls(monkeypatch, partkf.harness, "simulate")
         monte_carlo(config, runs=3)
-        assert len(calls) == alone
+        assert calls == []
 
     # With w_bound = w_std every run redraws some process noise; at three
     # deviations three runs of this ensemble do and five do not.  All stay
@@ -528,6 +538,129 @@ class TestStackedEnsemble:
                 per_run_ensemble(config, 3)
         assert str(stacked.value) == str(alone.value) == "state became non-finite at step 2"
         assert stacked.value.step == alone.value.step == 2
+
+
+class TestStackedNonlinearEnsemble:
+    """A nonlinear ensemble is simulated and filtered as stacks of runs too,
+    each run's maps called as in its own run; every field of its result
+    equals the per-run path's bit for bit, and an ensemble with a failing
+    run raises the error of the first failing run on the per-run path."""
+
+    REACTOR = ExperimentConfig(model={"name": "reactor-chain"}, steps=50, monitors=False)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reactor_equals_the_per_run_path(self, monkeypatch, seed):
+        config = self.REACTOR.replace(seed=seed)
+        alone = count_calls(monkeypatch, partkf.harness, "simulate")
+        result = monte_carlo(config, runs=20)
+        assert alone == []
+        monkeypatch.undo()
+        assert_same_ensemble(result, per_run_ensemble(config, 20))
+
+    def test_bench_config_equals_the_per_run_path(self):
+        # reactor-500's ensemble: four runs at K=50, one batch.
+        config = self.REACTOR.replace(seed=1)
+        assert_same_ensemble(monte_carlo(config, runs=4), per_run_ensemble(config, 4))
+
+    def test_a_batch_counts_the_arrays_of_one_instant(self, monkeypatch):
+        # At K=1 a run's Jacobian stacks and information blocks of one
+        # instant outnumber its states and measurements over the horizon.
+        config = self.REACTOR.replace(seed=4, steps=1)
+        source = partkf.harness._resolve(config).source
+        model = source.model
+        assert source.instant_floats > 2 * (model.nx + model.ny)
+        monkeypatch.setattr(partkf.harness, "_STACK_FLOATS", 2 * source.instant_floats)
+        passes = count_calls(monkeypatch, partkf.harness, "_simulate_runs")
+        result = monte_carlo(config, runs=5)
+        assert [len(call[-1]) for call in passes] == [2, 2, 1]
+        assert_same_ensemble(result, per_run_ensemble(config, 5))
+
+    # Process noise 60 times the published one.  At seed 1 the second run
+    # leaves the box at step 16 and the first stays in; at seed 3 the
+    # second leaves it at step 9, before the first does at step 28, and the
+    # error is the first run's.
+    @pytest.mark.parametrize("seed, step", [(1, 16), (3, 28)])
+    def test_a_run_leaving_the_box_raises_the_per_run_error(self, monkeypatch, seed, step):
+        bench = get_benchmark("reactor-chain")
+        config = self.REACTOR.replace(seed=seed, noise={
+            "w_std": (60 * bench.w_std).tolist(), "w_bound": (60 * bench.w_bound).tolist()})
+        passes = count_calls(monkeypatch, partkf.harness, "_simulate_runs")
+        with pytest.raises(SimulationError) as stacked:
+            monte_carlo(config, runs=2)
+        assert len(passes) == 1
+        with pytest.raises(SimulationError) as alone:
+            per_run_ensemble(config, 2)
+        assert str(stacked.value) == str(alone.value) == (
+            f"state left the validity box at step {step}")
+        assert stacked.value.step == alone.value.step == step
+
+    def test_a_failing_jacobian_of_one_run_raises_the_per_run_error(self, monkeypatch):
+        # Subsystem 2's jac_f raises at the posterior of the second run at
+        # instant 9 and of the third run at instant 6, so the filter fails
+        # at instant 10 of the second run, after the third run's failure at
+        # instant 7 in the stacked pass.
+        config = self.REACTOR.replace(seed=2, steps=20)
+        plan = partkf.harness._resolve(config)
+        seeds = np.random.SeedSequence(config.seed).generate_state(4, dtype=np.uint64)
+        p = plan.model.partition
+        points = [plan.run(int(seeds[run])).xhat_post[k][p.state_slice(2)].copy()
+                  for run, k in ((1, 9), (2, 6))]
+        bench = get_benchmark("reactor-chain")
+        sub = bench.model.subsystems[2]
+
+        def jac_f(x_i, neighbors):
+            if any(np.array_equal(x_i, point) for point in points):
+                raise RuntimeError("no Jacobian here")
+            return sub.jac_f(x_i, neighbors)
+
+        subs = list(bench.model.subsystems)
+        subs[2] = dataclasses.replace(sub, jac_f=jac_f, jacobian_check_samples=())
+        broken = dataclasses.replace(bench, model=aggregate_nonlinear(subs, p))
+        monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: broken)
+        config = config.replace(model={"name": "test-reactor"})
+        passes = count_calls(monkeypatch, partkf.harness, "_posterior_stack")
+        with pytest.raises(LinearizationError) as stacked:
+            monte_carlo(config, runs=4)
+        assert len(passes) == 1
+        with pytest.raises(LinearizationError) as alone:
+            per_run_ensemble(config, 4)
+        assert str(stacked.value) == str(alone.value) == (
+            "instant 10, subsystem 2: jac_f raised RuntimeError('no Jacobian here')")
+        assert stacked.value.subsystem == alone.value.subsystem == 2
+
+
+    def test_a_warning_inside_a_map_of_one_run_is_the_per_run_warning(self, monkeypatch):
+        # Subsystem 1's f overflows at the truth of the second run at step 4
+        # and still returns finite values.  The tests turn warnings into
+        # errors, so a standalone run raises there; with warnings ignored
+        # every run completes.
+        config = self.REACTOR.replace(seed=2, steps=10)
+        plan = partkf.harness._resolve(config)
+        seeds = np.random.SeedSequence(config.seed).generate_state(3, dtype=np.uint64)
+        p = plan.model.partition
+        point = plan.run(int(seeds[1])).xs[4][p.state_slice(1)].copy()
+        bench = get_benchmark("reactor-chain")
+        sub = bench.model.subsystems[1]
+
+        def f(x_i, neighbors):
+            out = sub.f(x_i, neighbors)
+            return out + 0.0 / np.cosh(np.float64(1e3)) if np.array_equal(x_i, point) else out
+
+        subs = list(bench.model.subsystems)
+        subs[1] = dataclasses.replace(sub, f=f, jacobian_check_samples=())
+        broken = dataclasses.replace(bench, model=aggregate_nonlinear(subs, p))
+        monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: broken)
+        config = config.replace(model={"name": "test-reactor"})
+        with pytest.raises(SimulationError) as stacked:
+            monte_carlo(config, runs=3)
+        with pytest.raises(SimulationError) as alone:
+            per_run_ensemble(config, 3)
+        assert str(stacked.value) == str(alone.value) == (
+            "step 4, subsystem 1: f raised RuntimeWarning('overflow encountered in cosh')")
+        assert stacked.value.step == alone.value.step == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert_same_ensemble(monte_carlo(config, runs=3), per_run_ensemble(config, 3))
 
 
 class TestLyapunov:

@@ -387,3 +387,48 @@ class TestBatchedStep:
             assert per_agent == [[], [], [], []], n
             products[n] = (counts[6] - counts[3]) / 3
         assert products[16] == products[64] < 16, products
+
+
+class TestRunStacks:
+    """The kernel of the stacked ensemble pass: on a stack of runs each run
+    gets the bits of its own call, through one solve against ``R`` over
+    every run's columns and batched products, ``2 d_i``-sized solves,
+    eigenvalues and Cholesky factorizations."""
+
+    @staticmethod
+    def _spd(rng, shape, d):
+        m = rng.normal(size=shape + (d, d))
+        return m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(d)
+
+    @pytest.mark.parametrize("shared_p", [False, True], ids=["own-P", "shared-P"])
+    @pytest.mark.parametrize("ny", [2, 8, 128])
+    def test_a_stack_of_runs_gives_each_run_its_own_bits(self, ny, shared_p):
+        # A shared prior covariance is instant 1 of the extended filter,
+        # whose instant-0 gains do not depend on the measurements.
+        rng = np.random.default_rng(ny)
+        runs, members, d, nx = 5, 3, 2, 8
+        P = self._spd(rng, (members,) if shared_p else (runs, members), d)
+        a = rng.normal(size=(runs, members, nx, d))
+        aii = rng.normal(size=(runs, members, d, d))
+        C = rng.normal(size=(runs, ny, nx))
+        c = rng.normal(size=(runs, members, ny, d))
+        Q = self._spd(rng, (members,), d)
+        R = self._spd(rng, (), ny)
+        L, P_post = gain_and_covariance(P, a, aii, C, c, Q, R)
+        floored, fired = dkf._floor(P_post)
+        for r in range(runs):
+            L_r, P_r = gain_and_covariance(P if shared_p else P[r], a[r], aii[r], C[r], c[r],
+                                           Q, R)
+            assert L[r].tobytes() == L_r.tobytes()
+            assert P_post[r].tobytes() == P_r.tobytes()
+            F_r, fired_r = dkf._floor(P_r)
+            assert floored[r].tobytes() == F_r.tobytes()
+            assert np.array_equal(fired[r], fired_r)
+
+    def test_the_failing_member_of_a_stack_of_runs_is_named(self):
+        stack = np.tile(np.eye(2), (4, 3, 1, 1))
+        assert partkf.model._not_posdef(stack) is None
+        stack[2, 1] = -np.eye(2)
+        assert partkf.model._not_posdef(stack) == 1
+        stack[3, 0] = -np.eye(2)
+        assert partkf.model._not_posdef(stack) == 0

@@ -45,6 +45,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   one (``get_benchmark``, ``_inline_model``, ``_benchmark``), and in
   ``harness.py`` only ``_resolve`` calls the kept build ``_benchmark``, so
   that a second, unkept resolution path cannot come back beside it;
+- ``simulate.py`` reads no model's ``.linear`` and ``harness.py`` reads it
+  only where ``_resolve`` picks the filter and where the verification
+  suite picks the centralized oracle: a Monte Carlo ensemble of either model
+  kind takes one stacked path, so that a second, per-run path for one kind
+  cannot come back;
 - no module uses NumPy API that exists only from NumPy 2.0, because
   ``pyproject.toml`` declares ``numpy>=1.24``;
 - every defaulted parameter of a public function (one in its module's
@@ -516,6 +521,46 @@ def test_checker_flags_a_second_resolution_path():
                + "\n\ndef _model(config):\n    from .benchmarks import get_benchmark\n"
                "    return get_benchmark(config.model['name']).model\n")
     assert call_owners(planted, RESOLVERS) == ["_model:get_benchmark"]
+
+
+def linear_reads(source: str) -> list[str]:
+    """The function of ``source`` (``Class.method`` for a method,
+    ``<module>`` outside any) of each read of an attribute ``.linear``."""
+    sites = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "linear":
+                sites.add(owner or "<module>")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, ".".join(filter(None, (owner, child.name))) if named else owner)
+
+    visit(ast.parse(source), "")
+    return sorted(sites)
+
+
+#: Where ``harness.py`` reads a model's kind: the choice of the filter and
+#: of the centralized oracle of the verification suite.
+LINEAR_READS = ["_n1_vs_centralized", "_resolve"]
+
+
+def test_the_ensemble_path_has_no_branch_on_the_model_kind():
+    assert linear_reads((SRC / "simulate.py").read_text()) == []
+    assert linear_reads((SRC / "harness.py").read_text()) == LINEAR_READS
+
+
+def test_checker_flags_a_branch_on_the_model_kind():
+    source = ("def rmse(self, seeds):\n    if self.model.linear:\n        pass\n"
+              "class Plan:\n    def run(self):\n        return model.linear and 1\n"
+              "linear = 1\nKIND = m.linear\n")
+    assert linear_reads(source) == ["<module>", "Plan.run", "rmse"]
+    planted = (SRC / "harness.py").read_text().replace(
+        "        rows = self._stacked_rmse(seeds)\n",
+        "        rows = self._stacked_rmse(seeds) if self.model.linear else None\n")
+    assert linear_reads(planted) == sorted(LINEAR_READS + ["_Plan.rmse"])
+    planted = (SRC / "simulate.py").read_text().replace(
+        "    box = model.state_box()\n", "    box = None if model.linear else model.state_box()\n")
+    assert linear_reads(planted) == ["_propagate"]
 
 
 #: API that NumPy added in 2.0 (``np.cumulative_*`` in 2.1).

@@ -559,6 +559,34 @@ class TestNonlinearSubsystem:
     def test_constructor_spot_check_accepts_correct_jacobians(self):
         reactor_subsystems()  # jacobian_check_samples are verified on build
 
+    def test_spot_check_samples_are_read_only_float_copies(self):
+        subs = get_benchmark("reactor-chain").model.subsystems
+        for sub in subs:
+            assert len(sub.jacobian_check_samples) == 2
+            for x_i, nbrs in sub.jacobian_check_samples:
+                assert set(nbrs) == set(sub.neighbors)
+                for a in (x_i, *nbrs.values()):
+                    assert a.dtype == float and not a.flags.writeable
+        # Copies: the caller's sample may change, the stored one does not.
+        good = subs[1]
+        x_i = np.array([311, 3])
+        kept = dataclasses.replace(good, jacobian_check_samples=[(x_i, {0: [310.0, 3.0]})])
+        x_i[0] = 0
+        assert kept.jacobian_check_samples[0][0].tolist() == [311.0, 3.0]
+
+    def test_spot_check_runs_on_the_stored_samples(self):
+        good = reactor_subsystems()[1]
+        calls = []
+
+        def jac_h(x):
+            calls.append(x)
+            return good.jac_h(x)
+
+        dataclasses.replace(good, jac_h=jac_h)
+        assert [x.tolist() for x in calls] == [
+            x_i.tolist() for x_i, _ in good.jacobian_check_samples]
+        assert all(not x.flags.writeable for x in calls)
+
     def test_constructor_spot_check_rejects_wrong_jacobian(self):
         good = reactor_subsystems()[2]
 

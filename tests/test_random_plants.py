@@ -5,6 +5,7 @@ this sweep runs the same identity functions (``partkf.harness``) on rings,
 stars and random graphs of 2 to 5 subsystems, at the acceptance tolerances.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -144,4 +145,23 @@ def test_stacked_chain_ensemble_equals_the_per_run_path(monkeypatch):
     passes = count_calls(monkeypatch, harness, "_simulate_runs")
     result = monte_carlo(config, runs=5)
     assert len(passes) == 3
+    assert_same_ensemble(result, per_run_ensemble(config, 5))
+
+
+def test_stacked_affine_view_ensemble_equals_the_per_run_path(monkeypatch):
+    # The affine view of the chain plant above runs the extended filter in
+    # the stacked pass: its maps are called once per run and subsystem, its
+    # gains settled per batch.  Batches of two runs split the ensemble into
+    # three passes.
+    bench = random_plant(5, topology="chain", n=16)
+    p = bench.model.partition
+    affine = dataclasses.replace(bench, name="affine-chain",
+                                 model=aggregate_nonlinear(bench.model.subsystems, p))
+    config = _ensemble_config(monkeypatch, affine, 5)
+    monkeypatch.setattr(harness, "_STACK_FLOATS", 2 * (STEPS + 1) * (p.nx + p.ny))
+    passes = count_calls(monkeypatch, harness, "_simulate_runs")
+    alone = count_calls(monkeypatch, harness, "simulate")
+    result = monte_carlo(config, runs=5)
+    assert len(passes) == 3
+    assert alone == []
     assert_same_ensemble(result, per_run_ensemble(config, 5))
