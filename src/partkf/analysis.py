@@ -54,6 +54,7 @@ import numpy as np
 
 from .model import GlobalModel, _cholesky, _integer, _posdef, _sym, _tr
 from .records import RunRecord, _write_csv
+from .simulate import _run_seeds
 
 __all__ = [
     "ErrorDecomposition",
@@ -709,7 +710,7 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     if _integer("runs", runs) < 1:
         raise ValueError("runs must be at least 1")
     plan = _resolve(config.replace(runs=1, monitors=False))
-    seeds = np.random.SeedSequence(config.seed).generate_state(runs, dtype=np.uint64)
+    seeds = _run_seeds(config.seed, runs)
     arr = plan.rmse(seeds)
     return MonteCarloResult(seeds=seeds, rmse=arr, mean=arr.mean(axis=0),
                             lo=arr.min(axis=0), hi=arr.max(axis=0))

@@ -315,8 +315,9 @@ def get_benchmark(name: str, **params) -> Benchmark:
     parameter the builder does not take, or a value not of its default's
     kind, raises ``ValueError`` naming the benchmark and the parameter: an
     integer default takes an integer (a bool is not one), a float default a
-    finite real number; other defaults leave the value to the builder.
-    Every call builds the benchmark afresh."""
+    finite real number; other defaults leave the value to the builder.  A
+    ``ValueError`` of the build itself names the parameters passed.  Every
+    call builds the benchmark afresh."""
     try:
         builder = _REGISTRY[name]
     except KeyError:
@@ -333,4 +334,10 @@ def get_benchmark(name: str, **params) -> Benchmark:
                 _real(key, value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"benchmark {name!r}: {exc}") from None
-    return builder(**params)
+    try:
+        return builder(**params)
+    except ValueError as exc:
+        if not params:
+            raise
+        raise ValueError(f"benchmark {name!r} built with {', '.join(map(str, params))}: "
+                         f"{exc}") from exc

@@ -190,21 +190,25 @@ class EstimatorDesign:
     def validate(self, model: GlobalModel) -> None:
         p = model.partition
         _check_design("design", vars(self), p.dims, p.out_dims)
-        for i in range(p.n):
-            for name, value in ((f"Q[{i}]", self.Q[i]), (f"P0[{i}]", self.P0[i]),
-                                (f"x0_guess of subsystem {i}",
-                                 self.x0_guess[p.state_slice(i)])):
-                if not np.isfinite(value).all():
-                    raise ValueError(f"{name} is not finite")
+        Q, P0 = p.stacked(self.Q), p.stacked(self.P0)
+        # One test per group stack; the failing member is looked for only
+        # when one fails.
+        if not all(np.isfinite(m).all() for m in (*Q, *P0, self.x0_guess)):
+            for i in range(p.n):
+                for name, value in ((f"Q[{i}]", self.Q[i]), (f"P0[{i}]", self.P0[i]),
+                                    (f"x0_guess of subsystem {i}",
+                                     self.x0_guess[p.state_slice(i)])):
+                    if not np.isfinite(value).all():
+                        raise ValueError(f"{name} is not finite")
         if not np.isfinite(self.R).all():
             raise ValueError("R is not finite")
-        weights = {**{f"Q[{i}]": q for i, q in enumerate(self.Q)},
-                   **{f"P0[{i}]": p0 for i, p0 in enumerate(self.P0)}, "R": self.R}
-        if not _symmetric(*weights.values()):
+        if not _symmetric(*Q, *P0, self.R):
+            weights = {**{f"Q[{i}]": q for i, q in enumerate(self.Q)},
+                       **{f"P0[{i}]": p0 for i, p0 in enumerate(self.P0)}, "R": self.R}
             name = next(name for name, m in weights.items() if not _symmetric(m))
             raise ValueError(f"{name} is not symmetric")
-        for (members, _), Q in zip(p.groups, p.stacked(self.Q)):
-            j = _not_semidefinite(Q)
+        for (members, _), q in zip(p.groups, Q):
+            j = _not_semidefinite(q)
             if j is not None:
                 raise ValueError(f"Q[{members[j]}] is not positive semidefinite")
 

@@ -86,7 +86,7 @@ from .model import (
     assemble_global,
     make_partition,
 )
-from .records import RunRecord, _load_json, _write_csv
+from .records import RunRecord, _canonical, _load_json, _write_csv
 from .simulate import NoiseSpec, _broadcast, _simulate_runs, simulate
 
 __all__ = ["ExperimentConfig", "load_config", "run_experiment", "export",
@@ -121,6 +121,15 @@ class ExperimentConfig:
         if not isinstance(self.model.get("params", {}), dict):
             raise ValueError(f"model params must map parameter names to values, "
                              f"not {self.model['params']!r}")
+        # A value the record's JSON cannot hold would fail only at export or
+        # content_digest; NumPy float scalars, tuples and integer keys it can.
+        for key, value in self.model.get("params", {}).items():
+            if not isinstance(key, str):
+                raise ValueError(f"model.params key {key!r} must be a string, a parameter name")
+            try:
+                _canonical(value)
+            except (TypeError, ValueError, RecursionError) as exc:
+                raise ValueError(f"model.params.{key} cannot be written as JSON: {exc}") from None
         if "inline" in self.model:
             inline = _object("model.inline", self.model["inline"])
             _require("model.inline", inline, ("dims", "out_dims", "subsystems"))

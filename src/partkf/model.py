@@ -280,10 +280,11 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(*ms: np.ndarray) -> bool:
-    """Whether every given finite matrix equals its transpose to the weights'
-    tolerance: ``np.allclose``'s test at rtol 1e-10, atol 1e-12."""
+    """Whether every given finite matrix, or every matrix of a given stack,
+    equals its transpose to the weights' tolerance: ``np.allclose``'s test
+    at rtol 1e-10, atol 1e-12."""
     a = np.concatenate([m.ravel() for m in ms])
-    b = np.concatenate([m.T.ravel() for m in ms])
+    b = np.concatenate([_tr(m).ravel() for m in ms])
     return bool((np.abs(a - b) <= 1e-12 + 1e-10 * np.abs(b)).all())
 
 

@@ -5,7 +5,11 @@ from a single master seed, so trajectories are reproducible bit for bit and
 subsystem noises are independent by construction.  The splitting rule is:
 ``SeedSequence(seed).spawn(2 n)`` with children ``0..n-1`` driving the process
 noise of subsystems ``0..n-1`` and children ``n..2n-1`` driving measurement
-noise in the same order.
+noise in the same order, child ``c`` through ``default_rng``.  The rule is
+computed, not called: one array pass (``_stream_states``) hashes the seeds
+and spawn keys of a whole batch of runs as NumPy's ``SeedSequence`` does
+(NEP 19) and turns them into the PCG64 ``srandom`` states ``default_rng``
+starts from, and a test holds those states to NumPy's own.
 
 :func:`simulate` and the stacked runs of a Monte Carlo ensemble of either
 model kind (``_simulate_runs``) draw noise by one rule (``_noise``) and
@@ -83,14 +87,92 @@ class NoiseSpec:
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
-        return _streams(self.seed, n_subsystems)
+        gens = [_generator(s) for s in _stream_states([self.seed], 2 * n_subsystems)[0]]
+        return gens[:n_subsystems], gens[n_subsystems:]
 
 
-def _streams(seed: int, n: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
-    """The generators of the module's splitting rule for master ``seed`` and
-    ``n`` subsystems: (process list, measurement list)."""
-    gens = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 * n)]
-    return gens[:n], gens[n:]
+#: NumPy's ``SeedSequence`` hashing (NEP 19): the first value and the
+#: multiplier of its two hash-constant sequences, and its mixing multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: PCG64's 128-bit multiplier, the step of its ``srandom``.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """``init * mult**k`` modulo ``2**32`` for ``k < count``: the constants
+    a ``SeedSequence`` hash steps through, one more per hashed word."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _pool(seed: int, a: list[int]) -> list[int]:
+    """The 4-word entropy pool of the children of ``SeedSequence(seed)``
+    before their spawn key: the seed's 32-bit words padded with zeros to
+    four, each hashed (constants ``a[0..4]``), then each mixed into every
+    other (``a[4..16]``)."""
+    pool = []
+    for k, word in enumerate((seed & _M32, seed >> 32, 0, 0)):
+        v = (word ^ a[k]) * a[k + 1] & _M32
+        pool.append(v ^ v >> 16)
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = (pool[src] ^ a[k]) * a[k + 1] & _M32
+                r = _MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16) & _M32
+                pool[dst] = r ^ r >> 16
+                k += 1
+    return pool
+
+
+def _stream_states(seeds, m: int) -> list[list[tuple[int, int]]]:
+    """Per seed of ``seeds``, the PCG64 states ``(state, inc)`` that
+    ``default_rng`` starts the children ``0..m-1`` of
+    ``SeedSequence(seed).spawn(m)`` from, in one array pass: each seed's
+    pool once (:func:`_pool`), spawn key ``c`` hashed into it for all
+    children at once, ``generate_state(4, uint64)``'s eight words and the
+    ``srandom`` of PCG64, seed words first, increment words last."""
+    u = np.uint64
+    mask, shift = u(_M32), u(16)
+    a = _hash_constants(_INIT_A, _MULT_A, 21)
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, 9), dtype=u)
+    pools = np.array([_pool(s, a) for s in seeds], dtype=u).reshape(-1, 4, 1)
+    x = np.array(a[16:], dtype=u)[:, None]
+    key = (np.arange(m, dtype=u) ^ x[:4]) * x[1:] & mask
+    pools = u(_MIX_L) * pools - u(_MIX_R) * (key ^ key >> shift) & mask
+    pools ^= pools >> shift
+    # Word w of generate_state hashes pool word w % 4 with b[w] and b[w + 1].
+    words = (pools[:, None] ^ b[:8].reshape(2, 4, 1)) * b[1:].reshape(2, 4, 1) & mask
+    words = (words ^ words >> shift).reshape(len(pools), 4, 2, m)
+    halves = words[:, :, 0] | words[:, :, 1] << u(32)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves.transpose(1, 0, 2).reshape(4, -1).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
+    return [states[j * m:(j + 1) * m] for j in range(len(pools))]
+
+
+def _at(gen: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """``gen`` set to the start of the stream of PCG64 state ``state``."""
+    gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state[0], "inc": state[1]}}
+    return gen
+
+
+def _generator(state: tuple[int, int]) -> np.random.Generator:
+    """A new generator at the start of the stream of PCG64 state ``state``."""
+    return _at(np.random.Generator(np.random.PCG64(0)), state)
+
+
+def _run_seeds(seed: int, runs: int) -> np.ndarray:
+    """The seeds of the ``runs`` runs of an ensemble with base seed ``seed``:
+    ``SeedSequence(seed).generate_state(runs, uint64)``."""
+    return np.random.SeedSequence(seed).generate_state(runs, dtype=np.uint64)
 
 
 def sample_noise(std: np.ndarray, bound: np.ndarray | None,
@@ -219,26 +301,32 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
 
 
 def _noise(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
-           w_bound, v_bound, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+           w_bound, v_bound, states=None) -> tuple[np.ndarray, np.ndarray]:
     """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)`` of
-    ``noise``, or of its streams at ``seed`` when given (a run of an
-    ensemble), row ``k`` the draws of :func:`sample_noise` at instant ``k``.
-    Each generator's rows are one block, ``normal(0, 1) * std``.  A redraw
-    moves every later draw of its generator, so a generator with a draw out
-    of bound is drawn again from a fresh generator of its stream, row by row
-    through :func:`sample_noise`, whose errors then carry the row as step."""
-    p, seed = model.partition, noise.seed if seed is None else seed
+    ``noise``, or of the streams at PCG64 ``states`` when given (a run of an
+    ensemble, :func:`_stream_states`), row ``k`` the draws of
+    :func:`sample_noise` at instant ``k``.  Each stream's rows are one block,
+    ``normal(0, 1) * std``, drawn on one generator set to each stream in
+    turn.  A redraw moves every later draw of its stream, so a stream with a
+    draw out of bound is drawn again from a new generator at its start, row
+    by row through :func:`sample_noise`, whose errors then carry the row as
+    step."""
+    p = model.partition
+    states = _stream_states([noise.seed], 2 * p.n)[0] if states is None else states
+    gen = _generator(states[0])
     out = []
-    for role, (gens, dims, offsets, rows, std, bound) in enumerate(zip(
-            _streams(seed, p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
-            (steps, steps + 1), (w_std, v_std), (w_bound, v_bound))):
-        z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
-                           axis=1) * std
+    for role, (dims, offsets, rows, std, bound) in enumerate(zip(
+            (p.dims, p.out_dims), (p.offsets, p.out_offsets), (steps, steps + 1),
+            (w_std, v_std), (w_bound, v_bound))):
+        role_states = states[role * p.n:(role + 1) * p.n]
+        z = np.concatenate([_at(gen, s).normal(0.0, 1.0, size=(rows, d))
+                            for s, d in zip(role_states, dims)], axis=1) * std
         if bound is not None and np.any(np.abs(z) > bound):
-            for i, rng in enumerate(_streams(seed, p.n)[role]):
+            for i, state in enumerate(role_states):
                 sl = slice(offsets[i], offsets[i + 1])
                 if not np.any(np.abs(z[:, sl]) > bound[sl]):
                     continue
+                rng = _generator(state)
                 for k in range(rows):
                     try:
                         z[k, sl] = sample_noise(std[sl], bound[sl], rng)
@@ -285,7 +373,8 @@ def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseS
     the filter's check of the measurements say which run, step and error.
     Checks and errors of the arguments are :func:`simulate`'s."""
     steps, x0, *spec = _start(model, x0, steps, noise)
-    draws = [_noise(noise, model, steps, *spec, seed=_seed(s)) for s in seeds]
+    streams = _stream_states([_seed(s) for s in seeds], 2 * model.partition.n)
+    draws = [_noise(noise, model, steps, *spec, states=s) for s in streams]
     ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
     # A warning or a floating-point error of any run (an overflow, say, also
     # one inside a map whose result stays finite) gives way to the per-run

@@ -27,6 +27,7 @@ from partkf.model import (LinearSubsystem, _monolithic, _tr, assemble_global,
 from partkf.simulate import simulate
 
 from conftest import noise_for
+from random_plants import random_plant
 
 
 def local_gain_cov(i, P, model, design):
@@ -435,6 +436,50 @@ class TestDesignChecks:
             value[0, 1] += 0.5 * value[0, 0]
         with pytest.raises(ValueError, match=message):
             self._run(linear_bench, **{field: value})
+
+    def test_group_checks_name_the_first_bad_weight_of_the_per_matrix_order(self):
+        # validate tests finiteness and symmetry once per group stack; the
+        # name must still be the first bad weight in the order of a test per
+        # matrix: subsystem by subsystem Q[i], P0[i], the x0_guess block,
+        # then R, and symmetry after finiteness.
+        bench = random_plant(5, topology="chain", n=16)
+        model, design = bench.model, bench.design
+        assert len(model.partition.groups) > 1
+
+        def per_matrix(d):
+            p = model.partition
+            for i in range(p.n):
+                for name, m in ((f"Q[{i}]", d.Q[i]), (f"P0[{i}]", d.P0[i]),
+                                (f"x0_guess of subsystem {i}", d.x0_guess[p.state_slice(i)])):
+                    if not np.isfinite(m).all():
+                        return f"{name} is not finite"
+            if not np.isfinite(d.R).all():
+                return "R is not finite"
+            for name, m in [*((f"Q[{i}]", q) for i, q in enumerate(d.Q)),
+                            *((f"P0[{i}]", q) for i, q in enumerate(d.P0)), ("R", d.R)]:
+                if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+                    return f"{name} is not symmetric"
+            return None
+
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(60):
+            Q, P0 = [q.copy() for q in design.Q], [q.copy() for q in design.P0]
+            R, x0 = design.R.copy(), design.x0_guess.copy()
+            for _ in range(rng.integers(1, 4)):
+                m = [Q, P0, [R], [x0]][rng.integers(4)]
+                m = m[rng.integers(len(m))]
+                j = rng.integers(m.size)
+                m.flat[j] = np.inf if rng.random() < 0.5 else m.flat[j] + 1.0
+            broken = dataclasses.replace(design, Q=tuple(Q), P0=tuple(P0), R=R, x0_guess=x0)
+            want = per_matrix(broken)
+            if want is None:
+                broken.validate(model)
+                continue
+            seen.add(want.split()[-1])
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                broken.validate(model)
+        assert seen == {"finite", "symmetric"}
 
     def test_non_spd_measurement_weight_is_a_filter_error(self, linear_bench):
         # R belongs to no subsystem, and the filter factors it once, before

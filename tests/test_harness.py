@@ -77,6 +77,24 @@ class TestConfig:
                 "model params must map parameter names to values, not [1]")):
             ExperimentConfig(model={"name": "linear-4state", "params": [1]})
 
+    def test_model_param_name_not_a_string_rejected_by_name(self):
+        # Accepted, the builder's call raised a bare TypeError: keywords
+        # must be strings.
+        with pytest.raises(ValueError, match=re.escape(
+                "model.params key 1 must be a string, a parameter name")):
+            ExperimentConfig(model={"name": "linear-4state", "params": {1: 0.5}})
+
+    @pytest.mark.parametrize("value, kind", [
+        (np.array(0.03), "Object of type ndarray"), (np.int64(3), "Object of type int64"),
+        (np.float32(0.03), "Object of type float32"), ({1: 0.03, "a": 0.03}, "'<' not supported"),
+    ], ids=["array", "int64", "float32", "mixed-keys"])
+    def test_model_param_json_cannot_write_rejected_by_name(self, value, kind):
+        # Accepted, run_experiment ran and content_digest raised a bare
+        # TypeError: Object of type ndarray is not JSON serializable.
+        with pytest.raises(ValueError, match=re.escape(
+                f"model.params.coupling cannot be written as JSON: {kind}")):
+            ExperimentConfig(model={"name": "reactor-chain", "params": {"coupling": value}})
+
     @pytest.mark.parametrize("section, key", [("noise", "w_sd"), ("estimator", "P_0")])
     def test_unknown_noise_or_estimator_key_rejected_by_name(self, section, key):
         # Accepted, the run went ahead at the benchmark's defaults.
@@ -457,6 +475,14 @@ def test_parameter_value_of_another_kind_rejected_by_name(params, message):
     # built a plant.
     with pytest.raises(ValueError, match=re.escape(f"benchmark 'linear-4state': {message}")):
         get_benchmark("linear-4state", **params)
+
+
+def test_a_failing_build_names_the_parameters_passed():
+    # Accepted, a coupling of 2**70 failed the reactor's Jacobian spot check
+    # with a message that named no parameter.
+    with pytest.raises(ValueError, match=r"^benchmark 'reactor-chain' built with coupling: "
+                                         r"subsystem 0: analytic df/dx_0 disagrees"):
+        get_benchmark("reactor-chain", coupling=2 ** 70)
 
 
 def test_parameter_values_follow_the_builder_defaults(monkeypatch):

@@ -18,9 +18,11 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   ``__all__``, so that the rule cannot outlive an oracle;
 - only ``model.py`` calls ``linear_as_nonlinear``: elsewhere the affine view
   of a linear plant is ``aggregate_nonlinear`` of its linear subsystems;
-- only ``simulate.py`` draws noise: calls ``.normal(``, ``default_rng`` or
-  ``.streams(``, so that every draw follows ``sample_noise``'s rule and
-  the stacked ensemble pass cannot drift from it;
+- only ``simulate.py`` draws noise or makes its generators: calls
+  ``.normal(``, ``default_rng``, ``.streams(``, ``SeedSequence``, ``PCG64``
+  or ``Generator(``, or reads a ``.bit_generator``, so that every draw
+  follows ``sample_noise``'s rule, the stacked ensemble pass cannot drift
+  from it and the splitting rule of the streams has one owner;
 - only ``model.py`` calls or reads a subsystem's Jacobian providers
   ``jac_f`` and ``jac_h``, besides the oracles' owners ``fie.py`` and
   ``harness.py``: the extended filter, ``linearize`` and ``_monolithic``
@@ -241,14 +243,18 @@ def test_checker_flags_wrapper_calls():
                                          "model.linear_as_nonlinear (line 4)"]
 
 
-#: The calls that draw noise or make its generators, which only
-#: ``simulate.py`` makes.
-NOISE_DRAWS = frozenset({"normal", "default_rng", "streams"})
+#: The calls that draw noise or make its generators or seed sequences,
+#: and the attribute that reaches a generator's state, which only
+#: ``simulate.py`` makes and reads.
+NOISE_DRAWS = frozenset({"normal", "default_rng", "streams", "SeedSequence", "PCG64",
+                         "Generator"})
+GENERATOR_STATE = "bit_generator"
 
 
 def noise_draw_sites(source: str) -> list[str]:
     """Calls in ``source`` of a function or method named in
-    :data:`NOISE_DRAWS`, on any object (``gens[i].normal``, say)."""
+    :data:`NOISE_DRAWS`, on any object (``gens[i].normal``, say), and reads
+    of a :data:`GENERATOR_STATE` attribute."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -257,6 +263,8 @@ def noise_draw_sites(source: str) -> list[str]:
                     else getattr(func, "id", ""))
             if name in NOISE_DRAWS:
                 sites.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr == GENERATOR_STATE:
+            sites.append((node.lineno, node.attr))
     return [f"{name} (line {line})" for line, name in sorted(sites)]
 
 
@@ -271,9 +279,14 @@ def test_checker_flags_noise_draws():
     source = ("import numpy as np\nfrom numpy.random import default_rng\n"
               "w, v = noise.streams(2)\nz = gens[0].normal(0.0, 1.0, size=(5, 2))\n"
               "rng = default_rng(3)\ng = np.random.default_rng(4)\n"
-              "x = np.random.SeedSequence(1).generate_state(3)\nnormal = 1.0\n")
-    assert noise_draw_sites(source) == ["streams (line 3)", "normal (line 4)",
-                                        "default_rng (line 5)", "default_rng (line 6)"]
+              "x = np.random.SeedSequence(1).generate_state(3)\nnormal = 1.0\n"
+              "kids = SeedSequence(2).spawn(4)\nbg = np.random.PCG64(kids[0])\n"
+              "g = np.random.Generator(bg)\nstate = g.bit_generator.state\n"
+              "def f(rng: np.random.Generator) -> np.random.Generator: pass\n")
+    assert noise_draw_sites(source) == [
+        "streams (line 3)", "normal (line 4)", "default_rng (line 5)", "default_rng (line 6)",
+        "SeedSequence (line 7)", "SeedSequence (line 9)", "PCG64 (line 10)",
+        "Generator (line 11)", "bit_generator (line 12)"]
     assert noise_draw_sites((SRC / "simulate.py").read_text())
 
 

@@ -17,6 +17,8 @@ The sweeps cover:
 - every node (key, section, list entry) of a valid two-subsystem inline
   config, run through ``ExperimentConfig`` and ``run_experiment``, and its
   inline coupling keys;
+- a model parameter of a registered benchmark set to each mutation and to
+  the NumPy values and tuples a caller may pass, run, exported and digested;
 - the arguments of ``make_partition``, ``LinearSubsystem`` and
   ``NonlinearSubsystem``, their entries and their neighbour keys;
 - every field of a schema-2 record file, the keys of its estimator,
@@ -24,8 +26,9 @@ The sweeps cover:
   flag list the CSV export reads, loaded, exported as CSV and then given
   monitors.
 
-The negative control swaps ``model._integer`` for a bare ``int(value)`` and
-shows that the sweeps then report failing cases.
+The negative controls swap ``model._integer`` for a bare ``int(value)``,
+and the config's JSON check of model parameters for one that passes
+everything, and show that the sweeps then report failing cases.
 """
 
 import json
@@ -37,6 +40,7 @@ import tempfile
 import numpy as np
 import pytest
 
+import partkf.harness
 from partkf import analysis
 from partkf.harness import ExperimentConfig, export, run_experiment
 from partkf.dkf import FilterError
@@ -195,6 +199,31 @@ def config_failures() -> tuple[int, list[str]]:
     return cases, [f for f in out if f]
 
 
+#: Model parameter values beyond :data:`MUTATIONS`: JSON writes a NumPy
+#: float64 scalar (a float), a tuple and an integer key, and none of the rest.
+PARAM_VALUES = {
+    **MUTATIONS, "numpy-array": np.array(0.03), "numpy-int": np.int64(3),
+    "numpy-float32": np.float32(0.03), "numpy-float": np.float64(0.03), "tuple": (0.03,),
+    "integer-key": {1: 0.03}, "mixed-keys": {1: 0.03, "a": 0.03},
+}
+
+
+def params_failures() -> tuple[int, list[str]]:
+    """The number of model parameter cases and the failing ones: the
+    reactor chain's ``coupling`` set to each of :data:`PARAM_VALUES`, run,
+    exported and digested."""
+    base = {"model": {"name": "reactor-chain", "params": {"coupling": 0.03}},
+            "steps": 3, "out_dir": "out"}
+    path = ("model", "params", "coupling")
+    out = []
+    for name, value in PARAM_VALUES.items():
+        tree = mutated(base, path, value)
+        out.append(failure(f"config model.params.coupling = {name}", path,
+                           lambda: run_experiment(ExperimentConfig(**tree)).content_digest(),
+                           value is DELETE))
+    return len(PARAM_VALUES), [f for f in out if f]
+
+
 def _constructors() -> dict:
     """Valid keyword arguments of each constructor, as nested lists."""
     one = [[1.0, 0.0], [0.0, 1.0]]
@@ -279,6 +308,18 @@ def test_every_config_mutation_runs_or_names_the_field(in_tmp):
     cases, failing = config_failures()
     assert cases >= 1320
     assert failing == []
+
+
+def test_every_param_value_runs_or_names_the_field(in_tmp):
+    cases, failing = params_failures()
+    assert cases >= 19
+    assert failing == []
+
+
+def test_negative_control_unchecked_params_fail_the_sweep(in_tmp, monkeypatch):
+    monkeypatch.setattr(partkf.harness, "_canonical", lambda value: "")
+    _, failing = params_failures()
+    assert failing and all("bare TypeError" in f for f in failing), failing
 
 
 def test_every_constructor_mutation_runs_or_names_the_field():

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,13 +41,23 @@ def _model():
     return assemble_global(linear_subsystems(), make_partition([2, 2], [1, 1]))
 
 
+def numpy_streams(seed, n):
+    """The generators of the splitting rule, made by NumPy itself:
+    ``default_rng`` of the children of ``SeedSequence(seed).spawn(2 n)``,
+    (process list, measurement list).  The references below draw from
+    these, not from ``NoiseSpec.streams``, so that they stay independent of
+    the pass that the module computes the streams by."""
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2 * n)]
+    return gens[:n], gens[n:]
+
+
 def per_instant_simulate(model, x0, steps, noise):
     """The reference simulator: at every instant, one :func:`sample_noise`
     draw per subsystem from its measurement generator, then one from its
     process generator, each redrawn at once when out of bound."""
     steps, x0, w_std, v_std, w_bound, v_bound = _start(model, x0, steps, noise)
     p = model.partition
-    w_gens, v_gens = noise.streams(p.n)
+    w_gens, v_gens = numpy_streams(noise.seed, p.n)
     box = model.state_box()
 
     def draw(std, bound, gens, slices, k):
@@ -90,7 +101,7 @@ def keep_block_noise(noise, model, steps, w_std, v_std, w_bound, v_bound):
     p = model.partition
     out = []
     for gens, dims, offsets, rows, std, bound in zip(
-            noise.streams(p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
+            numpy_streams(noise.seed, p.n), (p.dims, p.out_dims), (p.offsets, p.out_offsets),
             (steps, steps + 1), (w_std, v_std), (w_bound, v_bound)):
         z = np.concatenate([g.normal(0.0, 1.0, size=(rows, d)) for g, d in zip(gens, dims)],
                            axis=1) * std
@@ -371,6 +382,68 @@ class TestSampleNoise:
         first = np.flatnonzero(np.any(np.abs(block) > std, axis=1))[0]
         assert np.array_equal(rows[:first], block[:first])
         assert not np.array_equal(rows[first:], block[first:])
+
+
+#: Seeds at the edges of the 64-bit range and of its 32-bit words, where a
+#: seed's entropy grows from one word to two.
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+#: The edge seeds and 200 random 64-bit seeds.
+PASS_SEEDS = EDGE_SEEDS + [int(s) for s in np.random.default_rng(2014).integers(
+    0, 2 ** 64, size=200, dtype=np.uint64, endpoint=False)]
+
+
+def pass_matches_numpy(seeds, m: int) -> bool:
+    """Whether the array pass, run once for all of ``seeds``, gives each
+    child ``c < m`` of each seed the PCG64 state of
+    ``default_rng(SeedSequence(seed).spawn(m)[c])``, and a generator set to
+    it that generator's first draws."""
+    got = SIM._stream_states(seeds, m)
+    gen = SIM._generator(got[0][0])
+    for seed, states in zip(seeds, got, strict=True):
+        children = np.random.SeedSequence(seed).spawn(m)
+        for state, child in zip(states, children, strict=True):
+            want = np.random.default_rng(child)
+            numbers = want.bit_generator.state["state"]
+            if state != (numbers["state"], numbers["inc"]):
+                return False
+            if not np.array_equal(SIM._at(gen, state).normal(size=3), want.normal(size=3)):
+                return False
+    return True
+
+
+class TestStreamStates:
+    """The array pass computes NumPy's splitting rule; the tests hold it to
+    NumPy's own generators."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 128, 300])
+    def test_the_pass_gives_numpys_states_and_draws(self, m):
+        assert pass_matches_numpy(PASS_SEEDS, m)
+
+    def test_seeds_in_one_pass_are_each_their_own_pass(self):
+        one = [SIM._stream_states([s], 5)[0] for s in EDGE_SEEDS]
+        assert SIM._stream_states(EDGE_SEEDS, 5) == one
+        assert len({state for states in one for state in states}) == 5 * len(EDGE_SEEDS)
+
+    def test_the_pass_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SIM._stream_states(EDGE_SEEDS, 300)
+            SIM._generator(SIM._stream_states([2 ** 64 - 1], 1)[0][0]).normal(size=3)
+
+    @pytest.mark.parametrize("bit", [0, 31])
+    @pytest.mark.parametrize("name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_L",
+                                      "_MIX_R", "_PCG_MULT"])
+    def test_a_constant_off_by_one_bit_fails_the_check(self, monkeypatch, name, bit):
+        assert pass_matches_numpy(EDGE_SEEDS, 3)
+        monkeypatch.setattr(SIM, name, getattr(SIM, name) ^ 1 << bit)
+        assert not pass_matches_numpy(EDGE_SEEDS, 3)
+
+    def test_noise_spec_streams_are_numpys(self):
+        noise = NoiseSpec(w_std=np.ones(3), v_std=np.ones(2), seed=2 ** 63)
+        for got, want in zip(noise.streams(3), numpy_streams(2 ** 63, 3)):
+            assert len(got) == len(want) == 3
+            for g, w in zip(got, want):
+                assert np.array_equal(g.normal(size=(4, 2)), w.normal(size=(4, 2)))
 
 
 class TestSimulateRuns:
