@@ -695,10 +695,11 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
     are simulated, and filtered by the engine's loop, as ``(runs, ...)``
     stacks, in batches that bound the memory, and no per-run record is
     built.  Every run keeps its own noise streams, drawn by the one rule of
-    a standalone run (redraws included), a nonlinear plant's maps are
-    called once per run and subsystem, and every stacked product, solve and
-    factorization gives each run's matrices the bits of their own call, so
-    each run stays bitwise its standalone run.  The extended filter's gain
+    a standalone run (redraws included).  The maps of a stacked subsystem
+    (``NonlinearSubsystem.stacked``) are called once per instant for the
+    whole batch, any other map once per run and subsystem.  Every stacked
+    product, solve and factorization gives each run's matrices the bits of
+    their own call, so each run stays bitwise its standalone run.  The extended filter's gain
     kernel runs once per instant and group for a whole batch.  The per-run
     path takes the whole ensemble when the stacked pass fails (a state out
     of the validity box or non-finite, a non-finite measurement, a failing

@@ -44,6 +44,7 @@ from .model import (
     GlobalModel,
     LinearSubsystem,
     NonlinearSubsystem,
+    _frozen,
     _integer,
     _monolithic,
     _real,
@@ -163,16 +164,49 @@ REACTOR_BOX_T = (200.0, 500.0)
 REACTOR_BOX_C = (0.05, 20.0)
 
 
-def _rate(T: float, c: float) -> float:
+def _rate(T, c):
     return REACTOR_K_RATE * c * np.exp(-REACTOR_E_ACT / T)
 
 
-def _sat(z: float, scale: float) -> float:
+def _sat(z, scale: float):
     return scale * np.tanh(z / scale)
 
 
-def _sat_prime(z: float, scale: float) -> float:
-    return 1.0 / np.cosh(z / scale) ** 2
+def _squared(z):
+    """``z ** 2`` by libm ``pow``, as a NumPy float64 scalar's ``** 2`` is,
+    for a number or for each entry of an array (an array's ``** 2`` is
+    ``z * z``, off by one bit at some points)."""
+    return np.float_power(z, 2) if isinstance(z, np.ndarray) else z ** 2
+
+
+def _sat_prime(z, scale: float):
+    return 1.0 / _squared(np.cosh(z / scale))
+
+
+# The reactor's maps take one point (``x_i`` of shape ``(2,)``) or a stack
+# of points (``(..., 2)``), and give a stack the bits of its points' calls:
+# one point's coordinates are NumPy scalars, a stack's are arrays of the
+# stack's shape, and the arithmetic is the same.
+
+
+def _coords(x):
+    """The coordinates of one point as numbers, or of a stack of points as
+    arrays of the stack's shape."""
+    return x if x.ndim == 1 else x.transpose(x.ndim - 1, *range(x.ndim - 1))
+
+
+def _assembled(entries: list, lead: tuple) -> np.ndarray:
+    """The vector or matrix of ``entries`` (a list of entries or of rows)
+    for one point (``lead == ()``); for a stack of points, whose entries are
+    arrays of shape ``lead`` or numbers, a ``lead + shape`` array."""
+    if not lead:
+        return np.array(entries)
+    rows = entries if isinstance(entries[0], list) else [entries]
+    out = np.empty(lead + (len(rows), len(rows[0])))
+    for j, row in enumerate(rows):
+        for k, v in enumerate(row):
+            out[..., j, k] = v
+    return out if rows is entries else out[..., 0, :]
 
 
 def _reactor_levels(i: int, coupling: float) -> tuple[float, float]:
@@ -191,54 +225,63 @@ def _reactor_f(i: int, coupling: float) -> Callable:
     T_env, c_in = _reactor_levels(i, coupling)
 
     def f(x_i, neighbors):
-        T, c = x_i
+        T, c = _coords(x_i)
         r = _rate(T, c)
         dT = -REACTOR_KAPPA_T * (T - T_env) + REACTOR_HEAT * r
         dc = REACTOR_KAPPA_C * (c_in - c) - r
         for l in REACTOR_NEIGHBORS[i]:
-            T_l, c_l = neighbors[l]
+            T_l, c_l = _coords(neighbors[l])
             dT += coupling * _sat(T_l - T, REACTOR_SAT_T)
             dc += coupling * _sat(c_l - c, REACTOR_SAT_C)
-        return np.array([T + REACTOR_DT * dT, c + REACTOR_DT * dc])
+        return _assembled([T + REACTOR_DT * dT, c + REACTOR_DT * dc], x_i.shape[:-1])
 
     return f
 
 
 def _reactor_jac_f(i: int, coupling: float) -> Callable:
     def jac(x_i, neighbors):
-        T, c = x_i
+        T, c = _coords(x_i)
+        lead = x_i.shape[:-1]
         r = _rate(T, c)
-        dr_dT = r * REACTOR_E_ACT / T ** 2
+        dr_dT = r * REACTOR_E_ACT / _squared(T)
         dr_dc = REACTOR_K_RATE * np.exp(-REACTOR_E_ACT / T)
-        sat_T_sum = sum(_sat_prime(neighbors[l][0] - T, REACTOR_SAT_T)
-                        for l in REACTOR_NEIGHBORS[i])
-        sat_c_sum = sum(_sat_prime(neighbors[l][1] - c, REACTOR_SAT_C)
-                        for l in REACTOR_NEIGHBORS[i])
-        own = np.array([
+        sat = {}
+        for l in REACTOR_NEIGHBORS[i]:
+            T_l, c_l = _coords(neighbors[l])
+            sat[l] = _sat_prime(T_l - T, REACTOR_SAT_T), _sat_prime(c_l - c, REACTOR_SAT_C)
+        sat_T_sum = sum(s_T for s_T, _ in sat.values())
+        sat_c_sum = sum(s_c for _, s_c in sat.values())
+        blocks = {i: _assembled([
             [1.0 + REACTOR_DT * (-REACTOR_KAPPA_T + REACTOR_HEAT * dr_dT
                                  - coupling * sat_T_sum),
              REACTOR_DT * REACTOR_HEAT * dr_dc],
             [-REACTOR_DT * dr_dT,
              1.0 + REACTOR_DT * (-REACTOR_KAPPA_C - dr_dc - coupling * sat_c_sum)],
-        ])
-        blocks = {i: own}
-        for l in REACTOR_NEIGHBORS[i]:
-            T_l, c_l = neighbors[l]
-            blocks[l] = np.array([
-                [REACTOR_DT * coupling * _sat_prime(T_l - T, REACTOR_SAT_T), 0.0],
-                [0.0, REACTOR_DT * coupling * _sat_prime(c_l - c, REACTOR_SAT_C)],
-            ])
+        ], lead)}
+        for l, (s_T, s_c) in sat.items():
+            blocks[l] = _assembled([[REACTOR_DT * coupling * s_T, 0.0],
+                                    [0.0, REACTOR_DT * coupling * s_c]], lead)
         return blocks
 
     return jac
 
 
+#: The reactor's output map is linear: ``h(x_i) = x_i * _REACTOR_H_SCALE``
+#: (a product by 1.0 is exact), with this constant Jacobian.
+_REACTOR_H_SCALE = _frozen([1.0, REACTOR_C_SENSOR])
+_REACTOR_H_JAC = _frozen(np.diag(_REACTOR_H_SCALE))
+
+
 def _reactor_h(x_i):
-    return np.array([x_i[0], REACTOR_C_SENSOR * x_i[1]])
+    return x_i * _REACTOR_H_SCALE
 
 
 def _reactor_jac_h(x_i):
-    return np.array([[1.0, 0.0], [0.0, REACTOR_C_SENSOR]])
+    if x_i.ndim == 1:
+        return _REACTOR_H_JAC
+    out = np.empty(x_i.shape[:-1] + _REACTOR_H_JAC.shape)
+    out[...] = _REACTOR_H_JAC
+    return out
 
 
 def reactor_subsystems(coupling: float = REACTOR_COUPLING) -> list[NonlinearSubsystem]:
@@ -259,7 +302,7 @@ def reactor_subsystems(coupling: float = REACTOR_COUPLING) -> list[NonlinearSubs
             Q=150.0 * np.eye(2), R=np.eye(2),
             jac_f=_reactor_jac_f(i, coupling), jac_h=_reactor_jac_h,
             state_box=(box_lo, box_hi),
-            jacobian_check_samples=tuple(samples),
+            jacobian_check_samples=tuple(samples), stacked=True,
         ))
     return subs
 

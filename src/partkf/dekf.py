@@ -22,9 +22,11 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 Per instant each subsystem map is called once and checked, the dynamics
 maps in agenda order (``order=``), and the update goes a group per call.
 The source also takes a stack of runs, so a Monte Carlo ensemble runs as
-one pass of the engine: each map is called once per run and subsystem, run
-by run, into run-stacked group stacks, and the gain kernel settles every
-run of a group at once, each run bit for bit its own run.
+one pass of the engine: the maps of a stacked subsystem
+(``NonlinearSubsystem.stacked``) are called once per instant for every run,
+any other map once per run and subsystem, into run-stacked group stacks,
+and the gain kernel settles every run of a group at once, each run bit for
+bit its own run.
 Each Jacobian's blocks (analytic providers, central
 differences for a subsystem without them) are checked one by one as they
 are written straight into the group stacks that the gain kernel reads, whose

@@ -66,8 +66,9 @@ Monte Carlo ensemble of either model kind in one pass
 (:func:`_posterior_stack`), each run bit for bit its own run.  The linear
 source does one matrix-vector product per run and subsystem
 (``model._matvec``) and settles its schedule through the same
-:func:`_settled`.  The nonlinear source calls each map once per run and
-subsystem and writes run-stacked group stacks, and :func:`_settled` runs
+:func:`_settled`.  The nonlinear source calls each map of a stacked
+subsystem once per instant for every run, any other map once per run and
+subsystem, and writes run-stacked group stacks, and :func:`_settled` runs
 the kernel, the floor and the check once per group and instant over every
 run and member: one triangular solve pair against ``R`` over every run's
 columns, and batched products, ``2 d_i``-sized solves, eigenvalues and

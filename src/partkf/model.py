@@ -17,9 +17,11 @@ partition the groups of equally sized subsystems.
 Every result of a subsystem map is checked as it is written (``_put``):
 values into one vector (``_values``, or ``_checked`` for one map), Jacobian
 blocks into per-group stacks (``_jacobian``).  Both also take a stack of
-runs' points, call each map once per run and subsystem, and write one
-vector or stack per run.  A result must be finite real numbers of its
-place's shape, so the first bad result names its subsystem and map.
+runs' points: the map of a stacked subsystem (``NonlinearSubsystem.stacked``)
+is called once for the whole stack and its result checked as one block,
+any other map and central differences once per run.  A result must be
+finite real numbers of its place's shape, so the first bad result names
+its subsystem and map.
 
 The module owns, since every other module imports it, the value rules that
 check every input from outside the program by name (``_integer``, ``_seed``,
@@ -231,26 +233,37 @@ def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
     return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
 
 
+def _args(sub, points: Sequence[np.ndarray], dynamics: bool, r: tuple | None = None) -> tuple:
+    """The arguments of a map of ``sub`` at the state blocks ``points``, or
+    at run ``r`` of a stack of them: its own block and, for a map of the
+    dynamics, its neighbors' blocks."""
+    x = points[sub.index] if r is None else points[sub.index][r]
+    if not dynamics:
+        return (x,)
+    return x, {l: points[l] if r is None else points[l][r] for l in sub.neighbors}
+
+
 def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray],
-            order: Sequence[int] | None = None, out: np.ndarray | None = None) -> np.ndarray:
+            order: Sequence[int] | None = None) -> np.ndarray:
     """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
     at their state blocks ``points`` (and, for ``f``, their neighbors'), each
     checked as it is written into one vector, the subsystems called in
     ``order`` (default: by index).  The own outputs ``[h_i(x_i)]_i`` are
     ``C x``.  Blocks with leading run axes (``(..., d_i)``) give a stack of
-    vectors, run by run, each run's calls those of its own call."""
-    p = model.partition
-    if out is None:
-        out = np.empty(np.shape(points[0])[:-1] + (p.nx if of == "f" else p.ny,))
-    if out.ndim > 1:
-        for r, row in enumerate(out):
-            _values(model, of, [x[r] for x in points], order, row)
-        return out
+    vectors: a stacked subsystem's map is called once for the whole stack,
+    any other's once per run, each run's call that of its own call."""
+    p, dynamics = model.partition, of == "f"
+    lead = np.shape(points[0])[:-1]
+    whole = (slice(None),) * len(lead)
+    out = np.empty(lead + (p.nx if dynamics else p.ny,))
+    block = p.state_slice if dynamics else p.out_slice
     for i in range(p.n) if order is None else order:
-        sub, x = model.subsystems[i], points[i]
-        args = (x, {l: points[l] for l in sub.neighbors}) if of == "f" else (x,)
-        _put(out[(p.state_slice if of == "f" else p.out_slice)(i)], sub, of,
-             _called(sub, of, getattr(sub, of), *args))
+        sub = model.subsystems[i]
+        fn, rows = getattr(sub, of), block(i)
+        one = not lead or sub.stacked   # one call, for the point or the whole stack
+        for r in [whole] if one else np.ndindex(*lead):
+            args = _args(sub, points, dynamics, None if one else r)
+            _put(out[r + (rows,)], sub, of, _called(sub, of, fn, *args))
     return out
 
 
@@ -546,8 +559,9 @@ class LinearSubsystem:
     symmetric positive definite; this is checked at construction, naming the
     matrix.  Coupling blocks are keyed by neighbor index, each index
     given once; the neighbor set is exactly the set of declared keys.
-    :meth:`f`, :meth:`h`, :meth:`jac_f`, :meth:`jac_h` and ``state_box = None``
-    meet the :class:`NonlinearSubsystem` contract with exact affine maps.
+    :meth:`f`, :meth:`h`, :meth:`jac_f`, :meth:`jac_h`, ``state_box = None``
+    and ``stacked = False`` meet the :class:`NonlinearSubsystem` contract
+    with exact affine maps of one point.
     """
 
     index: int
@@ -609,6 +623,7 @@ class LinearSubsystem:
         return {l: blk.shape[1] for l, blk in self.coupling.items()}
 
     state_box = None
+    stacked = False
 
     def f(self, x_i: np.ndarray, neighbors: Mapping[int, np.ndarray]) -> np.ndarray:
         """``A x_i + sum_l coupling[l] x_l``, the neighbors added in ascending
@@ -648,6 +663,25 @@ class NonlinearSubsystem:
     step from ``simulate``).  When analytic Jacobians and
     ``jacobian_check_samples`` are both supplied, the constructor spot-checks
     them against central finite differences at relative tolerance 1e-5.
+
+    ``stacked=True`` promises that every map also takes a stack of points,
+    ``x_i`` of shape ``(..., state_dim)`` and each neighbor's block of
+    ``(..., dim of l)``, and returns its result with the stack's axes
+    first, each row computed from its own points alone, with the bits of
+    the map's call on that row alone.  Then a Monte Carlo ensemble calls
+    each map once per instant for all its runs.  Whether rows stay apart
+    cannot be told from a map's values (a map that branches on
+    ``np.any(x_i > limit)`` agrees inside the box and mixes runs outside
+    it), so the flag is the author's to give.  The constructor needs at
+    least two ``jacobian_check_samples`` for it, calls every map on them
+    stacked as one batch, in their order and in reverse, and keeps the
+    flag only when each row equals the map's call on that sample alone bit
+    for bit; otherwise ``stacked`` reads false and the maps are called per
+    point.  The check is on exact bits, so it is run where the program
+    runs: a map's arithmetic must be the same for a point and for a stack.
+    One trap: ``z ** 2`` of a NumPy float64 scalar is libm ``pow``, of an
+    array ``z * z``, and the two differ in the last bit at some points;
+    ``np.float_power(z, 2)`` of an array gives the scalar's bits.
     """
 
     index: int
@@ -662,6 +696,7 @@ class NonlinearSubsystem:
     jac_h: Callable[[np.ndarray], np.ndarray] | None = None
     state_box: tuple[np.ndarray, np.ndarray] | None = None
     jacobian_check_samples: tuple = ()
+    stacked: bool = False
 
     def __post_init__(self):
         i = _integer("subsystem index", self.index)
@@ -691,8 +726,14 @@ class NonlinearSubsystem:
              {l: _frozen(_numbers(name, v))
               for l, v in _by_neighbor(i, "sample neighbors", nbrs).items()})
             for x_i, nbrs in self.jacobian_check_samples))
+        if _flag(f"subsystem {i}: stacked", self.stacked) and len(
+                self.jacobian_check_samples) < 2:
+            raise ValueError(f"subsystem {i}: stacked maps need at least two "
+                             "jacobian_check_samples")
         if self.jac_f is not None or self.jac_h is not None:
             self._spot_check_jacobians()
+        if self.stacked:
+            object.__setattr__(self, "stacked", self._stacks_agree())
 
     @property
     def neighbors(self) -> tuple[int, ...]:
@@ -700,25 +741,61 @@ class NonlinearSubsystem:
 
     def _spot_check_jacobians(self) -> None:
         for x_i, nbrs in self.jacobian_check_samples:
-            _checked(self, "f", self.f, x_i, nbrs, shape=(self.state_dim,))
+            _results(self, "f", x_i, nbrs)
             if self.jac_f is not None:
-                dims = {self.index: self.state_dim, **self.neighbor_dims}
-                blocks = _jac_f_blocks(self, _called(self, "jac_f", self.jac_f, x_i, nbrs))
-                got = {l: _put(np.empty((self.state_dim, dims[l])), self, f"jac_f block {l}", b)
-                       for l, b in blocks}
-                for l, blk in fd_jacobian_f(self, x_i, nbrs).items():
-                    if not _agrees(got[l], blk):
+                got = _results(self, "jac_f", x_i, nbrs)
+                for g, (l, blk) in zip(got, fd_jacobian_f(self, x_i, nbrs).items()):
+                    if not _agrees(g, blk):
                         raise ValueError(
                             f"subsystem {self.index}: analytic df/dx_{l} disagrees "
                             "with finite differences"
                         )
             if self.jac_h is not None and self.out_dim:
-                got = _checked(self, "jac_h", self.jac_h, x_i,
-                               shape=(self.out_dim, self.state_dim))
-                if not _agrees(got, fd_jacobian_h(self, x_i)):
+                if not _agrees(_results(self, "jac_h", x_i, nbrs)[0], fd_jacobian_h(self, x_i)):
                     raise ValueError(
                         f"subsystem {self.index}: analytic dh/dx disagrees with finite differences"
                     )
+
+    def _stacks_agree(self) -> bool:
+        """Whether each map the filters call (``f``, ``h`` and the given
+        providers, ``jac_h`` only with outputs), called once on the check
+        samples stacked as one batch, in their order and in reverse, gives
+        every sample the bits of its call on that sample alone.  A stacked
+        call that raises or returns a wrong result does not agree."""
+        samples = self.jacobian_check_samples
+        maps = ["f", "h", *(["jac_f"] if self.jac_f is not None else []),
+                *(["jac_h"] if self.jac_h is not None and self.out_dim else [])]
+        alone = {name: [_results(self, name, x_i, nbrs) for x_i, nbrs in samples]
+                 for name in maps}
+        for order in (range(len(samples)), range(len(samples) - 1, -1, -1)):
+            x = np.stack([samples[s][0] for s in order])
+            nbrs = {l: np.stack([samples[s][1][l] for s in order]) for l in self.neighbors}
+            for name, want in alone.items():
+                try:
+                    got = _results(self, name, x, nbrs)
+                except LinearizationError:
+                    return False
+                if any(g[row].tobytes() != w.tobytes()
+                       for row, s in enumerate(order) for g, w in zip(got, want[s])):
+                    return False
+        return True
+
+
+def _results(sub: NonlinearSubsystem, name: str, x_i: np.ndarray,
+             nbrs: Mapping[int, np.ndarray]) -> list[np.ndarray]:
+    """The checked result of one call of map ``name`` of ``sub`` at
+    ``x_i`` (and, for the dynamics, the neighbors' blocks ``nbrs``), with
+    the leading axes of ``x_i``: as new float arrays, the blocks of
+    ``jac_f`` own block first, else one array."""
+    lead, d = x_i.shape[:-1], sub.state_dim
+    dynamics = name in ("f", "jac_f")
+    got = _called(sub, name, getattr(sub, name), *((x_i, nbrs) if dynamics else (x_i,)))
+    if name == "jac_f":
+        dims = {sub.index: d, **sub.neighbor_dims}
+        return [_put(np.empty(lead + (d, dims[l])), sub, f"jac_f block {l}", b)
+                for l, b in _jac_f_blocks(sub, got)]
+    shape = {"f": (d,), "h": (sub.out_dim,), "jac_h": (sub.out_dim, d)}[name]
+    return [_put(np.empty(lead + shape), sub, name, got)]
 
 
 def _agrees(got: np.ndarray, want: np.ndarray) -> bool:
@@ -820,7 +897,8 @@ class GlobalModel:
     def f(self, x: np.ndarray) -> np.ndarray:
         """One step of the global dynamics (noise-free).  It also takes a
         stack of states (``(..., nx)``) and gives each the bits of its own
-        call; a nonlinear model calls its maps once per state."""
+        call; a nonlinear model calls a stacked subsystem's map once for the
+        stack and any other's once per state."""
         x = np.asarray(x, dtype=float)
         if self.linear:
             return _matvec(self.A, x)
@@ -981,39 +1059,43 @@ class LinearizationBlocks:
     C: np.ndarray
 
 
-def _jacobian(model: GlobalModel, x: np.ndarray, of: str, analytic: bool = True,
-              stacks: list[np.ndarray] | None = None) -> list[np.ndarray]:
+def _jacobian(model: GlobalModel, x: np.ndarray, of: str,
+              analytic: bool = True) -> list[np.ndarray]:
     """The Jacobian of the stacked map ``of`` (``"f"`` or ``"h"``) at ``x``
     as group stacks ``(members, nx or ny, d)``, a member's row its column
     block: ``d of_l / d x_i`` in the rows of ``l``, zero elsewhere.  Blocks
     come from the providers, or central differences for a subsystem without
     them or when ``analytic`` is false, each checked as it is written.  A
     stack of points (``(..., nx)``) gives stacks of runs (``(..., members,
-    nx or ny, d)``), run by run, each run's calls those of its own call."""
+    nx or ny, d)``): a stacked subsystem's provider is called once for the
+    whole stack, any other provider and central differences once per run,
+    each run's call that of its own call."""
     p, dynamics, x = model.partition, of == "f", np.asarray(x)
-    if stacks is None:
-        stacks = [np.zeros(x.shape[:-1] + (len(members), p.nx if dynamics else p.ny,
-                                           idx.shape[1])) for members, idx in p.groups]
-    if x.ndim > 1:
-        for r, x_r in enumerate(x):
-            _jacobian(model, x_r, of, analytic, [s[r] for s in stacks])
-        return stacks
+    lead = x.shape[:-1]
+    whole = (slice(None),) * len(lead)
+    stacks = [np.zeros(lead + (len(members), p.nx if dynamics else p.ny, idx.shape[1]))
+              for members, idx in p.groups]
     points, name = p.split_state(x), "jac_" + of
     for l, sub in enumerate(model.subsystems):
         if dynamics:
-            rows, args = p.state_slice(l), (points[l], {m: points[m] for m in sub.neighbors})
+            rows = p.state_slice(l)
         elif sub.out_dim:
-            rows, args = p.out_slice(l), (points[l],)
+            rows = p.out_slice(l)
         else:
             continue
-        if analytic and getattr(sub, name) is not None:
-            what, got = name, _called(sub, name, getattr(sub, name), *args)
-        else:
-            what = "central-difference " + name
-            got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
-        for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
-            j, r = p.slots[i]
-            _put(stacks[j][r, rows], sub, f"{what} block {i}" if dynamics else what, blk)
+        provider = getattr(sub, name) if analytic else None
+        one = not lead or (provider is not None and sub.stacked)
+        for r in [whole] if one else np.ndindex(*lead):
+            args = _args(sub, points, dynamics, None if one else r)
+            if provider is not None:
+                what, got = name, _called(sub, name, provider, *args)
+            else:
+                what = "central-difference " + name
+                got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
+            for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
+                j, s = p.slots[i]
+                _put(stacks[j][r + (s, rows)], sub,
+                     f"{what} block {i}" if dynamics else what, blk)
     return stacks
 
 

@@ -6,10 +6,11 @@ subsystem noises are independent by construction.  The splitting rule is:
 ``SeedSequence(seed).spawn(2 n)`` with children ``0..n-1`` driving the process
 noise of subsystems ``0..n-1`` and children ``n..2n-1`` driving measurement
 noise in the same order, child ``c`` through ``default_rng``.  The rule is
-computed, not called: one array pass (``_stream_states``) hashes the seeds
+computed, not called: one array pass (``_stream_words``) hashes the seeds
 and spawn keys of a whole batch of runs as NumPy's ``SeedSequence`` does
-(NEP 19) and turns them into the PCG64 ``srandom`` states ``default_rng``
-starts from, and a test holds those states to NumPy's own.
+(NEP 19) into the words that ``default_rng`` seeds each stream's PCG64
+with, each stream's generator is built straight from its words, and a test
+holds those words and generators to NumPy's own.
 
 :func:`simulate` and the stacked runs of a Monte Carlo ensemble of either
 model kind (``_simulate_runs``) draw noise by one rule (``_noise``) and
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .model import _MAX_LENGTH, GlobalModel, LinearizationError, _integer, _numbers, _seed
 from .records import _encode, _load_json, _write_csv
@@ -87,7 +89,7 @@ class NoiseSpec:
 
     def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
         """Independent per-subsystem generators: (process list, measurement list)."""
-        gens = [_generator(s) for s in _stream_states([self.seed], 2 * n_subsystems)[0]]
+        gens = [_generator(w) for w in _stream_words([self.seed], 2 * n_subsystems)[0]]
         return gens[:n_subsystems], gens[n_subsystems:]
 
 
@@ -96,9 +98,7 @@ class NoiseSpec:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-#: PCG64's 128-bit multiplier, the step of its ``srandom``.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M32 = (1 << 32) - 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[int]:
@@ -130,13 +130,13 @@ def _pool(seed: int, a: list[int]) -> list[int]:
     return pool
 
 
-def _stream_states(seeds, m: int) -> list[list[tuple[int, int]]]:
-    """Per seed of ``seeds``, the PCG64 states ``(state, inc)`` that
-    ``default_rng`` starts the children ``0..m-1`` of
-    ``SeedSequence(seed).spawn(m)`` from, in one array pass: each seed's
-    pool once (:func:`_pool`), spawn key ``c`` hashed into it for all
-    children at once, ``generate_state(4, uint64)``'s eight words and the
-    ``srandom`` of PCG64, seed words first, increment words last."""
+def _stream_words(seeds, m: int) -> np.ndarray:
+    """Per seed of ``seeds`` and child ``c < m`` of
+    ``SeedSequence(seed).spawn(m)``, the words ``generate_state(4, uint64)``
+    of that child, from which ``default_rng`` seeds its PCG64: an array
+    ``(len(seeds), m, 4)`` computed in one array pass, each seed's pool
+    once (:func:`_pool`) and spawn key ``c`` hashed into it for all
+    children at once."""
     u = np.uint64
     mask, shift = u(_M32), u(16)
     a = _hash_constants(_INIT_A, _MULT_A, 21)
@@ -146,27 +146,29 @@ def _stream_states(seeds, m: int) -> list[list[tuple[int, int]]]:
     key = (np.arange(m, dtype=u) ^ x[:4]) * x[1:] & mask
     pools = u(_MIX_L) * pools - u(_MIX_R) * (key ^ key >> shift) & mask
     pools ^= pools >> shift
-    # Word w of generate_state hashes pool word w % 4 with b[w] and b[w + 1].
+    # Word w of generate_state(8, uint32) hashes pool word w % 4 with b[w]
+    # and b[w + 1]; 64-bit word v is 32-bit words 2v (low) and 2v + 1.
     words = (pools[:, None] ^ b[:8].reshape(2, 4, 1)) * b[1:].reshape(2, 4, 1) & mask
     words = (words ^ words >> shift).reshape(len(pools), 4, 2, m)
-    halves = words[:, :, 0] | words[:, :, 1] << u(32)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves.transpose(1, 0, 2).reshape(4, -1).tolist()):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128, inc))
-    return [states[j * m:(j + 1) * m] for j in range(len(pools))]
+    return np.ascontiguousarray((words[:, :, 0] | words[:, :, 1] << u(32)).transpose(0, 2, 1))
 
 
-def _at(gen: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
-    """``gen`` set to the start of the stream of PCG64 state ``state``."""
-    gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": state[0], "inc": state[1]}}
-    return gen
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 the four words of one stream
+    (:func:`_stream_words`), as the child's ``generate_state`` would."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
-def _generator(state: tuple[int, int]) -> np.random.Generator:
-    """A new generator at the start of the stream of PCG64 state ``state``."""
-    return _at(np.random.Generator(np.random.PCG64(0)), state)
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A new generator at the start of the stream of :func:`_stream_words`
+    row ``words``: ``default_rng`` of that stream's child, without hashing
+    its seed again."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def _run_seeds(seed: int, runs: int) -> np.ndarray:
@@ -301,32 +303,31 @@ def simulate(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseSpec) -
 
 
 def _noise(noise: NoiseSpec, model: GlobalModel, steps: int, w_std, v_std,
-           w_bound, v_bound, states=None) -> tuple[np.ndarray, np.ndarray]:
+           w_bound, v_bound, words=None) -> tuple[np.ndarray, np.ndarray]:
     """The process noises ``(K, nx)`` and measurement noises ``(K+1, ny)`` of
-    ``noise``, or of the streams at PCG64 ``states`` when given (a run of an
-    ensemble, :func:`_stream_states`), row ``k`` the draws of
+    ``noise``, or of the streams of ``words`` when given (a run of an
+    ensemble, :func:`_stream_words`), row ``k`` the draws of
     :func:`sample_noise` at instant ``k``.  Each stream's rows are one block,
-    ``normal(0, 1) * std``, drawn on one generator set to each stream in
-    turn.  A redraw moves every later draw of its stream, so a stream with a
-    draw out of bound is drawn again from a new generator at its start, row
-    by row through :func:`sample_noise`, whose errors then carry the row as
+    ``normal(0, 1) * std``, drawn on a generator of its own.  A redraw
+    moves every later draw of its stream, so a stream with a draw out of
+    bound is drawn again from a new generator at its start, row by row
+    through :func:`sample_noise`, whose errors then carry the row as
     step."""
     p = model.partition
-    states = _stream_states([noise.seed], 2 * p.n)[0] if states is None else states
-    gen = _generator(states[0])
+    words = _stream_words([noise.seed], 2 * p.n)[0] if words is None else words
     out = []
     for role, (dims, offsets, rows, std, bound) in enumerate(zip(
             (p.dims, p.out_dims), (p.offsets, p.out_offsets), (steps, steps + 1),
             (w_std, v_std), (w_bound, v_bound))):
-        role_states = states[role * p.n:(role + 1) * p.n]
-        z = np.concatenate([_at(gen, s).normal(0.0, 1.0, size=(rows, d))
-                            for s, d in zip(role_states, dims)], axis=1) * std
+        role_words = words[role * p.n:(role + 1) * p.n]
+        z = np.concatenate([_generator(w).normal(0.0, 1.0, size=(rows, d))
+                            for w, d in zip(role_words, dims)], axis=1) * std
         if bound is not None and np.any(np.abs(z) > bound):
-            for i, state in enumerate(role_states):
+            for i, w in enumerate(role_words):
                 sl = slice(offsets[i], offsets[i + 1])
                 if not np.any(np.abs(z[:, sl]) > bound[sl]):
                     continue
-                rng = _generator(state)
+                rng = _generator(w)
                 for k in range(rows):
                     try:
                         z[k, sl] = sample_noise(std[sl], bound[sl], rng)
@@ -341,8 +342,9 @@ def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
     """The states and measurements that the noises ``ws`` and ``vs`` drive
     from ``x0``, of one run (``ws`` of shape ``(K, nx)``) or of a stack of
     runs (``(K, runs, nx)``) of either model kind: a nonlinear plant calls
-    its maps once per run and subsystem, each run's calls those of its own
-    run.  A state out of the box or non-finite, and a failing map, in any
+    the maps of a stacked subsystem once per step for every run and any
+    other map once per run and subsystem, each run's values those of its
+    own run.  A state out of the box or non-finite, and a failing map, in any
     run raise :class:`SimulationError`."""
     box = model.state_box()
     xs = np.empty((len(vs), *ws.shape[1:]))
@@ -373,8 +375,8 @@ def _simulate_runs(model: GlobalModel, x0: np.ndarray, steps: int, noise: NoiseS
     the filter's check of the measurements say which run, step and error.
     Checks and errors of the arguments are :func:`simulate`'s."""
     steps, x0, *spec = _start(model, x0, steps, noise)
-    streams = _stream_states([_seed(s) for s in seeds], 2 * model.partition.n)
-    draws = [_noise(noise, model, steps, *spec, states=s) for s in streams]
+    streams = _stream_words([_seed(s) for s in seeds], 2 * model.partition.n)
+    draws = [_noise(noise, model, steps, *spec, words=w) for w in streams]
     ws, vs = (np.stack(role, axis=1) for role in zip(*draws))
     # A warning or a floating-point error of any run (an overflow, say, also
     # one inside a map whose result stays finite) gives way to the per-run

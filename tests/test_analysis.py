@@ -614,7 +614,7 @@ class TestStackedNonlinearEnsemble:
             return sub.jac_f(x_i, neighbors)
 
         subs = list(bench.model.subsystems)
-        subs[2] = dataclasses.replace(sub, jac_f=jac_f, jacobian_check_samples=())
+        subs[2] = dataclasses.replace(sub, jac_f=jac_f, jacobian_check_samples=(), stacked=False)
         broken = dataclasses.replace(bench, model=aggregate_nonlinear(subs, p))
         monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: broken)
         config = config.replace(model={"name": "test-reactor"})
@@ -647,7 +647,7 @@ class TestStackedNonlinearEnsemble:
             return out + 0.0 / np.cosh(np.float64(1e3)) if np.array_equal(x_i, point) else out
 
         subs = list(bench.model.subsystems)
-        subs[1] = dataclasses.replace(sub, f=f, jacobian_check_samples=())
+        subs[1] = dataclasses.replace(sub, f=f, jacobian_check_samples=(), stacked=False)
         broken = dataclasses.replace(bench, model=aggregate_nonlinear(subs, p))
         monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: broken)
         config = config.replace(model={"name": "test-reactor"})

@@ -271,7 +271,8 @@ class TestRunDekf:
             raise ZeroDivisionError("boom")
 
         subs = list(reactor_bench.model.subsystems)
-        subs[2] = dataclasses.replace(subs[2], jac_f=boom, jacobian_check_samples=())
+        subs[2] = dataclasses.replace(subs[2], jac_f=boom,
+                                      jacobian_check_samples=(), stacked=False)
         model = aggregate_nonlinear(subs, reactor_bench.model.partition)
         traj = simulate(model, reactor_bench.x0, 5, reactor_bench.noise(seed=1))
         with pytest.raises(LinearizationError, match="instant 1, subsystem 2") as err:
@@ -324,7 +325,8 @@ def test_broken_map_names_subsystem_and_instant(reactor_bench, fault):
     make, k = fault
     traj = simulate(reactor_bench.model, reactor_bench.x0, 10, reactor_bench.noise(seed=3))
     subs = list(reactor_bench.model.subsystems)
-    subs[2] = dataclasses.replace(subs[2], jacobian_check_samples=(), **make(subs[2]))
+    subs[2] = dataclasses.replace(subs[2],
+                                  jacobian_check_samples=(), stacked=False, **make(subs[2]))
     model = aggregate_nonlinear(subs, reactor_bench.model.partition)
     with pytest.raises(LinearizationError) as err:
         run_dekf(model, reactor_bench.design, traj)
@@ -341,7 +343,8 @@ def test_non_real_values_are_rejected_naming_the_map(reactor_bench):
                           (lambda s: dict(jac_h=lambda x: s.jac_h(x) * 1j), 0,
                            "jac_h returned complex128")]:
         subs = list(reactor_bench.model.subsystems)
-        subs[2] = dataclasses.replace(subs[2], jacobian_check_samples=(), **make(subs[2]))
+        subs[2] = dataclasses.replace(subs[2],
+                                      jacobian_check_samples=(), stacked=False, **make(subs[2]))
         with pytest.raises(LinearizationError, match=re.escape(
                 f"instant {k}, subsystem 2: {what}")) as err:
             run_dekf(aggregate_nonlinear(subs, reactor_bench.model.partition),
@@ -431,7 +434,8 @@ def test_extended_filter_records_are_pinned(reactor_bench, seed):
 
 def test_extended_filter_record_with_central_differences_is_pinned(reactor_bench):
     subs = list(reactor_bench.model.subsystems)
-    subs[2] = dataclasses.replace(subs[2], jac_f=None, jac_h=None, jacobian_check_samples=())
+    subs[2] = dataclasses.replace(subs[2], jac_f=None, jac_h=None,
+                                  jacobian_check_samples=(), stacked=False)
     traj = simulate(reactor_bench.model, reactor_bench.x0, 50, reactor_bench.noise(seed=1))
     rec = run_dekf(aggregate_nonlinear(subs, reactor_bench.model.partition),
                    reactor_bench.design, traj)

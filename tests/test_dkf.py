@@ -532,3 +532,57 @@ class TestStepReplay:
                                   rec.xhat_post[k])
             for i in range(n):
                 assert np.array_equal(states[i].cov, rec.covs[k][i])
+
+
+def _turned(eigs, seed: int) -> np.ndarray:
+    """A symmetric matrix with eigenvalues ``eigs``, turned by a seeded
+    random rotation."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigs), len(eigs))))
+    return (q * eigs) @ q.T
+
+
+def _floor_cases(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two covariances of dimension ``d``, trace about ``d - 1``: one whose
+    smallest eigenvalue, ``1e-12 (d - 1)``, lies between ``COV_FLOOR_REL
+    tr(P) / d`` and ``COV_FLOOR_REL tr(P) d``, and one below both."""
+    ones = [1.0] * (d - 1)
+    return _turned([1e-12 * (d - 1), *ones], seed), _turned([1e-14, *ones], seed + 1)
+
+
+def _floor_holds(P: np.ndarray, fires: np.ndarray) -> bool:
+    """Whether ``dkf._floor`` of the covariance or stack ``P`` fires exactly
+    where ``fires`` says and lifts exactly those matrices by the bump."""
+    d = P.shape[-1]
+    out, fired = partkf.dkf._floor(P)
+    want = np.where(fires[..., None, None], P + partkf.dkf.COV_FLOOR_BUMP * np.eye(d), P)
+    return bool(np.array_equal(fired, fires) and np.array_equal(out, want))
+
+
+class TestFloor:
+    """The eigenvalue floor fires below ``COV_FLOOR_REL * tr(P) / d`` and
+    not above it: a smallest eigenvalue between that threshold and ``d``
+    times ``d`` as much tells the two apart."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_covariance(self, d):
+        between, below = _floor_cases(d, seed=d)
+        assert _floor_holds(between, np.array(False))
+        assert _floor_holds(below, np.array(True))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_stack_of_runs_and_members(self, d):
+        fires = np.array([[False, True, False, False], [True, False, True, False],
+                          [False, False, False, True]])
+        P = np.empty(fires.shape + (d, d))
+        for r, m in np.ndindex(fires.shape):
+            P[r, m] = _floor_cases(d, seed=10 * r + m)[int(fires[r, m])]
+        assert _floor_holds(P, fires)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_threshold_times_d_fails_the_check(self, monkeypatch, d):
+        # Negative control: at dimension d, ``tr(P) * d`` is ``tr(P) / d``
+        # with the relative floor d * d times as large.
+        between, below = _floor_cases(d, seed=d)
+        monkeypatch.setattr(partkf.dkf, "COV_FLOOR_REL", partkf.dkf.COV_FLOOR_REL * d * d)
+        assert not _floor_holds(between, np.array(False))
+        assert _floor_holds(below, np.array(True))

@@ -346,7 +346,7 @@ class TestLinearize:
         good = subs[3]
         fault = (dict(jac_f=lambda x, n: {**good.jac_f(x, n), 3: 1j * np.eye(2)})
                  if mode == "analytic" else dict(f=lambda x, n: good.f(x, n) + 0j))
-        subs[3] = dataclasses.replace(good, jacobian_check_samples=(), **fault)
+        subs[3] = dataclasses.replace(good, jacobian_check_samples=(), stacked=False, **fault)
         what = "jac_f block 3" if mode == "analytic" else "f"
         with pytest.raises(LinearizationError, match=f"^subsystem 3: {what} returned "
                            "complex128 values, expected real numbers$") as err:
@@ -540,7 +540,7 @@ class TestMonolithic:
     def test_subsystem_without_providers_falls_back_to_fd(self):
         subs = reactor_subsystems()
         subs[2] = dataclasses.replace(subs[2], jac_f=None, jac_h=None,
-                                      jacobian_check_samples=())
+                                      jacobian_check_samples=(), stacked=False)
         model = aggregate_nonlinear(subs, make_partition([2] * 4, [2] * 4))
         sub = _monolithic(model).subsystems[0]
         x = REACTOR_STEADY + 0.5
@@ -570,7 +570,8 @@ class TestNonlinearSubsystem:
         # Copies: the caller's sample may change, the stored one does not.
         good = subs[1]
         x_i = np.array([311, 3])
-        kept = dataclasses.replace(good, jacobian_check_samples=[(x_i, {0: [310.0, 3.0]})])
+        kept = dataclasses.replace(good, jacobian_check_samples=[(x_i, {0: [310.0, 3.0]})],
+                                  stacked=False)
         x_i[0] = 0
         assert kept.jacobian_check_samples[0][0].tolist() == [311.0, 3.0]
 
@@ -582,7 +583,7 @@ class TestNonlinearSubsystem:
             calls.append(x)
             return good.jac_h(x)
 
-        dataclasses.replace(good, jac_h=jac_h)
+        dataclasses.replace(good, jac_h=jac_h, stacked=False)
         assert [x.tolist() for x in calls] == [
             x_i.tolist() for x_i, _ in good.jacobian_check_samples]
         assert all(not x.flags.writeable for x in calls)

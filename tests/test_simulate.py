@@ -203,7 +203,7 @@ class TestSimulate:
     def test_broken_dynamics_map_names_step_and_subsystem(self, f):
         bench = get_benchmark("reactor-chain")
         subs = list(bench.model.subsystems)
-        subs[1] = dataclasses.replace(subs[1], f=f, jacobian_check_samples=())
+        subs[1] = dataclasses.replace(subs[1], f=f, jacobian_check_samples=(), stacked=False)
         model = aggregate_nonlinear(subs, bench.model.partition)
         with pytest.raises(SimulationError, match=r"^step 0, subsystem 1: f ") as err:
             simulate(model, bench.x0, 5, bench.noise(seed=1))
@@ -218,7 +218,8 @@ class TestSimulate:
         # ComplexWarning) and a string such as '1.5' was read as 1.5.
         bench = get_benchmark("reactor-chain")
         subs = list(bench.model.subsystems)
-        subs[1] = dataclasses.replace(subs[1], jacobian_check_samples=(), **make(subs[1]))
+        subs[1] = dataclasses.replace(subs[1],
+                                      jacobian_check_samples=(), stacked=False, **make(subs[1]))
         model = aggregate_nonlinear(subs, bench.model.partition)
         with pytest.raises(SimulationError, match=rf"^step 0, subsystem 1: {map_} returned "
                                                   rf"{dtype}\S* values, expected real numbers$"):
@@ -394,19 +395,20 @@ PASS_SEEDS = EDGE_SEEDS + [int(s) for s in np.random.default_rng(2014).integers(
 
 def pass_matches_numpy(seeds, m: int) -> bool:
     """Whether the array pass, run once for all of ``seeds``, gives each
-    child ``c < m`` of each seed the PCG64 state of
-    ``default_rng(SeedSequence(seed).spawn(m)[c])``, and a generator set to
-    it that generator's first draws."""
-    got = SIM._stream_states(seeds, m)
-    gen = SIM._generator(got[0][0])
-    for seed, states in zip(seeds, got, strict=True):
+    child ``c < m`` of each seed the words
+    ``SeedSequence(seed).spawn(m)[c].generate_state(4, uint64)``, and a
+    generator built from them the PCG64 state and the first draws of
+    ``default_rng`` of that child."""
+    got = SIM._stream_words(seeds, m)
+    for seed, words in zip(seeds, got, strict=True):
         children = np.random.SeedSequence(seed).spawn(m)
-        for state, child in zip(states, children, strict=True):
-            want = np.random.default_rng(child)
-            numbers = want.bit_generator.state["state"]
-            if state != (numbers["state"], numbers["inc"]):
+        for w, child in zip(words, children, strict=True):
+            if not np.array_equal(w, child.generate_state(4, np.uint64)):
                 return False
-            if not np.array_equal(SIM._at(gen, state).normal(size=3), want.normal(size=3)):
+            gen, want = SIM._generator(w), np.random.default_rng(child)
+            if gen.bit_generator.state != want.bit_generator.state:
+                return False
+            if not np.array_equal(gen.normal(size=3), want.normal(size=3)):
                 return False
     return True
 
@@ -420,19 +422,19 @@ class TestStreamStates:
         assert pass_matches_numpy(PASS_SEEDS, m)
 
     def test_seeds_in_one_pass_are_each_their_own_pass(self):
-        one = [SIM._stream_states([s], 5)[0] for s in EDGE_SEEDS]
-        assert SIM._stream_states(EDGE_SEEDS, 5) == one
-        assert len({state for states in one for state in states}) == 5 * len(EDGE_SEEDS)
+        one = np.stack([SIM._stream_words([s], 5)[0] for s in EDGE_SEEDS])
+        assert np.array_equal(SIM._stream_words(EDGE_SEEDS, 5), one)
+        assert len({w.tobytes() for w in one.reshape(-1, 4)}) == 5 * len(EDGE_SEEDS)
 
     def test_the_pass_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SIM._stream_states(EDGE_SEEDS, 300)
-            SIM._generator(SIM._stream_states([2 ** 64 - 1], 1)[0][0]).normal(size=3)
+            SIM._stream_words(EDGE_SEEDS, 300)
+            SIM._generator(SIM._stream_words([2 ** 64 - 1], 1)[0][0]).normal(size=3)
 
     @pytest.mark.parametrize("bit", [0, 31])
     @pytest.mark.parametrize("name", ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_L",
-                                      "_MIX_R", "_PCG_MULT"])
+                                      "_MIX_R"])
     def test_a_constant_off_by_one_bit_fails_the_check(self, monkeypatch, name, bit):
         assert pass_matches_numpy(EDGE_SEEDS, 3)
         monkeypatch.setattr(SIM, name, getattr(SIM, name) ^ 1 << bit)

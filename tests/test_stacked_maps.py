@@ -1,0 +1,230 @@
+"""Stacked subsystem maps: a subsystem flagged ``stacked`` has each map
+called once per instant for a whole batch of runs, its rows the bits of the
+per-point calls; a flagged map that mixes rows is found at construction and
+called per point."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import partkf.benchmarks
+import partkf.harness
+import partkf.model
+from partkf.analysis import monte_carlo
+from partkf.benchmarks import (
+    REACTOR_BOX_C,
+    REACTOR_BOX_T,
+    REACTOR_C_SENSOR,
+    REACTOR_NEIGHBORS,
+    get_benchmark,
+    reactor_subsystems,
+)
+from partkf.harness import ExperimentConfig
+from partkf.model import NonlinearSubsystem, aggregate_nonlinear
+
+from conftest import assert_same_ensemble, count_calls, per_run_ensemble
+
+REACTOR = ExperimentConfig(model={"name": "reactor-chain"}, steps=5, seed=3, monitors=False)
+
+#: Seeded points of the state box: per reactor unit, its own block and its
+#: neighbors' blocks, uniform in temperature and concentration.
+POINTS = 10_000
+
+
+def _box_points(rng, count: int) -> np.ndarray:
+    return np.column_stack([rng.uniform(*REACTOR_BOX_T, count),
+                            rng.uniform(*REACTOR_BOX_C, count)])
+
+
+def _unit_points(i: int) -> tuple[np.ndarray, dict]:
+    rng = np.random.default_rng(100 + i)
+    return _box_points(rng, POINTS), {l: _box_points(rng, POINTS) for l in REACTOR_NEIGHBORS[i]}
+
+
+def _per_point(sub, name: str, x: np.ndarray, nbrs: dict) -> list[np.ndarray]:
+    """The results of map ``name`` of ``sub`` called point by point,
+    stacked: per ``jac_f`` block, or one array."""
+    fn = getattr(sub, name)
+    if name in ("h", "jac_h"):
+        return [np.array([fn(x_r) for x_r in x])]
+    got = [fn(x_r, {l: v[r] for l, v in nbrs.items()}) for r, x_r in enumerate(x)]
+    if name == "f":
+        return [np.array(got)]
+    return [np.array([g[l] for g in got]) for l in (sub.index, *sub.neighbors)]
+
+
+def _stacked(sub, name: str, x: np.ndarray, nbrs: dict) -> list[np.ndarray]:
+    """The results of one call of map ``name`` of ``sub`` on the stack."""
+    got = getattr(sub, name)(*((x, nbrs) if name in ("f", "jac_f") else (x,)))
+    return ([np.asarray(got[l]) for l in (sub.index, *sub.neighbors)] if name == "jac_f"
+            else [np.asarray(got)])
+
+
+def _same_bits(a: list, b: list) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b, strict=True))
+
+
+MAPS = ("f", "h", "jac_f", "jac_h")
+
+
+class TestReactorMaps:
+    """The reactor's four maps give a stack of points the bits of their
+    per-point calls, at 10,000 seeded points of the box per unit."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        out = {}
+        for sub in reactor_subsystems():
+            x, nbrs = _unit_points(sub.index)
+            out[sub.index] = sub, x, nbrs, {name: _per_point(sub, name, x, nbrs)
+                                            for name in MAPS}
+        return out
+
+    def test_every_unit_is_stacked(self):
+        assert all(sub.stacked for sub in reactor_subsystems())
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_a_stack_has_the_bits_of_its_points(self, reference, name):
+        for sub, x, nbrs, want in reference.values():
+            assert _same_bits(_stacked(sub, name, x, nbrs), want[name]), (sub.index, name)
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_a_stack_of_two_axes_has_the_bits_of_its_points(self, reference, name):
+        # (runs, members, d): the stack's axes stay in their order.
+        for sub, x, nbrs, want in reference.values():
+            shape = (100, POINTS // 100)
+            got = _stacked(sub, name, x.reshape(shape + (2,)),
+                           {l: v.reshape(shape + (2,)) for l, v in nbrs.items()})
+            assert _same_bits([g.reshape((POINTS,) + g.shape[2:]) for g in got],
+                              want[name]), (sub.index, name)
+
+    def test_an_array_square_fails_the_bit_check(self, reference, monkeypatch):
+        # Negative control: an array's ``** 2`` is ``z * z``, not libm pow.
+        monkeypatch.setattr(partkf.benchmarks, "_squared", lambda z: z ** 2)
+        differs = [not _same_bits(_stacked(sub, "jac_f", x, nbrs), want["jac_f"])
+                   for sub, x, nbrs, want in reference.values()]
+        assert all(differs)
+
+
+def _rebuilt(monkeypatch, i: int, **maps) -> ExperimentConfig:
+    """REACTOR with unit ``i`` built anew with ``maps`` (its other fields,
+    the stacked flag and the check samples kept), registered under a name
+    of its own."""
+    bench = get_benchmark("reactor-chain")
+    subs = list(bench.model.subsystems)
+    subs[i] = dataclasses.replace(subs[i], **maps)
+    model = aggregate_nonlinear(subs, bench.model.partition)
+    built = dataclasses.replace(bench, model=model)
+    monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: built)
+    return REACTOR.replace(model={"name": "test-reactor"}, steps=20)
+
+
+class TestFallback:
+    """A flagged map that mixes the rows of a stack fails the construction
+    check and is called per point; its ensemble is the per-run path's."""
+
+    def test_a_map_subtracting_the_batch_mean_runs_per_point(self, monkeypatch):
+        f = reactor_subsystems()[1].f
+
+        def batch_mean_f(x_i, neighbors):
+            # One point is a batch of one: the term vanishes.
+            return f(x_i, neighbors) + 1e-3 * (x_i - x_i.mean(axis=tuple(range(x_i.ndim - 1))))
+
+        config = _rebuilt(monkeypatch, 1, f=batch_mean_f)
+        assert not partkf.harness._resolve(config).model.subsystems[1].stacked
+        result = monte_carlo(config, runs=4)
+        assert_same_ensemble(result, per_run_ensemble(config, 4))
+        # Per point the map is the reactor's own.
+        assert_same_ensemble(result, monte_carlo(REACTOR.replace(steps=20), runs=4))
+
+    def test_a_map_unpacking_its_point_runs_per_point(self, monkeypatch):
+        def unpacking_h(x_i):
+            T, c = x_i
+            return np.array([T, REACTOR_C_SENSOR * c])
+
+        config = _rebuilt(monkeypatch, 2, h=unpacking_h)
+        assert not partkf.harness._resolve(config).model.subsystems[2].stacked
+        # Three runs: a stacked call would raise on unpacking three rows.
+        assert_same_ensemble(monte_carlo(config, runs=3), per_run_ensemble(config, 3))
+
+    def test_a_map_that_raises_on_a_stack_runs_per_point(self):
+        sub = reactor_subsystems()[0]
+
+        def scalar_only(x_i):
+            return np.array([float(x_i[0]), REACTOR_C_SENSOR * float(x_i[1])])
+
+        assert not dataclasses.replace(sub, h=scalar_only).stacked
+
+    def test_stacked_needs_two_check_samples(self):
+        sub = reactor_subsystems()[0]
+        for samples in ((), sub.jacobian_check_samples[:1]):
+            with pytest.raises(ValueError, match="^subsystem 0: stacked maps need at least "
+                                                 "two jacobian_check_samples$"):
+                dataclasses.replace(sub, jacobian_check_samples=samples)
+        assert not dataclasses.replace(sub, jacobian_check_samples=(), stacked=False).stacked
+
+    def test_the_flag_is_true_or_false(self):
+        with pytest.raises(ValueError, match="^subsystem 0: stacked must be true or false, "
+                                             "not 1$"):
+            dataclasses.replace(reactor_subsystems()[0], stacked=1)
+
+    def test_an_unflagged_subsystem_is_never_stacked(self):
+        sub = reactor_subsystems()[3]
+        plain = NonlinearSubsystem(
+            index=3, state_dim=2, out_dim=2, neighbor_dims={2: 2}, f=sub.f, h=sub.h,
+            Q=sub.Q, R=sub.R, jac_f=sub.jac_f, jac_h=sub.jac_h,
+            jacobian_check_samples=sub.jacobian_check_samples)
+        assert not plain.stacked
+
+
+def _tally(calls: list) -> dict:
+    """Per ``(subsystem, map)``, the leading shapes of the points of the
+    calls of the subsystem's own maps among ``calls`` of ``model._called``."""
+    out = {}
+    for sub, what, fn, *args in calls:
+        if fn is getattr(sub, what, None):
+            out.setdefault((sub.index, what), []).append(np.shape(args[0])[:-1])
+    return out
+
+
+def _expected(K: int, runs: int, stacked: bool) -> dict:
+    """The leading shapes of one subsystem's map calls in an ensemble of
+    ``runs`` at horizon ``K``: the truth calls ``f`` at instants ``0..K-1``
+    and ``h`` at ``0..K``; the filter ``h`` and ``jac_h`` once at the prior
+    guess, and every map at instants ``1..K``.  A stacked subsystem's call
+    takes the batch, any other's one run."""
+    batch = [(runs,)] if stacked else [()] * runs
+    return {"f": batch * (2 * K), "h": batch * (2 * K + 1) + [()],
+            "jac_f": batch * K, "jac_h": batch * K + [()]}
+
+
+class TestOneCallPerInstant:
+    """The reactor's maps are called once per subsystem and instant for a
+    whole batch, whatever the run count: a silent fallback to per-point
+    calls fails here."""
+
+    @pytest.mark.parametrize("runs", [1, 4])
+    def test_the_reactor_ensemble_calls_each_map_once_per_instant(self, monkeypatch, runs):
+        partkf.harness._resolve(REACTOR)   # the build's own checks are not counted
+        calls = count_calls(monkeypatch, partkf.model, "_called")
+        monte_carlo(REACTOR, runs=runs)
+        tally = _tally(calls)
+        want = _expected(REACTOR.steps, runs, stacked=True)
+        for i in range(4):
+            for what in MAPS:
+                assert sorted(tally[i, what]) == sorted(want[what]), (i, what)
+
+    def test_a_mixed_model_calls_the_unflagged_subsystem_per_run(self, monkeypatch):
+        config = _rebuilt(monkeypatch, 2, stacked=False).replace(steps=REACTOR.steps)
+        plan = partkf.harness._resolve(config)
+        assert [sub.stacked for sub in plan.model.subsystems] == [True, True, False, True]
+        calls = count_calls(monkeypatch, partkf.model, "_called")
+        result = monte_carlo(config, runs=4)
+        tally = _tally(calls)
+        for i in range(4):
+            want = _expected(config.steps, 4, stacked=i != 2)
+            for what in MAPS:
+                assert sorted(tally[i, what]) == sorted(want[what]), (i, what)
+        assert_same_ensemble(result, per_run_ensemble(config, 4))
