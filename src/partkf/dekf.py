@@ -19,19 +19,18 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 - the innovation uses the nonlinear output map at the stacked prediction, not
   its linearization.
 
-Per instant each subsystem map is called once and checked, the dynamics
-maps in agenda order (``order=``), and the update goes a group per call.
-The source also takes a stack of runs, so a Monte Carlo ensemble runs as
-one pass of the engine: the maps of a stacked subsystem
+Per instant the source walks the subsystems once per evaluation point
+(``model._walk``): ``jac_f`` and ``f`` at the posteriors, ``f`` in agenda
+order (``order=``), then ``jac_h`` and ``h`` at the prediction, writing the
+Jacobian blocks (analytic providers, central differences for a subsystem
+without them) straight into the group stacks that the gain kernel reads,
+whose rows are the recorded column blocks.  A failing map raises
+``LinearizationError`` naming the subsystem, the map and the instant.  The
+source also takes a stack of runs, so a Monte Carlo ensemble runs as one
+pass of the engine: a stacked subsystem's maps
 (``NonlinearSubsystem.stacked``) are called once per instant for every run,
-any other map once per run and subsystem, into run-stacked group stacks,
-and the gain kernel settles every run of a group at once, each run bit for
-bit its own run.
-Each Jacobian's blocks (analytic providers, central
-differences for a subsystem without them) are checked one by one as they
-are written straight into the group stacks that the gain kernel reads, whose
-rows are the recorded column blocks.  A failing map raises
-``LinearizationError`` naming the subsystem, the map and the instant.
+any other map once per run, and the gain kernel settles every run of a
+group at once, each run bit for bit its own run.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     gain_and_covariance,
     update,
 )
-from .model import GlobalModel, _checked, _jacobian, _values
+from .model import GlobalModel, _checked, _walk
 from .records import RunRecord
 from .simulate import Trajectory
 
@@ -92,8 +91,8 @@ class _NonlinearSource:
     """Linearization source of a nonlinear model and one design (validated
     once, here, ``R`` factored and ``Q`` stacked once): Jacobian group
     stacks at the given points (rows: the column blocks), their information
-    blocks, nonlinear prediction and the nonlinear output residual, of one
-    run or of a stack of runs.  Its gains depend on the estimates, so its
+    blocks, the nonlinear prediction and outputs, of one run or of a stack
+    of runs.  Its gains depend on the estimates, so its
     schedule stays empty."""
 
     kind = "dekf"
@@ -111,29 +110,29 @@ class _NonlinearSource:
         #: or its kernel matrices (``4 d``).
         self.instant_floats = p.nx * max(p.nx, 2 * p.ny, 4 * max(p.dims))
 
-    def dynamics(self, x: np.ndarray) -> tuple[list, list]:
-        stacks = _jacobian(self.model, x, "f")
-        return self.model.partition.unstacked(stacks), stacks
+    def dynamics(self, x: np.ndarray, agenda: Sequence[int], keep: bool) -> tuple:
+        """At the posteriors ``x``, in one walk: the dynamics Jacobian's column
+        blocks (when ``keep``) and group stacks, and the prediction (``f``,
+        called in ``agenda`` order)."""
+        stacks, pred = _walk(self.model, x, ("jac_f", "f"), agenda)
+        return self.model.partition.unstacked(stacks) if keep else None, stacks, pred
 
-    def predict(self, x: np.ndarray, agenda: Sequence[int]) -> np.ndarray:
-        """Every subsystem's ``f`` at the posteriors ``x``, called in
-        ``agenda`` order, each result checked."""
-        return _values(self.model, "f", self.model.partition.split_state(x), agenda)
-
-    def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
-        stacks = _jacobian(self.model, x, "h")
-        cols = self.model.partition.unstacked(stacks)
-        return cols, np.concatenate(cols, axis=-1), stacks
+    def output(self, x: np.ndarray, keep: bool) -> tuple:
+        """At the prediction ``x``, in one walk: the output Jacobian's column
+        blocks (when ``keep``), matrix and group stacks, and the outputs."""
+        p = self.model.partition
+        stacks, values = _walk(self.model, x, ("jac_h", "h"))
+        if not keep:
+            return None, p.assembled(stacks), stacks, values
+        cols = p.unstacked(stacks)
+        return cols, np.concatenate(cols, axis=-1), stacks, values
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The :func:`~partkf.dkf._group_blocks` of this instant's stacks."""
         return _group_blocks(self, a_stacks, C, c_stacks)
 
-    def innovation(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return y - _values(self.model, "h", self.model.partition.split_state(x))
-
-    def keep(self, k: int, L: list, P: list, floors: int) -> _Settled:
-        return _entry(self.model.partition, L, P, floors)
+    def keep(self, k: int, L: list, P: list, floors: int, views: bool) -> _Settled:
+        return _entry(self.model.partition, L, P, floors, views)
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,

@@ -28,24 +28,24 @@ Instant 0 is the same kernel with ``U = C_col``, ``W = P0`` and ``V = I``.
 
 The same loop runs the linear filter (:func:`run_dkf`) and the extended
 filter (:func:`partkf.dekf.run_dekf`).  It is given a linearization source
-that supplies, per instant, the dynamics blocks at the posteriors, the local
-predictions, the output blocks at the predictions, the innovation and the
-blocks of the gain.  A source factors ``R`` and stacks ``Q`` once.  Per
-group of equally sized subsystems it forms, from the stacks of the members'
-blocks, ``U``, ``R^-1 U`` (one triangular solve pair over every member's
-columns) and ``U' R^-1 U``: the linear source once, from the model's
-constant blocks, the nonlinear source of :mod:`partkf.dekf` at every
-instant from the Jacobian stacks it writes.
+that supplies, per instant, the dynamics blocks at the posteriors with the
+predictions, the output blocks at the predictions with the outputs, and the
+blocks of the gain.  A source factors ``R`` and stacks ``Q`` once.  Per group
+of equally sized subsystems it forms, from the stacks of the members' blocks,
+``U``, ``R^-1 U`` (one triangular solve pair over every member's columns)
+and ``U' R^-1 U``: the linear source once, from the model's constant blocks,
+the nonlinear source of :mod:`partkf.dekf` at every instant from the
+Jacobian stacks it writes.
 Per instant the loop predicts, forms the innovation once, settles the
 gains and updates, a group per call (:func:`_updated`).  The linear source
-predicts and forms the innovation from the model's group stacks
-(``model._affine``); the nonlinear source calls each subsystem map once,
-checked, the dynamics in agenda order.  Settling is one step, the same at
-instant 0 and at instant ``k``: for each group one batched call of the
-kernel (``2 d_i``-sized solves), one batched eigenvalue floor and one
-batched positive-definiteness check.  Only when a
-group's call or check fails does the engine look for the failing subsystem,
-so errors still name the subsystem and the instant.  The step functions
+predicts and forms the outputs from the model's group stacks
+(``model._affine``); the nonlinear source walks the subsystems once per
+evaluation point (``model._walk``), the dynamics in agenda order.  Settling
+is one step, the same at instant 0 and at instant ``k``: for each group one
+batched call of the kernel (``2 d_i``-sized solves), one batched eigenvalue
+floor and one batched positive-definiteness check.  Only when a group's
+call or check fails does the engine look for the failing subsystem, so
+errors still name the subsystem and the instant.  The step functions
 :func:`gain_and_covariance` and :func:`init_update` are the kernel on a
 stack of one, so they reproduce the engine's entries bit for bit.
 
@@ -63,17 +63,12 @@ the model's column blocks, all read-only and shared by every run.
 
 Both sources also take stacks of runs, so the same loop filters a whole
 Monte Carlo ensemble of either model kind in one pass
-(:func:`_posterior_stack`), each run bit for bit its own run.  The linear
-source does one matrix-vector product per run and subsystem
-(``model._matvec``) and settles its schedule through the same
-:func:`_settled`.  The nonlinear source calls each map of a stacked
-subsystem once per instant for every run, any other map once per run and
-subsystem, and writes run-stacked group stacks, and :func:`_settled` runs
-the kernel, the floor and the check once per group and instant over every
-run and member: one triangular solve pair against ``R`` over every run's
-columns, and batched products, ``2 d_i``-sized solves, eigenvalues and
-Cholesky factorizations, each of which gives a matrix the bits of its own
-call.  There is no second gain path.
+(:func:`_posterior_stack`), each run bit for bit its own run: the linear
+source does one matrix-vector product per run and subsystem and settles its
+schedule through the same :func:`_settled`; the nonlinear source's walks
+write run-stacked group stacks, and :func:`_settled` runs the kernel, the
+floor and the check once per group and instant over every run and member,
+each matrix the bits of its own call.  There is no second gain path.
 
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
@@ -94,7 +89,7 @@ from scipy.linalg import block_diag
 from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
                     _matvec, _not_posdef, _not_semidefinite, _solve,
-                    _spd_factor, _sym, _symmetric, _tr, _values)
+                    _spd_factor, _sym, _symmetric, _tr, _walk)
 from .records import RunRecord, _check_design, _check_shapes, _run_shapes
 from .simulate import Trajectory
 
@@ -233,7 +228,7 @@ def _floor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the eigenvalue floor to a covariance, or to each of a stack;
     returns the covariances and where the floor fired."""
     d = P.shape[-1]
-    fired = np.linalg.eigvalsh(P)[..., 0] < COV_FLOOR_REL * np.trace(P, axis1=-2, axis2=-1) / d
+    fired = np.linalg.eigvalsh(P)[..., 0] < COV_FLOOR_REL * P.trace(axis1=-2, axis2=-1) / d
     if fired.any():
         P = np.where(fired[..., None, None], P + COV_FLOOR_BUMP * np.eye(d), P)
     return P, fired
@@ -269,14 +264,14 @@ class _Settled(NamedTuple):
     floors: int
 
 
-def _settled(source, k: int, gain) -> _Settled:
+def _settled(source, k: int, gain, views: bool) -> _Settled:
     """Instant ``k``'s gains, covariances and floor events: the source's
     schedule entry, or, group by group of the partition, ``gain(j, rows) ->
     (L, P)`` for the stacks of group ``j`` indexed by ``rows`` (see
     :func:`_located`), floored,
-    checked positive definite and handed to the source's ``keep``.  Each
-    step is one batched call per group; failures name the subsystem and the
-    instant."""
+    checked positive definite and handed to the source's ``keep``, with
+    per-subsystem views of them when ``views``.  Each step is one batched
+    call per group; failures name the subsystem and the instant."""
     entry = source.schedule.get(k)
     if entry is not None:
         return entry
@@ -294,12 +289,14 @@ def _settled(source, k: int, gain) -> _Settled:
         floors += int(floored.sum())
         L_k.append(L)
         P_k.append(P)
-    return source.keep(k, L_k, P_k, floors)
+    return source.keep(k, L_k, P_k, floors, views)
 
 
-def _entry(p, L: list, P: list, floors: int) -> _Settled:
-    """The :class:`_Settled` of the group stacks ``L`` and ``P``."""
-    return _Settled(tuple(L), tuple(P), tuple(p.unstacked(L)), tuple(p.unstacked(P)), floors)
+def _entry(p, L: list, P: list, floors: int, views: bool) -> _Settled:
+    """The :class:`_Settled` of the group stacks ``L`` and ``P``, with the
+    per-subsystem views of their rows only when ``views``."""
+    rows = (tuple(p.unstacked(L)), tuple(p.unstacked(P))) if views else ((), ())
+    return _Settled(tuple(L), tuple(P), *rows, floors)
 
 
 def _r_factor(R: np.ndarray) -> np.ndarray:
@@ -330,10 +327,9 @@ def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
     of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``.  Stacks
     of runs (``(..., members, rows, d)``, with ``C`` of ``(..., ny, nx)``)
     give blocks of runs."""
-    return [(a, a[..., np.arange(len(members))[:, None], idx, :], c, Q,
-             _information(_u_t(C, a, c), source.R_factor))
-            for (members, idx), a, c, Q in zip(source.model.partition.groups, a_stacks,
-                                               c_stacks, source.Q)]
+    return [(a, a[..., rows, idx, :], c, Q, _information(_u_t(C, a, c), source.R_factor))
+            for (rows, idx), a, c, Q in zip(source.model.partition.own_rows, a_stacks,
+                                            c_stacks, source.Q)]
 
 
 def _information_gain(UT, RiUT, G, W, WV, base) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +435,8 @@ def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
         raise FilterError("snapshot is missing neighbor predictions")
     if snapshot.measurement is None:
         raise FilterError("snapshot is missing the measurement")
-    innovation = snapshot.measurement - _values(model, "h", snapshot.predictions)
+    predictions = model.partition.stack(snapshot.predictions)
+    innovation = snapshot.measurement - _walk(model, predictions, ("h",))[0]
     return x_pred_i + L_i @ innovation
 
 
@@ -465,21 +462,21 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
             enumerate(zip(model.partition.split_state(post), entry.covs, entry.gains))]
 
 
-def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple[list, _Settled]:
-    """Instant 0: the output blocks at the prior guess and the schedule
-    entry (gains, covariances, floor events) of fusing the guess with
-    ``y_0``; writes the posteriors ``guess + L (y_0 - h(guess))`` into
-    ``out``, each as :func:`init_update` forms it."""
+def _fuse_prior(source, y0: np.ndarray, out: np.ndarray, keep: bool = True) -> tuple:
+    """Instant 0: the output blocks at the prior guess (the extended
+    filter's only when ``keep``) and the schedule entry (gains, covariances, floor events) of
+    fusing the guess with ``y_0``; writes the posteriors ``guess + L (y_0 -
+    h(guess))`` into ``out``, each as :func:`init_update` forms it."""
     design = source.design
     p = source.model.partition
-    c_cols, _, c_stacks = source.output(design.x0_guess)
-    innovation = source.innovation(y0, design.x0_guess)
+    c_cols, _, c_stacks, y_hat = source.output(design.x0_guess, keep)
+    innovation = y0 - y_hat
     P0 = p.stacked(design.P0)
 
     def gain(j, rows):
         return _prior_gain(P0[j][rows], _information(_tr(c_stacks[j][rows]), source.R_factor))
 
-    entry = _settled(source, 0, gain)
+    entry = _settled(source, 0, gain, keep)
     _updated(p.groups, entry.L, design.x0_guess, innovation, out)
     return c_cols, entry
 
@@ -509,32 +506,25 @@ class _LinearSource:
         #: The gain schedule: instant ``k`` -> its :class:`_Settled`.
         self.schedule: dict = {}
 
-    def dynamics(self, x: np.ndarray) -> tuple[list, None]:
-        return list(self.a_cols), None
+    # The affine maps of a validated model cannot fail, nor depend on the agenda.
+    def dynamics(self, x: np.ndarray, agenda: Sequence[int], keep: bool) -> tuple:
+        return list(self.a_cols), None, self.model._affine.f(x)
 
-    def predict(self, x: np.ndarray, agenda: Sequence[int]) -> np.ndarray:
-        # The affine maps of a validated model cannot fail, and no call
-        # depends on the agenda.
-        return self.model._affine.f(x)
-
-    def output(self, x: np.ndarray) -> tuple[list, np.ndarray, list]:
-        return list(self.c_cols), self.model.C, self.c_stacks
+    def output(self, x: np.ndarray, keep: bool) -> tuple:
+        return list(self.c_cols), self.model.C, self.c_stacks, self.model._affine.h(x)
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The constant :func:`_group_blocks` of the model's own blocks."""
         return self._blocks
 
-    def innovation(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return y - self.model._affine.h(x)
-
-    def keep(self, k: int, L: list, P: list, floors: int) -> _Settled:
-        """Enter the settled group stacks of instant ``k`` and its number of
-        floor events into the schedule.  Every later run reads these very
-        stacks and hands views of them to its record, so they are made
-        read-only."""
+    def keep(self, k: int, L: list, P: list, floors: int, views: bool) -> _Settled:
+        """Enter the settled group stacks of instant ``k``, the views of
+        their rows (whatever ``views`` says) and its number of floor events
+        into the schedule.  Every later run reads these very stacks and
+        hands views of them to its record, so they are made read-only."""
         for m in (*L, *P):
             m.setflags(write=False)
-        entry = self.schedule[k] = _entry(self.model.partition, L, P, floors)
+        entry = self.schedule[k] = _entry(self.model.partition, L, P, floors, True)
         return entry
 
 
@@ -605,16 +595,17 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     map, product and settling step of either source takes at once.
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
-    Instant ``k`` takes the dynamics blocks at the posteriors of ``k-1``,
-    predicts every subsystem from them (the source's map calls in ``agenda``
-    order), takes the output blocks at the stacked prediction, forms the
-    innovation once and then updates every subsystem, a group per call
-    (:func:`_updated`).  Both settle their gains and covariances with
-    :func:`_settled`, which raises with the subsystem and the instant.
-    Returns the predictions and posteriors (shaped as ``ys`` but for the
-    last axis, ``nx``), the per-instant gains, covariances and column
-    blocks (with a leading run axis where they depend on the run; only
-    instant 0's when ``keep`` is false), the number of floor events and the
+    Instant ``k`` takes from the source the dynamics blocks at the
+    posteriors of ``k-1`` with every subsystem's prediction from them (the
+    source's map calls in ``agenda`` order), then the output blocks at the
+    stacked prediction with the outputs there, forms the innovation once
+    and then updates every subsystem, a group per call (:func:`_updated`).
+    Both settle their gains and covariances with :func:`_settled`, which
+    raises with the subsystem and the instant.  Returns the predictions and
+    posteriors (shaped as ``ys`` but for the last axis, ``nx``), the
+    per-instant gains, covariances and column blocks (with a leading run
+    axis where they depend on the run; when ``keep`` is false none is kept
+    and no per-subsystem view is made), the number of floor events and the
     wall time of each instant.
     """
     model, design = source.model, source.design
@@ -627,7 +618,7 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     wall = np.empty(K + 1)
 
     t0 = time.perf_counter()
-    c_cols_k, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0])
+    c_cols_k, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0], keep)
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
     floor_events = entry.floors
@@ -635,10 +626,10 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        a_cols_k, a_stacks = _at_instant(k, source.dynamics, xhat_post[k - 1])
-        xhat_pred[k] = _at_instant(k, source.predict, xhat_post[k - 1], agenda)
-        c_cols_k, C_k, c_stacks = _at_instant(k, source.output, xhat_pred[k])
-        innovation = _at_instant(k, source.innovation, ys[k], xhat_pred[k])
+        a_cols_k, a_stacks, xhat_pred[k] = _at_instant(k, source.dynamics, xhat_post[k - 1],
+                                                       agenda, keep)
+        c_cols_k, C_k, c_stacks, y_hat = _at_instant(k, source.output, xhat_pred[k], keep)
+        innovation = ys[k] - y_hat
 
         blocks = source.blocks(a_stacks, C_k, c_stacks)
 
@@ -646,10 +637,11 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
             # ``gain_and_covariance`` is looked up at call time; ``P`` is of
             # instant k-1.
             a, aii, c, Q, info = blocks[j]
-            return gain_and_covariance(P[j][rows], a[rows], aii[rows], C_k, c[rows], Q[rows],
-                                       design.R, tuple(m[rows] for m in info))
+            if rows is not ...:   # one member, when its group failed (``_located``)
+                a, aii, c, Q, info = a[rows], aii[rows], c[rows], Q[rows], [m[rows] for m in info]
+            return gain_and_covariance(P[j][rows], a, aii, C_k, c, Q, design.R, tuple(info))
 
-        entry = _settled(source, k, gain)
+        entry = _settled(source, k, gain, keep)
         floor_events += entry.floors
         _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0

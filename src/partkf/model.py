@@ -14,14 +14,15 @@ A model owns its derived views: its column blocks, ``_monolithic`` and, when
 linear, its subsystems' affine maps as group stacks (``_affine``), and its
 partition the groups of equally sized subsystems.
 
-Every result of a subsystem map is checked as it is written (``_put``):
-values into one vector (``_values``, or ``_checked`` for one map), Jacobian
-blocks into per-group stacks (``_jacobian``).  Both also take a stack of
-runs' points: the map of a stacked subsystem (``NonlinearSubsystem.stacked``)
-is called once for the whole stack and its result checked as one block,
-any other map and central differences once per run.  A result must be
-finite real numbers of its place's shape, so the first bad result names
-its subsystem and map.
+One walker (``_walk``) calls the subsystem maps a caller needs at a point,
+or at a stack of runs' points (``jac_f`` and ``f``, ``jac_h`` and ``h``,
+``h`` and ``f``), splitting it and building each subsystem's arguments once.
+A stacked subsystem's map (``NonlinearSubsystem.stacked``) is called once
+for the whole stack, any other map and central differences once per run.
+``_put`` checks each result's shape and dtype as it is written, and each
+written array is tested for finiteness once; on a failure the blocks written
+so far are checked in call order, so the first bad result names its
+subsystem and map.
 
 The module owns, since every other module imports it, the value rules that
 check every input from outside the program by name (``_integer``, ``_seed``,
@@ -193,24 +194,31 @@ def _called(sub, what: str, fn, *args):
                                  sub.index) from exc
 
 
-def _jac_f_blocks(sub, got) -> list[tuple]:
-    """``(l, block)`` of the blocks ``got`` of ``sub.jac_f``, own block
-    first, when their keys, as ``int`` (:func:`_by_neighbor`), are exactly
-    ``{index} | neighbors``."""
-    keys = (sub.index, *sub.neighbors)
-    if type(got) is not dict or got.keys() != set(keys):
+def _jac_f_blocks(sub, got, keys: dict) -> list:
+    """The blocks ``got`` of ``sub.jac_f`` in the order of ``keys`` (own
+    block first), when their keys, as ``int`` (:func:`_by_neighbor`), are
+    exactly those of ``keys``: ``{index} | neighbors``."""
+    if type(got) is not dict or got.keys() != keys.keys():
         got = _called(sub, "jac_f", _by_neighbor, sub.index, "jac_f", got)
-        if got.keys() != set(keys):
+        if got.keys() != keys.keys():
             raise LinearizationError(f"subsystem {sub.index}: jac_f returned blocks for "
                                      f"{sorted(got)}, expected {sorted(keys)}", sub.index)
-    return [(l, got[l]) for l in keys]
+    return [got[l] for l in keys]
 
 
-def _put(dest: np.ndarray, sub, what: str, got) -> np.ndarray:
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A finite sum has finite terms;
+    on a small array a sum of Python floats is faster than NumPy's test."""
+    return (a.size <= 64 and math.isfinite(sum(a.ravel().tolist()))) or bool(
+        np.isfinite(a).all())
+
+
+def _put(dest: np.ndarray, sub, what: str, got, finite: bool = True) -> np.ndarray:
     """``dest`` with ``got``, a result of map ``what`` of subsystem ``sub``,
     written into it when it is an array of real numbers (integer or floating
     dtype) of ``dest``'s shape, finite as written; else :class:`LinearizationError`
-    naming subsystem and map.  The one check of every subsystem map result."""
+    naming subsystem and map.  The one check of every subsystem map result;
+    with ``finite`` false the caller tests what it wrote (:func:`_walk`)."""
     i, got = sub.index, got if type(got) is np.ndarray else _called(sub, what, np.asarray, got)
     if got.shape != dest.shape:
         raise LinearizationError(f"subsystem {i}: {what} returned shape {got.shape}, "
@@ -219,10 +227,8 @@ def _put(dest: np.ndarray, sub, what: str, got) -> np.ndarray:
         raise LinearizationError(f"subsystem {i}: {what} returned {got.dtype} values, "
                                  "expected real numbers", i)
     dest[...] = got
-    # What was written is tested, so a cast that overflows is caught.  A finite
-    # sum has finite terms; a sum of Python floats is faster than NumPy's test
-    # on small results and overflows to inf without a warning.
-    if not (math.isfinite(sum(dest.ravel().tolist())) or np.isfinite(dest).all()):
+    # What was written is tested, so a cast that overflows is caught.
+    if finite and not _all_finite(dest):
         raise LinearizationError(f"subsystem {i}: {what} returned a non-finite value", i)
     return dest
 
@@ -233,37 +239,67 @@ def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
     return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
 
 
-def _args(sub, points: Sequence[np.ndarray], dynamics: bool, r: tuple | None = None) -> tuple:
-    """The arguments of a map of ``sub`` at the state blocks ``points``, or
-    at run ``r`` of a stack of them: its own block and, for a map of the
-    dynamics, its neighbors' blocks."""
-    x = points[sub.index] if r is None else points[sub.index][r]
-    if not dynamics:
-        return (x,)
-    return x, {l: points[l] if r is None else points[l][r] for l in sub.neighbors}
-
-
-def _values(model: GlobalModel, of: str, points: Sequence[np.ndarray],
-            order: Sequence[int] | None = None) -> np.ndarray:
-    """The stacked values of the subsystems' map ``of`` (``"f"`` or ``"h"``)
-    at their state blocks ``points`` (and, for ``f``, their neighbors'), each
-    checked as it is written into one vector, the subsystems called in
-    ``order`` (default: by index).  The own outputs ``[h_i(x_i)]_i`` are
-    ``C x``.  Blocks with leading run axes (``(..., d_i)``) give a stack of
-    vectors: a stacked subsystem's map is called once for the whole stack,
-    any other's once per run, each run's call that of its own call."""
-    p, dynamics = model.partition, of == "f"
-    lead = np.shape(points[0])[:-1]
+def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
+          order: Sequence[int] | None = None, analytic: bool = True) -> list:
+    """The maps ``maps``, called in this order, of the subsystems (by index,
+    ``f`` and ``h`` in ``order`` if given) at ``x`` (``(..., nx)``): for
+    ``f`` and ``h`` the stacked values, for ``jac_f`` and ``jac_h`` group
+    stacks ``(..., members, nx or ny, d)`` whose rows are the column blocks,
+    from the providers, or central differences without them or when
+    ``analytic`` is false."""
+    p, x = model.partition, np.asarray(x)
+    lead = x.shape[:-1]
     whole = (slice(None),) * len(lead)
-    out = np.empty(lead + (p.nx if dynamics else p.ny,))
-    block = p.state_slice if dynamics else p.out_slice
-    for i in range(p.n) if order is None else order:
-        sub = model.subsystems[i]
-        fn, rows = getattr(sub, of), block(i)
-        one = not lead or sub.stacked   # one call, for the point or the whole stack
-        for r in [whole] if one else np.ndindex(*lead):
-            args = _args(sub, points, dynamics, None if one else r)
-            _put(out[r + (rows,)], sub, of, _called(sub, of, fn, *args))
+    points, walked = p.split_state(x), model._walked
+    if "f" in maps or "jac_f" in maps:
+        own = [(x_i, {l: points[l] for l in walked[i][1]}) for i, x_i in enumerate(points)]
+    runs, written, log, out, error = {}, [], [], [], None
+
+    def args(i: int, r, dynamics: bool) -> tuple:
+        # The arguments of subsystem ``i``'s map at run ``r``, built once.
+        a = runs.get((i, r))
+        if a is None:
+            a = runs[i, r] = points[i][r], {l: points[l][r] for l in walked[i][1]}
+        return a if dynamics else a[:1]
+
+    try:
+        for name in maps:
+            dynamics, value = name in ("f", "jac_f"), name in ("f", "h")
+            size = p.nx if dynamics else p.ny
+            arrays = [np.empty(lead + (size,))] if value else [
+                np.zeros(lead + (len(members), size, idx.shape[1])) for members, idx in p.groups]
+            out.append(arrays[0] if value else arrays)
+            written += arrays
+            for i in order if order is not None and value else range(p.n):
+                sub, _, keys, places = walked[i]
+                place = places[name]
+                if not place:   # the Jacobian of no outputs
+                    continue
+                fn = getattr(sub, name) if value or analytic else None
+                fd = fn is None
+                for r in (whole,) if not lead or sub.stacked and not fd else np.ndindex(*lead):
+                    a = ((own[i] if dynamics else (points[i],)) if r is whole
+                         else args(i, r, dynamics))
+                    got = (_called(sub, name, fn, *a) if not fd
+                           else (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *a))
+                    if value:
+                        at = arrays[0][r + place]
+                        _put(at, sub, name, got, False)
+                        log.append((at, sub, name))
+                        continue
+                    for (j, index, label), blk in zip(place, _jac_f_blocks(
+                            sub, got, keys) if dynamics else (got,)):
+                        at = arrays[j][r + index]
+                        what = "central-difference " + label if fd else label
+                        _put(at, sub, what, blk, False)
+                        log.append((at, sub, what))
+    except LinearizationError as exc:
+        error = exc
+    if error or not all(map(_all_finite, written)):
+        # What was written is checked in call order: the first bad block raises.
+        for at, sub, what in log:
+            _put(at, sub, what, at)
+        raise error
     return out
 
 
@@ -275,7 +311,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _tr(m: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def _matvec(m: np.ndarray, x) -> np.ndarray:
@@ -349,8 +385,8 @@ def _solve(a: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
         raise error from exc
 
 
-def _finite(a) -> None:
-    if not np.isfinite(a).all():
+def _finite(a: np.ndarray) -> None:
+    if not _all_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -479,11 +515,23 @@ class StatePartition:
         """Per group, the stack of its members' ``blocks[i]``."""
         return [np.stack([blocks[i] for i in members]) for members, _ in self.groups]
 
+    @cached_property
+    def own_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per group ``(rows, idx)``: ``stack[..., rows, idx, :]`` of its
+        stack of column blocks stacks the members' diagonal blocks."""
+        return tuple((np.arange(len(members))[:, None], idx) for members, idx in self.groups)
+
+    def assembled(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """The matrix ``(..., rows, nx)`` of group stacks ``(..., members,
+        rows, d)``: :meth:`unstacked` concatenated, without its views."""
+        out = np.empty(stacks[0].shape[:-3] + (stacks[0].shape[-2], self.nx))
+        for (_, idx), stack in zip(self.groups, stacks):
+            out[..., idx] = np.swapaxes(stack, -3, -2)
+        return out
+
     def unstacked(self, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per subsystem, its row of its group's stack of matrices, or its
-        rows of a stack of runs (``(..., members, rows, cols)``): views."""
-        by_member = [s if s.ndim == 3 else np.moveaxis(s, -3, 0) for s in stacks]
-        return [by_member[j][r] for j, r in self.slots]
+        """Per subsystem, its row of its group's stack of matrices: views."""
+        return [stacks[j][r] for j, r in self.slots]
 
     def state_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])
@@ -491,12 +539,16 @@ class StatePartition:
     def out_slice(self, i: int) -> slice:
         return slice(self.out_offsets[i], self.out_offsets[i + 1])
 
+    @cached_property
+    def _state_slices(self) -> tuple[slice, ...]:
+        return tuple(map(self.state_slice, range(self.n)))
+
     def split_state(self, x: np.ndarray) -> list[np.ndarray]:
         """Split a global state vector into per-subsystem blocks."""
         x = np.asarray(x)
         if x.shape[-1] != self.nx:
             raise ValueError(f"state has dimension {x.shape[-1]}, expected {self.nx}")
-        return [x[..., self.state_slice(i)] for i in range(self.n)]
+        return [x[..., s] for s in self._state_slices]
 
     def stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenate per-subsystem blocks back into a global vector."""
@@ -793,7 +845,7 @@ def _results(sub: NonlinearSubsystem, name: str, x_i: np.ndarray,
     if name == "jac_f":
         dims = {sub.index: d, **sub.neighbor_dims}
         return [_put(np.empty(lead + (d, dims[l])), sub, f"jac_f block {l}", b)
-                for l, b in _jac_f_blocks(sub, got)]
+                for l, b in zip(dims, _jac_f_blocks(sub, got, dims))]
     shape = {"f": (d,), "h": (sub.out_dim,), "jac_h": (sub.out_dim, d)}[name]
     return [_put(np.empty(lead + shape), sub, name, got)]
 
@@ -894,22 +946,37 @@ class GlobalModel:
             raise ValueError("c_col is only defined for linear models")
         return self._col_blocks[1][i]
 
-    def f(self, x: np.ndarray) -> np.ndarray:
-        """One step of the global dynamics (noise-free).  It also takes a
-        stack of states (``(..., nx)``) and gives each the bits of its own
-        call; a nonlinear model calls a stacked subsystem's map once for the
-        stack and any other's once per state."""
+    @cached_property
+    def _walked(self) -> tuple[tuple, ...]:
+        """Per subsystem what :func:`_walk` reads: the subsystem, neighbors,
+        ``jac_f`` keys (own first) and per map its rows of ``f``'s or ``h``'s
+        vector, or per Jacobian block ``(group, index, name)``."""
+        p, out = self.partition, []
+        for sub in self.subsystems:
+            i, rows, out_rows = sub.index, p.state_slice(sub.index), p.out_slice(sub.index)
+            keys = dict.fromkeys((i, *sub.neighbors))
+            jac_f = tuple((p.slots[l][0], (p.slots[l][1], rows), f"jac_f block {l}") for l in keys)
+            jac_h = ((p.slots[i][0], (p.slots[i][1], out_rows), "jac_h"),) if sub.out_dim else ()
+            out.append((sub, sub.neighbors, keys,
+                        {"f": (rows,), "h": (out_rows,), "jac_f": jac_f, "jac_h": jac_h}))
+        return tuple(out)
+
+    def values(self, x: np.ndarray, maps: Sequence[str]) -> list[np.ndarray]:
+        """The global maps ``maps`` (``"f"``, ``"h"``, called in this order)
+        at the state, or the stack of states, ``x`` (noise-free), each state
+        the bits of its own call; a nonlinear model's in one :func:`_walk`."""
         x = np.asarray(x, dtype=float)
         if self.linear:
-            return _matvec(self.A, x)
-        return _values(self, "f", self.partition.split_state(x))
+            return [_matvec(self.A if name == "f" else self.C, x) for name in maps]
+        return _walk(self, x, maps)
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """One step of the global dynamics (noise-free), as :meth:`values`."""
+        return self.values(x, ("f",))[0]
 
     def h(self, x: np.ndarray) -> np.ndarray:
-        """Global output map (noise-free); stacks as :meth:`f`."""
-        x = np.asarray(x, dtype=float)
-        if self.linear:
-            return _matvec(self.C, x)
-        return _values(self, "h", self.partition.split_state(x))
+        """Global output map (noise-free), as :meth:`values`."""
+        return self.values(x, ("h",))[0]
 
     def state_box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Assembled validity box, or None when no subsystem declares one."""
@@ -1059,46 +1126,6 @@ class LinearizationBlocks:
     C: np.ndarray
 
 
-def _jacobian(model: GlobalModel, x: np.ndarray, of: str,
-              analytic: bool = True) -> list[np.ndarray]:
-    """The Jacobian of the stacked map ``of`` (``"f"`` or ``"h"``) at ``x``
-    as group stacks ``(members, nx or ny, d)``, a member's row its column
-    block: ``d of_l / d x_i`` in the rows of ``l``, zero elsewhere.  Blocks
-    come from the providers, or central differences for a subsystem without
-    them or when ``analytic`` is false, each checked as it is written.  A
-    stack of points (``(..., nx)``) gives stacks of runs (``(..., members,
-    nx or ny, d)``): a stacked subsystem's provider is called once for the
-    whole stack, any other provider and central differences once per run,
-    each run's call that of its own call."""
-    p, dynamics, x = model.partition, of == "f", np.asarray(x)
-    lead = x.shape[:-1]
-    whole = (slice(None),) * len(lead)
-    stacks = [np.zeros(lead + (len(members), p.nx if dynamics else p.ny, idx.shape[1]))
-              for members, idx in p.groups]
-    points, name = p.split_state(x), "jac_" + of
-    for l, sub in enumerate(model.subsystems):
-        if dynamics:
-            rows = p.state_slice(l)
-        elif sub.out_dim:
-            rows = p.out_slice(l)
-        else:
-            continue
-        provider = getattr(sub, name) if analytic else None
-        one = not lead or (provider is not None and sub.stacked)
-        for r in [whole] if one else np.ndindex(*lead):
-            args = _args(sub, points, dynamics, None if one else r)
-            if provider is not None:
-                what, got = name, _called(sub, name, provider, *args)
-            else:
-                what = "central-difference " + name
-                got = (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *args)
-            for i, blk in (_jac_f_blocks(sub, got) if dynamics else ((l, got),)):
-                j, s = p.slots[i]
-                _put(stacks[j][r + (s, rows)], sub,
-                     f"{what} block {i}" if dynamics else what, blk)
-    return stacks
-
-
 def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
               mode: str = "analytic") -> LinearizationBlocks:
     """Jacobian blocks of the stacked dynamics and output maps at one point.
@@ -1124,8 +1151,8 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
         if missing:
             raise ValueError(f"analytic Jacobians missing for subsystems {missing}")
 
-    a_cols = partition.unstacked(_jacobian(model, x, "f", mode == "analytic"))
-    c_cols = partition.unstacked(_jacobian(model, x, "h", mode == "analytic"))
+    a_cols, c_cols = map(partition.unstacked,
+                         _walk(model, x, ("jac_f", "jac_h"), analytic=mode == "analytic"))
     a_blocks = {(l, i): a_cols[i][partition.state_slice(l)]
                 for l in range(partition.n) for i in range(partition.n)}
     A = np.concatenate(a_cols, axis=1)
@@ -1147,8 +1174,8 @@ def _monolithic(model: GlobalModel) -> GlobalModel:
     return aggregate_nonlinear([NonlinearSubsystem(
         index=0, state_dim=model.nx, out_dim=model.ny, neighbor_dims={},
         f=lambda x, neighbors: model.f(x), h=model.h, Q=model.Q, R=model.R,
-        jac_f=lambda x, neighbors: {0: np.hstack(p.unstacked(_jacobian(model, x, "f")))},
-        jac_h=lambda x: np.hstack(p.unstacked(_jacobian(model, x, "h"))),
+        jac_f=lambda x, neighbors: {0: np.hstack(p.unstacked(_walk(model, x, ("jac_f",))[0]))},
+        jac_h=lambda x: np.hstack(p.unstacked(_walk(model, x, ("jac_h",))[0])),
         state_box=model.state_box())], part)
 
 

@@ -341,24 +341,26 @@ def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The states and measurements that the noises ``ws`` and ``vs`` drive
     from ``x0``, of one run (``ws`` of shape ``(K, nx)``) or of a stack of
-    runs (``(K, runs, nx)``) of either model kind: a nonlinear plant calls
-    the maps of a stacked subsystem once per step for every run and any
-    other map once per run and subsystem, each run's values those of its
-    own run.  A state out of the box or non-finite, and a failing map, in any
-    run raise :class:`SimulationError`."""
+    runs (``(K, runs, nx)``) of either model kind, ``h`` and ``f`` at each
+    state in one call (``GlobalModel.values``): a nonlinear plant calls the
+    maps of a stacked subsystem once per step for every run and any other
+    map once per run and subsystem, each run's values those of its own run.
+    A state out of the box or non-finite, and a failing map, in any run
+    raise :class:`SimulationError`."""
     box = model.state_box()
     xs = np.empty((len(vs), *ws.shape[1:]))
     ys = np.empty(vs.shape)
     xs[0] = x0
     for k in range(len(vs)):
-        if box is not None and (np.any(xs[k] < box[0]) or np.any(xs[k] > box[1])):
+        if box is not None and ((xs[k] < box[0]).any() or (xs[k] > box[1]).any()):
             raise SimulationError(f"state left the validity box at step {k}", step=k)
-        if not np.all(np.isfinite(xs[k])):
+        if not np.isfinite(xs[k]).all():
             raise SimulationError(f"state became non-finite at step {k}", step=k)
         try:
-            ys[k] = model.h(xs[k]) + vs[k]
-            if k < len(ws):
-                xs[k + 1] = model.f(xs[k]) + ws[k]
+            y, *x = model.values(xs[k], ("h", "f") if k < len(ws) else ("h",))
+            ys[k] = y + vs[k]
+            if x:
+                xs[k + 1] = x[0] + ws[k]
         except LinearizationError as exc:
             raise SimulationError(f"step {k}, {exc}", step=k) from exc
     return xs, ys

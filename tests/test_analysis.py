@@ -8,6 +8,7 @@ import partkf.benchmarks
 import partkf.dkf
 import partkf.harness
 from partkf.analysis import (
+    StabilityReport,
     check_bounds,
     check_contraction,
     check_weak_coupling,
@@ -661,6 +662,35 @@ class TestStackedNonlinearEnsemble:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert_same_ensemble(monte_carlo(config, runs=3), per_run_ensemble(config, 3))
+
+
+def _failing_only_at(report: StabilityReport, k: int) -> StabilityReport:
+    """``report`` with both monitors' outcomes true but at instant ``k``."""
+    ok = np.ones_like(report.coupling_ok)
+    ok[k] = False
+    return dataclasses.replace(report, coupling_ok=ok, contraction_ok=ok.copy())
+
+
+class TestAllHold:
+    """Instant 0 has no step to judge; every later instant counts."""
+
+    FLAGS = ("coupling_all_hold", "contraction_all_hold")
+
+    def test_a_failure_at_instant_1_fails(self, linear_run):
+        report = _failing_only_at(stability_report(linear_run[2]), 1)
+        assert [getattr(report, flag) for flag in self.FLAGS] == [False, False]
+
+    def test_a_failure_at_instant_0_is_not_judged(self, linear_run):
+        report = _failing_only_at(stability_report(linear_run[2]), 0)
+        assert [getattr(report, flag) for flag in self.FLAGS] == [True, True]
+
+    def test_a_check_from_instant_2_fails_the_test(self, linear_run, monkeypatch):
+        # Negative control: reading ``[2:]`` never judges instant 1.
+        for flag, name in zip(self.FLAGS, ("coupling_ok", "contraction_ok")):
+            monkeypatch.setattr(StabilityReport, flag, property(
+                lambda self, name=name: bool(np.all(getattr(self, name)[2:]))))
+        report = _failing_only_at(stability_report(linear_run[2]), 1)
+        assert [getattr(report, flag) for flag in self.FLAGS] == [True, True]
 
 
 class TestLyapunov:

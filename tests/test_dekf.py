@@ -369,6 +369,7 @@ TWO_FAULTS = {
               "jac_f block 2"),
     "f": (lambda good: lambda x, n: np.full(2, np.nan), "f"),
     "h": (lambda good: lambda x: np.full(1, np.nan), "h"),
+    "jac_h": (lambda good: lambda x: np.full((1, 2), np.nan), "jac_h"),
 }
 
 
@@ -380,20 +381,27 @@ def _two_faults(name: str) -> list:
     return subs
 
 
-@pytest.mark.parametrize("name", TWO_FAULTS)
-def test_first_failing_subsystem_is_named_when_two_fail(name):
+def _chain_run() -> tuple:
+    """The chain's partition, noise, a 6-step trajectory of the healthy
+    chain and a design for it."""
     part = make_partition([2] * 4, [1] * 4)
     healthy = aggregate_nonlinear(_chain(), part)
     noise = noise_for(healthy, 0.1, seed=2)
     traj = simulate(healthy, np.ones(8), 6, noise)
     design = EstimatorDesign.from_model(healthy, P0=[np.eye(2)] * 4, x0_guess=np.zeros(8))
+    return part, noise, traj, design
+
+
+@pytest.mark.parametrize("name", TWO_FAULTS)
+def test_first_failing_subsystem_is_named_when_two_fail(name):
+    part, noise, traj, design = _chain_run()
     what = f"subsystem 1: {TWO_FAULTS[name][1]} returned a non-finite value"
-    # The filter calls jac_f and f from instant 1 on, h from instant 0 on.
+    # The filter calls jac_f and f from instant 1 on, jac_h and h from instant 0 on.
     with pytest.raises(LinearizationError, match=re.escape(
-            f"instant {2 if name == 'h' else 3}, {what}")) as err:
+            f"instant {2 if name in ('h', 'jac_h') else 3}, {what}")) as err:
         run_dekf(aggregate_nonlinear(_two_faults(name), part), design, traj)
     assert err.value.subsystem == 1
-    if name == "jac_f":
+    if name in ("jac_f", "jac_h"):
         subs = _two_faults(name)
         linearize(subs, np.ones(8))
         linearize(subs, np.ones(8))
@@ -403,6 +411,25 @@ def test_first_failing_subsystem_is_named_when_two_fail(name):
         # The simulation calls f and h once per step from step 0 on.
         with pytest.raises(SimulationError, match=re.escape(f"step 2, {what}")):
             simulate(aggregate_nonlinear(_two_faults(name), part), np.ones(8), 6, noise)
+
+
+def test_a_bad_jacobian_block_is_named_before_a_later_map_that_raises():
+    # At instant 3 subsystem 1's jac_f block 2 turns NaN and subsystem 0's f
+    # raises.  The filter calls every jac_f before any f, so the error names
+    # the jac_f block, as a check after every call would; without the bad
+    # block it names subsystem 0's f.
+    part, _, traj, design = _chain_run()
+    for bad_block, i, what in ((True, 1, "jac_f block 2 returned a non-finite value"),
+                               (False, 0, "f raised ZeroDivisionError('boom')")):
+        subs = _chain()
+        if bad_block:
+            subs[1] = dataclasses.replace(subs[1], jac_f=_from_call(
+                3, subs[1].jac_f, TWO_FAULTS["jac_f"][0](subs[1].jac_f)))
+        subs[0] = dataclasses.replace(subs[0], f=_from_call(3, subs[0].f, _raise))
+        with pytest.raises(LinearizationError, match=re.escape(
+                f"instant 3, subsystem {i}: {what}")) as err:
+            run_dekf(aggregate_nonlinear(subs, part), design, traj)
+        assert err.value.subsystem == i
 
 
 #: ``content_digest`` of ``run_dekf`` (no monitors) on ``reactor-chain``

@@ -145,6 +145,18 @@ class TestFromJson:
                 f"record schema {schema!r} is not an integer")):
             RunRecord.from_json(payload)
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wall_clock_of_another_length_rejected_by_name(self, monitored, extra):
+        # Accepted, a record's wall_clock one instant too long or short
+        # loaded; so a record built with one too many timings read back.
+        K = monitored.steps
+        wall = (np.append(monitored.wall_clock, 0.0) if extra > 0
+                else monitored.wall_clock[:-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"record wall_clock has shape ({K + 1 + extra},), expected ({K + 1},)")):
+            _through_file(dataclasses.replace(monitored, wall_clock=wall))
+        assert len(_through_file(monitored).wall_clock) == K + 1
+
     def test_missing_optional_fields_load_with_defaults(self, monitored):
         payload = monitored.to_json()
         for key in ("floor_events", "monitors", "config", "wall_clock"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import partkf.benchmarks
+import partkf.dekf
 import partkf.harness
 import partkf.model
 from partkf.analysis import monte_carlo
@@ -20,7 +21,7 @@ from partkf.benchmarks import (
     get_benchmark,
     reactor_subsystems,
 )
-from partkf.harness import ExperimentConfig
+from partkf.harness import ExperimentConfig, run_experiment
 from partkf.model import NonlinearSubsystem, aggregate_nonlinear
 
 from conftest import assert_same_ensemble, count_calls, per_run_ensemble
@@ -200,10 +201,42 @@ def _expected(K: int, runs: int, stacked: bool) -> dict:
             "jac_f": batch * K, "jac_h": batch * K + [()]}
 
 
+def _standalone_tally(monkeypatch) -> dict:
+    """The :func:`_tally` of ``run_experiment`` on REACTOR: one run,
+    simulation plus filter."""
+    partkf.harness._resolve(REACTOR)   # the build's own checks are not counted
+    calls = count_calls(monkeypatch, partkf.model, "_called")
+    run_experiment(REACTOR, write_outputs=False)
+    return _tally(calls)
+
+
 class TestOneCallPerInstant:
     """The reactor's maps are called once per subsystem and instant for a
     whole batch, whatever the run count: a silent fallback to per-point
     calls fails here."""
+
+    def test_a_standalone_run_calls_each_map_once_per_instant(self, monkeypatch):
+        tally = _standalone_tally(monkeypatch)
+        want = _expected(REACTOR.steps, 1, stacked=False)
+        assert {key: len(shapes) for key, shapes in tally.items()} == {
+            (i, what): len(want[what]) for i in range(4) for what in MAPS}
+        assert all(shape == () for shapes in tally.values() for shape in shapes)
+
+    def test_a_walk_that_calls_f_twice_fails_the_count(self, monkeypatch):
+        # Negative control: the filter's dynamics step calls f once more.
+        walk = partkf.dekf._walk
+
+        def twice(model, x, maps, *args, **kwargs):
+            if "f" in maps:
+                walk(model, x, ("f",))
+            return walk(model, x, maps, *args, **kwargs)
+
+        monkeypatch.setattr(partkf.dekf, "_walk", twice)
+        tally = _standalone_tally(monkeypatch)
+        want = _expected(REACTOR.steps, 1, stacked=False)
+        assert [len(tally[i, "f"]) for i in range(4)] == [len(want["f"]) + REACTOR.steps] * 4
+        assert all(len(tally[i, what]) == len(want[what])
+                   for i in range(4) for what in ("h", "jac_f", "jac_h"))
 
     @pytest.mark.parametrize("runs", [1, 4])
     def test_the_reactor_ensemble_calls_each_map_once_per_instant(self, monkeypatch, runs):
