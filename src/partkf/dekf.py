@@ -45,7 +45,6 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     COV_FLOOR_REL,
     EstimatorDesign,
     ExchangeSnapshot,
-    _entry,
     _floor,
     _group_blocks,
     _posteriors,
@@ -110,29 +109,23 @@ class _NonlinearSource:
         #: or its kernel matrices (``4 d``).
         self.instant_floats = p.nx * max(p.nx, 2 * p.ny, 4 * max(p.dims))
 
-    def dynamics(self, x: np.ndarray, agenda: Sequence[int], keep: bool) -> tuple:
-        """At the posteriors ``x``, in one walk: the dynamics Jacobian's column
-        blocks (when ``keep``) and group stacks, and the prediction (``f``,
-        called in ``agenda`` order)."""
-        stacks, pred = _walk(self.model, x, ("jac_f", "f"), agenda)
-        return self.model.partition.unstacked(stacks) if keep else None, stacks, pred
+    def dynamics(self, x: np.ndarray, agenda: Sequence[int]) -> list:
+        """At the posteriors ``x``, in one walk: the dynamics Jacobian's group
+        stacks and the prediction (``f``, called in ``agenda`` order)."""
+        return _walk(self.model, x, ("jac_f", "f"), agenda)
 
-    def output(self, x: np.ndarray, keep: bool) -> tuple:
-        """At the prediction ``x``, in one walk: the output Jacobian's column
-        blocks (when ``keep``), matrix and group stacks, and the outputs."""
-        p = self.model.partition
+    def output(self, x: np.ndarray) -> tuple:
+        """At the prediction ``x``, in one walk: the output Jacobian's matrix
+        and group stacks, and the outputs."""
         stacks, values = _walk(self.model, x, ("jac_h", "h"))
-        if not keep:
-            return None, p.assembled(stacks), stacks, values
-        cols = p.unstacked(stacks)
-        return cols, np.concatenate(cols, axis=-1), stacks, values
+        return self.model.partition.assembled(stacks), stacks, values
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The :func:`~partkf.dkf._group_blocks` of this instant's stacks."""
         return _group_blocks(self, a_stacks, C, c_stacks)
 
-    def keep(self, k: int, L: list, P: list, floors: int, views: bool) -> _Settled:
-        return _entry(self.model.partition, L, P, floors, views)
+    def keep(self, k: int, entry: _Settled) -> _Settled:
+        return entry
 
 
 def run_dekf(model: GlobalModel, design: EstimatorDesign, traj: Trajectory,

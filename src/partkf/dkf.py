@@ -58,8 +58,9 @@ every later run with that source reads it: a Monte Carlo ensemble computes
 its gains once.  A schedule is never shared between sources, so none is
 reused across designs.  The extended filter's blocks depend on the
 estimates, so its source keeps no schedule and it computes its gains anew
-on every run.  The linear filter's records hold the schedule's arrays and
-the model's column blocks, all read-only and shared by every run.
+on every run.  The linear filter's records hold views of the schedule's
+arrays and of the source's column stacks, all read-only and shared by every
+run.
 
 Both sources also take stacks of runs, so the same loop filters a whole
 Monte Carlo ensemble of either model kind in one pass
@@ -81,14 +82,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
-                    _matvec, _not_posdef, _not_semidefinite, _solve,
+                    _frozen, _matvec, _not_posdef, _not_semidefinite, _solve,
                     _spd_factor, _sym, _symmetric, _tr, _walk)
 from .records import RunRecord, _check_design, _check_shapes, _run_shapes
 from .simulate import Trajectory
@@ -251,27 +252,30 @@ def _located(k: int, members: np.ndarray, call) -> tuple:
         raise
 
 
-class _Settled(NamedTuple):
+class _Settled:
     """Instant ``k``'s gains and covariances: per group of the partition the
-    stacks ``L`` (``members x d x ny``) and ``P`` that the engine reads, per
-    subsystem the views of their rows that the record holds, and the number
-    of floor events."""
+    stacks ``L`` (``members x d x ny``) and ``P`` that the engine reads, and
+    the number of floor events."""
 
-    L: tuple
-    P: tuple
-    gains: tuple
-    covs: tuple
-    floors: int
+    def __init__(self, p, L: list, P: list, floors: int):
+        self._p, self.L, self.P, self.floors, self._views = p, tuple(L), tuple(P), floors, None
+
+    def views(self) -> tuple[list, list]:
+        """Per subsystem the views of its rows of ``L`` and of ``P`` (its gain
+        and covariance) that a record holds, made at the first call."""
+        if self._views is None:
+            self._views = self._p.unstacked(self.L), self._p.unstacked(self.P)
+        return self._views
 
 
-def _settled(source, k: int, gain, views: bool) -> _Settled:
+def _settled(source, k: int, gain) -> _Settled:
     """Instant ``k``'s gains, covariances and floor events: the source's
     schedule entry, or, group by group of the partition, ``gain(j, rows) ->
     (L, P)`` for the stacks of group ``j`` indexed by ``rows`` (see
     :func:`_located`), floored,
-    checked positive definite and handed to the source's ``keep``, with
-    per-subsystem views of them when ``views``.  Each step is one batched
-    call per group; failures name the subsystem and the instant."""
+    checked positive definite and handed to the source's ``keep``.  Each
+    step is one batched call per group; failures name the subsystem and the
+    instant."""
     entry = source.schedule.get(k)
     if entry is not None:
         return entry
@@ -289,14 +293,7 @@ def _settled(source, k: int, gain, views: bool) -> _Settled:
         floors += int(floored.sum())
         L_k.append(L)
         P_k.append(P)
-    return source.keep(k, L_k, P_k, floors, views)
-
-
-def _entry(p, L: list, P: list, floors: int, views: bool) -> _Settled:
-    """The :class:`_Settled` of the group stacks ``L`` and ``P``, with the
-    per-subsystem views of their rows only when ``views``."""
-    rows = (tuple(p.unstacked(L)), tuple(p.unstacked(P))) if views else ((), ())
-    return _Settled(tuple(L), tuple(P), *rows, floors)
+    return source.keep(k, _Settled(p, L_k, P_k, floors))
 
 
 def _r_factor(R: np.ndarray) -> np.ndarray:
@@ -327,9 +324,10 @@ def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
     of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``.  Stacks
     of runs (``(..., members, rows, d)``, with ``C`` of ``(..., ny, nx)``)
     give blocks of runs."""
-    return [(a, a[..., rows, idx, :], c, Q, _information(_u_t(C, a, c), source.R_factor))
-            for (rows, idx), a, c, Q in zip(source.model.partition.own_rows, a_stacks,
-                                            c_stacks, source.Q)]
+    return [(a, a[..., np.arange(len(members))[:, None], idx, :], c, Q,
+             _information(_u_t(C, a, c), source.R_factor))
+            for (members, idx), a, c, Q in zip(source.model.partition.groups, a_stacks,
+                                               c_stacks, source.Q)]
 
 
 def _information_gain(UT, RiUT, G, W, WV, base) -> tuple[np.ndarray, np.ndarray]:
@@ -458,36 +456,36 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
     engine's eigenvalue floor)."""
     post = np.empty(model.nx)
     _, entry = _fuse_prior(_LinearSource(model, design), np.asarray(y0, dtype=float), post)
+    gains, covs = entry.views()
     return [EstimatorState(i, x, P, L, 0) for i, (x, P, L) in
-            enumerate(zip(model.partition.split_state(post), entry.covs, entry.gains))]
+            enumerate(zip(model.partition.split_state(post), covs, gains))]
 
 
-def _fuse_prior(source, y0: np.ndarray, out: np.ndarray, keep: bool = True) -> tuple:
-    """Instant 0: the output blocks at the prior guess (the extended
-    filter's only when ``keep``) and the schedule entry (gains, covariances, floor events) of
-    fusing the guess with ``y_0``; writes the posteriors ``guess + L (y_0 -
-    h(guess))`` into ``out``, each as :func:`init_update` forms it."""
+def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple:
+    """Instant 0: the output group stacks at the prior guess and the
+    schedule entry (gains, covariances, floor events) of fusing the guess
+    with ``y_0``; writes the posteriors ``guess + L (y_0 - h(guess))`` into
+    ``out``, each as :func:`init_update` forms it."""
     design = source.design
     p = source.model.partition
-    c_cols, _, c_stacks, y_hat = source.output(design.x0_guess, keep)
+    _, c_stacks, y_hat = source.output(design.x0_guess)
     innovation = y0 - y_hat
     P0 = p.stacked(design.P0)
 
     def gain(j, rows):
         return _prior_gain(P0[j][rows], _information(_tr(c_stacks[j][rows]), source.R_factor))
 
-    entry = _settled(source, 0, gain, keep)
+    entry = _settled(source, 0, gain)
     _updated(p.groups, entry.L, design.x0_guess, innovation, out)
-    return c_cols, entry
+    return c_stacks, entry
 
 
 class _LinearSource:
     """Linearization source of a linear model and one design (validated
-    once, here): the model's column blocks, the linear prediction and the
-    innovation against the constant output map, both from the model's
-    group stacks (``model._affine``), the factor of ``R``, the constant
-    group stacks and information blocks of the gain, all formed once, and
-    the gain schedule."""
+    once, here): the model's column blocks as read-only group stacks, the
+    linear prediction and outputs, both from the model's group stacks
+    (``model._affine``), the factor of ``R``, the constant information
+    blocks of the gain, all formed once, and the gain schedule."""
 
     kind = "dkf"
     #: The runs of a pass share its blocks and gains: an array of one
@@ -499,32 +497,32 @@ class _LinearSource:
         self.model = model
         self.design = design
         p = model.partition
-        self.a_cols, self.c_cols = model._col_blocks
         self.R_factor = _r_factor(design.R)
-        self.Q, self.c_stacks = p.stacked(design.Q), p.stacked(self.c_cols)
-        self._blocks = _group_blocks(self, p.stacked(self.a_cols), model.C, self.c_stacks)
+        self.Q = p.stacked(design.Q)
+        self.a_stacks, self.c_stacks = ([_frozen(s) for s in p.stacked(cols)]
+                                        for cols in model._col_blocks)
+        self._blocks = _group_blocks(self, self.a_stacks, model.C, self.c_stacks)
         #: The gain schedule: instant ``k`` -> its :class:`_Settled`.
         self.schedule: dict = {}
 
     # The affine maps of a validated model cannot fail, nor depend on the agenda.
-    def dynamics(self, x: np.ndarray, agenda: Sequence[int], keep: bool) -> tuple:
-        return list(self.a_cols), None, self.model._affine.f(x)
+    def dynamics(self, x: np.ndarray, agenda: Sequence[int]) -> tuple:
+        return self.a_stacks, self.model._affine.f(x)
 
-    def output(self, x: np.ndarray, keep: bool) -> tuple:
-        return list(self.c_cols), self.model.C, self.c_stacks, self.model._affine.h(x)
+    def output(self, x: np.ndarray) -> tuple:
+        return self.model.C, self.c_stacks, self.model._affine.h(x)
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
         """The constant :func:`_group_blocks` of the model's own blocks."""
         return self._blocks
 
-    def keep(self, k: int, L: list, P: list, floors: int, views: bool) -> _Settled:
-        """Enter the settled group stacks of instant ``k``, the views of
-        their rows (whatever ``views`` says) and its number of floor events
-        into the schedule.  Every later run reads these very stacks and
-        hands views of them to its record, so they are made read-only."""
-        for m in (*L, *P):
+    def keep(self, k: int, entry: _Settled) -> _Settled:
+        """Enter the settled entry of instant ``k`` into the schedule.  Every
+        later run reads its very stacks and hands views of them to its
+        record, so they are made read-only."""
+        for m in (*entry.L, *entry.P):
             m.setflags(write=False)
-        entry = self.schedule[k] = _entry(self.model.partition, L, P, floors, True)
+        self.schedule[k] = entry
         return entry
 
 
@@ -603,10 +601,10 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     Both settle their gains and covariances with :func:`_settled`, which
     raises with the subsystem and the instant.  Returns the predictions and
     posteriors (shaped as ``ys`` but for the last axis, ``nx``), the
-    per-instant gains, covariances and column blocks (with a leading run
-    axis where they depend on the run; when ``keep`` is false none is kept
-    and no per-subsystem view is made), the number of floor events and the
-    wall time of each instant.
+    per-instant gains, covariances and column blocks of one history, per
+    subsystem views of the group stacks (when ``keep`` is false, as for a
+    stack of histories, none is kept and no view is made), the number of
+    floor events and the wall time of each instant.
     """
     model, design = source.model, source.design
     p = model.partition
@@ -617,18 +615,26 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     xhat_post = np.empty_like(xhat_pred)
     wall = np.empty(K + 1)
 
+    made = {}   # id -> (stacks, views): a linear source hands the same stacks at every instant
+
+    def views(stacks) -> list:
+        if id(stacks) not in made:
+            made[id(stacks)] = stacks, p.unstacked(stacks)
+        return list(made[id(stacks)][1])
+
     t0 = time.perf_counter()
-    c_cols_k, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0], keep)
+    c_stacks, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0])
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
     floor_events = entry.floors
-    gains, covs, a_cols, c_cols = [list(entry.gains)], [list(entry.covs)], [], [c_cols_k]
+    gains, covs, a_cols, c_cols = [], [], [], []
+    if keep:
+        gains, covs, c_cols = [list(entry.views()[0])], [list(entry.views()[1])], [views(c_stacks)]
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
-        a_cols_k, a_stacks, xhat_pred[k] = _at_instant(k, source.dynamics, xhat_post[k - 1],
-                                                       agenda, keep)
-        c_cols_k, C_k, c_stacks, y_hat = _at_instant(k, source.output, xhat_pred[k], keep)
+        a_stacks, xhat_pred[k] = _at_instant(k, source.dynamics, xhat_post[k - 1], agenda)
+        C_k, c_stacks, y_hat = _at_instant(k, source.output, xhat_pred[k])
         innovation = ys[k] - y_hat
 
         blocks = source.blocks(a_stacks, C_k, c_stacks)
@@ -637,19 +643,18 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
             # ``gain_and_covariance`` is looked up at call time; ``P`` is of
             # instant k-1.
             a, aii, c, Q, info = blocks[j]
-            if rows is not ...:   # one member, when its group failed (``_located``)
-                a, aii, c, Q, info = a[rows], aii[rows], c[rows], Q[rows], [m[rows] for m in info]
-            return gain_and_covariance(P[j][rows], a, aii, C_k, c, Q, design.R, tuple(info))
+            return gain_and_covariance(P[j][rows], a[rows], aii[rows], C_k, c[rows], Q[rows],
+                                       design.R, tuple(m[rows] for m in info))
 
-        entry = _settled(source, k, gain, keep)
+        entry = _settled(source, k, gain)
         floor_events += entry.floors
         _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0
         if keep:
-            gains.append(list(entry.gains))
-            covs.append(list(entry.covs))
-            a_cols.append(a_cols_k)
-            c_cols.append(c_cols_k)
+            gains.append(list(entry.views()[0]))
+            covs.append(list(entry.views()[1]))
+            a_cols.append(views(a_stacks))
+            c_cols.append(views(c_stacks))
     return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall
 
 

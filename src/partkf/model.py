@@ -207,8 +207,10 @@ def _jac_f_blocks(sub, got, keys: dict) -> list:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.  A finite sum has finite terms;
-    on a small array a sum of Python floats is faster than NumPy's test."""
+    """Whether every entry of ``a`` is finite.  A finite sum has finite terms
+    and overflows to inf without a warning; a sum of Python floats is faster
+    than NumPy's test up to about 64 entries (1.2 against 1.5 us at 64, 2.4
+    against 1.5 us at 128 on an x86-64 host)."""
     return (a.size <= 64 and math.isfinite(sum(a.ravel().tolist()))) or bool(
         np.isfinite(a).all())
 
@@ -272,8 +274,7 @@ def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
             written += arrays
             for i in order if order is not None and value else range(p.n):
                 sub, _, keys, places = walked[i]
-                place = places[name]
-                if not place:   # the Jacobian of no outputs
+                if not places[name]:   # the Jacobian of no outputs
                     continue
                 fn = getattr(sub, name) if value or analytic else None
                 fd = fn is None
@@ -282,13 +283,8 @@ def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
                          else args(i, r, dynamics))
                     got = (_called(sub, name, fn, *a) if not fd
                            else (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *a))
-                    if value:
-                        at = arrays[0][r + place]
-                        _put(at, sub, name, got, False)
-                        log.append((at, sub, name))
-                        continue
-                    for (j, index, label), blk in zip(place, _jac_f_blocks(
-                            sub, got, keys) if dynamics else (got,)):
+                    for (j, index, label), blk in zip(places[name], _jac_f_blocks(
+                            sub, got, keys) if name == "jac_f" else (got,)):
                         at = arrays[j][r + index]
                         what = "central-difference " + label if fd else label
                         _put(at, sub, what, blk, False)
@@ -515,12 +511,6 @@ class StatePartition:
         """Per group, the stack of its members' ``blocks[i]``."""
         return [np.stack([blocks[i] for i in members]) for members, _ in self.groups]
 
-    @cached_property
-    def own_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per group ``(rows, idx)``: ``stack[..., rows, idx, :]`` of its
-        stack of column blocks stacks the members' diagonal blocks."""
-        return tuple((np.arange(len(members))[:, None], idx) for members, idx in self.groups)
-
     def assembled(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
         """The matrix ``(..., rows, nx)`` of group stacks ``(..., members,
         rows, d)``: :meth:`unstacked` concatenated, without its views."""
@@ -539,22 +529,25 @@ class StatePartition:
     def out_slice(self, i: int) -> slice:
         return slice(self.out_offsets[i], self.out_offsets[i + 1])
 
-    @cached_property
-    def _state_slices(self) -> tuple[slice, ...]:
-        return tuple(map(self.state_slice, range(self.n)))
-
     def split_state(self, x: np.ndarray) -> list[np.ndarray]:
         """Split a global state vector into per-subsystem blocks."""
         x = np.asarray(x)
         if x.shape[-1] != self.nx:
             raise ValueError(f"state has dimension {x.shape[-1]}, expected {self.nx}")
-        return [x[..., s] for s in self._state_slices]
+        return [x[..., a:b] for a, b in zip(self.offsets, self.offsets[1:])]
 
     def stack(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Concatenate per-subsystem blocks back into a global vector."""
+        """Concatenate per-subsystem blocks back into a global vector;
+        ``ValueError`` naming the subsystem unless block ``i`` holds ``d_i``
+        real numbers."""
         if len(blocks) != self.n:
             raise ValueError(f"expected {self.n} blocks, got {len(blocks)}")
-        return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
+        blocks = [_numbers(f"the block of subsystem {i}", b) for i, b in enumerate(blocks)]
+        for i, (b, d) in enumerate(zip(blocks, self.dims)):
+            if b.shape != (d,):
+                raise ValueError(f"the block of subsystem {i} has shape {b.shape}, "
+                                 f"expected ({d},)")
+        return np.concatenate(blocks)
 
 
 def make_partition(dims: Sequence[int], out_dims: Sequence[int]) -> StatePartition:
@@ -949,8 +942,9 @@ class GlobalModel:
     @cached_property
     def _walked(self) -> tuple[tuple, ...]:
         """Per subsystem what :func:`_walk` reads: the subsystem, neighbors,
-        ``jac_f`` keys (own first) and per map its rows of ``f``'s or ``h``'s
-        vector, or per Jacobian block ``(group, index, name)``."""
+        ``jac_f`` keys (own first) and per map, per block it writes,
+        ``(array, index, name)``: its rows of ``f``'s or ``h``'s vector, its
+        blocks of the Jacobians' group stacks."""
         p, out = self.partition, []
         for sub in self.subsystems:
             i, rows, out_rows = sub.index, p.state_slice(sub.index), p.out_slice(sub.index)
@@ -958,7 +952,8 @@ class GlobalModel:
             jac_f = tuple((p.slots[l][0], (p.slots[l][1], rows), f"jac_f block {l}") for l in keys)
             jac_h = ((p.slots[i][0], (p.slots[i][1], out_rows), "jac_h"),) if sub.out_dim else ()
             out.append((sub, sub.neighbors, keys,
-                        {"f": (rows,), "h": (out_rows,), "jac_f": jac_f, "jac_h": jac_h}))
+                        {"f": ((0, (rows,), "f"),), "h": ((0, (out_rows,), "h"),),
+                         "jac_f": jac_f, "jac_h": jac_h}))
         return tuple(out)
 
     def values(self, x: np.ndarray, maps: Sequence[str]) -> list[np.ndarray]:

@@ -169,14 +169,13 @@ def _check_design(what: str, design: dict, dims, out_dims) -> None:
     matrix per subsystem in ``Q`` and ``P0``, ``R`` of ``ny x ny`` and
     ``x0_guess`` of ``nx`` entries."""
     for key in ("Q", "P0"):
-        ms = design[key]
-        if not isinstance(ms, (list, tuple)) or len(ms) != len(dims):
+        if not isinstance(design[key], (list, tuple)) or len(design[key]) != len(dims):
             raise ValueError(f"{what} {key} must hold one matrix per subsystem")
         # One test for real arrays of their shapes, as a design holds them.
         if [m.shape if type(m) is np.ndarray and m.dtype.kind in "iuf" else None
-                for m in ms] != [(d, d) for d in dims]:
+                for m in design[key]] != [(d, d) for d in dims]:
             _check_shapes(f"{what} {key}, subsystem",
-                          {i: _numbers(f"{what} {key}", m) for i, m in enumerate(ms)},
+                          {i: _numbers(f"{what} {key}", m) for i, m in enumerate(design[key])},
                           {i: (d, d) for i, d in enumerate(dims)})
     _check_shapes(what, {key: _numbers(f"{what} {key}", design[key]) for key in ("R", "x0_guess")},
                   {"R": (sum(out_dims),) * 2, "x0_guess": (sum(dims),)})
@@ -192,11 +191,10 @@ def _run_shapes(instants: int, nx: int, ny: int) -> dict:
 def _check_record(values: dict) -> None:
     """``ValueError`` naming the field, and for a block field the instant and
     the subsystem, unless ``kind`` names a filter, every array field of a
-    loaded record (``wall_clock`` when given) has its shape for ``dims``,
-    ``out_dims`` and the ``K + 1`` instants that ``xs`` holds, ``estimator``
-    is a design of that shape (as ``EstimatorDesign.serializable`` writes
-    it) and ``monitors``, when given, holds the flags of every instant
-    (:func:`_check_flags`)."""
+    loaded record (a given ``wall_clock`` too) has its shape for ``dims``,
+    ``out_dims`` and the ``K + 1`` instants that ``xs`` holds, ``estimator`` is
+    a design of that shape (as ``EstimatorDesign.serializable`` writes it) and
+    ``monitors``, when given, holds the flags of every instant (:func:`_check_flags`)."""
     if values["kind"] not in ("dkf", "dekf"):
         raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
     dims, out_dims = values["dims"], values["out_dims"]

@@ -341,12 +341,11 @@ def _propagate(model: GlobalModel, x0: np.ndarray, ws: np.ndarray,
                vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The states and measurements that the noises ``ws`` and ``vs`` drive
     from ``x0``, of one run (``ws`` of shape ``(K, nx)``) or of a stack of
-    runs (``(K, runs, nx)``) of either model kind, ``h`` and ``f`` at each
-    state in one call (``GlobalModel.values``): a nonlinear plant calls the
-    maps of a stacked subsystem once per step for every run and any other
-    map once per run and subsystem, each run's values those of its own run.
-    A state out of the box or non-finite, and a failing map, in any run
-    raise :class:`SimulationError`."""
+    runs (``(K, runs, nx)``) of either model kind, ``h`` and ``f`` in one
+    call per state (``GlobalModel.values``): a nonlinear plant calls a stacked
+    subsystem's maps once per step for every run and any other map once per
+    run, each run's values those of its own run.  A state out of the box or
+    non-finite, and a failing map, in any run raise :class:`SimulationError`."""
     box = model.state_box()
     xs = np.empty((len(vs), *ws.shape[1:]))
     ys = np.empty(vs.shape)

@@ -149,6 +149,18 @@ class TestUpdate:
         # Innovation is zero, so the posterior equals the exact prediction.
         assert np.allclose(post1, traj.xs[1], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("preds, message", [
+        ((np.ones(3), np.ones(1)), r"block of subsystem 0 has shape \(3,\), expected \(2,\)"),
+        ((np.ones(2), np.ones(2) + 1j), "block of subsystem 1 must be a number or an array"),
+    ], ids=["sizes-adding-up", "complex"])
+    def test_a_prediction_block_that_does_not_fit_names_its_subsystem(self, linear_bench,
+                                                                     preds, message):
+        # Blocks whose sizes add up to nx are not shared out across subsystems.
+        snap = ExchangeSnapshot(k=1, posteriors=preds, predictions=preds,
+                                measurement=np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            update(0, np.ones(2), snap, np.zeros((2, 2)), linear_bench.model)
+
     def test_missing_measurement(self, linear_bench):
         model = linear_bench.model
         preds = (LINEAR_X0[:2], LINEAR_X0[2:])
