@@ -604,8 +604,13 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     per-instant gains, covariances and column blocks of one history, per
     subsystem views of the group stacks (when ``keep`` is false, as for a
     stack of histories, none is kept and no view is made), the number of
-    floor events and the wall time of each instant.
+    floor events and the wall time of each instant.  A kept pass takes one
+    history only: ``keep`` with ``ys`` of another number of axes raises
+    ``ValueError`` naming its shape, before any work.
     """
+    if keep and ys.ndim != 2:
+        raise ValueError(f"a pass that keeps its record takes one history (K+1, ny), "
+                         f"not ys of shape {ys.shape}")
     model, design = source.model, source.design
     p = model.partition
     groups = p.groups

@@ -25,7 +25,11 @@ row per instant, the block's entries at those positions.  Every other
 position is ``+0.0`` at every instant, so the blocks load back bit for bit.
 Schema-1 files, in which every block is a nested list, still load.  The
 content digest hashes the canonical schema-1 content whatever the file's
-schema, so a record's digest does not depend on how it was stored.
+schema, so a record's digest does not depend on how it was stored.  It
+feeds SHA-256 that text piece by piece, each block field one instant at a
+time (``_canonical_pieces``), and never builds the whole payload or text:
+its memory is bounded by one instant of a block field or one other field,
+whatever the number of instants, and its hex is that of the whole text.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ import csv
 import hashlib
 import json
 import reprlib
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
+from operator import is_, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +52,34 @@ from .model import (StatePartition, _floats, _integer, _numbers, _object, _requi
 __all__ = ["RunRecord"]
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: The canonical JSON text of a value, ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))``, from one encoder instead of one per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical_pieces(items: Iterable[tuple[str, object]]) -> Iterator[str]:
+    """The text that :func:`_canonical` writes for the dict of ``items``
+    (each value as the record holds it, see :func:`_encode`), piece by
+    piece: the keys in sorted order, each block field one instant at a time
+    and every other value as one piece.  Joined, the pieces are that text
+    exactly; held at once, they are at most one instant of a block field or
+    one other field.  An instant whose blocks are the very objects of the
+    instant before (a linear model's column blocks, which every instant
+    shares) repeats that instant's text instead of encoding it again."""
+    yield "{"
+    for j, (name, value) in enumerate(sorted(items, key=itemgetter(0))):
+        yield f"{',' if j else ''}{_canonical(name)}:"
+        if name in _BLOCKS:
+            yield "["
+            for k, per_k in enumerate(value):
+                if not (k and len(per_k) == len(last) and all(map(is_, per_k, last))):
+                    text = _canonical(_encode(per_k))
+                last = per_k
+                yield f"{',' if k else ''}{text}"
+            yield "]"
+        else:
+            yield _canonical(_encode(value))
+    yield "}"
 
 
 def _encode(value):
@@ -69,7 +101,9 @@ def _blocks(name: str, per_instant) -> list[list[np.ndarray]]:
     return [[_numbers(where, b) for b in per_k] for per_k in per_instant]
 
 
-#: The per-instant block fields that schema 2 stores one entry per subsystem.
+#: The per-instant block fields of a record, and those that schema 2 stores
+#: one entry per subsystem.
+_BLOCKS = ("gains", "covs", "a_cols", "c_cols")
 _PACKED = ("gains", "a_cols", "c_cols")
 
 
@@ -247,7 +281,7 @@ _DECODERS = {
     **{name: partial(_object, f"record {name}") for name in ("estimator", "monitors", "config")},
     **{name: partial(_numbers, f"record {name}") for name in (
         "xs", "ys", "ws", "vs", "xhat_pred", "xhat_post", "rmse", "wall_clock")},
-    **{name: partial(_blocks, name) for name in ("gains", "covs", "a_cols", "c_cols")},
+    **{name: partial(_blocks, name) for name in _BLOCKS},
 }
 
 
@@ -338,27 +372,37 @@ class RunRecord:
 
     # -- serialization ----------------------------------------------------
 
-    def _payload(self, schema: int) -> dict:
-        """The fields as JSON values: schema 1 writes every array as nested
-        lists and no timings (the digested content), schema 2 packs the block
-        fields (see the module docstring) and ends with ``wall_clock``."""
-        payload = {"schema": schema}
+    def _fields(self, schema: int) -> Iterator[tuple[str, object]]:
+        """The keys and values of the payload of ``schema``, in the file's
+        order: ``schema``, the fields but ``wall_clock``, then, for schema 2
+        only, ``wall_clock``.  A value is as the record holds it, but for the
+        block fields that schema 2 packs (see the module docstring): the one
+        owner of each schema's field set."""
+        yield "schema", schema
         for f in fields(self):
             if f.name == "wall_clock":
                 continue
             value = getattr(self, f.name)
             if schema == 2 and f.name in _PACKED:
-                shapes = _block_shapes(f.name, self.dims, self.out_dims)
-                payload[f.name] = _pack(f.name, value, shapes)
-            else:
-                payload[f.name] = _encode(value)
+                value = _pack(f.name, value, _block_shapes(f.name, self.dims, self.out_dims))
+            yield f.name, value
         if schema == 2:
-            payload["wall_clock"] = _encode(self.wall_clock)
-        return payload
+            yield "wall_clock", self.wall_clock
+
+    def _payload(self, schema: int) -> dict:
+        """The fields as JSON values: schema 1 writes every array as nested
+        lists and no timings (the digested content), schema 2 packs the block
+        fields and ends with ``wall_clock``."""
+        return {name: _encode(value) for name, value in self._fields(schema)}
 
     def content_digest(self) -> str:
-        """SHA-256 over the deterministic schema-1 content (timings excluded)."""
-        return hashlib.sha256(_canonical(self._payload(1)).encode()).hexdigest()
+        """SHA-256 over the canonical schema-1 text (timings excluded), the
+        hex of ``sha256(_canonical(self._payload(1)))``, fed one piece at a
+        time (:func:`_canonical_pieces`) so that neither is ever built."""
+        digest = hashlib.sha256()
+        for piece in _canonical_pieces(self._fields(1)):
+            digest.update(piece.encode())
+        return digest.hexdigest()
 
     def to_json(self, path: str | Path | None = None) -> dict:
         """The schema-2 payload, with timings; written when ``path`` is given."""

@@ -47,6 +47,10 @@ Each ``src/partkf/*.py`` is parsed with ``ast``, and:
   one (``get_benchmark``, ``_inline_model``, ``_benchmark``), and in
   ``harness.py`` only ``_resolve`` calls the kept build ``_benchmark``, so
   that a second, unkept resolution path cannot come back beside it;
+- in ``records.py``, ``RunRecord.content_digest`` does not call
+  ``_payload`` and no other function calls ``hashlib.sha256``: the digest
+  feeds the canonical text to SHA-256 piece by piece, so that a one-shot
+  digest, which builds the whole payload and text first, cannot come back;
 - ``simulate.py`` reads no model's ``.linear`` and ``harness.py`` reads it
   only where ``_resolve`` picks the filter and where the verification
   suite picks the centralized oracle: a Monte Carlo ensemble of either model
@@ -534,6 +538,41 @@ def test_checker_flags_a_second_resolution_path():
                + "\n\ndef _model(config):\n    from .benchmarks import get_benchmark\n"
                "    return get_benchmark(config.model['name']).model\n")
     assert call_owners(planted, RESOLVERS) == ["_model:get_benchmark"]
+
+
+#: The calls that make a digest: ``content_digest`` alone hashes, and it
+#: does not build the payload.
+DIGEST_CALLS = frozenset({"_payload", "sha256"})
+DIGEST = "RunRecord.content_digest"
+
+
+def one_shot_digest_sites(source: str) -> list[str]:
+    """``caller:callee`` for each call in ``source`` that would let a one-shot
+    digest back: ``_payload`` called by :data:`DIGEST`, or ``sha256`` by any
+    other function."""
+    return [site for site in call_owners(source, DIGEST_CALLS)
+            if site == f"{DIGEST}:_payload"
+            or site.endswith(":sha256") and site != f"{DIGEST}:sha256"]
+
+
+def test_the_digest_streams_the_canonical_text():
+    source = (SRC / "records.py").read_text()
+    assert one_shot_digest_sites(source) == []
+    assert f"{DIGEST}:sha256" in call_owners(source, DIGEST_CALLS)
+
+
+def test_checker_flags_a_one_shot_digest():
+    source = ("class RunRecord:\n    def content_digest(self):\n"
+              "        return hashlib.sha256(_canonical(self._payload(1)).encode()).hexdigest()\n"
+              "    def to_json(self):\n        return self._payload(2)\n"
+              "def _digest(text):\n    return sha256(text.encode())\n")
+    assert one_shot_digest_sites(source) == [f"{DIGEST}:_payload", "_digest:sha256"]
+    source = (SRC / "records.py").read_text()
+    planted = source.replace(
+        "        digest = hashlib.sha256()\n",
+        "        digest = hashlib.sha256(_canonical(self._payload(1)).encode())\n")
+    assert planted != source
+    assert one_shot_digest_sites(planted) == [f"{DIGEST}:_payload"]
 
 
 def linear_reads(source: str) -> list[str]:

@@ -3,17 +3,19 @@ loader's required and optional fields."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from partkf.analysis import monte_carlo, write_monitor_csv
+from partkf.analysis import attach_monitors, monte_carlo, write_monitor_csv, write_summary_json
 from partkf.dkf import EstimatorDesign, run_dkf
 from partkf.harness import (
     ExperimentConfig,
@@ -84,6 +86,26 @@ def test_monitor_csv_reads_back_exactly(tmp_path, monitored):
                             "contraction_margin": m["contraction_margin"][k],
                             "lyapunov": m["lyapunov"][k],
                             "rmse": monitored.rmse[k]})
+
+
+@pytest.mark.parametrize("failing", [None, "coupling_ok", "contraction_ok"])
+def test_summary_json_reads_back_against_its_record(tmp_path, monitored, failing):
+    # A flag list that fails at instant 1 only (instant 0 is not judged) and
+    # a nonzero floor count make each value show which entry it was read from.
+    monitors = json.loads(json.dumps(monitored.monitors))
+    assert all(monitors["coupling_ok"]) and all(monitors["contraction_ok"])
+    if failing:
+        monitors[failing][1] = 0
+    record = dataclasses.replace(monitored, monitors=monitors, floor_events=3)
+    summary = json.loads(write_summary_json(record, tmp_path / "summary.json").read_text())
+    assert summary == {
+        "kind": "dekf", "seed": REACTOR.seed, "steps": REACTOR.steps,
+        "bounds": monitors["bounds"], "alpha": monitors["alpha"],
+        "coupling_all_hold": failing != "coupling_ok",
+        "contraction_all_hold": failing != "contraction_ok",
+        "floor_events": 3,
+        "rmse_first": record.rmse[0], "rmse_last": record.rmse[REACTOR.steps]}
+    assert summary["rmse_last"] != record.rmse[1]
 
 
 def test_monte_carlo_csvs_read_back_exactly(tmp_path):
@@ -198,10 +220,10 @@ def _edited(record: RunRecord, name: str, edit) -> RunRecord:
     return dataclasses.replace(record, **{name: blocks})
 
 
-def _chain_record() -> RunRecord:
-    """A 10-step DKF run on a chain of 32 two-state, one-output subsystems,
-    each coupled to its two neighbours: sparse gains and Jacobian columns."""
-    n = 32
+def _chain_record(n: int = 32, steps: int = 10) -> RunRecord:
+    """A DKF run of ``steps`` steps on a chain of ``n`` two-state, one-output
+    subsystems, each coupled to its two neighbours: sparse gains and
+    Jacobian columns."""
     rng = np.random.default_rng(0)
     subs = [LinearSubsystem(i, 0.9 * np.linalg.qr(rng.normal(size=(2, 2)))[0],
                             {l: 0.02 * rng.normal(size=(2, 2)) for l in (i - 1, i + 1)
@@ -211,7 +233,16 @@ def _chain_record() -> RunRecord:
     model = assemble_global(subs, make_partition([2] * n, [1] * n))
     x0 = rng.normal(size=2 * n)
     design = EstimatorDesign.from_model(model, P0=[np.eye(2)] * n, x0_guess=x0 + 0.5)
-    return run_dkf(model, design, simulate(model, x0, 10, noise_for(model, 0.1, seed=1)))
+    return run_dkf(model, design, simulate(model, x0, steps, noise_for(model, 0.1, seed=1)))
+
+
+def _without_steps(record: RunRecord) -> RunRecord:
+    """The instant 0 of ``record``, without monitors: no ``a_cols``."""
+    return dataclasses.replace(
+        record, xs=record.xs[:1], ys=record.ys[:1], ws=record.ws[:0], vs=record.vs[:1],
+        xhat_pred=record.xhat_pred[:1], xhat_post=record.xhat_post[:1],
+        gains=record.gains[:1], covs=record.covs[:1], a_cols=[], c_cols=record.c_cols[:1],
+        rmse=record.rmse[:1], wall_clock=record.wall_clock[:1], monitors=None)
 
 
 class TestLeanBlocks:
@@ -251,13 +282,7 @@ class TestLeanBlocks:
         _assert_same_blocks(_through_file(record), record)
 
     def test_round_trip_of_a_record_without_steps(self, monitored):
-        k0 = dict(xs=monitored.xs[:1], ys=monitored.ys[:1], ws=monitored.ws[:0],
-                  vs=monitored.vs[:1], xhat_pred=monitored.xhat_pred[:1],
-                  xhat_post=monitored.xhat_post[:1], gains=monitored.gains[:1],
-                  covs=monitored.covs[:1], a_cols=[], c_cols=monitored.c_cols[:1],
-                  rmse=monitored.rmse[:1], wall_clock=monitored.wall_clock[:1],
-                  monitors=None)
-        record = dataclasses.replace(monitored, **k0)
+        record = _without_steps(monitored)
         assert record.steps == 0
         payload = record.to_json()
         assert all(entry["values"] == [] for entry in payload["a_cols"])
@@ -431,3 +456,97 @@ class TestSchema1File:
         payload[field] = value
         with pytest.raises(ValueError, match=message):
             RunRecord.from_json(payload)
+
+
+def _one_shot_digest(record: RunRecord) -> str:
+    """The reference digest: SHA-256 of the whole canonical schema-1 text,
+    built at once."""
+    text = json.dumps(record._payload(1), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _peak_mb(call) -> float:
+    """The peak of the memory that Python and NumPy allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def monitored_chain():
+    """A monitored 50-step run of a chain of 16 subsystems."""
+    return attach_monitors(_chain_record(n=16, steps=50))
+
+
+class TestStreamedDigest:
+    """``content_digest`` feeds SHA-256 the canonical schema-1 text piece by
+    piece: the hex of the whole text, in the memory of one instant."""
+
+    def test_monitored_reactor_run(self):
+        record = run_experiment(REACTOR.replace(steps=150), write_outputs=False)
+        assert record.steps == 150 and record.monitors is not None
+        assert record.content_digest() == _one_shot_digest(record)
+
+    def test_monitored_linear_chain(self, monitored_chain):
+        # A linear model's column blocks are the same objects at every instant.
+        assert monitored_chain.a_cols[1][0] is monitored_chain.a_cols[2][0]
+        assert monitored_chain.monitors is not None
+        assert monitored_chain.content_digest() == _one_shot_digest(monitored_chain)
+
+    def test_record_without_steps(self, monitored):
+        record = _without_steps(monitored)
+        assert record.a_cols == []
+        assert record.content_digest() == _one_shot_digest(record)
+
+    def test_schema_1_file(self):
+        record = import_record(SCHEMA_1_FILE)
+        assert record.content_digest() == _one_shot_digest(record) == SCHEMA_1_DIGEST
+
+    def test_record_without_monitors_or_config(self, monitored):
+        record = dataclasses.replace(monitored, monitors=None, config=None)
+        assert record.content_digest() == _one_shot_digest(record)
+        assert record.content_digest() != monitored.content_digest()
+
+    def test_planted_negative_zero_and_nan(self, monitored):
+        def edit(k, i, block):
+            if (k, i) == (2, 0):
+                block[0, 1] = -0.0
+            if (k, i) == (5, 1):
+                block[1, 1] = np.nan
+            return block
+
+        record = _edited(monitored, "covs", edit)
+        text = json.dumps(record._payload(1)["covs"][2:6])
+        assert "-0.0" in text and "NaN" in text
+        assert record.content_digest() == _one_shot_digest(record)
+        assert record.content_digest() != monitored.content_digest()
+
+    def test_one_flipped_bit_changes_the_digest(self, monitored):
+        def flip(k, i, block):
+            if (k, i) == (3, 1):
+                block.view(np.uint64)[1, 0] ^= 1
+            return block
+
+        flipped = _edited(monitored, "covs", flip)
+        assert flipped.covs[3][1][1, 0] != monitored.covs[3][1][1, 0]
+        assert flipped.content_digest() != monitored.content_digest()
+        assert flipped.content_digest() == _one_shot_digest(flipped)
+
+    def test_one_flipped_bit_between_shared_blocks_changes_the_digest(self, monitored_chain):
+        # Instants 0-2 and 4-50 share their column blocks; instant 3 holds a
+        # copy of one of them with one bit flipped.
+        a_cols = [list(per_k) for per_k in monitored_chain.a_cols]
+        a_cols[3][1] = a_cols[3][1].copy()
+        a_cols[3][1].view(np.uint64)[0, 0] ^= 1
+        flipped = dataclasses.replace(monitored_chain, a_cols=a_cols)
+        assert a_cols[2][0] is a_cols[3][0] is a_cols[4][0]
+        assert flipped.content_digest() != monitored_chain.content_digest()
+        assert flipped.content_digest() == _one_shot_digest(flipped)
+
+    def test_peak_memory_is_one_instant(self, monitored_chain):
+        # The one-shot formula, the negative control, holds the whole text.
+        assert _peak_mb(monitored_chain.content_digest) < 2.0
+        assert _peak_mb(lambda: _one_shot_digest(monitored_chain)) > 2.0
