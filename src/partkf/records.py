@@ -27,9 +27,12 @@ Schema-1 files, in which every block is a nested list, still load.  The
 content digest hashes the canonical schema-1 content whatever the file's
 schema, so a record's digest does not depend on how it was stored.  It
 feeds SHA-256 that text piece by piece, each block field one instant at a
-time (``_canonical_pieces``), and never builds the whole payload or text:
-its memory is bounded by one instant of a block field or one other field,
-whatever the number of instants, and its hex is that of the whole text.
+time (``_canonical_pieces``), and never builds the whole payload or text;
+its hex is that of the whole text.  Its memory is bounded by one instant of
+a block field or by the largest other field: the ``(K + 1)``-row arrays
+(``xs``, ``xhat_post``, ...) and ``monitors`` are encoded whole, so it
+grows with ``K`` times the state size, not with ``K`` times the size of
+an instant's blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import reprlib
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
-from operator import is_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +66,14 @@ def _canonical_pieces(items: Iterable[tuple[str, object]]) -> Iterator[str]:
     piece: the keys in sorted order, each block field one instant at a time
     and every other value as one piece.  Joined, the pieces are that text
     exactly; held at once, they are at most one instant of a block field or
-    one other field.  An instant whose blocks are the very objects of the
-    instant before (a linear model's column blocks, which every instant
-    shares) repeats that instant's text instead of encoding it again."""
+    one other field."""
     yield "{"
     for j, (name, value) in enumerate(sorted(items, key=itemgetter(0))):
         yield f"{',' if j else ''}{_canonical(name)}:"
         if name in _BLOCKS:
             yield "["
             for k, per_k in enumerate(value):
-                if not (k and len(per_k) == len(last) and all(map(is_, per_k, last))):
-                    text = _canonical(_encode(per_k))
-                last = per_k
-                yield f"{',' if k else ''}{text}"
+                yield f"{',' if k else ''}{_canonical(_encode(per_k))}"
             yield "]"
         else:
             yield _canonical(_encode(value))

@@ -483,7 +483,7 @@ def monitored_chain():
 
 class TestStreamedDigest:
     """``content_digest`` feeds SHA-256 the canonical schema-1 text piece by
-    piece: the hex of the whole text, in the memory of one instant."""
+    piece: the hex of the whole text, without ever holding that text."""
 
     def test_monitored_reactor_run(self):
         record = run_experiment(REACTOR.replace(steps=150), write_outputs=False)
@@ -536,8 +536,8 @@ class TestStreamedDigest:
         assert flipped.content_digest() == _one_shot_digest(flipped)
 
     def test_one_flipped_bit_between_shared_blocks_changes_the_digest(self, monitored_chain):
-        # Instants 0-2 and 4-50 share their column blocks; instant 3 holds a
-        # copy of one of them with one bit flipped.
+        # Every instant but 3 holds the same column block objects; instant 3
+        # holds a copy of one of them with one bit flipped.
         a_cols = [list(per_k) for per_k in monitored_chain.a_cols]
         a_cols[3][1] = a_cols[3][1].copy()
         a_cols[3][1].view(np.uint64)[0, 0] ^= 1
