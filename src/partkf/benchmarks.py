@@ -185,14 +185,17 @@ def _sat_prime(z, scale: float):
 
 # The reactor's maps take one point (``x_i`` of shape ``(2,)``) or a stack
 # of points (``(..., 2)``), and give a stack the bits of its points' calls:
-# one point's coordinates are NumPy scalars, a stack's are arrays of the
-# stack's shape, and the arithmetic is the same.
+# one point's coordinates are Python floats, a stack's are arrays of the
+# stack's shape, and the arithmetic is the same.  IEEE ``+ - * /`` and libm
+# ``pow`` give a Python float the bits of a NumPy float64 scalar, and the
+# transcendental functions are NumPy's for both.  So at ``T == 0`` a point's
+# map raises ``ZeroDivisionError`` where a stack's gives ``-inf``.
 
 
 def _coords(x):
-    """The coordinates of one point as numbers, or of a stack of points as
-    arrays of the stack's shape."""
-    return x if x.ndim == 1 else x.transpose(x.ndim - 1, *range(x.ndim - 1))
+    """The coordinates of one point as Python floats, or of a stack of
+    points as arrays of the stack's shape."""
+    return x.tolist() if x.ndim == 1 else x.transpose(x.ndim - 1, *range(x.ndim - 1))
 
 
 def _assembled(entries: list, lead: tuple) -> np.ndarray:
@@ -218,7 +221,7 @@ def _reactor_levels(i: int, coupling: float) -> tuple[float, float]:
     sum_c = sum(_sat(REACTOR_C_S[l] - c_s, REACTOR_SAT_C) for l in REACTOR_NEIGHBORS[i])
     T_env = T_s - (REACTOR_HEAT * r_s + coupling * sum_T) / REACTOR_KAPPA_T
     c_in = c_s + (r_s - coupling * sum_c) / REACTOR_KAPPA_C
-    return T_env, c_in
+    return float(T_env), float(c_in)
 
 
 def _reactor_f(i: int, coupling: float) -> Callable:
@@ -242,9 +245,10 @@ def _reactor_jac_f(i: int, coupling: float) -> Callable:
     def jac(x_i, neighbors):
         T, c = _coords(x_i)
         lead = x_i.shape[:-1]
-        r = _rate(T, c)
+        arrhenius = np.exp(-REACTOR_E_ACT / T)   # ``_rate``'s, taken once
+        r = REACTOR_K_RATE * c * arrhenius
         dr_dT = r * REACTOR_E_ACT / _squared(T)
-        dr_dc = REACTOR_K_RATE * np.exp(-REACTOR_E_ACT / T)
+        dr_dc = REACTOR_K_RATE * arrhenius
         sat = {}
         for l in REACTOR_NEIGHBORS[i]:
             T_l, c_l = _coords(neighbors[l])

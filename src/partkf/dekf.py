@@ -21,10 +21,12 @@ record's ``xhat_post`` and ``xhat_pred`` and are not stored again:
 
 Per instant the source walks the subsystems once per evaluation point
 (``model._walk``): ``jac_f`` and ``f`` at the posteriors, ``f`` in agenda
-order (``order=``), then ``jac_h`` and ``h`` at the prediction, writing the
-Jacobian blocks (analytic providers, central differences for a subsystem
-without them) straight into the group stacks that the gain kernel reads,
-whose rows are the recorded column blocks.  A failing map raises
+order (``order=``), then ``jac_h`` and ``h`` at the prediction.  Each walk
+runs the plan that the model compiled for it once (``GlobalModel._plan``),
+so an instant pays for its maps, their checks and little else.  The walks
+write the Jacobian blocks (analytic providers, central differences for a
+subsystem without them) straight into the group stacks that the gain kernel
+reads, whose rows are the recorded column blocks.  A failing map raises
 ``LinearizationError`` naming the subsystem, the map and the instant.  The
 source also takes a stack of runs, so a Monte Carlo ensemble runs as one
 pass of the engine: a stacked subsystem's maps

@@ -422,18 +422,15 @@ def export(record: RunRecord, fmt: str, out_dir: str | Path,
         raise ValueError(f"unknown export format {fmt!r}")
     nx = record.xs.shape[1]
     ny = record.ys.shape[1]
+    m = record.monitors
+    keys = [] if m is None else ["coupling_ok", "contraction_ok"]
     header = (["k"] + [f"x_{j + 1}" for j in range(nx)]
               + [f"xhat_{j + 1}" for j in range(nx)]
-              + [f"y_{j + 1}" for j in range(ny)] + ["rmse"])
-    m = record.monitors
-    if m is not None:
-        header += ["coupling_ok", "contraction_ok"]
-    rows = []
-    for k in range(record.steps + 1):
-        row = [k, *record.xs[k], *record.xhat_post[k], *record.ys[k], record.rmse[k]]
-        if m is not None:
-            row += [int(m["coupling_ok"][k]), int(m["contraction_ok"][k])]
-        rows.append(row)
+              + [f"y_{j + 1}" for j in range(ny)] + ["rmse"] + keys)
+    # One conversion to Python floats, not one NumPy scalar per cell.
+    values = np.hstack([record.xs, record.xhat_post, record.ys, record.rmse[:, None]]).tolist()
+    flags = [list(map(int, m[key])) for key in keys]
+    rows = ([k, *row, *(f[k] for f in flags)] for k, row in enumerate(values))
     return _write_csv(out / f"{stem}.csv", header, rows)
 
 

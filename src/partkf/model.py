@@ -16,13 +16,16 @@ partition the groups of equally sized subsystems.
 
 One walker (``_walk``) calls the subsystem maps a caller needs at a point,
 or at a stack of runs' points (``jac_f`` and ``f``, ``jac_h`` and ``h``,
-``h`` and ``f``), splitting it and building each subsystem's arguments once.
-A stacked subsystem's map (``NonlinearSubsystem.stacked``) is called once
-for the whole stack, any other map and central differences once per run.
-``_put`` checks each result's shape and dtype as it is written, and each
-written array is tested for finiteness once; on a failure the blocks written
-so far are checked in call order, so the first bad result names its
-subsystem and map.
+``h`` and ``f``).  It runs a plan of the walk that the model compiles once
+per maps, agenda and Jacobian kind (``GlobalModel._plan``): per call the
+subsystem, the map's callable, the labels and the destinations of its
+blocks.  So a walk only splits the point, builds each subsystem's arguments
+once and makes the calls and their checks.  A stacked subsystem's map
+(``NonlinearSubsystem.stacked``) is called once for the whole stack, any
+other map and central differences once per run.  ``_put`` checks each
+result's shape and dtype as it is written, and each written array is tested
+for finiteness once; on a failure the blocks written so far are checked in
+call order, so the first bad result names its subsystem and map.
 
 The module owns, since every other module imports it, the value rules that
 check every input from outside the program by name (``_integer``, ``_seed``,
@@ -241,6 +244,10 @@ def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
     return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
 
 
+#: The most walk plans a model keeps (``GlobalModel._plan``).
+_PLANS = 16
+
+
 def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
           order: Sequence[int] | None = None, analytic: bool = True) -> list:
     """The maps ``maps``, called in this order, of the subsystems (by index,
@@ -248,47 +255,28 @@ def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
     ``f`` and ``h`` the stacked values, for ``jac_f`` and ``jac_h`` group
     stacks ``(..., members, nx or ny, d)`` whose rows are the column blocks,
     from the providers, or central differences without them or when
-    ``analytic`` is false."""
-    p, x = model.partition, np.asarray(x)
-    lead = x.shape[:-1]
-    whole = (slice(None),) * len(lead)
-    points, walked = p.split_state(x), model._walked
-    if "f" in maps or "jac_f" in maps:
-        own = [(x_i, {l: points[l] for l in walked[i][1]}) for i, x_i in enumerate(points)]
-    runs, written, log, out, error = {}, [], [], [], None
-
-    def args(i: int, r, dynamics: bool) -> tuple:
-        # The arguments of subsystem ``i``'s map at run ``r``, built once.
-        a = runs.get((i, r))
-        if a is None:
-            a = runs[i, r] = points[i][r], {l: points[l][r] for l in walked[i][1]}
-        return a if dynamics else a[:1]
-
+    ``analytic`` is false.  It runs the model's plan of the walk, the same
+    for a point and a stack: a step whose one call serves a stack is called
+    once, any other once per run."""
+    lead = np.shape(x)[:-1]
+    shapes, spans, steps, neighbors = model._plan(
+        tuple(maps), None if order is None else tuple(order), analytic)
+    written = [np.zeros(lead + shape) for shape in shapes]
+    points, log, error = model.partition.split_state(x), [], None
+    own = [(x_i, {l: points[l] for l in nbrs}) for x_i, nbrs in zip(points, neighbors)
+           ] if "f" in maps or "jac_f" in maps else None
     try:
-        for name in maps:
-            dynamics, value = name in ("f", "jac_f"), name in ("f", "h")
-            size = p.nx if dynamics else p.ny
-            arrays = [np.empty(lead + (size,))] if value else [
-                np.zeros(lead + (len(members), size, idx.shape[1])) for members, idx in p.groups]
-            out.append(arrays[0] if value else arrays)
-            written += arrays
-            for i in order if order is not None and value else range(p.n):
-                sub, _, keys, places = walked[i]
-                if not places[name]:   # the Jacobian of no outputs
-                    continue
-                fn = getattr(sub, name) if value or analytic else None
-                fd = fn is None
-                for r in (whole,) if not lead or sub.stacked and not fd else np.ndindex(*lead):
-                    a = ((own[i] if dynamics else (points[i],)) if r is whole
-                         else args(i, r, dynamics))
-                    got = (_called(sub, name, fn, *a) if not fd
-                           else (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *a))
-                    for (j, index, label), blk in zip(places[name], _jac_f_blocks(
-                            sub, got, keys) if name == "jac_f" else (got,)):
-                        at = arrays[j][r + index]
-                        what = "central-difference " + label if fd else label
-                        _put(at, sub, what, blk, False)
-                        log.append((at, sub, what))
+        for sub, name, fn, dynamics, keys, whole, dests in steps:
+            a = own[sub.index] if dynamics else (points[sub.index],)
+            for r in (None,) if whole or not lead else np.ndindex(*lead):
+                b = a if r is None else ((a[0][r], {l: v[r] for l, v in a[1].items()})
+                                         if dynamics else (a[0][r],))
+                got = (_called(sub, name, fn, *b) if fn is not None
+                       else (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *b))
+                for (j, index, what), blk in zip(dests, (got,) if keys is None
+                                                 else _jac_f_blocks(sub, got, keys)):
+                    at = written[j][index] if r is None else written[j][r][index]
+                    log.append((_put(at, sub, what, blk, False), sub, what))
     except LinearizationError as exc:
         error = exc
     if error or not all(map(_all_finite, written)):
@@ -296,7 +284,7 @@ def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
         for at, sub, what in log:
             _put(at, sub, what, at)
         raise error
-    return out
+    return [written[s] for s in spans]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -939,22 +927,39 @@ class GlobalModel:
             raise ValueError("c_col is only defined for linear models")
         return self._col_blocks[1][i]
 
-    @cached_property
-    def _walked(self) -> tuple[tuple, ...]:
-        """Per subsystem what :func:`_walk` reads: the subsystem, neighbors,
-        ``jac_f`` keys (own first) and per map, per block it writes,
-        ``(array, index, name)``: its rows of ``f``'s or ``h``'s vector, its
-        blocks of the Jacobians' group stacks."""
-        p, out = self.partition, []
-        for sub in self.subsystems:
-            i, rows, out_rows = sub.index, p.state_slice(sub.index), p.out_slice(sub.index)
-            keys = dict.fromkeys((i, *sub.neighbors))
-            jac_f = tuple((p.slots[l][0], (p.slots[l][1], rows), f"jac_f block {l}") for l in keys)
-            jac_h = ((p.slots[i][0], (p.slots[i][1], out_rows), "jac_h"),) if sub.out_dim else ()
-            out.append((sub, sub.neighbors, keys,
-                        {"f": ((0, (rows,), "f"),), "h": ((0, (out_rows,), "h"),),
-                         "jac_f": jac_f, "jac_h": jac_h}))
-        return tuple(out)
+    def _plan(self, maps: tuple, order: tuple | None, analytic: bool) -> tuple:
+        """The walk of ``maps`` (:func:`_walk`), compiled once and kept (the
+        last :data:`_PLANS`): the shapes, without a stack's axes, of the arrays
+        it writes, the slot or slots of each map's result, its steps in call
+        order and each subsystem's neighbors.  A step is ``(subsystem, map,
+        callable or None for central differences, dynamics, jac_f keys, one
+        call serves a stack, blocks)``, a block ``(slot, index, label)``."""
+        plans = self.__dict__.setdefault("_plans", {})   # kept as cached properties are
+        if (plan := plans.get(key := (maps, order, analytic))) is not None:
+            return plan
+        p, shapes, spans, steps = self.partition, [], [], []
+        for name in maps:
+            dynamics, value, at = name in ("f", "jac_f"), name in ("f", "h"), len(shapes)
+            size = p.nx if dynamics else p.ny
+            shapes += [(size,)] if value else [(len(m), size, idx.shape[1]) for m, idx in p.groups]
+            spans.append(at if value else slice(at, len(shapes)))
+            for i in order if order is not None and value else range(p.n):
+                sub, rows = self.subsystems[i], (p.state_slice if dynamics else p.out_slice)(i)
+                if not (value or dynamics or sub.out_dim):   # the Jacobian of no outputs
+                    continue
+                fn = getattr(sub, name) if value or analytic else None
+                fd = "" if fn is not None else "central-difference "
+                keys = dict.fromkeys((i, *sub.neighbors)) if name == "jac_f" else None
+                # Indexed from the last axes: one index for a point and a stack.
+                steps.append((sub, name, fn, dynamics, keys, sub.stacked and fn is not None, (
+                    ((at, (..., rows), name),) if value else tuple(
+                        (at + p.slots[l][0], (..., p.slots[l][1], rows, slice(None)),
+                         fd + (f"jac_f block {l}" if keys else name)) for l in keys or (i,)))))
+        plans[key] = plan = (tuple(shapes), tuple(spans), tuple(steps),
+                             tuple(sub.neighbors for sub in self.subsystems))
+        if len(plans) > _PLANS:
+            plans.pop(next(iter(plans)))
+        return plan
 
     def values(self, x: np.ndarray, maps: Sequence[str]) -> list[np.ndarray]:
         """The global maps ``maps`` (``"f"``, ``"h"``, called in this order)

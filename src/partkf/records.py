@@ -90,12 +90,17 @@ def _encode(value):
     return value
 
 
-def _blocks(name: str, per_instant) -> list[list[np.ndarray]]:
+def _blocks(name: str, per_instant, shapes) -> list[list[np.ndarray]]:
     """The per-instant blocks of the block field ``name`` stored as nested
-    lists (``covs``, and every block field of schema 1)."""
+    lists (``covs``, and every block field of schema 1): one conversion of
+    the whole field when every block has its shape ``shapes[i]``, else one
+    per block, so that :func:`_check_record` can name a bad one."""
     where = f"record {name}"
     if not (isinstance(per_instant, list) and all(isinstance(b, list) for b in per_instant)):
         raise ValueError(f"{where} must list the blocks of each instant")
+    whole = _floats(per_instant) if len(set(shapes)) == 1 else None
+    if whole is not None and whole.shape[1:] == (len(shapes), *shapes[0]):
+        return [list(per_k) for per_k in whole]
     return [[_numbers(where, b) for b in per_k] for per_k in per_instant]
 
 
@@ -242,7 +247,11 @@ def _check_record(values: dict) -> None:
                         ("c_cols", instants)):
         if len(values[name]) != count:
             raise ValueError(f"record {name} has {len(values[name])} instants, expected {count}")
-        shapes = dict(enumerate(_block_shapes(name, dims, out_dims)))
+        shapes = _block_shapes(name, dims, out_dims)
+        if all([b.shape for b in blocks] == shapes for blocks in values[name]):
+            continue
+        # Instant by instant, to name the first bad block.
+        shapes = dict(enumerate(shapes))
         for k, blocks in enumerate(values[name]):
             if len(blocks) != len(dims):
                 raise ValueError(f"record {name} at instant {k} has {len(blocks)} blocks, "
@@ -272,14 +281,14 @@ def _check_flags(monitors: dict, instants: int) -> None:
 
 
 #: How ``RunRecord.from_json`` restores and checks a field (a malformed
-#: value raises ``ValueError`` naming it); ``kind`` loads as it is.
+#: value raises ``ValueError`` naming it); ``kind`` loads as it is and the
+#: block fields by their shapes (:func:`_blocks`, :func:`_unpack`).
 _DECODERS = {
     "seed": _seed, "dims": tuple, "out_dims": tuple,
     "floor_events": partial(_integer, "record floor_events"),
     **{name: partial(_object, f"record {name}") for name in ("estimator", "monitors", "config")},
     **{name: partial(_numbers, f"record {name}") for name in (
         "xs", "ys", "ws", "vs", "xhat_pred", "xhat_post", "rmse", "wall_clock")},
-    **{name: partial(_blocks, name) for name in _BLOCKS},
 }
 
 
@@ -433,9 +442,10 @@ class RunRecord:
         for f in fields(cls):
             if f.name in payload:
                 value = payload[f.name]
-                if schema == 2 and f.name in _PACKED:
+                if f.name in _BLOCKS:
                     # ``dims`` and ``out_dims`` precede the block fields.
-                    values[f.name] = _unpack(f.name, value, _block_shapes(
+                    decode = _unpack if schema == 2 and f.name in _PACKED else _blocks
+                    values[f.name] = decode(f.name, value, _block_shapes(
                         f.name, values["dims"], values["out_dims"]))
                     continue
                 keep = f.name == "kind" or (value is None and f.default is None)

@@ -31,7 +31,7 @@ from partkf.harness import (
     verify_suite,
 )
 from partkf.model import LinearSubsystem, assemble_global, make_partition
-from partkf.records import RunRecord
+from partkf.records import RunRecord, _write_csv
 
 BASE = ExperimentConfig(model={"name": "linear-4state"}, steps=50, seed=1,
                         monitors=True)
@@ -427,6 +427,21 @@ class TestExport:
         path_a = export(rec_a, "csv", tmp_path, "a")
         path_b = export(rec_b, "csv", tmp_path, "b")
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("name", ["reactor-chain", "linear-4state"])
+    def test_csv_bytes_are_those_of_the_cell_by_cell_writer(self, tmp_path, name):
+        # The reference builds every row from NumPy scalars, as the writer
+        # did before it converted the arrays to Python floats at once.
+        record = run_experiment(BASE.replace(model={"name": name}, steps=20),
+                                write_outputs=False)
+        assert record.monitors is not None
+        m, rows = record.monitors, []
+        for k in range(record.steps + 1):
+            rows.append([k, *record.xs[k], *record.xhat_post[k], *record.ys[k], record.rmse[k],
+                         int(m["coupling_ok"][k]), int(m["contraction_ok"][k])])
+        got = export(record, "csv", tmp_path, "rec").read_bytes()
+        header = got.decode().splitlines()[0].split(",")
+        assert got == _write_csv(tmp_path / "want.csv", header, rows).read_bytes()
 
     def test_out_dir_files_written(self, tmp_path):
         config = BASE.replace(steps=10, out_dir=str(tmp_path))

@@ -4,6 +4,7 @@ per-point calls; a flagged map that mixes rows is found at construction and
 called per point."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from partkf.benchmarks import (
     reactor_subsystems,
 )
 from partkf.harness import ExperimentConfig, run_experiment
-from partkf.model import NonlinearSubsystem, aggregate_nonlinear
+from partkf.model import (LinearizationError, NonlinearSubsystem, aggregate_nonlinear,
+                          make_partition)
 
 from conftest import assert_same_ensemble, count_calls, per_run_ensemble
 
@@ -261,3 +263,162 @@ class TestOneCallPerInstant:
             for what in MAPS:
                 assert sorted(tally[i, what]) == sorted(want[what]), (i, what)
         assert_same_ensemble(result, per_run_ensemble(config, 4))
+
+
+def _mixed_model(maps: dict | None = None):
+    """The reactor with unit 2 unflagged and unit 1 without providers (its
+    Jacobians by central differences); ``maps``, ``{(i, name): make}``,
+    replace map ``name`` of unit ``i`` by ``make`` of it."""
+    subs = reactor_subsystems()
+    subs[2] = dataclasses.replace(subs[2], stacked=False)
+    subs[1] = dataclasses.replace(subs[1], jac_f=None, jac_h=None)
+    for (i, name), fn in (maps or {}).items():
+        subs[i] = dataclasses.replace(subs[i], **{name: fn(getattr(subs[i], name))})
+    return aggregate_nonlinear(subs, make_partition([2] * 4, [2] * 4))
+
+
+#: A point of the reactor and a stack of three runs around it.
+_POINT = get_benchmark("reactor-chain").x0
+_STACK = np.stack([_POINT, _POINT + 1.0, _POINT - 1.0])
+
+#: The walks the filters, the simulation and the oracles take: maps,
+#: agenda and whether the Jacobians are analytic.
+WALKS = {"dynamics": (("jac_f", "f"), (3, 2, 1, 0), True),
+         "output": (("jac_h", "h"), None, True),
+         "simulation": (("h", "f"), None, True),
+         "central": (("jac_f", "jac_h"), None, False)}
+
+#: Per walk and point (1: one point, 2: the stack), the calls through
+#: ``model._called`` on the mixed model, recorded before walks were compiled
+#: into plans: subsystem, map and, for a call on the stack, ``[3]``, with
+#: ``*n`` for ``n`` equal calls in a row.  Unit 1's central differences call
+#: its ``f`` or ``h`` at the point and at two points per column, per run.
+CALL_SEQUENCES = {
+    ("dynamics", 1): "0jac_f 1f*9 2jac_f 3jac_f 3f 2f 1f 0f",
+    ("dynamics", 2): "0jac_f[3] 1f*27 2jac_f*3 3jac_f[3] 3f[3] 2f*3 1f[3] 0f[3]",
+    ("output", 1): "0jac_h 1h*5 2jac_h 3jac_h 0h 1h 2h 3h",
+    ("output", 2): "0jac_h[3] 1h*15 2jac_h*3 3jac_h[3] 0h[3] 1h[3] 2h*3 3h[3]",
+    ("simulation", 1): "0h 1h 2h 3h 0f 1f 2f 3f",
+    ("simulation", 2): "0h[3] 1h[3] 2h*3 3h[3] 0f[3] 1f[3] 2f*3 3f[3]",
+    ("central", 1): "0f*13 1f*9 2f*9 3f*9 0h*5 1h*5 2h*5 3h*5",
+    ("central", 2): "0f*39 1f*27 2f*27 3f*27 0h*15 1h*15 2h*15 3h*15",
+}
+
+
+def _run_length(calls: list) -> str:
+    """``calls`` of ``model._called`` in the notation of :data:`CALL_SEQUENCES`."""
+    out = []
+    for sub, what, fn, *args in calls:
+        token = f"{sub.index}{what}{list(np.shape(args[0])[:-1]) or ''}"
+        if out and out[-1][0] == token:
+            out[-1][1] += 1
+        else:
+            out.append([token, 1])
+    return " ".join(token if n == 1 else f"{token}*{n}" for token, n in out)
+
+
+def _first_error(model, x, maps) -> str:
+    """The message of the :class:`LinearizationError` that a walk raises."""
+    with pytest.raises(LinearizationError) as err:
+        partkf.model._walk(model, x, maps)
+    return str(err.value)
+
+
+def _hot(good, bad):
+    """A map that is ``good`` but, where a point's temperature is above
+    400 K (outside the check samples), ``bad`` there: per row, so that a
+    stacked map stays stacked."""
+    def fn(x_i, *nbrs):
+        hot = np.asarray(x_i)[..., 0] > 400.0
+        return bad(x_i, *nbrs) if np.any(hot) else good(x_i, *nbrs)
+    return fn
+
+
+def _nan_block(good):
+    """``jac_f`` of unit 0 whose neighbor block 1 is NaN in the rows above
+    400 K."""
+    def bad(x_i, nbrs):
+        blocks = good(x_i, nbrs)
+        hot = (np.asarray(x_i)[..., 0] > 400.0)[..., None, None]
+        return {**blocks, 1: np.where(hot, np.nan, blocks[1])}
+    return _hot(good, bad)
+
+
+def _raise(*args):
+    raise ZeroDivisionError("boom")
+
+
+class TestWalker:
+    """The walk of a compiled plan makes the calls, in the order, that the
+    walker made before plans, at one point and on a stack, and the first bad
+    block written still names the error."""
+
+    @pytest.mark.parametrize("point", [1, 2])
+    @pytest.mark.parametrize("kind", WALKS)
+    def test_the_call_sequence_is_the_recorded_one(self, monkeypatch, kind, point):
+        model = _mixed_model()
+        assert [sub.stacked for sub in model.subsystems] == [True, True, False, True]
+        calls = count_calls(monkeypatch, partkf.model, "_called")
+        partkf.model._walk(model, _POINT if point == 1 else _STACK, *WALKS[kind])
+        assert _run_length(calls) == CALL_SEQUENCES[kind, point]
+
+    #: Unit 0's neighbor block 1 of ``jac_f`` turns NaN where unit 0 is hot;
+    #: then unit 3's ``f``, called after every ``jac_f``, fails where unit 3
+    #: is hot.  Hot: units 0 and 3 at 420 K, in run 1 of the stack.
+    FAILURES = {"raises": _raise, "wrong-shape": lambda x_i, nbrs: np.zeros(3)}
+
+    @staticmethod
+    def _hot_points():
+        hot = _POINT.copy()
+        hot[[0, 6]] = 420.0
+        return hot, np.stack([_POINT, hot, _POINT])
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_a_bad_block_written_first_is_the_error(self, failure):
+        fails = {(3, "f"): lambda good: _hot(good, self.FAILURES[failure])}
+        model = _mixed_model({(0, "jac_f"): _nan_block, **fails})
+        assert model.subsystems[0].stacked and model.subsystems[3].stacked
+        for x in self._hot_points():
+            assert _first_error(model, x, ("jac_f", "f")) == (
+                "subsystem 0: jac_f block 1 returned a non-finite value")
+        # Without the bad block the failing map is the error.
+        model = _mixed_model(fails)
+        for x in self._hot_points():
+            assert _first_error(model, x, ("jac_f", "f")).startswith("subsystem 3: f ")
+
+    def test_a_walker_that_does_not_test_what_it_wrote_fails(self, monkeypatch):
+        # Negative control: without the finiteness tests of the walk the
+        # raising map is named, not the bad block written before it.
+        monkeypatch.setattr(partkf.model, "_all_finite", lambda a: True)
+        model = _mixed_model({(0, "jac_f"): _nan_block,
+                              (3, "f"): lambda good: _hot(good, _raise)})
+        for x in self._hot_points():
+            assert _first_error(model, x, ("jac_f", "f")).startswith(
+                "subsystem 3: f raised ZeroDivisionError")
+
+    def test_a_nested_list_goes_through_the_result_check(self, monkeypatch):
+        as_lists = {(2, "h"): lambda good: lambda x_i: good(x_i).tolist()}
+        model, want = _mixed_model(as_lists), _mixed_model()
+        puts = count_calls(monkeypatch, partkf.model, "_put")
+        for x in (_POINT, _STACK):
+            puts.clear()
+            got = partkf.model._walk(model, x, ("h",))[0]
+            assert got.tobytes() == partkf.model._walk(want, x, ("h",))[0].tobytes()
+            # Unit 2 is unflagged: one list per run.
+            assert sum(type(args[3]) is list for args in puts) == (len(x) if x.ndim == 2 else 1)
+        for bad, message in (([1.0, float("nan")], "returned a non-finite value"),
+                             ([1.0, 2.0, 3.0], "returned shape (3,), expected (2,)"),
+                             ([1.0, "2"], "returned <U32 values, expected real numbers")):
+            model = _mixed_model({(2, "h"): lambda good, bad=bad: _hot(good, lambda x_i: bad)})
+            hot = _POINT.copy()
+            hot[4] = 420.0
+            assert _first_error(model, hot, ("h",)) == f"subsystem 2: h {message}"
+
+    def test_plans_are_compiled_once_and_bounded(self):
+        model = _mixed_model()
+        plan = model._plan(("jac_f", "f"), (3, 2, 1, 0), True)
+        assert model._plan(("jac_f", "f"), (3, 2, 1, 0), True) is plan
+        for order in itertools.permutations(range(4)):   # 24 agendas
+            partkf.model._walk(model, _POINT, ("jac_f", "f"), list(order))
+        assert len(vars(model)["_plans"]) == partkf.model._PLANS
+        assert model._plan(("jac_f", "f"), (3, 2, 1, 0), True) is not plan
