@@ -90,6 +90,13 @@ COND_LIMIT = 1e12
 _CHUNK = 2 ** 15
 
 
+def _holds(flags) -> bool:
+    """Whether a monitor holds: its flag, one per instant (a list or an
+    array), holds at every instant ``k >= 1``.  Instant 0 closes no
+    transition, so its flag is not judged."""
+    return bool(np.all(flags[1:]))
+
+
 def _norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix of a stack, flattened; 0 for empty
     matrices.  The largest singular value, which ``np.linalg.norm(m, 2)``
@@ -357,8 +364,8 @@ class ErrorDecomposition:
     ``r_k`` collects the linearization remainders of the dynamics and output
     maps, ``s_k`` the filtered noise terms.  ``residual`` is the norm of the
     recursion identity defect scaled by ``1 + |e_k|``; it vanishes up to
-    roundoff on every recorded run and exactly for linear models, whose
-    remainders are zero.
+    roundoff on every recorded run.  A linear model's remainders are zero
+    but for rounding, which leaves them near ``1e-15`` times the state.
     """
 
     k: int
@@ -528,7 +535,7 @@ def check_contraction(record: RunRecord, alpha: float | None = None, *,
     ok = np.concatenate([[True], worst > -INEQ_TOL])
     return {"alpha": float(alpha), "vacuous": vacuous,
             "ok": ok, "margins": margins,
-            "all_hold": bool(np.all(ok[1:]))}
+            "all_hold": _holds(ok)}
 
 
 def lyapunov_values(record: RunRecord, *, _loop: _Loop | None = None) -> np.ndarray:
@@ -555,7 +562,10 @@ def remainder_bounds(model: GlobalModel, record: RunRecord) -> dict:
     Fits ``|remainder| ~ eps * |error|^2`` through the origin for the
     dynamics remainder (against the posterior error) and the output remainder
     (against the prediction error).  Returns the coefficients and the
-    relative fit residuals; both coefficients vanish for linear models.
+    relative fit residuals, and the ranges of the squared errors.  On a
+    linear model both coefficients and both residuals are 0.0: its
+    remainders are rounding, which a fit against squared errors near
+    rounding would blow up (1e-15 over 1e-30).
     """
     dyn_x, dyn_y, out_x, out_y = [], [], [], []
     for k in range(1, record.steps + 1):
@@ -570,7 +580,7 @@ def remainder_bounds(model: GlobalModel, record: RunRecord) -> dict:
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         denom = float(xs @ xs)
-        if denom == 0.0:
+        if model.linear or denom == 0.0:
             return 0.0, 0.0
         eps = float(xs @ ys) / denom
         resid = float(np.linalg.norm(ys - eps * xs) / (1.0 + np.linalg.norm(ys)))
@@ -605,11 +615,11 @@ class StabilityReport:
 
     @property
     def coupling_all_hold(self) -> bool:
-        return bool(np.all(self.coupling_ok[1:]))
+        return _holds(self.coupling_ok)
 
     @property
     def contraction_all_hold(self) -> bool:
-        return bool(np.all(self.contraction_ok[1:]))
+        return _holds(self.contraction_ok)
 
     def as_dict(self) -> dict:
         return {
@@ -746,8 +756,8 @@ def write_summary_json(record: RunRecord, path: str | Path) -> Path:
         "steps": record.steps,
         "bounds": m["bounds"],
         "alpha": m["alpha"],
-        "coupling_all_hold": all(m["coupling_ok"][1:]),
-        "contraction_all_hold": all(m["contraction_ok"][1:]),
+        "coupling_all_hold": _holds(m["coupling_ok"]),
+        "contraction_all_hold": _holds(m["contraction_ok"]),
         "floor_events": record.floor_events,
         "rmse_first": float(record.rmse[0]),
         "rmse_last": float(record.rmse[-1]),

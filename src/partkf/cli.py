@@ -72,6 +72,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config.replace(**updates) if updates else config
 
 
+def _print_coupling(record) -> None:
+    ok = analysis._holds(record.monitors["coupling_ok"])
+    print(f"weak-coupling condition: {'satisfied at every instant' if ok else 'VIOLATED'}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
     record = run_experiment(config)
@@ -79,8 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"seed={record.seed}")
     print(f"rmse: first={record.rmse[0]:.6g} last={record.rmse[-1]:.6g}")
     if record.monitors is not None:
-        ok = all(record.monitors["coupling_ok"][1:])
-        print(f"weak-coupling condition: {'satisfied at every instant' if ok else 'VIOLATED'}")
+        _print_coupling(record)
     if config.out_dir:
         print(f"outputs written to {config.out_dir}/")
     return 0
@@ -121,8 +125,7 @@ def _cmd_monitors(args: argparse.Namespace) -> int:
     stem = Path(args.record).stem
     csv_path = analysis.write_monitor_csv(record, out / f"{stem}_monitors.csv")
     json_path = analysis.write_summary_json(record, out / f"{stem}_summary.json")
-    ok = all(record.monitors["coupling_ok"][1:])
-    print(f"weak-coupling condition: {'satisfied at every instant' if ok else 'VIOLATED'}")
+    _print_coupling(record)
     print(f"monitor table: {csv_path}")
     print(f"summary: {json_path}")
     return 0

@@ -2,9 +2,11 @@
 
 The extended filter is the linear two-phase engine of :mod:`partkf.dkf` with
 its blocks re-linearized at every sampling instant.  This module supplies the
-nonlinear linearization source and the public step functions, two of them the
-linear filter's: ``dekf_update`` is :func:`partkf.dkf.update` and
-``dekf_gain_cov`` is :func:`partkf.dkf.gain_and_covariance` with the floor.
+nonlinear linearization source and the public step functions, all but one
+of them the linear filter's: ``dekf_predict`` is :func:`partkf.dkf.predict`
+and ``dekf_update`` is :func:`partkf.dkf.update`, one checked call of the
+subsystem's maps for either model kind, and ``dekf_gain_cov`` is
+:func:`partkf.dkf.gain_and_covariance` with the floor.
 Its source factors ``R`` once and hands the engine, per instant and group
 of equally sized subsystems, the re-linearized blocks and their information
 blocks, which the engine's one batched gain kernel reads as it reads the
@@ -46,29 +48,25 @@ from .dkf import (  # noqa: F401  (the floor constants are part of this module's
     COV_FLOOR_BUMP,
     COV_FLOOR_REL,
     EstimatorDesign,
-    ExchangeSnapshot,
     _floor,
     _group_blocks,
-    _posteriors,
     _r_factor,
     _run_filter,
     _Settled,
     gain_and_covariance,
+    predict,
     update,
 )
-from .model import GlobalModel, _checked, _walk
+from .model import GlobalModel, _walk
 from .records import RunRecord
 from .simulate import Trajectory
 
 __all__ = ["dekf_predict", "dekf_gain_cov", "dekf_update", "run_dekf"]
 
 
-def dekf_predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
-    """Nonlinear propagation of the local posterior with neighbor posteriors
-    as interaction inputs."""
-    sub = model.subsystems[i]
-    x_i, neighbors = _posteriors(snapshot, i, sub.neighbors)
-    return _checked(sub, "f", sub.f, x_i, neighbors, shape=(sub.state_dim,))
+#: The local prediction of both filters: the subsystem's (nonlinear) map
+#: ``f`` at its posterior and its neighbors', one checked call.
+dekf_predict = predict
 
 
 def dekf_gain_cov(P_prev: np.ndarray, a_col_i: np.ndarray, a_ii: np.ndarray,

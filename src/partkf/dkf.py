@@ -82,14 +82,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .analysis import rmse
 from .model import (GlobalModel, LinearizationError, _check_instants, _factor_solve,
-                    _frozen, _matvec, _not_posdef, _not_semidefinite, _solve,
+                    _frozen, _matvec, _not_posdef, _not_semidefinite, _results, _solve,
                     _spd_factor, _sym, _symmetric, _tr, _walk)
 from .records import RunRecord, _check_design, _check_shapes, _run_shapes
 from .simulate import Trajectory
@@ -252,20 +252,15 @@ def _located(k: int, members: np.ndarray, call) -> tuple:
         raise
 
 
-class _Settled:
+class _Settled(NamedTuple):
     """Instant ``k``'s gains and covariances: per group of the partition the
     stacks ``L`` (``members x d x ny``) and ``P`` that the engine reads, and
-    the number of floor events."""
+    the number of floor events.  A record holds views of their rows
+    (``StatePartition.unstacked``), made by :func:`_pass`."""
 
-    def __init__(self, p, L: list, P: list, floors: int):
-        self._p, self.L, self.P, self.floors, self._views = p, tuple(L), tuple(P), floors, None
-
-    def views(self) -> tuple[list, list]:
-        """Per subsystem the views of its rows of ``L`` and of ``P`` (its gain
-        and covariance) that a record holds, made at the first call."""
-        if self._views is None:
-            self._views = self._p.unstacked(self.L), self._p.unstacked(self.P)
-        return self._views
+    L: tuple
+    P: tuple
+    floors: int
 
 
 def _settled(source, k: int, gain) -> _Settled:
@@ -293,7 +288,7 @@ def _settled(source, k: int, gain) -> _Settled:
         floors += int(floored.sum())
         L_k.append(L)
         P_k.append(P)
-    return source.keep(k, _Settled(p, L_k, P_k, floors))
+    return source.keep(k, _Settled(tuple(L_k), tuple(P_k), floors))
 
 
 def _r_factor(R: np.ndarray) -> np.ndarray:
@@ -400,26 +395,19 @@ def init_update(P0_i: np.ndarray, c_col: np.ndarray, R: np.ndarray,
     return guess_i + L[0] @ innovation, P[0], L[0]
 
 
-def _posteriors(snapshot: ExchangeSnapshot, i: int, neighbors) -> tuple[np.ndarray, dict]:
-    """Subsystem ``i``'s posterior and its neighbors' from a phase-1 snapshot."""
-    if snapshot.posteriors[i] is None:
-        raise FilterError(f"snapshot is missing the posterior of subsystem {i}")
-    nbrs = {}
-    for l in neighbors:
-        if snapshot.posteriors[l] is None:
-            raise FilterError(f"snapshot is missing the posterior of neighbor {l}")
-        nbrs[l] = snapshot.posteriors[l]
-    return snapshot.posteriors[i], nbrs
-
-
 def predict(i: int, snapshot: ExchangeSnapshot, model: GlobalModel) -> np.ndarray:
-    """Local prediction from the posterior snapshot of instant ``k-1``: the
-    subsystem's affine map :meth:`~partkf.model.LinearSubsystem.f` at its
-    posterior and its neighbors'.  The engine computes every subsystem's at
-    once (``model._affine``), each bit for bit this call's."""
-    sub = model.subsystems[i]
-    x_i, nbrs = _posteriors(snapshot, i, sub.neighbors)
-    return sub.f(x_i, nbrs)
+    """Local prediction from the posterior snapshot of instant ``k-1``, for
+    either filter: the subsystem's map ``f`` at its posterior and its
+    neighbors', one checked call (``model._results``).  The engine computes
+    every subsystem's at once (``model._affine`` for a linear model, one
+    walk for a nonlinear one), each bit for bit this call's."""
+    sub, post = model.subsystems[i], snapshot.posteriors
+    for l in (i, *sub.neighbors):
+        if post[l] is None:
+            raise FilterError(f"snapshot is missing the posterior of "
+                              f"{'subsystem' if l == i else 'neighbor'} {l}")
+    return _results(sub, "f", np.asarray(post[i], dtype=float),
+                    {l: post[l] for l in sub.neighbors})[0]
 
 
 def update(i: int, x_pred_i: np.ndarray, snapshot: ExchangeSnapshot,
@@ -454,11 +442,10 @@ def init_states(model: GlobalModel, design: EstimatorDesign,
                 y0: np.ndarray) -> list[EstimatorState]:
     """Initial measurement update for all subsystems at instant 0 (with the
     engine's eigenvalue floor)."""
-    post = np.empty(model.nx)
+    p, post = model.partition, np.empty(model.nx)
     _, entry = _fuse_prior(_LinearSource(model, design), np.asarray(y0, dtype=float), post)
-    gains, covs = entry.views()
     return [EstimatorState(i, x, P, L, 0) for i, (x, P, L) in
-            enumerate(zip(model.partition.split_state(post), covs, gains))]
+            enumerate(zip(p.split_state(post), p.unstacked(entry.P), p.unstacked(entry.L)))]
 
 
 def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple:
@@ -581,9 +568,12 @@ def _posterior_stack(source, ys: np.ndarray) -> np.ndarray:
     covariances are the source's schedule, settled by the pass where it
     lacks an instant; the extended filter's are settled per instant for
     every run at once.  The measurements must be finite; they are not
-    checked here.  A failing map or a filter error of any run raises.  No
-    per-instant gain, covariance or column block is kept, so the memory of
-    the pass is that of its states and measurements."""
+    checked here.  A failing map or a filter error of any run raises.  The
+    pass keeps no per-instant gain, covariance or column block of its own.
+    A linear source's schedule does: it keeps every instant's ``L`` and
+    ``P`` group stacks, shared by all runs, about 135 MB at chain-64 (64
+    subsystems of 2 states, 64 outputs) and K=2000.  The extended filter's
+    pass holds its states and measurements and one instant's arrays."""
     return _pass(source, ys, range(source.model.partition.n), keep=False)[1]
 
 
@@ -620,7 +610,9 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     xhat_post = np.empty_like(xhat_pred)
     wall = np.empty(K + 1)
 
-    made = {}   # id -> (stacks, views): a linear source hands the same stacks at every instant
+    # id -> (stacks, views): the one memo of the per-subsystem views a record
+    # holds; a linear source hands the same column stacks at every instant.
+    made = {}
 
     def views(stacks) -> list:
         if id(stacks) not in made:
@@ -634,7 +626,7 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     floor_events = entry.floors
     gains, covs, a_cols, c_cols = [], [], [], []
     if keep:
-        gains, covs, c_cols = [list(entry.views()[0])], [list(entry.views()[1])], [views(c_stacks)]
+        gains, covs, c_cols = [views(entry.L)], [views(entry.P)], [views(c_stacks)]
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
@@ -656,8 +648,8 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
         _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0
         if keep:
-            gains.append(list(entry.views()[0]))
-            covs.append(list(entry.views()[1]))
+            gains.append(views(entry.L))
+            covs.append(views(entry.P))
             a_cols.append(views(a_stacks))
             c_cols.append(views(c_stacks))
     return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall

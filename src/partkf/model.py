@@ -66,8 +66,6 @@ __all__ = [
     "aggregate_nonlinear",
     "linearize",
     "linear_as_nonlinear",
-    "fd_jacobian_f",
-    "fd_jacobian_h",
 ]
 
 #: Relative step for central-difference Jacobians.
@@ -238,12 +236,6 @@ def _put(dest: np.ndarray, sub, what: str, got, finite: bool = True) -> np.ndarr
     return dest
 
 
-def _checked(sub, what: str, fn, *args, shape) -> np.ndarray:
-    """``fn(*args)``, a map of subsystem ``sub``, checked into a new float
-    array of ``shape``."""
-    return _put(np.empty(shape), sub, what, _called(sub, what, fn, *args))
-
-
 #: The most walk plans a model keeps (``GlobalModel._plan``).
 _PLANS = 16
 
@@ -271,10 +263,12 @@ def _walk(model: GlobalModel, x: np.ndarray, maps: Sequence[str],
             for r in (None,) if whole or not lead else np.ndindex(*lead):
                 b = a if r is None else ((a[0][r], {l: v[r] for l, v in a[1].items()})
                                          if dynamics else (a[0][r],))
-                got = (_called(sub, name, fn, *b) if fn is not None
-                       else (fd_jacobian_f if dynamics else fd_jacobian_h)(sub, *b))
-                for (j, index, what), blk in zip(dests, (got,) if keys is None
-                                                 else _jac_f_blocks(sub, got, keys)):
+                if fn is None:
+                    got = _central(sub, name, *b)
+                else:
+                    got = _called(sub, name, fn, *b)
+                    got = (got,) if keys is None else _jac_f_blocks(sub, got, keys)
+                for (j, index, what), blk in zip(dests, got):
                     at = written[j][index] if r is None else written[j][r][index]
                     log.append((_put(at, sub, what, blk, False), sub, what))
     except LinearizationError as exc:
@@ -775,19 +769,16 @@ class NonlinearSubsystem:
     def _spot_check_jacobians(self) -> None:
         for x_i, nbrs in self.jacobian_check_samples:
             _results(self, "f", x_i, nbrs)
-            if self.jac_f is not None:
-                got = _results(self, "jac_f", x_i, nbrs)
-                for g, (l, blk) in zip(got, fd_jacobian_f(self, x_i, nbrs).items()):
-                    if not _agrees(g, blk):
-                        raise ValueError(
-                            f"subsystem {self.index}: analytic df/dx_{l} disagrees "
-                            "with finite differences"
-                        )
-            if self.jac_h is not None and self.out_dim:
-                if not _agrees(_results(self, "jac_h", x_i, nbrs)[0], fd_jacobian_h(self, x_i)):
-                    raise ValueError(
-                        f"subsystem {self.index}: analytic dh/dx disagrees with finite differences"
-                    )
+            for name in ("jac_f", "jac_h") if self.out_dim else ("jac_f",):
+                if getattr(self, name) is None:
+                    continue
+                for l, got, want in zip((self.index, *self.neighbors),
+                                        _results(self, name, x_i, nbrs),
+                                        _central(self, name, x_i, nbrs)):
+                    if not _agrees(got, want):
+                        what = f"df/dx_{l}" if name == "jac_f" else "dh/dx"
+                        raise ValueError(f"subsystem {self.index}: analytic {what} "
+                                         "disagrees with finite differences")
 
     def _stacks_agree(self) -> bool:
         """Whether each map the filters call (``f``, ``h`` and the given
@@ -837,40 +828,31 @@ def _agrees(got: np.ndarray, want: np.ndarray) -> bool:
     return bool(np.all(np.abs(got - want) <= JACOBIAN_CHECK_RTOL * scale))
 
 
-def _central_columns(fun, vals: np.ndarray, sub: NonlinearSubsystem, what: str,
-                     out_size: int) -> np.ndarray:
-    """Central-difference Jacobian of ``fun`` at ``vals``, column by column."""
-    out = np.empty((out_size, vals.size))
-    for j, step in enumerate(np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(vals))):
-        plus, minus = vals.copy(), vals.copy()
-        plus[j] += step
-        minus[j] -= step
-        out[:, j] = (_checked(sub, what, fun, plus, shape=(out_size,))
-                     - _checked(sub, what, fun, minus, shape=(out_size,))) / (2.0 * step)
-    return out
-
-
-def fd_jacobian_f(sub: NonlinearSubsystem, x_i: np.ndarray,
-                  neighbors: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Central-difference Jacobian blocks of ``sub.f`` with respect to the own
-    state and every neighbor block.  Step per coordinate: max(1e-6, 1e-6|x_j|).
-    """
-    x_i = np.asarray(x_i, dtype=float)
-    neighbors = {l: np.asarray(v, dtype=float) for l, v in neighbors.items()}
-    _checked(sub, "f", sub.f, x_i, neighbors, shape=(sub.state_dim,))
-    out = {sub.index: _central_columns(lambda v: sub.f(v, neighbors), x_i, sub, "f",
-                                       sub.state_dim)}
-    for l in sub.neighbors:
-        out[l] = _central_columns(lambda v, l=l: sub.f(x_i, {**neighbors, l: v}),
-                                  neighbors[l], sub, "f", sub.state_dim)
-    return out
-
-
-def fd_jacobian_h(sub: NonlinearSubsystem, x_i: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``sub.h`` at ``x_i``."""
-    x_i = np.asarray(x_i, dtype=float)
-    _checked(sub, "h", sub.h, x_i, shape=(sub.out_dim,))
-    return _central_columns(sub.h, x_i, sub, "h", sub.out_dim)
+def _central(sub: NonlinearSubsystem, name: str, x_i: np.ndarray,
+             nbrs: Mapping[int, np.ndarray] | None = None) -> list[np.ndarray]:
+    """The central-difference Jacobian that stands in for the provider
+    ``name`` (``"jac_f"`` or ``"jac_h"``) of ``sub`` at ``x_i`` and, for the
+    dynamics, the neighbors' blocks ``nbrs``: as :func:`_results` gives the
+    provider's, the blocks of ``jac_f`` own block first, else one array.
+    The map is called at the point, then at ``x_j + step`` and ``x_j -
+    step`` per coordinate, step ``max(1e-6, 1e-6 |x_j|)``, each call
+    checked by :func:`_results`."""
+    value, rows = ("f", sub.state_dim) if name == "jac_f" else ("h", sub.out_dim)
+    _results(sub, value, x_i, nbrs)
+    blocks = []
+    for l in (sub.index, *sub.neighbors) if value == "f" else (sub.index,):
+        at = x_i if l == sub.index else nbrs[l]
+        block = np.empty((rows, at.size))
+        for j, step in enumerate(np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(at))):
+            plus, minus = at.copy(), at.copy()
+            plus[j] += step
+            minus[j] -= step
+            f_plus, f_minus = (_results(sub, value, v, nbrs)[0] if l == sub.index
+                               else _results(sub, value, x_i, {**nbrs, l: v})[0]
+                               for v in (plus, minus))
+            block[:, j] = (f_plus - f_minus) / (2.0 * step)
+        blocks.append(block)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -1151,13 +1133,12 @@ def linearize(subs: Sequence[NonlinearSubsystem], x_point: np.ndarray,
         if missing:
             raise ValueError(f"analytic Jacobians missing for subsystems {missing}")
 
-    a_cols, c_cols = map(partition.unstacked,
-                         _walk(model, x, ("jac_f", "jac_h"), analytic=mode == "analytic"))
+    stacks = _walk(model, x, ("jac_f", "jac_h"), analytic=mode == "analytic")
+    a_cols, c_cols = (tuple(partition.unstacked(s)) for s in stacks)
     a_blocks = {(l, i): a_cols[i][partition.state_slice(l)]
                 for l in range(partition.n) for i in range(partition.n)}
-    A = np.concatenate(a_cols, axis=1)
-    C = np.concatenate(c_cols, axis=1)
-    return LinearizationBlocks(a_blocks, tuple(a_cols), tuple(c_cols), _frozen(A), _frozen(C))
+    A, C = (_frozen(partition.assembled(s)) for s in stacks)
+    return LinearizationBlocks(a_blocks, a_cols, c_cols, A, C)
 
 
 def _monolithic(model: GlobalModel) -> GlobalModel:
@@ -1174,8 +1155,8 @@ def _monolithic(model: GlobalModel) -> GlobalModel:
     return aggregate_nonlinear([NonlinearSubsystem(
         index=0, state_dim=model.nx, out_dim=model.ny, neighbor_dims={},
         f=lambda x, neighbors: model.f(x), h=model.h, Q=model.Q, R=model.R,
-        jac_f=lambda x, neighbors: {0: np.hstack(p.unstacked(_walk(model, x, ("jac_f",))[0]))},
-        jac_h=lambda x: np.hstack(p.unstacked(_walk(model, x, ("jac_h",))[0])),
+        jac_f=lambda x, neighbors: {0: p.assembled(_walk(model, x, ("jac_f",))[0])},
+        jac_h=lambda x: p.assembled(_walk(model, x, ("jac_h",))[0]),
         state_box=model.state_box())], part)
 
 

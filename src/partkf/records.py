@@ -7,9 +7,10 @@ embedded configuration and seed they replay deterministically.  Wall-clock
 timings are excluded from the content digest.
 
 This module owns partkf's file formats (all but the monitor summary JSON of
-:func:`partkf.analysis.write_summary_json`): the record JSON, the trajectory
-JSON (arrays as nested lists), every CSV table (``_write_csv``) and loading
-JSON given as a dict or a path (``_load_json``).  A float CSV cell is written
+:func:`partkf.analysis.write_summary_json`): the record JSON, every CSV
+table (``_write_csv``) and loading JSON given as a dict or a path
+(``_load_json``).  A trajectory has no file of its own; the record carries
+its arrays and seed.  A float CSV cell is written
 as the ``repr`` of the Python float, the shortest decimal that reads back to
 the same double; any other cell (instant, run index, seed, 0/1 flag) is
 written as it is.
@@ -231,7 +232,8 @@ def _check_record(values: dict) -> None:
     loaded record (a given ``wall_clock`` too) has its shape for ``dims``,
     ``out_dims`` and the ``K + 1`` instants that ``xs`` holds, ``estimator`` is
     a design of that shape (as ``EstimatorDesign.serializable`` writes it) and
-    ``monitors``, when given, holds the flags of every instant (:func:`_check_flags`)."""
+    ``monitors``, when given, holds what the monitor exports read
+    (:func:`_check_flags`)."""
     if values["kind"] not in ("dkf", "dekf"):
         raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
     dims, out_dims = values["dims"], values["out_dims"]
@@ -263,21 +265,32 @@ def _check_record(values: dict) -> None:
         _check_flags(values["monitors"], instants)
 
 
-#: The monitor flag lists that a record's CSV export reads.
-_FLAGS = ("coupling_ok", "contraction_ok")
+#: The monitor flag lists that the record's CSV export and the monitor
+#: exports read.
+_FLAGS = ("coupling_ok", "coupling_checkable", "contraction_ok")
 
 
 def _check_flags(monitors: dict, instants: int) -> None:
-    """``ValueError`` naming the field unless ``monitors`` holds the flag
-    lists :data:`_FLAGS`, each one entry per instant that equals 0 or 1
-    (``false`` or ``true``)."""
-    _require("record monitors", monitors, _FLAGS)
-    for key in _FLAGS:
-        flags = monitors[key]
-        if not (isinstance(flags, list) and len(flags) == instants
-                and all(f in (0, 1) for f in flags)):
-            raise ValueError(f"record monitors {key} must list one 0/1 or boolean flag per "
-                             f"instant ({instants}), not {reprlib.repr(flags)}")
+    """``ValueError`` naming the field unless ``monitors`` holds what the
+    monitor exports read: the flag lists :data:`_FLAGS`, each one entry per
+    instant that equals 0 or 1 (``false`` or ``true``), the margins and the
+    Lyapunov values, each one real number (NaN allowed) per instant,
+    ``bounds`` as an object and ``alpha`` as a real number."""
+    series = ("coupling_margin", "contraction_margin", "lyapunov")
+    _require("record monitors", monitors, (*_FLAGS, *series, "bounds", "alpha"))
+    for key in (*_FLAGS, *series):
+        value = monitors[key]
+        ok = isinstance(value, list) and len(value) == instants and (
+            all(f in (0, 1) for f in value) if key in _FLAGS
+            else (x := _floats(value)) is not None and x.shape == (instants,))
+        if not ok:
+            what = "0/1 or boolean flag" if key in _FLAGS else "number"
+            raise ValueError(f"record monitors {key} must list one {what} per "
+                             f"instant ({instants}), not {reprlib.repr(value)}")
+    _object("record monitors bounds", monitors["bounds"])
+    if (alpha := _floats(monitors["alpha"])) is None or alpha.ndim:
+        raise ValueError(f"record monitors alpha must be a number, not "
+                         f"{reprlib.repr(monitors['alpha'])}")
 
 
 #: How ``RunRecord.from_json`` restores and checks a field (a malformed
@@ -425,7 +438,7 @@ class RunRecord:
         kind (:data:`_DECODERS`: the model's value rules), ``dims`` and
         ``out_dims`` that are not lists of valid dimensions of one length,
         arrays or estimator weights of other shapes and ``monitors``
-        without the flag lists the CSV export reads (see
+        without the flags and series the exports read (see
         :func:`_check_record`); each names the field.  A missing required
         field raises ``KeyError``, a missing optional one keeps its default
         and a key that is not a field (``a_points``/``c_points`` of older

@@ -16,21 +16,20 @@ holds those words and generators to NumPy's own.
 model kind (``_simulate_runs``) draw noise by one rule (``_noise``) and
 propagate by one loop (``_propagate``), so each run of an ensemble is bit
 for bit its :func:`simulate` run, redraws included.  This module is the only one that
-draws noise.
+draws noise.  A :class:`Trajectory` has no file format of its own: a run's
+record (``partkf.records``) carries its arrays ``xs``, ``ys``, ``ws``,
+``vs`` and its seed.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .model import _MAX_LENGTH, GlobalModel, LinearizationError, _integer, _numbers, _seed
-from .records import _encode, _load_json, _write_csv
 
 __all__ = ["NoiseSpec", "Trajectory", "SimulationError", "sample_noise", "simulate"]
 
@@ -86,11 +85,6 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be at least one standard deviation ({std})")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", _seed(self.seed))
-
-    def streams(self, n_subsystems: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
-        """Independent per-subsystem generators: (process list, measurement list)."""
-        gens = [_generator(w) for w in _stream_words([self.seed], 2 * n_subsystems)[0]]
-        return gens[:n_subsystems], gens[n_subsystems:]
 
 
 #: NumPy's ``SeedSequence`` hashing (NEP 19): the first value and the
@@ -198,10 +192,6 @@ def sample_noise(std: np.ndarray, bound: np.ndarray | None,
     return out
 
 
-#: The array fields of a :class:`Trajectory`, in the order its JSON lists them.
-_ARRAYS = ("xs", "ys", "ws", "vs")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Simulated truth: states ``x_0..x_K``, measurements ``y_0..y_K`` and the
@@ -228,30 +218,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return self.xs.shape[0] - 1
-
-    def to_csv(self, path: str | Path) -> Path:
-        """One row per step: k, state coordinates, measurement coordinates."""
-        nx = self.xs.shape[1]
-        ny = self.ys.shape[1]
-        header = ["k"] + [f"x_{j + 1}" for j in range(nx)] + [f"y_{j + 1}" for j in range(ny)]
-        return _write_csv(path, header, ([k, *self.xs[k], *self.ys[k]]
-                                         for k in range(self.xs.shape[0])))
-
-    def to_json(self, path: str | Path | None = None) -> dict:
-        """JSON-serializable record embedding the seed; written when ``path``
-        is given."""
-        payload = {"seed": self.seed}
-        for name in _ARRAYS:
-            payload[name] = _encode(getattr(self, name))
-        if path is not None:
-            Path(path).write_text(json.dumps(payload))
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: dict | str | Path) -> "Trajectory":
-        payload = _load_json(payload)
-        return cls(**{name: _numbers(f"trajectory {name}", payload[name]) for name in _ARRAYS},
-                   seed=_seed(payload["seed"]))
 
 
 def _broadcast(arr, dim: int, name: str) -> np.ndarray | None:

@@ -329,8 +329,23 @@ class TestRemainderBounds:
         assert fits["eps_dyn"] < 1e-10
         assert fits["eps_out"] < 1e-10
 
-    def test_scalar_quadratic_recovers_coefficient(self):
-        # f(x) = 0.5 x + 0.1 x^2 has a Taylor remainder of exactly 0.1 dx^2.
+    def test_noise_free_linear_run_from_its_truth_returns_zero(self):
+        # Its errors are rounding (about 1e-15), and the fit divided
+        # rounding-level remainders by squared errors near 1e-30: eps_dyn
+        # read 1.4e14.
+        bench = get_benchmark("linear-4state", coupling_scale=0.0)
+        traj = simulate(bench.model, bench.x0, 20, noise_for(bench.model, 0.0, seed=0))
+        design = dataclasses.replace(bench.design, x0_guess=bench.x0)
+        fits = remainder_bounds(bench.model, run_dkf(bench.model, design, traj))
+        assert [fits[key] for key in ("eps_dyn", "eps_dyn_residual", "eps_out",
+                                      "eps_out_residual")] == [0.0] * 4
+        assert 0.0 < fits["error_range_dyn"][1] < 1e-20
+        assert 0.0 < fits["error_range_out"][1] < 1e-20
+
+    @staticmethod
+    def _scalar_quadratic(guess: float):
+        """A scalar model, f(x) = 0.5 x + 0.1 x^2 (a Taylor remainder of
+        exactly 0.1 dx^2) and h(x) = x, and a design from ``guess``."""
         part = make_partition([1], [1])
 
         def f(x, nbrs):
@@ -343,9 +358,12 @@ class TestRemainderBounds:
             jac_f=lambda x, nbrs: {0: np.array([[0.5 + 0.2 * x[0]]])},
             jac_h=lambda x: np.array([[1.0]]),
         )
-        model = aggregate_nonlinear([sub], part)
         design = EstimatorDesign(Q=(np.array([[1.0]]),), R=np.array([[1.0]]),
-                                 P0=(np.array([[1.0]]),), x0_guess=np.array([0.5]))
+                                 P0=(np.array([[1.0]]),), x0_guess=np.array([guess]))
+        return aggregate_nonlinear([sub], part), design
+
+    def test_scalar_quadratic_recovers_coefficient(self):
+        model, design = self._scalar_quadratic(0.5)
         spec = NoiseSpec(w_std=np.array([0.5]), v_std=np.array([0.5]), seed=2,
                          w_bound=np.array([2.0]), v_bound=np.array([2.0]))
         traj = simulate(model, np.array([0.0]), 200, spec)
@@ -353,6 +371,18 @@ class TestRemainderBounds:
         fits = remainder_bounds(model, rec)
         assert fits["eps_dyn"] == pytest.approx(0.1, rel=1e-6)
         assert fits["eps_out"] < 1e-12
+
+    def test_noise_free_nonlinear_run_from_its_truth_returns_zero(self):
+        # Every error is exactly 0, so the fit has no squared error to divide by.
+        model, design = self._scalar_quadratic(0.3)
+        spec = NoiseSpec(w_std=np.array([0.0]), v_std=np.array([0.0]), seed=2)
+        traj = simulate(model, np.array([0.3]), 20, spec)
+        rec = run_dekf(model, design, traj)
+        assert not np.any(rec.xs - rec.xhat_post) and not np.any(rec.xs - rec.xhat_pred)
+        fits = remainder_bounds(model, rec)
+        assert fits == {"eps_dyn": 0.0, "eps_dyn_residual": 0.0, "eps_out": 0.0,
+                        "eps_out_residual": 0.0, "error_range_dyn": (0.0, 0.0),
+                        "error_range_out": (0.0, 0.0)}
 
     def test_reactor_estimates_finite(self, reactor_run):
         bench, traj, rec = reactor_run

@@ -126,14 +126,56 @@ def test_monte_carlo_csvs_read_back_exactly(tmp_path):
                             "max": result.hi[k]})
 
 
-def test_trajectory_csv_reads_back_exactly(tmp_path, reactor_bench):
-    traj = simulate(reactor_bench.model, reactor_bench.x0, 8, reactor_bench.noise(seed=4))
-    rows = _read(traj.to_csv(tmp_path / "traj.csv"))
-    assert len(rows) == 9
-    for k, row in enumerate(rows):
-        expected = {f"x_{j + 1}": v for j, v in enumerate(traj.xs[k])}
-        expected.update({f"y_{j + 1}": v for j, v in enumerate(traj.ys[k])})
-        _assert_exact(row, expected)
+class TestMonitorsOnLoad:
+    """A record file's ``monitors`` hold what the monitor exports read: the
+    flags and series one entry per instant, ``bounds`` and ``alpha``."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        config = ExperimentConfig(model={"name": "linear-4state"}, steps=5, seed=1)
+        return json.loads(json.dumps(run_experiment(config, write_outputs=False).to_json()))
+
+    def _with(self, payload, key, value):
+        """``payload`` with ``monitors[key]`` set to ``value``, or deleted for ``None``."""
+        out = json.loads(json.dumps(payload))
+        if value is None:
+            del out["monitors"][key]
+        else:
+            out["monitors"][key] = value
+        return out
+
+    def test_lyapunov_three_entries_short_rejected_by_name(self, payload):
+        # Accepted, the file loaded and write_monitor_csv raised a bare
+        # IndexError at instant 3.
+        bad = self._with(payload, "lyapunov", payload["monitors"]["lyapunov"][:3])
+        with pytest.raises(ValueError, match=re.escape(
+                "record monitors lyapunov must list one number per instant (6)")):
+            RunRecord.from_json(bad)
+
+    def test_missing_coupling_margin_rejected_by_name(self, payload):
+        # Accepted, the file loaded and write_monitor_csv raised a bare KeyError.
+        with pytest.raises(ValueError, match="missing the key 'coupling_margin'"):
+            RunRecord.from_json(self._with(payload, "coupling_margin", None))
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key in ("coupling_ok", "coupling_checkable", "contraction_ok")
+          for value in ("x", [0.5] * 6, [1] * 5, None)),
+        *((key, value) for key in ("coupling_margin", "contraction_margin", "lyapunov")
+          for value in ("x", [[0.5]] * 6, ["1"] * 6, [0.0] * 5, None)),
+        ("bounds", [1.0]), ("bounds", None), ("alpha", "x"), ("alpha", [0.1]), ("alpha", None),
+    ], ids=repr)
+    def test_every_read_field_checked_by_name(self, payload, key, value):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            RunRecord.from_json(self._with(payload, key, value))
+
+    def test_nan_series_and_boolean_flags_load_and_export(self, payload, tmp_path):
+        edited = self._with(payload, "lyapunov", [math.nan] * 6)
+        edited["monitors"]["coupling_ok"] = [True] * 6
+        record = RunRecord.from_json(edited)
+        rows = _read(write_monitor_csv(record, tmp_path / "monitors.csv"))
+        assert [row["lyapunov"] for row in rows] == ["nan"] * 6
+        assert json.loads(write_summary_json(record, tmp_path / "s.json").read_text())[
+            "coupling_all_hold"] is True
 
 
 class TestFromJson:

@@ -45,8 +45,8 @@ def numpy_streams(seed, n):
     """The generators of the splitting rule, made by NumPy itself:
     ``default_rng`` of the children of ``SeedSequence(seed).spawn(2 n)``,
     (process list, measurement list).  The references below draw from
-    these, not from ``NoiseSpec.streams``, so that they stay independent of
-    the pass that the module computes the streams by."""
+    these, so that they stay independent of the pass that the module
+    computes the streams by (``_stream_words``)."""
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2 * n)]
     return gens[:n], gens[n:]
 
@@ -254,19 +254,6 @@ class TestSimulate:
         assert np.array_equal(t_loose.vs[:, 1], t_tight.vs[:, 1])
         assert not np.array_equal(t_loose.ws[:, :2], t_tight.ws[:, :2])
 
-    def test_csv_and_json_roundtrip(self, tmp_path):
-        model = _model()
-        traj = simulate(model, LINEAR_X0, 5, noise_for(model, 0.2, seed=3))
-        csv_path = traj.to_csv(tmp_path / "traj.csv")
-        header = csv_path.read_text().splitlines()[0].split(",")
-        assert header == ["k", "x_1", "x_2", "x_3", "x_4", "y_1", "y_2"]
-        traj.to_json(tmp_path / "traj.json")
-        back = Trajectory.from_json(tmp_path / "traj.json")
-        assert back.seed == traj.seed
-        assert np.array_equal(back.xs, traj.xs)
-        assert np.array_equal(back.ws, traj.ws)
-        assert np.array_equal(back.vs, traj.vs)
-
 
 class TestReferenceSimulator:
     """:func:`simulate` draws each generator's noise as one block and
@@ -439,13 +426,6 @@ class TestStreamStates:
         assert pass_matches_numpy(EDGE_SEEDS, 3)
         monkeypatch.setattr(SIM, name, getattr(SIM, name) ^ 1 << bit)
         assert not pass_matches_numpy(EDGE_SEEDS, 3)
-
-    def test_noise_spec_streams_are_numpys(self):
-        noise = NoiseSpec(w_std=np.ones(3), v_std=np.ones(2), seed=2 ** 63)
-        for got, want in zip(noise.streams(3), numpy_streams(2 ** 63, 3)):
-            assert len(got) == len(want) == 3
-            for g, w in zip(got, want):
-                assert np.array_equal(g.normal(size=(4, 2)), w.normal(size=(4, 2)))
 
 
 class TestSimulateRuns:
