@@ -12,9 +12,10 @@ per-subsystem covariance contraction with its rate, and the Lyapunov value of
 the stacked error.
 
 One private kernel, ``_Loop``, is the one place that forms ``F_k`` and the
-one place that inverts posterior covariances (one batched inverse per
-subsystem).  It keeps what is block diagonal whole, stacked over instants:
-the covariances, their inverses and the diagonal blocks ``F_ii``.  It forms
+one place that inverts posterior covariances (one batched inverse per group
+of equally sized subsystems).  It keeps what is block diagonal whole,
+stacked over instants: the covariances, their inverses and the diagonal
+blocks ``F_ii``.  It forms
 the ``nx x nx`` closed loop, and stacks the record entries it is built from,
 a bounded chunk of transitions at a time, keeping none of them, so a
 report's memory does not grow with the horizon times ``nx^2``.  One pass
@@ -195,7 +196,7 @@ class _Loop:
     @cached_property
     def cov(self) -> _Covariances:
         """One Cholesky factorization per group, which is also the
-        positive-definiteness check, and one batched inverse per subsystem."""
+        positive-definiteness check, and one batched inverse per group."""
         stage = _Covariances([], [], [])
         for members, _ in self.groups:
             P = _sym(self._read("covs", self.instants, None, members))
@@ -207,7 +208,7 @@ class _Loop:
                                  "is not positive definite")
             stage.P.append(P)
             stage.chol.append(chol)
-            stage.info.append(np.array([np.linalg.inv(P_i) for P_i in P]))
+            stage.info.append(np.linalg.inv(P))
         return stage
 
     @cached_property
@@ -278,25 +279,19 @@ class _Loop:
             condition = np.where(checkable, cond.max(axis=0),
                                  cond[np.argmin(fine, axis=0), np.arange(cond.shape[1])])
             # Batched solves raise for the whole stack on one singular block,
-            # so only the checkable transitions go on.
+            # so only the checkable transitions go on; the others' margin is NaN.
             c = np.flatnonzero(checkable)
-            margins, cross, T = self._inequality(j.start + c, F[c], L[c])
-            verdicts = iter(range(len(c)))
-            for pos, k in enumerate(self.transitions[j]):
-                if not checkable[pos]:
-                    stage.coupling.append({"k": k, "checkable": False, "satisfied": False,
-                                           "margin": float("nan"),
-                                           "condition": float(condition[pos])})
-                    continue
-                v = next(verdicts)
-                res = {"k": k, "checkable": True, "satisfied": bool(margins[v] > -INEQ_TOL),
-                       "margin": float(margins[v]), "condition": float(condition[pos])}
-                if count == 1:
-                    threshold = np.zeros((self.nx, self.nx))
-                    for (_, idx), T_g in zip(self.groups, T):
-                        threshold[_diag(idx)] = T_g[v]
-                    res.update(cross=cross[v], threshold=threshold)
-                stage.coupling.append(res)
+            margin = np.full(len(F), np.nan)
+            margin[c], cross, T = self._inequality(j.start + c, F[c], L[c])
+            stage.coupling.extend(
+                {"k": k, "checkable": bool(ok), "satisfied": bool(m > -INEQ_TOL),
+                 "margin": float(m), "condition": float(cond_k)}
+                for k, ok, m, cond_k in zip(self.transitions[j], checkable, margin, condition))
+            if count == 1 and checkable[0]:
+                threshold = np.zeros((self.nx, self.nx))
+                for (_, idx), T_g in zip(self.groups, T):
+                    threshold[_diag(idx)] = T_g[0]
+                stage.coupling[0].update(cross=cross[0], threshold=threshold)
         return stage
 
     @cached_property

@@ -27,20 +27,39 @@ column block ``A_col = A[:, i-block]`` and own diagonal block ``A_ii``:
 Instant 0 is the same kernel with ``U = C_col``, ``W = P0`` and ``V = I``.
 
 The same loop runs the linear filter (:func:`run_dkf`) and the extended
-filter (:func:`partkf.dekf.run_dekf`).  It is given a linearization source
-that supplies, per instant, the dynamics blocks at the posteriors with the
-predictions, the output blocks at the predictions with the outputs, and the
-blocks of the gain.  A source factors ``R`` and stacks ``Q`` once.  Per group
-of equally sized subsystems it forms, from the stacks of the members' blocks,
-``U``, ``R^-1 U`` (one triangular solve pair over every member's columns)
-and ``U' R^-1 U``: the linear source once, from the model's constant blocks,
-the nonlinear source of :mod:`partkf.dekf` at every instant from the
-Jacobian stacks it writes.
+filter (:func:`partkf.dekf.run_dekf`), the linear filter run on successive
+linearizations.  It is given a linearization source that supplies, per
+instant, the dynamics blocks at the posteriors with the predictions, the
+output blocks at the predictions with the outputs, and the blocks of the
+gain.  Both sources live here, on one base (:class:`_Source`) that
+validates the design once, keeping the group stacks of ``Q`` and ``P0``
+that the check made, and factors ``R`` once.  Per group of equally sized
+subsystems a source forms, from the stacks of the members' blocks, ``U``,
+``R^-1 U`` (one triangular solve pair over every member's columns) and
+``U' R^-1 U``: the linear source once, from the model's constant blocks,
+the nonlinear source at every instant from the Jacobian stacks it writes.
 Per instant the loop predicts, forms the innovation once, settles the
 gains and updates, a group per call (:func:`_updated`).  The linear source
 predicts and forms the outputs from the model's group stacks
-(``model._affine``); the nonlinear source walks the subsystems once per
-evaluation point (``model._walk``), the dynamics in agenda order.  Settling
+(``model._affine``).  The nonlinear source's evaluation points are
+deliberately asymmetric; they follow from the record's ``xhat_post`` and
+``xhat_pred`` and are not stored again:
+
+- dynamics blocks are linearized at the posteriors ``xhat_post[k]``
+  (computed at the end of instant ``k``, used by the gain and covariance
+  at ``k+1``);
+- output blocks are linearized at the stacked prediction ``xhat_pred[k]``;
+- the innovation uses the nonlinear output map at the stacked prediction,
+  not its linearization.
+
+Per instant it walks the subsystems once per evaluation point
+(``model._walk``): ``jac_f`` and ``f`` at the posteriors, ``f`` in agenda
+order, then ``jac_h`` and ``h`` at the prediction.  Each walk runs the plan
+that the model compiled for it once (``GlobalModel._plan``) and writes the
+Jacobian blocks (analytic providers, central differences for a subsystem
+without them) straight into the group stacks that the gain kernel reads,
+whose rows are the recorded column blocks.  A failing map raises
+``LinearizationError`` naming the subsystem, the map and the instant.  Settling
 is one step, the same at instant 0 and at instant ``k``: for each group one
 batched call of the kernel (``2 d_i``-sized solves), one batched eigenvalue
 floor and one batched positive-definiteness check.  Only when a group's
@@ -67,9 +86,11 @@ Monte Carlo ensemble of either model kind in one pass
 (:func:`_posterior_stack`), each run bit for bit its own run: the linear
 source does one matrix-vector product per run and subsystem and settles its
 schedule through the same :func:`_settled`; the nonlinear source's walks
-write run-stacked group stacks, and :func:`_settled` runs the kernel, the
-floor and the check once per group and instant over every run and member,
-each matrix the bits of its own call.  There is no second gain path.
+call a stacked subsystem's maps (``NonlinearSubsystem.stacked``) once per
+instant for every run, any other map once per run, and write run-stacked
+group stacks, and :func:`_settled` runs the kernel, the floor and the check
+once per group and instant over every run and member, each matrix the bits
+of its own call.  There is no second gain path.
 
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
@@ -82,6 +103,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,11 +182,12 @@ class EstimatorDesign:
     :meth:`validate` checks them against a model: shapes, finite entries,
     symmetric weights and every ``Q[i]`` positive semidefinite, its smallest
     eigenvalue at least ``-1e-12`` times its largest eigenvalue magnitude
-    (``model.SEMIDEF_RTOL``).  A semidefinite ``Q[i]`` such as ``diag(1,
-    0)`` is valid, as the information form of the gain allows it.  The
-    filters check the rest of definiteness where they factor: ``R`` before
-    any instant, and every ``P0[i]`` at instant 0, a :class:`FilterError`
-    naming the subsystem.
+    (``model.SEMIDEF_RTOL``), and returns the group stacks of ``Q`` and
+    ``P0`` that it checked (``StatePartition.stacked``), which the filters
+    read.  A semidefinite ``Q[i]`` such as ``diag(1, 0)`` is valid, as the
+    information form of the gain allows it.  The filters check the rest of
+    definiteness where they factor: ``R`` before any instant, and every
+    ``P0[i]`` at instant 0, a :class:`FilterError` naming the subsystem.
     """
 
     Q: tuple[np.ndarray, ...]
@@ -184,9 +207,9 @@ class EstimatorDesign:
         return cls(Q=tuple(s.Q for s in model.subsystems), R=model.R, P0=P0,
                    x0_guess=x0_guess)
 
-    def validate(self, model: GlobalModel) -> None:
+    def validate(self, model: GlobalModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
         p = model.partition
-        _check_design("design", vars(self), p.dims, p.out_dims)
+        _check_design("design", vars(self), p)
         Q, P0 = p.stacked(self.Q), p.stacked(self.P0)
         # One test per group stack; the failing member is looked for only
         # when one fails.
@@ -208,6 +231,7 @@ class EstimatorDesign:
             j = _not_semidefinite(q)
             if j is not None:
                 raise ValueError(f"Q[{members[j]}] is not positive semidefinite")
+        return Q, P0
 
     def serializable(self) -> dict:
         return {
@@ -453,26 +477,42 @@ def _fuse_prior(source, y0: np.ndarray, out: np.ndarray) -> tuple:
     schedule entry (gains, covariances, floor events) of fusing the guess
     with ``y_0``; writes the posteriors ``guess + L (y_0 - h(guess))`` into
     ``out``, each as :func:`init_update` forms it."""
-    design = source.design
-    p = source.model.partition
-    _, c_stacks, y_hat = source.output(design.x0_guess)
+    guess = source.design.x0_guess
+    _, c_stacks, y_hat = source.output(guess)
     innovation = y0 - y_hat
-    P0 = p.stacked(design.P0)
 
     def gain(j, rows):
-        return _prior_gain(P0[j][rows], _information(_tr(c_stacks[j][rows]), source.R_factor))
+        return _prior_gain(source.P0[j][rows],
+                           _information(_tr(c_stacks[j][rows]), source.R_factor))
 
     entry = _settled(source, 0, gain)
-    _updated(p.groups, entry.L, design.x0_guess, innovation, out)
+    _updated(source.model.partition.groups, entry.L, guess, innovation, out)
     return c_stacks, entry
 
 
-class _LinearSource:
-    """Linearization source of a linear model and one design (validated
-    once, here): the model's column blocks as read-only group stacks, the
-    linear prediction and outputs, both from the model's group stacks
-    (``model._affine``), the factor of ``R``, the constant information
-    blocks of the gain, all formed once, and the gain schedule."""
+class _Source:
+    """What both linearization sources hold of a model and one design
+    (validated once, here): the factor of ``R`` and the group stacks of
+    ``Q`` and ``P0``.  Unless a source keeps a gain schedule, its schedule
+    stays empty and ``keep`` hands each settled entry back."""
+
+    schedule = MappingProxyType({})
+
+    def __init__(self, model: GlobalModel, design: EstimatorDesign):
+        self.Q, self.P0 = design.validate(model)
+        self.model = model
+        self.design = design
+        self.R_factor = _r_factor(design.R)
+
+    def keep(self, k: int, entry: _Settled) -> _Settled:
+        return entry
+
+
+class _LinearSource(_Source):
+    """Linearization source of a linear model: the model's column blocks as
+    read-only group stacks, the linear prediction and outputs, both from the
+    model's group stacks (``model._affine``), the constant information
+    blocks of the gain, formed once, and the gain schedule."""
 
     kind = "dkf"
     #: The runs of a pass share its blocks and gains: an array of one
@@ -480,13 +520,8 @@ class _LinearSource:
     instant_floats = 0
 
     def __init__(self, model: GlobalModel, design: EstimatorDesign):
-        design.validate(model)
-        self.model = model
-        self.design = design
-        p = model.partition
-        self.R_factor = _r_factor(design.R)
-        self.Q = p.stacked(design.Q)
-        self.a_stacks, self.c_stacks = ([_frozen(s) for s in p.stacked(cols)]
+        super().__init__(model, design)
+        self.a_stacks, self.c_stacks = ([_frozen(s) for s in model.partition.stacked(cols)]
                                         for cols in model._col_blocks)
         self._blocks = _group_blocks(self, self.a_stacks, model.C, self.c_stacks)
         #: The gain schedule: instant ``k`` -> its :class:`_Settled`.
@@ -511,6 +546,38 @@ class _LinearSource:
             m.setflags(write=False)
         self.schedule[k] = entry
         return entry
+
+
+class _NonlinearSource(_Source):
+    """Linearization source of a nonlinear model: Jacobian group stacks at
+    the given points (rows: the column blocks), their information blocks,
+    the nonlinear prediction and outputs, of one run or of a stack of runs.
+    Its gains depend on the estimates, so its schedule stays empty."""
+
+    kind = "dekf"
+
+    def __init__(self, model: GlobalModel, design: EstimatorDesign):
+        super().__init__(model, design)
+        p = model.partition
+        #: Per run, the most numbers an array of one instant holds: a
+        #: group's Jacobian stack (``nx`` per state), its ``U'`` (``2 ny``)
+        #: or its kernel matrices (``4 d``).
+        self.instant_floats = p.nx * max(p.nx, 2 * p.ny, 4 * max(p.dims))
+
+    def dynamics(self, x: np.ndarray, agenda: Sequence[int]) -> list:
+        """At the posteriors ``x``, in one walk: the dynamics Jacobian's group
+        stacks and the prediction (``f``, called in ``agenda`` order)."""
+        return _walk(self.model, x, ("jac_f", "f"), agenda)
+
+    def output(self, x: np.ndarray) -> tuple:
+        """At the prediction ``x``, in one walk: the output Jacobian's matrix
+        and group stacks, and the outputs."""
+        stacks, values = _walk(self.model, x, ("jac_h", "h"))
+        return self.model.partition.assembled(stacks), stacks, values
+
+    def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
+        """The :func:`_group_blocks` of this instant's stacks."""
+        return _group_blocks(self, a_stacks, C, c_stacks)
 
 
 def _check_trajectory(model: GlobalModel, traj: Trajectory) -> np.ndarray:

@@ -31,7 +31,8 @@ Experiments are described by a JSON document (all keys optional unless noted):
 
 A coupling key is a neighbor index written in decimal digits (``"1"``,
 ``"01"``); any other key (``"1.7"``, ``"1_0"``, ``"x"``) is an error naming
-the subsystem and the key.
+the subsystem and the key.  An inline subsystem whose ``out_dims`` entry is
+0 gives ``"C": []`` and ``"R": []``.
 Scalars for ``noise``/``estimator`` entries broadcast over coordinates
 (diagonal matrices for weights).  A key that is not listed here, in the
 config, ``noise`` or ``estimator``, is an error.  Registered model names come
@@ -65,9 +66,9 @@ import numpy as np
 
 from . import analysis
 from .benchmarks import _REGISTRY, Benchmark, get_benchmark
-from .dkf import (EstimatorDesign, FilterError, _LinearSource, _one_block,
+from .dkf import (EstimatorDesign, FilterError, _LinearSource, _NonlinearSource, _one_block,
                   _posterior_stack, _run_filter, run_dkf)
-from .dekf import _NonlinearSource, run_dekf
+from .dekf import run_dekf
 from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_dfie
 from .model import (
     GlobalModel,
@@ -168,12 +169,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _inline_model(spec: dict) -> GlobalModel:
     """The linear model of an inline spec whose keys
-    :class:`ExperimentConfig` checked."""
+    :class:`ExperimentConfig` checked.  JSON cannot write a matrix of no
+    rows, so for a subsystem whose ``out_dims`` entry is 0 an empty ``C``
+    and ``R`` stand for its ``0 x d_i`` and ``0 x 0`` matrices."""
     part = make_partition(spec["dims"], spec["out_dims"])
     subs = []
     for j, raw in enumerate(spec["subsystems"]):
         name = f"model.inline subsystem {j}"
         A, C, Q, R = (_numbers(f"{name} {key}", raw[key]) for key in "ACQR")
+        if 0 <= (i := raw["index"]) < part.n and not part.out_dims[i]:
+            C, R = (m.reshape(0, cols) if m.shape == (0,) else m
+                    for m, cols in ((C, part.dims[i]), (R, 0)))
         coupling = {l: _numbers(f"{name} coupling {l}", b)
                     for l, b in raw.get("coupling", {}).items()}
         subs.append(LinearSubsystem(raw["index"], A, coupling, C, Q, R))

@@ -24,16 +24,18 @@ and ``out_dims``; ``index`` lists, in increasing order, the flat row-major
 positions that are nonzero or ``-0.0`` at some instant; ``values`` holds one
 row per instant, the block's entries at those positions.  Every other
 position is ``+0.0`` at every instant, so the blocks load back bit for bit.
-Schema-1 files, in which every block is a nested list, still load.  The
-content digest hashes the canonical schema-1 content whatever the file's
-schema, so a record's digest does not depend on how it was stored.  It
-feeds SHA-256 that text piece by piece, each block field one instant at a
-time (``_canonical_pieces``), and never builds the whole payload or text;
-its hex is that of the whole text.  Its memory is bounded by one instant of
-a block field or by the largest other field: the ``(K + 1)``-row arrays
-(``xs``, ``xhat_post``, ...) and ``monitors`` are encoded whole, so it
-grows with ``K`` times the state size, not with ``K`` times the size of
-an instant's blocks.
+Schema-1 files, in which every block is a nested list, still load.  A
+loaded record's ``dims`` and ``out_dims`` must pass the partition's own
+rule (``model.make_partition``), and every shape of the record is read from
+that partition.  The content digest hashes the canonical schema-1 content
+whatever the file's schema, so a record's digest does not depend on how it
+was stored.  It feeds SHA-256 that text piece by piece, each block field
+one instant at a time (``_canonical_pieces``), and never builds the whole
+payload or text; its hex is that of the whole text.  Its memory is bounded
+by one instant of a block field or by the largest other field: the
+``(K + 1)``-row arrays (``xs``, ``xhat_post``, ...) and ``monitors`` are
+encoded whole, so it grows with ``K`` times the state size, not with ``K``
+times the size of an instant's blocks.
 """
 
 from __future__ import annotations
@@ -111,11 +113,10 @@ _BLOCKS = ("gains", "covs", "a_cols", "c_cols")
 _PACKED = ("gains", "a_cols", "c_cols")
 
 
-def _block_shapes(name: str, dims, out_dims) -> list[tuple[int, int]]:
+def _block_shapes(name: str, p: StatePartition) -> list[tuple[int, int]]:
     """The shape of each subsystem's block of the block field ``name``."""
-    nx, ny = sum(dims), sum(out_dims)
-    return [{"gains": (d, ny), "covs": (d, d), "a_cols": (nx, d), "c_cols": (ny, d)}[name]
-            for d in dims]
+    return [{"gains": (d, p.ny), "covs": (d, d), "a_cols": (p.nx, d), "c_cols": (p.ny, d)}[name]
+            for d in p.dims]
 
 
 def _pack(name: str, per_instant, shapes) -> list[dict]:
@@ -170,26 +171,6 @@ def _unpack(name: str, entries, shapes) -> list[list[np.ndarray]]:
     return [[stack[k] for stack in stacks] for k in range(instants)]
 
 
-def _check_dims(payload: dict) -> None:
-    """``ValueError`` naming the field unless ``dims`` lists integers of at
-    least 1 and ``out_dims`` as many integers of at least 0 (a bool is not
-    an integer).  A missing field is left to the caller's ``KeyError``."""
-    given = {name: payload[name] for name in ("dims", "out_dims") if name in payload}
-    for name, value in given.items():
-        least = 1 if name == "dims" else 0
-        try:
-            ok = isinstance(value, (list, tuple)) and value and min(
-                _integer(name, d) for d in value) >= least
-        except ValueError:
-            ok = False
-        if not ok:
-            raise ValueError(f"record {name} must list integers of at least {least}, "
-                             f"not {value!r}")
-    if len(given) == 2 and len(given["dims"]) != len(given["out_dims"]):
-        raise ValueError(f"record dims and out_dims have lengths {len(payload['dims'])} "
-                         f"and {len(payload['out_dims'])}; they must be equal")
-
-
 def _check_shapes(what: str, arrays, shapes: dict) -> None:
     """``ValueError`` naming ``what`` and the array unless each array
     ``arrays[name]`` has the shape ``shapes[name]``; an empty JSON list fits
@@ -200,23 +181,23 @@ def _check_shapes(what: str, arrays, shapes: dict) -> None:
             raise ValueError(f"{what} {name} has shape {got}, expected {want}")
 
 
-def _check_design(what: str, design: dict, dims, out_dims) -> None:
+def _check_design(what: str, design: dict, p: StatePartition) -> None:
     """``ValueError`` naming ``what`` and the weight unless the estimator
     design ``design`` holds numbers (:func:`~partkf.model._numbers`) of the
-    shapes of the dimensions ``dims`` and ``out_dims``: one ``d x d``
-    matrix per subsystem in ``Q`` and ``P0``, ``R`` of ``ny x ny`` and
-    ``x0_guess`` of ``nx`` entries."""
+    shapes of the partition ``p``: one ``d x d`` matrix per subsystem in
+    ``Q`` and ``P0``, ``R`` of ``ny x ny`` and ``x0_guess`` of ``nx``
+    entries."""
     for key in ("Q", "P0"):
-        if not isinstance(design[key], (list, tuple)) or len(design[key]) != len(dims):
+        if not isinstance(design[key], (list, tuple)) or len(design[key]) != p.n:
             raise ValueError(f"{what} {key} must hold one matrix per subsystem")
         # One test for real arrays of their shapes, as a design holds them.
         if [m.shape if type(m) is np.ndarray and m.dtype.kind in "iuf" else None
-                for m in design[key]] != [(d, d) for d in dims]:
+                for m in design[key]] != [(d, d) for d in p.dims]:
             _check_shapes(f"{what} {key}, subsystem",
                           {i: _numbers(f"{what} {key}", m) for i, m in enumerate(design[key])},
-                          {i: (d, d) for i, d in enumerate(dims)})
+                          {i: (d, d) for i, d in enumerate(p.dims)})
     _check_shapes(what, {key: _numbers(f"{what} {key}", design[key]) for key in ("R", "x0_guess")},
-                  {"R": (sum(out_dims),) * 2, "x0_guess": (sum(dims),)})
+                  {"R": (p.ny, p.ny), "x0_guess": (p.nx,)})
 
 
 def _run_shapes(instants: int, nx: int, ny: int) -> dict:
@@ -226,41 +207,40 @@ def _run_shapes(instants: int, nx: int, ny: int) -> dict:
             "vs": (instants, ny)}
 
 
-def _check_record(values: dict) -> None:
+def _check_record(values: dict, p: StatePartition) -> None:
     """``ValueError`` naming the field, and for a block field the instant and
     the subsystem, unless ``kind`` names a filter, every array field of a
-    loaded record (a given ``wall_clock`` too) has its shape for ``dims``,
-    ``out_dims`` and the ``K + 1`` instants that ``xs`` holds, ``estimator`` is
-    a design of that shape (as ``EstimatorDesign.serializable`` writes it) and
-    ``monitors``, when given, holds what the monitor exports read
-    (:func:`_check_flags`)."""
+    loaded record (a given ``wall_clock`` too) has its shape for the
+    partition ``p`` of its ``dims`` and ``out_dims`` and the ``K + 1``
+    instants that ``xs`` holds, ``estimator`` is a design of that shape (as
+    ``EstimatorDesign.serializable`` writes it) and ``monitors``, when
+    given, holds what the monitor exports read (:func:`_check_flags`)."""
     if values["kind"] not in ("dkf", "dekf"):
         raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
-    dims, out_dims = values["dims"], values["out_dims"]
-    nx, ny = sum(dims), sum(out_dims)
     instants = len(values["xs"]) if np.ndim(values["xs"]) else 0
     if not instants:
         raise ValueError("record xs holds no instant; a run starts at instant 0")
     timed = {} if values.get("wall_clock") is None else {"wall_clock": (instants,)}
-    _check_shapes("record", values, {**_run_shapes(instants, nx, ny), "rmse": (instants,), **timed,
-                                     "xhat_pred": (instants, nx), "xhat_post": (instants, nx)})
+    _check_shapes("record", values, {**_run_shapes(instants, p.nx, p.ny), "rmse": (instants,),
+                                     **timed, "xhat_pred": (instants, p.nx),
+                                     "xhat_post": (instants, p.nx)})
     # ``a_cols`` has no instant K: it is the dynamics Jacobian of the step from k.
     for name, count in (("covs", instants), ("gains", instants), ("a_cols", instants - 1),
                         ("c_cols", instants)):
         if len(values[name]) != count:
             raise ValueError(f"record {name} has {len(values[name])} instants, expected {count}")
-        shapes = _block_shapes(name, dims, out_dims)
+        shapes = _block_shapes(name, p)
         if all([b.shape for b in blocks] == shapes for blocks in values[name]):
             continue
         # Instant by instant, to name the first bad block.
         shapes = dict(enumerate(shapes))
         for k, blocks in enumerate(values[name]):
-            if len(blocks) != len(dims):
+            if len(blocks) != p.n:
                 raise ValueError(f"record {name} at instant {k} has {len(blocks)} blocks, "
-                                 f"expected one per subsystem ({len(dims)})")
+                                 f"expected one per subsystem ({p.n})")
             _check_shapes(f"record {name} at instant {k}, subsystem", blocks, shapes)
     _require("record estimator", values["estimator"], ("Q", "R", "P0", "x0_guess"))
-    _check_design("record estimator", values["estimator"], dims, out_dims)
+    _check_design("record estimator", values["estimator"], p)
     if values.get("monitors") is not None:
         _check_flags(values["monitors"], instants)
 
@@ -297,7 +277,7 @@ def _check_flags(monitors: dict, instants: int) -> None:
 #: value raises ``ValueError`` naming it); ``kind`` loads as it is and the
 #: block fields by their shapes (:func:`_blocks`, :func:`_unpack`).
 _DECODERS = {
-    "seed": _seed, "dims": tuple, "out_dims": tuple,
+    "seed": _seed,
     "floor_events": partial(_integer, "record floor_events"),
     **{name: partial(_object, f"record {name}") for name in ("estimator", "monitors", "config")},
     **{name: partial(_numbers, f"record {name}") for name in (
@@ -399,12 +379,13 @@ class RunRecord:
         block fields that schema 2 packs (see the module docstring): the one
         owner of each schema's field set."""
         yield "schema", schema
+        p = self.partition
         for f in fields(self):
             if f.name == "wall_clock":
                 continue
             value = getattr(self, f.name)
             if schema == 2 and f.name in _PACKED:
-                value = _pack(f.name, value, _block_shapes(f.name, self.dims, self.out_dims))
+                value = _pack(f.name, value, _block_shapes(f.name, p))
             yield f.name, value
         if schema == 2:
             yield "wall_clock", self.wall_clock
@@ -436,9 +417,9 @@ class RunRecord:
         """Restore a record of schema 2 or 1.  Another schema, or one that is
         not an integer, raises ``ValueError``, as does a field of the wrong
         kind (:data:`_DECODERS`: the model's value rules), ``dims`` and
-        ``out_dims`` that are not lists of valid dimensions of one length,
-        arrays or estimator weights of other shapes and ``monitors``
-        without the flags and series the exports read (see
+        ``out_dims`` that ``make_partition`` refuses (its message prefixed
+        with ``record``), arrays or estimator weights of other shapes and
+        ``monitors`` without the flags and series the exports read (see
         :func:`_check_record`); each names the field.  A missing required
         field raises ``KeyError``, a missing optional one keeps its default
         and a key that is not a field (``a_points``/``c_points`` of older
@@ -450,20 +431,23 @@ class RunRecord:
         if schema not in (1, 2):
             raise ValueError(f"record schema {schema!r} is not supported; "
                              "this version reads schemas 1 and 2")
-        _check_dims(payload)
-        values = {}
+        try:
+            p = make_partition(payload["dims"], payload["out_dims"])
+        except ValueError as exc:
+            raise ValueError(f"record {exc}") from None
+        values = {"dims": p.dims, "out_dims": p.out_dims}
         for f in fields(cls):
+            if f.name in values:
+                continue
             if f.name in payload:
                 value = payload[f.name]
                 if f.name in _BLOCKS:
-                    # ``dims`` and ``out_dims`` precede the block fields.
                     decode = _unpack if schema == 2 and f.name in _PACKED else _blocks
-                    values[f.name] = decode(f.name, value, _block_shapes(
-                        f.name, values["dims"], values["out_dims"]))
+                    values[f.name] = decode(f.name, value, _block_shapes(f.name, p))
                     continue
                 keep = f.name == "kind" or (value is None and f.default is None)
                 values[f.name] = value if keep else _DECODERS[f.name](value)
             elif f.default is MISSING:
                 raise KeyError(f.name)
-        _check_record(values)
+        _check_record(values, p)
         return cls(**values)

@@ -132,6 +132,21 @@ class TestWeakCoupling:
         assert not res["checkable"]
         assert not res["satisfied"]
 
+    @pytest.mark.parametrize("cond, checkable", [(0.5e12, True), (1.5e12, False)])
+    def test_a_block_past_the_condition_limit_is_not_checkable(self, cond, checkable):
+        # C = 0 gives zero gains, so F = A: a condition number on either side
+        # of COND_LIMIT (1e12).
+        part = make_partition([2], [1])
+        sub = LinearSubsystem(0, np.diag([0.5, 0.5 / cond]), {}, np.zeros((1, 2)),
+                              np.eye(2), np.eye(1))
+        model = assemble_global([sub], part)
+        design = EstimatorDesign.from_model(model, P0=[np.eye(2)], x0_guess=np.zeros(2))
+        traj = simulate(model, np.zeros(2), 3, noise_for(model, 1.0, seed=1))
+        rec = run_dkf(model, design, traj)
+        res = check_weak_coupling(rec, 2)
+        assert res["checkable"] is checkable
+        assert res["condition"] == pytest.approx(cond, rel=1e-9)
+
     def test_decoupled_off_diagonal_transition_is_zero(self):
         # All coupling blocks zero and block-diagonal output matrix: the
         # closed-loop transition has exactly zero cross blocks.
@@ -158,6 +173,10 @@ class TestContraction:
                                             x0_guess=np.array([0.0]))
         traj = simulate(model, np.array([1.0]), 50, noise_for(model, 1.0, seed=5))
         return model, design, run_dkf(model, design, traj)
+
+    @pytest.mark.parametrize("alpha, vacuous", [(0.0, True), (0.5, False), (1.0, True)])
+    def test_a_rate_outside_zero_one_is_vacuous(self, alpha, vacuous):
+        assert check_contraction(self._scalar_run()[2], alpha)["vacuous"] is vacuous
 
     def test_scalar_system_rate_matches_hand_arithmetic(self):
         model, design, rec = self._scalar_run()
@@ -294,6 +313,15 @@ class TestBounds:
         assert bounds.a_hi == pytest.approx(max(a11, a22, a12, a21), rel=1e-12)
         assert bounds.c_lo == pytest.approx(1.0, rel=1e-12)
         assert bounds.bounded
+
+    def test_a_semidefinite_process_weight_is_not_bounded(self, linear_run):
+        # The gain bounds need every weight's smallest eigenvalue above zero,
+        # and a design may hold a semidefinite Q.
+        rec = linear_run[2]
+        Q = [[[1.0, 0.0], [0.0, 0.0]]] * 2
+        bounds = check_bounds(dataclasses.replace(rec, estimator={**rec.estimator, "Q": Q}))
+        assert bounds.q_lo == 0.0
+        assert not bounds.bounded
 
     def test_reactor_weights_pin_q_range(self, reactor_run):
         _, _, rec = reactor_run

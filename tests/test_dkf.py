@@ -287,6 +287,14 @@ class TestDkfStep:
         traj = simulate(_monolithic(model), LINEAR_X0, 30, noise_for(model, 1.0, seed=6))
         assert _n1_vs_centralized(model, unit_weight_design, traj) <= 1e-10
 
+    @pytest.mark.parametrize("order", [[0, 0], [1], [0, 1, 2], [1, 2]])
+    def test_order_that_is_not_a_permutation_rejected(self, linear_bench, order):
+        # Without the check the linear filter ran: its source ignores the
+        # agenda (a survivor of tools/mutants.py).
+        traj = simulate(linear_bench.model, LINEAR_X0, 3, linear_bench.noise(seed=1))
+        with pytest.raises(ValueError, match="^order must be a permutation of the subsystems$"):
+            run_dkf(linear_bench.model, linear_bench.design, traj, order=order)
+
     def test_update_order_is_irrelevant_bitwise(self, linear_bench, unit_weight_design):
         model = linear_bench.model
         design = unit_weight_design

@@ -20,7 +20,7 @@ from partkf.benchmarks import (
     get_benchmark,
     register_benchmark,
 )
-from partkf.dkf import EstimatorDesign, _one_block
+from partkf.dkf import EstimatorDesign, _one_block, run_dkf
 from partkf.harness import (
     ExperimentConfig,
     _resolve,
@@ -32,6 +32,7 @@ from partkf.harness import (
 )
 from partkf.model import LinearSubsystem, assemble_global, make_partition
 from partkf.records import RunRecord, _canonical, _write_csv
+from partkf.simulate import NoiseSpec, simulate
 
 BASE = ExperimentConfig(model={"name": "linear-4state"}, steps=50, seed=1,
                         monitors=True)
@@ -273,6 +274,30 @@ class TestRunExperiment:
         rec = run_experiment(config, write_outputs=False)
         assert rec.kind == "dkf"
         assert rec.steps == 20
+
+    def test_inline_subsystem_without_outputs_is_the_direct_api_run(self):
+        # JSON writes no 0-row matrix, so "C": [] and "R": [] stand for the
+        # 0 x 1 and 0 x 0 ones.  Accepted, they loaded as shape (0,) and the
+        # config failed: "C must have as many columns as A has rows".
+        inline = _inline_pair()
+        inline["out_dims"] = [1, 0]
+        inline["subsystems"][1].update(C=[], R=[])
+        config = ExperimentConfig(
+            model={"inline": inline}, steps=20, seed=2, x0=[1.0, -1.0],
+            noise={"w_std": 0.1, "v_std": 0.1},
+            estimator={"Q": 0.01, "R": 0.01, "P0": 1.0, "x0_guess": [0.0, 0.0]})
+        rec = run_experiment(config, write_outputs=False)
+        subs = [LinearSubsystem(i, [[0.9]], {1 - i: [[0.05]]}, np.ones((1 - i, 1)), [[0.01]],
+                                0.01 * np.eye(1 - i)) for i in (0, 1)]
+        model = assemble_global(subs, make_partition([1, 1], [1, 0]))
+        design = EstimatorDesign(Q=(0.01 * np.eye(1),) * 2, R=0.01 * np.eye(1),
+                                 P0=(np.eye(1),) * 2, x0_guess=np.zeros(2))
+        direct = run_dkf(model, design, simulate(model, np.array([1.0, -1.0]), 20,
+                                                 NoiseSpec(w_std=0.1, v_std=0.1, seed=2)))
+        direct.config = config.as_dict()
+        analysis.attach_monitors(direct)
+        assert rec.c_cols[0][1].shape == (1, 1) and rec.gains[0][1].shape == (1, 1)
+        assert rec.content_digest() == direct.content_digest()
 
     def test_inline_coupling_key_given_twice_rejected(self):
         # "1" and "01" both name subsystem 1; accepted, A[0, 1] read 0.2.

@@ -402,6 +402,8 @@ class TestRandomPlants:
 
 class TestCallCounts:
     def test_report_inverts_once_per_subsystem(self, monkeypatch):
+        # Each subsystem's covariances are inverted in one batched call, that
+        # of its group of equally sized subsystems.
         rec = run_experiment(ExperimentConfig(model={"name": "reactor-chain"}, steps=50,
                                               seed=1, monitors=False),
                              write_outputs=False)
@@ -414,7 +416,16 @@ class TestCallCounts:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         stability_report(rec)
-        assert len(calls) == rec.partition.n
+        assert len(calls) == len(rec.partition.groups)
+
+    def test_batched_inverses_are_the_per_member_inverses(self):
+        # dims (3, 1, 1, 3): two groups of two.  One call per group runs the
+        # LAPACK routine of one call per member on each matrix.
+        rec = _random_run(8)
+        assert [len(members) for members, _ in rec.partition.groups] == [2, 2]
+        cov = analysis._Loop(rec).cov
+        for P, info in zip(cov.P, cov.info):
+            assert info.tobytes() == np.array([np.linalg.inv(P_i) for P_i in P]).tobytes()
 
     def test_weak_coupling_pass_is_batched_over_subsystems(self, monkeypatch):
         # One transition per chunk, so both chains run the pass in five chunks.

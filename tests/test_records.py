@@ -75,6 +75,13 @@ def test_export_csv_reads_back_exactly(tmp_path, monitored, monitors):
         _assert_exact(row, expected)
 
 
+def test_monitor_csv_of_a_record_without_monitors_rejected(tmp_path, monitored):
+    record = dataclasses.replace(monitored, monitors=None)
+    with pytest.raises(ValueError, match="^record has no monitor data; run attach_monitors"):
+        write_monitor_csv(record, tmp_path / "monitors.csv")
+    assert not (tmp_path / "monitors.csv").exists()
+
+
 def test_monitor_csv_reads_back_exactly(tmp_path, monitored):
     m = monitored.monitors
     rows = _read(write_monitor_csv(monitored, tmp_path / "monitors.csv"))
@@ -465,16 +472,17 @@ class TestSchema1File:
 
     @pytest.mark.parametrize("schema", [1, 2])
     @pytest.mark.parametrize("field, value, message", [
-        ("dims", ["2", 2, 2, 2], "^record dims must list integers of at least 1"),
-        ("dims", [True, 2, 2, 2], "^record dims must list integers of at least 1"),
-        ("dims", [2.0, 2, 2, 2], "^record dims must list integers of at least 1"),
-        ("dims", [0, 2, 2, 2], "^record dims must list integers of at least 1"),
-        ("dims", [], "^record dims must list integers of at least 1"),
-        ("out_dims", [2, "2", 2, 2], "^record out_dims must list integers of at least 0"),
-        ("out_dims", [2, False, 2, 2], "^record out_dims must list integers of at least 0"),
-        ("out_dims", [2, -1, 2, 2], "^record out_dims must list integers of at least 0"),
-        ("out_dims", [2, 2, 2], "^record dims and out_dims have lengths 4 and 3; "),
-        ("dims", [2, 2, 2, 2, 2], "^record dims and out_dims have lengths 5 and 4; "),
+        ("dims", ["2", 2, 2, 2], r"^record dims\[0\] must be an integer, not '2'$"),
+        ("dims", [True, 2, 2, 2], r"^record dims\[0\] must be an integer, not True$"),
+        ("dims", [2.0, 2, 2, 2], r"^record dims\[0\] must be an integer, not 2.0$"),
+        ("dims", [0, 2, 2, 2], r"^record dims must be positive, not \(0, 2, 2, 2\)$"),
+        ("dims", [], "^record dims must list at least one subsystem$"),
+        ("out_dims", [2, "2", 2, 2], r"^record out_dims\[1\] must be an integer, not '2'$"),
+        ("out_dims", [2, False, 2, 2], r"^record out_dims\[1\] must be an integer, not False$"),
+        ("out_dims", [2, -1, 2, 2],
+         r"^record out_dims must be non-negative, not \(2, -1, 2, 2\)$"),
+        ("out_dims", [2, 2, 2], "^record dims and out_dims must have equal length$"),
+        ("dims", [2, 2, 2, 2, 2], "^record dims and out_dims must have equal length$"),
         ("seed", 1.7, "^seed must be an integer, not 1.7$"),
         ("seed", "12", "^seed must be an integer, not '12'$"),
         ("seed", True, "^seed must be an integer, not True$"),
@@ -487,8 +495,10 @@ class TestSchema1File:
             "seed-fraction", "seed-str", "seed-bool", "floor_events-fraction", "kind-number",
             "estimator-null", "estimator-without-R"])
     def test_bad_dims_rejected_by_name(self, schema, field, value, message):
-        # The table of malformed fields.  Accepted, a string dims entry loaded
-        # silently from schema 1 and raised a bare TypeError from schema 2; a
+        # The table of malformed fields; make_partition refuses dims and
+        # out_dims, its message prefixed with "record".  Accepted, a string
+        # dims entry loaded silently from schema 1 and raised a bare
+        # TypeError from schema 2; a
         # seed of 1.7, "12" or true loaded as 1, 12 and 1, floor_events 2.5
         # as 2, and kind 5 loaded; a null estimator reached the monitors as a
         # bare TypeError and {"Q": 1} as a bare KeyError: 'R'.

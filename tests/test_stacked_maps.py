@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import partkf.benchmarks
-import partkf.dekf
+import partkf.dkf
 import partkf.harness
 import partkf.model
 from partkf.analysis import monte_carlo
@@ -226,14 +226,14 @@ class TestOneCallPerInstant:
 
     def test_a_walk_that_calls_f_twice_fails_the_count(self, monkeypatch):
         # Negative control: the filter's dynamics step calls f once more.
-        walk = partkf.dekf._walk
+        walk = partkf.dkf._walk
 
         def twice(model, x, maps, *args, **kwargs):
             if "f" in maps:
                 walk(model, x, ("f",))
             return walk(model, x, maps, *args, **kwargs)
 
-        monkeypatch.setattr(partkf.dekf, "_walk", twice)
+        monkeypatch.setattr(partkf.dkf, "_walk", twice)
         tally = _standalone_tally(monkeypatch)
         want = _expected(REACTOR.steps, 1, stacked=False)
         assert [len(tally[i, "f"]) for i in range(4)] == [len(want["f"]) + REACTOR.steps] * 4
