@@ -715,7 +715,7 @@ def monte_carlo(config, runs: int) -> MonteCarloResult:
 
     if _integer("runs", runs) < 1:
         raise ValueError("runs must be at least 1")
-    plan = _resolve(config.replace(runs=1, monitors=False))
+    plan = _resolve(config)
     seeds = _run_seeds(config.seed, runs)
     arr = plan.rmse(seeds)
     return MonteCarloResult(seeds=seeds, rmse=arr, mean=arr.mean(axis=0),

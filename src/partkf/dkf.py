@@ -34,10 +34,11 @@ output blocks at the predictions with the outputs, and the blocks of the
 gain.  Both sources live here, on one base (:class:`_Source`) that
 validates the design once, keeping the group stacks of ``Q`` and ``P0``
 that the check made, and factors ``R`` once.  Per group of equally sized
-subsystems a source forms, from the stacks of the members' blocks, ``U``,
-``R^-1 U`` (one triangular solve pair over every member's columns) and
-``U' R^-1 U``: the linear source once, from the model's constant blocks,
-the nonlinear source at every instant from the Jacobian stacks it writes.
+subsystems the base's one method (:meth:`_Source.blocks`) forms, from the
+stacks of the members' blocks, ``U``, ``R^-1 U`` (one triangular solve pair
+over every member's columns) and ``U' R^-1 U``: the linear source once,
+from the model's constant blocks, the nonlinear source at every instant
+from the Jacobian stacks it writes.
 Per instant the loop predicts, forms the innovation once, settles the
 gains and updates, a group per call (:func:`_updated`).  The linear source
 predicts and forms the outputs from the model's group stacks
@@ -81,16 +82,18 @@ on every run.  The linear filter's records hold views of the schedule's
 arrays and of the source's column stacks, all read-only and shared by every
 run.
 
-Both sources also take stacks of runs, so the same loop filters a whole
-Monte Carlo ensemble of either model kind in one pass
-(:func:`_posterior_stack`), each run bit for bit its own run: the linear
-source does one matrix-vector product per run and subsystem and settles its
-schedule through the same :func:`_settled`; the nonlinear source's walks
-call a stacked subsystem's maps (``NonlinearSubsystem.stacked``) once per
-instant for every run, any other map once per run, and write run-stacked
-group stacks, and :func:`_settled` runs the kernel, the floor and the check
-once per group and instant over every run and member, each matrix the bits
-of its own call.  There is no second gain path.
+Both sources also take stacks of runs, so the same loop (:func:`_pass`)
+filters a whole Monte Carlo ensemble of either model kind in one pass, each
+run bit for bit its own run.  The pass reads its mode from the
+measurements: it makes a record's per-subsystem views for one history and
+none for a stack of histories.  The linear source does one matrix-vector
+product per run and subsystem and settles its schedule through the same
+:func:`_settled`; the nonlinear source's walks call a stacked subsystem's
+maps (``NonlinearSubsystem.stacked``) once per instant for every run, any
+other map once per run, and write run-stacked group stacks, and
+:func:`_settled` runs the kernel, the floor and the check once per group
+and instant over every run and member, each matrix the bits of its own
+call.  There is no second gain path.
 
 Covariances are symmetrized after every step, and every factorization goes
 through the matrix-health helpers of :mod:`partkf.model`: ``_spd_factor``
@@ -335,20 +338,6 @@ def _u_t(C: np.ndarray, a_col: np.ndarray, c_col: np.ndarray) -> np.ndarray:
     return np.concatenate([_tr(C[..., None, :, :] @ a_col), _tr(c_col)], axis=-2)
 
 
-def _group_blocks(source, a_stacks, C, c_stacks) -> list[tuple]:
-    """Per group of the partition, from the stacks of its members' ``A_col``
-    and ``C_col``: those stacks, the members' ``A_ii`` (their own rows of
-    ``A_col``), the source's stack of their ``Q_i`` and the
-    :func:`_information` blocks of ``U = [C A_col, C_col]``, the arguments
-    of :func:`gain_and_covariance` but for ``P``, ``C`` and ``R``.  Stacks
-    of runs (``(..., members, rows, d)``, with ``C`` of ``(..., ny, nx)``)
-    give blocks of runs."""
-    return [(a, a[..., np.arange(len(members))[:, None], idx, :], c, Q,
-             _information(_u_t(C, a, c), source.R_factor))
-            for (members, idx), a, c, Q in zip(source.model.partition.groups, a_stacks,
-                                               c_stacks, source.Q)]
-
-
 def _information_gain(UT, RiUT, G, W, WV, base) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of both filters, for a stack of subsystems of one size:
     gains ``L' = R^-1 U (I + W G)^-1 W V`` with ``G = U' R^-1 U``, and
@@ -507,6 +496,19 @@ class _Source:
     def keep(self, k: int, entry: _Settled) -> _Settled:
         return entry
 
+    def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
+        """Per group of the partition, from the stacks of its members'
+        ``A_col`` and ``C_col``: those stacks, the members' ``A_ii`` (their
+        own rows of ``A_col``), the stack of their ``Q_i`` and the
+        :func:`_information` blocks of ``U = [C A_col, C_col]``, the
+        arguments of :func:`gain_and_covariance` but for ``P``, ``C`` and
+        ``R``.  Stacks of runs (``(..., members, rows, d)``, with ``C`` of
+        ``(..., ny, nx)``) give blocks of runs."""
+        return [(a, a[..., np.arange(len(members))[:, None], idx, :], c, Q,
+                 _information(_u_t(C, a, c), self.R_factor))
+                for (members, idx), a, c, Q in zip(self.model.partition.groups, a_stacks,
+                                                   c_stacks, self.Q)]
+
 
 class _LinearSource(_Source):
     """Linearization source of a linear model: the model's column blocks as
@@ -523,7 +525,7 @@ class _LinearSource(_Source):
         super().__init__(model, design)
         self.a_stacks, self.c_stacks = ([_frozen(s) for s in model.partition.stacked(cols)]
                                         for cols in model._col_blocks)
-        self._blocks = _group_blocks(self, self.a_stacks, model.C, self.c_stacks)
+        self._blocks = super().blocks(self.a_stacks, model.C, self.c_stacks)
         #: The gain schedule: instant ``k`` -> its :class:`_Settled`.
         self.schedule: dict = {}
 
@@ -535,7 +537,7 @@ class _LinearSource(_Source):
         return self.model.C, self.c_stacks, self.model._affine.h(x)
 
     def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
-        """The constant :func:`_group_blocks` of the model's own blocks."""
+        """The constant :meth:`_Source.blocks` of the model's own blocks."""
         return self._blocks
 
     def keep(self, k: int, entry: _Settled) -> _Settled:
@@ -574,10 +576,6 @@ class _NonlinearSource(_Source):
         and group stacks, and the outputs."""
         stacks, values = _walk(self.model, x, ("jac_h", "h"))
         return self.model.partition.assembled(stacks), stacks, values
-
-    def blocks(self, a_stacks, C, c_stacks) -> list[tuple]:
-        """The :func:`_group_blocks` of this instant's stacks."""
-        return _group_blocks(self, a_stacks, C, c_stacks)
 
 
 def _check_trajectory(model: GlobalModel, traj: Trajectory) -> np.ndarray:
@@ -627,27 +625,11 @@ def _run_filter(source, traj: Trajectory, order: Sequence[int] | None,
     )
 
 
-def _posterior_stack(source, ys: np.ndarray) -> np.ndarray:
-    """The posteriors ``(K+1, runs, nx)`` of either filter over a stack of
-    measurement histories ``(K+1, runs, ny)``, one per run, instant first:
-    one pass of the engine's loop for every run, each run's posteriors bit
-    for bit those of its own run.  The linear filter's gains and
-    covariances are the source's schedule, settled by the pass where it
-    lacks an instant; the extended filter's are settled per instant for
-    every run at once.  The measurements must be finite; they are not
-    checked here.  A failing map or a filter error of any run raises.  The
-    pass keeps no per-instant gain, covariance or column block of its own.
-    A linear source's schedule does: it keeps every instant's ``L`` and
-    ``P`` group stacks, shared by all runs, about 135 MB at chain-64 (64
-    subsystems of 2 states, 64 outputs) and K=2000.  The extended filter's
-    pass holds its states and measurements and one instant's arrays."""
-    return _pass(source, ys, range(source.model.partition.n), keep=False)[1]
-
-
-def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> tuple:
+def _pass(source, ys: np.ndarray, agenda: Sequence[int]) -> tuple:
     """The engine's loop over measurements ``ys``: one history ``(K+1,
-    ny)``, or a stack of histories ``(K+1, runs, ny)``, whose runs every
-    map, product and settling step of either source takes at once.
+    ny)``, or a stack of histories ``(K+1, runs, ny)``, one per run, whose
+    runs every map, product and settling step of either source takes at
+    once, each run's posteriors bit for bit those of its own run.
 
     Instant 0 fuses the prior guess with ``y_0`` (output blocks at the guess).
     Instant ``k`` takes from the source the dynamics blocks at the
@@ -658,16 +640,16 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     Both settle their gains and covariances with :func:`_settled`, which
     raises with the subsystem and the instant.  Returns the predictions and
     posteriors (shaped as ``ys`` but for the last axis, ``nx``), the
-    per-instant gains, covariances and column blocks of one history, per
-    subsystem views of the group stacks (when ``keep`` is false, as for a
-    stack of histories, none is kept and no view is made), the number of
-    floor events and the wall time of each instant.  A kept pass takes one
-    history only: ``keep`` with ``ys`` of another number of axes raises
-    ``ValueError`` naming its shape, before any work.
+    per-instant gains, covariances and column blocks as per-subsystem views
+    of the group stacks, the number of floor events and the wall time of
+    each instant.  The views are a record's, so only one history has them:
+    for a stack of histories the four lists stay empty, and the pass holds
+    its states and measurements and one instant's arrays.  A linear
+    source's schedule still keeps every instant's ``L`` and ``P`` group
+    stacks, shared by all runs, about 135 MB at chain-64 (64 subsystems of
+    2 states, 64 outputs) and K=2000.  ``ys`` is not checked here; a failing
+    map or a filter error of any run raises.
     """
-    if keep and ys.ndim != 2:
-        raise ValueError(f"a pass that keeps its record takes one history (K+1, ny), "
-                         f"not ys of shape {ys.shape}")
     model, design = source.model, source.design
     p = model.partition
     groups = p.groups
@@ -680,20 +662,21 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
     # id -> (stacks, views): the one memo of the per-subsystem views a record
     # holds; a linear source hands the same column stacks at every instant.
     made = {}
+    gains, covs, c_cols, a_cols = kept = [], [], [], []
 
-    def views(stacks) -> list:
-        if id(stacks) not in made:
-            made[id(stacks)] = stacks, p.unstacked(stacks)
-        return list(made[id(stacks)][1])
+    def keep_views(*stacks) -> None:
+        # Per instant, the views of L, P, C_col and A_col, of one history only.
+        for out, s in zip(kept, stacks if ys.ndim == 2 else ()):
+            if id(s) not in made:
+                made[id(s)] = s, p.unstacked(s)
+            out.append(list(made[id(s)][1]))
 
     t0 = time.perf_counter()
     c_stacks, entry = _at_instant(0, _fuse_prior, source, ys[0], xhat_post[0])
     wall[0] = time.perf_counter() - t0
     xhat_pred[0] = design.x0_guess
     floor_events = entry.floors
-    gains, covs, a_cols, c_cols = [], [], [], []
-    if keep:
-        gains, covs, c_cols = [views(entry.L)], [views(entry.P)], [views(c_stacks)]
+    keep_views(entry.L, entry.P, c_stacks)
 
     for k in range(1, K + 1):
         t0 = time.perf_counter()
@@ -714,11 +697,7 @@ def _pass(source, ys: np.ndarray, agenda: Sequence[int], keep: bool = True) -> t
         floor_events += entry.floors
         _updated(groups, entry.L, xhat_pred[k], innovation, xhat_post[k])
         wall[k] = time.perf_counter() - t0
-        if keep:
-            gains.append(views(entry.L))
-            covs.append(views(entry.P))
-            a_cols.append(views(a_stacks))
-            c_cols.append(views(c_stacks))
+        keep_views(entry.L, entry.P, c_stacks, a_stacks)
     return xhat_pred, xhat_post, gains, covs, a_cols, c_cols, floor_events, wall
 
 

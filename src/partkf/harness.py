@@ -67,7 +67,7 @@ import numpy as np
 from . import analysis
 from .benchmarks import _REGISTRY, Benchmark, get_benchmark
 from .dkf import (EstimatorDesign, FilterError, _LinearSource, _NonlinearSource, _one_block,
-                  _posterior_stack, _run_filter, run_dkf)
+                  _pass, _run_filter, run_dkf)
 from .dekf import run_dekf
 from .fie import centralized_fie, classical_ekf_init, classical_ekf_step, run_dfie
 from .model import (
@@ -302,21 +302,18 @@ def _resolve(config: ExperimentConfig) -> "_Plan":
         raise ValueError("inline models require noise w_std and v_std")
     noise = NoiseSpec(seed=config.seed, **noise_kw)
 
-    est = dict(config.estimator or {})
+    est = config.estimator or {}
     if design is None and not set(_ESTIMATOR_KEYS) <= set(est):
         raise ValueError("inline models require estimator Q, R, P0 and x0_guess")
-    Q = (_weight_list(est["Q"], p.dims, "estimator.Q") if "Q" in est
-         else design.Q)
-    if "R" in est:
-        R = _numbers("estimator.R", est["R"])
-        R = np.diag(np.full(p.ny, R)) if R.ndim == 0 else R
-    else:
-        R = design.R
-    P0 = (_weight_list(est["P0"], p.dims, "estimator.P0") if "P0" in est
-          else design.P0)
-    guess = (_numbers("estimator.x0_guess", est["x0_guess"]) if "x0_guess" in est
-             else design.x0_guess)
-    design = EstimatorDesign(Q=Q, R=R, P0=P0, x0_guess=guess)
+    # One conversion per given key, a scalar R a diagonal; a key not given
+    # is the benchmark design's.
+    convert = {"Q": lambda name, v: _weight_list(v, p.dims, name),
+               "R": lambda name, v: (np.diag(np.full(p.ny, R))
+                                     if (R := _numbers(name, v)).ndim == 0 else R),
+               "P0": lambda name, v: _weight_list(v, p.dims, name),
+               "x0_guess": _numbers}
+    design = EstimatorDesign(**{key: convert[key](f"estimator.{key}", est[key]) if key in est
+                                else getattr(design, key) for key in _ESTIMATOR_KEYS})
 
     source = (_LinearSource if model.linear else _NonlinearSource)(model, design)
     return _Plan(config, model, x0, noise, source)
@@ -382,7 +379,7 @@ class _Plan:
                 return None
             xs, ys = truth
             try:
-                post = _posterior_stack(self.source, ys)
+                post = _pass(self.source, ys, range(self.model.partition.n))[1]
             except (FilterError, LinearizationError):
                 return None
             rows[start:start + width] = analysis.rmse(post, xs).T

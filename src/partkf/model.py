@@ -690,6 +690,8 @@ class NonlinearSubsystem:
     step from ``simulate``).  When analytic Jacobians and
     ``jacobian_check_samples`` are both supplied, the constructor spot-checks
     them against central finite differences at relative tolerance 1e-5.
+    It calls each map once per check sample, and that one result serves
+    both this check and the stacked check below.
 
     ``stacked=True`` promises that every map also takes a stack of points,
     ``x_i`` of shape ``(..., state_dim)`` and each neighbor's block of
@@ -701,11 +703,12 @@ class NonlinearSubsystem:
     ``np.any(x_i > limit)`` agrees inside the box and mixes runs outside
     it), so the flag is the author's to give.  The constructor needs at
     least two ``jacobian_check_samples`` for it, calls every map on them
-    stacked as one batch, in their order and in reverse, and keeps the
-    flag only when each row equals the map's call on that sample alone bit
-    for bit; otherwise ``stacked`` reads false and the maps are called per
-    point.  The check is on exact bits, so it is run where the program
-    runs: a map's arithmetic must be the same for a point and for a stack.
+    stacked as one batch, in their order and in reverse, after the
+    Jacobian check, and keeps the flag only when each row equals the map's
+    call on that sample alone bit for bit; otherwise ``stacked`` reads
+    false and the maps are called per point.  The check is on exact bits,
+    so it is run where the program runs: a map's arithmetic must be the
+    same for a point and for a stack.
     One trap: ``z ** 2`` of a NumPy float64 scalar is libm ``pow``, of an
     array ``z * z``, and the two differ in the last bit at some points;
     ``np.float_power(z, 2)`` of an array gives the scalar's bits.
@@ -757,50 +760,50 @@ class NonlinearSubsystem:
                 self.jacobian_check_samples) < 2:
             raise ValueError(f"subsystem {i}: stacked maps need at least two "
                              "jacobian_check_samples")
-        if self.jac_f is not None or self.jac_h is not None:
-            self._spot_check_jacobians()
-        if self.stacked:
-            object.__setattr__(self, "stacked", self._stacks_agree())
+        if self.stacked or self.jac_f is not None or self.jac_h is not None:
+            object.__setattr__(self, "stacked", self._check_samples())
 
     @property
     def neighbors(self) -> tuple[int, ...]:
         return tuple(self.neighbor_dims.keys())
 
-    def _spot_check_jacobians(self) -> None:
-        for x_i, nbrs in self.jacobian_check_samples:
-            _results(self, "f", x_i, nbrs)
-            for name in ("jac_f", "jac_h") if self.out_dim else ("jac_f",):
-                if getattr(self, name) is None:
-                    continue
-                for l, got, want in zip((self.index, *self.neighbors),
-                                        _results(self, name, x_i, nbrs),
+    def _check_samples(self) -> bool:
+        """Call each map the filters call (``f``; ``h`` when stacked; each
+        given provider, ``jac_h`` only with outputs) once per check sample,
+        and hold each provider's result to central differences, a
+        ``ValueError`` when they disagree.  Then, for stacked maps, whether
+        each map, called once on the samples stacked as one batch, in their
+        order and in reverse, gives every sample the bits of that sample's
+        call.  A stacked call that raises or returns a wrong result does not
+        agree."""
+        samples = self.jacobian_check_samples
+        providers = [name for name in (("jac_f", "jac_h") if self.out_dim else ("jac_f",))
+                     if getattr(self, name) is not None]
+        alone = []
+        for x_i, nbrs in samples:
+            alone.append({"f": _results(self, "f", x_i, nbrs)})
+            for name in providers:
+                alone[-1][name] = _results(self, name, x_i, nbrs)
+                for l, got, want in zip((self.index, *self.neighbors), alone[-1][name],
                                         _central(self, name, x_i, nbrs)):
                     if not _agrees(got, want):
                         what = f"df/dx_{l}" if name == "jac_f" else "dh/dx"
                         raise ValueError(f"subsystem {self.index}: analytic {what} "
                                          "disagrees with finite differences")
-
-    def _stacks_agree(self) -> bool:
-        """Whether each map the filters call (``f``, ``h`` and the given
-        providers, ``jac_h`` only with outputs), called once on the check
-        samples stacked as one batch, in their order and in reverse, gives
-        every sample the bits of its call on that sample alone.  A stacked
-        call that raises or returns a wrong result does not agree."""
-        samples = self.jacobian_check_samples
-        maps = ["f", "h", *(["jac_f"] if self.jac_f is not None else []),
-                *(["jac_h"] if self.jac_h is not None and self.out_dim else [])]
-        alone = {name: [_results(self, name, x_i, nbrs) for x_i, nbrs in samples]
-                 for name in maps}
+        if not self.stacked:
+            return False
+        for got, (x_i, nbrs) in zip(alone, samples):
+            got["h"] = _results(self, "h", x_i, nbrs)
         for order in (range(len(samples)), range(len(samples) - 1, -1, -1)):
             x = np.stack([samples[s][0] for s in order])
             nbrs = {l: np.stack([samples[s][1][l] for s in order]) for l in self.neighbors}
-            for name, want in alone.items():
+            for name in ("f", "h", *providers):
                 try:
                     got = _results(self, name, x, nbrs)
                 except LinearizationError:
                     return False
                 if any(g[row].tobytes() != w.tobytes()
-                       for row, s in enumerate(order) for g, w in zip(got, want[s])):
+                       for row, s in enumerate(order) for g, w in zip(got, alone[s][name])):
                     return False
         return True
 

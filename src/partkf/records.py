@@ -213,8 +213,9 @@ def _check_record(values: dict, p: StatePartition) -> None:
     loaded record (a given ``wall_clock`` too) has its shape for the
     partition ``p`` of its ``dims`` and ``out_dims`` and the ``K + 1``
     instants that ``xs`` holds, ``estimator`` is a design of that shape (as
-    ``EstimatorDesign.serializable`` writes it) and ``monitors``, when
-    given, holds what the monitor exports read (:func:`_check_flags`)."""
+    ``EstimatorDesign.serializable`` writes it), ``floor_events`` counts at
+    most one event per subsystem and instant, and ``monitors``, when given,
+    holds what the monitor exports read (:func:`_check_flags`)."""
     if values["kind"] not in ("dkf", "dekf"):
         raise ValueError(f"record kind must be 'dkf' or 'dekf', not {values['kind']!r}")
     instants = len(values["xs"]) if np.ndim(values["xs"]) else 0
@@ -241,6 +242,9 @@ def _check_record(values: dict, p: StatePartition) -> None:
             _check_shapes(f"record {name} at instant {k}, subsystem", blocks, shapes)
     _require("record estimator", values["estimator"], ("Q", "R", "P0", "x0_guess"))
     _check_design("record estimator", values["estimator"], p)
+    if not 0 <= values.get("floor_events", 0) <= instants * p.n:
+        raise ValueError(f"record floor_events must lie in [0, {instants * p.n}], at most one "
+                         f"per subsystem and instant, not {values['floor_events']}")
     if values.get("monitors") is not None:
         _check_flags(values["monitors"], instants)
 

@@ -677,7 +677,7 @@ class TestStackedNonlinearEnsemble:
         broken = dataclasses.replace(bench, model=aggregate_nonlinear(subs, p))
         monkeypatch.setitem(partkf.benchmarks._REGISTRY, "test-reactor", lambda: broken)
         config = config.replace(model={"name": "test-reactor"})
-        passes = count_calls(monkeypatch, partkf.harness, "_posterior_stack")
+        passes = count_calls(monkeypatch, partkf.harness, "_pass")
         with pytest.raises(LinearizationError) as stacked:
             monte_carlo(config, runs=4)
         assert len(passes) == 1

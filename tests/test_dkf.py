@@ -10,7 +10,6 @@ from partkf.dekf import run_dekf
 from partkf.dkf import (
     CovarianceCollapseError,
     _LinearSource,
-    _pass,
     _run_filter,
     EstimatorDesign,
     EstimatorState,
@@ -27,7 +26,7 @@ from partkf.model import (LinearSubsystem, _monolithic, _tr, assemble_global,
                           make_partition)
 from partkf.simulate import simulate
 
-from conftest import count_calls, noise_for
+from conftest import noise_for
 from random_plants import random_plant
 
 
@@ -318,17 +317,6 @@ class TestDkfStep:
         reused = _run_filter(source, traj, [1, 0], None)
         fresh = run_dkf(model, design, traj, order=[1, 0])
         assert reused.content_digest() == fresh.content_digest()
-
-    @pytest.mark.parametrize("shape", [(4, 3, 2), (4,)], ids=["stack", "one-axis"])
-    def test_kept_pass_refuses_other_than_one_history(self, monkeypatch, linear_bench, shape):
-        # Accepted, a stack of histories gave its record per-subsystem views
-        # taken along the run axis.
-        source = _LinearSource(linear_bench.model, linear_bench.design)
-        fused = count_calls(monkeypatch, partkf.dkf, "_fuse_prior")
-        with pytest.raises(ValueError, match=re.escape(
-                f"takes one history (K+1, ny), not ys of shape {shape}")):
-            _pass(source, np.zeros(shape), [0, 1])
-        assert fused == []
 
     def test_states_advance_with_consistent_index(self, linear_bench, unit_weight_design):
         model = linear_bench.model

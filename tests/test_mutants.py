@@ -23,6 +23,11 @@ def spare():
         return 1
 '''
 
+#: A planted module whose one mutant skips the result check ``_put``.
+PLANTED_PUT = b'''def fill(dest, got):
+    return _put(dest, "f", got)
+'''
+
 
 def _plant(root: Path, source: bytes) -> None:
     """A project of one module, ``src/plant.py``, whose mapped test file
@@ -45,6 +50,11 @@ def test_planted_module_lists_each_single_edit_in_text_order():
         (12, "spare", "bumped constant", "1", "2"),
     ]
     assert len({m.key for m in mutants.mutants("src/plant.py", PLANTED)}) == 4
+    # A skipped ``_put`` is its destination, which writes and checks nothing.
+    [skipped] = mutants.mutants("src/plant.py", PLANTED_PUT)
+    assert (skipped.line, skipped.scope, skipped.kind, skipped.before, skipped.text) == (
+        2, "fill", "skipped _put", '_put(dest, "f", got)', "(dest)")
+    assert skipped.apply(PLANTED_PUT) == b"def fill(dest, got):\n    return (dest)\n"
 
 
 def test_a_mutant_of_dead_code_runs_the_original_instructions():

@@ -228,6 +228,24 @@ class TestFromJson:
             _through_file(dataclasses.replace(monitored, wall_clock=wall))
         assert len(_through_file(monitored).wall_clock) == K + 1
 
+    @pytest.mark.parametrize("events", [-3, 10 ** 6])
+    def test_floor_events_beyond_one_per_subsystem_and_instant_rejected(self, tmp_path,
+                                                                        events):
+        # Accepted, any integer loaded and the monitor summary reported it;
+        # the engine counts at most one event per subsystem and instant.
+        config = ExperimentConfig(model={"name": "linear-4state"}, steps=5, seed=2)
+        payload = run_experiment(config, write_outputs=False).to_json()
+        bound = (config.steps + 1) * len(payload["dims"])
+        payload["floor_events"] = events
+        with pytest.raises(ValueError, match=re.escape(
+                f"record floor_events must lie in [0, {bound}], at most one per subsystem "
+                f"and instant, not {events}")):
+            RunRecord.from_json(payload)
+        payload["floor_events"] = bound
+        back = RunRecord.from_json(payload)
+        summary = json.loads(write_summary_json(back, tmp_path / "summary.json").read_text())
+        assert back.floor_events == summary["floor_events"] == bound == 12
+
     def test_missing_optional_fields_load_with_defaults(self, monitored):
         payload = monitored.to_json()
         for key in ("floor_events", "monitors", "config", "wall_clock"):

@@ -182,6 +182,59 @@ class TestFallback:
         assert not plain.stacked
 
 
+def _recorded(sub, name: str, points: list, scale: float = 1.0):
+    """``sub`` with its map ``name`` replaced by one that records each point
+    it is called at in ``points`` and multiplies its result by ``scale``."""
+    exact = getattr(sub, name)
+
+    def recorded(x_i, *args):
+        points.append(np.array(x_i))
+        got = exact(x_i, *args)
+        return {l: scale * b for l, b in got.items()} if name == "jac_f" else scale * got
+
+    return dataclasses.replace(sub, **{name: recorded})
+
+
+class TestConstructionCheck:
+    """The construction check calls each map once per check sample; that
+    one result is held to central differences and to the stacked calls."""
+
+    @pytest.mark.parametrize("name", ["jac_f", "jac_h"])
+    def test_a_provider_is_called_once_per_check_sample(self, name):
+        # The central differences call f and h, and the stacked batches take
+        # the samples as one (2, 2) stack, in their order and in reverse.
+        sub, points = reactor_subsystems()[1], []
+        assert _recorded(sub, name, points).stacked
+        samples = sub.jacobian_check_samples
+        alone = [x for x in points if x.ndim == 1]
+        assert len(alone) == len(samples)
+        assert all(np.array_equal(x, x_i) for x, (x_i, _) in zip(alone, samples))
+        assert [x.shape for x in points if x.ndim > 1] == [(len(samples), 2)] * 2
+
+    @pytest.mark.parametrize("name, what", [("jac_f", "df/dx_1"), ("jac_h", "dh/dx")])
+    def test_a_disagreeing_provider_raises_before_any_stacked_call(self, name, what):
+        points = []
+        with pytest.raises(ValueError, match=f"^subsystem 1: analytic {what} disagrees with "
+                                             "finite differences$"):
+            _recorded(reactor_subsystems()[1], name, points, scale=1.01)
+        assert [x.ndim for x in points] == [1]
+
+    def test_the_jacobian_tolerance_is_1e_5_relative(self):
+        # The unit's h is linear, so central differences give its constant
+        # jac_h to about 1e-10: an error of 0.5e-5 (1 + |J|) passes the
+        # documented tolerance and one of 1.5e-5 (1 + |J|) does not.
+        sub = reactor_subsystems()[1]
+        J = sub.jac_h(sub.jacobian_check_samples[0][0])
+
+        def shifted(error):
+            return dataclasses.replace(sub, jac_h=lambda x_i: J + error * (1.0 + np.abs(J)),
+                                       stacked=False)
+
+        assert shifted(0.5e-5).jac_h is not None
+        with pytest.raises(ValueError, match="^subsystem 1: analytic dh/dx disagrees"):
+            shifted(1.5e-5)
+
+
 def _tally(calls: list) -> dict:
     """Per ``(subsystem, map)``, the leading shapes of the points of the
     calls of the subsystem's own maps among ``calls`` of ``model._called``."""

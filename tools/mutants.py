@@ -2,9 +2,10 @@
 
 A mutant changes one thing in one module.  It swaps an arithmetic,
 comparison or boolean operator, bumps a numeric constant, drops a ``not``
-or a unary minus, or deletes a ``raise`` or a call of a check (a
-``_check_*`` or ``validate`` call made as a statement).  Annotations and
-f-strings are left alone.  For each module the probe takes a seeded sample
+or a unary minus, deletes a ``raise`` or a call of a check (a ``_check_*``
+or ``validate`` call made as a statement), or skips a result check: a
+``_put(dest, ...)`` call becomes ``dest``, which writes and checks
+nothing.  Annotations and f-strings are left alone.  For each module the probe takes a seeded sample
 of its mutants.  It runs each mutant, in a scratch copy of the repository,
 against the module's mapped test files (:data:`MAPPED`, by default
 ``tests/test_<module>.py``), then against the whole suite if it survives
@@ -64,6 +65,12 @@ EQUIVALENT = {
                 "same for any chunk (test_chunked_kernel_bitwise_equal_to_reference)",
     "05487789": "sets only the chunk size of the monitor pass, whose report is bitwise the "
                 "same for any chunk (test_chunked_kernel_bitwise_equal_to_reference)",
+    # model.py:_all_finite, a.size <= 64 -> a.size < 64
+    "68a071a9": "picks the sum test or NumPy's test of a 64-entry array, which give the "
+                "same verdict (an overflowing sum falls through to NumPy's)",
+    # fie.py:_weights, np.eye(m.shape[0]) -> np.eye(m.shape[1])
+    "ca873eb3": "differs only for a weight that is not square, which never gets a factor: "
+                "its symmetric part does not broadcast or is not positive definite",
 }
 
 #: The operator each operator is swapped for.
@@ -132,6 +139,8 @@ def _edits(node: ast.AST, segment) -> list[tuple[str, str]]:
         return [(kind, f"({segment(node.operand)})")]
     if isinstance(node, ast.Raise):
         return [("deleted raise", "pass")]
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_put" and node.args:
+        return [("skipped _put", f"({segment(node.args[0])})")]
     if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
         func = node.value.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
